@@ -145,8 +145,9 @@ func (u *ufsFile) ReadAtv(segs []Seg) (payload.List, error) {
 		return u.readEach(segs)
 	case MethodSieve:
 		return u.readSievev(segs)
-	default:
-		return u.readListv(segs)
+	default: // list I/O, as writeListv
+		u.stats.Batches++
+		return u.f.ReadvAt(segs)
 	}
 }
 
@@ -184,26 +185,11 @@ func (u *ufsFile) readEach(segs []Seg) (payload.List, error) {
 	return out, nil
 }
 
-// writeListv ships the whole segment list as one batched request when
-// the backend supports it (list I/O); otherwise it degrades to the
-// naive loop — batching is a backend capability, not an emulation.
+// writeListv ships the whole segment list as one batched backend
+// request (list I/O).
 func (u *ufsFile) writeListv(segs []Seg, data payload.List) error {
-	vio, ok := u.f.(plfs.VectoredIO)
-	if !ok {
-		return u.writeEach(segs, data)
-	}
 	u.stats.Batches++
-	return vio.WritevAt(segs, data)
-}
-
-// readListv is writeListv's read side.
-func (u *ufsFile) readListv(segs []Seg) (payload.List, error) {
-	vio, ok := u.f.(plfs.VectoredIO)
-	if !ok {
-		return u.readEach(segs)
-	}
-	u.stats.Batches++
-	return vio.ReadvAt(segs)
+	return u.f.WritevAt(segs, data)
 }
 
 // writeSievev is write-side data sieving: segments within SieveGap bytes
@@ -223,7 +209,7 @@ func (u *ufsFile) writeSievev(segs []Seg, data payload.List) error {
 	}
 	ext := func(i int) extent.Ext { return segs[i] }
 	batches := extent.Plan(len(segs), nil, ext, u.hints.SieveGap, u.hints.SieveBuf)
-	rl, _ := u.f.(plfs.RangeLocker)
+	rl, _ := plfs.LeafFile(u.f).(plfs.RangeLocker)
 	for _, b := range batches {
 		live := b.Live(ext)
 		rmw := live != b.Len

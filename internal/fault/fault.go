@@ -27,7 +27,6 @@ package fault
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	iofs "io/fs"
@@ -37,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"plfs/internal/extent"
 	"plfs/internal/obs"
 	"plfs/internal/payload"
 	"plfs/internal/plfs"
@@ -395,11 +393,7 @@ func (in *Injector) SetBrownout(vol int, factor float64) {
 
 // ClearBrownout ends the brownout on vol, restoring its healthy latency
 // and error rate.
-func (in *Injector) ClearBrownout(vol int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.brownout, vol)
-}
+func (in *Injector) ClearBrownout(vol int) { in.SetBrownout(vol, 0) }
 
 // brownoutFactor returns vol's current degradation factor (0 = healthy).
 func (in *Injector) brownoutFactor(vol int) float64 {
@@ -417,15 +411,7 @@ func (in *Injector) fireBrownout(op Op, path string, vol int) bool {
 	if fac <= 1 {
 		return false
 	}
-	p := fac / 100
-	if p > maxBrownoutP {
-		p = maxBrownoutP
-	}
-	if in.roll(op, "brownout:"+path) >= p {
-		return false
-	}
-	in.count(op)
-	return true
+	return in.hit(op, "brownout:"+path, min(fac/100, maxBrownoutP))
 }
 
 // Spec returns the injector's fault specification.
@@ -524,28 +510,24 @@ func (in *Injector) count(op Op) {
 	}
 }
 
-// fire decides whether a transient error hits this (op, path) call.
-func (in *Injector) fire(op Op, path string) bool {
-	p := in.spec.P[op]
-	if p <= 0 {
-		return false
-	}
-	if in.roll(op, path) >= p {
+// hit rolls one die against probability p and counts the fault when it
+// fires; p <= 0 rolls nothing, so a disabled fault class never shifts
+// the schedule of the enabled ones.
+func (in *Injector) hit(op Op, key string, p float64) bool {
+	if p <= 0 || in.roll(op, key) >= p {
 		return false
 	}
 	in.count(op)
 	return true
 }
 
+// fire decides whether a transient error hits this (op, path) call.
+func (in *Injector) fire(op Op, path string) bool { return in.hit(op, path, in.spec.P[op]) }
+
+// fireTorn decides whether this append tears (counted under OpAppend).
+// The rate is checked first so fault-free appends build no key string.
 func (in *Injector) fireTorn(path string) bool {
-	if in.spec.Torn <= 0 {
-		return false
-	}
-	if in.roll(OpAppend, "torn:"+path) >= in.spec.Torn {
-		return false
-	}
-	in.count(OpAppend)
-	return true
+	return in.spec.Torn > 0 && in.hit(OpAppend, "torn:"+path, in.spec.Torn)
 }
 
 func (in *Injector) lost(path string) bool {
@@ -579,12 +561,13 @@ func (in *Injector) latency(vol int, sleep plfs.Sleeper) {
 	time.Sleep(d)
 }
 
-// Wrap returns b with the injector's faults applied.  vol selects the
-// SlowVol latency entry; sleep is how injected latency is charged (use
-// the plfs.Ctx's Sleeper so simulated latency rides the virtual clock;
-// nil sleeps in real time).
+// Wrap returns b with the injector's faults applied: an interceptor on
+// plfs.Interpose, so the wrapped backend has exactly the capabilities of
+// the store under it.  vol selects the SlowVol latency entry; sleep is
+// how injected latency is charged (use the plfs.Ctx's Sleeper so
+// simulated latency rides the virtual clock; nil sleeps in real time).
 func (in *Injector) Wrap(b plfs.Backend, vol int, sleep plfs.Sleeper) plfs.Backend {
-	return &backend{b: b, in: in, vol: vol, sleep: sleep}
+	return plfs.Interpose(b, gate{in: in, vol: vol, sleep: sleep}.intercept)
 }
 
 // WrapVols wraps a context's whole volume set (see Wrap).
@@ -596,379 +579,166 @@ func (in *Injector) WrapVols(vols []plfs.Backend, sleep plfs.Sleeper) []plfs.Bac
 	return out
 }
 
-type backend struct {
-	b     plfs.Backend
+// classOf maps each interposed call onto its fault class.  CreateBulk
+// has none of its own: its entries gate as OpMkdir or OpCreate.
+var classOf = [...]Op{
+	plfs.OpMkdir:       OpMkdir,
+	plfs.OpCreate:      OpCreate,
+	plfs.OpOpenRead:    OpOpen,
+	plfs.OpOpenWrite:   OpOpen,
+	plfs.OpStat:        OpStat,
+	plfs.OpReadDir:     OpReadDir,
+	plfs.OpRemove:      OpRemove,
+	plfs.OpRename:      OpRename,
+	plfs.OpPutIfAbsent: OpPut,
+	plfs.OpPutReplace:  OpPut,
+	plfs.OpWriteAt:     OpWrite,
+	plfs.OpWritevAt:    OpWrite,
+	plfs.OpReadAt:      OpRead,
+	plfs.OpReadvAt:     OpRead,
+	plfs.OpAppend:      OpAppend,
+	plfs.OpAppendv:     OpAppend,
+}
+
+// gate is one wrapped volume's view of the injector.
+type gate struct {
 	in    *Injector
 	vol   int
 	sleep plfs.Sleeper
 }
 
-// ConcurrentIO forwards the wrapped backend's advertisement: the
-// injector itself is goroutine-safe, so fan-out safety is whatever the
-// underlying store provides.
-func (f *backend) ConcurrentIO() bool {
-	c, ok := f.b.(plfs.ConcurrentIO)
-	return ok && c.ConcurrentIO()
-}
-
-// gate runs the injection decision that precedes every backend call.
-// The crash check comes first: a crashed store charges no latency and
-// rolls no probabilistic faults, it is simply gone.
-func (f *backend) gate(op Op, path string) error {
-	if err := f.in.crashCheck(op, path); err != nil {
+// admit is the part of the injection decision every call faces exactly
+// once, however many pieces it carries.  The crash check comes first: a
+// crashed store charges no latency and rolls no probabilistic faults, it
+// is simply gone.
+func (g gate) admit(op Op, path string) *Error {
+	if err := g.in.crashCheck(op, path); err != nil {
 		return err
 	}
-	f.in.latency(f.vol, f.sleep)
-	if f.in.lost(path) {
+	g.in.latency(g.vol, g.sleep)
+	if g.in.lost(path) {
 		return &Error{Op: op, Path: path, Kind: Lost}
-	}
-	if f.in.fire(op, path) || f.in.fireBrownout(op, path, f.vol) {
-		return &Error{Op: op, Path: path, Kind: Transient}
 	}
 	return nil
 }
 
-// Mkdir implements plfs.Backend.
-func (f *backend) Mkdir(path string) error {
-	if err := f.gate(OpMkdir, path); err != nil {
-		return err
-	}
-	return f.b.Mkdir(path)
+// dice rolls the transient dice (configured rate, then brownout rate)
+// for one call or one piece of a batched call.
+func (g gate) dice(op Op, path string) bool {
+	return g.in.fire(op, path) || g.in.fireBrownout(op, path, g.vol)
 }
 
-// Create implements plfs.Backend.
-func (f *backend) Create(path string) (plfs.File, error) {
-	if err := f.gate(OpCreate, path); err != nil {
-		return nil, err
+// intercept is the plfs.Interceptor: admit, roll the dice, forward.
+//
+// A batched call (WritevAt, ReadvAt, Appendv) charges one latency and
+// counts as one mutating operation — that is the point of batching —
+// but every extent or payload piece rolls its own dice in order, so
+// coverage matches the equivalent per-piece loop.  Transient errors fire
+// before any byte lands, so a retry reissues cleanly (WriteAt is
+// idempotent at its offsets; a failed read returns nothing).  Appends
+// are the exception, with prefix semantics defined exactly: the pieces
+// before the first failing one land, a torn failure additionally lands
+// half of the failing piece, and an append in flight at the crash point
+// lands its first half (of the bytes, or of the batch) — half the
+// payload is on disk when the machine dies.  A failure on the first
+// piece is a clean Transient; any later one is permanent and reports
+// TornWrite() so retry loops rebuild instead of reissuing in place.  A
+// conditional PUT is atomic by the backend's contract: a crash or
+// transient on it means it did not apply, never a torn variant.
+func (g gate) intercept(o *plfs.Op, call func() error) error {
+	if o.Kind == plfs.OpCreateBulk {
+		g.bulk(o, call)
+		return nil
 	}
-	fl, err := f.b.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &file{f: fl, path: path, b: f}, nil
-}
-
-// OpenRead implements plfs.Backend.
-func (f *backend) OpenRead(path string) (plfs.File, error) {
-	if err := f.gate(OpOpen, path); err != nil {
-		return nil, err
-	}
-	fl, err := f.b.OpenRead(path)
-	if err != nil {
-		return nil, err
-	}
-	return &file{f: fl, path: path, b: f}, nil
-}
-
-// OpenWrite implements plfs.Backend.
-func (f *backend) OpenWrite(path string) (plfs.File, error) {
-	if err := f.gate(OpOpen, path); err != nil {
-		return nil, err
-	}
-	fl, err := f.b.OpenWrite(path)
-	if err != nil {
-		return nil, err
-	}
-	return &file{f: fl, path: path, b: f}, nil
-}
-
-// Stat implements plfs.Backend.
-func (f *backend) Stat(path string) (plfs.Info, error) {
-	if err := f.gate(OpStat, path); err != nil {
-		return plfs.Info{}, err
-	}
-	return f.b.Stat(path)
-}
-
-// ReadDir implements plfs.Backend.
-func (f *backend) ReadDir(path string) ([]plfs.Info, error) {
-	if err := f.gate(OpReadDir, path); err != nil {
-		return nil, err
-	}
-	return f.b.ReadDir(path)
-}
-
-// Remove implements plfs.Backend.
-func (f *backend) Remove(path string) error {
-	if err := f.gate(OpRemove, path); err != nil {
-		return err
-	}
-	return f.b.Remove(path)
-}
-
-// Rename implements plfs.Backend.
-func (f *backend) Rename(oldPath, newPath string) error {
-	if err := f.gate(OpRename, oldPath); err != nil {
-		return err
-	}
-	if f.in.lost(newPath) {
-		return &Error{Op: OpRename, Path: newPath, Kind: Lost}
-	}
-	return f.b.Rename(oldPath, newPath)
-}
-
-// PutIfAbsent implements plfs.CondPutter.  The inner backend is probed
-// first: when it lacks the capability, errors.ErrUnsupported returns
-// before any gate — no latency, no dice, no mutating-op count — so a
-// caller probing a POSIX-backed wrapper leaves the crashat schedule
-// undistorted.  A supported conditional PUT gates as one mutating op;
-// a crash or transient on it means the PUT did not apply (atomicity is
-// the backend's contract — there is no torn conditional PUT).
-func (f *backend) PutIfAbsent(path string, data []byte) error {
-	cp, ok := f.b.(plfs.CondPutter)
-	if !ok {
-		return errors.ErrUnsupported
-	}
-	if err := f.gate(OpPut, path); err != nil {
-		return err
-	}
-	return cp.PutIfAbsent(path, data)
-}
-
-// CreateBulk implements plfs.BulkCreator.  Like PutIfAbsent, an inner
-// backend without the capability answers errors.ErrUnsupported before any
-// gate fires.  Each entry then gates individually as one mutating op —
-// mkdirs as OpMkdir, files as OpCreate — so a crashat point mid-batch
-// applies a strict prefix: the entries before the crash are shipped to
-// the inner bulk RPC and land, the rest report Crashed.  That is the
-// server-side semantics of a real MDS bulk commit dying partway through
-// its journal, and it keeps the crash-torture sweep's op schedule honest.
-func (f *backend) CreateBulk(ops []plfs.BulkOp) []error {
-	bc, ok := f.b.(plfs.BulkCreator)
-	if !ok {
-		errs := make([]error, len(ops))
-		for i := range errs {
-			errs[i] = errors.ErrUnsupported
+	op, path := classOf[o.Kind], o.Path
+	if err := g.admit(op, path); err != nil {
+		switch {
+		case !err.inFlight:
+		case o.Kind == plfs.OpAppend:
+			land(o, call, halfOf(nil, o.Data[0]))
+		case o.Kind == plfs.OpAppendv:
+			land(o, call, o.Data[:len(o.Data)/2])
 		}
-		return errs
+		return err
 	}
+	pieces := 1
+	switch o.Kind {
+	case plfs.OpWritevAt, plfs.OpReadvAt:
+		pieces = max(1, len(o.Segs))
+	case plfs.OpAppend, plfs.OpAppendv:
+		pieces = len(o.Data)
+	}
+	for i := 0; i < pieces; i++ {
+		if g.dice(op, path) {
+			if i == 0 || op != OpAppend {
+				return &Error{Op: op, Path: path, Kind: Transient}
+			}
+			land(o, call, o.Data[:i])
+			return &Error{Op: op, Path: path, Kind: Torn}
+		}
+		if op == OpAppend && g.in.fireTorn(path) {
+			// A fresh prefix: appending the half piece in place would
+			// overwrite the caller's o.Data[i].
+			land(o, call, halfOf(append(payload.List(nil), o.Data[:i]...), o.Data[i]))
+			return &Error{Op: op, Path: path, Kind: Torn}
+		}
+	}
+	if o.Kind == plfs.OpRename && g.in.lost(o.Path2) {
+		return &Error{Op: op, Path: o.Path2, Kind: Lost}
+	}
+	return call()
+}
+
+// halfOf extends prefix with the first half of p (nothing, when p is
+// shorter than two bytes).
+func halfOf(prefix payload.List, p payload.Payload) payload.List {
+	if half := p.Len() / 2; half > 0 {
+		prefix = append(prefix, p.Slice(0, half))
+	}
+	return prefix
+}
+
+// land lands a prefix of an append before its failure is reported,
+// dropping the outcome (an empty prefix is no backend call at all).
+func land(o *plfs.Op, call func() error, prefix payload.List) {
+	if len(prefix) > 0 {
+		o.Data = prefix
+		call()
+	}
+}
+
+// bulk gates each entry of a bulk create individually as one mutating
+// op — mkdirs as OpMkdir, files as OpCreate — so a crashat point
+// mid-batch applies a strict prefix: the entries before the crash are
+// shipped to the store's bulk RPC and land, the rest report Crashed.
+// That is the server-side semantics of a real MDS bulk commit dying
+// partway through its journal, and it keeps the crash-torture sweep's op
+// schedule honest.
+func (g gate) bulk(o *plfs.Op, call func() error) {
+	ops := o.Bulk
 	errs := make([]error, len(ops))
 	var pass []plfs.BulkOp
 	var passIdx []int
-	for i, op := range ops {
-		gateOp := OpCreate
-		if op.Dir {
-			gateOp = OpMkdir
+	for i, e := range ops {
+		op := OpCreate
+		if e.Dir {
+			op = OpMkdir
 		}
-		if err := f.gate(gateOp, op.Path); err != nil {
+		err := g.admit(op, e.Path)
+		if err == nil && g.dice(op, e.Path) {
+			err = &Error{Op: op, Path: e.Path, Kind: Transient}
+		}
+		if err != nil {
 			errs[i] = err
 			continue
 		}
-		pass = append(pass, op)
+		pass = append(pass, e)
 		passIdx = append(passIdx, i)
 	}
-	for j, err := range bc.CreateBulk(pass) {
+	o.Bulk = pass
+	call()
+	for j, err := range o.BulkErrs {
 		errs[passIdx[j]] = err
 	}
-	return errs
-}
-
-// PutReplace implements plfs.CondPutter (see PutIfAbsent).
-func (f *backend) PutReplace(path string, data []byte) error {
-	cp, ok := f.b.(plfs.CondPutter)
-	if !ok {
-		return errors.ErrUnsupported
-	}
-	if err := f.gate(OpPut, path); err != nil {
-		return err
-	}
-	return cp.PutReplace(path, data)
-}
-
-type file struct {
-	f    plfs.File
-	path string
-	b    *backend
-}
-
-// WriteAt implements plfs.File.
-func (f *file) WriteAt(off int64, p payload.Payload) error {
-	if err := f.b.gate(OpWrite, f.path); err != nil {
-		return err
-	}
-	return f.f.WriteAt(off, p)
-}
-
-// Append implements plfs.File.  Transient errors fire before any byte
-// lands (so a retry reissues cleanly); torn errors land a prefix first
-// and are permanent.  An append in flight at the crash point gets the
-// same torn-prefix treatment: half the payload is on disk when the
-// machine dies.
-func (f *file) Append(p payload.Payload) (int64, error) {
-	if err := f.b.gate(OpAppend, f.path); err != nil {
-		var fe *Error
-		if errors.As(err, &fe) && fe.Kind == Crashed && fe.inFlight {
-			if half := p.Len() / 2; half > 0 {
-				f.f.Append(p.Slice(0, half))
-			}
-		}
-		return 0, err
-	}
-	if f.b.in.fireTorn(f.path) {
-		if half := p.Len() / 2; half > 0 {
-			f.f.Append(p.Slice(0, half))
-		}
-		return 0, &Error{Op: OpAppend, Path: f.path, Kind: Torn}
-	}
-	return f.f.Append(p)
-}
-
-// ReadAt implements plfs.File.
-func (f *file) ReadAt(off, n int64) (payload.List, error) {
-	if err := f.b.gate(OpRead, f.path); err != nil {
-		return nil, err
-	}
-	return f.f.ReadAt(off, n)
-}
-
-// Size implements plfs.File.
-func (f *file) Size() int64 { return f.f.Size() }
-
-// Close implements plfs.File.
-func (f *file) Close() error { return f.f.Close() }
-
-// Batched capabilities (plfs.VectoredIO, plfs.BatchAppender) are
-// forwarded with per-piece injection semantics: a batch charges one
-// latency and counts as one mutating operation (that is the point of
-// batching), but every extent or payload piece rolls its own
-// transient/torn dice, so coverage matches the equivalent per-extent
-// loop.  Prefix semantics are defined exactly: the pieces before the
-// first failing one land, a torn failure additionally lands half of the
-// failing piece, and any failure after the first piece reports
-// TornWrite() so retry loops rebuild instead of reissuing in place.
-
-// WritevAt implements plfs.VectoredIO.  Transient errors (one die per
-// extent) fire before any byte lands, so a retry reissues cleanly —
-// WriteAt is idempotent at its offsets.
-func (f *file) WritevAt(segs []extent.Ext, data payload.List) error {
-	if err := f.b.gate(OpWrite, f.path); err != nil {
-		return err
-	}
-	for i := 1; i < len(segs); i++ {
-		if f.b.in.fire(OpWrite, f.path) || f.b.in.fireBrownout(OpWrite, f.path, f.b.vol) {
-			return &Error{Op: OpWrite, Path: f.path, Kind: Transient}
-		}
-	}
-	if vio, ok := f.f.(plfs.VectoredIO); ok {
-		return vio.WritevAt(segs, data)
-	}
-	pos := int64(0)
-	for _, s := range segs {
-		off := s.Off
-		for _, p := range data.Slice(pos, s.Len) {
-			if err := f.f.WriteAt(off, p); err != nil {
-				return err
-			}
-			off += p.Len()
-		}
-		pos += s.Len
-	}
-	return nil
-}
-
-// ReadvAt implements plfs.VectoredIO (one transient die per extent; a
-// failed vectored read returns no bytes).
-func (f *file) ReadvAt(segs []extent.Ext) (payload.List, error) {
-	if err := f.b.gate(OpRead, f.path); err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(segs); i++ {
-		if f.b.in.fire(OpRead, f.path) || f.b.in.fireBrownout(OpRead, f.path, f.b.vol) {
-			return nil, &Error{Op: OpRead, Path: f.path, Kind: Transient}
-		}
-	}
-	if vio, ok := f.f.(plfs.VectoredIO); ok {
-		return vio.ReadvAt(segs)
-	}
-	var out payload.List
-	for _, s := range segs {
-		pl, err := f.f.ReadAt(s.Off, s.Len)
-		if err != nil {
-			return nil, err
-		}
-		out = out.Concat(pl)
-	}
-	return out, nil
-}
-
-// Appendv implements plfs.BatchAppender.  Each piece rolls its own
-// transient and torn dice in order: the pieces before the first failure
-// land, a torn failure lands half of the failing piece too, and a crash
-// in flight lands the first half of the batch (the batched analogue of
-// the single-append torn prefix).  A failure on the first piece is a
-// clean Transient — nothing landed, retry reissues safely; any later
-// failure is permanent and reports TornWrite().
-func (f *file) Appendv(pl payload.List) (int64, error) {
-	in := f.b.in
-	if err := in.crashCheck(OpAppend, f.path); err != nil {
-		if err.inFlight {
-			if k := len(pl) / 2; k > 0 {
-				f.appendvUnder(pl[:k])
-			}
-		}
-		return 0, err
-	}
-	in.latency(f.b.vol, f.b.sleep)
-	if in.lost(f.path) {
-		return 0, &Error{Op: OpAppend, Path: f.path, Kind: Lost}
-	}
-	for i, p := range pl {
-		if in.fire(OpAppend, f.path) || in.fireBrownout(OpAppend, f.path, f.b.vol) {
-			if i == 0 {
-				return 0, &Error{Op: OpAppend, Path: f.path, Kind: Transient}
-			}
-			f.appendvUnder(pl[:i])
-			return 0, &Error{Op: OpAppend, Path: f.path, Kind: Torn}
-		}
-		if in.fireTorn(f.path) {
-			prefix := pl[:i:i]
-			if half := p.Len() / 2; half > 0 {
-				prefix = append(prefix, p.Slice(0, half))
-			}
-			f.appendvUnder(prefix)
-			return 0, &Error{Op: OpAppend, Path: f.path, Kind: Torn}
-		}
-	}
-	return f.appendvUnder(pl)
-}
-
-// appendvUnder lands pieces on the wrapped handle, batched when the
-// handle can, without rolling further dice.
-func (f *file) appendvUnder(pl payload.List) (int64, error) {
-	if len(pl) == 0 {
-		return f.f.Size(), nil
-	}
-	if ba, ok := f.f.(plfs.BatchAppender); ok {
-		return ba.Appendv(pl)
-	}
-	off, err := f.f.Append(pl[0])
-	if err != nil {
-		return 0, err
-	}
-	for _, p := range pl[1:] {
-		if _, err := f.f.Append(p); err != nil {
-			return off, err
-		}
-	}
-	return off, nil
-}
-
-// LockRange implements plfs.RangeLocker by forwarding to the wrapped
-// handle; the lock itself is not a faultable backend operation (it
-// guards middleware-level RMW windows, not stored bytes), so no gate.
-// A handle without the capability makes this a no-op, keeping sieving
-// correct-but-unserialized tests explicit about their backend choice.
-func (f *file) LockRange(off, n int64) error {
-	if rl, ok := f.f.(plfs.RangeLocker); ok {
-		return rl.LockRange(off, n)
-	}
-	return nil
-}
-
-// UnlockRange implements plfs.RangeLocker (see LockRange).
-func (f *file) UnlockRange(off, n int64) error {
-	if rl, ok := f.f.(plfs.RangeLocker); ok {
-		return rl.UnlockRange(off, n)
-	}
-	return nil
+	o.BulkErrs = errs
 }

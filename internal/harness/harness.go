@@ -14,12 +14,9 @@ import (
 	"plfs/internal/adio"
 	"plfs/internal/fault"
 	"plfs/internal/mpi"
-	"plfs/internal/objfs"
 	"plfs/internal/obs"
 	"plfs/internal/pfs"
 	"plfs/internal/plfs"
-	"plfs/internal/sim"
-	"plfs/internal/simfs"
 	"plfs/internal/trace"
 	"plfs/internal/workloads"
 )
@@ -35,11 +32,6 @@ const (
 	// cluster is not built; the store's own calibration applies.
 	BackendObjfs = "objfs"
 )
-
-// backendKnown validates a backend name ("" means posix).
-func backendKnown(name string) bool {
-	return name == "" || name == BackendPosix || name == BackendObjfs
-}
 
 // Job describes one simulated run.
 type Job struct {
@@ -88,70 +80,27 @@ func Run(j Job) (workloads.Result, error) {
 // RunWithReport also returns the simulated file system's resource-usage
 // report, for bottleneck analysis.
 func RunWithReport(j Job) (workloads.Result, pfs.Report, error) {
-	if !backendKnown(j.Backend) {
-		return workloads.Result{}, pfs.Report{}, fmt.Errorf("harness: unknown backend %q", j.Backend)
-	}
-	useObj := j.Backend == BackendObjfs
-	eng := sim.NewEngine(j.Seed)
-	// Metrics ride the virtual clock: a span covering a simulated phase
-	// reports simulated time, deterministic in the seed.
-	j.Obs.SetClock(func() int64 { return int64(eng.Now()) })
-	// Oversubscribe cores when the job exceeds the machine (the paper runs
-	// 2048 concurrent I/O streams on its 1024-core cluster).
-	ppn := j.Cfg.ProcsPerNode
-	if j.Ranks > j.Cfg.Nodes*ppn {
-		ppn = (j.Ranks + j.Cfg.Nodes - 1) / j.Cfg.Nodes
-	}
-	cfgPPN := j.Cfg
-	cfgPPN.ProcsPerNode = ppn
-	// Exactly one of fs/store backs the run: the POSIX cluster, or the
-	// flat object store (whose "volumes" are key prefixes in one shared
-	// keyspace — Cfg.Volumes still shapes the mount's spread policy).
-	var fs *pfs.FS
-	var store *objfs.Store
-	var roots []string
-	if useObj {
-		vols := j.Cfg.Volumes
-		if vols < 1 {
-			vols = 1
-		}
-		store = objfs.NewSim(eng, objfs.DefaultConfig())
-		roots = store.Roots(vols)
-	} else {
-		fs = pfs.New(eng, cfgPPN)
-		roots = make([]string, fs.Volumes())
-		for i := range roots {
-			roots[i] = fs.VolumeRoot(i)
-		}
-	}
-	world := mpi.NewWorld(eng, j.Ranks, ppn, j.Net)
-	mount := plfs.NewMount(roots, j.Opt)
-	var rec *trace.Recorder
-	if j.TraceEvery > 0 && j.TraceTo != nil {
-		rec = trace.NewRecorder(eng, j.TraceEvery)
-		probes := fs.TraceProbes
-		if useObj {
-			probes = store.TraceProbes
-		}
-		for _, p := range probes() {
-			rec.Add(p.Name, p.Fn)
-		}
-	}
 	var inj *fault.Injector
 	if j.Fault != nil {
 		inj = fault.New(*j.Fault)
 		inj.Obs = j.Obs
 	}
-	var res workloads.Result
-	var kerr error
-	world.SpawnAll(func(r *mpi.Rank) {
-		var ctx plfs.Ctx
-		if useObj {
-			ctx = objfs.FaultCtx(store, len(roots), r.Node(), r.Proc(), r.Rank(), ppn, inj)
-		} else {
-			ctx = simfs.FaultCtx(fs, r.Node(), r.Proc(), r.Rank(), ppn, inj)
+	c, err := newCluster(j.Seed, j.Backend, j.Cfg, j.Ranks, j.Net, inj)
+	if err != nil {
+		return workloads.Result{}, pfs.Report{}, err
+	}
+	c.bindClock(j.Obs)
+	mount := plfs.NewMount(c.roots, j.Opt)
+	var rec *trace.Recorder
+	if j.TraceEvery > 0 && j.TraceTo != nil {
+		rec = trace.NewRecorder(c.eng, j.TraceEvery)
+		for _, p := range c.probes() {
+			rec.Add(p.Name, p.Fn)
 		}
-		ctx.Comm = r.Comm()
+	}
+	var res workloads.Result
+	c.world.SpawnAll(func(r *mpi.Rank) {
+		ctx := c.ctx(r)
 		ctx.Obs = j.Obs
 		var drv adio.Driver
 		path := j.Kernel.Name()
@@ -159,71 +108,43 @@ func RunWithReport(j Job) (workloads.Result, pfs.Report, error) {
 			drv = adio.PLFS{Mount: mount}
 		} else {
 			drv = adio.UFS{Vol: 0}
-			path = roots[0] + "/" + path
+			path = c.roots[0] + "/" + path
 		}
 		env := &workloads.Env{Ctx: ctx, Driver: drv, Hints: j.Hints, Path: path, Verify: j.Verify}
 		if j.DropCaches {
-			if r.Rank() == 0 {
-				env.InvalidateCaches = func() {
-					if fs != nil {
-						fs.DropCaches() // the object store keeps no caches
-					}
-					mount.DropIndexCache()
-				}
-			} else {
-				env.InvalidateCaches = func() {} // participate in the barrier only
-			}
+			env.InvalidateCaches = c.invalidator(r, mount)
 		}
 		out, err := j.Kernel.Run(env, j.ReadBack)
-		if err != nil && kerr == nil {
-			kerr = fmt.Errorf("rank %d: %w", r.Rank(), err)
+		if err != nil {
+			c.fail(fmt.Errorf("rank %d: %w", r.Rank(), err))
 		}
 		if r.Rank() == 0 {
 			res = out
 		}
 	})
-	report := func() pfs.Report {
-		if useObj {
-			return store.Report()
-		}
-		return fs.Report()
-	}
-	publish := func() {
-		if useObj {
-			store.PublishObs(j.Obs)
-		} else {
-			fs.PublishObs(j.Obs)
-		}
-	}
 	if rec != nil {
 		if err := rec.Start(); err != nil {
-			return res, report(), err
+			return res, c.report(), err
 		}
 	}
-	if err := eng.Run(); err != nil {
-		// A rank that died on an unabsorbed error leaves the others
-		// blocked at a collective; surface the root cause alongside the
-		// engine's deadlock verdict.
-		if kerr != nil {
-			err = errors.Join(kerr, err)
-		}
-		publish()
-		return res, report(), err
+	if err := c.eng.Run(); err != nil {
+		c.publish(j.Obs)
+		return res, c.report(), errors.Join(c.failed, err)
 	}
 	if rec != nil {
 		if err := rec.WriteCSV(j.TraceTo); err != nil {
-			return res, report(), err
+			return res, c.report(), err
 		}
 	}
-	publish()
-	rep := report()
+	c.publish(j.Obs)
+	rep := c.report()
 	// Large runs (tens of thousands of simulated processes) leave big
 	// heaps behind; return the memory before the next repetition so
 	// paper-scale sweeps stay within a laptop's RAM.
 	if j.Ranks >= 4096 {
 		debug.FreeOSMemory()
 	}
-	return res, rep, kerr
+	return res, rep, c.failed
 }
 
 // Scale selects experiment sizing.

@@ -9,8 +9,6 @@ import (
 	"plfs/internal/mpi"
 	"plfs/internal/pfs"
 	"plfs/internal/plfs"
-	"plfs/internal/sim"
-	"plfs/internal/simfs"
 	"plfs/internal/stats"
 	"plfs/internal/workloads"
 )
@@ -20,8 +18,8 @@ import (
 // the two tentpole optimizations togglable — bulk-create batching and
 // between-round volume rebalancing.
 type MetaStormJob struct {
-	Seed       int64
-	Ranks      int
+	Seed  int64
+	Ranks int
 	// Containers per round.  The default is 5: over the default 4
 	// volumes, static hashing places two of the five on one volume —
 	// the hot-volume imbalance the rebalancing variant repairs.
@@ -30,7 +28,7 @@ type MetaStormJob struct {
 	// Cfg: zero Nodes = pfs.SmallCluster() federated over 4 metadata
 	// volumes (skew needs a federation to be skewed across).
 	Cfg pfs.Config
-	Net        mpi.NetConfig
+	Net mpi.NetConfig
 	// BulkCreate routes collective creates through the MDS bulk-create
 	// RPC (Options.BulkCreate).
 	BulkCreate bool
@@ -85,50 +83,38 @@ func RunMetaStorm(j MetaStormJob) (MetaStormReport, error) {
 		j.Cfg = pfs.SmallCluster()
 		j.Cfg.Volumes = 4
 	}
-	if j.Net == (mpi.NetConfig{}) {
-		j.Net = mpi.DefaultNet()
-	}
 	if j.Containers <= 0 {
 		j.Containers = 5
 	}
 	if j.Rounds <= 0 {
 		j.Rounds = 3
 	}
-	eng := sim.NewEngine(j.Seed)
-	ppn := j.Cfg.ProcsPerNode
-	if j.Ranks > j.Cfg.Nodes*ppn {
-		ppn = (j.Ranks + j.Cfg.Nodes - 1) / j.Cfg.Nodes
+	c, err := newCluster(j.Seed, BackendPosix, j.Cfg, j.Ranks, j.Net, nil)
+	if err != nil {
+		return MetaStormReport{}, err
 	}
-	cfg := j.Cfg
-	cfg.ProcsPerNode = ppn
-	fs := pfs.New(eng, cfg)
-	roots := make([]string, fs.Volumes())
-	for i := range roots {
-		roots[i] = fs.VolumeRoot(i)
-	}
-	world := mpi.NewWorld(eng, j.Ranks, ppn, j.Net)
-	mount := plfs.NewMount(roots, plfs.Options{
+	mount := plfs.NewMount(c.roots, plfs.Options{
 		IndexMode:        plfs.ParallelIndexRead,
 		NumSubdirs:       4,
-		SpreadContainers: len(roots) > 1,
+		SpreadContainers: len(c.roots) > 1,
 		BulkCreate:       j.BulkCreate,
 	})
 
 	// Between-round rebalancing state, touched only by rank 0 while every
 	// other rank waits at the kernel's AfterRound barrier (the simulation
-	// is cooperative, so the mid-run fs.Report read is safe).
-	lastBusy := make([]time.Duration, fs.Volumes())
+	// is cooperative, so the mid-run report read is safe).
+	lastBusy := make([]time.Duration, len(c.roots))
 	moves := 0
 	rebalance := func(ctx plfs.Ctx) error {
-		busy := fs.Report().MDSBusy
+		busy := c.report().MDSBusy
 		loads := make([]float64, len(busy))
 		for v := range busy {
 			loads[v] = (busy[v] - lastBusy[v]).Seconds()
 		}
 		copy(lastBusy, busy)
 		pol := plfs.RebalancePolicy{Load: func(v int) float64 { return loads[v] }}
-		for c := 0; c < j.Containers; c++ {
-			rep, err := mount.Rebalance(ctx, fmt.Sprintf("meta-storm-c%d", c), pol)
+		for i := 0; i < j.Containers; i++ {
+			rep, err := mount.Rebalance(ctx, fmt.Sprintf("meta-storm-c%d", i), pol)
 			if err != nil {
 				return err
 			}
@@ -138,42 +124,37 @@ func RunMetaStorm(j MetaStormJob) (MetaStormReport, error) {
 	}
 
 	var res workloads.Result
-	var kerr error
-	world.SpawnAll(func(r *mpi.Rank) {
-		ctx := simfs.FaultCtx(fs, r.Node(), r.Proc(), r.Rank(), ppn, nil)
-		ctx.Comm = r.Comm()
+	c.world.SpawnAll(func(r *mpi.Rank) {
+		ctx := c.ctx(r)
 		k := workloads.CreateStorm100k{Containers: j.Containers, Rounds: j.Rounds}
 		if j.Rebalance {
 			k.AfterRound = func(round int) {
 				if r.Rank() != 0 || round == j.Rounds-1 {
 					return // nothing left to optimize after the last round
 				}
-				if err := rebalance(ctx); err != nil && kerr == nil {
-					kerr = fmt.Errorf("rebalance after round %d: %w", round, err)
+				if err := rebalance(ctx); err != nil {
+					c.fail(fmt.Errorf("rebalance after round %d: %w", round, err))
 				}
 			}
 		}
 		env := &workloads.Env{Ctx: ctx, Driver: adio.PLFS{Mount: mount}, Path: k.Name()}
 		out, err := k.Run(env, false)
-		if err != nil && kerr == nil {
-			kerr = fmt.Errorf("rank %d: %w", r.Rank(), err)
+		if err != nil {
+			c.fail(fmt.Errorf("rank %d: %w", r.Rank(), err))
 		}
 		if r.Rank() == 0 {
 			res = out
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err := c.run(); err != nil {
 		return MetaStormReport{}, err
-	}
-	if kerr != nil {
-		return MetaStormReport{}, kerr
 	}
 	rep := MetaStormReport{
 		Creates:  workloads.CreateStorm100k{Containers: j.Containers, Rounds: j.Rounds}.Creates(j.Ranks),
 		OpenTime: res.WriteOpen,
-		Skew:     mdsSkew(fs.Report().MDSBusy),
+		Skew:     mdsSkew(c.report().MDSBusy),
 		Moves:    moves,
-		Makespan: time.Duration(eng.Now()),
+		Makespan: time.Duration(c.eng.Now()),
 	}
 	if s := rep.OpenTime.Seconds(); s > 0 {
 		rep.OpenRate = float64(rep.Creates) / s

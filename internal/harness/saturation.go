@@ -7,12 +7,9 @@ import (
 
 	"plfs/internal/adio"
 	"plfs/internal/mpi"
-	"plfs/internal/objfs"
 	"plfs/internal/obs"
 	"plfs/internal/pfs"
 	"plfs/internal/plfs"
-	"plfs/internal/sim"
-	"plfs/internal/simfs"
 	"plfs/internal/stats"
 	"plfs/internal/workloads"
 )
@@ -86,48 +83,20 @@ func RunSaturation(j SaturationJob) (SaturationReport, error) {
 	if j.Cfg.Nodes == 0 {
 		j.Cfg = pfs.SmallCluster()
 	}
-	if j.Net == (mpi.NetConfig{}) {
-		j.Net = mpi.DefaultNet()
-	}
 	total := 0
 	for _, t := range j.Tenants {
 		total += t.Ranks
 	}
-	eng := sim.NewEngine(j.Seed)
-	j.Obs.SetClock(func() int64 { return int64(eng.Now()) })
-	ppn := j.Cfg.ProcsPerNode
-	if total > j.Cfg.Nodes*ppn {
-		ppn = (total + j.Cfg.Nodes - 1) / j.Cfg.Nodes
+	c, err := newCluster(j.Seed, j.Backend, j.Cfg, total, j.Net, nil)
+	if err != nil {
+		return SaturationReport{}, err
 	}
-	if !backendKnown(j.Backend) {
-		return SaturationReport{}, fmt.Errorf("saturation: unknown backend %q", j.Backend)
-	}
-	useObj := j.Backend == BackendObjfs
-	cfg := j.Cfg
-	cfg.ProcsPerNode = ppn
-	var fs *pfs.FS
-	var store *objfs.Store
-	var roots []string
-	if useObj {
-		vols := cfg.Volumes
-		if vols < 1 {
-			vols = 1
-		}
-		store = objfs.NewSim(eng, objfs.DefaultConfig())
-		roots = store.Roots(vols)
-	} else {
-		fs = pfs.New(eng, cfg)
-		roots = make([]string, fs.Volumes())
-		for i := range roots {
-			roots[i] = fs.VolumeRoot(i)
-		}
-	}
-	world := mpi.NewWorld(eng, total, ppn, j.Net)
+	c.bindClock(j.Obs)
 	if j.Opt.NumSubdirs == 0 {
 		j.Opt = plfs.Options{
 			IndexMode:        plfs.ParallelIndexRead,
 			NumSubdirs:       4,
-			SpreadContainers: len(roots) > 1,
+			SpreadContainers: len(c.roots) > 1,
 		}
 	}
 	if j.Svc.TenantClass == nil {
@@ -139,14 +108,14 @@ func RunSaturation(j SaturationJob) (SaturationReport, error) {
 		}
 	}
 	svc := plfs.NewService(j.Svc)
-	mount := svc.Mount(roots, j.Opt)
+	mount := svc.Mount(c.roots, j.Opt)
 
 	// Per-tenant registries keep each job's latency histograms separate;
 	// all ride the engine's virtual clock.
 	regs := make([]*obs.Registry, len(j.Tenants))
 	for i := range regs {
 		regs[i] = obs.New()
-		regs[i].SetClock(func() int64 { return int64(eng.Now()) })
+		c.bindClock(regs[i])
 	}
 	tenantOf := make([]int, total) // global rank -> tenant index
 	{
@@ -159,17 +128,11 @@ func RunSaturation(j SaturationJob) (SaturationReport, error) {
 		}
 	}
 	results := make([]workloads.Result, len(j.Tenants))
-	var kerr error
-	world.SpawnAll(func(r *mpi.Rank) {
+	c.world.SpawnAll(func(r *mpi.Rank) {
 		ti := tenantOf[r.Rank()]
 		t := j.Tenants[ti]
-		var ctx plfs.Ctx
-		if useObj {
-			ctx = objfs.Ctx(store, len(roots), r.Node(), r.Proc(), r.Rank(), ppn)
-		} else {
-			ctx = simfs.FaultCtx(fs, r.Node(), r.Proc(), r.Rank(), ppn, nil)
-		}
-		ctx.Comm = r.Comm().Split(ti, r.Rank())
+		ctx := c.ctx(r)
+		ctx.Comm = ctx.Comm.Split(ti, r.Rank())
 		ctx.Tenant = t.Name
 		ctx.Obs = regs[ti]
 		env := &workloads.Env{
@@ -180,25 +143,19 @@ func RunSaturation(j SaturationJob) (SaturationReport, error) {
 		}
 		k := workloads.Saturation{Containers: t.Containers, OpsPerRank: t.OpsPerRank, OpSize: t.OpSize}
 		out, err := k.Run(env, true)
-		if err != nil && kerr == nil {
-			kerr = fmt.Errorf("tenant %s rank %d: %w", t.Name, ctx.Comm.Rank(), err)
+		if err != nil {
+			c.fail(fmt.Errorf("tenant %s rank %d: %w", t.Name, ctx.Comm.Rank(), err))
 		}
 		if ctx.Comm.Rank() == 0 {
 			results[ti] = out
 		}
 	})
-	if err := eng.Run(); err != nil {
-		if kerr != nil {
-			err = errors.Join(kerr, err)
-		}
+	if err := c.run(); err != nil {
 		return SaturationReport{}, err
-	}
-	if kerr != nil {
-		return SaturationReport{}, kerr
 	}
 
 	rep := SaturationReport{
-		Makespan: time.Duration(eng.Now()),
+		Makespan: time.Duration(c.eng.Now()),
 		Service:  svc.Stats(),
 	}
 	ledger := map[string]plfs.TenantAdmission{}

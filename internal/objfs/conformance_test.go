@@ -9,12 +9,13 @@ import (
 )
 
 // TestBackendConformance runs the DESIGN.md §16 contract suite over an
-// engineless object store: same table as osfs and simfs, proving the
-// flat-namespace emulation (markers, prefix scans, copy+delete renames)
-// is indistinguishable through the Backend interface.
+// engineless object store, bare and behind each interposer stack: same
+// table as osfs and simfs, proving the flat-namespace emulation
+// (markers, prefix scans, copy+delete renames) is indistinguishable
+// through the Backend interface.
 func TestBackendConformance(t *testing.T) {
-	backendtest.Run(t, func(t *testing.T) (plfs.Backend, string) {
+	backendtest.Run(t, func(t *testing.T, fn func(plfs.Backend, string)) {
 		s := objfs.New(objfs.DefaultConfig())
-		return objfs.Vol(s), s.Roots(1)[0]
+		fn(objfs.Vol(s), s.Roots(1)[0])
 	})
 }

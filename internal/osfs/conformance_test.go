@@ -9,9 +9,9 @@ import (
 )
 
 // TestBackendConformance runs the DESIGN.md §16 contract suite over the
-// real filesystem backend.
+// real filesystem backend, bare and behind each interposer stack.
 func TestBackendConformance(t *testing.T) {
-	backendtest.Run(t, func(t *testing.T) (plfs.Backend, string) {
-		return osfs.New(), t.TempDir()
+	backendtest.Run(t, func(t *testing.T, fn func(plfs.Backend, string)) {
+		fn(osfs.New(), t.TempDir())
 	})
 }

@@ -23,15 +23,17 @@
 //
 // PLFS is written against the small Backend/Clock/Sleeper interfaces below
 // and the comm.Comm collectives, so the identical middleware runs over any
-// store that implements them.  Five implementations exist today: a real
-// directory tree with goroutine writers (internal/osfs + internal/localcomm),
-// the simulated POSIX cluster (internal/simfs + internal/mpi) where the
-// paper's performance claims are reproduced, the fault-injection wrapper
-// (internal/fault) that decorates either, the health-tracking wrapper this
-// package's self-healing service interposes, and a simulated flat object
+// store that implements them.  Three stores exist today: a real directory
+// tree with goroutine writers (internal/osfs + internal/localcomm), the
+// simulated POSIX cluster (internal/simfs + internal/mpi) where the
+// paper's performance claims are reproduced, and a simulated flat object
 // store (internal/objfs) where droppings become objects and commits become
-// conditional PUTs.  DESIGN.md §16 is the authoritative guide for writing
-// a sixth; internal/plfs/backendtest is its executable form.
+// conditional PUTs.  Anything layered between PLFS and a store — fault
+// injection (internal/fault), this package's health tracking — is an
+// interceptor on the single forwarding decorator in interpose.go, never a
+// Backend implementation of its own.  DESIGN.md §16 is the authoritative
+// guide for writing a fourth store; internal/plfs/backendtest is its
+// executable form.
 package plfs
 
 import (
@@ -89,6 +91,9 @@ type Backend interface {
 // File is an open backend file.  Offsets never carry a cursor: every
 // method is positional, and reads past the written size return zeros for
 // the overhang (PLFS bounds reads by the logical size it tracks itself).
+// List I/O and batched append are part of the base request set, not
+// probed extras (Ching et al., "Noncontiguous I/O through PVFS"): every
+// store has them, so no caller carries a per-extent fallback loop.
 type File interface {
 	// WriteAt writes p at the given offset.
 	WriteAt(off int64, p payload.Payload) error
@@ -101,6 +106,8 @@ type File interface {
 	Size() int64
 	// Close releases the file.
 	Close() error
+	VectoredIO
+	BatchAppender
 }
 
 // CondPutter is an optional Backend capability: conditional whole-object
@@ -118,9 +125,9 @@ type File interface {
 //     error (Transient() == true) and writes nothing, and the caller
 //     retries.
 //
-// Wrappers (fault injection, health tracking) forward the capability
-// only when their inner backend has it, so a type assertion on the
-// outermost backend always tells the truth.
+// Optional capabilities are properties of the store: ask with
+// CondPutterOf(b), which consults the leaf under any interposers, never
+// with a bare type assertion on b.
 type CondPutter interface {
 	PutIfAbsent(path string, data []byte) error
 	PutReplace(path string, data []byte) error
@@ -143,27 +150,25 @@ type BulkOp struct {
 // Entries should be grouped by parent directory (directories before the
 // files under them) so the server coalesces per-directory locking.
 //
-// Wrappers forward the capability only when their inner backend has it
-// (the fault wrapper gates each entry individually, so a crash point
-// mid-batch applies a prefix — the server-side bulk commit a real MDS
-// performs).  A type assertion on the outermost backend tells the truth.
+// Ask with BulkCreatorOf(b) (see CondPutter).  The fault interceptor
+// gates each entry individually, so a crash point mid-batch applies a
+// prefix — the server-side bulk commit a real MDS performs.
 type BulkCreator interface {
 	CreateBulk(ops []BulkOp) []error
 }
 
-// VectoredIO is an optional File capability: many (offset, length)
-// extents shipped as one backend request — list I/O.  data carries the
-// bytes concatenated in segment order (piece boundaries need not align
-// with segments); ReadvAt returns the extents' bytes concatenated the
-// same way.  Callers fall back to per-extent WriteAt/ReadAt loops when a
-// handle does not advertise it.
+// VectoredIO is the list-I/O part of File: many (offset, length) extents
+// shipped as one backend request.  data carries the bytes concatenated
+// in segment order (piece boundaries need not align with segments);
+// ReadvAt returns the extents' bytes concatenated the same way.
 type VectoredIO interface {
 	WritevAt(segs []extent.Ext, data payload.List) error
 	ReadvAt(segs []extent.Ext) (payload.List, error)
 }
 
-// BatchAppender is an optional File capability: append many payload
-// pieces in one backend operation.  PLFS data droppings use it to land a
+// BatchAppender is the batched-append part of File: many payload pieces
+// landed contiguously at end-of-file in one backend operation, returning
+// the offset of the first.  PLFS data droppings use it to land a
 // vectored write's K extents with a single append.
 type BatchAppender interface {
 	Appendv(pl payload.List) (int64, error)
@@ -173,6 +178,8 @@ type BatchAppender interface {
 // read-modify-write windows (the fcntl byte-range lock of ROMIO's data
 // sieving contract).  Implementations may be conservative — whole-file —
 // but must provide real mutual exclusion among the backend's writers.
+// The lock guards middleware RMW windows, not stored bytes, so it is
+// asked of and taken on LeafFile(f) directly, past any interceptor.
 type RangeLocker interface {
 	LockRange(off, n int64) error
 	UnlockRange(off, n int64) error

@@ -5,10 +5,12 @@
 //
 // Checks report failures with Errorf only (never FailNow), so a harness
 // may run them on any goroutine — the simfs conformance test drives them
-// from a discrete-event process.  Optional capabilities (VectoredIO,
-// BatchAppender, CondPutter) are probed and silently skipped when the
-// backend does not advertise them; the capability matrix in README's
-// "Backends" section says who should pass what.
+// from a discrete-event process.  Optional capabilities (CondPutter,
+// BulkCreator) are asked of the leaf (plfs.CondPutterOf, BulkCreatorOf) and silently
+// skipped when the store lacks them; the capability matrix in README's
+// "Backends" section says who should pass what.  The same table runs
+// over a bare store and over the store behind interposers (RunWrapped),
+// which is how wrapper transparency is proven.
 //
 // Deliberately not checked, because implementations legitimately
 // diverge (§16 documents each):
@@ -27,6 +29,7 @@ import (
 	"testing"
 
 	"plfs/internal/extent"
+	"plfs/internal/fault"
 	"plfs/internal/payload"
 	"plfs/internal/plfs"
 )
@@ -59,17 +62,81 @@ func Checks() []Check {
 	}
 }
 
-// Run executes every check as a subtest over an engineless backend.
-// make is called once per subtest and must return a fresh backend and
-// its empty root.  Backends that need an engine (simfs) iterate Checks
-// themselves and drive each Fn from a simulated process.
-func Run(t *testing.T, make func(t *testing.T) (plfs.Backend, string)) {
-	for _, c := range Checks() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			b, root := make(t)
-			c.Fn(t, b, root)
+// Stack is one way of presenting a store to the suite: bare, or behind
+// something interposed on it.
+type Stack struct {
+	Name string
+	Wrap func(leaf plfs.Backend) plfs.Backend
+}
+
+// Stacks returns the presentations every store is checked under: the
+// bare store, the store behind a pass-through interceptor, and the store
+// behind a zero-probability fault injector.  A wrapper is transparent
+// exactly when the whole table passes under it and Transparent holds.
+func Stacks() []Stack {
+	return []Stack{
+		{"bare", func(b plfs.Backend) plfs.Backend { return b }},
+		{"interposed", func(b plfs.Backend) plfs.Backend {
+			return plfs.Interpose(b, func(_ *plfs.Op, call func() error) error { return call() })
+		}},
+		{"fault", func(b plfs.Backend) plfs.Backend { return fault.New(fault.Spec{}).Wrap(b, 0, nil) }},
+	}
+}
+
+// Run executes every check, plus Transparent, under every stack as a
+// subtest.  with is called once per subtest and must call fn exactly
+// once with a fresh store and its empty root — directly for engineless
+// stores, from a discrete-event process for simfs.
+func Run(t *testing.T, with func(t *testing.T, fn func(leaf plfs.Backend, root string))) {
+	for _, s := range Stacks() {
+		s := s
+		for _, c := range Checks() {
+			c := c
+			t.Run(s.Name+"/"+c.Name, func(t *testing.T) {
+				with(t, func(leaf plfs.Backend, root string) { c.Fn(t, s.Wrap(leaf), root) })
+			})
+		}
+		t.Run(s.Name+"/Transparent", func(t *testing.T) {
+			with(t, func(leaf plfs.Backend, root string) { Transparent(t, leaf, s.Wrap(leaf), root) })
 		})
+	}
+}
+
+// Transparent asserts that wrapped answers every optional-capability
+// question exactly as the bare leaf under it does: an interposer neither
+// invents a capability nor hides one.
+func Transparent(tb testing.TB, leaf, wrapped plfs.Backend, root string) {
+	if plfs.Leaf(wrapped) != leaf {
+		tb.Errorf("Leaf(wrapped) = %T, want the bare store %T", plfs.Leaf(wrapped), leaf)
+	}
+	_, want := leaf.(plfs.CondPutter)
+	if _, got := plfs.CondPutterOf(wrapped); got != want {
+		tb.Errorf("CondPutter: wrapped says %v, leaf says %v", got, want)
+	}
+	_, want = leaf.(plfs.BulkCreator)
+	if _, got := plfs.BulkCreatorOf(wrapped); got != want {
+		tb.Errorf("BulkCreator: wrapped says %v, leaf says %v", got, want)
+	}
+	lc, lok := leaf.(plfs.ConcurrentIO)
+	wc, wok := plfs.Leaf(wrapped).(plfs.ConcurrentIO)
+	if lok != wok || (lok && lc.ConcurrentIO() != wc.ConcurrentIO()) {
+		tb.Errorf("ConcurrentIO: wrapped and leaf disagree")
+	}
+	lf, err := leaf.Create(root + "/cap.leaf")
+	if err != nil {
+		tb.Errorf("create on leaf: %v", err)
+		return
+	}
+	defer lf.Close()
+	wf, err := wrapped.Create(root + "/cap.wrapped")
+	if err != nil {
+		tb.Errorf("create on wrapped: %v", err)
+		return
+	}
+	defer wf.Close()
+	_, want = lf.(plfs.RangeLocker)
+	if _, got := plfs.LeafFile(wf).(plfs.RangeLocker); got != want {
+		tb.Errorf("RangeLocker: wrapped handle says %v, leaf handle says %v", got, want)
 	}
 }
 
@@ -357,10 +424,6 @@ func checkVectoredEquivalence(tb testing.TB, b plfs.Backend, root string) {
 		return
 	}
 	defer fv.Close()
-	vio, ok := fv.(plfs.VectoredIO)
-	if !ok {
-		return // optional capability
-	}
 	fp, err := b.Create(root + "/plain")
 	if err != nil {
 		tb.Errorf("create plain: %v", err)
@@ -370,7 +433,7 @@ func checkVectoredEquivalence(tb testing.TB, b plfs.Backend, root string) {
 
 	segs := []extent.Ext{{Off: 0, Len: 3}, {Off: 10, Len: 4}, {Off: 5, Len: 2}}
 	data := payload.FromBytes([]byte("abcdefghi"))
-	if err := vio.WritevAt(segs, payload.List{data}); err != nil {
+	if err := fv.WritevAt(segs, payload.List{data}); err != nil {
 		tb.Errorf("writev: %v", err)
 		return
 	}
@@ -385,7 +448,7 @@ func checkVectoredEquivalence(tb testing.TB, b plfs.Backend, root string) {
 	if fv.Size() != fp.Size() {
 		tb.Errorf("sizes diverge: vectored %d, plain %d", fv.Size(), fp.Size())
 	}
-	got, err := vio.ReadvAt([]extent.Ext{{Off: 0, Len: 7}, {Off: 9, Len: 5}})
+	got, err := fv.ReadvAt([]extent.Ext{{Off: 0, Len: 7}, {Off: 9, Len: 5}})
 	if err != nil {
 		tb.Errorf("readv: %v", err)
 		return
@@ -413,12 +476,8 @@ func checkBatchAppend(tb testing.TB, b plfs.Backend, root string) {
 		return
 	}
 	defer f.Close()
-	ba, ok := f.(plfs.BatchAppender)
-	if !ok {
-		return // optional capability
-	}
 	f.Append(payload.FromBytes([]byte("head")))
-	off, err := ba.Appendv(payload.List{
+	off, err := f.Appendv(payload.List{
 		payload.FromBytes([]byte("-mid-")),
 		payload.FromBytes([]byte("tail")),
 	})
@@ -431,16 +490,12 @@ func checkBatchAppend(tb testing.TB, b plfs.Backend, root string) {
 }
 
 func checkCondPut(tb testing.TB, b plfs.Backend, root string) {
-	cp, ok := b.(plfs.CondPutter)
+	cp, ok := plfs.CondPutterOf(b)
 	if !ok {
 		return // optional capability
 	}
 	p := root + "/rec"
-	err := cp.PutIfAbsent(p, []byte("v1"))
-	if errors.Is(err, errors.ErrUnsupported) {
-		return // a wrapper whose inner backend lacks the capability
-	}
-	if err != nil {
+	if err := cp.PutIfAbsent(p, []byte("v1")); err != nil {
 		tb.Errorf("put-if-absent: %v", err)
 		return
 	}
@@ -478,7 +533,7 @@ func checkCondPut(tb testing.TB, b plfs.Backend, root string) {
 }
 
 func checkBulkCreate(tb testing.TB, b plfs.Backend, root string) {
-	bc, ok := b.(plfs.BulkCreator)
+	bc, ok := plfs.BulkCreatorOf(b)
 	if !ok {
 		return // optional capability
 	}
@@ -497,9 +552,6 @@ func checkBulkCreate(tb testing.TB, b plfs.Backend, root string) {
 	if len(errs) != 4 {
 		tb.Errorf("verdict count %d, want 4", len(errs))
 		return
-	}
-	if errors.Is(errs[0], errors.ErrUnsupported) {
-		return // a wrapper whose inner backend lacks the capability
 	}
 	if errs[0] != nil || errs[1] != nil || errs[3] != nil {
 		tb.Errorf("fresh entries: %v, %v, %v (want nils)", errs[0], errs[1], errs[3])

@@ -7,7 +7,7 @@ package plfs
 // hostdir mkdir, openhosts create, and data-dropping create — at 100k
 // ranks that is hundreds of thousands of serialized metadata RPCs into a
 // handful of hot directories.  When the mount opts in (Options.BulkCreate)
-// and every volume backend advertises BulkCreator, rank 0 instead gathers
+// and every volume's store has BulkCreator, rank 0 instead gathers
 // each rank's placement (subdir, stamp, host leadership), assembles one
 // bulk-create batch per volume — directories first, files grouped by
 // parent — and ships each as a single amortized RPC.  The verdict and the
@@ -28,10 +28,10 @@ import (
 )
 
 // bulkCapable reports whether the batched create path can run: every
-// volume backend (outermost wrapper) must advertise BulkCreator.
+// volume's store must have BulkCreator (whatever is interposed on it).
 func bulkCapable(vols []Backend) bool {
 	for _, b := range vols {
-		if _, ok := b.(BulkCreator); !ok {
+		if _, ok := BulkCreatorOf(b); !ok {
 			return false
 		}
 	}
@@ -200,7 +200,8 @@ func (m *Mount) bulkCreateRoot(ctx Ctx, rel string, reqVals []any) bulkVerdict {
 		if len(ops) == 0 {
 			continue
 		}
-		errs := ctx.bulkCreateRetried(ctx.Vols[v].(BulkCreator), m.opt.Retry, ops)
+		bc, _ := BulkCreatorOf(ctx.Vols[v]) // bulkCapable gated this path
+		errs := ctx.bulkCreateRetried(bc, m.opt.Retry, ops)
 		for i, err := range errs {
 			if err == nil {
 				continue

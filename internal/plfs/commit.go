@@ -8,7 +8,7 @@ package plfs
 // names, so a crash mid-commit leaves at worst an orphaned temp file
 // (swept by Scrub and Recover), never a consumable torn file.
 //
-// Backends that advertise CondPutter (object stores) take a shorter
+// Stores that have CondPutter (object stores) take a shorter
 // path: the whole record publishes as one conditional PUT — put-if-absent
 // replacing the rename-no-replace, put-if-generation replacing the
 // remove+rename — so there is no temp name, no rename, and nothing for a
@@ -35,11 +35,13 @@ func tmpName(final string, rank int) string {
 // isTmpName reports whether a base name is an unpublished commit temp.
 func isTmpName(name string) bool { return strings.Contains(name, tmpSuffix) }
 
-// writeFileAtomic commits buf to final via create-temp, append, close,
-// rename.  Every retry starts over from a fresh temp file, so an append
-// that partially applied (a torn write, an ambiguous EIO) can never
-// leave duplicated or truncated content under the final name — the
-// damaged temp is discarded and final only ever appears complete.
+// writeFileAtomic commits buf to final: via create-temp, append, close,
+// rename, or — over a store with CondPutter — as one conditional PUT,
+// atomic by the store's contract.  Every retry of the rename protocol
+// starts over from a fresh temp file, so an append that partially
+// applied (a torn write, an ambiguous EIO) can never leave duplicated or
+// truncated content under the final name — the damaged temp is discarded
+// and final only ever appears complete.
 //
 // replace removes an existing final immediately before the rename (for
 // rewriting a corrupt file in place, e.g. a Recover-rebuilt index).
@@ -49,23 +51,13 @@ func isTmpName(name string) bool { return strings.Contains(name, tmpSuffix) }
 // applied despite an ambiguous error — and under this protocol same
 // name means same committed content.  The duplicate temp is dropped.
 func (c Ctx) writeFileAtomic(b Backend, final string, buf []byte, pol RetryPolicy, replace bool) error {
-	if cp, ok := b.(CondPutter); ok {
-		err := c.condPutLoop(cp, final, buf, pol, replace)
-		if !errors.Is(err, errors.ErrUnsupported) {
-			return err
-		}
-		// A wrapper advertised the capability but its inner backend lacks
-		// it; fall through to the rename protocol.
+	once := func() error { return c.commitOnce(b, tmpName(final, c.Rank), final, buf, replace) }
+	if cp, ok := CondPutterOf(b); ok {
+		once = func() error { return c.condPutOnce(cp, final, buf, replace) }
 	}
-	tmp := tmpName(final, c.Rank)
-	attempts := pol.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
 	for k := 1; ; k++ {
-		err = c.commitOnce(b, tmp, final, buf, replace)
-		if err == nil || k >= attempts || !commitRetryable(err) {
+		err := once()
+		if err == nil || k >= pol.Attempts || !commitRetryable(err) {
 			return err
 		}
 		c.retrySleep(pol.delay(k, c.Rank))
@@ -102,28 +94,8 @@ func (c Ctx) commitOnce(b Backend, tmp, final string, buf []byte, replace bool) 
 	return err
 }
 
-// condPutLoop is the commit protocol over a CondPutter backend: each
-// attempt is one conditional PUT, atomic by the backend's contract.
-// errors.ErrUnsupported is surfaced immediately (the wrapper's inner
-// backend lacks the capability; the caller falls back to the rename
-// protocol) — it must not reach commitRetryable, which would classify
-// its EIO-shaped self as worth retrying.
-func (c Ctx) condPutLoop(cp CondPutter, final string, buf []byte, pol RetryPolicy, replace bool) error {
-	attempts := pol.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for k := 1; ; k++ {
-		err = c.condPutOnce(cp, final, buf, replace)
-		if err == nil || errors.Is(err, errors.ErrUnsupported) ||
-			k >= attempts || !commitRetryable(err) {
-			return err
-		}
-		c.retrySleep(pol.delay(k, c.Rank))
-	}
-}
-
+// condPutOnce is one attempt of the commit protocol over a CondPutter
+// store.
 func (c Ctx) condPutOnce(cp CondPutter, final string, buf []byte, replace bool) error {
 	if replace {
 		// Put-if-generation: a losing writer gets a transient conflict

@@ -88,7 +88,7 @@ func TestReadFanoutMatchesSerial(t *testing.T) {
 		writeN1(t, r.m, ctx, rank, ranks, blocks, bs, "fan")
 	})
 
-	serialM := plfs.NewMount(r.roots, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: 4, NoReadFanout: true})
+	serialM := plfs.NewMount(r.roots, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: 1})
 	for name, m := range map[string]*plfs.Mount{"fanout": r.m, "serial": serialM} {
 		rd, err := m.OpenReader(r.ctx(0, nil), "fan")
 		if err != nil {
@@ -144,7 +144,7 @@ func BenchmarkReadAtFanout(b *testing.B) {
 		}
 	}
 	b.Run("serial", func(b *testing.B) {
-		run(b, plfs.Options{IndexMode: plfs.Original, NoReadFanout: true})
+		run(b, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: 1})
 	})
 	b.Run("parallel", func(b *testing.B) {
 		run(b, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: workers})

@@ -70,6 +70,40 @@ func TestObjfsN1WriteRead(t *testing.T) {
 	}
 }
 
+// TestObjfsBulkCreateBehindWrappers: the object store has no bulk-create
+// RPC, and nothing interposed on it may pretend otherwise.  A collective
+// create with BulkCreate set must fall back to per-rank creates whether
+// the volumes are bare, behind a zero-probability fault injector, or
+// behind the injector and the health tracker — the regression was the
+// wrappers advertising BulkCreator themselves and the batch dying with
+// "unsupported operation".
+func TestObjfsBulkCreateBehindWrappers(t *testing.T) {
+	const n, blocks, bs = 4, 3, int64(512)
+	for _, tc := range []struct {
+		name         string
+		fault, heals bool
+	}{{"bare", false, false}, {"fault", true, false}, {"fault+health", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := crashOpts(plfs.Original)
+			opt.BulkCreate, opt.HedgedReads = true, tc.heals
+			r, _ := newObjRig(t, 2, opt)
+			inj := fault.New(fault.Spec{})
+			runRanks(t, r, n, func(ctx plfs.Ctx, rank int) {
+				if tc.fault {
+					ctx = faulty(ctx, inj)
+				}
+				writeN1(t, r.m, ctx, rank, n, blocks, bs, "bulk")
+			})
+			rd, err := r.m.OpenReader(serialCtx(r, 0), "bulk")
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer rd.Close()
+			verifyN1(t, rd, n, blocks, bs)
+		})
+	}
+}
+
 // TestObjfsCrashTortureSerial is TestCrashTortureSerial over the object
 // store: crash the backend at every K-th mutating operation (conditional
 // PUTs count), reopen the frozen keyspace, and hold recovery to the

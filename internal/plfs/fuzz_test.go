@@ -14,6 +14,7 @@ import (
 	iofs "io/fs"
 	"testing"
 
+	"plfs/internal/extent"
 	"plfs/internal/payload"
 )
 
@@ -94,6 +95,32 @@ func (f *memFile) ReadAt(off, n int64) (payload.List, error) {
 
 func (f *memFile) Size() int64  { return int64(len(f.fs.files[f.p])) }
 func (f *memFile) Close() error { return nil }
+
+// The list-I/O part of File, as plain loops over the calls above.
+func (f *memFile) WritevAt(segs []extent.Ext, data payload.List) error {
+	pos := int64(0)
+	for _, s := range segs {
+		f.WriteAt(s.Off, payload.FromBytes(data.Slice(pos, s.Len).Materialize()))
+		pos += s.Len
+	}
+	return nil
+}
+
+func (f *memFile) ReadvAt(segs []extent.Ext) (payload.List, error) {
+	var out payload.List
+	for _, s := range segs {
+		pl, err := f.ReadAt(s.Off, s.Len)
+		if err != nil {
+			return nil, err
+		}
+		out = out.Concat(pl)
+	}
+	return out, nil
+}
+
+func (f *memFile) Appendv(pl payload.List) (int64, error) {
+	return f.Append(payload.FromBytes(pl.Materialize()))
+}
 
 // fuzzEntries is a small well-formed entry set shared by the seeds.
 func fuzzEntries() []Entry {

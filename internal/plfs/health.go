@@ -28,15 +28,11 @@ package plfs
 // private table.
 
 import (
-	"errors"
 	"sort"
 	"sync"
 	"time"
 
 	"plfs/internal/obs"
-	"plfs/internal/payload"
-
-	"plfs/internal/extent"
 )
 
 // BreakerState is one volume's circuit-breaker position.
@@ -478,322 +474,36 @@ func (h *Health) Publish(reg *obs.Registry) {
 	}
 }
 
-// ---- outcome-observing backend wrapper ----------------------------------
-
-// healthCtx returns ctx with every volume backend wrapped to time
-// operations and feed their outcomes into the mount's health table.
-// Idempotent: an already-wrapped context passes through.
+// healthCtx returns ctx with a health interceptor on every volume: each
+// backend call is timed on ctx.Clock and its outcome fed to the mount's
+// breaker table, by op class.  A bulk create is one observation (the
+// interposer reports the batch's first entry error): the batch is one
+// RPC to the volume, and counting it per entry would let a single bulk
+// storm trip a breaker that saw only one slow round trip.  Idempotent:
+// an already-observed context passes through.
 func (m *Mount) healthCtx(ctx Ctx) Ctx {
-	if m.health == nil || len(ctx.Vols) == 0 {
+	if m.health == nil || len(ctx.Vols) == 0 || ctx.observed {
 		return ctx
 	}
-	if _, done := ctx.Vols[0].(*healthBackend); done {
-		return ctx
-	}
+	h, now := m.health, ctx.now
 	wrapped := make([]Backend, len(ctx.Vols))
 	for i, b := range ctx.Vols {
 		root := ""
 		if i < len(m.roots) {
 			root = m.roots[i]
 		}
-		wrapped[i] = &healthBackend{b: b, h: m.health, root: root, clock: ctx.Clock}
+		wrapped[i] = Interpose(b, func(op *Op, call func() error) error {
+			t0 := now()
+			err := call()
+			t1 := now()
+			if op.Kind.Data() {
+				h.ObserveData(root, t1, time.Duration(t1-t0), op.Bytes, err)
+			} else {
+				h.Observe(root, t1, time.Duration(t1-t0), err)
+			}
+			return err
+		})
 	}
-	ctx.Vols = wrapped
+	ctx.Vols, ctx.observed = wrapped, true
 	return ctx
-}
-
-type healthBackend struct {
-	b     Backend
-	h     *Health
-	root  string
-	clock Clock
-}
-
-// ConcurrentIO forwards the wrapped backend's advertisement (the health
-// table is mutex-protected, so fan-out safety is the store's own).
-func (hb *healthBackend) ConcurrentIO() bool {
-	c, ok := hb.b.(ConcurrentIO)
-	return ok && c.ConcurrentIO()
-}
-
-func (hb *healthBackend) now() int64 {
-	if hb.clock != nil {
-		return hb.clock.Now()
-	}
-	return time.Now().UnixNano()
-}
-
-// observe times one metadata operation and feeds the breaker.
-func (hb *healthBackend) observe(t0 int64, err error) {
-	t1 := hb.now()
-	hb.h.Observe(hb.root, t1, time.Duration(t1-t0), err)
-}
-
-// observeData is observe for data-transfer operations of a given byte
-// count (the breaker normalizes latency by size).
-func (hb *healthBackend) observeData(t0, bytes int64, err error) {
-	t1 := hb.now()
-	hb.h.ObserveData(hb.root, t1, time.Duration(t1-t0), bytes, err)
-}
-
-// Mkdir implements Backend.
-func (hb *healthBackend) Mkdir(path string) error {
-	t0 := hb.now()
-	err := hb.b.Mkdir(path)
-	hb.observe(t0, err)
-	return err
-}
-
-// Create implements Backend.
-func (hb *healthBackend) Create(path string) (File, error) {
-	t0 := hb.now()
-	f, err := hb.b.Create(path)
-	hb.observe(t0, err)
-	if err != nil {
-		return nil, err
-	}
-	return &healthFile{f: f, hb: hb}, nil
-}
-
-// OpenRead implements Backend.
-func (hb *healthBackend) OpenRead(path string) (File, error) {
-	t0 := hb.now()
-	f, err := hb.b.OpenRead(path)
-	hb.observe(t0, err)
-	if err != nil {
-		return nil, err
-	}
-	return &healthFile{f: f, hb: hb}, nil
-}
-
-// OpenWrite implements Backend.
-func (hb *healthBackend) OpenWrite(path string) (File, error) {
-	t0 := hb.now()
-	f, err := hb.b.OpenWrite(path)
-	hb.observe(t0, err)
-	if err != nil {
-		return nil, err
-	}
-	return &healthFile{f: f, hb: hb}, nil
-}
-
-// Stat implements Backend.
-func (hb *healthBackend) Stat(path string) (Info, error) {
-	t0 := hb.now()
-	fi, err := hb.b.Stat(path)
-	hb.observe(t0, err)
-	return fi, err
-}
-
-// ReadDir implements Backend.
-func (hb *healthBackend) ReadDir(path string) ([]Info, error) {
-	t0 := hb.now()
-	ents, err := hb.b.ReadDir(path)
-	hb.observe(t0, err)
-	return ents, err
-}
-
-// Remove implements Backend.
-func (hb *healthBackend) Remove(path string) error {
-	t0 := hb.now()
-	err := hb.b.Remove(path)
-	hb.observe(t0, err)
-	return err
-}
-
-// Rename implements Backend.
-func (hb *healthBackend) Rename(oldPath, newPath string) error {
-	t0 := hb.now()
-	err := hb.b.Rename(oldPath, newPath)
-	hb.observe(t0, err)
-	return err
-}
-
-// PutIfAbsent implements CondPutter.  The inner backend is probed first,
-// and an errors.ErrUnsupported outcome — from the assertion here or from
-// a deeper wrapper's probe — never feeds the breaker: capability
-// discovery is not a health signal.
-func (hb *healthBackend) PutIfAbsent(path string, data []byte) error {
-	cp, ok := hb.b.(CondPutter)
-	if !ok {
-		return errors.ErrUnsupported
-	}
-	t0 := hb.now()
-	err := cp.PutIfAbsent(path, data)
-	if !errors.Is(err, errors.ErrUnsupported) {
-		hb.observeData(t0, int64(len(data)), err)
-	}
-	return err
-}
-
-// PutReplace implements CondPutter (see PutIfAbsent).
-func (hb *healthBackend) PutReplace(path string, data []byte) error {
-	cp, ok := hb.b.(CondPutter)
-	if !ok {
-		return errors.ErrUnsupported
-	}
-	t0 := hb.now()
-	err := cp.PutReplace(path, data)
-	if !errors.Is(err, errors.ErrUnsupported) {
-		hb.observeData(t0, int64(len(data)), err)
-	}
-	return err
-}
-
-// CreateBulk implements BulkCreator (probe-first, like PutIfAbsent).
-// One batch feeds the breaker one observation — the first entry error if
-// any, else success: the batch is one RPC to the volume, and counting it
-// per entry would let a single bulk storm trip a breaker that saw only
-// one slow round trip.
-func (hb *healthBackend) CreateBulk(ops []BulkOp) []error {
-	bc, ok := hb.b.(BulkCreator)
-	if !ok {
-		errs := make([]error, len(ops))
-		for i := range errs {
-			errs[i] = errors.ErrUnsupported
-		}
-		return errs
-	}
-	t0 := hb.now()
-	errs := bc.CreateBulk(ops)
-	var first error
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, errors.ErrUnsupported) {
-			first = err
-			break
-		}
-	}
-	hb.observe(t0, first)
-	return errs
-}
-
-// healthFile times the data-path operations of an open handle.  The
-// optional capabilities are forwarded with delegate-or-fallback
-// semantics so wrapping never hides what the store can do (the same
-// contract the fault wrapper keeps).
-type healthFile struct {
-	f  File
-	hb *healthBackend
-}
-
-// WriteAt implements File.
-func (f *healthFile) WriteAt(off int64, p payload.Payload) error {
-	t0 := f.hb.now()
-	err := f.f.WriteAt(off, p)
-	f.hb.observeData(t0, p.Len(), err)
-	return err
-}
-
-// Append implements File.
-func (f *healthFile) Append(p payload.Payload) (int64, error) {
-	t0 := f.hb.now()
-	off, err := f.f.Append(p)
-	f.hb.observeData(t0, p.Len(), err)
-	return off, err
-}
-
-// ReadAt implements File.
-func (f *healthFile) ReadAt(off, n int64) (payload.List, error) {
-	t0 := f.hb.now()
-	pl, err := f.f.ReadAt(off, n)
-	f.hb.observeData(t0, n, err)
-	return pl, err
-}
-
-// Size implements File.
-func (f *healthFile) Size() int64 { return f.f.Size() }
-
-// Close implements File (not a health signal; close is bookkeeping).
-func (f *healthFile) Close() error { return f.f.Close() }
-
-// WritevAt implements VectoredIO.
-func (f *healthFile) WritevAt(segs []extent.Ext, data payload.List) error {
-	t0 := f.hb.now()
-	bytes := data.Len()
-	var err error
-	if vio, ok := f.f.(VectoredIO); ok {
-		err = vio.WritevAt(segs, data)
-	} else {
-		pos := int64(0)
-		for _, s := range segs {
-			off := s.Off
-			for _, p := range data.Slice(pos, s.Len) {
-				if err = f.f.WriteAt(off, p); err != nil {
-					break
-				}
-				off += p.Len()
-			}
-			if err != nil {
-				break
-			}
-			pos += s.Len
-		}
-	}
-	f.hb.observeData(t0, bytes, err)
-	return err
-}
-
-// ReadvAt implements VectoredIO.
-func (f *healthFile) ReadvAt(segs []extent.Ext) (payload.List, error) {
-	t0 := f.hb.now()
-	var bytes int64
-	for _, s := range segs {
-		bytes += s.Len
-	}
-	var out payload.List
-	var err error
-	if vio, ok := f.f.(VectoredIO); ok {
-		out, err = vio.ReadvAt(segs)
-	} else {
-		for _, s := range segs {
-			var pl payload.List
-			if pl, err = f.f.ReadAt(s.Off, s.Len); err != nil {
-				out = nil
-				break
-			}
-			out = out.Concat(pl)
-		}
-	}
-	f.hb.observeData(t0, bytes, err)
-	return out, err
-}
-
-// Appendv implements BatchAppender.
-func (f *healthFile) Appendv(pl payload.List) (int64, error) {
-	t0 := f.hb.now()
-	bytes := pl.Len()
-	var off int64
-	var err error
-	if ba, ok := f.f.(BatchAppender); ok {
-		off, err = ba.Appendv(pl)
-	} else {
-		for i, p := range pl {
-			var o int64
-			if o, err = f.f.Append(p); err != nil {
-				break
-			}
-			if i == 0 {
-				off = o
-			}
-		}
-	}
-	f.hb.observeData(t0, bytes, err)
-	return off, err
-}
-
-// LockRange implements RangeLocker (forwarded untimed: locks guard
-// middleware RMW windows, not stored bytes).
-func (f *healthFile) LockRange(off, n int64) error {
-	if rl, ok := f.f.(RangeLocker); ok {
-		return rl.LockRange(off, n)
-	}
-	return nil
-}
-
-// UnlockRange implements RangeLocker (see LockRange).
-func (f *healthFile) UnlockRange(off, n int64) error {
-	if rl, ok := f.f.(RangeLocker); ok {
-		return rl.UnlockRange(off, n)
-	}
-	return nil
 }

@@ -129,17 +129,12 @@ type Options struct {
 	// on the read path: concurrent index-dropping decode during
 	// aggregation, per-shard sorting in the index build, and fan-out of
 	// ReadAt data fetches.  0 (the default) means one worker per available
-	// CPU; 1 forces the serial baseline.  Simulated virtual time is
-	// unaffected — the pool only changes wall-clock cost.
+	// CPU; 1 forces the serial baseline (the flatten-then-sort index build
+	// and serial ReadAt plan the A/B tests compare against).  Fan-out also
+	// disables itself over stores without ConcurrentIO, such as the
+	// simulator.  Simulated virtual time is unaffected — the pool only
+	// changes wall-clock cost.
 	DecodeWorkers int
-	// SerialResolve forces the flatten-then-global-sort index build even
-	// when DecodeWorkers would allow the merge-based parallel build (A/B
-	// baseline for the harness).
-	SerialResolve bool
-	// NoReadFanout disables ReadAt's batched per-dropping read fan-out
-	// (A/B baseline for the harness).  Fan-out also disables itself on
-	// backends that don't advertise ConcurrentIO, such as the simulator.
-	NoReadFanout bool
 	// Retry reissues dropping opens/reads/appends that fail with
 	// transient errors, with exponential backoff charged through the
 	// context's Sleeper (virtual time under the simulator, real sleep
@@ -252,6 +247,10 @@ type Ctx struct {
 	// spans, per-op latency histograms, and retry counters.  Nil disables
 	// all instrumentation at zero cost.
 	Obs *obs.Registry
+
+	// observed marks Vols as already carrying the mount's health
+	// interceptor (healthCtx), so nested entry points wrap once.
+	observed bool
 }
 
 func (c Ctx) now() int64 {

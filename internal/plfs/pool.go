@@ -64,7 +64,8 @@ func defaultWorkers(opt int) int {
 // qualifies (pread is thread-safe); the simulated backend does not — its
 // discrete-event engine requires all blocking calls on the rank's own
 // goroutine — so the reader's I/O fan-out degrades to serial there
-// automatically.
+// automatically.  It is asked of the leaf: interceptors are required to
+// be goroutine-safe, so fan-out safety is the store's own property.
 type ConcurrentIO interface {
 	ConcurrentIO() bool
 }
@@ -73,7 +74,7 @@ type ConcurrentIO interface {
 // goroutine-safe I/O.
 func backendsConcurrent(vols []Backend) bool {
 	for _, v := range vols {
-		c, ok := v.(ConcurrentIO)
+		c, ok := Leaf(v).(ConcurrentIO)
 		if !ok || !c.ConcurrentIO() {
 			return false
 		}

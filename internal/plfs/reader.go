@@ -231,11 +231,7 @@ func (r *Reader) buildCached(shards [][]Rec, dataPaths []string) *Index {
 	if st.builtKey == key && st.built != nil {
 		return st.built
 	}
-	w := r.m.opt.decodeWorkers()
-	if r.m.opt.SerialResolve {
-		w = 1
-	}
-	ix := BuildIndexRecs(shards, dataPaths, w)
+	ix := BuildIndexRecs(shards, dataPaths, r.m.opt.decodeWorkers())
 	st.builtKey, st.built = key, ix
 	return ix
 }
@@ -720,7 +716,7 @@ func (r *Reader) handle(id int32) (File, error) {
 // into one backend read, and each piece's bytes are sliced back out of
 // its batch during reassembly.  Over backends that advertise
 // ConcurrentIO the batches fan out across the worker pool; under the
-// simulator (or with Options.NoReadFanout) they issue serially on the
+// simulator (or with DecodeWorkers 1) they issue serially on the
 // caller's goroutine, as the discrete-event engine requires.  The plan
 // itself is identical either way.
 func (r *Reader) ReadAt(off, n int64) (payload.List, error) {
@@ -823,24 +819,20 @@ func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 		return nil
 	}
 	w := r.m.opt.decodeWorkers()
-	if r.m.opt.NoReadFanout || w <= 1 || !backendsConcurrent(r.ctx.Vols) {
+	if w <= 1 || !backendsConcurrent(r.ctx.Vols) {
 		r.ReadStats.Workers = 1
 		// Serial plan: consecutive batches against the same dropping (the
 		// planner emits them sorted) collapse into one vectored backend
-		// read when the handle supports it — list I/O on the read side.
-		for i := 0; i < len(batches); {
-			j := i + 1
+		// read — list I/O on the read side.
+		for i, j := 0, 0; i < len(batches); i = j {
+			j = i + 1
 			for j < len(batches) && batches[j].drop == batches[i].drop {
 				j++
 			}
-			vio, ok := r.handles[batches[i].drop].(VectoredIO)
-			if !ok || j-i == 1 {
-				for k := i; k < j; k++ {
-					if err := readBatchAt(k); err != nil {
-						return nil, err
-					}
+			if j-i == 1 {
+				if err := readBatchAt(i); err != nil {
+					return nil, err
 				}
-				i = j
 				continue
 			}
 			segs := make([]extent.Ext, j-i)
@@ -850,7 +842,7 @@ func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 			var pl payload.List
 			err := r.ctx.retry(r.m.opt.Retry, func() error {
 				var e error
-				pl, e = vio.ReadvAt(segs)
+				pl, e = r.handles[batches[i].drop].ReadvAt(segs)
 				return e
 			})
 			if err != nil {
@@ -861,7 +853,6 @@ func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 				parts[k] = pl.Slice(pos, batches[k].length)
 				pos += batches[k].length
 			}
-			i = j
 		}
 	} else {
 		r.ReadStats.Workers = w

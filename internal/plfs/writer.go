@@ -338,42 +338,30 @@ func (w *Writer) noteChecksum(p payload.Payload, extend bool) {
 // failed append landed no bytes, so a reissue is clean); torn writes
 // are permanent and surface immediately.
 //
-// When the handle batches appends (BatchAppender) and more than one
-// piece is buffered, the whole buffer lands in one backend operation —
-// the fault wrapper deliberately hides the capability, so batches only
-// form where the per-piece retry/torn contracts cannot be weakened.
+// When more than one piece is buffered the whole buffer lands in one
+// batched backend append.  Under the fault injector the batch still
+// faces per-piece transient/torn dice with defined prefix semantics, and
+// a mid-batch failure reports TornWrite — permanent here, exactly as a
+// torn single append is.
 func (w *Writer) flushData() error {
-	pol := w.m.opt.Retry
-	if len(w.buf) > 1 {
-		if ba, ok := w.dataFile.(BatchAppender); ok {
-			pl := w.buf
-			err := w.ctx.retry(pol, func() error {
-				_, e := ba.Appendv(pl)
-				return e
-			})
-			if err != nil {
-				return err
-			}
-			w.Stats.Appends++
-			w.written += w.bufBytes
-			w.buf, w.bufBytes = w.buf[:0], 0
-			return nil
-		}
+	pl := w.buf
+	if len(pl) == 0 {
+		return nil
 	}
-	for len(w.buf) > 0 {
-		p := w.buf[0]
-		err := w.ctx.retry(pol, func() error {
-			_, e := w.dataFile.Append(p)
-			return e
-		})
-		if err != nil {
-			return err
+	err := w.ctx.retry(w.m.opt.Retry, func() error {
+		var e error
+		if len(pl) == 1 {
+			_, e = w.dataFile.Append(pl[0])
+		} else {
+			_, e = w.dataFile.Appendv(pl)
 		}
-		w.Stats.Appends++
-		w.buf = w.buf[1:]
-		w.written += p.Len()
-		w.bufBytes -= p.Len()
+		return e
+	})
+	if err != nil {
+		return err
 	}
+	w.Stats.Appends++
+	w.written += w.bufBytes
 	w.buf, w.bufBytes = w.buf[:0], 0
 	return nil
 }

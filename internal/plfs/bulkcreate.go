@@ -86,7 +86,7 @@ func (m *Mount) createBatched(ctx Ctx, rel string) (*Writer, error) {
 	}()
 	st.mu.Lock()
 	st.gen++
-	st.builtKey, st.built = "", nil
+	st.builtKey, st.built = builtKey{}, nil
 	st.mu.Unlock()
 
 	w := &Writer{m: m, ctx: ctx, rel: rel, st: st}

@@ -321,10 +321,17 @@ type containerState struct {
 	tenant   string
 	bytes    int64 // parsed-shard bytes charged to the economy
 	parsed   map[string][]Rec
-	builtKey string
+	builtKey builtKey
 	built    *Index
 
 	last atomic.Uint64 // economy tick of last touch (LRU for eviction)
+}
+
+// builtKey identifies the aggregation containerState.built was built from.
+type builtKey struct {
+	gen           uint64
+	ndrops, total int
+	last          string // path of the last data dropping
 }
 
 // curGen returns the container's current in-memory generation.
@@ -489,7 +496,7 @@ func (m *Mount) invalidateState(rel, tenant string) {
 	st := m.stateOf(rel, tenant)
 	st.mu.Lock()
 	st.gen++
-	st.builtKey, st.built = "", nil
+	st.builtKey, st.built = builtKey{}, nil
 	st.parsed = map[string][]Rec{}
 	n := st.bytes
 	st.bytes = 0
@@ -529,7 +536,7 @@ func (m *Mount) releaseState(st *containerState) int64 {
 	tenant := st.tenant
 	st.bytes = 0
 	st.parsed = map[string][]Rec{}
-	st.builtKey, st.built = "", nil
+	st.builtKey, st.built = builtKey{}, nil
 	st.mu.Unlock()
 	m.econ.release(tenant, n)
 	return n
@@ -584,7 +591,7 @@ func (m *Mount) reclaim(need int64) int64 {
 		tenant := st.tenant
 		st.bytes = 0
 		st.parsed = map[string][]Rec{}
-		st.builtKey, st.built = "", nil
+		st.builtKey, st.built = builtKey{}, nil
 		st.mu.Unlock()
 		delete(sh.m, c.rel)
 		sh.mu.Unlock()

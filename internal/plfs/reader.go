@@ -208,14 +208,11 @@ func (r *Reader) tryGlobalIndex() (*Index, error) {
 		return nil, err
 	}
 	ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(len(recs)))
-	return r.buildCached([][]Rec{recs}, paths), nil
+	return r.buildShards([][]Rec{recs}, paths), nil
 }
 
-// indexOf builds (with caching) the resolved index from raw shards.
-func (r *Reader) buildCached(shards [][]Rec, dataPaths []string) *Index {
-	msp := r.sp.Child("merge")
-	defer msp.End()
-	st := r.m.stateOf(r.rel, r.ctx.Tenant)
+// buildShards builds (with caching) the resolved index from raw shards.
+func (r *Reader) buildShards(shards [][]Rec, dataPaths []string) *Index {
 	total := 0
 	for _, s := range shards {
 		total += len(s)
@@ -224,13 +221,26 @@ func (r *Reader) buildCached(shards [][]Rec, dataPaths []string) *Index {
 	if len(dataPaths) > 0 {
 		last = dataPaths[len(dataPaths)-1]
 	}
+	return r.buildCached(len(dataPaths), total, last, func() ([][]Rec, []string) { return shards, dataPaths })
+}
+
+// buildCached returns the container's resolved index for an aggregation
+// of total records over ndrops data droppings, the last at path last.
+// Every caller pays the modeled merge cost; only the first to arrive with
+// a given key calls assemble for the shards and dropping paths and builds,
+// so the ranks of a collective open share one build and one set of tables.
+func (r *Reader) buildCached(ndrops, total int, last string, assemble func() ([][]Rec, []string)) *Index {
+	msp := r.sp.Child("merge")
+	defer msp.End()
+	st := r.m.stateOf(r.rel, r.ctx.Tenant)
 	r.ctx.sleep(r.m.opt.MergeCPUPerEntry * timeDuration(total))
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	key := fmt.Sprintf("%d/%d/%d/%s", st.gen, len(dataPaths), total, last)
+	key := builtKey{st.gen, ndrops, total, last}
 	if st.builtKey == key && st.built != nil {
 		return st.built
 	}
+	shards, dataPaths := assemble()
 	ix := BuildIndexRecs(shards, dataPaths, r.m.opt.decodeWorkers())
 	st.builtKey, st.built = key, ix
 	return ix
@@ -431,7 +441,7 @@ func (r *Reader) aggregateOriginal() error {
 	if err != nil {
 		return err
 	}
-	r.ix = r.buildCached(shards, paths)
+	r.ix = r.buildShards(shards, paths)
 	return nil
 }
 
@@ -493,7 +503,7 @@ func (r *Reader) aggregateFlatten() error {
 	r.Stats.UsedGlobal = true
 	got := c.Bcast(0, h.nbytes, mv).(material)
 	xsp.End()
-	r.ix = r.buildCached([][]Rec{got.recs}, got.paths)
+	r.ix = r.buildShards([][]Rec{got.recs}, got.paths)
 	return nil
 }
 
@@ -648,15 +658,26 @@ func (r *Reader) aggregateParallel() error {
 	all = group.Bcast(0, allBytes, all).([]shardMsg)
 	xsp.End()
 
-	shards := make([][]Rec, 0, len(all))
-	paths := make([]string, len(drops))
-	for i, d := range drops {
-		paths[i] = d.Data
-	}
+	// Every rank holds the same all and drops; the job-sized shard and
+	// path tables are laid out only by the rank that builds.
+	total, last := 0, ""
 	for _, sm := range all {
-		shards = append(shards, sm.Recs)
+		total += len(sm.Recs)
 	}
-	r.ix = r.buildCached(shards, paths)
+	if len(drops) > 0 {
+		last = drops[len(drops)-1].Data
+	}
+	r.ix = r.buildCached(len(drops), total, last, func() ([][]Rec, []string) {
+		shards := make([][]Rec, len(all))
+		for i, sm := range all {
+			shards[i] = sm.Recs
+		}
+		paths := make([]string, len(drops))
+		for i, d := range drops {
+			paths[i] = d.Data
+		}
+		return shards, paths
+	})
 	return nil
 }
 
@@ -1002,7 +1023,7 @@ func (m *Mount) aggregateSerial(ctx Ctx, rel string, drops []droppingRef) (*Inde
 	if err != nil {
 		return nil, err
 	}
-	return r.buildCached(shards, paths), nil
+	return r.buildShards(shards, paths), nil
 }
 
 // Flatten aggregates an existing container's index droppings into a

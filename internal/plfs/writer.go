@@ -101,7 +101,7 @@ func (m *Mount) Create(ctx Ctx, rel string) (*Writer, error) {
 	}()
 	st.mu.Lock()
 	st.gen++
-	st.builtKey, st.built = "", nil
+	st.builtKey, st.built = builtKey{}, nil
 	st.mu.Unlock()
 
 	w := &Writer{m: m, ctx: ctx, rel: rel, st: st}
@@ -541,7 +541,7 @@ func (w *Writer) Close() error {
 	st := m.stateOf(w.rel, ctx.Tenant)
 	st.mu.Lock()
 	st.gen++
-	st.builtKey, st.built = "", nil
+	st.builtKey, st.built = builtKey{}, nil
 	st.mu.Unlock()
 	m.unpin(w.st)
 	return errors.Join(errs...)

@@ -2,12 +2,12 @@
 // model HPC clusters and parallel storage systems.
 //
 // The engine advances a virtual clock over a priority queue of events.
-// Simulated processes are goroutines that run one at a time: the engine
-// resumes exactly one process, waits for it to block (on a sleep, a
-// resource, a link transfer, or a message), and only then pops the next
-// event.  Because at most one simulated goroutine executes at any moment,
-// model code needs no locking and every run is a pure function of its
-// configuration and seed.
+// Simulated processes are coroutines that run one at a time: the engine
+// resumes exactly one process, which runs until it blocks (on a sleep, a
+// resource, a link transfer, or a message) and so hands control back, and
+// only then pops the next event.  Because at most one simulated process
+// executes at any moment, model code needs no locking and every run is a
+// pure function of its configuration and seed.
 //
 // The package provides the primitives the higher layers are built from:
 //
@@ -20,7 +20,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -43,41 +42,61 @@ type event struct {
 	fn   func() // otherwise run this callback in engine context
 }
 
-type eventHeap []*event
+// before orders events by time, then by scheduling order; seq is unique,
+// so the order is total and the queue's layout never shows in a run.
+func (a event) before(b event) bool { return a.t < b.t || a.t == b.t && a.seq < b.seq }
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// eventQueue is a 4-ary min-heap of event values: half the levels of a
+// binary heap, no allocation per event and no interface calls.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 && ev.before(h[(i-1)/4]) {
+		h[i] = h[(i-1)/4]
+		i = (i - 1) / 4
 	}
-	return h[i].seq < h[j].seq
+	h[i] = ev
+	*q = h
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top, n := h[0], len(h)-1
+	ev := h[n] // sifted down from the root into the hole top leaves
+	h[n] = event{}
+	*q = h[:n]
+	i := 0
+	for first := 1; first < n; first = 4*i + 1 {
+		m := first // the least of i's children
+		for c := first + 1; c < min(first+4, n); c++ {
+			if h[c].before(h[m]) {
+				m = c
+			}
+		}
+		if !h[m].before(ev) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if n > 0 {
+		h[i] = ev
+	}
+	return top
 }
-func (h eventHeap) peek() *event     { return h[0] }
-func (h *eventHeap) pushEv(e *event) { heap.Push(h, e) }
-func (h *eventHeap) popEv() *event   { return heap.Pop(h).(*event) }
 
 // Engine is a discrete-event simulation run.  The zero value is not usable;
 // call NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
-	yield   chan struct{}
+	queue   eventQueue
 	live    map[*Proc]struct{}
 	cur     *Proc // the process currently executing, if any
 	rng     *rand.Rand
 	failure any
-	stopped bool
 }
 
 // NewEngine returns an engine whose random service-time jitter is derived
@@ -85,9 +104,8 @@ type Engine struct {
 // identical traces.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
+		live: make(map[*Proc]struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -113,14 +131,12 @@ func (e *Engine) Jitter(d time.Duration, frac float64) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-func (e *Engine) schedule(t Time, p *Proc, fn func()) *event {
+func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev := &event{t: t, seq: e.seq, proc: p, fn: fn}
-	e.queue.pushEv(ev)
-	return ev
+	e.queue.push(event{t: t, seq: e.seq, proc: p, fn: fn})
 }
 
 // At schedules fn to run in engine context at absolute time t.
@@ -129,15 +145,21 @@ func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, fn) }
 // After schedules fn to run in engine context d from now.
 func (e *Engine) After(d time.Duration, fn func()) { e.schedule(e.now+Time(d), nil, fn) }
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // with virtual time by the engine.
 type Proc struct {
 	e    *Engine
 	name string
-
-	resume chan struct{}
-	parked bool // true while blocked with no pending resume event (debug only)
+	// The coroutine (see start): the engine calls next to run the process
+	// to its next park; park calls yield, which reports false after stop.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 }
+
+// stopped is the panic that unwinds a parked process when Run returns
+// without it; Spawn's wrapper recovers it.
+type stopped struct{}
 
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
@@ -151,22 +173,18 @@ func (p *Proc) Now() Time { return p.e.now }
 // Spawn creates a simulated process running fn.  The process starts at the
 // current virtual time, after already-queued events.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name}
 	e.live[p] = struct{}{}
 	e.schedule(e.now, p, nil)
-	go func() {
-		<-p.resume
+	p.start(func() {
 		defer func() {
-			if r := recover(); r != nil {
-				if e.failure == nil {
-					e.failure = fmt.Sprintf("proc %q panicked: %v", p.name, r)
-				}
+			if r := recover(); r != nil && r != (stopped{}) && e.failure == nil {
+				e.failure = fmt.Sprintf("proc %q panicked: %v", p.name, r)
 			}
 			delete(e.live, p)
-			e.yield <- struct{}{}
 		}()
 		fn(p)
-	}()
+	})
 	return p
 }
 
@@ -181,10 +199,9 @@ func (p *Proc) park() {
 		panic(fmt.Sprintf("sim: blocking operation on proc %q from a different goroutine (current: %q)",
 			p.name, p.e.curName()))
 	}
-	p.parked = true
-	p.e.yield <- struct{}{}
-	<-p.resume
-	p.parked = false
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
+	}
 }
 
 func (e *Engine) curName() string {
@@ -222,14 +239,23 @@ func (p *Proc) Yield() {
 // Run processes events until the queue is empty, then reports whether the
 // simulation completed cleanly.  It returns an error if a process panicked
 // or if processes remain blocked with no pending events (a model deadlock).
+// However it returns, no process outlives it: those still parked are
+// unwound, running their deferred calls, and their coroutines exit.
 func (e *Engine) Run() error {
-	for e.queue.Len() > 0 {
-		ev := e.queue.popEv()
+	defer func() {
+		for p := range e.live {
+			e.cur = p
+			p.stop()
+			delete(e.live, p) // one that never started has no wrapper to
+		}
+		e.cur = nil
+	}()
+	for len(e.queue) > 0 {
+		ev := e.queue.pop()
 		e.now = ev.t
 		if ev.proc != nil {
 			e.cur = ev.proc
-			ev.proc.resume <- struct{}{}
-			<-e.yield
+			ev.proc.next()
 			e.cur = nil
 			if e.failure != nil {
 				return fmt.Errorf("sim: %v", e.failure)

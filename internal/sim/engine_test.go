@@ -3,6 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -71,6 +74,101 @@ func TestPanicPropagation(t *testing.T) {
 	e.Spawn("boom", func(p *Proc) { panic("kaboom") })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected panic to surface as error")
+	}
+}
+
+// TestRunLeavesNoGoroutines: however Run returns, the processes it leaves
+// behind are unwound (their deferred calls run) and their goroutines exit.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	const stuck = 64
+	models := []struct {
+		name  string
+		build func(e *Engine, unwound *int)
+	}{
+		{"deadlock", func(e *Engine, unwound *int) {
+			var g Gate
+			for i := 0; i < stuck; i++ {
+				e.Spawn("stuck", func(p *Proc) {
+					defer func() { *unwound++ }()
+					g.Wait(p)
+				})
+			}
+		}},
+		{"panic", func(e *Engine, unwound *int) {
+			var g Gate
+			for i := 0; i < stuck; i++ {
+				e.Spawn("stuck", func(p *Proc) {
+					defer func() { *unwound++ }()
+					defer p.Sleep(time.Second) // a deferred park must unwind too
+					g.Wait(p)
+				})
+			}
+			e.Spawn("boom", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				e.Spawn("late", func(*Proc) { t.Error("ran a process whose start was still queued at the panic") })
+				panic("kaboom")
+			})
+		}},
+	}
+	for _, model := range models {
+		t.Run(model.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e, unwound := NewEngine(1), 0
+			model.build(e, &unwound)
+			if err := e.Run(); err == nil {
+				t.Fatal("expected an error")
+			}
+			if unwound != stuck || e.Live() != 0 {
+				t.Errorf("%d of %d stuck processes ran their deferred calls; %d still live", unwound, stuck, e.Live())
+			}
+			// An exiting coroutine hands control back before its goroutine
+			// is gone, so allow the count a moment to settle.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines after Run, %d before", n, base)
+			}
+		})
+	}
+}
+
+// TestEventQueueOrder is a property test: random (t, seq) pushes
+// interleaved with pops come out of the heap in exactly sorted order.
+func TestEventQueueOrder(t *testing.T) {
+	less := func(a, b event) bool { return a.before(b) }
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var q eventQueue
+		var model []event // what q holds, kept sorted
+		seq := uint64(0)
+		for step := 0; step < 2000; step++ {
+			if len(model) > 0 && rng.Intn(3) == 0 {
+				got := q.pop()
+				if got.t != model[0].t || got.seq != model[0].seq {
+					t.Logf("seed %d step %d: popped (%d,%d), want (%d,%d)", seed, step, got.t, got.seq, model[0].t, model[0].seq)
+					return false
+				}
+				model = model[1:]
+				continue
+			}
+			seq++
+			ev := event{t: Time(rng.Intn(50)), seq: seq} // few distinct times: ties are the rule
+			q.push(ev)
+			i := sort.Search(len(model), func(i int) bool { return less(ev, model[i]) })
+			model = append(model[:i], append([]event{ev}, model[i:]...)...)
+		}
+		for _, want := range model {
+			if got := q.pop(); got.t != want.t || got.seq != want.seq {
+				t.Logf("seed %d drain: popped (%d,%d), want (%d,%d)", seed, got.t, got.seq, want.t, want.seq)
+				return false
+			}
+		}
+		return len(q) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 

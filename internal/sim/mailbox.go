@@ -21,27 +21,29 @@ type mboxKey struct {
 // delivers in FIFO order.
 type Mailbox struct {
 	msgs    map[mboxKey][]Msg
-	waiting map[mboxKey]*Proc
-	slot    map[mboxKey]*Msg // message handed directly to a waiting receiver
+	waiting map[mboxKey]receiver
+}
+
+// receiver is a process blocked in Get; Put swaps p for the message.
+type receiver struct {
+	p   *Proc
+	msg Msg
 }
 
 // NewMailbox returns an empty mailbox.
 func NewMailbox() *Mailbox {
 	return &Mailbox{
 		msgs:    make(map[mboxKey][]Msg),
-		waiting: make(map[mboxKey]*Proc),
-		slot:    make(map[mboxKey]*Msg),
+		waiting: make(map[mboxKey]receiver),
 	}
 }
 
 // Put delivers m, waking a matching blocked receiver if one exists.
 func (b *Mailbox) Put(m Msg) {
 	k := mboxKey{m.Src, m.Tag}
-	if p, ok := b.waiting[k]; ok {
-		delete(b.waiting, k)
-		mc := m
-		b.slot[k] = &mc
-		p.Wake()
+	if r := b.waiting[k]; r.p != nil {
+		b.waiting[k] = receiver{msg: m}
+		r.p.Wake()
 		return
 	}
 	b.msgs[k] = append(b.msgs[k], m)
@@ -64,11 +66,11 @@ func (b *Mailbox) Get(p *Proc, src, tag int) Msg {
 	if _, dup := b.waiting[k]; dup {
 		panic("sim: concurrent Mailbox.Get on same (src, tag)")
 	}
-	b.waiting[k] = p
+	b.waiting[k] = receiver{p: p}
 	p.park()
-	m := b.slot[k]
-	delete(b.slot, k)
-	return *m
+	m := b.waiting[k].msg
+	delete(b.waiting, k)
+	return m
 }
 
 // Pending reports the number of queued (undelivered) messages.

@@ -24,10 +24,6 @@ type PSLink struct {
 	flows psFlowHeap
 	gen   uint64 // invalidates stale completion timers
 
-	// doneFns holds completion callbacks for async flows; the list is tiny
-	// in practice so a linear scan on completion is fine.
-	doneFns []flowDone
-
 	// Moved accumulates total bytes transferred, for utilization reports.
 	Moved int64
 }
@@ -35,7 +31,8 @@ type PSLink struct {
 type psFlow struct {
 	finishV float64
 	seq     uint64
-	proc    *Proc
+	proc    *Proc  // blocked in Transfer, or nil for an async flow,
+	done    func() // whose completion callback this is
 	idx     int
 }
 
@@ -118,15 +115,8 @@ func (l *PSLink) TransferAsync(bytes int64, done func()) {
 	l.Moved += bytes
 	l.advance()
 	l.e.seq++
-	f := &psFlow{finishV: l.v + float64(bytes), seq: l.e.seq, proc: nil}
-	heap.Push(&l.flows, f)
-	l.doneFns = append(l.doneFns, flowDone{f, done})
+	heap.Push(&l.flows, &psFlow{finishV: l.v + float64(bytes), seq: l.e.seq, done: done})
 	l.reschedule()
-}
-
-type flowDone struct {
-	f  *psFlow
-	fn func()
 }
 
 // reschedule (re)arms the single completion timer for the earliest
@@ -160,13 +150,7 @@ func (l *PSLink) complete() {
 		if f.proc != nil {
 			f.proc.Wake()
 		} else {
-			for i, fd := range l.doneFns {
-				if fd.f == f {
-					l.doneFns = append(l.doneFns[:i], l.doneFns[i+1:]...)
-					l.e.After(0, fd.fn)
-					break
-				}
-			}
+			l.e.After(0, f.done)
 		}
 	}
 	l.reschedule()

@@ -15,13 +15,10 @@ import (
 	"plfs/internal/plfs"
 )
 
-// FS implements plfs.Backend over the host filesystem.  The zero value is
-// ready to use; paths are passed through verbatim.
-//
-// Each FS built by New carries its own path-lock table, so unrelated
-// mounts never contend on (or even see) each other's locks; the zero
-// value falls back to a process-global table, which is correct but
-// shares lock state with every other zero-value FS.
+// FS implements plfs.Backend over the host filesystem; paths are passed
+// through verbatim.  Build one with New: each FS carries its own path-lock
+// table, so unrelated mounts never contend on (or even see) each other's
+// locks.
 type FS struct {
 	locks *pathLockTable
 }
@@ -46,7 +43,7 @@ func (fs FS) Create(path string) (plfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{f: f, path: path, locks: fs.lockTable()}, nil
+	return &file{f: f, path: path, locks: fs.locks}, nil
 }
 
 // CreateBulk implements plfs.BulkCreator.  A local filesystem has no
@@ -78,7 +75,7 @@ func (fs FS) OpenRead(path string) (plfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{f: f, path: path, ro: true, locks: fs.lockTable()}, nil
+	return &file{f: f, path: path, locks: fs.locks, end: -1}, nil
 }
 
 // OpenWrite implements plfs.Backend: open an existing file for writing
@@ -88,7 +85,7 @@ func (fs FS) OpenWrite(path string) (plfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{f: f, path: path, locks: fs.lockTable()}, nil
+	return &file{f: f, path: path, locks: fs.locks, end: -1}, nil
 }
 
 // Stat implements plfs.Backend.
@@ -126,25 +123,58 @@ func (FS) Remove(path string) error { return os.Remove(path) }
 // Rename implements plfs.Backend.
 func (FS) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
 
+// file is one handle.  Writes go to the kernel straight from a byte
+// payload's own slice (DESIGN.md §16.1: bytes handed to a write are
+// immutable); synthetic and zero payloads are rendered into scratch.  The
+// handle tracks its own end-of-file, so an append is a single pwrite — sound
+// because a path has one appending handle at a time (§16.1).
 type file struct {
-	f     *os.File
-	path  string
-	ro    bool
-	locks *pathLockTable
+	f       *os.File
+	path    string
+	locks   *pathLockTable
+	end     int64  // 0 after Create, else negative until the first append's lseek
+	scratch []byte // reused rendering/concatenation buffer
 }
 
-func (f *file) WriteAt(off int64, p payload.Payload) error {
-	_, err := f.f.WriteAt(p.Materialize(), off)
+// bytesOf returns p's contents: its own slice when materialized, else
+// rendered into the handle's scratch buffer (valid until the next call).
+func (f *file) bytesOf(p payload.Payload) []byte {
+	if p.Bytes != nil {
+		return p.Bytes
+	}
+	f.scratch = p.AppendTo(f.scratch[:0])
+	return f.scratch
+}
+
+// pwrite writes b at off and keeps the tracked end ahead of every byte
+// that landed, including the prefix of a failed write.
+func (f *file) pwrite(b []byte, off int64) error {
+	n, err := f.f.WriteAt(b, off)
+	if e := off + int64(n); f.end >= 0 && e > f.end {
+		f.end = e
+	}
 	return err
 }
 
-func (f *file) Append(p payload.Payload) (int64, error) {
-	off, err := f.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, err
+// appendBytes lands b at the tracked end-of-file.
+func (f *file) appendBytes(b []byte) (int64, error) {
+	if f.end < 0 {
+		end, err := f.f.Seek(0, io.SeekEnd)
+		if err != nil {
+			return 0, err
+		}
+		f.end = end
 	}
-	_, err = f.f.Write(p.Materialize())
-	return off, err
+	off := f.end
+	return off, f.pwrite(b, off)
+}
+
+func (f *file) WriteAt(off int64, p payload.Payload) error {
+	return f.pwrite(f.bytesOf(p), off)
+}
+
+func (f *file) Append(p payload.Payload) (int64, error) {
+	return f.appendBytes(f.bytesOf(p))
 }
 
 func (f *file) ReadAt(off, n int64) (payload.List, error) {
@@ -153,14 +183,14 @@ func (f *file) ReadAt(off, n int64) (payload.List, error) {
 	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	var out payload.List
-	out = out.Append(payload.FromBytes(buf[:read]))
-	if int64(read) < n {
-		// Reads past EOF return zeros, matching the simulated store's
-		// sparse-object semantics (PLFS bounds reads by the logical size).
-		out = out.Append(payload.Zeros(n - int64(read)))
+	if n > 0 && int64(read) == n {
+		return payload.List{payload.FromBytes(buf)}, nil
 	}
-	return out, nil
+	// Reads past EOF return zeros, matching the simulated store's
+	// sparse-object semantics (PLFS bounds reads by the logical size).
+	out := make(payload.List, 0, 2)
+	out = out.Append(payload.FromBytes(buf[:read]))
+	return out.Append(payload.Zeros(n - int64(read))), nil
 }
 
 func (f *file) Size() int64 {
@@ -181,7 +211,7 @@ func (f *file) WritevAt(segs []extent.Ext, data payload.List) error {
 	for _, e := range segs {
 		off := e.Off
 		for _, p := range data.Slice(pos, e.Len) {
-			if _, err := f.f.WriteAt(p.Materialize(), off); err != nil {
+			if err := f.pwrite(f.bytesOf(p), off); err != nil {
 				return err
 			}
 			off += p.Len()
@@ -191,35 +221,36 @@ func (f *file) WritevAt(segs []extent.Ext, data payload.List) error {
 	return nil
 }
 
-// ReadvAt implements plfs.VectoredIO.
+// ReadvAt implements plfs.VectoredIO: one buffer for the whole request, a
+// pread per extent into its window.  The buffer starts zeroed, so an
+// extent past EOF reads as zeros with no further work.
 func (f *file) ReadvAt(segs []extent.Ext) (payload.List, error) {
-	var out payload.List
+	var total int64
+	for _, e := range segs {
+		total += max(e.Len, 0)
+	}
+	buf := make([]byte, total)
+	var pos int64
 	for _, e := range segs {
 		if e.Len <= 0 {
 			continue
 		}
-		pl, err := f.ReadAt(e.Off, e.Len)
-		if err != nil {
+		if _, err := f.f.ReadAt(buf[pos:pos+e.Len], e.Off); err != nil && err != io.EOF {
 			return nil, err
 		}
-		out = out.Concat(pl)
+		pos += e.Len
 	}
-	return out, nil
+	return payload.List(nil).Append(payload.FromBytes(buf)), nil
 }
 
-// Appendv implements plfs.BatchAppender: one seek to EOF and one write of
-// the concatenated pieces.
+// Appendv implements plfs.BatchAppender: one write of the concatenated
+// pieces at the tracked end-of-file.
 func (f *file) Appendv(pl payload.List) (int64, error) {
-	off, err := f.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, 0, pl.Len())
+	f.scratch = f.scratch[:0]
 	for _, p := range pl {
-		buf = append(buf, p.Materialize()...)
+		f.scratch = p.AppendTo(f.scratch)
 	}
-	_, err = f.f.Write(buf)
-	return off, err
+	return f.appendBytes(f.scratch)
 }
 
 // pathLockTable serializes RMW windows among one backend's writers,
@@ -241,16 +272,6 @@ type pathLock struct {
 
 func newPathLockTable() *pathLockTable {
 	return &pathLockTable{m: make(map[string]*pathLock)}
-}
-
-// globalLocks backs zero-value FS instances that bypassed New.
-var globalLocks = newPathLockTable()
-
-func (fs FS) lockTable() *pathLockTable {
-	if fs.locks != nil {
-		return fs.locks
-	}
-	return globalLocks
 }
 
 // lock acquires the path's mutex, creating the entry on first use.

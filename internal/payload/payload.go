@@ -12,7 +12,10 @@
 // bytes through the same code paths to anchor the equivalence.
 package payload
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // PatternByte is the deterministic synthetic content function: the byte at
 // pattern position pos of the stream identified by tag.
@@ -95,17 +98,24 @@ func (p Payload) Slice(off, length int64) Payload {
 
 // Materialize returns the payload contents as a fresh byte slice.
 func (p Payload) Materialize() []byte {
-	out := make([]byte, p.Length)
+	return p.AppendTo(make([]byte, 0, p.Length))
+}
+
+// AppendTo appends the payload contents to dst and returns the extended
+// slice, so callers that render many payloads can reuse one buffer.
+func (p Payload) AppendTo(dst []byte) []byte {
 	if p.Bytes != nil {
-		copy(out, p.Bytes)
-		return out
+		return append(dst, p.Bytes...)
 	}
+	n := len(dst)
+	dst = append(dst, make([]byte, p.Length)...) // zero-extends in place
 	if p.Tag != 0 {
+		out := dst[n:]
 		for i := range out {
 			out[i] = PatternByte(p.Tag, p.Phase+int64(i))
 		}
 	}
-	return out
+	return dst
 }
 
 // canCoalesce reports whether q directly continues p as one payload.
@@ -194,7 +204,7 @@ func (l List) At(i int64) byte {
 func (l List) Materialize() []byte {
 	out := make([]byte, 0, l.Len())
 	for _, p := range l {
-		out = append(out, p.Materialize()...)
+		out = p.AppendTo(out)
 	}
 	return out
 }
@@ -237,6 +247,9 @@ func chunkEqual(pa Payload, ao int64, pb Payload, bo int64, n int64) bool {
 	if pa.Bytes == nil && pb.Bytes == nil && pa.Tag == pb.Tag &&
 		(pa.Tag == 0 || pa.Phase+ao == pb.Phase+bo) {
 		return true
+	}
+	if pa.Bytes != nil && pb.Bytes != nil {
+		return bytes.Equal(pa.Bytes[ao:ao+n], pb.Bytes[bo:bo+n])
 	}
 	for i := int64(0); i < n; i++ {
 		if pa.At(ao+i) != pb.At(bo+i) {

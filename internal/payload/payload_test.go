@@ -115,6 +115,68 @@ func TestContentEqual(t *testing.T) {
 	}
 }
 
+// TestContentEqualChunkKinds walks every pairing of chunk kinds through
+// chunkEqual's three routes (same synthetic stream, bytes against bytes,
+// the mixed per-byte walk), with piece boundaries that do not line up.
+func TestContentEqualChunkKinds(t *testing.T) {
+	syn := Synthetic(9, 5, 64)
+	raw := syn.Materialize()
+	flipped := append([]byte(nil), raw...)
+	flipped[63] ^= 1
+	zeros := make([]byte, 64)
+	cases := []struct {
+		name string
+		a, b List
+		want bool
+	}{
+		{"bytes/bytes equal", List{FromBytes(raw)}, List{FromBytes(append([]byte(nil), raw...))}, true},
+		{"bytes/bytes unaligned pieces", List{FromBytes(raw[:10]), FromBytes(raw[10:])}, List{FromBytes(raw[:33]), FromBytes(raw[33:])}, true},
+		{"bytes/bytes last byte differs", List{FromBytes(raw)}, List{FromBytes(flipped)}, false},
+		{"bytes/bytes differs in second piece", List{FromBytes(raw)}, List{FromBytes(flipped[:40]), FromBytes(flipped[40:])}, false},
+		{"bytes/synthetic equal", List{FromBytes(raw)}, List{syn}, true},
+		{"synthetic/bytes differs", List{syn}, List{FromBytes(flipped)}, false},
+		{"bytes/zeros equal", List{FromBytes(zeros)}, List{Zeros(64)}, true},
+		{"bytes/zeros differs", List{FromBytes(raw)}, List{Zeros(64)}, false},
+		{"synthetic split/bytes split", List{syn.Slice(0, 7), syn.Slice(7, 57)}, List{FromBytes(raw[:50]), FromBytes(raw[50:])}, true},
+		{"empty/empty", nil, List{}, true},
+	}
+	for _, c := range cases {
+		if got := ContentEqual(c.a, c.b); got != c.want {
+			t.Errorf("%s: ContentEqual = %v, want %v", c.name, got, c.want)
+		}
+		if got := ContentEqual(c.b, c.a); got != c.want {
+			t.Errorf("%s (swapped): ContentEqual = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// BenchmarkContentEqual compares two 1 MiB lists of 64 KiB pieces: byte
+// payloads on both sides (the read-back check of a real-path test) and
+// bytes against the synthetic stream they came from (the per-byte walk).
+func BenchmarkContentEqual(b *testing.B) {
+	const piece, pieces = 64 << 10, 16
+	var syn, raw, raw2 List
+	for i := int64(0); i < pieces; i++ {
+		p := Synthetic(3, i*piece, piece)
+		syn = append(syn, p)
+		raw = append(raw, FromBytes(p.Materialize()))
+		raw2 = append(raw2, FromBytes(p.Materialize()))
+	}
+	for _, bc := range []struct {
+		name string
+		a, b List
+	}{{"bytes-bytes", raw, raw2}, {"bytes-synthetic", raw, syn}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(piece * pieces)
+			for i := 0; i < b.N; i++ {
+				if !ContentEqual(bc.a, bc.b) {
+					b.Fatal("lists differ")
+				}
+			}
+		})
+	}
+}
+
 func TestResolveLastWriterWins(t *testing.T) {
 	spans := []Span{
 		{Start: 0, End: 10, Seq: 1, Ref: 0},

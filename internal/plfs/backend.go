@@ -94,6 +94,12 @@ type Backend interface {
 // List I/O and batched append are part of the base request set, not
 // probed extras (Ching et al., "Noncontiguous I/O through PVFS"): every
 // store has them, so no caller carries a per-extent fallback loop.
+//
+// Two rules let a store make a write one syscall (DESIGN.md §16.1): bytes
+// handed to a write are immutable until the call returns, so the store may
+// write from them without copying; and a path has one appending handle at
+// a time, so the store may compute Append's offset from the handle's own
+// history.
 type File interface {
 	// WriteAt writes p at the given offset.
 	WriteAt(off int64, p payload.Payload) error

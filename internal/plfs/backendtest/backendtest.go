@@ -57,6 +57,7 @@ func Checks() []Check {
 		{"ReadDirOrdering", checkReadDirOrdering},
 		{"VectoredEquivalence", checkVectoredEquivalence},
 		{"BatchAppend", checkBatchAppend},
+		{"AppendAfterMutators", checkAppendAfterMutators},
 		{"CondPut", checkCondPut},
 		{"BulkCreate", checkBulkCreate},
 	}
@@ -486,6 +487,66 @@ func checkBatchAppend(tb testing.TB, b plfs.Backend, root string) {
 	}
 	if got := string(bytesOf(tb, f)); got != "head-mid-tail" {
 		tb.Errorf("batched content %q, want %q", got, "head-mid-tail")
+	}
+}
+
+// checkAppendAfterMutators: every mutator on a handle moves end-of-file
+// for that handle's next append, and a reopened handle finds the true end.
+// A store that caches the end (osfs does, to make an append one pwrite)
+// must keep the cache behind Append, Appendv, WriteAt and WritevAt alike;
+// one that lets any of them go stale overwrites data here.
+func checkAppendAfterMutators(tb testing.TB, b plfs.Backend, root string) {
+	p := root + "/f"
+	f, err := b.Create(p)
+	if err != nil {
+		tb.Errorf("create: %v", err)
+		return
+	}
+	bs := func(s string) payload.Payload { return payload.FromBytes([]byte(s)) }
+	landed := func(what string, off int64, err error, want int64) {
+		tb.Helper()
+		if err != nil || off != want {
+			tb.Errorf("%s: off %d, err %v (want %d, nil)", what, off, err, want)
+		}
+	}
+	wrote := func(what string, err error) {
+		tb.Helper()
+		if err != nil {
+			tb.Errorf("%s: %v", what, err)
+		}
+	}
+	syn := payload.Synthetic(7, 0, 2)
+	off, err := f.Append(bs("aa"))
+	landed("append", off, err, 0)
+	off, err = f.Appendv(payload.List{bs("bb"), syn})
+	landed("appendv after append", off, err, 2)
+	wrote("writeat past EOF", f.WriteAt(8, bs("cc")))
+	off, err = f.Append(bs("dd"))
+	landed("append after writeat past EOF", off, err, 10)
+	wrote("writevat past EOF", f.WritevAt([]extent.Ext{{Off: 14, Len: 2}}, payload.List{bs("ee")}))
+	off, err = f.Appendv(payload.List{bs("ff"), bs("gg")})
+	landed("appendv after writevat past EOF", off, err, 16)
+	wrote("writeat inside", f.WriteAt(0, bs("AA")))
+	off, err = f.Append(bs("hh"))
+	landed("append after writeat inside", off, err, 20)
+	if err := f.Close(); err != nil {
+		tb.Errorf("close: %v", err)
+	}
+
+	f, err = b.OpenWrite(p)
+	if err != nil {
+		tb.Errorf("openwrite: %v", err)
+		return
+	}
+	defer f.Close()
+	wrote("writeat inside on reopened handle", f.WriteAt(2, bs("BB")))
+	off, err = f.Append(bs("ii"))
+	landed("first append on reopened handle", off, err, 22)
+	off, err = f.Appendv(payload.List{bs("j"), bs("j")})
+	landed("appendv on reopened handle", off, err, 24)
+	want := "AABB" + string(syn.Materialize()) + "\x00\x00ccdd\x00\x00eeffgghhiijj"
+	if got := string(bytesOf(tb, f)); got != want {
+		tb.Errorf("content %q, want %q", got, want)
 	}
 }
 

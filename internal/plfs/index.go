@@ -1,9 +1,11 @@
 package plfs
 
 import (
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -638,12 +640,7 @@ func mergeShardSpans(shards [][]Entry, flat []Entry, workers int) []payload.Span
 		for i, e := range s {
 			run[i] = payload.Span{Start: e.LogicalOff, End: e.LogicalOff + e.Length, Seq: seqOf(e), Ref: int32(base + i)}
 		}
-		sort.Slice(run, func(i, j int) bool {
-			if run[i].Start != run[j].Start {
-				return run[i].Start < run[j].Start
-			}
-			return run[i].Ref < run[j].Ref
-		})
+		slices.SortFunc(run, spanOrder)
 		runs[k] = run
 	})
 
@@ -668,20 +665,23 @@ func mergeShardSpans(shards [][]Entry, flat []Entry, workers int) []payload.Span
 	return out
 }
 
+// spanOrder orders spans by (Start, Ref).  Ref is unique, so the order is
+// total: any sort yields the one permutation, stable or not.
+func spanOrder(a, b payload.Span) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Ref, b.Ref)
+}
+
 // runHeap is a min-heap of sorted span runs keyed by their head span's
-// (Start, Ref).
+// spanOrder.
 type runHeap [][]payload.Span
 
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(i, j int) bool {
-	a, b := h[i][0], h[j][0]
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	return a.Ref < b.Ref
-}
-func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)   { *h = append(*h, x.([]payload.Span)) }
+func (h runHeap) Len() int           { return len(h) }
+func (h runHeap) Less(i, j int) bool { return spanOrder(h[i][0], h[j][0]) < 0 }
+func (h runHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *runHeap) Push(x any)        { *h = append(*h, x.([]payload.Span)) }
 func (h *runHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"plfs/internal/obs"
+	"plfs/internal/osfs"
 	"plfs/internal/payload"
 	"plfs/internal/plfs"
 )
@@ -439,5 +440,25 @@ func TestLookupAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendPieces allocated %.1f times per lookup, want 0", allocs)
+	}
+
+	// A read that resolves to one piece is one backend read: whatever the
+	// store allocates for the bytes it returns, plus at most one.
+	p := rd.Index().AppendPieces(nil, 0, bs)[0]
+	f, err := osfs.New().OpenRead(rd.Index().Droppings()[p.Dropping])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	backend := testing.AllocsPerRun(200, func() { f.ReadAt(p.PhysOff, p.Length) })
+	off = 0
+	reader := testing.AllocsPerRun(200, func() {
+		if _, err := rd.ReadAt(off, bs); err != nil {
+			t.Fatal(err)
+		}
+		off = (off + stride) % (blocks * stride)
+	})
+	if reader > backend+1 {
+		t.Fatalf("single-piece ReadAt allocated %.1f times, backend read %.1f: want at most one more", reader, backend)
 	}
 }

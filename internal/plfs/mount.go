@@ -193,9 +193,6 @@ type Options struct {
 	HedgedReads bool
 }
 
-// decodeWorkers resolves DecodeWorkers to an effective pool size.
-func (o Options) decodeWorkers() int { return defaultWorkers(o.DecodeWorkers) }
-
 func (o Options) withDefaults() Options {
 	if o.NumSubdirs <= 0 {
 		o.NumSubdirs = 32
@@ -215,6 +212,9 @@ func (o Options) withDefaults() Options {
 	if o.IndexCacheBytes <= 0 {
 		o.IndexCacheBytes = 64 << 20
 	}
+	// Resolved once per mount: runtime.GOMAXPROCS takes the scheduler lock,
+	// which is not a cost to pay on every read.
+	o.DecodeWorkers = defaultWorkers(o.DecodeWorkers)
 	return o
 }
 

@@ -29,6 +29,7 @@ type Reader struct {
 	handles   map[int32]File
 	vsums     map[int32]*extentSums // lazy per-dropping checksums (VerifyData)
 	pbuf      []Piece               // reused Lookup buffer (alloc-free ReadAt)
+	fan       int                   // ReadAt fan-out width, fixed at open (1 = serial)
 	closed    bool
 	sp        *obs.Span // the enclosing "open" span (nil when obs is off)
 
@@ -74,6 +75,14 @@ type ReadStats struct {
 	ChecksumErrors int
 }
 
+func (m *Mount) newReader(ctx Ctx, rel string) *Reader {
+	r := &Reader{m: m, ctx: ctx, rel: rel, handles: map[int32]File{}, fan: 1}
+	if w := m.opt.DecodeWorkers; w > 1 && backendsConcurrent(ctx.Vols) {
+		r.fan = w
+	}
+	return r
+}
+
 // OpenReader opens the logical file rel for reading.  With a communicator
 // the configured collective aggregation runs; without one (serial/FUSE
 // mode) the Original uncoordinated design is used.
@@ -85,7 +94,7 @@ func (m *Mount) OpenReader(ctx Ctx, rel string) (*Reader, error) {
 		return nil, aerr
 	}
 	defer admitted()
-	r := &Reader{m: m, ctx: ctx, rel: rel, handles: map[int32]File{}}
+	r := m.newReader(ctx, rel)
 	// Pin the state for the aggregation window: the generation captured
 	// here must still be current when maybeCachePut publishes under it,
 	// and eviction (which restarts the sequence at zero) would break that.
@@ -97,7 +106,7 @@ func (m *Mount) OpenReader(ctx Ctx, rel string) (*Reader, error) {
 		mode = Original
 	}
 	r.Stats.Mode = mode
-	r.Stats.DecodeWorkers = m.opt.decodeWorkers()
+	r.Stats.DecodeWorkers = m.opt.DecodeWorkers
 
 	r.sp = ctx.Obs.StartSpan("open")
 	defer r.sp.End()
@@ -241,7 +250,7 @@ func (r *Reader) buildCached(ndrops, total int, last string, assemble func() ([]
 		return st.built
 	}
 	shards, dataPaths := assemble()
-	ix := BuildIndexRecs(shards, dataPaths, r.m.opt.decodeWorkers())
+	ix := BuildIndexRecs(shards, dataPaths, r.m.opt.DecodeWorkers)
 	st.builtKey, st.built = key, ix
 	return ix
 }
@@ -263,12 +272,12 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 	defer dsp.End()
 	m, ctx := r.m, r.ctx
 	st := m.stateOf(r.rel, ctx.Tenant)
-	w := m.opt.decodeWorkers()
+	w := m.opt.DecodeWorkers
 	pol := m.opt.Retry
 	out := make([][]Rec, len(refs))
 	errs := make([]error, len(refs))
 
-	if w > 1 && backendsConcurrent(ctx.Vols) {
+	if r.fan > 1 {
 		var reads, bytes, entries int64
 		parallelFor(w, len(refs), func(i int) {
 			ref := refs[i]
@@ -799,8 +808,59 @@ func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 		return r.readVerified(pieces)
 	}
 
+	if len(pieces) == 1 && pieces[0].Dropping >= 0 {
+		return r.readOne(pieces[0])
+	}
+	return r.readPlanned(pieces)
+}
+
+// notePhys books the physical reads one call issues: batches backend
+// reads fetching phys bytes, want of which the caller asked for.
+func (r *Reader) notePhys(batches int, phys, want int64) {
+	r.ReadStats.Batches += batches
+	r.ReadStats.PhysBytes += phys
+	r.ReadStats.SieveWasted += phys - want
+	if obs := r.ctx.Obs; obs != nil {
+		obs.Counter("plfs.read.phys_bytes").Add(phys)
+		obs.Counter("plfs.read.sieve_wasted").Add(phys - want)
+	}
+}
+
+// readOne serves a lookup that resolved to one contiguous data piece —
+// every read whose pattern matches the write pattern — as what it is: one
+// backend read.  Sieving and list I/O earn their planning cost on many
+// noncontiguous pieces (DESIGN.md §12); here there is nothing to plan, so
+// the backend's fresh list is returned as is.
+func (r *Reader) readOne(p Piece) (payload.List, error) {
+	r.notePhys(1, p.Length, p.Length)
+	r.ReadStats.Workers = r.fan
+	return r.readExtent(p.Dropping, p.PhysOff, p.Length)
+}
+
+// readExtent is one backend read of a dropping under the retry policy.
+// It only reads the handle cache once the handle is open, so batches whose
+// handles were opened up front may call it from the worker pool.
+func (r *Reader) readExtent(drop int32, phys, n int64) (payload.List, error) {
+	f, err := r.handle(drop)
+	if err != nil {
+		return nil, err
+	}
+	var pl payload.List
+	err = r.ctx.retry(r.m.opt.Retry, func() error {
+		var e error
+		pl, e = f.ReadAt(phys, n)
+		return e
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", r.ix.Droppings()[drop], err)
+	}
+	return pl, nil
+}
+
+// readPlanned is the general plan: sieving batches, fanned out when the
+// backend allows, pieces sliced back out of their batches in order.
+func (r *Reader) readPlanned(pieces []Piece) (payload.List, error) {
 	batches := planBatches(pieces, r.m.opt.SieveGap)
-	r.ReadStats.Batches += len(batches)
 	var want, phys int64
 	for _, p := range pieces {
 		if p.Dropping >= 0 {
@@ -810,12 +870,7 @@ func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 	for _, b := range batches {
 		phys += b.length
 	}
-	r.ReadStats.PhysBytes += phys
-	r.ReadStats.SieveWasted += phys - want
-	if obs := r.ctx.Obs; obs != nil {
-		obs.Counter("plfs.read.phys_bytes").Add(phys)
-		obs.Counter("plfs.read.sieve_wasted").Add(phys - want)
-	}
+	r.notePhys(len(batches), phys, want)
 
 	// Open handles up front on this goroutine: the handle cache is not
 	// goroutine-safe, and backend File handles are reused across batches.
@@ -825,23 +880,12 @@ func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 		}
 	}
 	parts := make([]payload.List, len(batches))
-	readBatchAt := func(i int) error {
-		b := batches[i]
-		var pl payload.List
-		err := r.ctx.retry(r.m.opt.Retry, func() error {
-			var e error
-			pl, e = r.handles[b.drop].ReadAt(b.phys, b.length)
-			return e
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", r.ix.Droppings()[b.drop], err)
-		}
-		parts[i] = pl
-		return nil
+	readBatchAt := func(i int) (err error) {
+		parts[i], err = r.readExtent(batches[i].drop, batches[i].phys, batches[i].length)
+		return err
 	}
-	w := r.m.opt.decodeWorkers()
-	if w <= 1 || !backendsConcurrent(r.ctx.Vols) {
-		r.ReadStats.Workers = 1
+	r.ReadStats.Workers = r.fan
+	if r.fan == 1 {
 		// Serial plan: consecutive batches against the same dropping (the
 		// planner emits them sorted) collapse into one vectored backend
 		// read — list I/O on the read side.
@@ -876,16 +920,15 @@ func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 			}
 		}
 	} else {
-		r.ReadStats.Workers = w
 		errs := make([]error, len(batches))
-		parallelFor(w, len(batches), func(i int) { errs[i] = readBatchAt(i) })
+		parallelFor(r.fan, len(batches), func(i int) { errs[i] = readBatchAt(i) })
 		if err := errors.Join(errs...); err != nil {
 			return nil, err
 		}
 	}
 
 	// Reassemble in logical order, slicing each piece out of its batch.
-	batchOf := make(map[int32]int32, len(pieces))
+	batchOf := make([]int32, len(pieces))
 	for bi, b := range batches {
 		for _, pi := range b.pieces {
 			batchOf[pi] = int32(bi)
@@ -897,7 +940,7 @@ func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 			out = out.Append(payload.Zeros(p.Length))
 			continue
 		}
-		bi := batchOf[int32(pi)]
+		bi := batchOf[pi]
 		b := batches[bi]
 		out = out.Concat(parts[bi].Slice(p.PhysOff-b.phys, p.Length))
 	}
@@ -932,16 +975,7 @@ func (r *Reader) readVerified(pieces []Piece) (payload.List, error) {
 		}
 		r.ReadStats.Batches++
 		r.ReadStats.PhysBytes += piece.Length
-		f, err := r.handle(piece.Dropping)
-		if err != nil {
-			return nil, err
-		}
-		var pl payload.List
-		err = r.ctx.retry(r.m.opt.Retry, func() error {
-			var e error
-			pl, e = f.ReadAt(piece.PhysOff, piece.Length)
-			return e
-		})
+		pl, err := r.readExtent(piece.Dropping, piece.PhysOff, piece.Length)
 		if err != nil {
 			return nil, err
 		}
@@ -1009,7 +1043,7 @@ func (r *Reader) Close() error {
 // aggregateSerial is the Mount-level helper used by Stat when no size
 // record exists: an Original-style aggregation without a Reader.
 func (m *Mount) aggregateSerial(ctx Ctx, rel string, drops []droppingRef) (*Index, error) {
-	r := &Reader{m: m, ctx: ctx, rel: rel, handles: map[int32]File{}}
+	r := m.newReader(ctx, rel)
 	paths := make([]string, len(drops))
 	refs := make([]shardRef, 0, len(drops))
 	for i, d := range drops {
@@ -1034,7 +1068,7 @@ func (m *Mount) aggregateSerial(ctx Ctx, rel string, drops []droppingRef) (*Inde
 func (m *Mount) Flatten(ctx Ctx, rel string) error {
 	ctx = m.healthCtx(ctx)
 	rel = clean(rel)
-	r := &Reader{m: m, ctx: ctx, rel: rel, handles: map[int32]File{}}
+	r := m.newReader(ctx, rel)
 	if ix, err := r.tryGlobalIndex(); err != nil {
 		return err
 	} else if ix != nil {

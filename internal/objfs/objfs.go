@@ -135,17 +135,17 @@ type Config struct {
 // per-request latency, wide flat metadata.
 func DefaultConfig() Config {
 	return Config{
-		KVServers: 32,
-		PutOp:     400 * time.Microsecond,
-		GetOp:     150 * time.Microsecond,
-		HeadOp:    120 * time.Microsecond,
-		DeleteOp:  300 * time.Microsecond,
-		ListOp:    600 * time.Microsecond,
-		ListKey:   3 * time.Microsecond,
+		KVServers:    32,
+		PutOp:        400 * time.Microsecond,
+		GetOp:        150 * time.Microsecond,
+		HeadOp:       120 * time.Microsecond,
+		DeleteOp:     300 * time.Microsecond,
+		ListOp:       600 * time.Microsecond,
+		ListKey:      3 * time.Microsecond,
 		ListPage:     1000,
 		ListInflight: 8,
 		RTT:          250 * time.Microsecond,
-		DataBW:    1.25e9,
+		DataBW:       1.25e9,
 
 		MetaObjBytes: 512,
 		JitterFrac:   0.05,

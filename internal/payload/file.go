@@ -1,7 +1,8 @@
 package payload
 
 import (
-	"container/heap"
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -32,17 +33,17 @@ func Resolve(spans []Span) []Span {
 	if len(in) == 0 {
 		return nil
 	}
-	sort.Slice(in, func(i, j int) bool { return in[i].Start < in[j].Start })
+	slices.SortFunc(in, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
 	return resolveSweep(in)
 }
 
 // ResolveSorted is Resolve for spans already sorted by Start (ascending):
 // it skips the global re-sort, so callers that merge pre-sorted runs — the
-// parallel index builder's per-shard sorts plus k-way merge — pay only the
-// linear sweep plus one sort of the End bounds.  The output is identical
-// to Resolve on the same multiset of spans.  Empty spans (End <= Start)
-// are dropped; out-of-order input is a contract violation and produces an
-// unspecified cover.
+// index build hands it each cluster of overlapping records straight out of
+// its k-way merge — pay only the linear sweep plus one sort of the End
+// bounds.  The output is identical to Resolve on the same multiset of
+// spans.  Empty spans (End <= Start) are dropped; out-of-order input is a
+// contract violation and produces an unspecified cover.
 func ResolveSorted(spans []Span) []Span {
 	in := spans
 	for i, s := range in {
@@ -76,22 +77,22 @@ func resolveSweep(in []Span) []Span {
 		starts[i] = s.Start
 		ends[i] = s.End
 	}
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+	slices.Sort(ends)
 	bounds := mergeSortedInt64(starts, ends)
 
-	var out []Span
+	out := make([]Span, 0, len(in))
 	var active spanHeap
 	next := 0 // next span (by Start) to activate
 	for bi := 0; bi+1 < len(bounds); bi++ {
 		lo, hi := bounds[bi], bounds[bi+1]
 		for next < len(in) && in[next].Start <= lo {
-			heap.Push(&active, in[next])
+			active.push(in[next])
 			next++
 		}
-		for active.Len() > 0 && active[0].End <= lo {
-			heap.Pop(&active)
+		for len(active) > 0 && active[0].End <= lo {
+			active.pop()
 		}
-		if active.Len() == 0 {
+		if len(active) == 0 {
 			continue
 		}
 		w := active[0]
@@ -127,25 +128,54 @@ func mergeSortedInt64(a, b []int64) []int64 {
 	return out
 }
 
-// spanHeap orders active spans by descending (Seq, Ref): the winner is at
-// the top.  Dead spans (End <= cursor) are lazily removed.
+// spanHeap is a max-heap of active spans on (Seq, Ref): the winner is at
+// the top.  Dead spans (End <= cursor) are lazily removed.  It holds Span
+// values and sifts them itself, so a push boxes nothing.
 type spanHeap []Span
 
-func (h spanHeap) Len() int { return len(h) }
-func (h spanHeap) Less(i, j int) bool {
-	if h[i].Seq != h[j].Seq {
-		return h[i].Seq > h[j].Seq
+// beats reports whether a wins over b where both cover a byte.
+func (a Span) beats(b Span) bool {
+	if a.Seq != b.Seq {
+		return a.Seq > b.Seq
 	}
-	return h[i].Ref > h[j].Ref
+	return a.Ref > b.Ref
 }
-func (h spanHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *spanHeap) Push(x any)   { *h = append(*h, x.(Span)) }
-func (h *spanHeap) Pop() any {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	*h = old[:n-1]
-	return s
+
+func (h *spanHeap) push(s Span) {
+	*h = append(*h, s)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q[i].beats(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes the top span.
+func (h *spanHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].beats(q[c]) {
+			c++
+		}
+		if !q[c].beats(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
 }
 
 // File is a sparse byte store built from payload extents.  Writes are

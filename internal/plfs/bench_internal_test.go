@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
-// benchWorkers is the pool width the "parallel" sub-benchmarks use; on a
-// single-core runner it degenerates to the serial plan, so compare the
-// sub-benchmarks on multi-core hardware.
+// benchWorkers is the pool width the parallel sub-benchmarks use; on a
+// single-core runner it is 1 again, so compare the sub-benchmarks on
+// multi-core hardware.
 func benchWorkers() int { return runtime.GOMAXPROCS(0) }
 
 func benchRaws(shards [][]Entry) [][]byte {
@@ -125,29 +126,38 @@ func BenchmarkIndexLookup(b *testing.B) {
 	})
 	rnd, rpaths := randomShards(rand.New(rand.NewSource(3)), nShards, perShard)
 	b.Run("segments", func(b *testing.B) {
-		run(b, BuildIndex(rnd, rpaths))
+		run(b, buildEntries(rnd, rpaths))
 	})
 }
 
-// BenchmarkBuildIndex measures global-index construction from raw shards:
-// the serial flatten-then-sort build versus the per-shard parallel sort
-// plus k-way merge feeding ResolveSorted.
+// BenchmarkBuildIndex measures global-index construction from single
+// records at permuted offsets (no shard arrives sorted): all disjoint, as a
+// checkpoint's are, and with every tenth record moved half a slot onto its
+// neighbour, so the merge meets a cluster to sweep about every tenth
+// record.  One build; workers only spreads the per-shard sorts.
 func BenchmarkBuildIndex(b *testing.B) {
-	const nShards, perShard = 64, 2048
-	shards, paths := randomShards(rand.New(rand.NewSource(2)), nShards, perShard)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ix := BuildIndex(shards, paths); ix.RawEntries() != nShards*perShard {
-				b.Fatal("bad build")
-			}
+	const nShards, perShard, bs = 64, 2048, int64(512)
+	disjoint, paths := permutedShards(rand.New(rand.NewSource(2)), nShards, perShard, bs)
+	overlap := make([][]Rec, nShards)
+	for s, sh := range disjoint {
+		overlap[s] = slices.Clone(sh)
+		for k := 0; k < perShard; k += 10 {
+			overlap[s][k].LogicalOff += bs / 2
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		w := benchWorkers()
-		for i := 0; i < b.N; i++ {
-			if ix := BuildIndexParallel(shards, paths, w); ix.RawEntries() != nShards*perShard {
-				b.Fatal("bad build")
-			}
+	}
+	for _, in := range []struct {
+		name   string
+		shards [][]Rec
+	}{{"disjoint", disjoint}, {"overlap10", overlap}} {
+		for _, w := range []int{1, benchWorkers()} {
+			b.Run(fmt.Sprintf("%s/workers=%d", in.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if ix := BuildIndexRecs(in.shards, paths, w); ix.RawEntries() != nShards*perShard {
+						b.Fatal("bad build")
+					}
+				}
+			})
 		}
-	})
+	}
 }

@@ -57,7 +57,7 @@ func (m *Mount) Check(ctx Ctx, rel string) (CheckReport, error) {
 	rep.Droppings = len(drops)
 
 	r := &Reader{m: m, ctx: ctx, rel: rel, handles: map[int32]File{}}
-	shards := make([][]Entry, 0, len(drops))
+	shards := make([][]Rec, 0, len(drops))
 	paths := make([]string, len(drops))
 	sizes := make([]int64, len(drops))
 	for i, d := range drops {
@@ -110,9 +110,9 @@ func (m *Mount) Check(ctx Ctx, rel string) (CheckReport, error) {
 				"dropping coverage mismatch: %s: index covers %d of %d bytes", d.Data, covered, fi.Size))
 		}
 		rep.RawEntries += len(sh)
-		shards = append(shards, sh)
+		shards = append(shards, recs)
 	}
-	ix := BuildIndex(shards, paths)
+	ix := BuildIndexRecs(shards, paths, m.opt.DecodeWorkers)
 	rep.Segments = ix.Segments()
 	rep.Logical = ix.Size()
 

@@ -2,7 +2,6 @@ package plfs
 
 import (
 	"cmp"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -373,159 +372,344 @@ type Index struct {
 	size      int64    // logical file size
 }
 
-// BuildIndex resolves raw entry shards (one per index dropping, any order)
-// into a global index.  droppings maps dropping ids to data-file paths.
-func BuildIndex(shards [][]Entry, droppings []string) *Index {
-	return buildIndex(shards, droppings, 1)
-}
-
-// BuildIndexParallel is BuildIndex with the sort distributed over up to
-// workers goroutines: each shard's spans are sorted independently, the
-// sorted runs are k-way merged, and the merged run feeds
-// payload.ResolveSorted (which skips the global re-sort).  The resulting
-// Index is identical to BuildIndex's — the resolve sweep depends only on
-// the span multiset, and Refs are assigned by flat position either way —
-// so callers may switch freely between the two.
-func BuildIndexParallel(shards [][]Entry, droppings []string, workers int) *Index {
-	return buildIndex(shards, droppings, workers)
-}
-
-// parallelSortMin is the total entry count below which the parallel build
-// falls back to the serial path: goroutine + merge overhead dominates
-// under a few thousand records.
-const parallelSortMin = 4096
-
-func buildIndex(shards [][]Entry, droppings []string, workers int) *Index {
-	var total int
-	for _, s := range shards {
-		total += len(s)
-	}
-	flat := make([]Entry, 0, total)
-	for _, s := range shards {
-		flat = append(flat, s...)
-	}
-
-	var res []payload.Span
-	if workers > 1 && len(shards) > 1 && total >= parallelSortMin {
-		res = payload.ResolveSorted(mergeShardSpans(shards, flat, workers))
-	} else {
-		spans := make([]payload.Span, len(flat))
-		for i, e := range flat {
-			spans[i] = payload.Span{Start: e.LogicalOff, End: e.LogicalOff + e.Length, Seq: seqOf(e), Ref: int32(i)}
+// BuildIndexRecs resolves run-compressed record shards (one per index
+// dropping, any order) into a global index; droppings maps dropping ids to
+// data-file paths.  Every byte goes to the write with the highest
+// (Timestamp, Rank), and between exact ties to the one later in flattened
+// shard order.  When every run shares one stride and nothing overlaps a
+// run, the runs go into the run table as they are and only the singles are
+// resolved; with any irregularity (mixed strides, overlapping runs, runs
+// colliding with singles) every element of every run is resolved as a
+// write of its own.
+//
+// There is one build (DESIGN.md §7): each shard's records are keyed and the
+// keys sorted, on up to workers goroutines; the shards' key lists are k-way
+// merged; and records are resolved as they leave the merge.
+func BuildIndexRecs(shards [][]Rec, droppings []string, workers int) *Index {
+	ix := &Index{droppings: droppings}
+	if ix.setRunTable(shards) {
+		ix.buildSegments(shards, workers, false)
+		if !ix.segmentsHitRuns() {
+			return ix
 		}
-		res = payload.Resolve(spans)
+		ix = &Index{droppings: droppings}
 	}
-
-	ix := &Index{droppings: droppings, rawCount: total}
-	ix.appendResolved(res, flat)
+	ix.buildSegments(shards, workers, true)
 	return ix
 }
 
-// appendResolved converts resolved spans to segment-table rows.
-func (ix *Index) appendResolved(res []payload.Span, flat []Entry) {
-	ix.segLog = make([]int64, 0, len(res))
-	ix.segLen = make([]int64, 0, len(res))
-	ix.segPhys = make([]int64, 0, len(res))
-	ix.segDrop = make([]int32, 0, len(res))
-	ix.segRank = make([]int32, 0, len(res))
-	for _, s := range res {
-		e := flat[s.Ref]
-		ix.segLog = append(ix.segLog, s.Start)
-		ix.segLen = append(ix.segLen, s.End-s.Start)
-		ix.segPhys = append(ix.segPhys, e.PhysOff+(s.Start-e.LogicalOff))
-		ix.segDrop = append(ix.segDrop, e.Dropping)
-		ix.segRank = append(ix.segRank, e.Rank)
-		if s.End > ix.size {
-			ix.size = s.End
-		}
-	}
+// recKey stands for one write in the build's sort and merge: a single
+// record, or element elem of a run.  Only these 16-byte keys are permuted;
+// the records stay where they were decoded, so (idx, elem) still tells
+// which of two writes of a shard comes later in flattened order.
+type recKey struct {
+	off       int64 // the write's logical offset
+	idx, elem int32 // the record's position in its shard; the element
 }
 
-// BuildIndexRecs resolves run-compressed record shards into a global
-// index.  When every run shares one stride and nothing overlaps, the runs
-// go straight into the run table without expansion; any irregularity
-// (mixed strides, overlapping writes, runs colliding with singles) falls
-// back to expanding the runs and resolving raw entries — the always-
-// correct path BuildIndex provides.
-func BuildIndexRecs(shards [][]Rec, droppings []string, workers int) *Index {
-	hasRun := false
-	for _, sh := range shards {
-		for _, r := range sh {
-			if r.Count > 1 {
-				hasRun = true
-				break
-			}
+// shardKeys is what the build holds of one shard.
+type shardKeys struct {
+	keys []recKey // the non-empty writes, ascending by off
+	// first[i] is how many raw entries the records before record i stand
+	// for; nil for a shard without runs, where that is i.
+	first []int32
+	raw   int // raw entries the shard stands for
+}
+
+// keyShard makes a shard's keys: of its singles, and with expand of every
+// run element as well.  Keys that do not come out ascending are sorted;
+// those of a strided, sequential or flattened shard do, and are not.
+func keyShard(sh []Rec, expand bool) shardKeys {
+	var sk shardKeys
+	n, hasRun := 0, false
+	for i := range sh {
+		r := &sh[i]
+		c := 1
+		if r.Count > 1 {
+			c, hasRun = int(r.Count), true
 		}
+		sk.raw += c
+		if r.Length > 0 && (c == 1 || expand) {
+			n += c
+		}
+	}
+	if n == 0 {
+		return sk
+	}
+	if hasRun {
+		sk.first = make([]int32, len(sh))
+	}
+	sk.keys = make([]recKey, 0, n)
+	ascending := true
+	var pos int32
+	for i := range sh {
+		r := &sh[i]
+		c := max(r.Count, 1)
 		if hasRun {
-			break
+			sk.first[i] = pos
+			pos += c
 		}
-	}
-	if !hasRun {
-		entryShards := make([][]Entry, len(shards))
-		for k, sh := range shards {
-			es := make([]Entry, len(sh))
-			for i, r := range sh {
-				es[i] = r.Entry
+		if r.Length <= 0 || (c > 1 && !expand) {
+			continue
+		}
+		off := r.LogicalOff
+		for e := int32(0); e < c; e++ {
+			if n := len(sk.keys); n > 0 && off < sk.keys[n-1].off {
+				ascending = false
 			}
-			entryShards[k] = es
+			sk.keys = append(sk.keys, recKey{off: off, idx: int32(i), elem: e})
+			off += r.Stride
 		}
-		return buildIndex(entryShards, droppings, workers)
 	}
-	if ix := buildRunTable(shards, droppings, workers); ix != nil {
-		return ix
+	if !ascending {
+		sortKeys(sk.keys)
 	}
-	entryShards := make([][]Entry, len(shards))
-	for k, sh := range shards {
-		entryShards[k] = expandRecs(sh)
-	}
-	return buildIndex(entryShards, droppings, workers)
+	return sk
 }
 
-// buildRunTable attempts the compact run-table representation.  It
-// returns nil — caller falls back to full expansion — unless every run
-// shares one stride, run phase intervals are pairwise disjoint (no run
-// overlaps another), and no resolved single overlaps run coverage.
-func buildRunTable(shards [][]Rec, droppings []string, workers int) *Index {
+// sortKeys sorts ks by off: a least-significant-digit radix sort, eight
+// bits a pass, over the bits in which the offsets differ — 64 MiB of
+// 1 KiB writes is three passes that move keys, against fifteen rounds of
+// compares.  It is stable, so writes at one offset stay in shard order.
+func sortKeys(ks []recKey) {
+	lo, hi := ks[0].off, ks[0].off
+	for _, k := range ks {
+		lo, hi = min(lo, k.off), max(hi, k.off)
+	}
+	src, dst := ks, make([]recKey, len(ks))
+	for shift := 0; uint64(hi-lo)>>shift != 0; shift += 8 {
+		var next [256]int // next[d]: where the next key with digit d goes
+		for _, k := range src {
+			next[uint8(uint64(k.off-lo)>>shift)]++
+		}
+		if next[uint8(uint64(src[0].off-lo)>>shift)] == len(src) {
+			continue // one digit throughout: nothing to move
+		}
+		at := 0
+		for d, n := range next {
+			next[d], at = at, at+n
+		}
+		for _, k := range src {
+			d := uint8(uint64(k.off-lo) >> shift)
+			dst[next[d]] = k
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ks[0] {
+		copy(ks, src)
+	}
+}
+
+// cursor is one shard's place in the merge: pos indexes the shard's keys
+// and off caches that key's offset, the heap order.
+type cursor struct {
+	off        int64
+	shard, pos int32
+}
+
+// down restores the min-heap on off after h[i] grew.  The heap holds
+// values and is sifted here (as sim's event queue is), so advancing a
+// shard costs O(log shards) compares and no allocation.
+func down(h []cursor, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].off < h[c].off {
+			c++
+		}
+		if h[i].off <= h[c].off {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// parallelBuildMin is the record count below which shards are keyed on the
+// caller's goroutine: starting and joining workers costs tens of
+// microseconds, more than keying a few thousand records does (a streaming
+// checkpoint's index is one run record per rank).
+const parallelBuildMin = 4096
+
+// buildSegments fills the segment table: it keys each shard (one
+// parallelFor task per shard), k-way merges the shards' keys, and resolves
+// the writes as they arrive in logical-offset order.  It also counts the
+// raw entries.
+func (ix *Index) buildSegments(shards [][]Rec, workers int, expand bool) {
+	records := 0
+	for _, sh := range shards {
+		records += len(sh)
+	}
+	if records < parallelBuildMin {
+		workers = 1
+	}
+	sks := make([]shardKeys, len(shards))
+	parallelFor(workers, len(shards), func(k int) { sks[k] = keyShard(shards[k], expand) })
+
+	n := 0
+	base := make([]int, len(shards)+1)
+	h := make([]cursor, 0, len(shards))
+	for k := range sks {
+		base[k+1] = base[k] + sks[k].raw
+		if ks := sks[k].keys; len(ks) > 0 {
+			h = append(h, cursor{off: ks[0].off, shard: int32(k)})
+			n += len(ks)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(h, i)
+	}
+	ix.rawCount = base[len(shards)]
+	ix.segLog = make([]int64, 0, n)
+	ix.segLen = make([]int64, 0, n)
+	ix.segPhys = make([]int64, 0, n)
+	ix.segDrop = make([]int32, 0, n)
+	ix.segRank = make([]int32, 0, n)
+	cl := cluster{ix: ix, shards: shards, sks: sks, base: base}
+	for len(h) > 0 {
+		c := &h[0]
+		ks := sks[c.shard].keys
+		cl.add(c.shard, ks[c.pos])
+		if c.pos++; int(c.pos) < len(ks) {
+			c.off = ks[c.pos].off
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(h, 0)
+	}
+	cl.flush()
+}
+
+// cluster resolves writes while they are merged.  It holds the open
+// cluster: a maximal set of writes, consecutive in logical-offset order,
+// each starting before the end of one before it.  Nothing outside a cluster
+// overlaps it, so clusters resolve independently.  A cluster of one write
+// — every write of a checkpoint, whose writes do not overlap — becomes its
+// segment as it stands; only a larger one goes through the sweep of
+// payload.ResolveSorted, the one last-writer-wins implementation.
+type cluster struct {
+	ix     *Index
+	shards [][]Rec
+	sks    []shardKeys
+	base   []int // base[k]: raw entries the shards before k stand for
+
+	open      bool
+	headShard int32          // the first write's shard
+	head      recKey         // and key
+	frontier  int64          // the furthest end of the writes
+	spans     []payload.Span // all the writes, once there are two
+}
+
+// span is a write as the sweep sees it.  Ref is the write's position among
+// all raw entries in flattened shard order: the sweep's tiebreak, and the
+// way back from a resolved piece to its record.
+func (c *cluster) span(shard int32, k recKey) payload.Span {
+	r := &c.shards[shard][k.idx]
+	ref := c.base[shard] + int(k.elem)
+	if first := c.sks[shard].first; first != nil {
+		ref += int(first[k.idx])
+	} else {
+		ref += int(k.idx)
+	}
+	return payload.Span{Start: k.off, End: k.off + r.Length, Seq: seqOf(r.Entry), Ref: int32(ref)}
+}
+
+// add takes the next write in logical-offset order.
+func (c *cluster) add(shard int32, k recKey) {
+	end := k.off + c.shards[shard][k.idx].Length
+	if !c.open || k.off >= c.frontier {
+		c.flush()
+		c.open, c.headShard, c.head, c.frontier = true, shard, k, end
+		return
+	}
+	if len(c.spans) == 0 {
+		c.spans = append(c.spans, c.span(c.headShard, c.head))
+	}
+	c.spans = append(c.spans, c.span(shard, k))
+	if end > c.frontier {
+		c.frontier = end
+	}
+}
+
+// flush writes the open cluster's segments and closes it.
+func (c *cluster) flush() {
+	if !c.open {
+		return
+	}
+	c.open = false
+	ix := c.ix
+	if c.frontier > ix.size {
+		ix.size = c.frontier
+	}
+	if len(c.spans) == 0 {
+		r := &c.shards[c.headShard][c.head.idx]
+		ix.appendSeg(r, c.head, c.head.off, r.Length)
+		return
+	}
+	for _, s := range payload.ResolveSorted(c.spans) {
+		// Back from a flattened position to the write: its shard is the
+		// last one based at or below it, its record the last one of that
+		// shard starting at or below what is left.
+		ref := int(s.Ref)
+		shard := sort.Search(len(c.base), func(i int) bool { return c.base[i] > ref }) - 1
+		pos := int32(ref - c.base[shard])
+		k := recKey{idx: pos}
+		if first := c.sks[shard].first; first != nil {
+			k.idx = int32(sort.Search(len(first), func(i int) bool { return first[i] > pos }) - 1)
+			k.elem = pos - first[k.idx]
+		}
+		r := &c.shards[shard][k.idx]
+		k.off = r.LogicalOff + int64(k.elem)*r.Stride
+		ix.appendSeg(r, k, s.Start, s.End-s.Start)
+	}
+	c.spans = c.spans[:0]
+}
+
+// appendSeg appends the segment [log, log+n), a part of write k of
+// record r.
+func (ix *Index) appendSeg(r *Rec, k recKey, log, n int64) {
+	ix.segLog = append(ix.segLog, log)
+	ix.segLen = append(ix.segLen, n)
+	ix.segPhys = append(ix.segPhys, r.PhysOff+int64(k.elem)*r.Length+(log-k.off))
+	ix.segDrop = append(ix.segDrop, r.Dropping)
+	ix.segRank = append(ix.segRank, r.Rank)
+}
+
+// setRunTable fills the run table with the shards' runs and returns true
+// (also when there is no run), or returns false — the build then resolves
+// the runs element by element — unless every run shares one stride and run
+// phase intervals are pairwise disjoint (no run overlaps another).
+func (ix *Index) setRunTable(shards [][]Rec) bool {
 	var runs []Rec
-	singles := make([][]Entry, len(shards))
-	total := 0
-	for k, sh := range shards {
-		var es []Entry
-		for _, r := range sh {
-			if r.Count > 1 {
-				runs = append(runs, r)
-				total += int(r.Count)
-			} else {
-				es = append(es, r.Entry)
-				total++
+	for _, sh := range shards {
+		for i := range sh {
+			r := &sh[i]
+			if r.Count <= 1 {
+				continue
+			}
+			runs = append(runs, *r)
+			if s := runs[0].Stride; r.Stride != s || s <= 0 || r.Length <= 0 || r.Length > s ||
+				r.LogicalOff < 0 || (r.LogicalOff%s)+r.Length > s {
+				return false
 			}
 		}
-		singles[k] = es
+	}
+	if len(runs) == 0 {
+		return true
 	}
 	s := runs[0].Stride
-	if s <= 0 {
-		return nil
-	}
-	for _, r := range runs {
-		if r.Stride != s || r.Length <= 0 || r.Length > s || r.LogicalOff < 0 ||
-			(r.LogicalOff%s)+r.Length > s {
-			return nil
-		}
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].LogicalOff%s < runs[j].LogicalOff%s })
+	slices.SortFunc(runs, func(a, b Rec) int { return cmp.Compare(a.LogicalOff%s, b.LogicalOff%s) })
 	for i := 1; i < len(runs); i++ {
 		if runs[i-1].LogicalOff%s+runs[i-1].Length > runs[i].LogicalOff%s {
-			return nil
+			return false
 		}
 	}
 
-	base := buildIndex(singles, droppings, workers)
-	ix := &Index{
-		droppings: droppings, rawCount: total, size: base.size,
-		segLog: base.segLog, segLen: base.segLen, segPhys: base.segPhys,
-		segDrop: base.segDrop, segRank: base.segRank,
-		runStride: s, runMin: int64(1)<<62 - 1,
-	}
+	ix.runStride, ix.runMin = s, int64(1)<<62-1
 	ix.runPhase = make([]int64, len(runs))
 	ix.runLog = make([]int64, len(runs))
 	ix.runLen = make([]int64, len(runs))
@@ -552,14 +736,21 @@ func buildRunTable(shards [][]Rec, droppings []string, workers int) *Index {
 			ix.size = end
 		}
 	}
-	// Every resolved single must be disjoint from run coverage, or
-	// last-writer-wins resolution would be needed between them.
+	return true
+}
+
+// segmentsHitRuns reports whether a segment overlaps run coverage:
+// last-writer-wins resolution would be needed between them.
+func (ix *Index) segmentsHitRuns() bool {
+	if ix.runStride == 0 {
+		return false
+	}
 	for i := range ix.segLog {
 		if _, ok := ix.runNext(ix.segLog[i], ix.segLog[i]+ix.segLen[i]); ok {
-			return nil
+			return true
 		}
 	}
-	return ix
+	return false
 }
 
 // runNext returns the first run-covered piece at or after cur and before
@@ -619,75 +810,6 @@ func (ix *Index) runNext(cur, end int64) (Piece, bool) {
 		}, true
 	}
 	return Piece{}, false
-}
-
-// mergeShardSpans builds one span per entry (Ref = position in the
-// flattened shard order, matching the serial path), sorts each shard's
-// spans concurrently, and k-way merges the sorted runs into a single run
-// sorted by Start.
-func mergeShardSpans(shards [][]Entry, flat []Entry, workers int) []payload.Span {
-	runs := make([][]payload.Span, len(shards))
-	offsets := make([]int, len(shards))
-	off := 0
-	for k, s := range shards {
-		offsets[k] = off
-		off += len(s)
-	}
-	parallelFor(workers, len(shards), func(k int) {
-		s := shards[k]
-		run := make([]payload.Span, len(s))
-		base := offsets[k]
-		for i, e := range s {
-			run[i] = payload.Span{Start: e.LogicalOff, End: e.LogicalOff + e.Length, Seq: seqOf(e), Ref: int32(base + i)}
-		}
-		slices.SortFunc(run, spanOrder)
-		runs[k] = run
-	})
-
-	out := make([]payload.Span, 0, len(flat))
-	var h runHeap
-	for _, run := range runs {
-		if len(run) > 0 {
-			h = append(h, run)
-		}
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		run := h[0]
-		out = append(out, run[0])
-		if len(run) > 1 {
-			h[0] = run[1:]
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out
-}
-
-// spanOrder orders spans by (Start, Ref).  Ref is unique, so the order is
-// total: any sort yields the one permutation, stable or not.
-func spanOrder(a, b payload.Span) int {
-	if c := cmp.Compare(a.Start, b.Start); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Ref, b.Ref)
-}
-
-// runHeap is a min-heap of sorted span runs keyed by their head span's
-// spanOrder.
-type runHeap [][]payload.Span
-
-func (h runHeap) Len() int           { return len(h) }
-func (h runHeap) Less(i, j int) bool { return spanOrder(h[i][0], h[j][0]) < 0 }
-func (h runHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)        { *h = append(*h, x.([]payload.Span)) }
-func (h *runHeap) Pop() any {
-	old := *h
-	n := len(old)
-	r := old[n-1]
-	*h = old[:n-1]
-	return r
 }
 
 // Size returns the logical file size.
@@ -752,17 +874,23 @@ func (ix *Index) AppendPieces(dst []Piece, off, n int64) []Piece {
 		return dst
 	}
 	end := off + n
-	// First segment whose end is past off (hand-rolled: no closure).
+	// First segment whose end is past off.  Segments are sorted and
+	// disjoint, so that is the last one starting at or before off if it
+	// reaches past off, else the one after it: the search probes segLog
+	// alone and reads one segLen (hand-rolled: no closure).
 	lo, hi := 0, len(ix.segLog)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ix.segLog[mid]+ix.segLen[mid] > off {
-			hi = mid
-		} else {
+		if ix.segLog[mid] <= off {
 			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
 	si := lo
+	if si > 0 && ix.segLog[si-1]+ix.segLen[si-1] > off {
+		si--
+	}
 	cur := off
 	for cur < end {
 		segOK := si < len(ix.segLog) && ix.segLog[si] < end

@@ -60,13 +60,23 @@ func TestGlobalIndexCodec(t *testing.T) {
 	}
 }
 
+// buildEntries builds the index of raw entry shards, each entry a single
+// record, on one worker.
+func buildEntries(shards [][]Entry, paths []string) *Index {
+	recs := make([][]Rec, len(shards))
+	for k, sh := range shards {
+		recs[k] = recsOf(sh)
+	}
+	return BuildIndexRecs(recs, paths, 1)
+}
+
 func TestBuildIndexResolvesByTimestamp(t *testing.T) {
 	// Two writers hit the same logical range; the later timestamp wins.
 	shards := [][]Entry{
 		{{LogicalOff: 0, Length: 100, PhysOff: 0, Timestamp: 10, Dropping: 0, Rank: 0}},
 		{{LogicalOff: 50, Length: 100, PhysOff: 0, Timestamp: 20, Dropping: 1, Rank: 1}},
 	}
-	ix := BuildIndex(shards, []string{"d0", "d1"})
+	ix := buildEntries(shards, []string{"d0", "d1"})
 	if ix.Size() != 150 {
 		t.Fatalf("size = %d", ix.Size())
 	}
@@ -87,7 +97,7 @@ func TestBuildIndexTieBrokenByRank(t *testing.T) {
 		{{LogicalOff: 0, Length: 10, Timestamp: 5, Dropping: 0, Rank: 2}},
 		{{LogicalOff: 0, Length: 10, Timestamp: 5, Dropping: 1, Rank: 9}},
 	}
-	ix := BuildIndex(shards, []string{"d0", "d1"})
+	ix := buildEntries(shards, []string{"d0", "d1"})
 	pieces := ix.Lookup(0, 10)
 	if len(pieces) != 1 || pieces[0].Dropping != 1 {
 		t.Fatalf("tie not broken by higher rank: %+v", pieces)
@@ -98,7 +108,7 @@ func TestLookupHoles(t *testing.T) {
 	shards := [][]Entry{
 		{{LogicalOff: 100, Length: 50, PhysOff: 7, Timestamp: 1, Dropping: 0}},
 	}
-	ix := BuildIndex(shards, []string{"d0"})
+	ix := buildEntries(shards, []string{"d0"})
 	pieces := ix.Lookup(50, 150)
 	// [50,100) hole, [100,150) data, [150,200) hole.
 	if len(pieces) != 3 {
@@ -118,7 +128,7 @@ func TestLookupHoles(t *testing.T) {
 func TestLookupPhysOffsetWithinSplitEntry(t *testing.T) {
 	// One 100-byte write at logical 0, physical 1000.  Reading [30,60)
 	// must map to physical [1030,1060).
-	ix := BuildIndex([][]Entry{{{LogicalOff: 0, Length: 100, PhysOff: 1000, Timestamp: 1}}}, []string{"d"})
+	ix := buildEntries([][]Entry{{{LogicalOff: 0, Length: 100, PhysOff: 1000, Timestamp: 1}}}, []string{"d"})
 	p := ix.Lookup(30, 30)
 	if len(p) != 1 || p[0].PhysOff != 1030 || p[0].Length != 30 {
 		t.Fatalf("pieces = %+v", p)
@@ -126,7 +136,7 @@ func TestLookupPhysOffsetWithinSplitEntry(t *testing.T) {
 }
 
 func TestEmptyIndex(t *testing.T) {
-	ix := BuildIndex(nil, nil)
+	ix := BuildIndexRecs(nil, nil, 1)
 	if ix.Size() != 0 || ix.Segments() != 0 {
 		t.Fatal("empty index not empty")
 	}
@@ -173,7 +183,7 @@ func TestIndexMatchesByteOracle(t *testing.T) {
 				phys += n
 			}
 		}
-		ix := BuildIndex(shards, paths)
+		ix := buildEntries(shards, paths)
 		// Check a sampling of ranges against the oracle.
 		for trial := 0; trial < 20; trial++ {
 			off := int64(rng.Intn(fileMax))

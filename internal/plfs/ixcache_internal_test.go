@@ -6,7 +6,7 @@ import (
 )
 
 // cacheTestIndex builds a small distinct index for cache tests: n segments,
-// one dropping, disjoint extents so BuildIndex keeps every entry.
+// one dropping, disjoint extents so the build keeps every entry.
 func cacheTestIndex(n int) *Index {
 	ents := make([]Entry, n)
 	for i := range ents {
@@ -18,7 +18,7 @@ func cacheTestIndex(n int) *Index {
 			Rank:       0,
 		}
 	}
-	return BuildIndex([][]Entry{ents}, []string{"d0"})
+	return buildEntries([][]Entry{ents}, []string{"d0"})
 }
 
 func TestIndexCacheLRUEviction(t *testing.T) {

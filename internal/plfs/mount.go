@@ -129,8 +129,9 @@ type Options struct {
 	// on the read path: concurrent index-dropping decode during
 	// aggregation, per-shard sorting in the index build, and fan-out of
 	// ReadAt data fetches.  0 (the default) means one worker per available
-	// CPU; 1 forces the serial baseline (the flatten-then-sort index build
-	// and serial ReadAt plan the A/B tests compare against).  Fan-out also
+	// CPU; 1 forces the serial baseline (shards keyed and sorted one after
+	// another, and the serial ReadAt plan the A/B tests compare against;
+	// the built index is the same for any value).  Fan-out also
 	// disables itself over stores without ConcurrentIO, such as the
 	// simulator.  Simulated virtual time is unaffected — the pool only
 	// changes wall-clock cost.

@@ -1,12 +1,16 @@
 package plfs
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
+
+	"plfs/internal/payload"
 )
 
 func TestParallelFor(t *testing.T) {
@@ -97,27 +101,212 @@ func randomShards(rng *rand.Rand, nShards, perShard int) ([][]Entry, []string) {
 	return shards, paths
 }
 
-// Property: the merge-based parallel build produces an Index identical to
-// the serial flatten-and-sort build — same segments, size, raw count —
-// for any shard multiset, above and below the parallel threshold.
-func TestBuildIndexParallelMatchesSerial(t *testing.T) {
-	f := func(seed int64) bool {
+// refIndex is the reference the merge build must reproduce: flatten the
+// expanded entries in shard order, make one span per entry with its flat
+// position as Ref, let payload.Resolve sort and sweep them all, and write
+// one segment row per resolved span.
+func refIndex(shards [][]Entry, paths []string) *Index {
+	var flat []Entry
+	for _, sh := range shards {
+		flat = append(flat, sh...)
+	}
+	spans := make([]payload.Span, len(flat))
+	for i, e := range flat {
+		spans[i] = payload.Span{Start: e.LogicalOff, End: e.LogicalOff + e.Length, Seq: seqOf(e), Ref: int32(i)}
+	}
+	ix := &Index{droppings: paths, rawCount: len(flat)}
+	for _, s := range payload.Resolve(spans) {
+		e := flat[s.Ref]
+		ix.segLog = append(ix.segLog, s.Start)
+		ix.segLen = append(ix.segLen, s.End-s.Start)
+		ix.segPhys = append(ix.segPhys, e.PhysOff+(s.Start-e.LogicalOff))
+		ix.segDrop = append(ix.segDrop, e.Dropping)
+		ix.segRank = append(ix.segRank, e.Rank)
+		ix.size = max(ix.size, s.End)
+	}
+	return ix
+}
+
+// sameSegments reports whether two indexes hold the same segment table.
+func sameSegments(a, b *Index) bool {
+	return slices.Equal(a.segLog, b.segLog) && slices.Equal(a.segLen, b.segLen) &&
+		slices.Equal(a.segPhys, b.segPhys) && slices.Equal(a.segDrop, b.segDrop) &&
+		slices.Equal(a.segRank, b.segRank)
+}
+
+// mixedShards draws record shards that between them take every way
+// through the build: shards in random order, already ascending, made of
+// several ascending runs (a spilled index), or descending with exact
+// (Timestamp, Rank) ties; zero-length records; writes dense enough to pile
+// up or sparse enough to stay apart; and, when runs is set, one run record
+// per shard on a shared stride, with the singles either clear of the runs
+// or free to land on them, and now and then a run on a stride of its own.
+func mixedShards(rng *rand.Rand, runs bool) ([][]Rec, []string) {
+	nShards := 1 + rng.Intn(8)
+	space := 1 << (10 + 2*rng.Intn(6))
+	const bs = 32
+	var lowest int64 // singles start here
+	clear := runs && rng.Intn(2) == 0
+	if clear {
+		lowest = int64(nShards) * bs * 8
+	}
+	shards := make([][]Rec, nShards)
+	paths := make([]string, nShards)
+	for s := range shards {
+		paths[s] = fmt.Sprintf("d%d", s)
+		es := make([]Entry, rng.Intn(300))
+		var phys int64
+		for i := range es {
+			n := int64(rng.Intn(2 * bs)) // sometimes empty
+			es[i] = Entry{
+				LogicalOff: lowest + int64(rng.Intn(space)), Length: n, PhysOff: phys,
+				Timestamp: int64(rng.Intn(8)), Dropping: int32(s), Rank: int32(s),
+			}
+			phys += n
+		}
+		byOff := func(a, b Entry) int { return cmp.Compare(a.LogicalOff, b.LogicalOff) }
+		switch rng.Intn(4) {
+		case 1:
+			slices.SortStableFunc(es, byOff)
+		case 2:
+			for lo := 0; lo < len(es); {
+				hi := min(len(es), lo+1+rng.Intn(100))
+				slices.SortStableFunc(es[lo:hi], byOff)
+				lo = hi
+			}
+		case 3:
+			slices.SortStableFunc(es, func(a, b Entry) int { return byOff(b, a) })
+			for i := range es {
+				es[i].Timestamp = 5
+			}
+		}
+		sh := recsOf(es)
+		if runs {
+			run := Rec{Count: int32(2 + rng.Intn(6)), Stride: int64(nShards) * bs, Entry: Entry{
+				LogicalOff: int64(s) * bs, Length: bs, PhysOff: phys, Timestamp: 3, Dropping: int32(s), Rank: int32(s),
+			}}
+			if rng.Intn(16) == 0 {
+				run.Stride *= 2
+			}
+			at := rng.Intn(len(sh) + 1)
+			sh = slices.Insert(sh, at, run)
+		}
+		shards[s] = sh
+	}
+	return shards, paths
+}
+
+// Property, merge build ≡ reference: on one worker and on eight,
+// BuildIndexRecs yields the reference's index.  Where it kept a run table,
+// its segment table is the reference's over the singles alone, and a
+// lookup of the whole file finds the reference's pieces.
+func TestMergeBuildMatchesReference(t *testing.T) {
+	var kept, expanded, overlapped int
+	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		nShards := 2 + rng.Intn(8)
-		perShard := 16 + rng.Intn(1024)
-		shards, paths := randomShards(rng, nShards, perShard)
-		serial := BuildIndex(shards, paths)
-		par := BuildIndexParallel(shards, paths, 4)
-		return reflect.DeepEqual(serial, par)
+		shards, paths := mixedShards(rng, seed%3 == 2)
+		all := make([][]Entry, len(shards))
+		singles := make([][]Entry, len(shards))
+		for k, sh := range shards {
+			all[k] = expandRecs(sh)
+			for _, r := range sh {
+				if r.Count <= 1 {
+					singles[k] = append(singles[k], r.Entry)
+				}
+			}
+		}
+		want := refIndex(all, paths)
+		if len(want.segLog) > want.rawCount/2 && len(want.segLog) != want.rawCount {
+			overlapped++
+		}
+		for _, workers := range []int{1, 8} {
+			got := BuildIndexRecs(shards, paths, workers)
+			if got.Size() != want.Size() || got.RawEntries() != want.RawEntries() || !slices.Equal(got.Droppings(), paths) {
+				t.Fatalf("seed %d, %d workers: size %d of %d entries, want %d of %d",
+					seed, workers, got.Size(), got.RawEntries(), want.Size(), want.RawEntries())
+			}
+			segs := want
+			if got.Runs() > 0 {
+				kept++
+				segs = refIndex(singles, paths)
+				if g, w := got.Lookup(0, want.Size()), want.Lookup(0, want.Size()); !slices.Equal(g, w) {
+					t.Fatalf("seed %d, %d workers: lookup through the run table found\n%+v\nwant\n%+v", seed, workers, g, w)
+				}
+			} else if !allSingles(slices.Concat(shards...)) {
+				expanded++
+			}
+			if !sameSegments(got, segs) {
+				t.Fatalf("seed %d, %d workers: segment table differs from the reference's", seed, workers)
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	if kept == 0 || expanded == 0 || overlapped == 0 {
+		t.Fatalf("inputs missed a path: %d kept a run table, %d expanded their runs, %d mostly disjoint with some overlap",
+			kept, expanded, overlapped)
 	}
-	// Force the merge path explicitly (total well above parallelSortMin).
-	rng := rand.New(rand.NewSource(7))
-	shards, paths := randomShards(rng, 64, 256)
-	if !reflect.DeepEqual(BuildIndex(shards, paths), BuildIndexParallel(shards, paths, 8)) {
-		t.Fatal("parallel build diverged from serial at 64 shards")
+}
+
+// sortKeys against the library's stable sort, on offsets that span a few
+// bits, all 64 (negative ones and both extremes included), or none.
+func TestSortKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		ks := make([]recKey, 1+rng.Intn(500))
+		bits := []int{0, 3, 20, 41, 64}[trial%5]
+		for i := range ks {
+			var off int64
+			switch {
+			case bits == 64:
+				off = int64(rng.Uint64())
+			case bits > 0:
+				off = rng.Int63n(1<<bits) - 1<<(bits-1)
+			}
+			ks[i] = recKey{off: off, idx: int32(i)}
+		}
+		if bits == 64 {
+			ks[0].off, ks[len(ks)-1].off = math.MaxInt64, math.MinInt64
+		}
+		want := slices.Clone(ks)
+		slices.SortStableFunc(want, func(a, b recKey) int { return cmp.Compare(a.off, b.off) })
+		if sortKeys(ks); !slices.Equal(ks, want) {
+			t.Fatalf("trial %d (%d keys over %d bits): not the stable order by offset", trial, len(ks), bits)
+		}
+	}
+}
+
+// permutedShards is the small-random checkpoint's index: every shard
+// holds perShard single records of bs bytes at slots drawn from one
+// permutation of all slots, so nothing overlaps and nothing is in order.
+func permutedShards(rng *rand.Rand, nShards, perShard int, bs int64) ([][]Rec, []string) {
+	perm := rng.Perm(nShards * perShard)
+	shards := make([][]Rec, nShards)
+	paths := make([]string, nShards)
+	for s := range shards {
+		paths[s] = fmt.Sprintf("d%d", s)
+		shards[s] = make([]Rec, perShard)
+		for k := range shards[s] {
+			shards[s][k] = Rec{Count: 1, Entry: Entry{
+				LogicalOff: int64(perm[s*perShard+k]) * bs, Length: bs, PhysOff: int64(k) * bs,
+				Timestamp: int64(k + 1), Dropping: int32(s), Rank: int32(s),
+			}}
+		}
+	}
+	return shards, paths
+}
+
+// A build of disjoint records allocates its tables — per-shard keys, heap,
+// columns — and nothing per record.
+func TestBuildIndexAllocsConstant(t *testing.T) {
+	for _, perShard := range []int{1024, 32768} {
+		shards, paths := permutedShards(rand.New(rand.NewSource(1)), 2, perShard, 1024)
+		allocs := testing.AllocsPerRun(3, func() {
+			if ix := BuildIndexRecs(shards, paths, 1); ix.Segments() != 2*perShard {
+				t.Fatalf("built %d segments, want %d", ix.Segments(), 2*perShard)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("2 x %d disjoint records: %.0f allocs per build, want at most 16", perShard, allocs)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func TestSinglePieceMatchesPlanned(t *testing.T) {
 	open := func() (*Reader, *obs.Registry) {
 		reg := obs.New()
 		r := m.newReader(Ctx{Vols: []Backend{fs}, Obs: reg}, "f")
-		r.ix = BuildIndex(shards, paths)
+		r.ix = buildEntries(shards, paths)
 		return r, reg
 	}
 	keys := func(reg *obs.Registry) []string {

@@ -238,8 +238,13 @@ func TestCrashAt(t *testing.T) {
 		t.Error("crashed error unwraps to ErrNotExist")
 	}
 
-	// The frozen on-disk state: the full op-2 append plus the op-3 torn
-	// prefix (half of 100 bytes).
+	// The frozen state: the full op-2 append plus the op-3 torn prefix (half
+	// of 100 bytes).  What is asserted is what the injector handed to the
+	// store, not when the kernel got it — osfs holds small appends back, so
+	// flush the leaf handle before looking from outside.
+	if err := plfs.LeafFile(f).(plfs.Flusher).Flush(); err != nil {
+		t.Fatalf("flush leaf handle: %v", err)
+	}
 	fi, err := osfs.New().Stat(filepath.Join(dir, "x"))
 	if err != nil {
 		t.Fatalf("unwrapped reopen: %v", err)

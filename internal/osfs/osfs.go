@@ -23,7 +23,10 @@ type FS struct {
 	locks *pathLockTable
 }
 
-var _ plfs.Backend = FS{}
+var (
+	_ plfs.Backend = FS{}
+	_ plfs.Flusher = (*file)(nil)
+)
 
 // New returns an OS-filesystem backend with a private path-lock table.
 func New() FS { return FS{locks: newPathLockTable()} }
@@ -123,17 +126,32 @@ func (FS) Remove(path string) error { return os.Remove(path) }
 // Rename implements plfs.Backend.
 func (FS) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
 
-// file is one handle.  Writes go to the kernel straight from a byte
-// payload's own slice (DESIGN.md §16.1: bytes handed to a write are
-// immutable); synthetic and zero payloads are rendered into scratch.  The
-// handle tracks its own end-of-file, so an append is a single pwrite — sound
-// because a path has one appending handle at a time (§16.1).
+// Write-behind sizes of a handle's log, fixed by the op-size x buffer-size
+// sweep in EXPERIMENTS.md "Small-write path host cost (PR 19)": below
+// coalesceBelow a pwrite costs more than copying the bytes, and past
+// coalesceFlush pending bytes a larger write buys nothing.
+const (
+	coalesceBelow = 16 << 10
+	coalesceFlush = 256 << 10
+)
+
+// file is one handle.  An append of coalesceBelow bytes or more goes to the
+// kernel straight from a byte payload's own slice (DESIGN.md §16.1: bytes
+// handed to a write are immutable); synthetic and zero payloads are rendered
+// into scratch.  A smaller one is copied into pend, which lands with one
+// pwrite once coalesceFlush bytes are pending and before any other call on
+// the handle does its work, so the handle always reads its own writes.  The
+// handle tracks its own end-of-file, so an append's offset is end plus what
+// is pending, with no syscall — sound because a path has one appending
+// handle at a time (§16.1).
 type file struct {
 	f       *os.File
 	path    string
 	locks   *pathLockTable
 	end     int64  // 0 after Create, else negative until the first append's lseek
 	scratch []byte // reused rendering/concatenation buffer
+	pend    []byte // appended bytes not yet written; they belong at end
+	err     error  // the first failed flush; the offsets it voided make it final
 }
 
 // bytesOf returns p's contents: its own slice when materialized, else
@@ -156,8 +174,25 @@ func (f *file) pwrite(b []byte, off int64) error {
 	return err
 }
 
-// appendBytes lands b at the tracked end-of-file.
-func (f *file) appendBytes(b []byte) (int64, error) {
+// Flush implements plfs.Flusher: the pending appends land with one pwrite
+// at the tracked end.  A failure is sticky — the offsets already returned
+// for the lost bytes are void, so the handle refuses everything after it.
+// With nothing pending it only reads handle state: the reader fans ReadAt
+// out across goroutines on a handle that never appended.
+func (f *file) Flush() error {
+	if len(f.pend) == 0 {
+		return f.err
+	}
+	f.err = f.pwrite(f.pend, f.end)
+	f.pend = f.pend[:0]
+	return f.err
+}
+
+// tail returns the offset the next appended byte lands at.
+func (f *file) tail() (int64, error) {
+	if f.err != nil {
+		return 0, f.err
+	}
 	if f.end < 0 {
 		end, err := f.f.Seek(0, io.SeekEnd)
 		if err != nil {
@@ -165,19 +200,63 @@ func (f *file) appendBytes(b []byte) (int64, error) {
 		}
 		f.end = end
 	}
-	off := f.end
+	return f.end + int64(len(f.pend)), nil
+}
+
+// coalesce copies an append of n < coalesceBelow bytes behind the pending
+// ones.  The buffer doubles up to the most it can ever hold, so a handle
+// that appends a few bytes and closes (a commit temp file, a two-record
+// footer) does not pay for a log's buffer.
+func (f *file) coalesce(n int64, pl ...payload.Payload) (int64, error) {
+	off, err := f.tail()
+	if err != nil {
+		return 0, err
+	}
+	if need := len(f.pend) + int(n); need > cap(f.pend) {
+		grown := make([]byte, len(f.pend), min(max(need, 2*cap(f.pend)), coalesceFlush+coalesceBelow))
+		copy(grown, f.pend)
+		f.pend = grown
+	}
+	for _, p := range pl {
+		f.pend = p.AppendTo(f.pend)
+	}
+	if len(f.pend) < coalesceFlush {
+		return off, nil
+	}
+	return off, f.Flush()
+}
+
+// appendBytes lands b at the tracked end-of-file, behind whatever was
+// pending.
+func (f *file) appendBytes(b []byte) (int64, error) {
+	if err := f.Flush(); err != nil {
+		return 0, err
+	}
+	off, err := f.tail()
+	if err != nil {
+		return 0, err
+	}
 	return off, f.pwrite(b, off)
 }
 
 func (f *file) WriteAt(off int64, p payload.Payload) error {
+	if err := f.Flush(); err != nil {
+		return err
+	}
 	return f.pwrite(f.bytesOf(p), off)
 }
 
 func (f *file) Append(p payload.Payload) (int64, error) {
+	if n := p.Len(); n < coalesceBelow {
+		return f.coalesce(n, p)
+	}
 	return f.appendBytes(f.bytesOf(p))
 }
 
 func (f *file) ReadAt(off, n int64) (payload.List, error) {
+	if err := f.Flush(); err != nil {
+		return nil, err
+	}
 	buf := make([]byte, n)
 	read, err := f.f.ReadAt(buf, off)
 	if err != nil && err != io.EOF {
@@ -193,7 +272,10 @@ func (f *file) ReadAt(off, n int64) (payload.List, error) {
 	return out.Append(payload.Zeros(n - int64(read))), nil
 }
 
+// Size cannot report a failed flush; the error is sticky, so the next call
+// that returns one does.
 func (f *file) Size() int64 {
+	f.Flush()
 	fi, err := f.f.Stat()
 	if err != nil {
 		return 0
@@ -201,12 +283,21 @@ func (f *file) Size() int64 {
 	return fi.Size()
 }
 
-func (f *file) Close() error { return f.f.Close() }
+func (f *file) Close() error {
+	err := f.Flush()
+	if cerr := f.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // WritevAt implements plfs.VectoredIO: the host kernel has no listio
 // syscall, so the batch degrades to a pwrite per extent — the win here is
 // the single middleware call, not fewer syscalls.
 func (f *file) WritevAt(segs []extent.Ext, data payload.List) error {
+	if err := f.Flush(); err != nil {
+		return err
+	}
 	var pos int64
 	for _, e := range segs {
 		off := e.Off
@@ -225,6 +316,9 @@ func (f *file) WritevAt(segs []extent.Ext, data payload.List) error {
 // pread per extent into its window.  The buffer starts zeroed, so an
 // extent past EOF reads as zeros with no further work.
 func (f *file) ReadvAt(segs []extent.Ext) (payload.List, error) {
+	if err := f.Flush(); err != nil {
+		return nil, err
+	}
 	var total int64
 	for _, e := range segs {
 		total += max(e.Len, 0)
@@ -243,9 +337,13 @@ func (f *file) ReadvAt(segs []extent.Ext) (payload.List, error) {
 	return payload.List(nil).Append(payload.FromBytes(buf)), nil
 }
 
-// Appendv implements plfs.BatchAppender: one write of the concatenated
-// pieces at the tracked end-of-file.
+// Appendv implements plfs.BatchAppender: the concatenated pieces land
+// contiguously at the tracked end-of-file, coalesced like one Append of
+// their total size.
 func (f *file) Appendv(pl payload.List) (int64, error) {
+	if n := pl.Len(); n < coalesceBelow {
+		return f.coalesce(n, pl...)
+	}
 	f.scratch = f.scratch[:0]
 	for _, p := range pl {
 		f.scratch = p.AppendTo(f.scratch)

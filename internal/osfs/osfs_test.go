@@ -4,9 +4,11 @@ import (
 	"errors"
 	iofs "io/fs"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"plfs/internal/extent"
 	"plfs/internal/osfs"
 	"plfs/internal/payload"
 	"plfs/internal/plfs"
@@ -81,6 +83,48 @@ func TestConcurrentIOAdvertised(t *testing.T) {
 	if !ok || !c.ConcurrentIO() {
 		t.Fatalf("osfs does not advertise ConcurrentIO")
 	}
+}
+
+// TestConcurrentReadsOnOneHandle is what ConcurrentIO promises, for the
+// race detector: the reader fans positional reads out across goroutines on
+// one handle, so on a handle that never appended the flush every read
+// starts with must not write handle state.
+func TestConcurrentReadsOnOneHandle(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "d")
+	b := osfs.New()
+	f, err := b.Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Append(payload.Synthetic(1, 0, 4096))
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = b.OpenRead(p); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int64) {
+			defer wg.Done()
+			for i := int64(0); i < 64; i++ {
+				off := (g*64 + i) * 16
+				want := payload.List{payload.Synthetic(1, off, 16)}
+				if pl, err := f.ReadAt(off, 16); err != nil || !payload.ContentEqual(pl, want) {
+					t.Errorf("ReadAt(%d): err %v", off, err)
+				}
+				if pl, err := f.ReadvAt([]extent.Ext{{Off: off, Len: 16}}); err != nil || !payload.ContentEqual(pl, want) {
+					t.Errorf("ReadvAt(%d): err %v", off, err)
+				}
+				if sz := f.Size(); sz != 4096 {
+					t.Errorf("Size = %d, want 4096", sz)
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
 }
 
 // TestPathLocksScopedPerFS is the regression test for the process-global

@@ -95,11 +95,13 @@ type Backend interface {
 // probed extras (Ching et al., "Noncontiguous I/O through PVFS"): every
 // store has them, so no caller carries a per-extent fallback loop.
 //
-// Two rules let a store make a write one syscall (DESIGN.md §16.1): bytes
-// handed to a write are immutable until the call returns, so the store may
-// write from them without copying; and a path has one appending handle at
-// a time, so the store may compute Append's offset from the handle's own
-// history.
+// Two rules let a store make a write one syscall or less (DESIGN.md §16.1):
+// bytes handed to a write are immutable until the call returns, so the
+// store may write from them without copying; and a path has one appending
+// handle at a time, so the store may compute Append's offset from the
+// handle's own history — and may hold appended bytes back (Flusher): the
+// handle itself sees them at once, other handles and Stat/ReadDir once it
+// is flushed or closed.
 type File interface {
 	// WriteAt writes p at the given offset.
 	WriteAt(off int64, p payload.Payload) error
@@ -189,6 +191,16 @@ type BatchAppender interface {
 type RangeLocker interface {
 	LockRange(off, n int64) error
 	UnlockRange(off, n int64) error
+}
+
+// Flusher is an optional File capability of a store that buffers appends
+// (DESIGN.md §16.1): Flush hands every append the handle has accepted to
+// the store, and returns the write error a buffered append could not.
+// Stores that land every append before returning do not implement it.
+// Like RangeLocker it concerns only the store, so it is asked of
+// LeafFile(f).
+type Flusher interface {
+	Flush() error
 }
 
 // Info describes a backend namespace entry.

@@ -24,6 +24,7 @@
 package backendtest
 
 import (
+	"bytes"
 	"errors"
 	iofs "io/fs"
 	"testing"
@@ -58,6 +59,7 @@ func Checks() []Check {
 		{"VectoredEquivalence", checkVectoredEquivalence},
 		{"BatchAppend", checkBatchAppend},
 		{"AppendAfterMutators", checkAppendAfterMutators},
+		{"AppendVisibility", checkAppendVisibility},
 		{"CondPut", checkCondPut},
 		{"BulkCreate", checkBulkCreate},
 	}
@@ -138,6 +140,10 @@ func Transparent(tb testing.TB, leaf, wrapped plfs.Backend, root string) {
 	_, want = lf.(plfs.RangeLocker)
 	if _, got := plfs.LeafFile(wf).(plfs.RangeLocker); got != want {
 		tb.Errorf("RangeLocker: wrapped handle says %v, leaf handle says %v", got, want)
+	}
+	_, want = lf.(plfs.Flusher)
+	if _, got := plfs.LeafFile(wf).(plfs.Flusher); got != want {
+		tb.Errorf("Flusher: wrapped handle says %v, leaf handle says %v", got, want)
 	}
 }
 
@@ -547,6 +553,90 @@ func checkAppendAfterMutators(tb testing.TB, b plfs.Backend, root string) {
 	want := "AABB" + string(syn.Materialize()) + "\x00\x00ccdd\x00\x00eeffgghhiijj"
 	if got := string(bytesOf(tb, f)); got != want {
 		tb.Errorf("content %q, want %q", got, want)
+	}
+}
+
+// checkAppendVisibility: a store may hold appended bytes back (§16.1,
+// "appends may be store-buffered" — osfs coalesces small ones), but never
+// from the handle that appended them, never out of program order, and
+// never past Close.  Offsets are contiguous throughout; the handle's own
+// Size and ReadAt are exact after a burst of small appends larger than any
+// write-behind buffer, after a large append and an Appendv behind pending
+// small ones, and after a WriteAt into bytes that may still be pending;
+// once closed, a fresh handle, Stat and ReadDir agree.
+func checkAppendVisibility(tb testing.TB, b plfs.Backend, root string) {
+	f, err := b.Create(root + "/log")
+	if err != nil {
+		tb.Errorf("create: %v", err)
+		return
+	}
+	var want []byte // the file as program order makes it
+	var tag uint64
+	piece := func(n int64) payload.Payload { // every piece has its own content
+		tag++
+		return payload.Synthetic(tag, 0, n)
+	}
+	add := func(what string, pl ...payload.Payload) {
+		tb.Helper()
+		var off int64
+		var err error
+		if len(pl) == 1 {
+			off, err = f.Append(pl[0])
+		} else {
+			off, err = f.Appendv(pl)
+		}
+		if err != nil || off != int64(len(want)) {
+			tb.Errorf("%s: off %d, err %v (want %d, nil)", what, off, err, len(want))
+		}
+		for _, p := range pl {
+			want = p.AppendTo(want)
+		}
+	}
+	agrees := func(what string, f plfs.File) {
+		tb.Helper()
+		if sz := f.Size(); sz != int64(len(want)) {
+			tb.Errorf("%s: size %d, want %d", what, sz, len(want))
+		}
+		if got := bytesOf(tb, f); !bytes.Equal(got, want) {
+			tb.Errorf("%s: content differs from the bytes written in program order", what)
+		}
+	}
+
+	for i := 0; i < 100; i++ { // 300 KB in unaligned pieces
+		add("small append", piece(3001))
+	}
+	agrees("after a burst of small appends", f)
+	add("small append", piece(3001))
+	add("large append behind a pending small one", piece(100_000))
+	add("small append", piece(3001))
+	agrees("after a large append", f)
+	add("small append", piece(3001))
+	add("appendv behind a pending small one", piece(700), piece(9), piece(1300))
+	agrees("after an appendv", f)
+	at := int64(len(want)) + 50
+	add("small append", piece(3001))
+	patch := piece(100)
+	if err := f.WriteAt(at, patch); err != nil {
+		tb.Errorf("writeat into the last append: %v", err)
+	}
+	copy(want[at:], patch.Materialize())
+	add("small append after writeat", piece(3001))
+	agrees("after a writeat into the last append", f)
+	if err := f.Close(); err != nil {
+		tb.Errorf("close: %v", err)
+	}
+
+	if f, err = b.OpenRead(root + "/log"); err != nil {
+		tb.Errorf("openread: %v", err)
+		return
+	}
+	defer f.Close()
+	agrees("fresh handle after close", f)
+	if fi, err := b.Stat(root + "/log"); err != nil || fi.Size != int64(len(want)) {
+		tb.Errorf("stat after close: %+v, %v (want size %d)", fi, err, len(want))
+	}
+	if ents, err := b.ReadDir(root); err != nil || len(ents) != 1 || ents[0].Size != int64(len(want)) {
+		tb.Errorf("readdir after close: %+v, %v (want one entry of %d bytes)", ents, err, len(want))
 	}
 }
 

@@ -2,10 +2,13 @@ package plfs_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"plfs/internal/osfs"
 	"plfs/internal/payload"
 	"plfs/internal/plfs"
 )
@@ -189,5 +192,58 @@ func TestDoubleCloseAndUseAfterClose(t *testing.T) {
 	}
 	if _, err := rd.ReadAt(0, 1); err == nil {
 		t.Fatal("read after close succeeded")
+	}
+}
+
+// lossyFS is a store that buffers appends (plfs.Flusher) and whose data
+// droppings then fail to write them out: every append is accepted, and the
+// write error arrives when the handle is flushed.
+type lossyFS struct{ plfs.Backend }
+
+type lossyFile struct{ plfs.File }
+
+var errLost = errors.New("lossy store: buffered appends lost")
+
+func (b lossyFS) Create(path string) (plfs.File, error) {
+	f, err := b.Backend.Create(path)
+	if err != nil || !strings.Contains(path, "dropping.data.") {
+		return f, err
+	}
+	return lossyFile{f}, nil
+}
+
+func (lossyFile) Flush() error { return errLost }
+
+// TestDeferredWriteErrorPublishesNothing: data before index, over a store
+// that buffers.  The write error a buffered append could not return reaches
+// Sync and Close, and Close treats it as a failed flush: no index dropping,
+// no recovery footer and no size record point at the lost bytes.
+func TestDeferredWriteErrorPublishesNothing(t *testing.T) {
+	r := newRig(t, 1, plfs.Options{IndexMode: plfs.Original, NumSubdirs: 1})
+	r.newVols = func() []plfs.Backend { return []plfs.Backend{lossyFS{osfs.New()}} }
+	w, err := r.m.Create(r.ctx(0, nil), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(0, payload.FromBytes([]byte("data"))); err != nil {
+		t.Fatalf("write: %v (the store accepted the append)", err)
+	}
+	if err := w.Sync(); !errors.Is(err, errLost) {
+		t.Errorf("sync: %v, want the store's flush error", err)
+	}
+	if err := w.Close(); !errors.Is(err, errLost) {
+		t.Errorf("close: %v, want the store's flush error", err)
+	}
+	for _, pat := range []string{"hostdir.*/dropping.index.*", "meta/sz.*"} {
+		if got, _ := filepath.Glob(filepath.Join(r.roots[0], "f", pat)); len(got) != 0 {
+			t.Errorf("published after a failed flush: %v", got)
+		}
+	}
+	dd, _ := filepath.Glob(filepath.Join(r.roots[0], "f", "hostdir.*", "dropping.data.*"))
+	if len(dd) != 1 {
+		t.Fatalf("data droppings: %v", dd)
+	}
+	if fi, err := os.Stat(dd[0]); err != nil || fi.Size() != 4 {
+		t.Errorf("data dropping: %v bytes, err %v (want 4: no recovery footer)", fi.Size(), err)
 	}
 }

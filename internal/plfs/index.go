@@ -40,18 +40,28 @@ func seqOf(e Entry) uint64 {
 	return uint64(e.Timestamp)<<16 | uint64(uint16(e.Rank))
 }
 
+// putEntry serializes e into b[:EntryBytes], little-endian.
+func putEntry(b []byte, e Entry) {
+	binary.LittleEndian.PutUint64(b[0:], uint64(e.LogicalOff))
+	binary.LittleEndian.PutUint64(b[8:], uint64(e.Length))
+	binary.LittleEndian.PutUint64(b[16:], uint64(e.PhysOff))
+	binary.LittleEndian.PutUint64(b[24:], uint64(e.Timestamp))
+	binary.LittleEndian.PutUint32(b[32:], uint32(e.Dropping))
+	binary.LittleEndian.PutUint32(b[36:], uint32(e.Rank))
+}
+
+// putEntries serializes entries back to back into b, which must hold
+// EntryBytes for each.
+func putEntries(b []byte, entries []Entry) {
+	for i, e := range entries {
+		putEntry(b[i*EntryBytes:], e)
+	}
+}
+
 // encodeEntries serializes entries (little-endian, EntryBytes each).
 func encodeEntries(entries []Entry) []byte {
 	buf := make([]byte, len(entries)*EntryBytes)
-	for i, e := range entries {
-		b := buf[i*EntryBytes:]
-		binary.LittleEndian.PutUint64(b[0:], uint64(e.LogicalOff))
-		binary.LittleEndian.PutUint64(b[8:], uint64(e.Length))
-		binary.LittleEndian.PutUint64(b[16:], uint64(e.PhysOff))
-		binary.LittleEndian.PutUint64(b[24:], uint64(e.Timestamp))
-		binary.LittleEndian.PutUint32(b[32:], uint32(e.Dropping))
-		binary.LittleEndian.PutUint32(b[36:], uint32(e.Rank))
-	}
+	putEntries(buf, entries)
 	return buf
 }
 
@@ -137,38 +147,43 @@ func expandRecs(recs []Rec) []Entry {
 // run elements are disjoint), timestamps monotone nondecreasing.  Runs of
 // at least two entries become one Rec; everything else passes through.
 func compressRecs(entries []Entry) []Rec {
-	recs := make([]Rec, 0, 8)
-	i := 0
-	for i < len(entries) {
-		e := entries[i]
-		j := i + 1
-		var stride int64
-		for e.Length > 0 && j < len(entries) {
-			p, c := entries[j-1], entries[j]
-			if c.Length != e.Length || c.Rank != e.Rank || c.Dropping != e.Dropping ||
-				c.PhysOff != p.PhysOff+e.Length || c.Timestamp < p.Timestamp {
-				break
-			}
-			s := c.LogicalOff - p.LogicalOff
-			if s < e.Length {
-				break
-			}
-			if j == i+1 {
-				stride = s
-			} else if s != stride {
-				break
-			}
-			j++
-		}
-		if j-i >= 2 {
-			recs = append(recs, Rec{Entry: e, Count: int32(j - i), Stride: stride})
-		} else {
-			recs = append(recs, Rec{Entry: e, Count: 1})
-			j = i + 1
-		}
+	// Count first, so the records are allocated once at their exact size.
+	n := 0
+	for i := 0; i < len(entries); n++ {
+		i, _ = runEnd(entries, i)
+	}
+	recs := make([]Rec, 0, n)
+	for i := 0; i < len(entries); {
+		j, stride := runEnd(entries, i)
+		recs = append(recs, Rec{Entry: entries[i], Count: int32(j - i), Stride: stride})
 		i = j
 	}
 	return recs
+}
+
+// runEnd returns where the record that starts at entries[i] ends — i+1
+// unless entries[i:j] form a run — and the run's stride (0 for a single).
+func runEnd(entries []Entry, i int) (j int, stride int64) {
+	e := entries[i]
+	j = i + 1
+	for e.Length > 0 && j < len(entries) {
+		p, c := entries[j-1], entries[j]
+		if c.Length != e.Length || c.Rank != e.Rank || c.Dropping != e.Dropping ||
+			c.PhysOff != p.PhysOff+e.Length || c.Timestamp < p.Timestamp {
+			break
+		}
+		s := c.LogicalOff - p.LogicalOff
+		if s < e.Length {
+			break
+		}
+		if j == i+1 {
+			stride = s
+		} else if s != stride {
+			break
+		}
+		j++
+	}
+	return j, stride
 }
 
 // v2 record framing.  An index dropping is either v1 — raw entries,
@@ -218,12 +233,7 @@ func recsWireLen(recs []Rec) int64 {
 
 func appendEntry(buf []byte, e Entry) []byte {
 	var b [EntryBytes]byte
-	binary.LittleEndian.PutUint64(b[0:], uint64(e.LogicalOff))
-	binary.LittleEndian.PutUint64(b[8:], uint64(e.Length))
-	binary.LittleEndian.PutUint64(b[16:], uint64(e.PhysOff))
-	binary.LittleEndian.PutUint64(b[24:], uint64(e.Timestamp))
-	binary.LittleEndian.PutUint32(b[32:], uint32(e.Dropping))
-	binary.LittleEndian.PutUint32(b[36:], uint32(e.Rank))
+	putEntry(b[:], e)
 	return append(buf, b[:]...)
 }
 
@@ -299,11 +309,11 @@ func decodeRecList(data []byte, n int) ([]Rec, error) {
 // every record is a single, the v2 framing otherwise.
 func encodeRecs(recs []Rec) []byte {
 	if allSingles(recs) {
-		entries := make([]Entry, len(recs))
+		buf := make([]byte, len(recs)*EntryBytes)
 		for i, r := range recs {
-			entries[i] = r.Entry
+			putEntry(buf[i*EntryBytes:], r.Entry)
 		}
-		return encodeEntries(entries)
+		return buf
 	}
 	buf := make([]byte, 0, recsWireLen(recs))
 	var tmp [recHdrLen]byte

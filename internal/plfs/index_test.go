@@ -235,3 +235,68 @@ func TestChunkPartition(t *testing.T) {
 		}
 	}
 }
+
+// TestCompressRecs pins run detection record by record: what joins a run,
+// what ends one, and that singles pass through with no stride.
+func TestCompressRecs(t *testing.T) {
+	e := func(logical, length, phys, ts int64) Entry {
+		return Entry{LogicalOff: logical, Length: length, PhysOff: phys, Timestamp: ts, Rank: 3}
+	}
+	in := []Entry{
+		e(0, 10, 0, 1), e(40, 10, 10, 2), e(80, 10, 20, 2), e(120, 10, 30, 5), // a run of four, stride 40
+		e(170, 10, 40, 6),                    // another stride ends the run; a stride under Length (the next, +5) would overlap
+		e(175, 10, 50, 7), e(300, 10, 60, 8), // any two ascending writes are a run of two
+		e(200, 10, 70, 9),                      // descending: a single
+		e(400, 10, 80, 3),                      // its timestamp goes backwards: joins nothing
+		e(500, 20, 90, 10),                     // another length
+		e(520, 20, 110, 11),                    // contiguous is a run too (stride == Length)
+		e(560, 20, 131, 12),                    // physically not adjacent
+		e(600, 0, 151, 13), e(600, 0, 151, 14), // empty writes never form runs
+	}
+	want := []Rec{
+		{Entry: in[0], Count: 4, Stride: 40},
+		{Entry: in[4], Count: 1},
+		{Entry: in[5], Count: 2, Stride: 125},
+		{Entry: in[7], Count: 1},
+		{Entry: in[8], Count: 1},
+		{Entry: in[9], Count: 2, Stride: 20},
+		{Entry: in[11], Count: 1},
+		{Entry: in[12], Count: 1},
+		{Entry: in[13], Count: 1},
+	}
+	got := compressRecs(in)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compressRecs:\n got %+v\nwant %+v", got, want)
+	}
+	if len(got) != cap(got) {
+		t.Errorf("records allocated for %d, hold %d", cap(got), len(got))
+	}
+	if got := compressRecs(nil); len(got) != 0 {
+		t.Errorf("compressRecs(nil) = %+v", got)
+	}
+}
+
+// TestWriteCloseAllocatesWhatItWrites: on osfs_smallrand's index shape —
+// 32,768 writes at permuted offsets, so hardly anything compresses — the
+// records and the recovery footer are one exactly sized allocation each.
+func TestWriteCloseAllocatesWhatItWrites(t *testing.T) {
+	const n = 32768
+	entries := make([]Entry, n)
+	for i, slot := range rand.New(rand.NewSource(1)).Perm(n) {
+		entries[i] = Entry{LogicalOff: int64(slot) << 10, Length: 1 << 10, PhysOff: int64(i) << 10, Timestamp: int64(i)}
+	}
+	var recs []Rec
+	if allocs := testing.AllocsPerRun(20, func() { recs = compressRecs(entries) }); allocs != 1 {
+		t.Errorf("compressRecs allocated %.0f times, want 1", allocs)
+	}
+	if len(recs) != cap(recs) || expandedCount(recs) != n {
+		t.Errorf("compressRecs: %d records in room for %d, standing for %d entries (want %d)", len(recs), cap(recs), expandedCount(recs), n)
+	}
+	var foot []byte
+	if allocs := testing.AllocsPerRun(20, func() { foot = encodeFrameFooter(entries) }); allocs != 1 {
+		t.Errorf("encodeFrameFooter allocated %.0f times, want 1", allocs)
+	}
+	if int64(len(foot)) != frameFooterLen(n) || len(foot) != cap(foot) {
+		t.Errorf("footer: %d bytes in room for %d, want %d", len(foot), cap(foot), frameFooterLen(n))
+	}
+}

@@ -82,12 +82,6 @@ type Options struct {
 	// GroupSize is the member count per group for ParallelIndexRead;
 	// 0 picks ~sqrt(N) for a balanced two-level hierarchy.
 	GroupSize int
-	// DataFlushBytes enables write-behind buffering: data payloads are
-	// batched into sequential appends of this size.  Zero (the default)
-	// writes through per operation, like real PLFS; buffering shifts the
-	// tail flush into close time, so leave it off when close latency is
-	// being measured.
-	DataFlushBytes int64
 	// NoIndexCompression disables write-side index compression.  By
 	// default (like real PLFS) an index record that exactly continues the
 	// previous one — logically and physically — extends it instead of

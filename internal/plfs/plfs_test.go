@@ -455,14 +455,15 @@ func TestOverwriteLastWriterWins(t *testing.T) {
 }
 
 func TestWriterSyncFlushes(t *testing.T) {
-	r := newRig(t, 1, plfs.Options{IndexMode: plfs.Original, DataFlushBytes: 1 << 30})
+	r := newRig(t, 1, plfs.Options{IndexMode: plfs.Original})
 	ctx := r.ctx(0, nil)
 	w, err := r.m.Create(ctx, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Write(0, payload.FromBytes([]byte("buffered")))
-	// Before sync, the data dropping should be empty (write-behind).
+	// Before sync, the data dropping is empty as seen from outside: the
+	// store holds a small append back (DESIGN.md §16.1).
 	dd, _ := filepath.Glob(filepath.Join(r.roots[0], "s", "hostdir.*", "dropping.data.*"))
 	if len(dd) != 1 {
 		t.Fatalf("droppings: %v", dd)

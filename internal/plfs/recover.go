@@ -40,11 +40,11 @@ func frameFooterLen2(n int) int64 { return int64(n)*(EntryBytes+4) + frameTraile
 
 // encodeFrameFooter serializes the v1 (unchecksummed) recovery footer.
 func encodeFrameFooter(entries []Entry) []byte {
-	buf := encodeEntries(entries)
-	out := make([]byte, len(buf)+frameTrailerLen)
-	copy(out, buf)
-	binary.LittleEndian.PutUint64(out[len(buf):], uint64(len(entries)))
-	binary.LittleEndian.PutUint64(out[len(buf)+8:], frameMagic)
+	body := len(entries) * EntryBytes
+	out := make([]byte, frameFooterLen(len(entries)))
+	putEntries(out, entries)
+	binary.LittleEndian.PutUint64(out[body:], uint64(len(entries)))
+	binary.LittleEndian.PutUint64(out[body+8:], frameMagic)
 	return out
 }
 
@@ -54,20 +54,18 @@ func encodeFrameFooterSums(entries []Entry, sums []uint32) []byte {
 	if len(sums) != len(entries) {
 		panic("plfs: entry/checksum count mismatch")
 	}
-	body := encodeEntries(entries)
-	out := make([]byte, 0, frameFooterLen2(len(entries)))
-	out = append(out, body...)
-	var b4 [4]byte
-	for _, s := range sums {
-		binary.LittleEndian.PutUint32(b4[:], s)
-		out = append(out, b4[:]...)
+	out := make([]byte, frameFooterLen2(len(entries)))
+	putEntries(out, entries)
+	body := len(entries) * EntryBytes
+	for i, s := range sums {
+		binary.LittleEndian.PutUint32(out[body+4*i:], s)
 	}
-	crc := crc32.Checksum(out, castagnoli)
-	var tr [frameTrailer2Len]byte
-	binary.LittleEndian.PutUint32(tr[0:], crc)
+	covered := len(out) - frameTrailer2Len
+	tr := out[covered:]
+	binary.LittleEndian.PutUint32(tr[0:], crc32.Checksum(out[:covered], castagnoli))
 	binary.LittleEndian.PutUint64(tr[8:], uint64(len(entries)))
 	binary.LittleEndian.PutUint64(tr[16:], frameMagic2)
-	return append(out, tr[:]...)
+	return out
 }
 
 // readFrameFooter reads and validates the recovery footer of the data

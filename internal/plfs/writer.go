@@ -286,6 +286,14 @@ func (w *Writer) record(off int64, p payload.Payload) {
 		}
 	}
 	if !extend {
+		if have := len(w.entries); have == cap(w.entries) && have >= 256 {
+			// append grows a slice this long by a quarter, which allocates
+			// five times what a one-record-per-write index ends up holding;
+			// doubling allocates twice.  Short indexes are left to append.
+			grown := make([]Entry, have, 2*have)
+			copy(grown, w.entries)
+			w.entries = grown
+		}
 		w.entries = append(w.entries, Entry{
 			LogicalOff: off,
 			Length:     n,
@@ -302,14 +310,12 @@ func (w *Writer) record(off int64, p payload.Payload) {
 	}
 }
 
-// afterRecord applies the post-write policies: the data-flush threshold
-// (DataFlushBytes == 0 means write-through) and the flatten-overflow
+// afterRecord lands what the call recorded (write-through, like real PLFS:
+// one backend append however many pieces) and applies the flatten-overflow
 // check.
 func (w *Writer) afterRecord() error {
-	if w.bufBytes >= w.m.opt.DataFlushBytes {
-		if err := w.flushData(); err != nil {
-			return err
-		}
+	if err := w.flushData(); err != nil {
+		return err
 	}
 	if w.m.opt.IndexMode == IndexFlatten && !w.overflowed && len(w.entries) > w.m.opt.FlattenThreshold {
 		w.overflowed = true
@@ -366,12 +372,23 @@ func (w *Writer) flushData() error {
 	return nil
 }
 
+// flushThrough is flushData, then — over a store that buffers appends
+// (Flusher) — a flush of the data dropping's handle, whose error is the
+// write error those appends could not return.
+func (w *Writer) flushThrough() error {
+	err := w.flushData()
+	if fl, ok := LeafFile(w.dataFile).(Flusher); ok {
+		err = errors.Join(err, fl.Flush())
+	}
+	return err
+}
+
 // Sync flushes buffered data to the backing store.
 func (w *Writer) Sync() error {
 	if w.closed {
 		return errors.New("plfs: writer closed")
 	}
-	return w.flushData()
+	return w.flushThrough()
 }
 
 // ownRecs is this writer's index in record form: run-compressed unless
@@ -439,7 +456,9 @@ func (w *Writer) Close() error {
 	}
 
 	fsp := sp.Child("flush")
-	flushErr := w.flushData()
+	// Data before index: a write error the store deferred counts as a
+	// failed flush, so nothing below publishes a pointer to the lost bytes.
+	flushErr := w.flushThrough()
 	fsp.End()
 	fail(flushErr)
 	if flushErr == nil && !m.opt.NoDataFraming && len(w.entries) > 0 {

@@ -8,20 +8,21 @@
 //	plfsctl map  <logical> -root <volume-root> ...    # resolved offset map
 //	plfsctl read <logical> -root ... -off N -len N    # dump logical bytes
 //	plfsctl flatten <logical> -root ...               # persist a global index
-//	plfsctl check <logical> -root ...                 # container integrity check
-//	plfsctl recover <logical> -root ...               # rebuild lost index droppings
 //	plfsctl scrub <logical> -root ...                 # full integrity walk (checksums)
 //	plfsctl scrub <logical> -root ... -repair         # walk and fix (replicas, footers, temps)
+//	plfsctl check <logical> -root ...                 # alias of scrub
+//	plfsctl recover <logical> -root ...               # alias of scrub -repair
 //	plfsctl rm   <logical> -root <volume-root> ...    # remove a container
 //	plfsctl top  <metrics.json>                       # summarise a -metrics dump
 //	plfsctl health <metrics.json>                     # volume breaker / self-healing view
 //
-// check, recover, and scrub accept -json for machine-readable reports
-// and use disciplined exit codes: 0 clean, 1 problems found, 2 usage or
-// operational error.  scrub -repair applies the fixes scrub describes —
-// re-replicate under-replicated indexes, rebuild torn ones from recovery
-// footers, sweep orphaned commit temps — through the repair daemon's
-// container pass (pass -replicas to heal replica slots).  top takes the
+// scrub reads every index, footer, data checksum and metadata record of
+// one container; scrub -repair makes the same reads and applies the fix
+// each finding has — restore from a replica, rebuild an index from its
+// recovery footer, re-replicate (pass -replicas to heal replica slots),
+// drop a corrupt global index, sweep orphaned commit temps.  Both accept
+// -json and use disciplined exit codes: 0 when nothing found remains, 1
+// when something does, 2 on a usage or operational error.  top takes the
 // JSON written by plfsrun/plfsbench -metrics ('-' = stdin) and renders
 // timers by total time descending; health renders the same dump's
 // per-volume breaker table and hedge/repair counters.
@@ -52,7 +53,7 @@ func main() {
 	fs.Var(&roots, "root", "volume root directory (repeat for federated mounts)")
 	off := fs.Int64("off", 0, "read offset")
 	length := fs.Int64("len", 256, "read length")
-	jsonOut := fs.Bool("json", false, "machine-readable JSON report (check/recover/scrub)")
+	jsonOut := fs.Bool("json", false, "machine-readable JSON report (scrub)")
 	repair := fs.Bool("repair", false, "scrub: apply fixes instead of report-only")
 	replicaN := fs.Int("replicas", 0, "index replication factor the container was written with (scrub -repair heals replica slots)")
 
@@ -108,10 +109,7 @@ func main() {
 	case "flatten":
 		err = m.Flatten(ctx, logical)
 	case "check", "recover", "scrub":
-		if cmd == "scrub" && *repair {
-			cmd = "repair"
-		}
-		runReport(m, ctx, cmd, logical, *jsonOut)
+		runReport(m, ctx, logical, *repair || cmd == "recover", *jsonOut)
 		return
 	default:
 		usage()
@@ -122,23 +120,14 @@ func main() {
 	}
 }
 
-// runReport runs one of the integrity commands with disciplined exit
-// codes: 0 clean, 1 problems found, 2 operational error.
-func runReport(m *plfs.Mount, ctx plfs.Ctx, cmd, logical string, jsonOut bool) {
-	var (
-		rep interface{ OK() bool }
-		err error
-	)
-	switch cmd {
-	case "check":
-		rep, err = m.Check(ctx, logical)
-	case "recover":
-		rep, err = m.Recover(ctx, logical)
-	case "scrub":
-		rep, err = m.Scrub(ctx, logical)
-	case "repair":
-		rep, err = m.RepairContainer(ctx, logical)
+// runReport runs scrub (or scrub -repair) with disciplined exit codes:
+// 0 nothing left, 1 problems remain, 2 operational error.
+func runReport(m *plfs.Mount, ctx plfs.Ctx, logical string, repair, jsonOut bool) {
+	scrub := m.Scrub
+	if repair {
+		scrub = m.Repair
 	}
+	rep, err := scrub(ctx, logical)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "plfsctl:", err)
 		os.Exit(2)

@@ -1,11 +1,13 @@
 package main_test
 
 // End-to-end exercise of the plfsctl integrity commands as a user runs
-// them: build the binary, write a checksummed container through the
-// library, and check the exit-code discipline — 0 for a clean container,
-// 1 with the extent named after a bit flip, 2 on usage errors.
+// them: build the binary, write checksummed containers through the
+// library, damage them, and check the exit-code discipline — 0 when
+// nothing found remains, 1 with the extent named after a bit flip, 2 on
+// usage errors — and that all four verbs give one verdict.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -63,6 +65,28 @@ func writeContainer(t *testing.T, root, name string) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// shortenIndex rewrites the index dropping paired with data to list only
+// the last of the entries its recovery footer holds: the index still
+// decodes (raw 40-byte entries, a format readers accept), but it no
+// longer covers the data.  The footer is the v2 layout a checksummed
+// writer appends: [entries][crcs][crc][0][uint64 n][magic].
+func shortenIndex(t *testing.T, data string) {
+	t.Helper()
+	buf, err := os.ReadFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(binary.LittleEndian.Uint64(buf[len(buf)-16:]))
+	if n < 2 {
+		t.Fatalf("%s: footer lists %d entries, need 2+", data, n)
+	}
+	last := len(buf) - 24 - n*4 - plfs.EntryBytes
+	index := strings.Replace(data, "dropping.data.", "dropping.index.", 1)
+	if err := os.WriteFile(index, buf[last:last+plfs.EntryBytes], 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // runCtl executes the binary and returns combined output and exit code.
@@ -144,13 +168,45 @@ func TestScrubCLI(t *testing.T) {
 		t.Fatalf("json report misses the checksum-data finding:\n%s", out)
 	}
 
-	// check and recover share the discipline: the flipped data byte is
-	// invisible to check (structure intact), so it stays exit 0; a
-	// missing container is an operational error, exit 2.
-	if out, code := runCtl(t, bin, "check", "victim", "-root", root); code != 0 {
-		t.Fatalf("check: exit %d\n%s", code, out)
+	// Every verb gives the flipped byte one verdict: nothing can fix it,
+	// so check (scrub), recover and scrub -repair (Repair) exit 1 too,
+	// and the repair names it unrepairable.
+	for _, args := range [][]string{{"check"}, {"recover"}, {"scrub", "-repair"}} {
+		out, code := runCtl(t, bin, append([]string{args[0], "victim", "-root", root}, args[1:]...)...)
+		if code != 1 {
+			t.Fatalf("%v on a flipped byte: exit %d, want 1\n%s", args, code, out)
+		}
+		if len(args) > 1 && !strings.Contains(out, "UNREPAIRABLE: checksum-data") {
+			t.Fatalf("scrub -repair did not name checksum-data unrepairable:\n%s", out)
+		}
 	}
+	// A missing container is an operational error, exit 2.
 	if _, code := runCtl(t, bin, "scrub", "no-such-file", "-root", root); code != 2 {
 		t.Fatalf("missing container: exit %d, want 2", code)
+	}
+
+	// An index that decodes but lists fewer entries than its recovery
+	// footer: scrub and check exit 1; recover and scrub -repair rebuild
+	// it from the footer and exit 0, after which scrub is clean.
+	writeContainer(t, root, "short")
+	datas, err := filepath.Glob(filepath.Join(root, "short", "hostdir.*", "dropping.data.*"))
+	if err != nil || len(datas) == 0 {
+		t.Fatalf("no data droppings: %v", err)
+	}
+	for _, fix := range [][]string{{"scrub", "-repair"}, {"recover"}} {
+		shortenIndex(t, datas[0])
+		for _, verb := range []string{"scrub", "check"} {
+			out, code := runCtl(t, bin, verb, "short", "-root", root)
+			if code != 1 || !strings.Contains(out, "index-footer-mismatch") {
+				t.Fatalf("%s on a short index: exit %d, want 1 naming index-footer-mismatch\n%s", verb, code, out)
+			}
+		}
+		out, code := runCtl(t, bin, append([]string{fix[0], "short", "-root", root}, fix[1:]...)...)
+		if code != 0 || !strings.Contains(out, "REPAIRED: ") {
+			t.Fatalf("%v on a short index: exit %d, want 0 with the rebuild\n%s", fix, code, out)
+		}
+		if out, code := runCtl(t, bin, "scrub", "short", "-root", root); code != 0 {
+			t.Fatalf("scrub after %v: exit %d, want 0\n%s", fix, code, out)
+		}
 	}
 }

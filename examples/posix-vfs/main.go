@@ -2,7 +2,7 @@
 // directory — plus the administrative tooling.
 //
 // A mini-HDF file is written through the VFS mount (transparently
-// transformed into a PLFS container), then statted, checked, flattened,
+// transformed into a PLFS container), then statted, scrubbed, flattened,
 // renamed, and read back through plain POSIX-style calls.
 //
 // Run:
@@ -58,11 +58,14 @@ func main() {
 	fmt.Printf("stat: %s is a logical file of %d bytes (really a container)\n", fi.Name, fi.Size)
 
 	// --- Administrative tooling on the same container. ---
-	rep, err := mount.Check(ctx, "dump.0001")
+	rep, err := mount.Scrub(ctx, "dump.0001")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("check:", rep)
+	fmt.Println("scrub:", rep)
+	if !rep.OK() {
+		log.Fatal("scrub found problems in a freshly written container")
+	}
 
 	if err := mount.Flatten(ctx, "dump.0001"); err != nil {
 		log.Fatal(err)

@@ -2,11 +2,11 @@ package plfs
 
 // Atomic commit protocol.  Container metadata that must never be
 // observed half-written — the flattened global index, metadir size and
-// generation records, and Recover-rebuilt index droppings — is written
+// generation records, and Repair-rebuilt index droppings — is written
 // to a "<final>.tmp.<rank>" name and published with a single Rename.
 // Readers, listDroppings, and the metadir parsers all ignore temp
 // names, so a crash mid-commit leaves at worst an orphaned temp file
-// (swept by Scrub and Recover), never a consumable torn file.
+// (swept by every integrity pass), never a consumable torn file.
 //
 // Stores that have CondPutter (object stores) take a shorter
 // path: the whole record publishes as one conditional PUT — put-if-absent
@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
+	"path"
+	"sort"
 	"strings"
 
 	"plfs/internal/payload"
@@ -122,4 +124,54 @@ func commitRetryable(err error) bool {
 	}
 	var tw interface{ TornWrite() bool }
 	return errors.As(err, &tw) && tw.TornWrite()
+}
+
+// sweepTmpFiles removes orphaned commit temp files from the container's
+// metadir and hostdirs, returning the removed paths.  Temp files are
+// invisible to every reader, so removal is always safe: any commit still
+// in flight recreates its temp from scratch.
+func (m *Mount) sweepTmpFiles(ctx Ctx, rel string) ([]string, error) {
+	type dirRef struct {
+		b   Backend
+		dir string
+	}
+	cpath, vc := m.containerPath(rel)
+	dirs := []dirRef{{ctx.Vols[vc], path.Join(cpath, metaDir)}}
+	ids, moved, err := m.hostdirIDs(ctx, rel)
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range ids {
+		for _, loc := range m.hostdirLocs(rel, i, moved) {
+			if m.volDegraded(ctx, loc.vol) {
+				// Temp files are invisible to readers; sweeping this hostdir
+				// can wait for the volume's breaker to close rather than
+				// grinding a degraded-latency listing every pass.
+				continue
+			}
+			dirs = append(dirs, dirRef{ctx.Vols[loc.vol], loc.path})
+		}
+	}
+	var removed []string
+	for _, d := range dirs {
+		ents, err := d.b.ReadDir(d.dir)
+		if err != nil {
+			if errors.Is(err, iofs.ErrNotExist) {
+				continue
+			}
+			return removed, err
+		}
+		for _, e := range ents {
+			if e.Dir || !isTmpName(e.Name) {
+				continue
+			}
+			p := path.Join(d.dir, e.Name)
+			if err := d.b.Remove(p); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+				return removed, err
+			}
+			removed = append(removed, p)
+		}
+	}
+	sort.Strings(removed)
+	return removed, nil
 }

@@ -3,7 +3,7 @@ package plfs_test
 // Back-compat fixtures: containers laid out byte-by-byte in the v1
 // formats — 40-byte raw index entries with no version magic, no checksum
 // trailers, no recovery footers, and the v1 global index — must stay
-// fully readable, checkable, scrubbable, and recoverable after the v2
+// fully readable, scrubbable, and repairable after the v2
 // run-record framing.
 
 import (
@@ -104,28 +104,21 @@ func TestV1ContainerBackCompat(t *testing.T) {
 			}
 			readBack()
 
-			crep, err := r.m.Check(ctx, "legacy")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !crep.OK() || crep.RawEntries != 2 || crep.Logical != 128 {
-				t.Fatalf("check: %s", crep)
-			}
 			srep, err := r.m.Scrub(ctx, "legacy")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !srep.OK() || srep.IndexesChecked != 1 {
+			if srep.Found() != 0 || srep.IndexesChecked != 1 || srep.Logical != 128 {
 				t.Fatalf("scrub: %s", srep)
 			}
-			rrep, err := r.m.Recover(ctx, "legacy")
+			rrep, err := r.m.Repair(ctx, "legacy")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rrep.Intact != 1 || len(rrep.Rebuilt) != 0 || len(rrep.Unrecoverable) != 0 {
-				t.Fatalf("recover: %+v", rrep)
+			if rrep.Found() != 0 || rrep.Droppings != 1 {
+				t.Fatalf("repair: %s", rrep)
 			}
-			readBack() // still readable after the recovery pass
+			readBack() // still readable after the repair pass
 		})
 	}
 }

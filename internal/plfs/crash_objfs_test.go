@@ -4,7 +4,7 @@ package plfs_test
 // the object-store backend every atomic commit is a conditional PUT, so
 // the sweep below enumerates every mutating-operation boundary of the
 // conditional-PUT protocol (OpPut included) and asserts the same
-// Recover+Scrub+read-back invariants the POSIX rename protocol is held
+// Repair+Scrub+read-back invariants the POSIX rename protocol is held
 // to in crash_test.go.  A second set of tests covers the losing side of
 // a conditional PUT: transient PUT failures and generation conflicts
 // must be absorbed by the commit retry loop, never surfacing as torn or

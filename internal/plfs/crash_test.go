@@ -2,7 +2,7 @@ package plfs_test
 
 // Crash-torture harness: run an N-writer workload with the backend
 // crashed after its k-th mutating operation — for every k — then
-// Recover, Scrub, and read the container back.  The invariant at every
+// Repair, Scrub, and read the container back.  The invariant at every
 // crash boundary is that the file is either absent, a consistent prior
 // state (each block fully written or fully absent, no torn or silently
 // corrupt bytes served), or fully recovered.  This enumerates every
@@ -55,10 +55,11 @@ func runSerialCrashWorkload(r *rig, inj *fault.Injector, name string, n, blocks 
 }
 
 // verifyCrashState is the torture invariant: after a crash at any
-// operation boundary, Recover must succeed, Scrub must report nothing
+// operation boundary, Repair must succeed, Scrub must report nothing
 // beyond the expected residue of a crash (unreachable droppings awaiting
-// nothing, stale openhosts records, torn append tails), and every block
-// must read back either fully written or fully absent.
+// nothing, stale openhosts records, torn append tails, a size record
+// behind the index), and every block must read back either fully
+// written or fully absent.
 func verifyCrashState(t *testing.T, r *rig, name string, n, blocks int, bs int64) {
 	t.Helper()
 	ctx := serialCtx(r, 0)
@@ -69,8 +70,8 @@ func verifyCrashState(t *testing.T, r *rig, name string, n, blocks int, bs int64
 	if !ok {
 		return // crashed before the container was born: absent is consistent
 	}
-	if _, err := r.m.Recover(ctx, name); err != nil {
-		t.Fatalf("recover after crash: %v", err)
+	if _, err := r.m.Repair(ctx, name); err != nil {
+		t.Fatalf("repair after crash: %v", err)
 	}
 	srep, err := r.m.Scrub(ctx, name)
 	if err != nil {
@@ -84,6 +85,9 @@ func verifyCrashState(t *testing.T, r *rig, name string, n, blocks int, bs int64
 		"stale-openhost": true,
 		// Data beyond indexed coverage is a torn append tail: invisible.
 		"torn-tail": true,
+		// A writer that crashed between its index commit and its size
+		// record leaves Stat's cached size behind what readers see.
+		"size-record": true,
 	}
 	for _, p := range srep.Problems {
 		if !allowed[p.Kind] {

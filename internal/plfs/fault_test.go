@@ -187,8 +187,8 @@ func dataFiles(t *testing.T, r *rig, name string) []string {
 }
 
 // TestRecoverMissingIndex deletes an index dropping outright and checks
-// plfs_recover rebuilds it from the data dropping's footer, after which
-// a full read is byte-identical.
+// Repair (plfs_recover) rebuilds it from the data dropping's footer,
+// after which a full read is byte-identical.
 func TestRecoverMissingIndex(t *testing.T) {
 	const blocks, bs = 8, int64(512)
 	r := newRig(t, 1, plfs.Options{})
@@ -203,18 +203,30 @@ func TestRecoverMissingIndex(t *testing.T) {
 	}
 
 	m2 := plfs.NewMount(r.roots, plfs.Options{})
-	rep, err := m2.Recover(r.ctx(0, nil), "f")
+	rep, err := m2.Repair(r.ctx(0, nil), "f")
 	if err != nil {
-		t.Fatalf("recover: %v", err)
+		t.Fatalf("repair: %v", err)
 	}
-	if !rep.OK() || len(rep.Rebuilt) != 1 {
-		t.Fatalf("recover report: %+v", rep)
+	if !rep.OK() || rebuilt(rep) != 1 {
+		t.Fatalf("repair report: %s", rep)
 	}
 	verifySerial(t, r, plfs.Options{}, "f", blocks, bs)
 }
 
+// rebuilt counts the findings a repair fixed by rebuilding an index from
+// its recovery footer.
+func rebuilt(rep plfs.Report) int {
+	n := 0
+	for _, p := range rep.Problems {
+		if p.Repaired && strings.Contains(p.Detail, "rebuild from recovery footer") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRecoverTornIndex truncates an index dropping mid-record (a torn
-// metadata write) and checks Recover replaces it from the footer.
+// metadata write) and checks Repair replaces it from the footer.
 func TestRecoverTornIndex(t *testing.T) {
 	const blocks, bs = 8, int64(512)
 	r := newRig(t, 1, plfs.Options{})
@@ -236,18 +248,19 @@ func TestRecoverTornIndex(t *testing.T) {
 	if _, err := m2.OpenReader(r.ctx(0, nil), "f"); err == nil {
 		t.Fatalf("open succeeded on a torn index")
 	}
-	rep, err := m2.Recover(r.ctx(0, nil), "f")
+	rep, err := m2.Repair(r.ctx(0, nil), "f")
 	if err != nil {
-		t.Fatalf("recover: %v", err)
+		t.Fatalf("repair: %v", err)
 	}
-	if !rep.OK() || len(rep.Rebuilt) != 1 {
-		t.Fatalf("recover report: %+v", rep)
+	if !rep.OK() || rebuilt(rep) != 1 {
+		t.Fatalf("repair report: %s", rep)
 	}
 	verifySerial(t, r, plfs.Options{}, "f", blocks, bs)
 }
 
 // TestRecoverCorruptFraming removes both the index and the data footer;
-// the dropping must be reported unrecoverable, not silently dropped.
+// the dropping must be reported unrepairable, not silently dropped (and
+// the size record then disagrees with the empty index).
 func TestRecoverCorruptFraming(t *testing.T) {
 	const blocks, bs = 8, int64(512)
 	r := newRig(t, 1, plfs.Options{})
@@ -270,12 +283,18 @@ func TestRecoverCorruptFraming(t *testing.T) {
 	}
 
 	m2 := plfs.NewMount(r.roots, plfs.Options{})
-	rep, err := m2.Recover(r.ctx(0, nil), "f")
+	rep, err := m2.Repair(r.ctx(0, nil), "f")
 	if err != nil {
-		t.Fatalf("recover: %v", err)
+		t.Fatalf("repair: %v", err)
 	}
-	if rep.OK() || len(rep.Unrecoverable) != 1 {
-		t.Fatalf("recover report: %+v", rep)
+	kinds := map[string]int{}
+	for _, p := range rep.Problems {
+		if !p.Repaired {
+			kinds[p.Kind]++
+		}
+	}
+	if rep.OK() || kinds["unreachable"] != 1 || kinds["size-record"] != 1 || rep.Unrepairable() != 2 {
+		t.Fatalf("repair report: %s", rep)
 	}
 }
 

@@ -139,12 +139,12 @@ func TestCheckCleanAndCorrupt(t *testing.T) {
 		writeN1(t, r.m, ctx, rank, n, blocks, bs, "chk")
 	})
 	ctx := r.ctx(0, nil)
-	rep, err := r.m.Check(ctx, "chk")
+	rep, err := r.m.Scrub(ctx, "chk")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatalf("clean container failed check: %s", rep)
+		t.Fatalf("clean container failed scrub: %s", rep)
 	}
 	if rep.Droppings != n || rep.Logical != int64(n*blocks)*bs {
 		t.Fatalf("report = %+v", rep)
@@ -155,18 +155,17 @@ func TestCheckCleanAndCorrupt(t *testing.T) {
 	if err := os.Truncate(dd[0], 10); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = r.m.Check(ctx, "chk")
+	rep, err = r.m.Scrub(ctx, "chk")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.OK() {
-		t.Fatal("corrupt container passed check")
+		t.Fatal("corrupt container passed scrub")
 	}
 }
 
-// TestIndexCompression: segmented (contiguous) writers produce one index
-// record regardless of op count; disabling compression restores one
-// record per op.
+// TestIndexCompression: a segmented (contiguous) writer produces one
+// index record regardless of op count.
 func TestIndexCompression(t *testing.T) {
 	write := func(opt plfs.Options) int {
 		r := newRig(t, 1, opt)
@@ -195,8 +194,5 @@ func TestIndexCompression(t *testing.T) {
 	}
 	if got := write(plfs.Options{IndexMode: plfs.Original}); got != 1 {
 		t.Fatalf("compressed entries = %d, want 1", got)
-	}
-	if got := write(plfs.Options{IndexMode: plfs.Original, NoIndexCompression: true}); got != 16 {
-		t.Fatalf("uncompressed entries = %d, want 16", got)
 	}
 }

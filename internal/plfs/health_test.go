@@ -268,7 +268,7 @@ func serviceCtx(roots []string, clock plfs.Clock) plfs.Ctx {
 	return plfs.Ctx{Vols: vols, HostLeader: true, Clock: clock}
 }
 
-// TestRepairContainer exercises the three repair paths one by one:
+// TestRepairContainer exercises Repair's three index paths one by one:
 // re-replicating a lost replica, restoring a lost primary from its
 // replica, and rebuilding a dropping whose copies are all gone from the
 // data file's recovery footer — verifying read-back after each.
@@ -315,19 +315,15 @@ func TestRepairContainer(t *testing.T) {
 		defer rd.Close()
 		verifyN1(t, rd, 1, 4, 1024)
 	}
-	repair := func(stage string, wantRepaired int) plfs.RepairReport {
+	repair := func(stage string, wantRepaired int) plfs.Report {
 		t.Helper()
-		rep, err := m.RepairContainer(serviceCtx(roots, clock), "c")
+		rep, err := m.Repair(serviceCtx(roots, clock), "c")
 		if err != nil {
 			t.Fatalf("%s: repair: %v", stage, err)
 		}
-		if rep.Found != rep.Repaired+rep.Unrepairable {
-			t.Fatalf("%s: ledger broken: found %d != repaired %d + unrepairable %d",
-				stage, rep.Found, rep.Repaired, rep.Unrepairable)
-		}
-		if rep.Repaired != wantRepaired || rep.Unrepairable != 0 {
-			t.Fatalf("%s: repaired %d unrepairable %d, want %d/0 (%v)",
-				stage, rep.Repaired, rep.Unrepairable, wantRepaired, rep.Problems)
+		if rep.Repaired() != wantRepaired || rep.Unrepairable() != 0 {
+			t.Fatalf("%s: repaired %d unrepairable %d, want %d/0\n%s",
+				stage, rep.Repaired(), rep.Unrepairable(), wantRepaired, rep)
 		}
 		return rep
 	}
@@ -362,9 +358,8 @@ func TestRepairContainer(t *testing.T) {
 	if err := os.Remove(repIx); err != nil {
 		t.Fatalf("remove replica: %v", err)
 	}
-	rep := repair("torn dropping", 1)
-	if len(rep.Rebuilt) != 1 {
-		t.Fatalf("Rebuilt = %v, want the torn dropping", rep.Rebuilt)
+	if rep := repair("torn dropping", 1); rebuilt(rep) != 1 {
+		t.Fatalf("torn dropping not rebuilt from its footer:\n%s", rep)
 	}
 	if _, err := os.Stat(prIx); err != nil {
 		t.Fatalf("primary not rebuilt: %v", err)
@@ -421,8 +416,8 @@ func TestRepairDaemon(t *testing.T) {
 	}
 
 	rep := svc.RepairDaemon(ctx, m, 50*time.Millisecond, 3)
-	if rep.Found != 1 || rep.Repaired != 1 || rep.Unrepairable != 0 {
-		t.Fatalf("daemon totals = %+v, want found=repaired=1", rep)
+	if rep.Found() != 1 || rep.Repaired() != 1 {
+		t.Fatalf("daemon totals, want found=repaired=1:\n%s", rep)
 	}
 	if slept := sleeper.total; slept != 3*50*time.Millisecond {
 		t.Errorf("daemon slept %v, want 150ms of charged virtual time", slept)

@@ -4,11 +4,15 @@ package plfs_test
 // corruption that the unchecksummed container serves back without
 // complaint, VerifyData turns detection into read-time enforcement, and
 // the atomic-commit machinery (temp sweep, torn-append retry) keeps
-// metadata publication all-or-nothing.
+// metadata publication all-or-nothing, and Scrub and Repair agree on what
+// every kind of damage is.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -44,11 +48,12 @@ func globOne(t *testing.T, pattern string) string {
 	return matches[0]
 }
 
-// writeIntegrityFile writes a small strided N-1 file and returns the rig.
+// writeIntegrityFile writes a small strided N-1 file and returns the rig,
+// which has one volume per index replica.
 func writeIntegrityFile(t *testing.T, opt plfs.Options, name string) *rig {
 	t.Helper()
 	const n, blocks, bs = 2, 2, int64(256)
-	r := newRig(t, 1, opt)
+	r := newRig(t, max(1, opt.IndexReplicas), opt)
 	runRanks(t, r, n, func(ctx plfs.Ctx, rank int) {
 		writeN1(t, r.m, ctx, rank, n, blocks, bs, name)
 	})
@@ -197,9 +202,179 @@ func TestScrubDetectsCorruptIndexTrailer(t *testing.T) {
 	}
 }
 
+// footerEntries returns the raw 40-byte entries of a data dropping's
+// checksummed (v2) recovery footer: [entries][crcs][crc][0][n][magic].
+func footerEntries(t *testing.T, data string) [][]byte {
+	t.Helper()
+	buf, err := os.ReadFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(binary.LittleEndian.Uint64(buf[len(buf)-16:]))
+	body := buf[len(buf)-24-n*(plfs.EntryBytes+4):]
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = append([]byte(nil), body[i*plfs.EntryBytes:(i+1)*plfs.EntryBytes]...)
+	}
+	return out
+}
+
+// writeIndex replaces an index dropping with raw (v1, unchecksummed)
+// entries, a format every reader still accepts.
+func writeIndex(t *testing.T, path string, entries [][]byte) {
+	t.Helper()
+	if err := os.WriteFile(path, bytes.Join(entries, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rank0Droppings returns rank 0's data and index droppings in a
+// writeIntegrityFile container: damage there never moves the logical
+// size, which rank 1's last block sets.
+func rank0Droppings(t *testing.T, r *rig, name string) (data, index string) {
+	t.Helper()
+	for _, d := range dataFiles(t, r, name) {
+		if binary.LittleEndian.Uint64(footerEntries(t, d)[0]) == 0 { // LogicalOff
+			return d, strings.Replace(d, "dropping.data.", "dropping.index.", 1)
+		}
+	}
+	t.Fatal("no dropping of rank 0")
+	return "", ""
+}
+
+// TestIntegrityFindings plants each kind of damage once in a fresh
+// 2-rank checksummed container and asserts the kinds Scrub reports and
+// what Repair does with them: Scrub repairs nothing but orphaned temps,
+// Repair's ledger is found = repaired + unrepairable, and a pass that
+// leaves nothing behind is followed by a Scrub that finds nothing.
+func TestIntegrityFindings(t *testing.T) {
+	setLength := func(e []byte, n int64) { binary.LittleEndian.PutUint64(e[8:], uint64(n)) }
+	flatten := plfs.Options{IndexMode: plfs.IndexFlatten}
+	cases := []struct {
+		name  string
+		opt   plfs.Options
+		plant func(t *testing.T, r *rig, name string)
+		scrub []string // kinds Scrub reports, sorted
+		// Repair's ledger.
+		repaired, unrepairable int
+	}{
+		{"corrupt-index-trailer", plfs.Options{}, func(t *testing.T, r *rig, name string) {
+			_, ix := rank0Droppings(t, r, name)
+			flipByte(t, ix, 3)
+		}, []string{"index-corrupt"}, 1, 0},
+		{"orphan-index", plfs.Options{}, func(t *testing.T, r *rig, name string) {
+			_, ix := rank0Droppings(t, r, name)
+			buf, err := os.ReadFile(ix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(filepath.Dir(ix), "dropping.index.9.9"), buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"orphan-index"}, 0, 1},
+		{"short-index", plfs.Options{}, func(t *testing.T, r *rig, name string) {
+			data, ix := rank0Droppings(t, r, name)
+			ents := footerEntries(t, data)
+			writeIndex(t, ix, ents[len(ents)-1:])
+		}, []string{"coverage", "index-footer-mismatch"}, 2, 0},
+		{"record-ends-in-footer", plfs.Options{}, func(t *testing.T, r *rig, name string) {
+			data, ix := rank0Droppings(t, r, name)
+			ents := footerEntries(t, data)
+			setLength(ents[len(ents)-1], 256+8)
+			writeIndex(t, ix, ents)
+		}, []string{"coverage", "extent-bounds"}, 2, 0},
+		{"zero-length-record", plfs.Options{}, func(t *testing.T, r *rig, name string) {
+			data, ix := rank0Droppings(t, r, name)
+			ents := footerEntries(t, data)
+			setLength(ents[0], 0)
+			writeIndex(t, ix, ents)
+		}, []string{"coverage", "extent-bounds"}, 2, 0},
+		{"size-record", plfs.Options{}, func(t *testing.T, r *rig, name string) {
+			if err := os.WriteFile(filepath.Join(r.roots[0], name, "meta", "sz.99999.0.7"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"size-record"}, 0, 1},
+		{"orphan-tmp", plfs.Options{}, func(t *testing.T, r *rig, name string) {
+			_, ix := rank0Droppings(t, r, name)
+			for _, p := range []string{
+				filepath.Join(r.roots[0], name, "meta", "global.index.tmp.0"),
+				filepath.Join(filepath.Dir(ix), "dropping.index.9.9.tmp.3"),
+			} {
+				if err := os.WriteFile(p, []byte("stranded"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, []string{"orphan-tmp"}, 2, 0},
+		{"flipped-data-byte", plfs.Options{}, func(t *testing.T, r *rig, name string) {
+			data, _ := rank0Droppings(t, r, name)
+			flipByte(t, data, 0)
+		}, []string{"checksum-data"}, 0, 1},
+		// A flattened container has no per-writer indexes: Repair drops its
+		// corrupt global index and rebuilds them from the footers.
+		{"corrupt-global-index", flatten, func(t *testing.T, r *rig, name string) {
+			flipByte(t, filepath.Join(r.roots[0], name, "meta", "global.index"), 3)
+		}, []string{"global-index", "size-record", "unreachable"}, 3, 0},
+		{"lost-global-index", plfs.Options{IndexMode: plfs.IndexFlatten, IndexReplicas: 2}, func(t *testing.T, r *rig, name string) {
+			if err := os.Remove(filepath.Join(r.roots[0], name, "meta", "global.index")); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"global-index"}, 1, 0},
+		{"lost-replica", plfs.Options{IndexReplicas: 2}, func(t *testing.T, r *rig, name string) {
+			_, ix := rank0Droppings(t, r, name)
+			if err := os.Remove(strings.Replace(ix, r.roots[0], r.roots[1], 1)); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"replica"}, 1, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.opt.Checksum = true
+			for _, tool := range []string{"scrub", "repair"} {
+				const name = "damaged"
+				r := writeIntegrityFile(t, c.opt, name)
+				c.plant(t, r, name)
+				pass := r.m.Scrub
+				if tool == "repair" {
+					pass = r.m.Repair
+				}
+				rep, err := pass(serialCtx(r, 0), name)
+				if err != nil {
+					t.Fatalf("%s: %v", tool, err)
+				}
+				seen := map[string]bool{}
+				var kinds []string
+				for _, p := range rep.Problems {
+					if !seen[p.Kind] {
+						seen[p.Kind] = true
+						kinds = append(kinds, p.Kind)
+					}
+					if tool == "scrub" && p.Repaired && p.Kind != "orphan-tmp" {
+						t.Errorf("scrub repaired %s", p)
+					}
+				}
+				sort.Strings(kinds)
+				if tool == "scrub" && strings.Join(kinds, ",") != strings.Join(c.scrub, ",") {
+					t.Fatalf("scrub kinds %v, want %v:\n%s", kinds, c.scrub, rep)
+				}
+				if tool == "repair" && (rep.Repaired() != c.repaired || rep.Unrepairable() != c.unrepairable) {
+					t.Fatalf("repair: repaired %d + unrepairable %d, want %d + %d:\n%s",
+						rep.Repaired(), rep.Unrepairable(), c.repaired, c.unrepairable, rep)
+				}
+				if rep.OK() {
+					again, err := r.m.Scrub(serialCtx(r, 0), name)
+					if err != nil || again.Found() != 0 {
+						t.Fatalf("scrub after %s: %v\n%s", tool, err, again)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestScrubAndRecoverSweepOrphanTmp plants stranded atomic-commit temp
 // files (the residue of a crashed publish) and checks both Scrub and
-// Recover delete and report them.
+// Repair, which `plfsctl recover` runs, delete them and report each one
+// as a repaired orphan-tmp finding.
 func TestScrubAndRecoverSweepOrphanTmp(t *testing.T) {
 	for _, tool := range []string{"scrub", "recover"} {
 		t.Run(tool, func(t *testing.T) {
@@ -216,32 +391,25 @@ func TestScrubAndRecoverSweepOrphanTmp(t *testing.T) {
 				}
 			}
 
-			var removed []string
-			switch tool {
-			case "scrub":
-				rep, err := r.m.Scrub(serialCtx(r, 0), name)
-				if err != nil {
-					t.Fatalf("scrub: %v", err)
-				}
-				removed = rep.RemovedTmp
-				orphans := 0
-				for _, p := range rep.Problems {
-					if p.Kind == "orphan-tmp" {
-						orphans++
+			pass := r.m.Scrub
+			if tool == "recover" {
+				pass = r.m.Repair
+			}
+			rep, err := pass(serialCtx(r, 0), name)
+			if err != nil {
+				t.Fatalf("%s: %v", tool, err)
+			}
+			orphans := 0
+			for _, p := range rep.Problems {
+				if p.Kind == "orphan-tmp" {
+					orphans++
+					if !p.Repaired {
+						t.Errorf("%s reported %s unswept", tool, p)
 					}
 				}
-				if orphans != len(planted) {
-					t.Fatalf("scrub reported %d orphan-tmp problems, want %d: %s", orphans, len(planted), rep)
-				}
-			case "recover":
-				rep, err := r.m.Recover(serialCtx(r, 0), name)
-				if err != nil {
-					t.Fatalf("recover: %v", err)
-				}
-				removed = rep.RemovedTmp
 			}
-			if len(removed) != len(planted) {
-				t.Fatalf("%s removed %v, want %d temp files", tool, removed, len(planted))
+			if orphans != len(planted) {
+				t.Fatalf("%s reported %d orphan-tmp problems, want %d: %s", tool, orphans, len(planted), rep)
 			}
 			for _, p := range planted {
 				if _, err := os.Stat(p); !os.IsNotExist(err) {
@@ -249,11 +417,11 @@ func TestScrubAndRecoverSweepOrphanTmp(t *testing.T) {
 				}
 			}
 			// The container itself is untouched and clean afterwards.
-			rep, err := r.m.Scrub(serialCtx(r, 0), name)
+			rep, err = r.m.Scrub(serialCtx(r, 0), name)
 			if err != nil {
 				t.Fatalf("re-scrub: %v", err)
 			}
-			if !rep.OK() {
+			if rep.Found() != 0 {
 				t.Fatalf("container dirty after %s sweep: %s", tool, rep)
 			}
 		})

@@ -82,12 +82,6 @@ type Options struct {
 	// GroupSize is the member count per group for ParallelIndexRead;
 	// 0 picks ~sqrt(N) for a balanced two-level hierarchy.
 	GroupSize int
-	// NoIndexCompression disables write-side index compression.  By
-	// default (like real PLFS) an index record that exactly continues the
-	// previous one — logically and physically — extends it instead of
-	// appending a new record, so segmented writers produce tiny indexes
-	// while strided writers keep one record per operation.
-	NoIndexCompression bool
 	// NoRunCompression disables run detection at index flush.  By default
 	// a writer's arithmetic runs — constant-stride sequences of entries
 	// with equal lengths and contiguous physical placement, the shape of
@@ -99,13 +93,11 @@ type Options struct {
 	// Mount keeps recently built global indexes keyed by container
 	// generation, so re-opening an unchanged container skips listing,
 	// reading, and merging index droppings entirely; any mutation (write
-	// open, write close, truncate, rename, recover) advances the
-	// generation and the stale aggregation can never be served.
+	// open, write close, truncate, rename, repair) advances the
+	// generation and the stale aggregation can never be served.  The
+	// cache is budgeted at indexCacheBytes, least-recently-used containers
+	// evicted first.
 	NoIndexCache bool
-	// IndexCacheBytes bounds the resident bytes of the cross-open index
-	// cache (default 64 MiB); least-recently-used containers are evicted
-	// to stay under budget.
-	IndexCacheBytes int64
 	// SieveGap is the data-sieving threshold for ReadAt coalescing: two
 	// pieces of the same dropping whose physical extents are within this
 	// many bytes merge into one backend read, trading wasted gap bytes
@@ -139,11 +131,6 @@ type Options struct {
 	// after retries instead of failing the whole open; skipped shards are
 	// recorded in OpenStats.SkippedShards and their extents read as holes.
 	AllowPartial bool
-	// NoDataFraming disables the recovery footer each writer appends to
-	// its data dropping at close.  The footer is what lets Recover rebuild
-	// a lost or corrupt index dropping from the data alone; disable it
-	// only to produce byte-exact legacy (pre-framing) containers.
-	NoDataFraming bool
 	// Checksum enables checksummed framing: index droppings, the global
 	// index, and the recovery footer are written with CRC32C trailers,
 	// and the footer carries one CRC32C per data extent.  Verification is
@@ -204,9 +191,6 @@ func (o Options) withDefaults() Options {
 	if o.ChecksumCPUPerMB <= 0 {
 		o.ChecksumCPUPerMB = time.Millisecond
 	}
-	if o.IndexCacheBytes <= 0 {
-		o.IndexCacheBytes = 64 << 20
-	}
 	// Resolved once per mount: runtime.GOMAXPROCS takes the scheduler lock,
 	// which is not a cost to pay on every read.
 	o.DecodeWorkers = defaultWorkers(o.DecodeWorkers)
@@ -238,7 +222,7 @@ type Ctx struct {
 	// Empty means the default tenant.
 	Tenant string
 	// Obs, when non-nil, receives op-level metrics and spans (see
-	// internal/obs and DESIGN.md §11): open/close/recover/scrub phase
+	// internal/obs and DESIGN.md §11): open/close/scrub/repair phase
 	// spans, per-op latency histograms, and retry counters.  Nil disables
 	// all instrumentation at zero cost.
 	Obs *obs.Registry
@@ -336,9 +320,11 @@ func (st *containerState) curGen() uint64 {
 	return st.gen
 }
 
+// indexCacheBytes is a standalone mount's cross-open index cache budget.
+const indexCacheBytes = 64 << 20
+
 // NewMount creates a standalone mount over the given per-volume backend
-// root paths, with a private cache economy budgeted by
-// Options.IndexCacheBytes.
+// root paths, with a private cache economy of indexCacheBytes.
 func NewMount(roots []string, opt Options) *Mount {
 	return newMount(roots, opt, nil)
 }
@@ -357,7 +343,7 @@ func newMount(roots []string, opt Options, svc *Service) *Mount {
 		m.id = svc.nextMountID()
 		m.health = svc.health
 	} else {
-		m.econ = newEconomy(opt.IndexCacheBytes)
+		m.econ = newEconomy(indexCacheBytes)
 		m.ixc = newIndexCache(m.econ)
 		m.econ.register(m.ixc)
 		if opt.HedgedReads || opt.IndexReplicas > 1 {
@@ -486,7 +472,7 @@ func (m *Mount) storeParsed(st *containerState, path string, recs []Rec) {
 
 // invalidateState advances rel's generation and drops every derived
 // cache — parsed shards, built-index memo, cross-open entry — returning
-// the parsed bytes to the economy (truncate, recover).
+// the parsed bytes to the economy (truncate, repair).
 func (m *Mount) invalidateState(rel, tenant string) {
 	st := m.stateOf(rel, tenant)
 	st.mu.Lock()
@@ -1072,9 +1058,19 @@ func removeTree(b Backend, dir string) error {
 
 // droppingRef locates one writer's pair of droppings.
 type droppingRef struct {
-	Data  string // data dropping path
+	Data  string // data dropping path ("" for an orphaned index dropping)
 	Index string // index dropping path ("" if the writer left none)
 	Vol   int
+}
+
+// indexPathFor returns d's index dropping path, synthesized from the data
+// dropping's stamp when the writer left none.
+func indexPathFor(d droppingRef) string {
+	if d.Index != "" {
+		return d.Index
+	}
+	dir, base := path.Split(d.Data)
+	return dir + indexPrefix + strings.TrimPrefix(base, dataPrefix)
 }
 
 // movedInfix is the middle of a rebalance forwarding entry's name:
@@ -1216,11 +1212,18 @@ func (m *Mount) hostdirLocs(rel string, i int, moved map[int]int) []hostdirLoc {
 // readdir of the canonical container plus one readdir per existing
 // hostdir.
 func (m *Mount) listDroppings(ctx Ctx, rel string) ([]droppingRef, error) {
+	return m.walkDroppings(ctx, rel, false)
+}
+
+// walkDroppings is listDroppings for the integrity pass too: with
+// orphans set, index droppings whose data dropping is missing follow the
+// sorted list (Data empty), in hostdir and stamp order.
+func (m *Mount) walkDroppings(ctx Ctx, rel string, orphans bool) ([]droppingRef, error) {
 	ids, moved, err := m.hostdirIDs(ctx, rel)
 	if err != nil {
 		return nil, err
 	}
-	var refs []droppingRef
+	var refs, orphaned []droppingRef
 	for _, i := range ids {
 		// Candidate locations in precedence order (forwarding target
 		// first); a stamp claimed by an earlier location shadows the same
@@ -1278,13 +1281,16 @@ func (m *Mount) listDroppings(ctx Ctx, rel string) ([]droppingRef, error) {
 		}
 		sort.Strings(stamps)
 		for _, s := range stamps {
-			if r := byStamp[s]; r.Data != "" {
+			switch r := byStamp[s]; {
+			case r.Data != "":
 				refs = append(refs, *r)
+			case orphans:
+				orphaned = append(orphaned, *r)
 			}
 		}
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].Data < refs[j].Data })
-	return refs, nil
+	return append(refs, orphaned...), nil
 }
 
 // listHostdirHedged is dropping discovery's hedge: when the volume

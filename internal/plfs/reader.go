@@ -369,35 +369,6 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 	return out, nil
 }
 
-// readShard reads and parses one index dropping, assigning it the
-// canonical dropping id.  Parsed records are cached per path (droppings
-// are immutable), so repeated opens decode once per process group.
-func (r *Reader) readShard(ref droppingRef, id int32) ([]Rec, error) {
-	m, ctx := r.m, r.ctx
-	st := m.stateOf(r.rel, ctx.Tenant)
-	pl, size, err := m.readIndexReplicated(ctx, ref.Index, m.opt.Retry)
-	if err != nil {
-		return nil, err
-	}
-	r.Stats.IndexReads++
-	r.Stats.IndexBytes += size
-	ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(int(size/EntryBytes)))
-
-	st.mu.Lock()
-	cached, ok := st.parsed[ref.Index]
-	st.mu.Unlock()
-	if ok {
-		return withDropping(cached, id), nil
-	}
-	recs, err := decodeIndexDropping(pl.Materialize(), id)
-	if err != nil {
-		// The sole caller (Check) prefixes the dropping path itself.
-		return nil, err
-	}
-	m.storeParsed(st, ref.Index, recs)
-	return recs, nil
-}
-
 // withDropping returns records with the given dropping id (copying only
 // when the cached id differs).
 func withDropping(recs []Rec, id int32) []Rec {

@@ -3,7 +3,7 @@ package plfs_test
 // Tests for the batched collective create (Options.BulkCreate) and the
 // rebalance migration protocol, including the crash-torture sweep over
 // every migration-op boundary (ISSUE 10 satellite: every k must leave
-// the container openable and byte-identical after Recover).
+// the container openable and byte-identical after Repair).
 
 import (
 	"fmt"
@@ -131,8 +131,8 @@ func buildQuiescent(t testing.TB, r *rig, name string, n, blocks int, bs int64) 
 func verifyIntact(t *testing.T, r *rig, name string, n, blocks int, bs int64, allowed map[string]bool) {
 	t.Helper()
 	ctx := serialCtx(r, 0)
-	if _, err := r.m.Recover(ctx, name); err != nil {
-		t.Fatalf("recover: %v", err)
+	if _, err := r.m.Repair(ctx, name); err != nil {
+		t.Fatalf("repair: %v", err)
 	}
 	srep, err := r.m.Scrub(ctx, name)
 	if err != nil {
@@ -283,7 +283,7 @@ func TestRebalancePass(t *testing.T) {
 
 // TestCrashTortureMigration sweeps a crash through every mutating-op
 // boundary of a hostdir migration.  At every k the container must stay
-// openable, Recover must succeed, and the data must read back
+// openable, Repair must succeed, and the data must read back
 // byte-identical — the migration never holds the only copy of anything.
 // A fault-free re-run of the same migration must then converge.
 func TestCrashTortureMigration(t *testing.T) {

@@ -2,18 +2,14 @@ package plfs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	iofs "io/fs"
-	"path"
-	"strings"
 )
 
 // Data-dropping framing: at close, each writer appends a recovery footer
 // to its data dropping — a self-describing copy of its index entries —
 // so a lost or corrupt index dropping can be rebuilt from the data alone
-// (the plfs_recover tool).  Layout, little-endian:
+// (Repair, the plfs_recover tool).  Layout, little-endian:
 //
 //	v1: [ data ][ entries: n × EntryBytes ][ uint64 n ][ uint64 magic ]
 //	v2: [ data ][ entries: n × EntryBytes ][ crcs: n × uint32 ]
@@ -66,6 +62,14 @@ func encodeFrameFooterSums(entries []Entry, sums []uint32) []byte {
 	binary.LittleEndian.PutUint64(tr[8:], uint64(len(entries)))
 	binary.LittleEndian.PutUint64(tr[16:], frameMagic2)
 	return out
+}
+
+// extentOK is the bounds rule every integrity check applies to an index
+// record, footer entry or index dropping alike: non-empty and wholly
+// inside the dropping's data region [0, dataEnd), which ends where the
+// recovery footer begins.
+func extentOK(e Entry, dataEnd int64) bool {
+	return e.Length > 0 && e.PhysOff >= 0 && e.PhysOff+e.Length <= dataEnd
 }
 
 // readFrameFooter reads and validates the recovery footer of the data
@@ -165,161 +169,13 @@ func (m *Mount) readFrameFooter(ctx Ctx, ref droppingRef) ([]Entry, []uint32, in
 	return entries, sums, dataEnd, nil
 }
 
-// RecoverReport summarizes a Recover pass over one container.
-type RecoverReport struct {
-	Droppings     int      `json:"droppings"`      // droppings examined
-	Intact        int      `json:"intact"`         // index present and consistent (or nothing to lose)
-	Rebuilt       []string `json:"rebuilt"`        // index droppings reconstructed from data framing
-	Unrecoverable []string `json:"unrecoverable"`  // data droppings with neither index nor usable footer
-	DroppedGlobal bool     `json:"dropped_global"` // a corrupt flattened global index was removed
-	RemovedTmp    []string `json:"removed_tmp"`    // orphaned commit temp files deleted
-	Problems      []string `json:"problems"`       // human-readable detail per unrecoverable dropping
-}
-
-// OK reports whether every dropping is now reachable through an index.
-func (r RecoverReport) OK() bool { return len(r.Unrecoverable) == 0 }
-
-// String renders a human-readable summary.
-func (r RecoverReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "droppings %d: intact %d, rebuilt %d, unrecoverable %d",
-		r.Droppings, r.Intact, len(r.Rebuilt), len(r.Unrecoverable))
-	if r.DroppedGlobal {
-		b.WriteString("\nremoved corrupt global index")
-	}
-	for _, p := range r.RemovedTmp {
-		b.WriteString("\nREMOVED TMP: " + p)
-	}
-	for _, p := range r.Rebuilt {
-		b.WriteString("\nREBUILT: " + p)
-	}
-	for _, p := range r.Problems {
-		b.WriteString("\nUNRECOVERABLE: " + p)
-	}
-	return b.String()
-}
-
-// Recover reconstructs lost or corrupt index droppings from their data
-// droppings' recovery footers — the plfs_recover administrative tool.
-// For every dropping whose index is missing or unreadable, the footer is
-// validated and an index dropping rewritten from it; droppings with
-// neither a parseable index nor a usable footer are reported
-// unrecoverable (their bytes stay unreachable).  A corrupt flattened
-// global index, which would keep masking the repaired per-writer
-// indexes, is removed.  Recover returns an error only when the container
-// itself cannot be examined; per-dropping failures land in the report.
-func (m *Mount) Recover(ctx Ctx, rel string) (RecoverReport, error) {
-	ctx = m.healthCtx(ctx)
-	rel = clean(rel)
-	rep := RecoverReport{}
-	if ok, err := m.IsContainer(ctx, rel); err != nil {
-		return rep, err
-	} else if !ok {
-		return rep, fmt.Errorf("plfs: recover %s: not a container: %w", rel, iofs.ErrNotExist)
-	}
-	pol := m.opt.Retry
-	sp := ctx.Obs.StartSpan("recover")
-	defer sp.End()
-
-	// A corrupt global index hides the per-writer indexes in every read
-	// mode; validate it first and clear it if unreadable.
-	gsp := sp.Child("global-index")
-	cpath, vc := m.containerPath(rel)
-	gp := path.Join(cpath, metaDir, globalIndex)
-	if pl, _, err := ctx.readAllRetried(ctx.Vols[vc], gp, pol); err == nil {
-		if _, _, derr := decodeGlobalIndexAuto(pl.Materialize()); derr != nil {
-			if rmErr := ctx.Vols[vc].Remove(gp); rmErr != nil && !errors.Is(rmErr, iofs.ErrNotExist) {
-				gsp.End()
-				return rep, rmErr
-			}
-			// Replica copies must go with the primary, or a later
-			// replicated read would resurrect the corrupt index.
-			m.removeReplicas(ctx, gp)
-			rep.DroppedGlobal = true
-		}
-	} else if !errors.Is(err, iofs.ErrNotExist) {
-		gsp.End()
-		return rep, err
-	}
-	gsp.End()
-
-	// Sweep orphaned commit temp files: a crash between create and
-	// rename leaves "<final>.tmp.<rank>" debris that no reader consumes
-	// but that would otherwise accumulate on the backing volumes.
-	ssp := sp.Child("sweep")
-	removedTmp, err := m.sweepTmpFiles(ctx, rel)
-	ssp.End()
-	if err != nil {
-		return rep, err
-	}
-	rep.RemovedTmp = removedTmp
-
-	wsp := sp.Child("walk")
-	defer wsp.End()
-	drops, err := m.listDroppings(ctx, rel)
-	if err != nil {
-		return rep, err
-	}
-	rep.Droppings = len(drops)
-	changed := rep.DroppedGlobal
-	for _, d := range drops {
-		indexOK, indexCount := false, -1
-		if d.Index != "" {
-			if pl, _, err := ctx.readAllRetried(ctx.Vols[d.Vol], d.Index, pol); err == nil {
-				if recs, derr := decodeIndexDropping(pl.Materialize(), 0); derr == nil {
-					// The footer stays per-entry; compare expanded counts so a
-					// run-compressed index matches its uncompressed footer.
-					indexOK, indexCount = true, expandedCount(recs)
-				}
-			}
-		}
-		entries, _, _, footErr := m.readFrameFooter(ctx, d)
-		switch {
-		case footErr == nil && indexOK && indexCount == len(entries):
-			rep.Intact++
-		case footErr == nil:
-			ipath, err := m.rebuildIndex(ctx, d, entries)
-			if err != nil {
-				rep.Unrecoverable = append(rep.Unrecoverable, d.Data)
-				rep.Problems = append(rep.Problems, fmt.Sprintf("%s: rebuilding index: %v", d.Data, err))
-				continue
-			}
-			rep.Rebuilt = append(rep.Rebuilt, ipath)
-			changed = true
-		case indexOK:
-			// Legacy (unframed) dropping with a healthy index.
-			rep.Intact++
-		default:
-			if fi, err := ctx.Vols[d.Vol].Stat(d.Data); err == nil && fi.Size == 0 && d.Index == "" {
-				rep.Intact++ // an empty dropping has nothing to lose
-				continue
-			}
-			rep.Unrecoverable = append(rep.Unrecoverable, d.Data)
-			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: %v", d.Data, footErr))
-		}
-	}
-	if changed {
-		m.invalidateState(rel, ctx.Tenant)
-	}
-	if ctx.Obs != nil {
-		ctx.Obs.Counter("plfs.recover.ops").Add(1)
-		ctx.Obs.Counter("plfs.recover.rebuilt").Add(int64(len(rep.Rebuilt)))
-		ctx.Obs.Counter("plfs.recover.unrecoverable").Add(int64(len(rep.Unrecoverable)))
-	}
-	return rep, nil
-}
-
 // rebuildIndex replaces d's index dropping with one reconstructed from
-// footer entries, returning the index path written.  The replacement is
+// footer entries.  The replacement is
 // committed atomically (temp + rename over the corrupt original), so a
 // crash mid-rebuild leaves either the old index or the new one — never a
 // torn rebuild — and the container stays recoverable from the footer.
-func (m *Mount) rebuildIndex(ctx Ctx, d droppingRef, entries []Entry) (string, error) {
-	ipath := d.Index
-	if ipath == "" {
-		dir, base := path.Split(d.Data)
-		ipath = dir + indexPrefix + strings.TrimPrefix(base, dataPrefix)
-	}
+func (m *Mount) rebuildIndex(ctx Ctx, d droppingRef, entries []Entry) error {
+	ipath := indexPathFor(d)
 	recs := compressRecs(entries)
 	if m.opt.NoRunCompression {
 		recs = recsOf(entries)
@@ -329,10 +185,10 @@ func (m *Mount) rebuildIndex(ctx Ctx, d droppingRef, entries []Entry) (string, e
 		buf = appendSumTrailer(buf, idxSumMagic)
 	}
 	if err := ctx.writeFileAtomic(ctx.Vols[d.Vol], ipath, buf, m.opt.Retry, true); err != nil {
-		return "", err
+		return err
 	}
 	// A rebuilt index re-enters the replication contract immediately
 	// (replace semantics: stale replicas of the torn original converge).
 	m.replicateFile(ctx, ipath, buf, m.opt.Retry)
-	return ipath, nil
+	return nil
 }

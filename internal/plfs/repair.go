@@ -1,21 +1,14 @@
 package plfs
 
-// Background repair (DESIGN.md §15).  The repair pass walks containers
-// and fixes what it finds, reusing the recovery machinery:
-//
-//   - an index dropping whose primary is lost or undecodable is restored
-//     from a live replica, or rebuilt from the data dropping's recovery
-//     footer when no replica survives;
-//   - an under-replicated index dropping or global index (primary fine,
-//     replica missing/corrupt) is re-replicated from the primary;
-//   - a corrupt global index whose replica decodes is restored from it;
-//   - orphaned commit temp files are swept.
-//
-// Every problem found ends as exactly one of repaired or unrepairable,
-// so the ledger invariant found = repaired + unrepairable holds over
-// any quiescent window; the Service accumulates the ledger across ticks
-// and publishes it through obs (plfs.repair.*).  The same per-container
-// pass backs `plfsctl scrub -repair`.
+// Repair actions and background repair (DESIGN.md §15).  The fixes the
+// integrity pass (scrub.go) applies live here: restoring a lost or
+// corrupt index or global index from a live replica, rebuilding an index
+// dropping from its data dropping's recovery footer, re-replicating an
+// under-replicated file, and dropping a global index nothing can
+// restore.  The repair daemon's tick runs the pass's shallow mode over
+// every container and accumulates the ledger — found = repaired +
+// unrepairable over any quiescent window — in the Service, which
+// publishes it through obs (plfs.repair.*).
 
 import (
 	"errors"
@@ -23,66 +16,162 @@ import (
 	iofs "io/fs"
 	"path"
 	"sort"
-	"strings"
 	"time"
 )
 
-// RepairReport summarizes one repair pass.
-type RepairReport struct {
-	Containers   int      `json:"containers"`   // containers walked
-	Deferred     int      `json:"deferred"`     // work skipped: volume breaker not closed
-	Found        int      `json:"found"`        // problems found
-	Repaired     int      `json:"repaired"`     // problems fixed
-	Unrepairable int      `json:"unrepairable"` // problems that remain
-	Rebuilt      []string `json:"rebuilt"`      // indexes rebuilt from footers
-	ReReplicated []string `json:"rereplicated"` // files re-replicated / restored
-	RemovedTmp   []string `json:"removed_tmp"`  // orphaned commit temps swept
-	Problems     []string `json:"problems"`     // detail per unrepairable problem
+// globalIndex checks the flattened global index and its replicas.
+func (p *pass) globalIndex(cpath string, vc int) {
+	m, ctx, pol := p.m, p.ctx, p.m.opt.Retry
+	gp := path.Join(cpath, metaDir, globalIndex)
+	pl, _, err := ctx.readAllRetried(ctx.Vols[vc], gp, pol)
+	if err == nil {
+		buf := pl.Materialize()
+		var recs []Rec
+		if _, recs, err = decodeGlobalIndexAuto(buf); err == nil {
+			p.useGlobal(recs)
+			p.replicas(gp, buf)
+			return
+		}
+	} else if errors.Is(err, iofs.ErrNotExist) {
+		// Missing is only a finding while a replica survives: a lost
+		// primary.
+		if _, ok := m.anyReplica(ctx, gp, true); !ok {
+			return
+		}
+		err = errors.New("primary lost")
+	}
+	pr := Problem{Kind: kindGlobalIndex, Path: gp, Detail: err.Error()}
+	if rbuf, ok := m.anyReplica(ctx, gp, true); ok {
+		// Readers fail over to the replica whether or not it is restored.
+		_, recs, _ := decodeGlobalIndexAuto(rbuf)
+		p.useGlobal(recs)
+		pr.Detail += "; restore from replica"
+		p.fix(func() error { return ctx.writeFileAtomic(ctx.Vols[vc], gp, rbuf, pol, true) }, pr)
+		return
+	}
+	// No replica can restore it: drop the corrupt file (readers
+	// re-aggregate from the per-writer indexes), replicas with it, or a
+	// later replicated read would resurrect it.
+	pr.Detail += "; drop it"
+	p.fix(func() error {
+		if err := ctx.Vols[vc].Remove(gp); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+			return err
+		}
+		m.removeReplicas(ctx, gp)
+		return nil
+	}, pr)
 }
 
-// OK reports whether everything found was repaired.
-func (r RepairReport) OK() bool { return r.Unrepairable == 0 }
-
-// String renders a human-readable summary.
-func (r RepairReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "containers %d: found %d = repaired %d + unrepairable %d",
-		r.Containers, r.Found, r.Repaired, r.Unrepairable)
-	for _, p := range r.RemovedTmp {
-		b.WriteString("\nREMOVED TMP: " + p)
+// useGlobal records the global index readers use: it reaches every
+// dropping it lists and sets the logical size.
+func (p *pass) useGlobal(recs []Rec) {
+	p.rep.GlobalIndex = true
+	for _, r := range recs {
+		p.rep.Logical = max(p.rep.Logical, r.LogicalOff+int64(max(r.Count, 1)-1)*r.Stride+r.Length)
 	}
-	for _, p := range r.Rebuilt {
-		b.WriteString("\nREBUILT: " + p)
-	}
-	for _, p := range r.ReReplicated {
-		b.WriteString("\nRE-REPLICATED: " + p)
-	}
-	for _, p := range r.Problems {
-		b.WriteString("\nUNREPAIRABLE: " + p)
-	}
-	return b.String()
 }
 
-// merge folds one container's findings into an aggregate report.
-func (r *RepairReport) merge(c RepairReport) {
-	r.Deferred += c.Deferred
-	r.Found += c.Found
-	r.Repaired += c.Repaired
-	r.Unrepairable += c.Unrepairable
-	r.Rebuilt = append(r.Rebuilt, c.Rebuilt...)
-	r.ReReplicated = append(r.ReReplicated, c.ReReplicated...)
-	r.RemovedTmp = append(r.RemovedTmp, c.RemovedTmp...)
-	r.Problems = append(r.Problems, c.Problems...)
+// replicas re-replicates primary's healthy bytes over any replica slot
+// that is missing or fails to byte-match.
+func (p *pass) replicas(primary string, buf []byte) {
+	m, ctx, pol := p.m, p.ctx, p.m.opt.Retry
+	for k := 1; k < m.replicas(); k++ {
+		rp, rv := m.replicaPath(primary, k)
+		if m.volDegraded(ctx, rv) {
+			p.rep.Deferred++
+			continue
+		}
+		if pl, _, err := ctx.readAllRetried(ctx.Vols[rv], rp, pol); err == nil && string(pl.Materialize()) == string(buf) {
+			continue
+		}
+		p.fix(func() error {
+			err := m.ensureDirs(ctx, rv, path.Dir(rp))
+			if err == nil {
+				err = ctx.writeFileAtomic(ctx.Vols[rv], rp, buf, pol, true)
+			}
+			return err
+		}, Problem{Kind: kindReplica, Path: rp, Detail: "replica of " + primary + " missing or stale; re-replicate"})
+	}
 }
 
-// found books one problem that was fixed.
-func (r *RepairReport) fixed() { r.Found++; r.Repaired++ }
+// lostIndex handles a dropping whose index is missing or undecodable:
+// restore a replica, else rebuild from the recovery footer.  An empty
+// dropping with no index has nothing to lose.
+func (p *pass) lostIndex(s *dropState) {
+	m, ctx := p.m, p.ctx
+	pr := Problem{Kind: kindIndexCorrupt, Path: s.ipath, Detail: s.ierr.Error()}
+	if s.Index == "" {
+		pr = Problem{Kind: kindUnreachable, Path: s.Data, Detail: "no index dropping"}
+	}
+	if rbuf, ok := m.anyReplica(ctx, s.ipath, false); ok {
+		pr.Detail += "; restore from replica"
+		p.fix(func() error { return ctx.writeFileAtomic(ctx.Vols[s.Vol], s.ipath, rbuf, m.opt.Retry, true) }, pr)
+		if p.deep {
+			// Readers fail over to the replica whether or not it is restored.
+			recs, _ := decodeIndexDropping(rbuf, 0)
+			s.ents = expandRecs(recs)
+		}
+		return
+	}
+	if s.footer(p) == nil {
+		p.rebuild(s, pr)
+		return
+	}
+	if s.stat(p) == nil && s.size == 0 && s.Index == "" {
+		return
+	}
+	pr.Detail += "; no replica, no usable recovery footer: " + s.footErr.Error()
+	p.add(pr)
+}
 
-// failed books one problem that could not be fixed.
-func (r *RepairReport) failed(format string, args ...any) {
-	r.Found++
-	r.Unrepairable++
-	r.Problems = append(r.Problems, fmt.Sprintf(format, args...))
+// rebuild books findings a fresh index fixes and rewrites the index from
+// the recovery footer; without a usable footer they are unrepairable.
+func (p *pass) rebuild(s *dropState, prs ...Problem) {
+	if err := s.footer(p); err != nil {
+		for _, pr := range prs {
+			pr.Detail += "; no usable recovery footer"
+			p.add(pr)
+		}
+		return
+	}
+	for i := range prs {
+		prs[i].Detail += "; rebuild from recovery footer"
+	}
+	if p.fix(func() error { return p.m.rebuildIndex(p.ctx, s.droppingRef, s.fents) }, prs...) {
+		s.ents = s.fents
+	}
+}
+
+// readIndexFile reads and decodes one index file copy.
+func (m *Mount) readIndexFile(ctx Ctx, v int, p string) ([]byte, []Rec, error) {
+	pl, _, err := ctx.readAllRetried(ctx.Vols[v], p, m.opt.Retry)
+	if err != nil {
+		return nil, nil, err
+	}
+	buf := pl.Materialize()
+	recs, err := decodeIndexDropping(buf, 0)
+	return buf, recs, err
+}
+
+// anyReplica returns the first replica copy of primary that decodes
+// (global selects the global-index decoder).
+func (m *Mount) anyReplica(ctx Ctx, primary string, global bool) ([]byte, bool) {
+	for k := 1; k < m.replicas(); k++ {
+		rp, rv := m.replicaPath(primary, k)
+		pl, _, err := ctx.readAllRetried(ctx.Vols[rv], rp, m.opt.Retry)
+		if err != nil {
+			continue
+		}
+		buf := pl.Materialize()
+		if global {
+			if _, _, derr := decodeGlobalIndexAuto(buf); derr == nil {
+				return buf, true
+			}
+		} else if _, derr := decodeIndexDropping(buf, 0); derr == nil {
+			return buf, true
+		}
+	}
+	return nil, false
 }
 
 // listContainers walks the mount's logical namespace and returns every
@@ -154,234 +243,14 @@ func (m *Mount) listContainers(ctx Ctx) ([]string, error) {
 	return out, nil
 }
 
-// decodableIndex reads and decodes an index file copy, returning its
-// bytes when healthy.
-func (m *Mount) decodableIndex(ctx Ctx, v int, p string) ([]byte, bool) {
-	pl, _, err := ctx.readAllRetried(ctx.Vols[v], p, m.opt.Retry)
-	if err != nil {
-		return nil, false
-	}
-	buf := pl.Materialize()
-	if _, derr := decodeIndexDropping(buf, 0); derr != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
-// RepairContainer runs one container's repair pass (the daemon's and
-// `plfsctl scrub -repair`'s shared path).  It returns an error only
-// when the container itself cannot be examined; per-file outcomes land
-// in the report's ledger.
-func (m *Mount) RepairContainer(ctx Ctx, rel string) (RepairReport, error) {
-	ctx = m.healthCtx(ctx)
-	rel = clean(rel)
-	rep := RepairReport{Containers: 1}
-	if ok, err := m.IsContainer(ctx, rel); err != nil {
-		return rep, err
-	} else if !ok {
-		return rep, fmt.Errorf("plfs: repair %s: not a container: %w", rel, iofs.ErrNotExist)
-	}
-	pol := m.opt.Retry
-	changed := false
-
-	// Orphaned commit temps (crashed atomic commits) sweep clean.
-	removed, err := m.sweepTmpFiles(ctx, rel)
-	if err != nil {
-		return rep, err
-	}
-	rep.RemovedTmp = removed
-
-	// Global index: primary must decode; a corrupt or lost primary is
-	// restored from the first healthy replica; healthy primaries heal
-	// their replicas.
-	cpath, vc := m.containerPath(rel)
-	gp := path.Join(cpath, metaDir, globalIndex)
-	gbuf, gstate := m.globalIndexState(ctx, vc, gp)
-	switch gstate {
-	case fileHealthy:
-		if m.repairReplicasOf(ctx, gp, gbuf, pol, &rep) {
-			changed = true
-		}
-	case fileBad:
-		if rbuf, ok := m.anyReplica(ctx, gp, true); ok {
-			if err := ctx.writeFileAtomic(ctx.Vols[vc], gp, rbuf, pol, true); err != nil {
-				rep.failed("%s: restoring global index from replica: %v", gp, err)
-			} else {
-				rep.fixed()
-				rep.ReReplicated = append(rep.ReReplicated, gp)
-				changed = true
-			}
-		} else {
-			// No replica can restore it; drop the corrupt file (readers
-			// re-aggregate from the per-writer indexes) and count the loss
-			// as repaired-by-removal only if the remove lands.
-			if err := ctx.Vols[vc].Remove(gp); err != nil && !errors.Is(err, iofs.ErrNotExist) {
-				rep.failed("%s: dropping corrupt global index: %v", gp, err)
-			} else {
-				m.removeReplicas(ctx, gp)
-				rep.fixed()
-				changed = true
-			}
-		}
-	}
-
-	// Per-dropping walk.
-	drops, err := m.listDroppings(ctx, rel)
-	if err != nil {
-		return rep, err
-	}
-	for _, d := range drops {
-		if m.volDegraded(ctx, d.Vol) {
-			// The dropping's volume is browned out or down: examining it
-			// now would misread transient sickness as data loss (and every
-			// probe costs a degraded-latency op).  The periodic scrubber
-			// returns once the breaker closes.
-			rep.Deferred++
-			continue
-		}
-		ipath := d.Index
-		if ipath == "" {
-			dir, base := path.Split(d.Data)
-			ipath = dir + indexPrefix + strings.TrimPrefix(base, dataPrefix)
-		}
-		buf, ok := m.decodableIndex(ctx, d.Vol, ipath)
-		if ok {
-			// Primary healthy: heal any missing/corrupt replicas.
-			if m.repairReplicasOf(ctx, ipath, buf, pol, &rep) {
-				changed = true
-			}
-			continue
-		}
-		// Primary lost or torn: restore from a replica, else rebuild from
-		// the data dropping's recovery footer.
-		if rbuf, rok := m.anyReplica(ctx, ipath, false); rok {
-			if err := ctx.writeFileAtomic(ctx.Vols[d.Vol], ipath, rbuf, pol, true); err != nil {
-				rep.failed("%s: restoring index from replica: %v", ipath, err)
-				continue
-			}
-			rep.fixed()
-			rep.ReReplicated = append(rep.ReReplicated, ipath)
-			changed = true
-			continue
-		}
-		entries, _, _, footErr := m.readFrameFooter(ctx, d)
-		if footErr != nil {
-			if fi, serr := ctx.Vols[d.Vol].Stat(d.Data); serr == nil && fi.Size == 0 && d.Index == "" {
-				continue // empty dropping: nothing to lose, nothing to repair
-			}
-			rep.failed("%s: no healthy index, no replica, no usable footer: %v", d.Data, footErr)
-			continue
-		}
-		rb, err := m.rebuildIndex(ctx, droppingRef{Data: d.Data, Index: ipath, Vol: d.Vol}, entries)
-		if err != nil {
-			rep.failed("%s: rebuilding index from footer: %v", d.Data, err)
-			continue
-		}
-		rep.fixed()
-		rep.Rebuilt = append(rep.Rebuilt, rb)
-		changed = true
-	}
-	if changed {
-		m.invalidateState(rel, ctx.Tenant)
-	}
-	if ctx.Obs != nil {
-		ctx.Obs.Counter("plfs.repair.found").Add(int64(rep.Found))
-		ctx.Obs.Counter("plfs.repair.repaired").Add(int64(rep.Repaired))
-		ctx.Obs.Counter("plfs.repair.unrepairable").Add(int64(rep.Unrepairable))
-	}
-	return rep, nil
-}
-
-type fileState int
-
-const (
-	fileMissing fileState = iota
-	fileHealthy
-	fileBad
-)
-
-// globalIndexState classifies the container's flattened global index.
-func (m *Mount) globalIndexState(ctx Ctx, vc int, gp string) ([]byte, fileState) {
-	pl, _, err := ctx.readAllRetried(ctx.Vols[vc], gp, m.opt.Retry)
-	if err != nil {
-		if errors.Is(err, iofs.ErrNotExist) {
-			// Missing is only a problem if a replica exists (a lost primary);
-			// classify by replica presence.
-			if _, ok := m.anyReplica(ctx, gp, true); ok {
-				return nil, fileBad
-			}
-			return nil, fileMissing
-		}
-		return nil, fileBad
-	}
-	buf := pl.Materialize()
-	if _, _, derr := decodeGlobalIndexAuto(buf); derr != nil {
-		return nil, fileBad
-	}
-	return buf, fileHealthy
-}
-
-// anyReplica returns the first replica copy of primary that decodes
-// (global selects the global-index decoder).
-func (m *Mount) anyReplica(ctx Ctx, primary string, global bool) ([]byte, bool) {
-	for k := 1; k < m.replicas(); k++ {
-		rp, rv := m.replicaPath(primary, k)
-		pl, _, err := ctx.readAllRetried(ctx.Vols[rv], rp, m.opt.Retry)
-		if err != nil {
-			continue
-		}
-		buf := pl.Materialize()
-		if global {
-			if _, _, derr := decodeGlobalIndexAuto(buf); derr == nil {
-				return buf, true
-			}
-		} else if _, derr := decodeIndexDropping(buf, 0); derr == nil {
-			return buf, true
-		}
-	}
-	return nil, false
-}
-
-// repairReplicasOf re-replicates primary's healthy bytes over any
-// replica slot that is missing or fails to byte-match, reporting
-// whether anything changed.
-func (m *Mount) repairReplicasOf(ctx Ctx, primary string, buf []byte, pol RetryPolicy, rep *RepairReport) bool {
-	changed := false
-	for k := 1; k < m.replicas(); k++ {
-		rp, rv := m.replicaPath(primary, k)
-		if m.volDegraded(ctx, rv) {
-			rep.Deferred++
-			continue
-		}
-		if pl, _, err := ctx.readAllRetried(ctx.Vols[rv], rp, pol); err == nil {
-			if string(pl.Materialize()) == string(buf) {
-				continue // replica healthy
-			}
-		}
-		err := m.ensureDirs(ctx, rv, path.Dir(rp))
-		if err == nil {
-			err = ctx.writeFileAtomic(ctx.Vols[rv], rp, buf, pol, true)
-		}
-		if err != nil {
-			rep.failed("%s: re-replicating to %s: %v", primary, rp, err)
-			continue
-		}
-		rep.fixed()
-		rep.ReReplicated = append(rep.ReReplicated, rp)
-		changed = true
-	}
-	return changed
-}
-
-// RepairTick runs one repair pass over every container of m, folding
-// the outcome into the service's repair ledger and obs counters.
-func (s *Service) RepairTick(ctx Ctx, m *Mount) (RepairReport, error) {
-	rep := RepairReport{}
+// RepairTick runs one shallow repair pass over every container of m,
+// folding the outcome into the service's repair ledger and obs counters.
+func (s *Service) RepairTick(ctx Ctx, m *Mount) (Report, error) {
+	rep := Report{Repair: true}
 	rels, err := m.listContainers(ctx)
 	if err != nil {
 		return rep, err
 	}
-	rep.Containers = 0
 	for _, rel := range rels {
 		if m.volDegraded(ctx, m.containerVol(rel)) {
 			// Canonical volume sick: defer the whole container rather than
@@ -389,18 +258,17 @@ func (s *Service) RepairTick(ctx Ctx, m *Mount) (RepairReport, error) {
 			rep.Deferred++
 			continue
 		}
-		c, err := m.RepairContainer(ctx, rel)
+		c, err := m.integrity(ctx, rel, false, true)
 		if err != nil {
-			rep.failed("%s: %v", rel, err)
+			rep.Problems = append(rep.Problems, Problem{Kind: kindUnreachable, Path: rel, Detail: err.Error()})
 			continue
 		}
-		rep.Containers++
 		rep.merge(c)
 	}
 	s.repairTicks.Add(1)
-	s.repairFound.Add(int64(rep.Found))
-	s.repairRepaired.Add(int64(rep.Repaired))
-	s.repairUnrepairable.Add(int64(rep.Unrepairable))
+	s.repairFound.Add(int64(rep.Found()))
+	s.repairRepaired.Add(int64(rep.Repaired()))
+	s.repairUnrepairable.Add(int64(rep.Unrepairable()))
 	s.repairDeferred.Add(int64(rep.Deferred))
 	if ctx.Obs != nil {
 		ctx.Obs.Counter("plfs.repair.ticks").Add(1)
@@ -413,16 +281,15 @@ func (s *Service) RepairTick(ctx Ctx, m *Mount) (RepairReport, error) {
 // the scrub cadence is deterministic in the seed; real sleep over osfs.
 // Run it as its own simulator proc (or goroutine).  It returns the
 // merged report.
-func (s *Service) RepairDaemon(ctx Ctx, m *Mount, interval time.Duration, ticks int) RepairReport {
-	all := RepairReport{}
+func (s *Service) RepairDaemon(ctx Ctx, m *Mount, interval time.Duration, ticks int) Report {
+	all := Report{Repair: true}
 	for i := 0; i < ticks; i++ {
 		ctx.sleep(interval)
 		rep, err := s.RepairTick(ctx, m)
 		if err != nil {
-			all.failed("tick %d: %v", i, err)
+			all.Problems = append(all.Problems, Problem{Kind: kindUnreachable, Detail: fmt.Sprintf("tick %d: %v", i, err)})
 			continue
 		}
-		all.Containers = rep.Containers
 		all.merge(rep)
 	}
 	return all

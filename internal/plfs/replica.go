@@ -114,7 +114,7 @@ func (m *Mount) replicateFile(ctx Ctx, final string, buf []byte, pol RetryPolicy
 }
 
 // removeReplicas deletes final's replica copies — must run wherever the
-// primary is removed (truncate, unlink, recover dropping a corrupt
+// primary is removed (truncate, unlink, repair dropping a corrupt
 // global index), or a later failover would resurrect stale bytes.
 func (m *Mount) removeReplicas(ctx Ctx, final string) {
 	for k := 1; k < m.replicas(); k++ {
@@ -136,8 +136,7 @@ func (m *Mount) fillMissingIndex(ctx Ctx, d *droppingRef) bool {
 	if fi, err := ctx.Vols[d.Vol].Stat(d.Data); err == nil && fi.Size == 0 {
 		return false
 	}
-	dir, base := path.Split(d.Data)
-	d.Index = dir + indexPrefix + strings.TrimPrefix(base, dataPrefix)
+	d.Index = indexPathFor(*d)
 	return true
 }
 

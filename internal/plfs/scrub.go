@@ -1,40 +1,51 @@
 package plfs
 
-// Scrub is the full-container integrity walk (plfsctl scrub): it
-// verifies every checksum the container carries (global index, index
-// droppings, recovery footers, per-extent data CRCs), cross-checks each
-// index against its dropping's extents and coverage, sweeps orphaned
-// commit temp files, and flags stale openhosts records.  Unlike Check it
-// reads data bytes (when checksummed footers are present), so it is the
-// tool that catches silent corruption, not just structural damage.
+// Container integrity (DESIGN.md §9, §15).  One per-container pass backs
+// Scrub, Repair and the repair daemon's tick.  It sweeps orphaned commit
+// temps, checks the flattened global index, every index dropping and
+// their replicas, and — in the deep mode Scrub and Repair run — each
+// data dropping's recovery footer and data checksums, the openhosts
+// records, and the metadir size record.  Every finding is one Problem of
+// a kind below, with at most one fix.  Scrub applies only the sweep;
+// Repair and the daemon apply every fix.  A finding without one is
+// unrepairable, so found = repaired + unrepairable by construction.
 
 import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
 	"path"
-	"sort"
 	"strings"
 )
 
-// ScrubProblem is one finding of a Scrub walk.
-type ScrubProblem struct {
-	// Kind is a machine-matchable class: "global-index", "orphan-tmp",
-	// "stale-openhost", "orphan-index", "index-corrupt", "extent-bounds",
-	// "coverage", "torn-tail", "index-footer-mismatch", "checksum-data",
-	// "unreachable".
-	Kind string `json:"kind"`
-	// Path is the backend path the problem was found at.
-	Path string `json:"path"`
-	// Extent is the physical byte range "[lo,hi)" for extent-scoped
-	// problems (checksum mismatches, out-of-bounds records).
-	Extent string `json:"extent,omitempty"`
-	// Detail is the human-readable description.
-	Detail string `json:"detail"`
+// Problem kinds and their fixes.
+const (
+	kindOrphanTmp     = "orphan-tmp"            // a crashed commit's temp file: swept
+	kindGlobalIndex   = "global-index"          // undecodable, or lost while a replica survives: restored from the replica, else dropped
+	kindReplica       = "replica"               // index or global-index replica missing or stale: re-replicated
+	kindIndexCorrupt  = "index-corrupt"         // index dropping unreadable or undecodable: restored from a replica, else rebuilt from the footer
+	kindUnreachable   = "unreachable"           // data with no index dropping: as index-corrupt; data that cannot be read: none
+	kindExtentBounds  = "extent-bounds"         // index record fails extentOK: rebuilt from the footer
+	kindCoverage      = "coverage"              // index covers another byte count than the data region: rebuilt from the footer
+	kindFooterCount   = "index-footer-mismatch" // index and footer list different entry counts: rebuilt from the footer
+	kindTornTail      = "torn-tail"             // unframed data past the indexed coverage: none
+	kindChecksumData  = "checksum-data"         // data extent fails its footer CRC: none
+	kindOrphanIndex   = "orphan-index"          // index dropping with no data dropping: none
+	kindStaleOpenHost = "stale-openhost"        // writer registered but never closed: none
+	kindSizeRecord    = "size-record"           // metadir size record disagrees with the index: none
+)
+
+// Problem is one finding of an integrity pass.
+type Problem struct {
+	Kind     string `json:"kind"`             // machine-matchable class (the kinds above)
+	Path     string `json:"path"`             // backend path the problem was found at
+	Extent   string `json:"extent,omitempty"` // physical "[lo,hi)" of an extent-scoped problem
+	Detail   string `json:"detail"`           // the problem and its fix
+	Repaired bool   `json:"repaired"`         // the pass applied the fix
 }
 
 // String renders one problem line.
-func (p ScrubProblem) String() string {
+func (p Problem) String() string {
 	s := p.Kind + ": " + p.Path
 	if p.Extent != "" {
 		s += " extent " + p.Extent
@@ -45,321 +56,355 @@ func (p ScrubProblem) String() string {
 	return s
 }
 
-// ScrubReport summarizes a Scrub walk over one container.
-type ScrubReport struct {
-	Droppings      int            `json:"droppings"`       // data droppings examined
-	IndexesChecked int            `json:"indexes_checked"` // index droppings decoded
-	ExtentsChecked int            `json:"extents_checked"` // data extents CRC-verified
-	BytesVerified  int64          `json:"bytes_verified"`  // data bytes CRC-verified
-	GlobalIndex    bool           `json:"global_index"`    // a flattened global index exists
-	RemovedTmp     []string       `json:"removed_tmp"`     // orphaned commit temp files deleted
-	StaleOpenHosts []string       `json:"stale_openhosts"` // openhosts records still present
-	Problems       []ScrubProblem `json:"problems"`
+// Report is the outcome of an integrity pass over one container or, from
+// the repair daemon, over many.
+type Report struct {
+	Repair         bool      `json:"repair"`          // fixes were applied (Repair, the daemon)
+	Containers     int       `json:"containers"`      // containers walked
+	Deferred       int       `json:"deferred"`        // work skipped: volume breaker not closed
+	Droppings      int       `json:"droppings"`       // data droppings examined
+	IndexesChecked int       `json:"indexes_checked"` // index droppings decoded (deep passes)
+	ExtentsChecked int       `json:"extents_checked"` // data extents CRC-verified
+	BytesVerified  int64     `json:"bytes_verified"`  // data bytes CRC-verified
+	Logical        int64     `json:"logical"`         // logical size the indexes give (deep passes)
+	GlobalIndex    bool      `json:"global_index"`    // readers have a flattened global index (primary or replica)
+	Problems       []Problem `json:"problems"`
 }
 
-// OK reports whether the walk found nothing wrong.
-func (r ScrubReport) OK() bool { return len(r.Problems) == 0 }
+// Found counts the findings.
+func (r Report) Found() int { return len(r.Problems) }
+
+// Repaired counts the findings the pass fixed.
+func (r Report) Repaired() int {
+	n := 0
+	for _, p := range r.Problems {
+		if p.Repaired {
+			n++
+		}
+	}
+	return n
+}
+
+// Unrepairable counts the findings the pass left in place.
+func (r Report) Unrepairable() int { return r.Found() - r.Repaired() }
+
+// OK reports whether nothing the pass found remains.
+func (r Report) OK() bool { return r.Unrepairable() == 0 }
 
 // String renders a human-readable summary.
-func (r ScrubReport) String() string {
+func (r Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "droppings %d, indexes %d, extents verified %d (%d bytes)",
-		r.Droppings, r.IndexesChecked, r.ExtentsChecked, r.BytesVerified)
+	fmt.Fprintf(&b, "containers %d, droppings %d, indexes %d, extents verified %d (%d bytes), logical %d",
+		r.Containers, r.Droppings, r.IndexesChecked, r.ExtentsChecked, r.BytesVerified, r.Logical)
 	if r.GlobalIndex {
 		b.WriteString(", global index present")
 	}
-	for _, p := range r.RemovedTmp {
-		b.WriteString("\nREMOVED TMP: " + p)
+	if r.Deferred > 0 {
+		fmt.Fprintf(&b, ", deferred %d", r.Deferred)
+	}
+	fmt.Fprintf(&b, "\nfound %d = repaired %d + unrepairable %d", r.Found(), r.Repaired(), r.Unrepairable())
+	for _, p := range r.Problems {
+		label := "PROBLEM: "
+		if p.Repaired {
+			label = "REPAIRED: "
+		} else if r.Repair {
+			label = "UNREPAIRABLE: "
+		}
+		b.WriteString("\n" + label + p.String())
 	}
 	if r.OK() {
 		b.WriteString("\nOK")
-	} else {
-		for _, p := range r.Problems {
-			b.WriteString("\nPROBLEM: " + p.String())
-		}
 	}
 	return b.String()
 }
 
-func (r *ScrubReport) problem(kind, path, extent, format string, args ...any) {
-	r.Problems = append(r.Problems, ScrubProblem{
-		Kind: kind, Path: path, Extent: extent, Detail: fmt.Sprintf(format, args...),
-	})
+// merge folds one container's report into an aggregate.
+func (r *Report) merge(c Report) {
+	r.Containers += c.Containers
+	r.Deferred += c.Deferred
+	r.Droppings += c.Droppings
+	r.Problems = append(r.Problems, c.Problems...)
 }
 
-// sweepTmpFiles removes orphaned atomic-commit temp files ("<final>.tmp.<rank>")
-// from the container's metadir and hostdirs, returning the removed
-// paths.  Temp files are invisible to every reader, so removal is always
-// safe: any commit still in flight recreates its temp from scratch.
-func (m *Mount) sweepTmpFiles(ctx Ctx, rel string) ([]string, error) {
-	type dirRef struct {
-		b   Backend
-		dir string
-	}
-	cpath, vc := m.containerPath(rel)
-	dirs := []dirRef{{ctx.Vols[vc], path.Join(cpath, metaDir)}}
-	ids, moved, err := m.hostdirIDs(ctx, rel)
-	if err != nil {
-		return nil, err
-	}
-	for _, i := range ids {
-		for _, loc := range m.hostdirLocs(rel, i, moved) {
-			if m.volDegraded(ctx, loc.vol) {
-				// Temp files are invisible to readers; sweeping this hostdir
-				// can wait for the volume's breaker to close rather than
-				// grinding a degraded-latency listing every pass.
-				continue
-			}
-			dirs = append(dirs, dirRef{ctx.Vols[loc.vol], loc.path})
-		}
-	}
-	var removed []string
-	for _, d := range dirs {
-		ents, err := d.b.ReadDir(d.dir)
-		if err != nil {
-			if errors.Is(err, iofs.ErrNotExist) {
-				continue
-			}
-			return removed, err
-		}
-		for _, e := range ents {
-			if e.Dir || !isTmpName(e.Name) {
-				continue
-			}
-			p := path.Join(d.dir, e.Name)
-			if err := d.b.Remove(p); err != nil && !errors.Is(err, iofs.ErrNotExist) {
-				return removed, err
-			}
-			removed = append(removed, p)
-		}
-	}
-	sort.Strings(removed)
-	return removed, nil
+// Scrub walks one container end to end — every index, footer, data
+// checksum and metadata record — and reports what it finds.  It fixes
+// nothing beyond sweeping orphaned commit temps.  It returns an error
+// only when the container itself cannot be examined.  It is an offline
+// tool: openhosts records are reported stale because no writer should be
+// active while scrubbing.
+func (m *Mount) Scrub(ctx Ctx, rel string) (Report, error) {
+	return m.integrity(ctx, rel, true, false)
 }
 
-// Scrub walks one container end to end and returns an integrity report.
-// It returns an error only when the container itself cannot be examined;
-// individual findings land in the report.  Scrub deletes orphaned commit
-// temp files as it goes (reported in RemovedTmp and as problems, since
-// they indicate a crashed commit).  It is an offline tool: openhosts
-// records are reported stale because no writer should be active while
-// scrubbing.
-func (m *Mount) Scrub(ctx Ctx, rel string) (ScrubReport, error) {
+// Repair makes Scrub's reads and applies the fix each finding has (see
+// the kind list above); findings with no fix are left unrepairable.
+func (m *Mount) Repair(ctx Ctx, rel string) (Report, error) {
+	return m.integrity(ctx, rel, true, true)
+}
+
+// pass is one integrity walk over one container.
+type pass struct {
+	m   *Mount
+	ctx Ctx
+	// deep passes (Scrub, Repair) read everything; the daemon's shallow
+	// pass reads each index and its replicas, and a dropping's footer and
+	// size only once its index proves unusable — exactly the operations
+	// its tick has always issued, which the simulated brownout replays.
+	deep    bool
+	rep     Report
+	changed bool // a fix rewrote index state: cached aggregations are stale
+}
+
+func (m *Mount) integrity(ctx Ctx, rel string, deep, repair bool) (Report, error) {
+	ctx = m.healthCtx(ctx)
 	rel = clean(rel)
-	rep := ScrubReport{}
+	p := &pass{m: m, ctx: ctx, deep: deep, rep: Report{Repair: repair, Containers: 1}}
+	verb := "scrub"
+	if repair {
+		verb = "repair"
+	}
 	if ok, err := m.IsContainer(ctx, rel); err != nil {
-		return rep, err
+		return p.rep, err
 	} else if !ok {
-		return rep, fmt.Errorf("plfs: scrub %s: not a container: %w", rel, iofs.ErrNotExist)
+		return p.rep, fmt.Errorf("plfs: %s %s: not a container: %w", verb, rel, iofs.ErrNotExist)
 	}
-	pol := m.opt.Retry
-	cpath, vc := m.containerPath(rel)
-	sp := ctx.Obs.StartSpan("scrub")
-	defer sp.End()
-	defer func() {
-		if ctx.Obs != nil {
-			ctx.Obs.Counter("plfs.scrub.ops").Add(1)
-			ctx.Obs.Counter("plfs.scrub.problems").Add(int64(len(rep.Problems)))
-			ctx.Obs.Counter("plfs.scrub.bytes_verified").Add(rep.BytesVerified)
-		}
-	}()
-
-	// Flattened global index: decode (verifying its trailer if present).
-	gp := path.Join(cpath, metaDir, globalIndex)
-	if pl, _, err := ctx.readAllRetried(ctx.Vols[vc], gp, pol); err == nil {
-		rep.GlobalIndex = true
-		if _, _, derr := decodeGlobalIndexAuto(pl.Materialize()); derr != nil {
-			rep.problem("global-index", gp, "", "%v", derr)
-		}
-	} else if !errors.Is(err, iofs.ErrNotExist) {
-		return rep, err
+	if deep {
+		defer ctx.Obs.StartSpan(verb).End()
 	}
-
-	// Orphaned commit temps: delete and report.
 	removed, err := m.sweepTmpFiles(ctx, rel)
 	if err != nil {
-		return rep, err
+		return p.rep, err
 	}
-	rep.RemovedTmp = removed
-	for _, p := range removed {
-		rep.problem("orphan-tmp", p, "", "orphaned commit temp file (removed)")
+	for _, tp := range removed {
+		p.add(Problem{Kind: kindOrphanTmp, Path: tp, Detail: "orphaned commit temp file; swept", Repaired: true})
 	}
-
-	// Openhosts records left by writers that never deregistered.
-	if ents, err := ctx.Vols[vc].ReadDir(path.Join(cpath, openHostsDir)); err == nil {
+	cpath, vc := m.containerPath(rel)
+	p.globalIndex(cpath, vc)
+	if deep {
+		ohd := path.Join(cpath, openHostsDir)
+		ents, err := ctx.Vols[vc].ReadDir(ohd)
+		if err != nil && !errors.Is(err, iofs.ErrNotExist) {
+			return p.rep, err
+		}
 		for _, e := range ents {
-			p := path.Join(cpath, openHostsDir, e.Name)
-			rep.StaleOpenHosts = append(rep.StaleOpenHosts, p)
-			rep.problem("stale-openhost", p, "", "writer registered but never closed")
+			p.add(Problem{Kind: kindStaleOpenHost, Path: path.Join(ohd, e.Name), Detail: "writer registered but never closed"})
 		}
-	} else if !errors.Is(err, iofs.ErrNotExist) {
-		return rep, err
 	}
-
-	// Per-dropping walk: raw hostdir scan so orphan index droppings
-	// (index without data) are visible too.
-	wsp := sp.Child("walk")
-	defer wsp.End()
-	ids, moved, err := m.hostdirIDs(ctx, rel)
+	drops, err := m.walkDroppings(ctx, rel, deep)
 	if err != nil {
-		return rep, err
+		return p.rep, err
 	}
-	for _, i := range ids {
-		// Forwarded location first: mid-migration copies are byte-identical,
-		// so a stamp seen at the forwarding target shadows the original.
-		byStamp := map[string]*droppingRef{}
-		for _, loc := range m.hostdirLocs(rel, i, moved) {
-			hents, err := ctx.Vols[loc.vol].ReadDir(loc.path)
-			if err != nil {
-				if errors.Is(err, iofs.ErrNotExist) {
-					continue
-				}
-				return rep, err
-			}
-			claimed := func(stamp string) *droppingRef {
-				r := byStamp[stamp]
-				if r == nil {
-					r = &droppingRef{Vol: loc.vol}
-					byStamp[stamp] = r
-				} else if r.Vol != loc.vol {
-					return nil
-				}
-				return r
-			}
-			for _, e := range hents {
-				switch {
-				case isTmpName(e.Name): // already swept above
-				case strings.HasPrefix(e.Name, dataPrefix):
-					stamp := strings.TrimPrefix(e.Name, dataPrefix)
-					if r := claimed(stamp); r != nil {
-						r.Data = path.Join(loc.path, e.Name)
-					}
-				case strings.HasPrefix(e.Name, indexPrefix):
-					stamp := strings.TrimPrefix(e.Name, indexPrefix)
-					if r := claimed(stamp); r != nil {
-						r.Index = path.Join(loc.path, e.Name)
-					}
-				}
-			}
+	for _, d := range drops {
+		p.dropping(d)
+	}
+	if deep {
+		md := path.Join(cpath, metaDir)
+		ents, err := ctx.readDirRetried(ctx.Vols[vc], md, m.opt.Retry)
+		if err != nil && !errors.Is(err, iofs.ErrNotExist) {
+			return p.rep, err
 		}
-		stamps := make([]string, 0, len(byStamp))
-		for s := range byStamp {
-			stamps = append(stamps, s)
-		}
-		sort.Strings(stamps)
-		for _, s := range stamps {
-			d := byStamp[s]
-			if d.Data == "" {
-				rep.problem("orphan-index", d.Index, "", "index dropping with no data dropping")
-				continue
-			}
-			rep.Droppings++
-			m.scrubDropping(ctx, *d, &rep)
+		if n, ok := cachedSize(ents); ok && n != p.rep.Logical {
+			p.add(Problem{Kind: kindSizeRecord, Path: md,
+				Detail: fmt.Sprintf("size record %d disagrees with index logical size %d", n, p.rep.Logical)})
 		}
 	}
-	return rep, nil
+	if p.changed {
+		m.invalidateState(rel, ctx.Tenant)
+	}
+	if ctx.Obs != nil {
+		ctx.Obs.Counter("plfs." + verb + ".found").Add(int64(p.rep.Found()))
+		ctx.Obs.Counter("plfs." + verb + ".repaired").Add(int64(p.rep.Repaired()))
+		ctx.Obs.Counter("plfs." + verb + ".unrepairable").Add(int64(p.rep.Unrepairable()))
+	}
+	return p.rep, nil
 }
 
-// scrubDropping runs the per-dropping checks: footer parse, index
-// decode, extent bounds, coverage, index-vs-footer agreement, and (for
-// checksummed footers) a CRC verification of every data extent.
-func (m *Mount) scrubDropping(ctx Ctx, d droppingRef, rep *ScrubReport) {
-	pol := m.opt.Retry
-	fi, err := ctx.Vols[d.Vol].Stat(d.Data)
-	if err != nil {
-		rep.problem("unreachable", d.Data, "", "stat: %v", err)
-		return
-	}
-	fentries, sums, dataEnd, footErr := m.readFrameFooter(ctx, d)
-	if footErr != nil {
-		dataEnd = fi.Size
-	}
+func (p *pass) add(pr Problem) { p.rep.Problems = append(p.rep.Problems, pr) }
 
-	var ientries []Entry
-	indexOK := false
-	if d.Index != "" {
-		pl, _, err := ctx.readAllRetried(ctx.Vols[d.Vol], d.Index, pol)
-		if err != nil {
-			rep.problem("index-corrupt", d.Index, "", "read: %v", err)
-		} else if irecs, derr := decodeIndexDropping(pl.Materialize(), 0); derr != nil {
-			rep.problem("index-corrupt", d.Index, "", "%v", derr)
-		} else {
-			// Bounds, coverage, and footer checks work per entry; expand
-			// run records so each element is checked individually.
-			ientries = expandRecs(irecs)
-			indexOK = true
-			rep.IndexesChecked++
+// fix books findings that one action fixes: a repairing pass applies it
+// and marks them repaired (or notes why it failed); Scrub only reports
+// them.  It reports whether the fix landed.
+func (p *pass) fix(apply func() error, prs ...Problem) bool {
+	ok := false
+	if p.rep.Repair {
+		err := apply()
+		ok = err == nil
+		p.changed = p.changed || ok
+		for i := range prs {
+			prs[i].Repaired = ok
+			if !ok {
+				prs[i].Detail += "; repair failed: " + err.Error()
+			}
 		}
 	}
+	p.rep.Problems = append(p.rep.Problems, prs...)
+	return ok
+}
 
+// dropState is what a pass knows of one dropping.  The footer and the
+// data size are read on first use: a deep pass reads both up front, the
+// shallow pass only once the index proves unusable.
+type dropState struct {
+	droppingRef
+	ipath string
+	ibuf  []byte
+	recs  []Rec
+	ierr  error
+	ents  []Entry // entries readers see after the pass (deep passes)
+
+	sized, footed bool
+	size          int64
+	statErr       error
+	fents         []Entry
+	sums          []uint32
+	dataEnd       int64
+	footErr       error
+}
+
+func (s *dropState) stat(p *pass) error {
+	if !s.sized {
+		s.sized = true
+		var fi Info
+		fi, s.statErr = p.ctx.Vols[s.Vol].Stat(s.Data)
+		s.size = fi.Size
+	}
+	return s.statErr
+}
+
+func (s *dropState) footer(p *pass) error {
+	if !s.footed {
+		s.footed = true
+		s.fents, s.sums, s.dataEnd, s.footErr = p.m.readFrameFooter(p.ctx, s.droppingRef)
+	}
+	return s.footErr
+}
+
+// dropping checks one dropping and applies the fix its findings share.
+func (p *pass) dropping(d droppingRef) {
+	if p.m.volDegraded(p.ctx, d.Vol) {
+		// The volume is browned out or down: examining it now would misread
+		// transient sickness as data loss, and every probe costs a
+		// degraded-latency op.  The next pass returns once the breaker
+		// closes.
+		p.rep.Deferred++
+		return
+	}
+	if d.Data == "" {
+		p.add(Problem{Kind: kindOrphanIndex, Path: d.Index, Detail: "index dropping with no data dropping"})
+		return
+	}
+	p.rep.Droppings++
+	s := &dropState{droppingRef: d, ipath: indexPathFor(d)}
+	if p.deep {
+		if err := s.stat(p); err != nil {
+			p.add(Problem{Kind: kindUnreachable, Path: d.Data, Detail: "stat: " + err.Error()})
+			return
+		}
+		s.footer(p)
+	}
+	if p.deep && d.Index == "" && p.rep.GlobalIndex {
+		// Readers reach a flattened container's droppings through its
+		// healthy global index.  (The shallow pass gives them per-writer
+		// indexes anyway, as the daemon always has: what readers fall back
+		// to should the global index ever be dropped.)
+		if s.footErr == nil && s.sums != nil {
+			p.verifyData(s)
+		}
+		return
+	}
+	s.ibuf, s.recs, s.ierr = p.m.readIndexFile(p.ctx, d.Vol, s.ipath)
+	var idx []Problem
+	if p.deep {
+		idx = p.examine(s)
+	}
 	switch {
-	case indexOK:
+	case s.ierr != nil:
+		p.lostIndex(s)
+	case len(idx) > 0:
+		p.rebuild(s, idx...)
+	default:
+		p.replicas(s.ipath, s.ibuf)
+	}
+	for _, e := range s.ents {
+		p.rep.Logical = max(p.rep.Logical, e.LogicalOff+e.Length)
+	}
+}
+
+// examine runs a deep pass's checks of one dropping — its index against
+// the data region and the recovery footer, then every checksummed data
+// extent — and returns the findings a fresh index would fix.
+func (p *pass) examine(s *dropState) []Problem {
+	var idx []Problem
+	if s.ierr == nil {
+		p.rep.IndexesChecked++
+		s.ents = expandRecs(s.recs)
+		dataEnd := s.size
+		if s.footErr == nil {
+			dataEnd = s.dataEnd
+		}
 		var covered int64
-		for _, e := range ientries {
-			if e.Length <= 0 || e.PhysOff < 0 || e.PhysOff+e.Length > dataEnd {
-				rep.problem("extent-bounds", d.Index,
-					fmt.Sprintf("[%d,%d)", e.PhysOff, e.PhysOff+e.Length),
-					"index record outside %d data bytes", dataEnd)
+		for _, e := range s.ents {
+			if !extentOK(e, dataEnd) {
+				idx = append(idx, Problem{Kind: kindExtentBounds, Path: s.ipath, Extent: extentOf(e),
+					Detail: fmt.Sprintf("index record outside %d data bytes", dataEnd)})
 				continue
 			}
 			covered += e.Length
 		}
-		if covered != dataEnd {
-			if footErr != nil && covered < dataEnd {
-				// Without a footer, trailing bytes beyond indexed coverage
-				// are a torn append tail (e.g. a crash after Sync spilled
-				// the index): invisible to readers, but worth reporting.
-				rep.problem("torn-tail", d.Data, fmt.Sprintf("[%d,%d)", covered, dataEnd),
-					"%d data bytes beyond indexed coverage", dataEnd-covered)
-			} else {
-				rep.problem("coverage", d.Data, "", "index covers %d of %d data bytes", covered, dataEnd)
-			}
+		switch {
+		case covered == dataEnd:
+		case s.footErr != nil && covered < dataEnd:
+			// Without a footer, bytes past the indexed coverage are a torn
+			// append tail (e.g. a crash after Sync spilled the index):
+			// invisible to readers, and nothing records what they were.
+			p.add(Problem{Kind: kindTornTail, Path: s.Data, Extent: fmt.Sprintf("[%d,%d)", covered, dataEnd),
+				Detail: fmt.Sprintf("%d data bytes beyond indexed coverage", dataEnd-covered)})
+		default:
+			idx = append(idx, Problem{Kind: kindCoverage, Path: s.Data,
+				Detail: fmt.Sprintf("index covers %d of %d data bytes", covered, dataEnd)})
 		}
-		if footErr == nil && len(fentries) != len(ientries) {
-			rep.problem("index-footer-mismatch", d.Index, "",
-				"index has %d entries, recovery footer has %d", len(ientries), len(fentries))
-		}
-	case footErr == nil:
-		// No usable index, but the footer can rebuild it.
-		if fi.Size > 0 {
-			rep.problem("unreachable", d.Data, "",
-				"no index records (%d bytes; recoverable via plfsctl recover)", fi.Size)
-		}
-	default:
-		if fi.Size > 0 {
-			rep.problem("unreachable", d.Data, "", "no index records and no recovery footer (%d bytes)", fi.Size)
+		if s.footErr == nil && len(s.fents) != len(s.ents) {
+			idx = append(idx, Problem{Kind: kindFooterCount, Path: s.ipath,
+				Detail: fmt.Sprintf("index has %d entries, recovery footer has %d", len(s.ents), len(s.fents))})
 		}
 	}
+	if s.footErr == nil && s.sums != nil {
+		p.verifyData(s)
+	}
+	return idx
+}
 
-	// End-to-end data verification from the checksummed footer.
-	if footErr != nil || sums == nil {
-		return
-	}
-	f, err := ctx.openReadRetried(ctx.Vols[d.Vol], d.Data, pol)
+// verifyData checks every data extent against its footer CRC.
+func (p *pass) verifyData(s *dropState) {
+	ctx, pol := p.ctx, p.m.opt.Retry
+	f, err := ctx.openReadRetried(ctx.Vols[s.Vol], s.Data, pol)
 	if err != nil {
-		rep.problem("unreachable", d.Data, "", "open: %v", err)
+		p.add(Problem{Kind: kindUnreachable, Path: s.Data, Detail: "open: " + err.Error()})
 		return
 	}
 	defer f.Close()
-	for i, e := range fentries {
+	for i, e := range s.fents {
 		var got uint32
-		readErr := ctx.retry(pol, func() error {
-			l, e2 := f.ReadAt(e.PhysOff, e.Length)
-			if e2 != nil {
-				return e2
+		err := ctx.retry(pol, func() error {
+			l, err := f.ReadAt(e.PhysOff, e.Length)
+			if err != nil {
+				return err
 			}
 			got = listCRC(0, l)
 			return nil
 		})
-		extent := fmt.Sprintf("[%d,%d)", e.PhysOff, e.PhysOff+e.Length)
-		if readErr != nil {
-			rep.problem("unreachable", d.Data, extent, "read: %v", readErr)
+		if err != nil {
+			p.add(Problem{Kind: kindUnreachable, Path: s.Data, Extent: extentOf(e), Detail: "read: " + err.Error()})
 			continue
 		}
-		rep.ExtentsChecked++
-		rep.BytesVerified += e.Length
-		if got != sums[i] {
-			rep.problem("checksum-data", d.Data, extent, "data crc32c %08x, footer says %08x", got, sums[i])
+		p.rep.ExtentsChecked++
+		p.rep.BytesVerified += e.Length
+		if got != s.sums[i] {
+			p.add(Problem{Kind: kindChecksumData, Path: s.Data, Extent: extentOf(e),
+				Detail: fmt.Sprintf("data crc32c %08x, footer says %08x", got, s.sums[i])})
 		}
 	}
 }
+
+// extentOf renders e's physical range.
+func extentOf(e Entry) string { return fmt.Sprintf("[%d,%d)", e.PhysOff, e.PhysOff+e.Length) }

@@ -270,13 +270,16 @@ func (w *Writer) Writev(segs []extent.Ext, data payload.List) error {
 	return w.afterRecord()
 }
 
-// record books one logical extent: an index entry (extended in place when
-// index compression applies) and the payload appended to the data buffer.
+// record books one logical extent: an index entry and the payload
+// appended to the data buffer.  Like real PLFS, a write that exactly
+// continues the previous record, logically and physically, extends it,
+// so segmented writers produce tiny indexes while strided writers keep
+// one record per operation.
 func (w *Writer) record(off int64, p payload.Payload) {
 	n := p.Len()
 	phys := w.written + w.bufBytes
 	extend := false
-	if last := len(w.entries) - 1; last >= 0 && !w.m.opt.NoIndexCompression {
+	if last := len(w.entries) - 1; last >= 0 {
 		e := &w.entries[last]
 		if e.LogicalOff+e.Length == off && e.PhysOff+e.Length == phys {
 			// Index compression: the write continues the previous record.
@@ -461,10 +464,10 @@ func (w *Writer) Close() error {
 	flushErr := w.flushThrough()
 	fsp.End()
 	fail(flushErr)
-	if flushErr == nil && !m.opt.NoDataFraming && len(w.entries) > 0 {
+	if flushErr == nil && len(w.entries) > 0 {
 		// Recovery footer: a self-describing copy of this writer's index
 		// appended to the data dropping, written before the index dropping
-		// so a crash in between leaves a recoverable file (see Recover).
+		// so a crash in between leaves a recoverable file (see Repair).
 		ftsp := sp.Child("footer")
 		fail(w.writeFrameFooter())
 		ftsp.End()
@@ -569,7 +572,7 @@ func (w *Writer) Close() error {
 // writeFrameFooter appends the recovery footer to the data dropping:
 // this writer's index entries, an entry count, and a magic trailer.
 // Physical offsets are unaffected — the footer lands past every data
-// extent — and Recover can rebuild the index dropping from it.
+// extent — and Repair can rebuild the index dropping from it.
 func (w *Writer) writeFrameFooter() error {
 	var buf []byte
 	if w.m.opt.Checksum {

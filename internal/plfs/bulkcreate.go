@@ -84,10 +84,7 @@ func (m *Mount) createBatched(ctx Ctx, rel string) (*Writer, error) {
 			m.unpin(st)
 		}
 	}()
-	st.mu.Lock()
-	st.gen++
-	st.builtKey, st.built = builtKey{}, nil
-	st.mu.Unlock()
+	m.advanceGen(st, false)
 
 	w := &Writer{m: m, ctx: ctx, rel: rel, st: st}
 	w.vc = m.containerVol(rel)

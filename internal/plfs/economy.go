@@ -7,39 +7,30 @@ import (
 )
 
 // economy is the cache budget shared by everything a mount service keeps
-// resident on behalf of its tenants: built global indexes (the cross-open
-// index cache) and parsed index shards plus per-container bookkeeping
-// (containerState).  One byte budget covers them all, so a tenant that
+// resident on behalf of its tenants: per-container state (containerState)
+// — parsed index shards, the built global index, and fixed bookkeeping.
+// One byte budget covers every mount the economy serves, so a tenant that
 // touches ten thousand containers squeezes cold state out instead of
 // growing the process without bound.
 //
 // Charging is cheap (one mutex, two map updates); reclaiming is the rare
 // path.  When a charge pushes usage over budget, the charger calls
-// rebalance, which asks each registered cache to shed least-recently-used
-// idle entries until usage fits again.  Charges are attributed to the
+// rebalance, which asks each mount to shed least-recently-used idle
+// container states until usage fits again.  Charges are attributed to the
 // tenant that caused the bytes to become resident, so per-tenant usage
 // is visible to plfsctl and the saturation harness.
 type economy struct {
 	budget int64
-	tick   atomic.Uint64 // shared LRU clock across all member caches
+	tick   atomic.Uint64 // shared LRU clock across all member mounts
 
 	mu      sync.Mutex
 	used    int64
 	tenants map[string]int64
+	mounts  []*Mount // append-only, so rebalance may range over a snapshot
 
-	// Eviction-pressure counters: entries and bytes shed by rebalance.
+	// Eviction-pressure counters: states and bytes shed by rebalance.
 	evictions    atomic.Int64
 	evictedBytes atomic.Int64
-
-	rmu        sync.Mutex
-	reclaimers []reclaimer
-}
-
-// reclaimer is a cache that can shed idle resident bytes on demand.
-type reclaimer interface {
-	// reclaim frees up to need bytes of unpinned cached state (releasing
-	// the economy charges as it goes) and returns the bytes freed.
-	reclaim(need int64) int64
 }
 
 // defaultTenant labels charges from contexts that carry no tenant.
@@ -56,19 +47,20 @@ func newEconomy(budget int64) *economy {
 	return &economy{budget: budget, tenants: map[string]int64{}}
 }
 
-// register adds a cache to the reclaim rotation.
-func (e *economy) register(r reclaimer) {
-	e.rmu.Lock()
-	e.reclaimers = append(e.reclaimers, r)
-	e.rmu.Unlock()
+// register adds a mount to the reclaim rotation.
+func (e *economy) register(m *Mount) {
+	e.mu.Lock()
+	e.mounts = append(e.mounts, m)
+	e.mu.Unlock()
 }
 
 // next advances the shared LRU clock.
 func (e *economy) next() uint64 { return e.tick.Add(1) }
 
-// charge attributes n resident bytes to tenant.  Callers holding cache
-// locks may charge freely; they must call rebalance only after releasing
-// them (reclaimers re-enter member caches).
+// charge attributes n resident bytes to tenant; a negative n returns
+// bytes charged earlier.  The economy's lock is a leaf, so callers holding
+// shard or state locks may charge freely; they must call rebalance only
+// after releasing them (it re-enters every member mount's state table).
 func (e *economy) charge(tenant string, n int64) {
 	if n == 0 {
 		return
@@ -76,19 +68,7 @@ func (e *economy) charge(tenant string, n int64) {
 	tenant = tenantName(tenant)
 	e.mu.Lock()
 	e.used += n
-	e.tenants[tenant] += n
-	e.mu.Unlock()
-}
-
-// release returns n resident bytes previously charged to tenant.
-func (e *economy) release(tenant string, n int64) {
-	if n == 0 {
-		return
-	}
-	tenant = tenantName(tenant)
-	e.mu.Lock()
-	e.used -= n
-	if v := e.tenants[tenant] - n; v > 0 {
+	if v := e.tenants[tenant] + n; v > 0 {
 		e.tenants[tenant] = v
 	} else {
 		delete(e.tenants, tenant)
@@ -96,11 +76,8 @@ func (e *economy) release(tenant string, n int64) {
 	e.mu.Unlock()
 }
 
-// noteEvicted records reclaim pressure: entries evicted to fit the budget.
-func (e *economy) noteEvicted(entries int, bytes int64) {
-	e.evictions.Add(int64(entries))
-	e.evictedBytes.Add(bytes)
-}
+// release returns n resident bytes previously charged to tenant.
+func (e *economy) release(tenant string, n int64) { e.charge(tenant, -n) }
 
 // overBy returns how many bytes usage exceeds the budget (<= 0 = fits).
 func (e *economy) overBy() int64 {
@@ -109,39 +86,35 @@ func (e *economy) overBy() int64 {
 	return e.used - e.budget
 }
 
-// rebalance sheds idle cached state until usage fits the budget again.
-// It must be called without any member cache's lock held.  Rotation is
-// bounded: a pass over every reclaimer that frees nothing ends the loop
-// (everything left is pinned or already gone).
-func (e *economy) rebalance() {
-	e.rmu.Lock()
-	rs := append([]reclaimer(nil), e.reclaimers...)
-	e.rmu.Unlock()
-	for {
-		over := e.overBy()
-		if over <= 0 {
-			return
-		}
-		progress := false
-		for _, r := range rs {
-			if freed := r.reclaim(over); freed > 0 {
-				progress = true
-			}
-			if over = e.overBy(); over <= 0 {
-				return
+// rebalance sheds idle container states until usage fits the budget
+// again and returns how many it shed.  It must be called without any
+// shard or state lock held.  Rotation is bounded: a pass over every
+// mount that sheds nothing ends the loop (everything left is pinned or
+// already gone).
+func (e *economy) rebalance() int {
+	e.mu.Lock()
+	ms := e.mounts
+	e.mu.Unlock()
+	shed := 0
+	for e.overBy() > 0 {
+		before := shed
+		for _, m := range ms {
+			if over := e.overBy(); over > 0 {
+				shed += m.reclaim(over)
 			}
 		}
-		if !progress {
-			return
+		if shed == before {
+			break
 		}
 	}
+	return shed
 }
 
 // EconomyStats is a point-in-time snapshot of the shared cache economy.
 type EconomyStats struct {
 	BudgetBytes  int64
 	UsedBytes    int64
-	Evictions    int64 // entries shed under budget pressure
+	Evictions    int64 // container states shed under budget pressure
 	EvictedBytes int64
 	// TenantBytes holds resident bytes attributed to each tenant, in
 	// tenant-name order.

@@ -1,8 +1,10 @@
 package plfs
 
 // Fuzz targets for every parser that consumes bytes a crash or bit rot
-// may have mangled: index droppings, the global index, and the recovery
-// footer.  The contract under arbitrary input is: return an error —
+// may have mangled: index droppings, the global index, the recovery
+// footer, and the names in a container listing that carry numbers
+// (forwarding entries and size records).  The contract under arbitrary
+// input is: return an error —
 // never panic, never allocate proportionally to a forged count field,
 // never silently yield entries that disagree with the input.  Seeds are
 // exercised by plain `go test` too, so the corpus doubles as a
@@ -11,7 +13,9 @@ package plfs
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	iofs "io/fs"
+	"strings"
 	"testing"
 
 	"plfs/internal/extent"
@@ -268,6 +272,73 @@ func FuzzFrameFooter(f *testing.F) {
 				t.Fatalf("accepted extent [%d,%d) outside %d data bytes",
 					e.PhysOff, e.PhysOff+e.Length, dataEnd)
 			}
+		}
+	})
+}
+
+// FuzzParseMovedMarker: a name from a container listing parses as a
+// forwarding entry only if movedMarkerName renders it back unchanged, so
+// a mangled or foreign name can never redirect a hostdir.
+func FuzzParseMovedMarker(f *testing.F) {
+	if id, seq, vol, ok := parseMovedMarker(movedMarkerName(1, 2, 3)); !ok || id != 1 || seq != 2 || vol != 3 {
+		f.Fatalf("canonical marker parsed as (%d, %d, %d, %v)", id, seq, vol, ok)
+	}
+	for _, s := range []string{
+		"hostdir.1.moved.2.v3",
+		"hostdir.01.moved.2.v3",
+		"hostdir.+1.moved.2.v3",
+		"hostdir.1.moved.-2.v3",
+		"hostdir.1.moved.2.v3.v4",
+		"hostdir.1",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		id, seq, vol, ok := parseMovedMarker(name)
+		if ok && movedMarkerName(id, seq, vol) != name {
+			t.Fatalf("%q parsed as hostdir %d seq %d vol %d, which renders as %q",
+				name, id, seq, vol, movedMarkerName(id, seq, vol))
+		}
+	})
+}
+
+// FuzzParseSizeRecord is the same property for metadir size records, in
+// the current sz.<size>.<gen>.<rank> form and the legacy two-part
+// sz.<size>.<rank> form (generation 0).
+func FuzzParseSizeRecord(f *testing.F) {
+	if size, gen, rank, ok := parseSizeRecord(sizeRecordName(5, 2, 7)); !ok || size != 5 || gen != 2 || rank != 7 {
+		f.Fatalf("canonical size record parsed as (%d, %d, %d, %v)", size, gen, rank, ok)
+	}
+	if size, gen, rank, ok := parseSizeRecord("sz.5.7"); !ok || size != 5 || gen != 0 || rank != 7 {
+		f.Fatalf("legacy size record parsed as (%d, %d, %d, %v)", size, gen, rank, ok)
+	}
+	for _, s := range []string{
+		"sz.5.0.1",
+		"sz.5.1",
+		"sz.007.0.1",
+		"sz.5.0.x",
+		"sz.5.-2.0",
+		"sz.5.0.1.2",
+		"sz.",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		size, gen, rank, ok := parseSizeRecord(name)
+		if !ok {
+			return
+		}
+		re := sizeRecordName(size, gen, rank)
+		if strings.Count(name, ".") == 2 { // legacy form
+			re = fmt.Sprintf("%s%d.%d", sizePrefix, size, rank)
+			if gen != 0 {
+				t.Fatalf("legacy record %q parsed at generation %d", name, gen)
+			}
+		}
+		if re != name {
+			t.Fatalf("%q parsed as size %d gen %d rank %d, which renders as %q", name, size, gen, rank, re)
 		}
 	})
 }

@@ -299,6 +299,309 @@ func TestIndexCacheConcurrentRewrite(t *testing.T) {
 	wg.Wait()
 }
 
+// writeTagged writes one bs-byte block of content tag at offset 0 of name.
+func writeTagged(t *testing.T, m *plfs.Mount, ctx plfs.Ctx, name string, tag uint64, bs int64) {
+	t.Helper()
+	w, err := m.Create(ctx, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(0, payload.Synthetic(tag, 0, bs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openTagged opens name, checks that it reads back as writeTagged's
+// block of tag, and reports whether the open was a cache hit.
+func openTagged(t *testing.T, m *plfs.Mount, ctx plfs.Ctx, name string, tag uint64, bs int64) bool {
+	t.Helper()
+	rd, err := m.OpenReader(ctx, name)
+	if err != nil {
+		t.Fatalf("open %s: %v", name, err)
+	}
+	defer rd.Close()
+	got, err := rd.ReadAt(0, bs)
+	if err != nil {
+		t.Fatalf("read %s: %v", name, err)
+	}
+	if !payload.ContentEqual(got, payload.List{payload.Synthetic(tag, 0, bs)}) {
+		t.Fatalf("%s: content is not tag %d", name, tag)
+	}
+	return rd.Stats.CacheHit
+}
+
+// openMissing opens a name that was never written.  The open creates an
+// empty container state before it fails; on a full economy that pushes
+// usage over budget, which evicts the least recently used idle state.
+func openMissing(t *testing.T, m *plfs.Mount, ctx plfs.Ctx) {
+	t.Helper()
+	if _, err := m.OpenReader(ctx, "absent"); err == nil {
+		t.Fatal("opened a container that was never written")
+	}
+}
+
+// stateOverhead is what the economy charges for one container state with
+// nothing parsed or built: all that openMissing leaves on a fresh mount.
+func stateOverhead(t *testing.T, roots []string, ctx plfs.Ctx) int64 {
+	t.Helper()
+	m := plfs.NewMount(roots, plfs.Options{})
+	openMissing(t, m, ctx)
+	ovh := m.EconomyStats().UsedBytes
+	if ovh <= 0 {
+		t.Fatalf("a container state costs %d bytes, want > 0", ovh)
+	}
+	return ovh
+}
+
+// TestIndexCacheLRUEviction: under budget pressure the container opened
+// least recently is shed first, built index and all, and the shed bytes
+// are counted; the containers opened since keep serving hits.
+func TestIndexCacheLRUEviction(t *testing.T) {
+	const bs = int64(256)
+	w := newRig(t, 1, plfs.Options{})
+	w.clock.t.Store(1_000_000) // equal-width dropping names, so equal footprints
+	ctx := w.ctx(0, nil)
+	names := []string{"k0", "k1", "k2", "k3"}
+	var one int64
+	for i, name := range names {
+		writeTagged(t, w.m, ctx, name, uint64(i+1), bs)
+		fresh := plfs.NewMount(w.roots, plfs.Options{})
+		openTagged(t, fresh, ctx, name, uint64(i+1), bs)
+		fp := fresh.EconomyStats().UsedBytes
+		if i > 0 && fp != one {
+			t.Fatalf("%s costs %d bytes resident, k0 %d: the budget below assumes one size", name, fp, one)
+		}
+		one = fp
+	}
+
+	svc := plfs.NewService(plfs.ServiceOptions{CacheBudgetBytes: 3 * one})
+	m := svc.Mount(w.roots, plfs.Options{})
+	hit := func(i int) bool { return openTagged(t, m, ctx, names[i], uint64(i+1), bs) }
+	for i := 0; i < 3; i++ {
+		if hit(i) {
+			t.Fatalf("first open of %s hit", names[i])
+		}
+	}
+	if got := m.EconomyStats().UsedBytes; got != 3*one {
+		t.Fatalf("used = %d, want %d", got, 3*one)
+	}
+
+	// Reopen k0 so k1 is least recently used, then overflow with k3: k1
+	// must go, and only k1.
+	if !hit(0) {
+		t.Fatal("k0 missed before any eviction")
+	}
+	if hit(3) {
+		t.Fatal("first open of k3 hit")
+	}
+	eco := m.EconomyStats()
+	if eco.Evictions != 1 || eco.EvictedBytes != one || eco.UsedBytes != 3*one {
+		t.Fatalf("evictions %d (%d bytes), used %d; want 1 (%d bytes), used %d",
+			eco.Evictions, eco.EvictedBytes, eco.UsedBytes, one, 3*one)
+	}
+	for _, i := range []int{0, 2, 3} {
+		if !hit(i) {
+			t.Fatalf("%s evicted, want k1 only", names[i])
+		}
+	}
+	if hit(1) {
+		t.Fatal("k1 survived eviction but was least recently used")
+	}
+}
+
+// TestIndexCacheGenerationRules: an open is served an earlier open's build
+// only if nothing changed the container in between, the index fits the
+// cache budget, and the earlier open went through the same mount.
+func TestIndexCacheGenerationRules(t *testing.T) {
+	const bs = int64(512)
+	t.Run("older-generation", func(t *testing.T) {
+		w := newRig(t, 1, plfs.Options{})
+		ctx := w.ctx(0, nil)
+		m := plfs.NewService(plfs.ServiceOptions{}).Mount(w.roots, plfs.Options{})
+		writeTagged(t, m, ctx, "g", 1, bs)
+		if openTagged(t, m, ctx, "g", 1, bs) || !openTagged(t, m, ctx, "g", 1, bs) {
+			t.Fatal("want a miss, then a hit")
+		}
+		// An open while a writer is attached builds at the writer's
+		// generation; its close moves on, so that build is never served.
+		wr, err := m.Create(ctx, "g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if openTagged(t, m, ctx, "g", 1, bs) {
+			t.Fatal("open after a writer attached was served the pre-attach build")
+		}
+		if err := wr.Write(0, payload.Synthetic(2, 0, bs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := wr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if openTagged(t, m, ctx, "g", 2, bs) || !openTagged(t, m, ctx, "g", 2, bs) {
+			t.Fatal("after the writer closed: want a miss, then a hit")
+		}
+		// Truncate drops the build and the parsed shards with their
+		// charges: what stays is the state itself.
+		if err := m.Truncate(ctx, "g"); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.EconomyStats().UsedBytes, stateOverhead(t, w.roots, ctx); got != want {
+			t.Fatalf("used after truncate = %d, want the state overhead %d", got, want)
+		}
+	})
+
+	t.Run("oversized-index", func(t *testing.T) {
+		const n, blocks = 8, 2
+		w := newRig(t, 1, plfs.Options{})
+		runRanks(t, w, n, func(ctx plfs.Ctx, rank int) {
+			writeN1(t, w.m, ctx, rank, n, blocks, bs, "big")
+		})
+		ctx := w.ctx(0, nil)
+		ovh := stateOverhead(t, w.roots, ctx)
+		for _, budget := range []int64{2 * ovh, 64 << 20} {
+			m := plfs.NewService(plfs.ServiceOptions{CacheBudgetBytes: budget}).Mount(w.roots, plfs.Options{})
+			rd, err := m.OpenReader(ctx, "big")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A lower bound on the index's charge: fixed part plus paths.
+			least := int64(160)
+			for _, d := range rd.Index().Droppings() {
+				least += int64(len(d)) + 16
+			}
+			rd.Close()
+			over := least > budget
+			if budget < 64<<20 && !over {
+				t.Fatalf("index costs at least %d bytes, not over the %d-byte budget", least, budget)
+			}
+			rd, err = m.OpenReader(ctx, "big")
+			if err != nil {
+				t.Fatal(err)
+			}
+			verifyN1(t, rd, n, blocks, bs)
+			rd.Close()
+			if rd.Stats.CacheHit == over {
+				t.Fatalf("budget %d, index >= %d bytes: second open CacheHit = %v", budget, least, rd.Stats.CacheHit)
+			}
+			if !over {
+				continue
+			}
+			// Nothing leaks: evicting the container returns every byte.
+			openMissing(t, m, ctx)
+			if eco := m.EconomyStats(); eco.UsedBytes != ovh || eco.Evictions != 1 {
+				t.Fatalf("after eviction: used %d, evictions %d; want %d, 1", eco.UsedBytes, eco.Evictions, ovh)
+			}
+		}
+	})
+
+	t.Run("drop-is-per-mount", func(t *testing.T) {
+		svc := plfs.NewService(plfs.ServiceOptions{})
+		var ms [2]*plfs.Mount
+		var ctxs [2]plfs.Ctx
+		for i := range ms {
+			w := newRig(t, 1, plfs.Options{})
+			ms[i] = svc.Mount(w.roots, plfs.Options{})
+			ctxs[i] = w.ctx(0, nil)
+			writeTagged(t, ms[i], ctxs[i], "c", uint64(i+1), bs) // same name, different content
+		}
+		for round, want := range []bool{false, true} {
+			for i, m := range ms {
+				if got := openTagged(t, m, ctxs[i], "c", uint64(i+1), bs); got != want {
+					t.Fatalf("round %d mount %d: CacheHit = %v, want %v", round, i, got, want)
+				}
+			}
+		}
+		ms[0].DropIndexCache()
+		if !openTagged(t, ms[1], ctxs[1], "c", 2, bs) {
+			t.Fatal("dropping one mount's cache dropped another's")
+		}
+		if openTagged(t, ms[0], ctxs[0], "c", 1, bs) {
+			t.Fatal("open after DropIndexCache hit")
+		}
+	})
+}
+
+// writeReversed writes rank's share of an N-1 file back to front: the
+// blocks at (k*n + rank) * bs for k from blocks-1 down to 0.
+func writeReversed(t testing.TB, m *plfs.Mount, ctx plfs.Ctx, rank, n, blocks int, bs int64, name string) {
+	t.Helper()
+	w, err := m.Create(ctx, name)
+	if err != nil {
+		t.Errorf("rank %d create: %v", rank, err)
+		return
+	}
+	for k := blocks - 1; k >= 0; k-- {
+		off := int64(k*n+rank) * bs
+		if err := w.Write(off, payload.Synthetic(uint64(rank+1), off, bs)); err != nil {
+			t.Errorf("rank %d write: %v", rank, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("rank %d close: %v", rank, err)
+	}
+}
+
+// TestEconomyChargesBuiltIndex: a resident built index is charged whether
+// or not it may serve later opens.  One open leaves the same bytes charged
+// with the cross-open cache on, with it off, and in a collective Original
+// open, and once the cache is dropped eviction returns all of them.
+func TestEconomyChargesBuiltIndex(t *testing.T) {
+	const n, blocks, bs = 4, 64, int64(128)
+	w := newRig(t, 1, plfs.Options{})
+	runRanks(t, w, n, func(ctx plfs.Ctx, rank int) {
+		writeReversed(t, w.m, ctx, rank, n, blocks, bs, "eco")
+	})
+	opened := func(opt plfs.Options, collective bool) int64 {
+		r := &rig{m: plfs.NewMount(w.roots, opt), roots: w.roots, clock: w.clock}
+		before := r.m.EconomyStats().UsedBytes
+		ranks := 1
+		if collective {
+			ranks = n
+		}
+		runRanks(t, r, ranks, func(ctx plfs.Ctx, rank int) {
+			if !collective {
+				ctx.Comm = nil
+			}
+			rd, err := r.m.OpenReader(ctx, "eco")
+			if err != nil {
+				t.Errorf("rank %d open: %v", rank, err)
+				return
+			}
+			verifyN1(t, rd, n, blocks, bs)
+			rd.Close()
+		})
+		return r.m.EconomyStats().UsedBytes - before
+	}
+	cached := opened(plfs.Options{IndexMode: plfs.Original}, false)
+	uncached := opened(plfs.Options{IndexMode: plfs.Original, NoIndexCache: true}, false)
+	collective := opened(plfs.Options{IndexMode: plfs.Original}, true)
+	if cached != uncached || cached != collective {
+		t.Fatalf("an open charged %d bytes with the cache, %d without, %d collective Original; want one figure",
+			cached, uncached, collective)
+	}
+
+	ctx := w.ctx(0, nil)
+	ovh := stateOverhead(t, w.roots, ctx)
+	m := plfs.NewService(plfs.ServiceOptions{CacheBudgetBytes: cached}).Mount(w.roots, plfs.Options{IndexMode: plfs.Original})
+	rd, err := m.OpenReader(ctx, "eco")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd.Close()
+	m.DropIndexCache()
+	if got := m.EconomyStats().UsedBytes; got != cached {
+		t.Fatalf("used after DropIndexCache = %d, want %d (the index stays resident until evicted)", got, cached)
+	}
+	openMissing(t, m, ctx)
+	if eco := m.EconomyStats(); eco.UsedBytes != ovh || eco.Evictions != 1 || eco.EvictedBytes != cached {
+		t.Fatalf("after eviction: used %d, evictions %d (%d bytes); want the new state's %d, 1 (%d bytes)",
+			eco.UsedBytes, eco.Evictions, eco.EvictedBytes, ovh, cached)
+	}
+}
+
 // TestReadBackAcrossFeatureCombos: every combination of run compression
 // × index cache × sieve gap must return byte-identical logical content,
 // including overwrites and holes.

@@ -89,14 +89,15 @@ type Options struct {
 	// K-operation strided phase costs O(1) index bytes instead of 40·K
 	// (see DESIGN.md §12).  Disabling emits one v1-style record per entry.
 	NoRunCompression bool
-	// NoIndexCache disables the cross-open index cache.  By default each
-	// Mount keeps recently built global indexes keyed by container
-	// generation, so re-opening an unchanged container skips listing,
-	// reading, and merging index droppings entirely; any mutation (write
-	// open, write close, truncate, rename, repair) advances the
-	// generation and the stale aggregation can never be served.  The
-	// cache is budgeted at indexCacheBytes, least-recently-used containers
-	// evicted first.
+	// NoIndexCache disables the cross-open index cache.  By default a
+	// container's built global index, held on its container state, serves
+	// later opens at the same generation, so re-opening an unchanged
+	// container skips listing, reading, and merging index droppings
+	// entirely; any mutation (write open, write close, truncate, rename,
+	// repair) advances the generation and the stale aggregation can never
+	// be served.  Resident indexes are charged to the mount's cache budget
+	// (64 MiB standalone, ServiceOptions.CacheBudgetBytes under a
+	// service), least-recently-used containers evicted first.
 	NoIndexCache bool
 	// SieveGap is the data-sieving threshold for ReadAt coalescing: two
 	// pieces of the same dropping whose physical extents are within this
@@ -245,20 +246,19 @@ func (c Ctx) sleep(d time.Duration) {
 	}
 }
 
-// Mount is a PLFS mount point: shared configuration plus the cross-process
-// index cache.  Backend handles live in Ctx, so one Mount serves any
-// number of processes.  A standalone Mount (NewMount) owns a private
-// cache economy; a Mount built by Service.Mount shares the service's
-// economy, index cache, and admission gates with every other mount the
-// service serves.
+// Mount is a PLFS mount point: shared configuration plus the
+// per-container state table, which holds each container's parsed shards
+// and built index across processes and opens.  Backend handles live in
+// Ctx, so one Mount serves any number of processes.  A standalone Mount
+// (NewMount) owns a private cache economy; a Mount built by Service.Mount
+// shares the service's economy and admission gates with every other
+// mount the service serves.
 type Mount struct {
 	roots  []string
 	opt    Options
-	svc    *Service    // non-nil when attached to a mount service
-	econ   *economy    // cache budget (shared under a service)
-	ixc    *indexCache // cross-open index cache (see ixcache.go)
-	id     string      // cache-key prefix within a shared service cache
-	health *Health     // per-volume breakers (shared under a service)
+	svc    *Service // non-nil when attached to a mount service
+	econ   *economy // cache budget (shared under a service)
+	health *Health  // per-volume breakers (shared under a service)
 
 	// Per-container state lives in a sharded table so unrelated
 	// containers never contend: steady-state lookups take only a shard's
@@ -284,24 +284,26 @@ const recBytes = 64
 
 func recsResident(recs []Rec) int64 { return int64(len(recs))*recBytes + 64 }
 
-// containerState caches parsed index shards and built global indexes.
-// Droppings are immutable once written (log structure), so cached shards
-// never go stale; the generation invalidates built indexes when new
-// writers attach.  Parsed bytes are charged to the economy; under budget
-// pressure unpinned states are evicted wholesale (Mount.reclaim), which
-// also invalidates the container's cross-open cache entry — a recreated
-// state restarts at generation 0, so any entry published under the old
-// generation sequence must not survive the reset.
+// containerState caches a container's parsed index shards and its built
+// global index.  Droppings are immutable once written (log structure), so
+// cached shards never go stale; the generation retires the built index
+// whenever the content changes.  The built index is the cross-open index
+// cache: once an open marks it shared, later opens at the same generation
+// are served from it.  Parsed and built bytes are charged to the economy;
+// under budget pressure unpinned states are evicted wholesale
+// (Mount.reclaim).  A recreated state restarts at generation 0, which is
+// safe because the evicted state's built index went with it.
 type containerState struct {
 	mu       sync.Mutex
 	gen      uint64
 	pins     int  // active writers/readers; pinned states are never evicted
 	evicted  bool // no longer in the table; bytes already returned
 	tenant   string
-	bytes    int64 // parsed-shard bytes charged to the economy
+	bytes    int64 // parsed-shard and built-index bytes charged to the economy
 	parsed   map[string][]Rec
 	builtKey builtKey
 	built    *Index
+	shared   bool // built may serve later opens (see Reader.maybeCachePut)
 
 	last atomic.Uint64 // economy tick of last touch (LRU for eviction)
 }
@@ -320,11 +322,38 @@ func (st *containerState) curGen() uint64 {
 	return st.gen
 }
 
-// indexCacheBytes is a standalone mount's cross-open index cache budget.
-const indexCacheBytes = 64 << 20
+// setBuilt replaces the built-index memo, st.mu held, and returns the
+// change in bytes charged for it.  A new memo serves no other open until
+// Reader.maybeCachePut shares it.  An evicted state is a scratch buffer
+// whose bytes nothing charges.
+func (st *containerState) setBuilt(key builtKey, ix *Index) int64 {
+	var delta int64
+	if !st.evicted {
+		if st.built != nil {
+			delta -= st.built.residentBytes()
+		}
+		if ix != nil {
+			delta += ix.residentBytes()
+		}
+		st.bytes += delta
+	}
+	st.builtKey, st.built, st.shared = key, ix, false
+	return delta
+}
+
+// unshare keeps st's built index from serving later opens; it stays
+// resident, and charged, for the ranks of an open in flight.
+func (st *containerState) unshare() {
+	st.mu.Lock()
+	st.shared = false
+	st.mu.Unlock()
+}
+
+// mountCacheBytes is a standalone mount's cache budget.
+const mountCacheBytes = 64 << 20
 
 // NewMount creates a standalone mount over the given per-volume backend
-// root paths, with a private cache economy of indexCacheBytes.
+// root paths, with a private cache economy of mountCacheBytes.
 func NewMount(roots []string, opt Options) *Mount {
 	return newMount(roots, opt, nil)
 }
@@ -339,13 +368,9 @@ func newMount(roots []string, opt Options, svc *Service) *Mount {
 		m.shards[i].m = map[string]*containerState{}
 	}
 	if svc != nil {
-		m.econ, m.ixc = svc.econ, svc.ixc
-		m.id = svc.nextMountID()
-		m.health = svc.health
+		m.econ, m.health = svc.econ, svc.health
 	} else {
-		m.econ = newEconomy(indexCacheBytes)
-		m.ixc = newIndexCache(m.econ)
-		m.econ.register(m.ixc)
+		m.econ = newEconomy(mountCacheBytes)
 		if opt.HedgedReads || opt.IndexReplicas > 1 {
 			m.health = NewHealth(HealthConfig{})
 		}
@@ -354,22 +379,19 @@ func newMount(roots []string, opt Options, svc *Service) *Mount {
 	return m
 }
 
-// ckey is rel's key in the (possibly shared) cross-open index cache.
-func (m *Mount) ckey(rel string) string {
-	if m.id == "" {
-		return rel
-	}
-	return m.id + rel
-}
-
 // DropIndexCache empties the mount's cross-open index cache (harness
 // cold-start control; the next open of any container re-aggregates).
-// Under a service only this mount's entries are dropped.
+// Under a service only this mount's containers are touched.  The built
+// indexes stay resident, and charged, until eviction or the next build
+// replaces them.
 func (m *Mount) DropIndexCache() {
-	if m.id == "" {
-		m.ixc.clear()
-	} else {
-		m.ixc.dropPrefix(m.id)
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.RLock()
+		for _, st := range sh.m {
+			st.unshare()
+		}
+		sh.mu.RUnlock()
 	}
 }
 
@@ -470,24 +492,23 @@ func (m *Mount) storeParsed(st *containerState, path string, recs []Rec) {
 	m.econ.rebalance()
 }
 
-// invalidateState advances rel's generation and drops every derived
-// cache — parsed shards, built-index memo, cross-open entry — returning
-// the parsed bytes to the economy (truncate, repair).
-func (m *Mount) invalidateState(rel, tenant string) {
-	st := m.stateOf(rel, tenant)
+// advanceGen moves st to its next generation.  The built index goes with
+// the old one and its bytes are returned, so no open can be served an
+// aggregation from before the change.  dropParsed also forgets the parsed
+// shards, for changes that rewrite or move droppings (truncate, repair,
+// rebalance) rather than add them (write open and close).
+func (m *Mount) advanceGen(st *containerState, dropParsed bool) {
 	st.mu.Lock()
 	st.gen++
-	st.builtKey, st.built = builtKey{}, nil
-	st.parsed = map[string][]Rec{}
-	n := st.bytes
-	st.bytes = 0
-	evicted := st.evicted
-	owner := st.tenant
-	st.mu.Unlock()
-	if !evicted {
-		m.econ.release(owner, n)
+	delta := st.setBuilt(builtKey{}, nil)
+	if dropParsed {
+		delta -= st.bytes
+		st.bytes = 0
+		st.parsed = map[string][]Rec{}
 	}
-	m.ixc.drop(m.ckey(rel))
+	tenant := st.tenant
+	st.mu.Unlock()
+	m.econ.charge(tenant, delta)
 }
 
 // dropState removes rel's state outright (rename, unlink) and returns
@@ -501,14 +522,18 @@ func (m *Mount) dropState(rel string) {
 	}
 	sh.mu.Unlock()
 	if ok {
-		m.releaseState(st)
+		m.releaseState(st, false)
 	}
 }
 
-// releaseState marks st evicted and returns its resident bytes.
-func (m *Mount) releaseState(st *containerState) int64 {
+// releaseState marks st evicted and returns its resident bytes to the
+// economy.  It returns 0 and leaves st alone when st is already evicted
+// or, with idle set, pinned.  The pins check and the evicted mark share
+// one st.mu critical section: a pinner blocked on st.mu would otherwise
+// pin a state this call is about to release.
+func (m *Mount) releaseState(st *containerState, idle bool) int64 {
 	st.mu.Lock()
-	if st.evicted {
+	if st.evicted || idle && st.pins > 0 {
 		st.mu.Unlock()
 		return 0
 	}
@@ -517,19 +542,18 @@ func (m *Mount) releaseState(st *containerState) int64 {
 	tenant := st.tenant
 	st.bytes = 0
 	st.parsed = map[string][]Rec{}
-	st.builtKey, st.built = builtKey{}, nil
+	st.builtKey, st.built, st.shared = builtKey{}, nil, false
 	st.mu.Unlock()
 	m.econ.release(tenant, n)
 	return n
 }
 
-// reclaim implements reclaimer: evict idle (unpinned) container states,
-// least recently touched first, until need bytes are freed.  Eviction
-// resets the container's generation sequence, so each victim's
-// cross-open cache entry is dropped with it — an entry published under
-// the old sequence must never be served against the new one.  The
-// collection scan is O(states), acceptable on this rare path.
-func (m *Mount) reclaim(need int64) int64 {
+// reclaim evicts idle (unpinned) container states, least recently
+// touched first, until need bytes are freed, and returns how many it
+// evicted.  A state's built index goes with it, so the container's next
+// open re-aggregates.  The collection scan is O(states), acceptable on
+// this rare path.
+func (m *Mount) reclaim(need int64) int {
 	type cand struct {
 		rel  string
 		st   *containerState
@@ -546,45 +570,25 @@ func (m *Mount) reclaim(need int64) int64 {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].last < cands[j].last })
 	var freed int64
-	entries := 0
+	shed := 0
 	for _, c := range cands {
 		if freed >= need {
 			break
 		}
 		sh := m.shard(c.rel)
 		sh.mu.Lock()
-		st, ok := sh.m[c.rel]
-		if !ok || st != c.st {
-			sh.mu.Unlock()
-			continue
+		if sh.m[c.rel] == c.st {
+			if n := m.releaseState(c.st, true); n > 0 {
+				delete(sh.m, c.rel)
+				freed += n
+				shed++
+			}
 		}
-		// The evicted mark must be set in the same st.mu critical section
-		// as the pins check: a pinner blocked on st.mu would otherwise
-		// pin a state this loop is about to release.
-		st.mu.Lock()
-		if st.pins > 0 {
-			st.mu.Unlock()
-			sh.mu.Unlock()
-			continue
-		}
-		st.evicted = true
-		n := st.bytes + stateOverhead
-		tenant := st.tenant
-		st.bytes = 0
-		st.parsed = map[string][]Rec{}
-		st.builtKey, st.built = builtKey{}, nil
-		st.mu.Unlock()
-		delete(sh.m, c.rel)
 		sh.mu.Unlock()
-		m.econ.release(tenant, n)
-		freed += n
-		m.ixc.drop(m.ckey(c.rel))
-		entries++
 	}
-	if entries > 0 {
-		m.econ.noteEvicted(entries, freed)
-	}
-	return freed
+	m.econ.evictions.Add(int64(shed))
+	m.econ.evictedBytes.Add(freed)
+	return shed
 }
 
 func clean(rel string) string {
@@ -723,27 +727,48 @@ func metaGen(ents []Info) int64 {
 	return gen
 }
 
-// parseSizeRecord parses a metadir size-record name.  Current records
-// are sz.<size>.<gen>.<rank>; legacy two-part sz.<size>.<rank> records
-// parse as generation 0.
-func parseSizeRecord(name string) (size, gen int64, ok bool) {
-	if !strings.HasPrefix(name, sizePrefix) {
-		return 0, 0, false
+// atoiCanon parses a non-negative decimal written the way %d writes one:
+// digits only, no sign, no leading zero.  Names in a backend listing are
+// parsed with it, so a name parses only if PLFS could have written it.
+func atoiCanon(s string) (int64, bool) {
+	if s == "" || len(s) > 1 && s[0] == '0' {
+		return 0, false
 	}
-	parts := strings.Split(strings.TrimPrefix(name, sizePrefix), ".")
-	if len(parts) != 2 && len(parts) != 3 {
-		return 0, 0, false
-	}
-	size, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil || size < 0 {
-		return 0, 0, false
-	}
-	if len(parts) == 3 {
-		if gen, err = strconv.ParseInt(parts[1], 10, 64); err != nil {
-			return 0, 0, false
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
 		}
 	}
-	return size, gen, true
+	n, err := strconv.ParseInt(s, 10, 64)
+	return n, err == nil
+}
+
+// sizeRecordName renders the size record rank writes at close.
+func sizeRecordName(size, gen int64, rank int) string {
+	return fmt.Sprintf("%s%d.%d.%d", sizePrefix, size, gen, rank)
+}
+
+// parseSizeRecord inverts sizeRecordName.  Legacy two-part
+// sz.<size>.<rank> records parse as generation 0.
+func parseSizeRecord(name string) (size, gen int64, rank int, ok bool) {
+	rest, found := strings.CutPrefix(name, sizePrefix)
+	if !found {
+		return 0, 0, 0, false
+	}
+	parts := strings.Split(rest, ".")
+	if len(parts) != 2 && len(parts) != 3 {
+		return 0, 0, 0, false
+	}
+	var n [3]int64
+	for i, p := range parts {
+		if n[i], ok = atoiCanon(p); !ok {
+			return 0, 0, 0, false
+		}
+	}
+	if len(parts) == 3 {
+		gen = n[1]
+	}
+	return n[0], gen, int(n[len(parts)-1]), true
 }
 
 // cachedSize extracts the logical size from metadir entries: the max
@@ -753,7 +778,7 @@ func cachedSize(ents []Info) (int64, bool) {
 	var size int64
 	found := false
 	for _, e := range ents {
-		if n, g, ok := parseSizeRecord(e.Name); ok && g == gen {
+		if n, g, _, ok := parseSizeRecord(e.Name); ok && g == gen {
 			found = true
 			if n > size {
 				size = n
@@ -896,8 +921,6 @@ func (m *Mount) Rename(ctx Ctx, oldRel, newRel string) error {
 	m.removeReplicas(ctx, gp)
 	m.dropState(oldRel)
 	m.dropState(newRel)
-	m.ixc.drop(m.ckey(oldRel))
-	m.ixc.drop(m.ckey(newRel))
 	return nil
 }
 
@@ -952,7 +975,7 @@ func (m *Mount) Truncate(ctx Ctx, rel string) error {
 	if err := ctx.writeFileAtomic(ctx.Vols[vc], path.Join(meta, fmt.Sprintf("%s%d", genPrefix, gen+1)), nil, m.opt.Retry, false); err != nil {
 		return err
 	}
-	m.invalidateState(rel, ctx.Tenant)
+	m.advanceGen(m.stateOf(rel, ctx.Tenant), true)
 	return nil
 }
 
@@ -1024,7 +1047,6 @@ func (m *Mount) Unlink(ctx Ctx, rel string) error {
 		}
 	}
 	m.dropState(rel)
-	m.ixc.drop(m.ckey(rel))
 	return nil
 }
 
@@ -1088,10 +1110,10 @@ func movedMarkerName(id, seq, vol int) string {
 
 // parseMovedMarker inverts movedMarkerName.
 func parseMovedMarker(name string) (id, seq, vol int, ok bool) {
-	if !strings.HasPrefix(name, hostdirPrefix) {
+	rest, found := strings.CutPrefix(name, hostdirPrefix)
+	if !found {
 		return 0, 0, 0, false
 	}
-	rest := strings.TrimPrefix(name, hostdirPrefix)
 	idS, rest, found := strings.Cut(rest, movedInfix)
 	if !found {
 		return 0, 0, 0, false
@@ -1100,17 +1122,13 @@ func parseMovedMarker(name string) (id, seq, vol int, ok bool) {
 	if !found {
 		return 0, 0, 0, false
 	}
-	var err error
-	if id, err = strconv.Atoi(idS); err != nil || id < 0 {
-		return 0, 0, 0, false
+	var n [3]int64
+	for i, s := range [3]string{idS, seqS, volS} {
+		if n[i], ok = atoiCanon(s); !ok {
+			return 0, 0, 0, false
+		}
 	}
-	if seq, err = strconv.Atoi(seqS); err != nil || seq < 0 {
-		return 0, 0, 0, false
-	}
-	if vol, err = strconv.Atoi(volS); err != nil || vol < 0 {
-		return 0, 0, 0, false
-	}
-	return id, seq, vol, true
+	return int(n[0]), int(n[1]), int(n[2]), true
 }
 
 // movedTarget is the winning forwarding entry for one hostdir id.

@@ -24,8 +24,9 @@ type Reader struct {
 	rel string
 
 	ix        *Index
-	gen       uint64 // container generation captured at open
-	skipCache bool   // index cache already consulted this open
+	st        *containerState // pinned for the open (nil outside OpenReader)
+	gen       uint64          // container generation captured at open
+	skipCache bool            // index cache already consulted this open
 	handles   map[int32]File
 	vsums     map[int32]*extentSums // lazy per-dropping checksums (VerifyData)
 	pbuf      []Piece               // reused Lookup buffer (alloc-free ReadAt)
@@ -98,9 +99,9 @@ func (m *Mount) OpenReader(ctx Ctx, rel string) (*Reader, error) {
 	// Pin the state for the aggregation window: the generation captured
 	// here must still be current when maybeCachePut publishes under it,
 	// and eviction (which restarts the sequence at zero) would break that.
-	st := m.pin(rel, ctx.Tenant)
-	defer m.unpin(st)
-	r.gen = st.curGen()
+	r.st = m.pin(rel, ctx.Tenant)
+	defer m.unpin(r.st)
+	r.gen = r.st.curGen()
 	mode := m.opt.IndexMode
 	if ctx.Comm == nil {
 		mode = Original
@@ -136,18 +137,23 @@ func (m *Mount) OpenReader(ctx Ctx, rel string) (*Reader, error) {
 	return r, nil
 }
 
-// cacheGet consults the mount's cross-open index cache at the generation
-// captured when this open started.  Exactly one hit or miss is counted
-// per open regardless of how many aggregation strategies consult the
-// cache on the way (flatten falling back to parallel, parallel deferring
-// to flatten).
+// cacheGet consults the cross-open index cache — the container state's
+// built index, if an earlier open shared it — at the generation captured
+// when this open started.  Exactly one hit or miss is counted per open
+// regardless of how many aggregation strategies consult the cache on the
+// way (flatten falling back to parallel, parallel deferring to flatten).
 func (r *Reader) cacheGet() *Index {
-	if r.m.ixc == nil || r.m.opt.NoIndexCache {
+	if r.m.opt.NoIndexCache {
 		return nil
 	}
 	count := !r.skipCache
 	r.skipCache = true
-	ix := r.m.ixc.get(r.m.ckey(r.rel), r.gen)
+	var ix *Index
+	r.st.mu.Lock()
+	if r.st.shared && r.st.builtKey.gen == r.gen {
+		ix = r.st.built
+	}
+	r.st.mu.Unlock()
 	if count && r.ctx.Obs != nil {
 		if ix != nil {
 			r.ctx.Obs.Counter("plfs.index.cache.hit").Add(1)
@@ -161,24 +167,31 @@ func (r *Reader) cacheGet() *Index {
 	return ix
 }
 
-// maybeCachePut publishes the built index to the mount's cross-open
-// cache.  Only the process that aggregated publishes — a serial opener,
+// maybeCachePut shares the built index with later opens of the
+// container.  Only the process that aggregated shares — a serial opener,
 // or rank 0 of a collective flatten/parallel open.  Collective Original
 // opens stay entirely cache-free (every rank aggregates independently;
 // the N² baseline must keep its uncoordinated cost), and partial opens
-// are never published: their skipped shards read as holes, which is not
-// the container's true content.
+// are never shared: their skipped shards read as holes, which is not
+// the container's true content.  An index larger than the whole budget
+// is not shared either, and the memo must still be this open's index at
+// this open's generation.
 func (r *Reader) maybeCachePut() {
-	m := r.m
-	if m.ixc == nil || m.opt.NoIndexCache || m.opt.AllowPartial || r.Stats.CacheHit {
+	m, st := r.m, r.st
+	if m.opt.NoIndexCache || m.opt.AllowPartial || r.Stats.CacheHit {
 		return
 	}
 	if r.ctx.Comm != nil && (r.Stats.Mode == Original || r.ctx.Comm.Rank() != 0) {
 		return
 	}
-	if ev := m.ixc.put(m.ckey(r.rel), r.gen, r.ix, r.ctx.Tenant); ev > 0 && r.ctx.Obs != nil {
-		r.ctx.Obs.Counter("plfs.index.cache.evict").Add(int64(ev))
+	if r.ix.residentBytes() > m.econ.budget {
+		return
 	}
+	st.mu.Lock()
+	if st.built == r.ix && st.builtKey.gen == r.gen {
+		st.shared = true
+	}
+	st.mu.Unlock()
 }
 
 // volOfPath maps a backend path to its volume by root prefix.
@@ -238,20 +251,30 @@ func (r *Reader) buildShards(shards [][]Rec, dataPaths []string) *Index {
 // Every caller pays the modeled merge cost; only the first to arrive with
 // a given key calls assemble for the shards and dropping paths and builds,
 // so the ranks of a collective open share one build and one set of tables.
+// The build is charged to the economy; the states it forces out count as
+// plfs.index.cache.evict.
 func (r *Reader) buildCached(ndrops, total int, last string, assemble func() ([][]Rec, []string)) *Index {
 	msp := r.sp.Child("merge")
 	defer msp.End()
-	st := r.m.stateOf(r.rel, r.ctx.Tenant)
-	r.ctx.sleep(r.m.opt.MergeCPUPerEntry * timeDuration(total))
+	m := r.m
+	st := m.stateOf(r.rel, r.ctx.Tenant)
+	r.ctx.sleep(m.opt.MergeCPUPerEntry * timeDuration(total))
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	key := builtKey{st.gen, ndrops, total, last}
 	if st.builtKey == key && st.built != nil {
-		return st.built
+		ix := st.built
+		st.mu.Unlock()
+		return ix
 	}
 	shards, dataPaths := assemble()
-	ix := BuildIndexRecs(shards, dataPaths, r.m.opt.DecodeWorkers)
-	st.builtKey, st.built = key, ix
+	ix := BuildIndexRecs(shards, dataPaths, m.opt.DecodeWorkers)
+	delta := st.setBuilt(key, ix)
+	tenant := st.tenant
+	st.mu.Unlock()
+	m.econ.charge(tenant, delta)
+	if shed := m.econ.rebalance(); shed > 0 && r.ctx.Obs != nil {
+		r.ctx.Obs.Counter("plfs.index.cache.evict").Add(int64(shed))
+	}
 	return ix
 }
 
@@ -1066,7 +1089,7 @@ func (m *Mount) Flatten(ctx Ctx, rel string) error {
 		return err
 	}
 	// The flattened index changes what future opens should report
-	// (UsedGlobal); drop any cached pre-flatten aggregation.
-	m.ixc.drop(m.ckey(rel))
+	// (UsedGlobal); stop serving the pre-flatten aggregation.
+	m.stateOf(rel, ctx.Tenant).unshare()
 	return nil
 }

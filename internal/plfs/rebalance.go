@@ -289,7 +289,7 @@ func (m *Mount) MigrateHostdir(ctx Ctx, rel string, id, dst int) error {
 		_ = ctx.Vols[src].Remove(path.Join(m.roots[src], rel))
 	}
 
-	m.invalidateState(rel, ctx.Tenant)
+	m.advanceGen(m.stateOf(rel, ctx.Tenant), true)
 	if ctx.Obs != nil {
 		ctx.Obs.Counter("plfs.rebalance.migrated_droppings").Add(copied)
 		ctx.Obs.Counter("plfs.rebalance.migrated_bytes").Add(bytes)

@@ -209,7 +209,7 @@ func (m *Mount) integrity(ctx Ctx, rel string, deep, repair bool) (Report, error
 		}
 	}
 	if p.changed {
-		m.invalidateState(rel, ctx.Tenant)
+		m.advanceGen(m.stateOf(rel, ctx.Tenant), true)
 	}
 	if ctx.Obs != nil {
 		ctx.Obs.Counter("plfs." + verb + ".found").Add(int64(p.rep.Found()))

@@ -89,13 +89,11 @@ func (o ServiceOptions) withDefaults() ServiceOptions {
 type Service struct {
 	opt    ServiceOptions
 	econ   *economy
-	ixc    *indexCache
 	health *Health // per-volume breakers, shared by every mount
 
 	gates map[string]*gate // by class name; immutable after NewService
 
 	mu      sync.Mutex
-	nmounts int
 	tenants map[string]*tenantStats
 
 	// Repair ledger: every problem the repair daemon (or plfsctl scrub
@@ -150,16 +148,13 @@ type tenantStats struct {
 // NewService creates a mount service.
 func NewService(opt ServiceOptions) *Service {
 	opt = opt.withDefaults()
-	econ := newEconomy(opt.CacheBudgetBytes)
 	s := &Service{
 		opt:     opt,
-		econ:    econ,
-		ixc:     newIndexCache(econ),
+		econ:    newEconomy(opt.CacheBudgetBytes),
 		health:  NewHealth(opt.Health),
 		gates:   map[string]*gate{},
 		tenants: map[string]*tenantStats{},
 	}
-	econ.register(s.ixc)
 	for _, c := range opt.Classes {
 		s.gates[c.Name] = &gate{cfg: c}
 	}
@@ -167,21 +162,13 @@ func NewService(opt ServiceOptions) *Service {
 }
 
 // Mount attaches a mount to the service: it shares the service's cache
-// economy, cross-open index cache, admission gates, and per-volume
-// health table.
+// economy, admission gates, and per-volume health table.
 func (s *Service) Mount(roots []string, opt Options) *Mount {
 	return newMount(roots, opt, s)
 }
 
 // Health returns the service's shared per-volume breaker table.
 func (s *Service) Health() *Health { return s.health }
-
-func (s *Service) nextMountID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nmounts++
-	return fmt.Sprintf("m%d\x00", s.nmounts)
-}
 
 // gateFor resolves a tenant's admission gate (nil = ungated).
 func (s *Service) gateFor(tenant string) *gate {

@@ -99,10 +99,7 @@ func (m *Mount) Create(ctx Ctx, rel string) (*Writer, error) {
 			m.unpin(st)
 		}
 	}()
-	st.mu.Lock()
-	st.gen++
-	st.builtKey, st.built = builtKey{}, nil
-	st.mu.Unlock()
+	m.advanceGen(st, false)
 
 	w := &Writer{m: m, ctx: ctx, rel: rel, st: st}
 	w.vc = m.containerVol(rel)
@@ -552,19 +549,14 @@ func (w *Writer) Close() error {
 		}
 	}
 
-	// The container's content just changed: advance its generation so the
-	// cross-open index cache can never serve a pre-close aggregation, and
-	// drop the per-container built-index memo.  This runs after the
+	// The container's content just changed: advance its generation so no
+	// open can be served a pre-close aggregation.  This runs after the
 	// collective barrier, so by the time any opener observes the new
 	// generation every rank's droppings are durable.  A fresh lookup (not
 	// w.st) deliberately targets whatever state is live — an explicit
 	// rename/unlink during the session orphans w.st, and readers resolve
 	// the replacement.
-	st := m.stateOf(w.rel, ctx.Tenant)
-	st.mu.Lock()
-	st.gen++
-	st.builtKey, st.built = builtKey{}, nil
-	st.mu.Unlock()
+	m.advanceGen(m.stateOf(w.rel, ctx.Tenant), false)
 	m.unpin(w.st)
 	return errors.Join(errs...)
 }
@@ -607,7 +599,7 @@ func (w *Writer) writeSizeRecord(size int64) error {
 	gen := metaGen(ents)
 	var errs []error
 	for _, e := range ents {
-		if _, g, ok := parseSizeRecord(e.Name); ok && g != gen {
+		if _, g, _, ok := parseSizeRecord(e.Name); ok && g != gen {
 			if err := b.Remove(path.Join(meta, e.Name)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 				errs = append(errs, err)
 			}
@@ -615,7 +607,7 @@ func (w *Writer) writeSizeRecord(size int64) error {
 	}
 	// Atomic publish: the record appears under its final name or not at
 	// all, so a crash here cannot leave a half-created size record.
-	name := path.Join(meta, fmt.Sprintf("%s%d.%d.%d", sizePrefix, size, gen, w.ctx.Rank))
+	name := path.Join(meta, sizeRecordName(size, gen, w.ctx.Rank))
 	if err := w.ctx.writeFileAtomic(b, name, nil, pol, false); err != nil {
 		errs = append(errs, err)
 	}

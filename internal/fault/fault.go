@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	iofs "io/fs"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,12 +120,15 @@ const (
 //	<op>=P        per-op probability: mkdir create open stat readdir
 //	              remove rename read write append put
 //	torn=P        torn-append probability
-//	delay=DUR     added latency on every volume (time.ParseDuration)
-//	slow=VOL:DUR  added latency on volume VOL (repeatable)
-//	lose=SUBSTR   paths containing SUBSTR are permanently lost (repeatable)
+//	delay=DUR     added latency on every volume (time.ParseDuration, >= 0)
+//	slow=VOL:DUR  added latency on volume VOL (repeatable; VOL, DUR >= 0)
+//	lose=SUBSTR   paths containing SUBSTR are permanently lost (repeatable,
+//	              SUBSTR non-empty)
 //	crashat=K     crash the backend at its K-th mutating operation (K >= 1)
 //	brownout=VOL:F  degrade volume VOL: latency x F plus elevated
-//	              transient rate F/100 (repeatable, F > 1)
+//	              transient rate F/100 (repeatable, F finite and > 1)
+//
+// Probabilities are in [0,1] and not NaN.
 func ParseSpec(s string) (Spec, error) {
 	spec := Spec{Seed: 1}
 	if strings.TrimSpace(s) == "" {
@@ -177,9 +181,9 @@ func ParseSpec(s string) (Spec, error) {
 			}
 			spec.Torn = p
 		case k == "delay":
-			d, err := time.ParseDuration(v)
+			d, err := parseDuration("delay", v)
 			if err != nil {
-				return spec, fmt.Errorf("fault: delay %q: %v", v, err)
+				return spec, err
 			}
 			spec.Delay = d
 		case k == "slow":
@@ -187,32 +191,35 @@ func ParseSpec(s string) (Spec, error) {
 			if !ok {
 				return spec, fmt.Errorf("fault: slow %q is not VOL:DUR", v)
 			}
-			n, err := strconv.Atoi(vol)
+			n, err := parseVolume("slow", vol)
 			if err != nil {
-				return spec, fmt.Errorf("fault: slow volume %q: %v", vol, err)
+				return spec, err
 			}
-			d, err := time.ParseDuration(dur)
+			d, err := parseDuration("slow", dur)
 			if err != nil {
-				return spec, fmt.Errorf("fault: slow duration %q: %v", dur, err)
+				return spec, err
 			}
 			if spec.SlowVol == nil {
 				spec.SlowVol = map[int]time.Duration{}
 			}
 			spec.SlowVol[n] = d
 		case k == "lose":
+			if v == "" {
+				return spec, fmt.Errorf("fault: lose needs a path substring")
+			}
 			spec.Lose = append(spec.Lose, v)
 		case k == "brownout":
 			vol, fac, ok := strings.Cut(v, ":")
 			if !ok {
 				return spec, fmt.Errorf("fault: brownout %q is not VOL:FACTOR", v)
 			}
-			n, err := strconv.Atoi(vol)
+			n, err := parseVolume("brownout", vol)
 			if err != nil {
-				return spec, fmt.Errorf("fault: brownout volume %q: %v", vol, err)
+				return spec, err
 			}
 			fl, err := strconv.ParseFloat(fac, 64)
-			if err != nil || fl <= 1 {
-				return spec, fmt.Errorf("fault: brownout factor %q must be > 1", fac)
+			if err != nil || !(fl > 1) || math.IsInf(fl, 1) {
+				return spec, fmt.Errorf("fault: brownout factor %q must be finite and > 1", fac)
 			}
 			if spec.Brownout == nil {
 				spec.Brownout = map[int]float64{}
@@ -231,12 +238,30 @@ func ParseSpec(s string) (Spec, error) {
 	return spec, nil
 }
 
+// parseProb, parseDuration and parseVolume reject, besides what does not
+// parse, NaN and negative values: String could not render them back.
 func parseProb(k, v string) (float64, error) {
 	p, err := strconv.ParseFloat(v, 64)
-	if err != nil || p < 0 || p > 1 {
+	if err != nil || !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("fault: %s %q is not a probability in [0,1]", k, v)
 	}
 	return p, nil
+}
+
+func parseDuration(k, v string) (time.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("fault: %s duration %q is not a duration >= 0", k, v)
+	}
+	return d, nil
+}
+
+func parseVolume(k, v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("fault: %s volume %q is not a volume >= 0", k, v)
+	}
+	return n, nil
 }
 
 // String renders the spec back in ParseSpec syntax.

@@ -2,8 +2,11 @@ package fault_test
 
 import (
 	"errors"
+	"fmt"
 	iofs "io/fs"
+	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -41,12 +44,77 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// invalidSpecs parse as key=value but ask for what String cannot render
+// back: NaN probabilities, negative durations and volumes, and an empty
+// lost-path substring, which would lose every path.
+var invalidSpecs = []string{
+	"all=NaN", "torn=NaN", "delay=-1s", "slow=1:-5ms", "slow=-3:5ms",
+	"brownout=-2:3", "brownout=0:NaN", "brownout=0:+Inf", "lose=",
+}
+
 func TestParseSpecRejects(t *testing.T) {
-	for _, s := range []string{"bogus", "all=1.5", "all=-0.1", "seed=x", "delay=fast", "slow=0", "frob=0.5"} {
+	for _, s := range append([]string{"bogus", "all=1.5", "all=-0.1", "seed=x", "delay=fast", "slow=0", "frob=0.5"}, invalidSpecs...) {
 		if _, err := fault.ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", s)
 		}
 	}
+}
+
+// validSpec reports what in s no flag should be able to ask for.
+func validSpec(s fault.Spec) error {
+	prob := func(p float64) bool { return p >= 0 && p <= 1 }
+	for op, p := range s.P {
+		if !prob(p) {
+			return fmt.Errorf("%s probability %v", op, p)
+		}
+	}
+	if !prob(s.Torn) {
+		return fmt.Errorf("torn probability %v", s.Torn)
+	}
+	if s.Delay < 0 || s.CrashAt < 0 {
+		return fmt.Errorf("delay %v, crashat %d", s.Delay, s.CrashAt)
+	}
+	for vol, d := range s.SlowVol {
+		if vol < 0 || d < 0 {
+			return fmt.Errorf("slow volume %d by %v", vol, d)
+		}
+	}
+	for _, l := range s.Lose {
+		if l == "" {
+			return errors.New("empty lost-path substring")
+		}
+	}
+	for vol, f := range s.Brownout {
+		if vol < 0 || !(f > 1) || math.IsInf(f, 0) {
+			return fmt.Errorf("brownout volume %d by %v", vol, f)
+		}
+	}
+	return nil
+}
+
+// FuzzParseSpec: a spec that parses is valid, and its String parses
+// back to an equal spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range invalidSpecs {
+		f.Add(s)
+	}
+	f.Add("seed=3,all=0.02,read=0.5,torn=0.01,delay=2ms,slow=0:5ms,lose=hostdir.3,crashat=7,brownout=2:16")
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := fault.ParseSpec(s)
+		if err != nil {
+			return
+		}
+		if err := validSpec(spec); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted an invalid spec: %v", s, err)
+		}
+		again, err := fault.ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q), from %q: %v", spec.String(), s, err)
+		}
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("ParseSpec(%q) = %+v, but its String %q parses to %+v", s, spec, spec.String(), again)
+		}
+	})
 }
 
 // TestDeterminism: the same seed and call sequence must inject the same

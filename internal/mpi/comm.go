@@ -90,21 +90,24 @@ func (c *Comm) Bcast(root int, nbytes int64, v any) any {
 // gatherTree runs a binomial gather of per-rank values toward root and
 // returns the full slice (indexed by comm rank) at root, nil elsewhere.
 // Interior nodes forward their accumulated subtree, so message sizes grow
-// up the tree exactly as in MPICH's binomial gather.
+// up the tree exactly as in MPICH's binomial gather.  A subtree is a run
+// of contiguous relative ranks and children report in rank order, so acc
+// is a slice: acc[i] is relative rank rel+i's value.
 func (c *Comm) gatherTree(root int, nbytes int64, v any) []any {
 	defer func() { c.seq++ }()
 	n := len(c.members)
-	acc := map[int]any{c.me: v} // comm rank -> value
 	rel := (c.me - root + n) % n
+	span := n - rel // the subtree's size: rel's lowest set bit, or all
+	if low := rel & -rel; rel != 0 && low < span {
+		span = low
+	}
+	acc := append(make([]any, 0, span), v)
 	mask := 1
 	for mask < n {
 		if rel&mask == 0 {
 			if rel+mask < n {
 				src := (c.me + mask) % n
-				m := c.recv(src, 0)
-				for k, val := range m.Val.(map[int]any) {
-					acc[k] = val
-				}
+				acc = append(acc, c.recv(src, 0).Val.([]any)...)
 			}
 		} else {
 			dst := (c.me - mask + n) % n
@@ -113,9 +116,12 @@ func (c *Comm) gatherTree(root int, nbytes int64, v any) []any {
 		}
 		mask <<= 1
 	}
+	if root == 0 {
+		return acc
+	}
 	out := make([]any, n)
-	for k, val := range acc {
-		out[k] = val
+	for i, val := range acc {
+		out[(i+root)%n] = val
 	}
 	return out
 }
@@ -141,19 +147,22 @@ func (c *Comm) Scatter(root int, nbytesEach int64, vs []any) any {
 		return vs[0]
 	}
 	rel := (c.me - root + n) % n
-	// blocks holds the values for relative ranks [rel, rel+span).
-	var blocks map[int]any
+	// blocks holds the values for relative ranks [rel, rel+len(blocks)).
+	var blocks []any
 	if rel == 0 {
-		blocks = make(map[int]any, n)
-		for i, v := range vs {
-			blocks[(i-root+n)%n] = v // keyed by relative rank
+		blocks = vs
+		if root != 0 {
+			blocks = make([]any, n)
+			for i, v := range vs {
+				blocks[(i-root+n)%n] = v
+			}
 		}
 	}
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
 			src := (c.me - mask + n) % n
-			blocks = c.recv(src, 0).Val.(map[int]any)
+			blocks = c.recv(src, 0).Val.([]any)
 			break
 		}
 		mask <<= 1
@@ -162,19 +171,13 @@ func (c *Comm) Scatter(root int, nbytesEach int64, vs []any) any {
 	for mask > 0 {
 		if rel+mask < n {
 			// Hand off the upper half of our block range.
-			sub := make(map[int]any)
-			for k := rel + mask; k < rel+2*mask && k < n; k++ {
-				if v, ok := blocks[k]; ok {
-					sub[k] = v
-					delete(blocks, k)
-				}
-			}
+			sub := blocks[mask:min(2*mask, len(blocks))]
 			dst := (c.me + mask) % n
 			c.send(dst, 0, int64(len(sub))*nbytesEach, sub)
 		}
 		mask >>= 1
 	}
-	return blocks[rel]
+	return blocks[0]
 }
 
 // Reduce combines every rank's value at root with fn (associative,

@@ -73,13 +73,17 @@ type Rank struct {
 	w    *World
 	rank int
 	p    *sim.Proc
+	wg   sim.WaitGroup // Send's NIC flows; Done is bound once in done
+	done func()
 }
 
 // Spawn starts fn as rank's process; typically called for every rank
 // before eng.Run.
 func (w *World) Spawn(rank int, fn func(*Rank)) {
 	w.eng.Spawn(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
-		fn(&Rank{w: w, rank: rank, p: p})
+		r := &Rank{w: w, rank: rank, p: p}
+		r.done = r.wg.Done
+		fn(r)
 	})
 }
 
@@ -121,11 +125,10 @@ func (r *Rank) Send(dst, tag int, nbytes int64, val any) {
 				r.p.Sleep(time.Duration(float64(nbytes) / w.cfg.MemBW * 1e9))
 			}
 		} else {
-			var wg sim.WaitGroup
-			wg.Add(2)
-			w.nics[sn].TransferAsync(nbytes, wg.Done)
-			w.nics[dn].TransferAsync(nbytes, wg.Done)
-			wg.Wait(r.p)
+			r.wg.Add(2)
+			w.nics[sn].TransferAsync(nbytes, r.done)
+			w.nics[dn].TransferAsync(nbytes, r.done)
+			r.wg.Wait(r.p)
 		}
 	}
 	w.boxes[dst].Put(sim.Msg{Src: r.rank, Tag: tag, Bytes: nbytes, Val: val})

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -296,5 +297,85 @@ func TestGatherVolumeGrowsUpTree(t *testing.T) {
 	moved /= 2 // counted at both sender and receiver NIC
 	if moved < (n-1)*nb || moved > n*n*nb/2 {
 		t.Fatalf("gather moved %d bytes, outside tree bounds", moved)
+	}
+}
+
+// TestGatherScatterEveryRoot: the slices of contiguous relative ranks
+// that Gather and Scatter carry map back to comm ranks from every root,
+// and each message is charged nbytes per value it carries: a subtree of
+// relative ranks [rel, rel+min(rel&-rel, n-rel)) goes up or down in one.
+func TestGatherScatterEveryRoot(t *testing.T) {
+	const n, nb = 13, 8
+	var want int64 // bytes through the NICs, counted at both ends
+	for rel := 1; rel < n; rel++ {
+		want += 2 * int64(min(rel&-rel, n-rel)) * nb
+	}
+	for root := 0; root < n; root++ {
+		eng := sim.NewEngine(1)
+		w := NewWorld(eng, n, 1, DefaultNet())
+		w.SpawnAll(func(r *Rank) {
+			vals := r.Comm().Gather(root, nb, r.Rank()*3)
+			if r.Rank() == root {
+				for i, v := range vals {
+					if v.(int) != i*3 {
+						t.Errorf("root %d: gather[%d] = %v", root, i, v)
+					}
+				}
+			}
+			if got := r.Comm().Scatter(root, nb, vals); got.(int) != r.Rank()*3 {
+				t.Errorf("root %d: rank %d scatter got %v", root, r.Rank(), got)
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var moved int64
+		for _, nic := range w.nics {
+			moved += nic.Moved
+		}
+		if moved != 2*want {
+			t.Errorf("root %d: gather+scatter moved %d bytes, want %d", root, moved, 2*want)
+		}
+	}
+}
+
+// TestSteadyStateAllocFree: once warm, an inter-node Send/Recv and a
+// Barrier round allocate nothing, engine and NIC flows included.
+func TestSteadyStateAllocFree(t *testing.T) {
+	const warm, ops = 1000, 10000
+	var perOp float64
+	eng := sim.NewEngine(1)
+	NewWorld(eng, 2, 1, DefaultNet()).SpawnAll(func(r *Rank) {
+		c := r.Comm()
+		step := func(i int) {
+			if r.Rank() == 0 {
+				r.Send(1, i, 4096, nil)
+			} else {
+				r.Recv(0, i)
+			}
+			c.Barrier()
+		}
+		if r.Rank() == 1 {
+			for i := 0; i < warm+ops; i++ {
+				step(i)
+			}
+			return
+		}
+		for i := 0; i < warm; i++ {
+			step(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := warm; i < warm+ops; i++ {
+			step(i)
+		}
+		runtime.ReadMemStats(&after)
+		perOp = float64(after.Mallocs-before.Mallocs) / ops
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if perOp >= 0.01 {
+		t.Errorf("Send/Recv plus Barrier: %.3f mallocs per step, want < 0.01", perOp)
 	}
 }

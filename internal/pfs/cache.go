@@ -7,19 +7,20 @@ package pfs
 // exceeding the storage network's peak at 1024 streams) and the shared
 // storage-server cache.
 //
-// Presence is tracked per fixed-size block, so inserts and lookups are
-// O(blocks touched) regardless of how fragmented the access pattern is —
-// a strided checkpoint inserting half a million extents stays O(1) per
-// operation.  A partially-written block counts as present (the usual
-// page-cache rounding).
+// Presence is tracked per fixed-size block, in one bitset per object, so
+// inserts and lookups are O(blocks touched) regardless of how fragmented
+// the access pattern is — a strided checkpoint inserting half a million
+// extents stays O(1) per operation — and dropping an object is O(1).  A
+// partially-written block counts as present (the usual page-cache
+// rounding).  A fifo entry whose block is no longer present (its object
+// was dropped) is skipped when eviction reaches it.
 type cache struct {
 	capacity int64
 	block    int64
 	used     int64
-	present  map[blockKey]bool
+	objs     map[uint64]*blockSet
 	fifo     []blockKey
 	head     int
-	objBlks  map[uint64]int
 }
 
 type blockKey struct {
@@ -27,16 +28,31 @@ type blockKey struct {
 	idx int64
 }
 
+// blockSet is one object's cached blocks: bit idx of bits is block idx.
+type blockSet struct {
+	bits []uint64
+	n    int // blocks present
+}
+
+func (s *blockSet) has(idx int64) bool {
+	w := uint64(idx) / 64
+	return w < uint64(len(s.bits)) && s.bits[w]&(1<<(idx%64)) != 0
+}
+
 func newCache(capacity, block int64) *cache {
 	if block <= 0 {
 		block = 64 << 10
 	}
-	return &cache{
-		capacity: capacity,
-		block:    block,
-		present:  map[blockKey]bool{},
-		objBlks:  map[uint64]int{},
+	return &cache{capacity: capacity, block: block, objs: map[uint64]*blockSet{}}
+}
+
+// reset empties the cache, keeping its storage for reuse.
+func (c *cache) reset() {
+	for _, s := range c.objs {
+		clear(s.bits)
+		s.n = 0
 	}
+	c.used, c.fifo, c.head = 0, c.fifo[:0], 0
 }
 
 // insert records [off, off+n) of obj as cached, evicting the oldest
@@ -50,29 +66,31 @@ func (c *cache) insert(obj uint64, off, n int64) {
 	// Oversized inserts keep only the tail that fits.
 	if total := (hi - lo + 1) * c.block; total > c.capacity {
 		lo = hi - c.capacity/c.block + 1
-		if lo < 0 {
-			lo = 0
-		}
+	}
+	lo = max(lo, 0)
+	s := c.objs[obj]
+	if s == nil {
+		s = &blockSet{}
+		c.objs[obj] = s
+	}
+	if w := int(hi/64) + 1; w > len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w-len(s.bits))...)
 	}
 	for idx := lo; idx <= hi; idx++ {
-		k := blockKey{obj, idx}
-		if c.present[k] {
+		if s.has(idx) {
 			continue
 		}
-		c.present[k] = true
-		c.objBlks[obj]++
-		c.fifo = append(c.fifo, k)
+		s.bits[idx/64] |= 1 << (idx % 64)
+		s.n++
+		c.fifo = append(c.fifo, blockKey{obj, idx})
 		c.used += c.block
 	}
 	for c.used > c.capacity && c.head < len(c.fifo) {
 		k := c.fifo[c.head]
 		c.head++
-		if c.present[k] {
-			delete(c.present, k)
-			c.objBlks[k.obj]--
-			if c.objBlks[k.obj] == 0 {
-				delete(c.objBlks, k.obj)
-			}
+		if s := c.objs[k.obj]; s != nil && s.has(k.idx) {
+			s.bits[k.idx/64] &^= 1 << (k.idx % 64)
+			s.n--
 			c.used -= c.block
 		}
 	}
@@ -90,13 +108,14 @@ func (c *cache) compact() {
 
 // hitBytes returns how many bytes of [off, off+n) of obj are cached.
 func (c *cache) hitBytes(obj uint64, off, n int64) int64 {
-	if c.capacity <= 0 || n <= 0 || c.objBlks[obj] == 0 {
+	s := c.objs[obj]
+	if c.capacity <= 0 || n <= 0 || s == nil || s.n == 0 {
 		return 0
 	}
 	var hit int64
 	end := off + n
 	for idx := off / c.block; idx*c.block < end; idx++ {
-		if !c.present[blockKey{obj, idx}] {
+		if !s.has(idx) {
 			continue
 		}
 		blo, bhi := idx*c.block, (idx+1)*c.block
@@ -113,14 +132,8 @@ func (c *cache) hitBytes(obj uint64, off, n int64) int64 {
 
 // drop forgets every cached block of obj (e.g. after a remove).
 func (c *cache) drop(obj uint64) {
-	if c.objBlks[obj] == 0 {
-		return
+	if s := c.objs[obj]; s != nil {
+		c.used -= int64(s.n) * c.block
+		delete(c.objs, obj)
 	}
-	for k := range c.present {
-		if k.obj == obj {
-			delete(c.present, k)
-			c.used -= c.block
-		}
-	}
-	delete(c.objBlks, obj)
 }

@@ -1,6 +1,8 @@
 package pfs
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -79,67 +81,166 @@ func TestCacheDrop(t *testing.T) {
 	}
 }
 
-// Property: cache accounting matches a brute-force byte-set oracle and
-// never exceeds capacity.
+// refCache is the cache's reference model: one set of present blocks
+// and the FIFO of their insertions, scanned whole by drop.
+type refCache struct {
+	capacity, block, used int64
+	present               map[blockKey]bool
+	fifo                  []blockKey
+}
+
+func (r *refCache) insert(obj uint64, off, n int64) {
+	lo, hi := off/r.block, (off+n-1)/r.block
+	lo = max(lo, hi-r.capacity/r.block+1, 0)
+	for idx := lo; idx <= hi; idx++ {
+		if k := (blockKey{obj, idx}); !r.present[k] {
+			r.present[k] = true
+			r.fifo = append(r.fifo, k)
+			r.used += r.block
+		}
+	}
+	for r.used > r.capacity && len(r.fifo) > 0 {
+		k := r.fifo[0]
+		r.fifo = r.fifo[1:]
+		if r.present[k] {
+			delete(r.present, k)
+			r.used -= r.block
+		}
+	}
+}
+
+func (r *refCache) hitBytes(obj uint64, off, n int64) int64 {
+	var hit int64
+	for b := off; b < off+n; b++ {
+		if r.present[blockKey{obj, b / r.block}] {
+			hit++
+		}
+	}
+	return hit
+}
+
+func (r *refCache) drop(obj uint64) {
+	for k := range r.present {
+		if k.obj == obj {
+			delete(r.present, k)
+			r.used -= r.block
+		}
+	}
+}
+
+// checkLayout reports how the cache's bitsets disagree with its
+// accounting: each set's count is its population, used is the blocks
+// present, and every present block is still queued for eviction.
+func checkLayout(c *cache) error {
+	queued := map[blockKey]bool{}
+	for _, k := range c.fifo[c.head:] {
+		queued[k] = true
+	}
+	var blocks int64
+	for obj, s := range c.objs {
+		n := 0
+		for w, word := range s.bits {
+			n += bits.OnesCount64(word)
+			for b := 0; b < 64; b++ {
+				if k := (blockKey{obj, int64(w*64 + b)}); word&(1<<b) != 0 && !queued[k] {
+					return fmt.Errorf("block %v present but not queued", k)
+				}
+			}
+		}
+		if n != s.n {
+			return fmt.Errorf("object %d counts %d blocks, has %d", obj, s.n, n)
+		}
+		blocks += int64(n)
+	}
+	if blocks*c.block != c.used || c.used > c.capacity {
+		return fmt.Errorf("used %d, %d blocks present, capacity %d", c.used, blocks, c.capacity)
+	}
+	return nil
+}
+
+// Property: over random inserts, lookups, drops (a dropped object is
+// often re-inserted) and resets, the cache answers every lookup as the
+// reference model does and its layout stays consistent.
 func TestCacheMatchesOracle(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, blockSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const capacity = 200
-		c := newCache(capacity, 1)
-		type key struct {
-			obj uint64
-			b   int64
-		}
-		// The oracle only checks subset consistency: every byte the cache
-		// claims as hit must have been inserted at some point (no phantom
-		// hits), and used == sum of interval lengths <= capacity.
-		inserted := map[key]bool{}
-		for k := 0; k < 200; k++ {
+		block := int64(blockSel%4) + 1
+		c := newCache(capacity, block)
+		ref := &refCache{capacity: capacity, block: block, present: map[blockKey]bool{}}
+		for k := 0; k < 300; k++ {
 			obj := uint64(rng.Intn(3) + 1)
 			off := int64(rng.Intn(300))
 			n := int64(rng.Intn(80) + 1)
-			if rng.Intn(2) == 0 {
+			switch op := rng.Intn(20); {
+			case op < 9:
 				c.insert(obj, off, n)
-				start := off
-				if n > capacity {
-					start = off + n - capacity
-				}
-				for b := start; b < off+n; b++ {
-					inserted[key{obj, b}] = true
-				}
-			} else {
-				hits := c.hitBytes(obj, off, n)
-				// Count bytes that were ever inserted; hits must not exceed.
-				var everIn int64
-				for b := off; b < off+n; b++ {
-					if inserted[key{obj, b}] {
-						everIn++
-					}
-				}
-				if hits > everIn {
+				ref.insert(obj, off, n)
+			case op < 18:
+				if got, want := c.hitBytes(obj, off, n), ref.hitBytes(obj, off, n); got != want {
+					t.Logf("step %d: hitBytes(%d, %d, %d) = %d, reference %d", k, obj, off, n, got, want)
 					return false
 				}
+			case op == 18:
+				c.drop(obj)
+				ref.drop(obj)
+			default:
+				c.reset()
+				ref = &refCache{capacity: capacity, block: block, present: map[blockKey]bool{}}
 			}
-			// Accounting invariants: used equals the number of present
-			// blocks (block size 1 -> bytes) and never exceeds capacity;
-			// the per-object block counts sum to the total.
-			if int64(len(c.present)) != c.used || c.used > capacity {
-				return false
-			}
-			perObj := 0
-			for _, n := range c.objBlks {
-				if n <= 0 {
-					return false
-				}
-				perObj += n
-			}
-			if perObj != len(c.present) {
+			if err := checkLayout(c); err != nil || c.used != ref.used {
+				t.Logf("step %d: %v (used %d, reference %d)", k, err, c.used, ref.used)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheDropThenReinsert: a dropped object's queued blocks stay in the
+// FIFO; re-inserted, the object is cached afresh and evicts in the order
+// the reference model does.
+func TestCacheDropThenReinsert(t *testing.T) {
+	c := newCache(100, 1)
+	c.insert(1, 0, 60)
+	c.drop(1)
+	if c.used != 0 || c.hitBytes(1, 0, 60) != 0 {
+		t.Fatalf("after drop: used %d, hit %d", c.used, c.hitBytes(1, 0, 60))
+	}
+	c.insert(1, 0, 60)
+	if got := c.hitBytes(1, 0, 60); got != 60 || c.used != 60 {
+		t.Fatalf("re-inserted object: hit %d, used %d, want 60, 60", got, c.used)
+	}
+	// The stale queue entries of the first insert come first, so they
+	// evict the re-inserted blocks 0..19 to make room for obj 2.
+	c.insert(2, 0, 60)
+	if got := c.hitBytes(1, 0, 60); got != 40 || c.hitBytes(1, 0, 20) != 0 {
+		t.Fatalf("hit %d of obj 1 (first 20: %d), want 40 (0)", got, c.hitBytes(1, 0, 20))
+	}
+	if err := checkLayout(c); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheReset: a reset cache is empty and fills again, within
+// capacity, from its kept storage.
+func TestCacheReset(t *testing.T) {
+	c := newCache(100, 1)
+	c.insert(1, 0, 80)
+	c.insert(2, 0, 80)
+	c.reset()
+	if c.used != 0 || c.hitBytes(1, 0, 80)+c.hitBytes(2, 0, 80) != 0 {
+		t.Fatalf("after reset: used %d", c.used)
+	}
+	c.insert(2, 0, 80)
+	c.insert(1, 50, 40)
+	if got := c.hitBytes(2, 0, 80) + c.hitBytes(1, 0, 90); got != 100 {
+		t.Fatalf("refilled cache holds %d bytes, want 100", got)
+	}
+	if err := checkLayout(c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -149,7 +250,8 @@ func TestOSTSharesConservation(t *testing.T) {
 		stripe := int64(1) << (10 + stripeSel%8) // 1K..128K
 		groups := int(groupSel%16) + 1
 		o, sz := int64(off), int64(n%10_000_000)+1
-		shares := ostShares(uint64(off)*7, o, sz, stripe, groups)
+		shares := make([]int64, groups)
+		ostShares(shares, uint64(off)*7, o, sz, stripe)
 		var sum int64
 		for _, s := range shares {
 			if s < 0 {
@@ -165,7 +267,8 @@ func TestOSTSharesConservation(t *testing.T) {
 }
 
 func TestOSTSharesSmallTransferSingleGroup(t *testing.T) {
-	shares := ostShares(3, 0, 100, 64<<10, 8)
+	shares := make([]int64, 8)
+	ostShares(shares, 3, 0, 100, 64<<10)
 	nonzero := 0
 	for _, s := range shares {
 		if s > 0 {

@@ -14,6 +14,8 @@ type Client struct {
 	fs   *FS
 	node int
 	p    *sim.Proc
+	wg   sim.WaitGroup // a transfer's flows; Done is bound once in done
+	done func()
 }
 
 // Client returns a client bound to the given compute node and process.
@@ -21,7 +23,9 @@ func (fs *FS) Client(node int, p *sim.Proc) *Client {
 	if node < 0 || node >= len(fs.nodes) {
 		panic("pfs: node out of range")
 	}
-	return &Client{fs: fs, node: node, p: p}
+	c := &Client{fs: fs, node: node, p: p}
+	c.done = c.wg.Done
+	return c
 }
 
 // Node returns the compute node this client runs on.
@@ -315,6 +319,12 @@ func (h *Handle) ReadAt(off, n int64) (payload.List, error) {
 	if n <= 0 {
 		return nil, nil
 	}
+	h.read(off, n)
+	return h.f.data.ReadAt(off, n), nil
+}
+
+// read charges the simulated time of reading [off, off+n).
+func (h *Handle) read(off, n int64) {
 	c := h.c
 	cfg := &c.fs.Cfg
 	cache := c.fs.nodes[c.node].cache
@@ -338,7 +348,6 @@ func (h *Handle) ReadAt(off, n int64) (payload.List, error) {
 		cache.insert(h.f.obj, off, n)
 		h.transfer(off, n, miss, seq, true)
 	}
-	return h.f.data.ReadAt(off, n), nil
 }
 
 // transfer models moving n bytes at file offset off between the client
@@ -365,11 +374,12 @@ func (h *Handle) transfer(off, n, disk int64, seq, isRead bool) {
 	}
 	c.fs.svrCache.insert(h.f.obj, off, n)
 
-	var wg sim.WaitGroup
-	wg.Add(1)
-	c.fs.snet.TransferAsync(n, wg.Done)
+	c.wg.Add(1)
+	c.fs.snet.TransferAsync(n, c.done)
 	if disk > 0 {
-		shares := ostShares(h.f.obj, off, disk, cfg.StripeUnit, len(c.fs.groups))
+		shares := c.fs.shares
+		clear(shares)
+		ostShares(shares, h.f.obj, off, disk, cfg.StripeUnit)
 		for g, bytes := range shares {
 			if bytes == 0 {
 				continue
@@ -378,22 +388,23 @@ func (h *Handle) transfer(off, n, disk int64, seq, isRead bool) {
 				c.fs.SeekOps++
 				bytes += int64(cfg.SeekTime.Seconds() * cfg.OSTGroupBW)
 			}
-			wg.Add(1)
-			c.fs.groups[g].TransferAsync(bytes, wg.Done)
+			c.wg.Add(1)
+			c.fs.groups[g].TransferAsync(bytes, c.done)
 		}
 	}
-	wg.Wait(c.p)
+	c.wg.Wait(c.p)
 }
 
-// ostShares distributes a transfer of n bytes at offset off across the
-// OST groups according to round-robin striping.  Each object's stripe 0
-// starts at a different group (obj % groups), as real layouts randomize
-// the starting OST so small files spread across the disk pool.
-func ostShares(obj uint64, off, n int64, stripe int64, groups int) []int64 {
-	shares := make([]int64, groups)
+// ostShares adds to shares[g] the part of a transfer of n bytes at
+// offset off that falls on OST group g under round-robin striping.  Each
+// object's stripe 0 starts at a different group (obj % groups), as real
+// layouts randomize the starting OST so small files spread across the
+// disk pool.
+func ostShares(shares []int64, obj uint64, off, n int64, stripe int64) {
+	groups := len(shares)
 	if stripe <= 0 || groups == 1 {
-		shares[int(obj)%groups] = n
-		return shares
+		shares[int(obj)%groups] += n
+		return
 	}
 	base := int(obj % uint64(groups))
 	if n >= stripe*int64(groups) {
@@ -401,10 +412,10 @@ func ostShares(obj uint64, off, n int64, stripe int64, groups int) []int64 {
 		each := n / int64(groups)
 		rem := n - each*int64(groups)
 		for i := range shares {
-			shares[i] = each
+			shares[i] += each
 		}
 		shares[(base+int(off/stripe))%groups] += rem
-		return shares
+		return
 	}
 	// Small transfer: walk the stripe units it touches.
 	for n > 0 {
@@ -417,7 +428,6 @@ func ostShares(obj uint64, off, n int64, stripe int64, groups int) []int64 {
 		off += take
 		n -= take
 	}
-	return shares
 }
 
 // Close releases the handle.  Closing a written file charges a metadata

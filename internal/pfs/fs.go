@@ -37,6 +37,7 @@ type FS struct {
 	nodes    []*nodeState
 	svrCache *cache
 	root     *fnode
+	shares   []int64 // per-group scratch a transfer fills and spends before it parks
 
 	nextObj uint64
 
@@ -141,6 +142,7 @@ func New(eng *sim.Engine, cfg Config) *FS {
 		fs.groups = append(fs.groups, sim.NewPSLink(eng, fmt.Sprintf("ost%d", i), bw))
 	}
 	fs.snet = sim.NewPSLink(eng, "storage-net", cfg.StorageBW)
+	fs.shares = make([]int64, cfg.OSTGroups)
 	fs.svrCache = newCache(cfg.ServerCacheBytes, cfg.StripeUnit)
 	for i := 0; i < cfg.Nodes; i++ {
 		fs.nodes = append(fs.nodes, &nodeState{cache: newCache(cfg.ClientCacheBytes, cfg.StripeUnit)})
@@ -181,9 +183,9 @@ type Report struct {
 // storage system rather than local memory.
 func (fs *FS) DropCaches() {
 	for _, ns := range fs.nodes {
-		ns.cache = newCache(fs.Cfg.ClientCacheBytes, fs.Cfg.StripeUnit)
+		ns.cache.reset()
 	}
-	fs.svrCache = newCache(fs.Cfg.ServerCacheBytes, fs.Cfg.StripeUnit)
+	fs.svrCache.reset()
 }
 
 // Report builds a usage summary.

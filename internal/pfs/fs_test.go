@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -507,5 +508,53 @@ func TestReportSummarizesActivity(t *testing.T) {
 	}
 	if rep.String() == "" {
 		t.Fatal("empty report string")
+	}
+}
+
+// steadyMallocs runs warm operations, then ops more, and returns the
+// heap allocations per operation of the second run.  Called from inside
+// an engine run, it counts what the engine does on the operations'
+// behalf too.
+func steadyMallocs(warm, ops int, op func(i int)) float64 {
+	for i := 0; i < warm; i++ {
+		op(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+ops; i++ {
+		op(i)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(ops)
+}
+
+// TestSteadyStateAllocFree: once warm, the model's side of reading an
+// already-cached block (cache lookup, stream table, memory-speed charge)
+// and of a block's transfer through the storage network and the OST
+// groups (stripe shares, flows, their wait) allocate nothing.  The bytes
+// ReadAt returns are the payload store's and are not counted.
+func TestSteadyStateAllocFree(t *testing.T) {
+	const block = 64 << 10
+	eng, fs := testFS(1, nil)
+	var hit, transfer float64
+	runOne(t, eng, func(p *sim.Proc) {
+		h, err := fs.Client(0, p).Create("/vol0/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.WriteAt(0, payload.Synthetic(1, 0, 4*block)); err != nil {
+			t.Fatal(err)
+		}
+		hit = steadyMallocs(1000, 10000, func(i int) { h.read(int64(i%4)*block, block) })
+		transfer = steadyMallocs(1000, 10000, func(i int) { h.transfer(int64(i%64)*block, block, block, i%3 == 0, false) })
+	})
+	if fs.CacheMisB != 0 {
+		t.Fatalf("%d bytes missed the cache", fs.CacheMisB)
+	}
+	if hit >= 0.01 {
+		t.Errorf("cached read: %.3f mallocs per read, want < 0.01", hit)
+	}
+	if transfer >= 0.01 {
+		t.Errorf("block transfer: %.3f mallocs per transfer, want < 0.01", transfer)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"plfs/internal/extent"
 	"plfs/internal/payload"
-	"plfs/internal/sim"
 )
 
 // This file models the vectored (list-I/O) fast paths of the storage
@@ -160,7 +159,8 @@ func (h *Handle) transferv(segs []extent.Ext, disks []int64, total int64, isRead
 	cfg := &c.fs.Cfg
 	c.p.Sleep(c.jit(cfg.StorageRTT))
 
-	shares := make([]int64, len(c.fs.groups))
+	shares := c.fs.shares
+	clear(shares)
 	seek := false
 	for i, e := range segs {
 		if e.Len <= 0 {
@@ -177,14 +177,11 @@ func (h *Handle) transferv(segs []extent.Ext, disks []int64, total int64, isRead
 		}
 		c.fs.svrCache.insert(h.f.obj, e.Off, e.Len)
 		if disk > 0 {
-			for g, b := range ostShares(h.f.obj, e.Off, disk, cfg.StripeUnit, len(c.fs.groups)) {
-				shares[g] += b
-			}
+			ostShares(shares, h.f.obj, e.Off, disk, cfg.StripeUnit)
 		}
 	}
-	var wg sim.WaitGroup
-	wg.Add(1)
-	c.fs.snet.TransferAsync(total, wg.Done)
+	c.wg.Add(1)
+	c.fs.snet.TransferAsync(total, c.done)
 	for g, bytes := range shares {
 		if bytes == 0 {
 			continue
@@ -193,10 +190,10 @@ func (h *Handle) transferv(segs []extent.Ext, disks []int64, total int64, isRead
 			c.fs.SeekOps++
 			bytes += int64(cfg.SeekTime.Seconds() * cfg.OSTGroupBW)
 		}
-		wg.Add(1)
-		c.fs.groups[g].TransferAsync(bytes, wg.Done)
+		c.wg.Add(1)
+		c.fs.groups[g].TransferAsync(bytes, c.done)
 	}
-	wg.Wait(c.p)
+	c.wg.Wait(c.p)
 }
 
 // LockRange takes the file's advisory write lock, the mutual-exclusion

@@ -85,3 +85,53 @@ func BenchmarkSpawn(b *testing.B) {
 	}
 	runBench(b, e)
 }
+
+// BenchmarkMailbox: pairs of processes passing messages, each on a fresh
+// key as in a collective's rounds; every other message finds its receiver
+// blocked on the key, the rest wait queued for the receive.
+func BenchmarkMailbox(b *testing.B) {
+	e := NewEngine(1)
+	for i := 0; i < benchProcs; i += 2 {
+		msgs := share(b.N, i) + share(b.N, i+1)
+		box := NewMailbox()
+		e.Spawn("recv", func(p *Proc) {
+			for k := 0; k < msgs; k++ {
+				if k%2 == 1 {
+					p.Yield() // let the sender queue message k first
+				}
+				box.Get(p, i, k)
+			}
+		})
+		e.Spawn("send", func(p *Proc) {
+			for k := 0; k < msgs; k++ {
+				box.Put(Msg{Src: i, Tag: k})
+				p.Yield()
+			}
+		})
+	}
+	b.ResetTimer()
+	runBench(b, e)
+}
+
+// BenchmarkPSLinkAsync: processes each driving async flows over one
+// shared link and waiting for them, the shape of the storage network
+// under a checkpoint.
+func BenchmarkPSLinkAsync(b *testing.B) {
+	e := NewEngine(1)
+	l := NewPSLink(e, "net", 1e9)
+	for i := 0; i < benchProcs; i++ {
+		flows := share(b.N, i)
+		size := int64(64<<10 + i%7)
+		e.Spawn("p", func(p *Proc) {
+			var wg WaitGroup
+			done := wg.Done
+			for k := 0; k < flows; k++ {
+				wg.Add(1)
+				l.TransferAsync(size, done)
+				wg.Wait(p)
+			}
+		})
+	}
+	b.ResetTimer()
+	runBench(b, e)
+}

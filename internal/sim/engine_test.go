@@ -534,3 +534,102 @@ func TestGateInterleavedOpenWait(t *testing.T) {
 		t.Fatalf("served %d, waiting %d", served, g.Waiting())
 	}
 }
+
+// TestMailboxFIFOAcrossKeys: three messages queued on one (src, tag)
+// come out in send order, while the receiver also blocks on another key
+// that is sent to between them.
+func TestMailboxFIFOAcrossKeys(t *testing.T) {
+	e := NewEngine(1)
+	b := NewMailbox()
+	var got []int64
+	e.Spawn("recv", func(p *Proc) {
+		got = append(got, b.Get(p, 2, 9).Bytes) // blocks until 1ms
+		for i := 0; i < 3; i++ {
+			got = append(got, b.Get(p, 1, 5).Bytes)
+		}
+		got = append(got, b.Get(p, 2, 9).Bytes) // blocks until 2ms
+	})
+	e.Spawn("send", func(p *Proc) {
+		b.Put(Msg{Src: 1, Tag: 5, Bytes: 1})
+		b.Put(Msg{Src: 1, Tag: 5, Bytes: 2})
+		p.Sleep(time.Millisecond)
+		b.Put(Msg{Src: 2, Tag: 9, Bytes: 10})
+		b.Put(Msg{Src: 1, Tag: 5, Bytes: 3})
+		p.Sleep(time.Millisecond)
+		b.Put(Msg{Src: 2, Tag: 9, Bytes: 20})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{10, 1, 2, 3, 20}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("received %v, want %v", got, want)
+	}
+}
+
+// steadyMallocs runs warm operations, then ops more, and returns the
+// heap allocations per operation of the second run.  It must be called
+// from inside an engine run, so that everything the engine does on the
+// operations' behalf is counted too.
+func steadyMallocs(warm, ops int, op func(i int)) float64 {
+	for i := 0; i < warm; i++ {
+		op(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+ops; i++ {
+		op(i)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(ops)
+}
+
+// TestSteadyStateAllocFree: once warm, a mailbox hand-off to a blocked
+// receiver, a message queued ahead of its receive, and an async link
+// flow with its completion allocate nothing.
+func TestSteadyStateAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	b := NewMailbox()
+	var handoff, queued float64
+	e.Spawn("recv", func(p *Proc) {
+		handoff = steadyMallocs(1000, 10000, func(i int) { b.Get(p, 0, i) })
+		queued = steadyMallocs(1000, 10000, func(i int) {
+			p.Sleep(time.Microsecond) // the message is queued by then
+			b.Get(p, 0, -i)
+		})
+	})
+	e.Spawn("send", func(p *Proc) {
+		for i := 0; i < 11000; i++ {
+			p.Sleep(time.Microsecond) // the receiver is blocked by then
+			b.Put(Msg{Src: 0, Tag: i})
+		}
+		for i := 0; i < 11000; i++ {
+			b.Put(Msg{Src: 0, Tag: -i})
+			p.Sleep(time.Microsecond)
+		}
+	})
+	l := NewPSLink(e, "net", 1e9)
+	var flow float64
+	e.Spawn("flows", func(p *Proc) {
+		var wg WaitGroup
+		done := wg.Done
+		flow = steadyMallocs(1000, 10000, func(i int) {
+			wg.Add(3) // overlapping flows: the heap and stale timers work
+			l.TransferAsync(int64(1000+i%7), done)
+			l.TransferAsync(500, done)
+			l.TransferAsync(int64(2000-i%5), done)
+			wg.Wait(p)
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if handoff >= 0.01 {
+		t.Errorf("Mailbox Put→blocked Get: %.3f mallocs per hand-off, want < 0.01", handoff)
+	}
+	if queued >= 0.01 {
+		t.Errorf("Mailbox Put→later Get: %.3f mallocs per message, want < 0.01", queued)
+	}
+	if flow >= 0.01 {
+		t.Errorf("PSLink.TransferAsync: %.3f mallocs per round of three flows, want < 0.01", flow)
+	}
+}

@@ -19,65 +19,63 @@ type mboxKey struct {
 // Mailbox is a per-receiver store of tagged messages with blocking receive.
 // It implements MPI-style (source, tag) matching; each (source, tag) pair
 // delivers in FIFO order.
+//
+// Collectives give every round a fresh tag, so nearly every key carries
+// one message: it is held by value in first, and only the later messages
+// of a key that is sent to again before it is received queue in rest.
+// A mailbox belongs to one receiving process, so at most one Get blocks
+// at a time and its wait is a single slot.
 type Mailbox struct {
-	msgs    map[mboxKey][]Msg
-	waiting map[mboxKey]receiver
-}
+	first map[mboxKey]Msg   // each key's oldest queued message
+	rest  map[mboxKey][]Msg // each key's later messages, oldest first
 
-// receiver is a process blocked in Get; Put swaps p for the message.
-type receiver struct {
-	p   *Proc
-	msg Msg
+	waiter *Proc   // blocked in Get on want, or nil
+	want   mboxKey // the key waiter waits on
+	got    Msg     // handed to waiter by Put
 }
 
 // NewMailbox returns an empty mailbox.
 func NewMailbox() *Mailbox {
-	return &Mailbox{
-		msgs:    make(map[mboxKey][]Msg),
-		waiting: make(map[mboxKey]receiver),
-	}
+	return &Mailbox{first: make(map[mboxKey]Msg), rest: make(map[mboxKey][]Msg)}
 }
 
 // Put delivers m, waking a matching blocked receiver if one exists.
 func (b *Mailbox) Put(m Msg) {
 	k := mboxKey{m.Src, m.Tag}
-	if r := b.waiting[k]; r.p != nil {
-		b.waiting[k] = receiver{msg: m}
-		r.p.Wake()
+	if p := b.waiter; p != nil && b.want == k {
+		b.waiter, b.got = nil, m
+		p.Wake()
 		return
 	}
-	b.msgs[k] = append(b.msgs[k], m)
+	if _, queued := b.first[k]; queued {
+		b.rest[k] = append(b.rest[k], m)
+		return
+	}
+	b.first[k] = m
 }
 
 // Get blocks p until a message from src with the given tag is available
-// and returns it.  At most one process may wait on a given (src, tag) pair
-// at a time.
+// and returns it.  At most one process may wait on a mailbox at a time.
 func (b *Mailbox) Get(p *Proc, src, tag int) Msg {
 	k := mboxKey{src, tag}
-	if q := b.msgs[k]; len(q) > 0 {
-		m := q[0]
-		if len(q) == 1 {
-			delete(b.msgs, k)
-		} else {
-			b.msgs[k] = q[1:]
+	if m, ok := b.first[k]; ok {
+		switch q := b.rest[k]; len(q) {
+		case 0:
+			delete(b.first, k)
+		case 1:
+			b.first[k] = q[0]
+			delete(b.rest, k)
+		default:
+			b.first[k], b.rest[k] = q[0], q[1:]
 		}
 		return m
 	}
-	if _, dup := b.waiting[k]; dup {
-		panic("sim: concurrent Mailbox.Get on same (src, tag)")
+	if b.waiter != nil {
+		panic("sim: concurrent Mailbox.Get")
 	}
-	b.waiting[k] = receiver{p: p}
+	b.waiter, b.want = p, k
 	p.park()
-	m := b.waiting[k].msg
-	delete(b.waiting, k)
+	m := b.got
+	b.got = Msg{}
 	return m
-}
-
-// Pending reports the number of queued (undelivered) messages.
-func (b *Mailbox) Pending() int {
-	n := 0
-	for _, q := range b.msgs {
-		n += len(q)
-	}
-	return n
 }

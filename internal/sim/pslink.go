@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // PSLink is a processor-sharing bandwidth link: at any instant, the n
 // active flows each progress at capacity/n bytes per second.  It models
@@ -19,10 +16,11 @@ type PSLink struct {
 	capacity float64 // bytes per second
 	name     string
 
-	v     float64 // virtual bytes served per flow since start
-	lastT Time
-	flows psFlowHeap
-	gen   uint64 // invalidates stale completion timers
+	v      float64 // virtual bytes served per flow since start
+	lastT  Time
+	flows  flowHeap
+	gen    uint64     // invalidates stale completion timers
+	timers []*psTimer // free list of fired timers
 
 	// Moved accumulates total bytes transferred, for utilization reports.
 	Moved int64
@@ -33,35 +31,65 @@ type psFlow struct {
 	seq     uint64
 	proc    *Proc  // blocked in Transfer, or nil for an async flow,
 	done    func() // whose completion callback this is
-	idx     int
 }
 
-type psFlowHeap []*psFlow
+// before orders flows by virtual finish time, then by admission; seq is
+// unique, so the order is total and the heap's layout never shows.
+func (a *psFlow) before(b *psFlow) bool {
+	return a.finishV < b.finishV || a.finishV == b.finishV && a.seq < b.seq
+}
 
-func (h psFlowHeap) Len() int { return len(h) }
-func (h psFlowHeap) Less(i, j int) bool {
-	if h[i].finishV != h[j].finishV {
-		return h[i].finishV < h[j].finishV
+// flowHeap is a binary min-heap of flow values.
+type flowHeap []psFlow
+
+func (h *flowHeap) push(f psFlow) {
+	q := append(*h, f)
+	i := len(q) - 1
+	for i > 0 && f.before(&q[(i-1)/2]) {
+		q[i] = q[(i-1)/2]
+		i = (i - 1) / 2
 	}
-	return h[i].seq < h[j].seq
+	q[i] = f
+	*h = q
 }
-func (h psFlowHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+func (h *flowHeap) pop() psFlow {
+	q := *h
+	top, n := q[0], len(q)-1
+	f := q[n] // sifted down from the root into the hole top leaves
+	q[n] = psFlow{}
+	*h = q[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&f) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = f
+	}
+	return top
 }
-func (h *psFlowHeap) Push(x any) {
-	f := x.(*psFlow)
-	f.idx = len(*h)
-	*h = append(*h, f)
+
+// psTimer is one armed completion timer; fire is bound once, so arming a
+// recycled timer allocates nothing.
+type psTimer struct {
+	l    *PSLink
+	gen  uint64
+	fire func()
 }
-func (h *psFlowHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return f
+
+func (t *psTimer) run() {
+	l := t.l
+	l.timers = append(l.timers, t)
+	if t.gen == l.gen {
+		l.complete()
+	}
 }
 
 // NewPSLink returns a fair-share link with the given capacity in bytes
@@ -94,12 +122,7 @@ func (l *PSLink) Transfer(p *Proc, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	l.Moved += bytes
-	l.advance()
-	l.e.seq++
-	f := &psFlow{finishV: l.v + float64(bytes), seq: l.e.seq, proc: p}
-	heap.Push(&l.flows, f)
-	l.reschedule()
+	l.admit(bytes, p, nil)
 	p.park()
 }
 
@@ -112,10 +135,15 @@ func (l *PSLink) TransferAsync(bytes int64, done func()) {
 		l.e.After(0, done)
 		return
 	}
+	l.admit(bytes, nil, done)
+}
+
+// admit starts a flow of bytes on behalf of proc or done.
+func (l *PSLink) admit(bytes int64, proc *Proc, done func()) {
 	l.Moved += bytes
 	l.advance()
 	l.e.seq++
-	heap.Push(&l.flows, &psFlow{finishV: l.v + float64(bytes), seq: l.e.seq, done: done})
+	l.flows.push(psFlow{finishV: l.v + float64(bytes), seq: l.e.seq, proc: proc, done: done})
 	l.reschedule()
 }
 
@@ -126,19 +154,21 @@ func (l *PSLink) reschedule() {
 	if len(l.flows) == 0 {
 		return
 	}
-	gen := l.gen
 	need := l.flows[0].finishV - l.v
 	if need < 0 {
 		need = 0
 	}
 	dt := need * float64(len(l.flows)) / l.capacity // seconds
 	ns := Time(math.Ceil(dt * 1e9))
-	l.e.At(l.e.Now()+ns+1, func() {
-		if gen != l.gen {
-			return
-		}
-		l.complete()
-	})
+	var t *psTimer
+	if n := len(l.timers); n > 0 {
+		t, l.timers = l.timers[n-1], l.timers[:n-1]
+	} else {
+		t = &psTimer{l: l}
+		t.fire = t.run
+	}
+	t.gen = l.gen
+	l.e.At(l.e.Now()+ns+1, t.fire)
 }
 
 // complete pops every flow whose virtual finish time has been reached.
@@ -146,7 +176,7 @@ func (l *PSLink) complete() {
 	l.advance()
 	const eps = 1e-6
 	for len(l.flows) > 0 && l.flows[0].finishV <= l.v+eps {
-		f := heap.Pop(&l.flows).(*psFlow)
+		f := l.flows.pop()
 		if f.proc != nil {
 			f.proc.Wake()
 		} else {

@@ -37,7 +37,6 @@ func main() {
 		scale    = flag.String("scale", "quick", "experiment scale: quick | paper")
 		reps     = flag.Int("reps", 0, "repetitions per point (0 = default)")
 		csvDir   = flag.String("csv", "", "directory to write per-figure CSV files into")
-		workers  = flag.Int("workers", 0, "decode worker pool per mount (0 = GOMAXPROCS, 1 = serial)")
 		quiet    = flag.Bool("q", false, "suppress per-run progress lines")
 		list     = flag.Bool("list", false, "list figures and exit")
 		faultS   = flag.String("fault", "", "fault injection spec applied to every run, e.g. 'seed=7,all=0.01'")
@@ -65,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := harness.Options{
-		Reps: *reps, DecodeWorkers: *workers,
+		Reps:    *reps,
 		Retry:   plfs.RetryPolicy{Attempts: *retryN},
 		Backend: *backend,
 	}
@@ -93,6 +92,7 @@ func main() {
 	if *metricsF != "" {
 		// One registry across the whole suite: spans are not retained (a
 		// figure sweep would produce millions), histograms and counters are.
+		// Each run records into its own and Figure.Run merges it in.
 		reg = obs.New()
 		reg.SetSpanLimit(0)
 		opts.Obs = reg

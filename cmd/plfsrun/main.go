@@ -48,7 +48,6 @@ func main() {
 		stats    = flag.Bool("stats", false, "print the simulated file system's resource report")
 		dropC    = flag.Bool("dropcaches", true, "invalidate caches between write and read phases")
 		traceF   = flag.String("trace", "", "write a resource time-series CSV to this file")
-		workers  = flag.Int("workers", 0, "decode worker pool (0 = GOMAXPROCS, 1 = serial)")
 		faultS   = flag.String("fault", "", "fault injection spec, e.g. 'seed=7,all=0.05,torn=0.01,slow=0:2ms,lose=hostdir.3'")
 		metricsF = flag.String("metrics", "", "write op metrics as JSON to this file ('-' = stdout) and print the phase breakdown")
 		spansF   = flag.String("spans", "", "write phase spans as CSV to this file ('-' = stdout)")
@@ -180,7 +179,7 @@ func main() {
 	}
 
 	o := harness.Options{
-		Backend: *backend, Retry: plfs.RetryPolicy{Attempts: *retryN}, DecodeWorkers: *workers,
+		Backend: *backend, Retry: plfs.RetryPolicy{Attempts: *retryN},
 		// The brownout and meta-storm printers read counters, so every
 		// mode records; -metrics/-spans only decide what gets written.
 		Obs: obs.New(),

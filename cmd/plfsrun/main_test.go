@@ -21,13 +21,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // goldenJob is the fixed workload behind the -metrics golden file:
 // everything that feeds the registry runs on the simulator's virtual
 // clock, so the snapshot must be bit-identical across runs and hosts.
-// DecodeWorkers is pinned to 1 so decode scheduling cannot depend on
-// GOMAXPROCS.
 func goldenJob(reg *obs.Registry) harness.Job {
 	return harness.Job{
 		Seed: 1, Ranks: 4, Cfg: pfs.SmallCluster(), Net: mpi.DefaultNet(),
 		Opt: plfs.Options{
-			IndexMode: plfs.ParallelIndexRead, NumSubdirs: 32, DecodeWorkers: 1,
+			IndexMode: plfs.ParallelIndexRead, NumSubdirs: 32,
 			Retry: plfs.RetryPolicy{Attempts: 1},
 		},
 		Kernel:  workloads.IOR(2<<20, 1<<19),

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"plfs/internal/fault"
 	"plfs/internal/obs"
@@ -39,8 +41,9 @@ type Panel struct{ Title, XLabel, YLabel string }
 type Point struct {
 	Series string
 	X      float64
-	// Ranks is the job size repsFor trims repetitions by on the most
-	// expensive points; 0 never trims.
+	// Ranks is the job size: repsFor trims repetitions by it on the most
+	// expensive points, and Run admits runs by it (maxRanksInFlight); 0
+	// never trims and never waits.
 	Ranks   int
 	Measure func(o Options, seed int64) ([]Cell, error)
 	// Derive, if set, adds one cell (a single observation) computed from
@@ -72,8 +75,23 @@ func FindFigure(id string) (Figure, bool) {
 }
 
 // Run regenerates the figure: every point's repetitions, aggregated in
-// order into the figure's tables.
+// order into the figure's tables.  Runs share nothing, so they run on
+// GOMAXPROCS workers, as many at once as maxRanksInFlight allows; cells,
+// Derive, Progress lines, registries and the first error come back in
+// table order, so the output does not depend on the width.
 func (f Figure) Run(o Options) ([]*stats.Table, error) {
+	return f.run(o, runtime.GOMAXPROCS(0))
+}
+
+// maxRanksInFlight caps the simulated ranks of the runs Run holds at
+// once; a larger run runs alone.  A run's resident memory grows with its
+// ranks (one of fig8a's 65,536-rank runs peaks at 5.3 GB, EXPERIMENTS.md
+// "Runs are values"), so paper-scale points run a few at a time at
+// any GOMAXPROCS, while quick-scale points fill every worker.
+const maxRanksInFlight = 16384
+
+// run is Run on width workers.
+func (f Figure) run(o Options, width int) ([]*stats.Table, error) {
 	if o.Reps <= 0 {
 		o.Reps = 3
 	}
@@ -84,30 +102,92 @@ func (f Figure) Run(o Options) ([]*stats.Table, error) {
 	for i, p := range f.Panels {
 		tabs[i] = &stats.Table{Title: p.Title, XLabel: p.XLabel, YLabel: p.YLabel}
 	}
-	for _, pt := range f.Points(o) {
+	// One slot per (point, repetition), in table order.
+	type slot struct {
+		pt, rep, ranks int
+		cells          []Cell
+		reg            *obs.Registry // the run's registry, merged into o.Obs
+		err            error
+		done           chan struct{}
+	}
+	pts := f.Points(o)
+	var slots []slot
+	for i, pt := range pts {
+		for rep := 0; rep < o.repsFor(pt.Ranks); rep++ {
+			slots = append(slots, slot{pt: i, rep: rep, ranks: pt.Ranks, done: make(chan struct{})})
+		}
+	}
+	// Workers take slots in order, each once the ranks in flight leave
+	// room for its own (maxRanksInFlight).  They stop taking slots after
+	// a failure, so every slot up to the first failed one is run.
+	var mu sync.Mutex
+	room := sync.NewCond(&mu)
+	next, inFlight, failed := 0, 0, false
+	take := func() *slot { // nil when there is nothing more to run
+		mu.Lock()
+		defer mu.Unlock()
+		for !failed && next < len(slots) && inFlight > 0 && inFlight+slots[next].ranks > maxRanksInFlight {
+			room.Wait()
+		}
+		if failed || next == len(slots) {
+			return nil
+		}
+		sl := &slots[next]
+		next++
+		inFlight += sl.ranks
+		return sl
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for w := 0; w < min(width, len(slots)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for sl := take(); sl != nil; sl = take() {
+				ro := o
+				switch {
+				case f.OwnObs:
+					ro.Obs = obs.New()
+				case o.Obs != nil:
+					// The harness binds a registry's clock to its run's
+					// engine, so every run records into a registry of its own.
+					sl.reg = obs.New()
+					sl.reg.SetSpanLimit(0)
+					ro.Obs = sl.reg
+				}
+				sl.cells, sl.err = pts[sl.pt].Measure(ro, o.BaseSeed+int64(sl.rep))
+				mu.Lock()
+				inFlight -= sl.ranks
+				failed = failed || sl.err != nil
+				room.Broadcast()
+				mu.Unlock()
+				close(sl.done)
+			}
+		}()
+	}
+	k := 0
+	for i, pt := range pts {
 		var cells []Cell
 		var samples []stats.Sample
-		for rep := 0; rep < o.repsFor(pt.Ranks); rep++ {
-			ro := o
-			if f.OwnObs {
-				ro.Obs = obs.New()
+		for ; k < len(slots) && slots[k].pt == i; k++ {
+			sl := &slots[k]
+			<-sl.done
+			if sl.err != nil {
+				return nil, fmt.Errorf("%s %s@%v: %w", f.ID, pt.Series, pt.X, sl.err)
 			}
-			cs, err := pt.Measure(ro, o.BaseSeed+int64(rep))
-			if err != nil {
-				return nil, fmt.Errorf("%s %s@%v: %w", f.ID, pt.Series, pt.X, err)
-			}
+			o.Obs.Merge(sl.reg)
 			if cells == nil {
-				cells, samples = cs, make([]stats.Sample, len(cs))
+				cells, samples = sl.cells, make([]stats.Sample, len(sl.cells))
 			}
-			for i, c := range cs {
-				samples[i].Add(c.V)
+			for j, c := range sl.cells {
+				samples[j].Add(c.V)
 			}
 			if o.Progress != nil {
-				o.Progress(fmt.Sprintf("%s %s x=%v rep %d: %v", f.ID, pt.Series, pt.X, rep, cs))
+				o.Progress(fmt.Sprintf("%s %s x=%v rep %d: %v", f.ID, pt.Series, pt.X, sl.rep, sl.cells))
 			}
 		}
-		for i, c := range cells {
-			tabs[c.Panel].AddSample(c.Series, c.X, &samples[i])
+		for j, c := range cells {
+			tabs[c.Panel].AddSample(c.Series, c.X, &samples[j])
 		}
 		if pt.Derive != nil {
 			c := pt.Derive(samples)
@@ -134,22 +214,19 @@ type Options struct {
 	Reps  int // repetitions (paper: 10); default 3
 	// BaseSeed separates repetition seed streams.
 	BaseSeed int64
-	// Progress, if non-nil, receives one line per completed run.
+	// Progress, if non-nil, receives one line per completed run, in
+	// table order.
 	Progress func(string)
-	// DecodeWorkers is passed through to plfs.Options.DecodeWorkers for
-	// every mount the harness builds: it bounds the real-CPU worker pool
-	// used for index decode and the index build.  Simulated results are
-	// identical for any value; only regeneration wall-clock changes.
-	DecodeWorkers int
 	// Fault, if non-nil, applies the fault spec to every job the figure
 	// suite runs (plfsbench -fault).
 	Fault *fault.Spec
 	// Retry is the PLFS retry policy applied to every mount the harness
 	// builds (plfsbench -retry).
 	Retry plfs.RetryPolicy
-	// Obs, if non-nil, is attached to every job the figure suite runs
-	// (plfsbench -metrics): one registry accumulates metrics across the
-	// whole suite.
+	// Obs, if non-nil, collects the metrics of every job the figure
+	// suite runs (plfsbench -metrics): one registry accumulates them
+	// across the whole suite.  Figure.Run gives each run a registry of its own that
+	// keeps no span records and merges it into Obs in table order.
 	Obs *obs.Registry
 	// Backend selects the simulated store for every job the figure suite
 	// runs ("" or BackendPosix, or BackendObjfs; plfsbench -backend).
@@ -157,9 +234,9 @@ type Options struct {
 }
 
 // Apply stamps the suite-wide flags onto a job: the one place -backend,
-// -fault, -retry, -workers and -metrics reach a run.  A job keeps what it
-// pins — a Backend, a Fault spec, a Retry policy with Attempts, a
-// DecodeWorkers count or an Obs registry of its own.
+// -fault, -retry and -metrics reach a run.  A job keeps what it pins — a
+// Backend, a Fault spec, a Retry policy with Attempts or an Obs registry
+// of its own.
 func (o Options) Apply(j Job) Job {
 	if j.Backend == "" {
 		j.Backend = o.Backend
@@ -169,9 +246,6 @@ func (o Options) Apply(j Job) Job {
 	}
 	if j.Opt.Retry.Attempts == 0 {
 		j.Opt.Retry = o.Retry
-	}
-	if j.Opt.DecodeWorkers == 0 {
-		j.Opt.DecodeWorkers = o.DecodeWorkers
 	}
 	if j.Obs == nil {
 		j.Obs = o.Obs
@@ -260,15 +334,17 @@ func take(o Options, j Job, seed int64, series string, x float64, reads []read) 
 	return cells, nil
 }
 
-// grid is a point per (x, series) pair, x outermost: each runs the job
-// mk builds once per repetition and reads its cells off the report.
+// grid is a point per (x, series) pair, x outermost: each run of a
+// point runs a job mk builds for that run alone, so no state a job
+// carries (a Step hook's, a service's) is shared between runs, and reads
+// its cells off the report.
 func grid(xs []int, series []string, mk func(x, s int) Job, reads ...read) []Point {
 	var pts []Point
 	for _, x := range xs {
 		for s, name := range series {
-			j, x := mk(x, s), float64(x)
-			pts = append(pts, Point{Series: name, X: x, Ranks: j.Ranks, Measure: func(o Options, seed int64) ([]Cell, error) {
-				return take(o, j, seed, name, x, reads)
+			xf := float64(x)
+			pts = append(pts, Point{Series: name, X: xf, Ranks: mk(x, s).Ranks, Measure: func(o Options, seed int64) ([]Cell, error) {
+				return take(o, mk(x, s), seed, name, xf, reads)
 			}})
 		}
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"plfs/internal/adio"
@@ -174,38 +173,6 @@ func Figures() []Figure {
 				}, read{0, "", readOpen})
 			},
 			Headline: []Metric{{"group1-open-sec", first(0, "read-open")}},
-		},
-		{
-			// Simulated read-open must be identical for DecodeWorkers=1 and
-			// GOMAXPROCS — the pool only parallelizes host CPU work — so one
-			// point runs both, and the table reports the simulated seconds
-			// beside the host wall-clock, which is where the pool pays.
-			ID: "ablation-workers", Title: "Ablation: DecodeWorkers pool (wall-clock A/B)",
-			Pins:   "-workers: the figure's axis (1 and GOMAXPROCS)",
-			Panels: []Panel{{"Ablation: DecodeWorkers (simulated read-open vs host wall-clock)", "workers", "seconds"}},
-			Points: func(o Options) []Point {
-				workers := []int{1, runtime.GOMAXPROCS(0)}
-				base := o.n1Job(o.ablationRanks(), n1Opt(plfs.ParallelIndexRead, 1), true)
-				return []Point{{Series: "sim-read-open", X: float64(workers[1]), Measure: func(o Options, seed int64) ([]Cell, error) {
-					var cells []Cell
-					for _, w := range workers {
-						j := base
-						j.Opt.DecodeWorkers = w
-						start := time.Now()
-						c, err := take(o, j, seed, "sim-read-open", float64(w), []read{{0, "", readOpen}})
-						if err != nil {
-							return nil, err
-						}
-						if len(cells) > 0 && c[0].V != cells[0].V {
-							return nil, fmt.Errorf("decode-workers %d: simulated read-open %.6fs != serial %.6fs (pool must not change virtual time)",
-								w, c[0].V, cells[0].V)
-						}
-						cells = append(cells, c[0], Cell{0, "host-wall", float64(w), time.Since(start).Seconds()})
-					}
-					return cells, nil
-				}}}
-			},
-			Headline: []Metric{{"pool-wall-speedup-x", ratio(first(0, "host-wall"), last(0, "host-wall"))}},
 		},
 		{
 			// Coarser range-lock units mean more false sharing among strided

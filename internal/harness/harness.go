@@ -308,7 +308,8 @@ func Run(j Job) (Report, error) {
 		svc.Publish(j.Obs)
 	}
 	// Large runs (tens of thousands of simulated processes) leave big
-	// heaps behind; return the memory before the next repetition so
+	// heaps behind; return the memory before Figure.Run admits the next
+	// run (it bounds the ranks in flight, see maxRanksInFlight), so
 	// paper-scale sweeps stay within a laptop's RAM.
 	if total >= 4096 {
 		debug.FreeOSMemory()
@@ -463,7 +464,8 @@ func MetaStorm(ranks int, k workloads.CreateStorm100k, bulk, rebalance bool) Job
 	// the per-volume MDS busy time since the previous pass — the signal the
 	// pfs.vol<i>.mds_busy_seconds gauges export.  The other ranks wait at
 	// the round's barrier, and the simulation is cooperative, so reading
-	// the report mid-run is safe.  Runs of the job take turns with the hook.
+	// the report mid-run is safe.  The hook keeps state of its own (last),
+	// so run a Job MetaStorm returns once; grid builds one per run.
 	var last []time.Duration
 	j.Step = func(l *Live, round int, _ workloads.Result) error {
 		if round == k.Rounds-1 {

@@ -61,11 +61,11 @@ func TestApply(t *testing.T) {
 	suiteObs, ownObs := obs.New(), obs.New()
 	o := harness.Options{
 		Backend: harness.BackendObjfs, Fault: suiteFault, Obs: suiteObs,
-		Retry: plfs.RetryPolicy{Attempts: 6}, DecodeWorkers: 3,
+		Retry: plfs.RetryPolicy{Attempts: 6},
 	}
 	pinned := harness.Job{
 		Backend: harness.BackendPosix, Fault: ownFault, Obs: ownObs,
-		Opt: plfs.Options{Retry: plfs.RetryPolicy{Attempts: 12}, DecodeWorkers: 1},
+		Opt: plfs.Options{Retry: plfs.RetryPolicy{Attempts: 12}},
 	}
 	for _, tc := range []struct {
 		name string
@@ -74,13 +74,13 @@ func TestApply(t *testing.T) {
 	}{
 		{"unset takes the suite's", harness.Job{}, harness.Job{
 			Backend: harness.BackendObjfs, Fault: suiteFault, Obs: suiteObs,
-			Opt: plfs.Options{Retry: plfs.RetryPolicy{Attempts: 6}, DecodeWorkers: 3},
+			Opt: plfs.Options{Retry: plfs.RetryPolicy{Attempts: 6}},
 		}},
 		{"pinned keeps its own", pinned, pinned},
 	} {
 		got := o.Apply(tc.in)
 		if got.Backend != tc.want.Backend || got.Fault != tc.want.Fault || got.Obs != tc.want.Obs ||
-			got.Opt.Retry != tc.want.Opt.Retry || got.Opt.DecodeWorkers != tc.want.Opt.DecodeWorkers {
+			got.Opt.Retry != tc.want.Opt.Retry {
 			t.Errorf("%s: Apply = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}

@@ -21,8 +21,7 @@ import (
 //
 // A Backend is bound to one simulated process (the *sim.Proc costs are
 // charged to); build one per rank via Ctx or Vols.  Over an engineless
-// store the proc is nil, operations are free, and the Backend advertises
-// plfs.ConcurrentIO — handles tolerate the reader's goroutine fan-out.
+// store the proc is nil and operations are free.
 type Backend struct {
 	s *Store
 	p *sim.Proc
@@ -76,11 +75,6 @@ func FaultCtx(s *Store, volumes, node int, p *sim.Proc, rank, procsPerNode int, 
 type procSleeper struct{ p *sim.Proc }
 
 func (s procSleeper) Sleep(d time.Duration) { s.p.Sleep(d) }
-
-// ConcurrentIO reports whether handles tolerate concurrent goroutine
-// use: true for an engineless store, false under the discrete-event
-// engine (blocking calls must stay on the process's own goroutine).
-func (b Backend) ConcurrentIO() bool { return b.s.eng == nil }
 
 // existsLocked reports whether path is taken, as a file or a prefix.
 func (b Backend) existsLocked(path string) bool {

@@ -23,8 +23,7 @@
 //
 // Like internal/simfs + internal/pfs, the store runs in two modes.  New
 // builds an engineless store: operations are free, handles are
-// goroutine-safe (the Backend advertises plfs.ConcurrentIO), and the
-// store drops into the osfs-style unit-test rigs.  NewSim attaches the
+// goroutine-safe, and the store drops into the osfs-style unit-test rigs.  NewSim attaches the
 // store to a discrete-event engine: a KV server pool (sim.Resource)
 // serializes request service, a fair-share link (sim.PSLink) carries
 // object bytes, and every operation charges round-trip latency to the

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
 	"sort"
 	"strings"
@@ -165,6 +166,33 @@ func (r *Registry) Timer(name string) func() {
 	return func() { r.Histogram(name).ObserveNanos(r.now() - start) }
 }
 
+// Merge folds src's metrics into r as if src's observations had been
+// recorded into r after r's own: counters add, histograms combine their
+// buckets, counts, sums and extremes, and src's gauges overwrite r's.
+// Span records are not carried over; they count as dropped.  src must
+// not be recording while it is merged.  Nil-safe on either side.
+func (r *Registry) Merge(src *Registry) {
+	if r == nil || src == nil {
+		return
+	}
+	src.mu.Lock()
+	counters, gauges, hists := maps.Clone(src.counters), maps.Clone(src.gauges), maps.Clone(src.hists)
+	dropped := src.dropped + int64(len(src.spans))
+	src.mu.Unlock()
+	for k, c := range counters {
+		r.Counter(k).Add(c.Value())
+	}
+	for k, g := range gauges {
+		r.Gauge(k).Set(g.Value())
+	}
+	for k, h := range hists {
+		r.Histogram(k).merge(h)
+	}
+	r.mu.Lock()
+	r.dropped += dropped
+	r.mu.Unlock()
+}
+
 // Counter is a monotonically increasing int64 metric.
 type Counter struct{ v atomic.Int64 }
 
@@ -270,6 +298,27 @@ func (h *Histogram) ObserveNanos(v int64) {
 	h.count++
 	h.sum += v
 	h.buckets[bucketOf(v)]++
+	h.mu.Unlock()
+}
+
+// merge adds src's observations to h.
+func (h *Histogram) merge(src *Histogram) {
+	src.mu.Lock()
+	count, sum, lo, hi, buckets := src.count, src.sum, src.min, src.max, src.buckets
+	src.mu.Unlock()
+	if count == 0 {
+		return
+	}
+	h.mu.Lock()
+	if h.count == 0 || lo < h.min {
+		h.min = lo
+	}
+	h.max = max(h.max, hi)
+	h.count += count
+	h.sum += sum
+	for i, n := range buckets {
+		h.buckets[i] += n
+	}
 	h.mu.Unlock()
 }
 

@@ -344,3 +344,69 @@ func BenchmarkEnabled(b *testing.B) {
 		}
 	})
 }
+
+// TestMergeMatchesOneRegistry records a sequence of observations into one
+// registry, and split at every point over two registries merged
+// afterwards: the merged Snapshot JSON must equal the single registry's —
+// counters summed, histograms (count, sum, min, max, p50/p95/p99)
+// combined, the later registry's gauges winning, dropped spans summed.
+func TestMergeMatchesOneRegistry(t *testing.T) {
+	type op func(r *Registry)
+	var ops []op
+	for i := 0; i < 60; i++ {
+		i := i
+		name := []string{"a", "b", "c"}[i%3]
+		switch i % 5 {
+		case 0:
+			ops = append(ops, func(r *Registry) { r.Counter("n." + name).Add(int64(i)) })
+		case 1:
+			// Spread over many buckets, the overflow bucket included.
+			ops = append(ops, func(r *Registry) { r.Histogram("h." + name).ObserveNanos(int64(i*i*i) << uint(i%32)) })
+		case 2:
+			ops = append(ops, func(r *Registry) { r.Gauge("g." + name).Set(float64(i) / 7) })
+		case 3:
+			ops = append(ops, func(r *Registry) { r.StartSpan("s." + name).End() })
+		default:
+			// Created but never recorded into.
+			ops = append(ops, func(r *Registry) { r.Counter("zero." + name); r.Histogram("empty." + name) })
+		}
+	}
+	snap := func(r *Registry) string {
+		var b bytes.Buffer
+		if err := r.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	newReg := func() *Registry {
+		r := New()
+		r.SetClock(func() int64 { return 5 })
+		r.SetSpanLimit(0)
+		return r
+	}
+	one := newReg()
+	for _, o := range ops {
+		o(one)
+	}
+	want := snap(one)
+	for split := 0; split <= len(ops); split++ {
+		a, b := newReg(), newReg()
+		for k, o := range ops {
+			if k < split {
+				o(a)
+			} else {
+				o(b)
+			}
+		}
+		a.Merge(b)
+		if got := snap(a); got != want {
+			t.Fatalf("split at %d: merged snapshot differs\ngot:\n%s\nwant:\n%s", split, got, want)
+		}
+	}
+	var nilReg *Registry
+	nilReg.Merge(one)
+	one.Merge(nil)
+	if got := snap(one); got != want {
+		t.Fatalf("merging nil changed the registry")
+	}
+}

@@ -31,9 +31,10 @@ var (
 // New returns an OS-filesystem backend with a private path-lock table.
 func New() FS { return FS{locks: newPathLockTable()} }
 
-// ConcurrentIO marks the backend as safe for the reader's I/O fan-out:
-// handles are os.Files, whose positional reads are pread(2) calls with no
-// shared cursor, and Open/Close are independent syscalls.
+// ConcurrentIO reports that handles tolerate concurrent goroutine use:
+// positional reads are pread(2) calls with no shared cursor, and
+// Open/Close are independent syscalls.  No PLFS path asks for it; it is
+// kept because the benchmark module's traced wrapper forwards it.
 func (FS) ConcurrentIO() bool { return true }
 
 // Mkdir implements plfs.Backend.

@@ -75,8 +75,8 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentIOAdvertised: the reader's fan-out plans key off this
-// marker; losing it silently serializes every osfs read.
+// TestConcurrentIOAdvertised: the benchmark module's traced osfs wrapper
+// forwards this marker, so osfs must keep advertising it.
 func TestConcurrentIOAdvertised(t *testing.T) {
 	var b plfs.Backend = osfs.New()
 	c, ok := b.(plfs.ConcurrentIO)
@@ -86,9 +86,9 @@ func TestConcurrentIOAdvertised(t *testing.T) {
 }
 
 // TestConcurrentReadsOnOneHandle is what ConcurrentIO promises, for the
-// race detector: the reader fans positional reads out across goroutines on
-// one handle, so on a handle that never appended the flush every read
-// starts with must not write handle state.
+// race detector: positional reads from many goroutines on one handle, so
+// on a handle that never appended the flush every read starts with must
+// not write handle state.
 func TestConcurrentReadsOnOneHandle(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "d")
 	b := osfs.New()

@@ -60,9 +60,8 @@ import (
 //     protocol does — it treats ErrExist-without-replace as "already
 //     published".
 //
-// A Backend value and its Files are private to one process/goroutine
-// unless the implementation also satisfies ConcurrentIO, in which case
-// the reader may fan I/O calls out across its worker pool.  Transient
+// A Backend value and its Files are private to one process/goroutine:
+// PLFS issues every call on the calling rank's goroutine.  Transient
 // failures should implement `Transient() bool` so Retryable can tell
 // them from permanent namespace verdicts.
 type Backend interface {

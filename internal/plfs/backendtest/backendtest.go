@@ -120,11 +120,6 @@ func Transparent(tb testing.TB, leaf, wrapped plfs.Backend, root string) {
 	if _, got := plfs.BulkCreatorOf(wrapped); got != want {
 		tb.Errorf("BulkCreator: wrapped says %v, leaf says %v", got, want)
 	}
-	lc, lok := leaf.(plfs.ConcurrentIO)
-	wc, wok := plfs.Leaf(wrapped).(plfs.ConcurrentIO)
-	if lok != wok || (lok && lc.ConcurrentIO() != wc.ConcurrentIO()) {
-		tb.Errorf("ConcurrentIO: wrapped and leaf disagree")
-	}
 	lf, err := leaf.Create(root + "/cap.leaf")
 	if err != nil {
 		tb.Errorf("create on leaf: %v", err)

@@ -12,14 +12,25 @@ import (
 	"plfs/internal/plfs"
 )
 
+// widePool makes the mounts the test creates afterwards decode on at
+// least four workers (a mount's pool is GOMAXPROCS wide), so the race
+// detector sees the pool run concurrently on a one-CPU host too.
+func widePool(t *testing.T) {
+	if n := runtime.GOMAXPROCS(0); n < 4 {
+		runtime.GOMAXPROCS(4)
+		t.Cleanup(func() { runtime.GOMAXPROCS(n) })
+	}
+}
+
 // TestConcurrentOpenReaderSharedContainer opens the same container from
-// many goroutines at once with the worker pool enabled, exercising the
-// per-container parsed/built caches under the race detector.  Every
+// many goroutines at once, each decoding on the mount's pool, exercising
+// the per-container parsed/built caches under the race detector.  Every
 // reader must see identical, correct bytes.
 func TestConcurrentOpenReaderSharedContainer(t *testing.T) {
 	const ranks, blocks, readers = 8, 4, 8
 	bs := int64(512)
-	r := newRig(t, 2, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: 4})
+	widePool(t)
+	r := newRig(t, 2, plfs.Options{IndexMode: plfs.Original})
 	runRanks(t, r, ranks, func(ctx plfs.Ctx, rank int) {
 		writeN1(t, r.m, ctx, rank, ranks, blocks, bs, "shared")
 	})
@@ -36,9 +47,6 @@ func TestConcurrentOpenReaderSharedContainer(t *testing.T) {
 				return
 			}
 			defer rd.Close()
-			if rd.Stats.DecodeWorkers != 4 {
-				t.Errorf("reader %d: DecodeWorkers = %d, want 4", g, rd.Stats.DecodeWorkers)
-			}
 			verifyN1(t, rd, ranks, blocks, bs)
 		}(g)
 	}
@@ -51,7 +59,8 @@ func TestConcurrentOpenReaderSharedContainer(t *testing.T) {
 // healthy shards must not mask the failure.
 func TestCorruptDroppingAggregatedErrorNamesPath(t *testing.T) {
 	const ranks = 4
-	r := newRig(t, 1, plfs.Options{IndexMode: plfs.Original, NumSubdirs: 1, DecodeWorkers: 4})
+	widePool(t)
+	r := newRig(t, 1, plfs.Options{IndexMode: plfs.Original, NumSubdirs: 1})
 	runRanks(t, r, ranks, func(ctx plfs.Ctx, rank int) {
 		writeN1(t, r.m, ctx, rank, ranks, 2, 256, "mixed")
 	})
@@ -75,80 +84,6 @@ func TestCorruptDroppingAggregatedErrorNamesPath(t *testing.T) {
 			t.Fatalf("error blames healthy dropping %q:\n%v", p, err)
 		}
 	}
-}
-
-// TestReadFanoutMatchesSerial reads the same container through the
-// fan-out and serial plans and requires byte-identical results, plus
-// sane ReadStats from both.
-func TestReadFanoutMatchesSerial(t *testing.T) {
-	const ranks, blocks = 8, 4
-	bs := int64(512)
-	r := newRig(t, 1, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: 4})
-	runRanks(t, r, ranks, func(ctx plfs.Ctx, rank int) {
-		writeN1(t, r.m, ctx, rank, ranks, blocks, bs, "fan")
-	})
-
-	serialM := plfs.NewMount(r.roots, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: 1})
-	for name, m := range map[string]*plfs.Mount{"fanout": r.m, "serial": serialM} {
-		rd, err := m.OpenReader(r.ctx(0, nil), "fan")
-		if err != nil {
-			t.Fatalf("%s open: %v", name, err)
-		}
-		verifyN1(t, rd, ranks, blocks, bs)
-		wantWorkers := 4
-		if name == "serial" {
-			wantWorkers = 1
-		}
-		if rd.ReadStats.Workers != wantWorkers {
-			t.Errorf("%s: ReadStats.Workers = %d, want %d", name, rd.ReadStats.Workers, wantWorkers)
-		}
-		if rd.ReadStats.Ops == 0 || rd.ReadStats.Pieces == 0 || rd.ReadStats.Batches == 0 {
-			t.Errorf("%s: empty ReadStats %+v", name, rd.ReadStats)
-		}
-		rd.Close()
-	}
-}
-
-// BenchmarkReadAtFanout compares the serial per-piece read plan against
-// the batched fan-out plan on a real-filesystem container whose strided
-// layout produces one piece per (rank, block).
-func BenchmarkReadAtFanout(b *testing.B) {
-	const ranks, blocks = 16, 8
-	bs := int64(16 << 10)
-	total := int64(ranks*blocks) * bs
-	r := newRig(b, 1, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: 1})
-	runRanks(b, r, ranks, func(ctx plfs.Ctx, rank int) {
-		writeN1(b, r.m, ctx, rank, ranks, blocks, bs, "bench")
-	})
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4 // fan-out overlaps I/O waits even on few cores
-	}
-	run := func(b *testing.B, opt plfs.Options) {
-		m := plfs.NewMount(r.roots, opt)
-		rd, err := m.OpenReader(r.ctx(0, nil), "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rd.Close()
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pl, err := rd.ReadAt(0, total)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := pl.Len(); got != total {
-				b.Fatalf("read %d bytes, want %d", got, total)
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		run(b, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: 1})
-	})
-	b.Run("parallel", func(b *testing.B) {
-		run(b, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: workers})
-	})
 }
 
 // BenchmarkReadAtStrided measures a contiguous read over a container

@@ -394,7 +394,9 @@ type Index struct {
 //
 // There is one build (DESIGN.md §7): each shard's records are keyed and the
 // keys sorted, on up to workers goroutines; the shards' key lists are k-way
-// merged; and records are resolved as they leave the merge.
+// merged; and records are resolved as they leave the merge.  A Mount passes
+// its pool width; workers stays a parameter because the benchmark module's
+// probes call it with one of their own.
 func BuildIndexRecs(shards [][]Rec, droppings []string, workers int) *Index {
 	ix := &Index{droppings: droppings}
 	if ix.setRunTable(shards) {

@@ -71,17 +71,16 @@ type Op struct {
 // Interceptor wraps one backend call: it may refuse the call (return an
 // error without invoking call), delay it, rewrite Op's mutable fields
 // first, and observe the outcome.  It returns call's error unless it
-// refused.  Interceptors must be safe for concurrent use when the store
-// under them is (ConcurrentIO).
+// refused.  Interceptors must be safe for concurrent use: the ranks that
+// share a store call them from their own goroutines.
 type Interceptor = func(op *Op, call func() error) error
 
 // Interpose returns inner with every Backend call, and every data call
 // on the Files it opens, routed through ic.  The optional capabilities
 // are handled once, here: CondPutter and BulkCreator calls are routed
 // through ic like any other (reach them with CondPutterOf/BulkCreatorOf,
-// which ask the leaf whether they exist), while ConcurrentIO and
-// RangeLocker concern only the store and are asked of Leaf/LeafFile
-// directly.
+// which ask the leaf whether they exist), while RangeLocker concerns only
+// the store and is asked of LeafFile directly.
 func Interpose(inner Backend, ic Interceptor) Backend {
 	return &interposed{inner: inner, ic: ic}
 }

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	iofs "io/fs"
 	"path"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,17 +113,6 @@ type Options struct {
 	// the context's Sleeper.
 	ParseCPUPerEntry time.Duration
 	MergeCPUPerEntry time.Duration
-	// DecodeWorkers bounds the worker pool used for real-CPU parallelism
-	// on the read path: concurrent index-dropping decode during
-	// aggregation, per-shard sorting in the index build, and fan-out of
-	// ReadAt data fetches.  0 (the default) means one worker per available
-	// CPU; 1 forces the serial baseline (shards keyed and sorted one after
-	// another, and the serial ReadAt plan the A/B tests compare against;
-	// the built index is the same for any value).  Fan-out also
-	// disables itself over stores without ConcurrentIO, such as the
-	// simulator.  Simulated virtual time is unaffected — the pool only
-	// changes wall-clock cost.
-	DecodeWorkers int
 	// Retry reissues dropping opens/reads/appends that fail with
 	// transient errors, with exponential backoff charged through the
 	// context's Sleeper (virtual time under the simulator, real sleep
@@ -192,9 +182,6 @@ func (o Options) withDefaults() Options {
 	if o.ChecksumCPUPerMB <= 0 {
 		o.ChecksumCPUPerMB = time.Millisecond
 	}
-	// Resolved once per mount: runtime.GOMAXPROCS takes the scheduler lock,
-	// which is not a cost to pay on every read.
-	o.DecodeWorkers = defaultWorkers(o.DecodeWorkers)
 	return o
 }
 
@@ -259,6 +246,10 @@ type Mount struct {
 	svc    *Service // non-nil when attached to a mount service
 	econ   *economy // cache budget (shared under a service)
 	health *Health  // per-volume breakers (shared under a service)
+	// workers is the width of the pure-CPU pool (index decode and the
+	// build's per-shard sort): GOMAXPROCS, resolved once here because
+	// runtime.GOMAXPROCS takes the scheduler lock.
+	workers int
 
 	// Per-container state lives in a sharded table so unrelated
 	// containers never contend: steady-state lookups take only a shard's
@@ -363,7 +354,7 @@ func newMount(roots []string, opt Options, svc *Service) *Mount {
 		panic("plfs: mount needs at least one volume root")
 	}
 	opt = opt.withDefaults()
-	m := &Mount{roots: roots, opt: opt, svc: svc}
+	m := &Mount{roots: roots, opt: opt, svc: svc, workers: runtime.GOMAXPROCS(0)}
 	for i := range m.shards {
 		m.shards[i].m = map[string]*containerState{}
 	}

@@ -16,7 +16,7 @@ import (
 func TestSpanNestingUnderConcurrentOpen(t *testing.T) {
 	const ranks, blocks, readers = 8, 4, 8
 	bs := int64(512)
-	r := newRig(t, 2, plfs.Options{IndexMode: plfs.Original, DecodeWorkers: 4})
+	r := newRig(t, 2, plfs.Options{IndexMode: plfs.Original})
 	runRanks(t, r, ranks, func(ctx plfs.Ctx, rank int) {
 		writeN1(t, r.m, ctx, rank, ranks, blocks, bs, "spans")
 	})

@@ -34,18 +34,6 @@ func TestParallelFor(t *testing.T) {
 	}
 }
 
-func TestDefaultWorkers(t *testing.T) {
-	if w := defaultWorkers(0); w < 1 {
-		t.Fatalf("defaultWorkers(0) = %d", w)
-	}
-	if w := defaultWorkers(-3); w != 1 {
-		t.Fatalf("defaultWorkers(-3) = %d, want 1", w)
-	}
-	if w := defaultWorkers(7); w != 7 {
-		t.Fatalf("defaultWorkers(7) = %d", w)
-	}
-}
-
 func TestChunkEdgeCases(t *testing.T) {
 	// More buckets than items: the high buckets must be nil, not empty
 	// non-nil slices (assignments stay allocation-free).

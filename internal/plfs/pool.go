@@ -1,13 +1,14 @@
 package plfs
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // parallelFor runs fn(i) for every i in [0, n) on up to workers
-// goroutines, returning when all calls have finished.  Work is handed out
+// goroutines, returning when all calls have finished.  It carries exactly
+// the read path's two pure-CPU steps — index-dropping decode and the
+// build's per-shard key sort — never backend I/O.  Work is handed out
 // by an atomic counter, so uneven item costs balance themselves.  With
 // workers <= 1 (or when there is nothing to share) it degenerates to a
 // plain loop on the caller's goroutine — the serial baseline costs no
@@ -46,38 +47,11 @@ func parallelFor(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// defaultWorkers resolves a worker-count option: 0 means "one per
-// available CPU", anything else is clamped to at least 1.
-func defaultWorkers(opt int) int {
-	if opt == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if opt < 1 {
-		return 1
-	}
-	return opt
-}
-
 // ConcurrentIO is an optional marker interface for Backends whose handles
-// tolerate concurrent use from multiple goroutines (positional ReadAt on
-// distinct or shared handles, concurrent Open/Close).  The real-OS backend
-// qualifies (pread is thread-safe); the simulated backend does not — its
-// discrete-event engine requires all blocking calls on the rank's own
-// goroutine — so the reader's I/O fan-out degrades to serial there
-// automatically.  It is asked of the leaf: interceptors are required to
-// be goroutine-safe, so fan-out safety is the store's own property.
+// tolerate concurrent use from multiple goroutines.  No PLFS path asks for
+// it — every backend call runs on the rank's own goroutine — and it is
+// kept only because the benchmark module's traced osfs wrapper forwards
+// it.
 type ConcurrentIO interface {
 	ConcurrentIO() bool
-}
-
-// backendsConcurrent reports whether every volume advertises
-// goroutine-safe I/O.
-func backendsConcurrent(vols []Backend) bool {
-	for _, v := range vols {
-		c, ok := Leaf(v).(ConcurrentIO)
-		if !ok || !c.ConcurrentIO() {
-			return false
-		}
-	}
-	return len(vols) > 0
 }

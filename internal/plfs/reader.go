@@ -7,7 +7,6 @@ import (
 	"math"
 	"path"
 	"strings"
-	"sync/atomic"
 
 	"plfs/internal/extent"
 	"plfs/internal/obs"
@@ -30,7 +29,6 @@ type Reader struct {
 	handles   map[int32]File
 	vsums     map[int32]*extentSums // lazy per-dropping checksums (VerifyData)
 	pbuf      []Piece               // reused Lookup buffer (alloc-free ReadAt)
-	fan       int                   // ReadAt fan-out width, fixed at open (1 = serial)
 	closed    bool
 	sp        *obs.Span // the enclosing "open" span (nil when obs is off)
 
@@ -42,14 +40,13 @@ type Reader struct {
 
 // OpenStats reports the work an OpenReader performed.
 type OpenStats struct {
-	Mode          Mode  // effective aggregation mode
-	UsedGlobal    bool  // served from a flattened global index
-	CacheHit      bool  // served from the cross-open index cache
-	Droppings     int   // droppings in the container
-	RawEntries    int   // raw index records aggregated
-	IndexReads    int   // index files this process read
-	IndexBytes    int64 // index bytes this process read
-	DecodeWorkers int   // worker-pool width used for decode/build
+	Mode       Mode  // effective aggregation mode
+	UsedGlobal bool  // served from a flattened global index
+	CacheHit   bool  // served from the cross-open index cache
+	Droppings  int   // droppings in the container
+	RawEntries int   // raw index records aggregated
+	IndexReads int   // index files this process read
+	IndexBytes int64 // index bytes this process read
 	// SkippedShards lists index droppings this process could not read
 	// or parse and skipped under Options.AllowPartial; their extents
 	// read as holes.
@@ -64,7 +61,6 @@ type ReadStats struct {
 	Pieces  int // index pieces covered, including holes
 	Holes   int // hole pieces (zeros, no I/O)
 	Batches int // physical dropping reads issued after sieving coalescing
-	Workers int // fan-out width of the last ReadAt (1 = serial)
 	// PhysBytes counts bytes fetched from droppings, including sieving
 	// gap bytes; SieveWasted is the gap-only portion (PhysBytes minus the
 	// bytes callers asked for), the read-amplification cost of
@@ -77,11 +73,7 @@ type ReadStats struct {
 }
 
 func (m *Mount) newReader(ctx Ctx, rel string) *Reader {
-	r := &Reader{m: m, ctx: ctx, rel: rel, handles: map[int32]File{}, fan: 1}
-	if w := m.opt.DecodeWorkers; w > 1 && backendsConcurrent(ctx.Vols) {
-		r.fan = w
-	}
-	return r
+	return &Reader{m: m, ctx: ctx, rel: rel, handles: map[int32]File{}}
 }
 
 // OpenReader opens the logical file rel for reading.  With a communicator
@@ -107,7 +99,6 @@ func (m *Mount) OpenReader(ctx Ctx, rel string) (*Reader, error) {
 		mode = Original
 	}
 	r.Stats.Mode = mode
-	r.Stats.DecodeWorkers = m.opt.DecodeWorkers
 
 	r.sp = ctx.Obs.StartSpan("open")
 	defer r.sp.End()
@@ -267,7 +258,7 @@ func (r *Reader) buildCached(ndrops, total int, last string, assemble func() ([]
 		return ix
 	}
 	shards, dataPaths := assemble()
-	ix := BuildIndexRecs(shards, dataPaths, m.opt.DecodeWorkers)
+	ix := BuildIndexRecs(shards, dataPaths, m.workers)
 	delta := st.setBuilt(key, ix)
 	tenant := st.tenant
 	st.mu.Unlock()
@@ -282,91 +273,52 @@ func (r *Reader) buildCached(ndrops, total int, last string, assemble func() ([]
 // error per failed shard (joined) instead of failing on the first.  The
 // returned slice is aligned with refs.
 //
-// Two execution plans preserve the simulator's invariants.  When every
-// volume advertises ConcurrentIO, whole shards — open, read, decode —
-// fan out across the worker pool and the virtual-time parse charge is
-// applied once, summed, on the caller's goroutine.  Otherwise backend
-// calls and per-shard charges stay on the caller's goroutine (the
-// discrete-event engine requires blocking operations there) and only the
-// pure-CPU decode of uncached shards fans out.  Either way the total
-// virtual time charged is identical to the serial baseline.
+// Backend calls and per-shard parse charges stay on the caller's
+// goroutine (the discrete-event engine requires blocking operations
+// there); only the pure-CPU decode of uncached shards runs on the mount's
+// pool, so the virtual time charged is the serial baseline's.
 func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 	dsp := r.sp.Child("decode")
 	defer dsp.End()
 	m, ctx := r.m, r.ctx
 	st := m.stateOf(r.rel, ctx.Tenant)
-	w := m.opt.DecodeWorkers
-	pol := m.opt.Retry
 	out := make([][]Rec, len(refs))
 	errs := make([]error, len(refs))
-
-	if r.fan > 1 {
-		var reads, bytes, entries int64
-		parallelFor(w, len(refs), func(i int) {
-			ref := refs[i]
-			pl, size, err := m.readIndexReplicated(ctx, ref.Ref.Index, pol)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", ref.Ref.Index, err)
-				return
-			}
-			atomic.AddInt64(&reads, 1)
-			atomic.AddInt64(&bytes, size)
-			atomic.AddInt64(&entries, size/EntryBytes)
-			st.mu.Lock()
-			cached, ok := st.parsed[ref.Ref.Index]
-			st.mu.Unlock()
-			if ok {
-				out[i] = withDropping(cached, ref.ID)
-				return
-			}
-			es, err := decodeIndexDropping(pl.Materialize(), ref.ID)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", ref.Ref.Index, err)
-				return
-			}
-			m.storeParsed(st, ref.Ref.Index, es)
-			out[i] = es
-		})
-		r.Stats.IndexReads += int(reads)
-		r.Stats.IndexBytes += bytes
-		ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(int(entries)))
-	} else {
-		raw := make([][]byte, len(refs))
-		for i, ref := range refs {
-			pl, size, err := m.readIndexReplicated(ctx, ref.Ref.Index, pol)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", ref.Ref.Index, err)
-				continue
-			}
-			r.Stats.IndexReads++
-			r.Stats.IndexBytes += size
-			ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(int(size/EntryBytes)))
-			st.mu.Lock()
-			cached, ok := st.parsed[ref.Ref.Index]
-			st.mu.Unlock()
-			if ok {
-				out[i] = withDropping(cached, ref.ID)
-				continue
-			}
-			if raw[i] = pl.Materialize(); raw[i] == nil {
-				raw[i] = []byte{}
-			}
+	raw := make([][]byte, len(refs))
+	for i, ref := range refs {
+		pl, size, err := m.readIndexReplicated(ctx, ref.Ref.Index, m.opt.Retry)
+		if err != nil {
+			errs[i] = fmt.Errorf("%s: %w", ref.Ref.Index, err)
+			continue
 		}
-		parallelFor(w, len(refs), func(i int) {
-			if raw[i] == nil || errs[i] != nil {
-				return
-			}
-			es, err := decodeIndexDropping(raw[i], refs[i].ID)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", refs[i].Ref.Index, err)
-				return
-			}
-			out[i] = es
-		})
-		for i, es := range out {
-			if es != nil && raw[i] != nil {
-				m.storeParsed(st, refs[i].Ref.Index, es)
-			}
+		r.Stats.IndexReads++
+		r.Stats.IndexBytes += size
+		ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(int(size/EntryBytes)))
+		st.mu.Lock()
+		cached, ok := st.parsed[ref.Ref.Index]
+		st.mu.Unlock()
+		if ok {
+			out[i] = withDropping(cached, ref.ID)
+			continue
+		}
+		if raw[i] = pl.Materialize(); raw[i] == nil {
+			raw[i] = []byte{}
+		}
+	}
+	parallelFor(m.workers, len(refs), func(i int) {
+		if raw[i] == nil || errs[i] != nil {
+			return
+		}
+		es, err := decodeIndexDropping(raw[i], refs[i].ID)
+		if err != nil {
+			errs[i] = fmt.Errorf("%s: %w", refs[i].Ref.Index, err)
+			return
+		}
+		out[i] = es
+	})
+	for i, es := range out {
+		if es != nil && raw[i] != nil {
+			m.storeParsed(st, refs[i].Ref.Index, es)
 		}
 	}
 	if m.opt.AllowPartial {
@@ -613,7 +565,8 @@ func (r *Reader) aggregateParallel() error {
 	}
 	xsp.End()
 
-	// Members read their assigned subindices through the worker pool.
+	// Members read their assigned subindices (readShards decodes them on
+	// the mount's pool).
 	refs := make([]shardRef, 0, len(assignment))
 	for _, a := range assignment {
 		if a.Ref.Index == "" && !r.m.fillMissingIndex(r.ctx, &a.Ref) {
@@ -738,11 +691,8 @@ func (r *Reader) handle(id int32) (File, error) {
 // The physical reads are planned by sieving coalescing (planBatches):
 // per dropping, pieces within Options.SieveGap bytes of each other merge
 // into one backend read, and each piece's bytes are sliced back out of
-// its batch during reassembly.  Over backends that advertise
-// ConcurrentIO the batches fan out across the worker pool; under the
-// simulator (or with DecodeWorkers 1) they issue serially on the
-// caller's goroutine, as the discrete-event engine requires.  The plan
-// itself is identical either way.
+// its batch during reassembly.  The batches issue on the caller's
+// goroutine, as the discrete-event engine requires.
 func (r *Reader) ReadAt(off, n int64) (payload.List, error) {
 	if r.closed {
 		return nil, errors.New("plfs: reader closed")
@@ -787,8 +737,8 @@ func (r *Reader) ReadAtv(segs []extent.Ext) (payload.List, error) {
 }
 
 // readPieces executes the lookup result of one ReadAt/ReadAtv call:
-// plans physical batches, issues them (fanned out when the backend
-// allows), and reassembles the pieces in order.
+// plans physical batches, issues them, and reassembles the pieces in
+// order.
 func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 	r.ReadStats.Pieces += len(pieces)
 	for _, p := range pieces {
@@ -827,13 +777,10 @@ func (r *Reader) notePhys(batches int, phys, want int64) {
 // the backend's fresh list is returned as is.
 func (r *Reader) readOne(p Piece) (payload.List, error) {
 	r.notePhys(1, p.Length, p.Length)
-	r.ReadStats.Workers = r.fan
 	return r.readExtent(p.Dropping, p.PhysOff, p.Length)
 }
 
 // readExtent is one backend read of a dropping under the retry policy.
-// It only reads the handle cache once the handle is open, so batches whose
-// handles were opened up front may call it from the worker pool.
 func (r *Reader) readExtent(drop int32, phys, n int64) (payload.List, error) {
 	f, err := r.handle(drop)
 	if err != nil {
@@ -851,8 +798,9 @@ func (r *Reader) readExtent(drop int32, phys, n int64) (payload.List, error) {
 	return pl, nil
 }
 
-// readPlanned is the general plan: sieving batches, fanned out when the
-// backend allows, pieces sliced back out of their batches in order.
+// readPlanned is the general plan: sieving batches, consecutive batches
+// against one dropping collapsed into one vectored read, pieces sliced
+// back out of their batches in order.
 func (r *Reader) readPlanned(pieces []Piece) (payload.List, error) {
 	batches := planBatches(pieces, r.m.opt.SieveGap)
 	var want, phys int64
@@ -866,58 +814,46 @@ func (r *Reader) readPlanned(pieces []Piece) (payload.List, error) {
 	}
 	r.notePhys(len(batches), phys, want)
 
-	// Open handles up front on this goroutine: the handle cache is not
-	// goroutine-safe, and backend File handles are reused across batches.
+	// Every handle opens before the first read: backend File handles are
+	// reused across batches, and the backend sees all opens, then reads.
 	for _, b := range batches {
 		if _, err := r.handle(b.drop); err != nil {
 			return nil, err
 		}
 	}
 	parts := make([]payload.List, len(batches))
-	readBatchAt := func(i int) (err error) {
-		parts[i], err = r.readExtent(batches[i].drop, batches[i].phys, batches[i].length)
-		return err
-	}
-	r.ReadStats.Workers = r.fan
-	if r.fan == 1 {
-		// Serial plan: consecutive batches against the same dropping (the
-		// planner emits them sorted) collapse into one vectored backend
-		// read — list I/O on the read side.
-		for i, j := 0, 0; i < len(batches); i = j {
-			j = i + 1
-			for j < len(batches) && batches[j].drop == batches[i].drop {
-				j++
-			}
-			if j-i == 1 {
-				if err := readBatchAt(i); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			segs := make([]extent.Ext, j-i)
-			for k := i; k < j; k++ {
-				segs[k-i] = extent.Ext{Off: batches[k].phys, Len: batches[k].length}
-			}
-			var pl payload.List
-			err := r.ctx.retry(r.m.opt.Retry, func() error {
-				var e error
-				pl, e = r.handles[batches[i].drop].ReadvAt(segs)
-				return e
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", r.ix.Droppings()[batches[i].drop], err)
-			}
-			var pos int64
-			for k := i; k < j; k++ {
-				parts[k] = pl.Slice(pos, batches[k].length)
-				pos += batches[k].length
-			}
+	// Consecutive batches against the same dropping (the planner emits
+	// them sorted) collapse into one vectored backend read — list I/O on
+	// the read side.
+	for i, j := 0, 0; i < len(batches); i = j {
+		j = i + 1
+		for j < len(batches) && batches[j].drop == batches[i].drop {
+			j++
 		}
-	} else {
-		errs := make([]error, len(batches))
-		parallelFor(r.fan, len(batches), func(i int) { errs[i] = readBatchAt(i) })
-		if err := errors.Join(errs...); err != nil {
-			return nil, err
+		if j-i == 1 {
+			var err error
+			if parts[i], err = r.readExtent(batches[i].drop, batches[i].phys, batches[i].length); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		segs := make([]extent.Ext, j-i)
+		for k := i; k < j; k++ {
+			segs[k-i] = extent.Ext{Off: batches[k].phys, Len: batches[k].length}
+		}
+		var pl payload.List
+		err := r.ctx.retry(r.m.opt.Retry, func() error {
+			var e error
+			pl, e = r.handles[batches[i].drop].ReadvAt(segs)
+			return e
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.ix.Droppings()[batches[i].drop], err)
+		}
+		var pos int64
+		for k := i; k < j; k++ {
+			parts[k] = pl.Slice(pos, batches[k].length)
+			pos += batches[k].length
 		}
 	}
 
@@ -945,7 +881,6 @@ func (r *Reader) readPlanned(pieces []Piece) (payload.List, error) {
 // one backend read per piece, each verified against the checksummed
 // recovery footer before its bytes are returned.
 func (r *Reader) readVerified(pieces []Piece) (payload.List, error) {
-	r.ReadStats.Workers = 1
 	var out payload.List
 	for _, piece := range pieces {
 		if piece.Dropping < 0 {

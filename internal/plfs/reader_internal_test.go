@@ -20,7 +20,7 @@ func TestSinglePieceMatchesPlanned(t *testing.T) {
 	for r, p := range paths {
 		fs.files[p] = payload.Synthetic(uint64(r+1), 0, 4*bs).Materialize()
 	}
-	m := NewMount([]string{"/"}, Options{DecodeWorkers: 1})
+	m := NewMount([]string{"/"}, Options{})
 	open := func() (*Reader, *obs.Registry) {
 		reg := obs.New()
 		r := m.newReader(Ctx{Vols: []Backend{fs}, Obs: reg}, "f")

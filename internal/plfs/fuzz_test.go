@@ -138,7 +138,7 @@ func fuzzEntries() []Entry {
 // the seeds exercise the v2 run-record framing.
 func fuzzRecs() []Rec {
 	return []Rec{
-		{Entry: Entry{LogicalOff: 0, Length: 64, PhysOff: 0, Timestamp: 1}},
+		{Entry: Entry{LogicalOff: 0, Length: 64, PhysOff: 0, Timestamp: 1}, Count: 1},
 		{Entry: Entry{LogicalOff: 1 << 10, Length: 64, PhysOff: 64, Timestamp: 2}, Count: 8, Stride: 512},
 	}
 }

@@ -13,36 +13,42 @@ import (
 // multi-core hardware.
 func benchWorkers() int { return runtime.GOMAXPROCS(0) }
 
-func benchRaws(shards [][]Entry) [][]byte {
-	raws := make([][]byte, len(shards))
-	for i, s := range shards {
-		raws[i] = encodeEntries(s)
-	}
-	return raws
-}
-
-// BenchmarkDecodeEntries measures index-dropping decode throughput:
-// one-at-a-time versus fanned out across the worker pool.
+// BenchmarkDecodeEntries measures index-dropping decode throughput on
+// the reader's path — decodeFrame, then the dropping-id rewrite — for 64
+// shards of 2,048 random writes, in the v1 layout and as the same records
+// in v2: one shard at a time, and fanned out across the worker pool.
 func BenchmarkDecodeEntries(b *testing.B) {
 	const nShards, perShard = 64, 2048
 	shards, _ := randomShards(rand.New(rand.NewSource(1)), nShards, perShard)
-	raws := benchRaws(shards)
-	out := make([][]Entry, nShards)
-	nbytes := int64(nShards * perShard * EntryBytes)
-	decode := func(b *testing.B, workers int) {
-		b.SetBytes(nbytes)
-		for i := 0; i < b.N; i++ {
-			parallelFor(workers, len(raws), func(s int) {
-				var err error
-				out[s], err = decodeEntries(raws[s], int32(s))
-				if err != nil {
-					b.Error(err)
-				}
-			})
+	out := make([][]Rec, nShards)
+	for _, v2 := range []bool{false, true} {
+		raws := make([][]byte, nShards)
+		for i, s := range shards {
+			raws[i] = appendFrame(nil, frame{kind: frameIndex, v2: v2, recs: recsOf(s)})
 		}
+		decode := func(b *testing.B, workers int) {
+			b.ReportAllocs()
+			b.SetBytes(nShards * perShard * EntryBytes)
+			for i := 0; i < b.N; i++ {
+				parallelFor(workers, nShards, func(s int) {
+					f, err := decodeFrame(frameIndex, raws[s])
+					if err != nil {
+						b.Error(err)
+					}
+					for j := range f.recs {
+						f.recs[j].Dropping = int32(s)
+					}
+					out[s] = f.recs
+				})
+			}
+		}
+		name := "v1"
+		if v2 {
+			name = "v2"
+		}
+		b.Run(name+"/serial", func(b *testing.B) { decode(b, 1) })
+		b.Run(name+"/parallel", func(b *testing.B) { decode(b, benchWorkers()) })
 	}
-	b.Run("serial", func(b *testing.B) { decode(b, 1) })
-	b.Run("parallel", func(b *testing.B) { decode(b, benchWorkers()) })
 }
 
 // stridedShards models an N-1 strided checkpoint: rank r's k-th block

@@ -2,20 +2,21 @@ package plfs
 
 // Checksummed framing (Options.Checksum).  When enabled, every piece of
 // index metadata the reader trusts — per-rank index droppings, the
-// flattened global index, and the recovery footer — is written with a
-// CRC32C (Castagnoli) trailer, and the recovery footer additionally
-// carries one CRC32C per data extent so Scrub and Options.VerifyData can
-// detect silently corrupted data bytes, not just torn metadata.
+// flattened global index, and the recovery footer — ends in a CRC32C
+// (Castagnoli) trailer, and the footer also carries one CRC32C per data
+// extent so Scrub and Options.VerifyData can detect silently corrupted
+// data, not just torn metadata.  The layouts are the index frame's.
 //
-// The trailers are self-describing: each has a distinct magic and a
-// length that cannot collide with the raw encodings (an index dropping
-// is a multiple of EntryBytes=40; the 16-byte trailer shifts it to
-// 16 mod 40), so readers accept checksummed and legacy files
-// interchangeably.  Options.Checksum therefore only controls what gets
-// written; verification always happens when a trailer is present.
+// A reader takes a frame's last 8 bytes for a trailer when they are its
+// magic.  No unchecksummed index dropping or global index ends in one:
+// its last 8 bytes are a record's (Dropping, Rank), which would need rank
+// 1,347,175,507; a run's stride, which the decoder caps at 2^61, below
+// every magic; or an empty list's zero count.  (Length tells them apart
+// only for a v1 index dropping, a multiple of EntryBytes.)  So checksummed
+// and legacy files read alike: Options.Checksum only picks what is
+// written, and a trailer, when present, is always verified.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -23,69 +24,6 @@ import (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-const (
-	// sumTrailerLen is the length of the metadata checksum trailer:
-	// [uint32 crc32c][uint32 reserved=0][uint64 magic].
-	sumTrailerLen = 16
-	// idxSumMagic marks a checksummed index dropping ("PLFS_ICX").
-	idxSumMagic = uint64(0x504c46535f494358)
-	// gidxSumMagic marks a checksummed global index ("PLFS_GCX").
-	gidxSumMagic = uint64(0x504c46535f474358)
-)
-
-// appendSumTrailer appends the CRC32C trailer for body to body.
-func appendSumTrailer(body []byte, magic uint64) []byte {
-	crc := crc32.Checksum(body, castagnoli)
-	var tr [sumTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[0:], crc)
-	binary.LittleEndian.PutUint64(tr[8:], magic)
-	return append(body, tr[:]...)
-}
-
-// splitSumTrailer detects, verifies, and strips a checksum trailer.  It
-// returns the body (data itself when no trailer is present — legacy
-// files stay readable) and whether a trailer was found; a trailer whose
-// checksum does not match the body is a hard error.
-func splitSumTrailer(data []byte, magic uint64) ([]byte, bool, error) {
-	if len(data) < sumTrailerLen {
-		return data, false, nil
-	}
-	tr := data[len(data)-sumTrailerLen:]
-	if binary.LittleEndian.Uint64(tr[8:]) != magic {
-		return data, false, nil
-	}
-	body := data[:len(data)-sumTrailerLen]
-	if binary.LittleEndian.Uint32(tr[4:]) != 0 {
-		return nil, true, fmt.Errorf("checksum trailer corrupt (reserved field %08x)",
-			binary.LittleEndian.Uint32(tr[4:]))
-	}
-	want := binary.LittleEndian.Uint32(tr[0:])
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, true, fmt.Errorf("checksum mismatch (crc32c %08x, trailer says %08x)", got, want)
-	}
-	return body, true, nil
-}
-
-// decodeIndexDropping decodes one index dropping (either record-format
-// generation), verifying and stripping its checksum trailer when present.
-func decodeIndexDropping(data []byte, droppingID int32) ([]Rec, error) {
-	body, _, err := splitSumTrailer(data, idxSumMagic)
-	if err != nil {
-		return nil, fmt.Errorf("index dropping %v", err)
-	}
-	return decodeRecs(body, droppingID)
-}
-
-// decodeGlobalIndexAuto decodes a global index (either record-format
-// generation), verifying and stripping its checksum trailer when present.
-func decodeGlobalIndexAuto(data []byte) ([]string, []Rec, error) {
-	body, _, err := splitSumTrailer(data, gidxSumMagic)
-	if err != nil {
-		return nil, nil, fmt.Errorf("global index %v", err)
-	}
-	return decodeGlobalIndexRecs(body)
-}
 
 // payloadCRC extends sum with the payload's content.  Synthetic and zero
 // payloads are streamed through a small pattern buffer rather than
@@ -132,12 +70,11 @@ type extentSums struct {
 	entries  []Entry
 	sums     []uint32
 	verified []bool
-	absent   bool // no checksummed footer: nothing to verify
 }
 
 // loadSums lazily reads the checksummed recovery footer of dropping id.
-// Droppings without one (legacy, unframed, or unchecksummed) are marked
-// absent and served unverified.
+// Droppings without one (legacy, unframed, or unchecksummed) get no
+// extents and are served unverified.
 func (r *Reader) loadSums(id int32) *extentSums {
 	if es, ok := r.vsums[id]; ok {
 		return es
@@ -149,9 +86,7 @@ func (r *Reader) loadSums(id int32) *extentSums {
 	ref := droppingRef{Data: p, Vol: r.m.volOfPath(p)}
 	entries, sums, _, err := r.m.readFrameFooter(r.ctx, ref)
 	es := &extentSums{}
-	if err != nil || sums == nil {
-		es.absent = true
-	} else {
+	if err == nil && sums != nil {
 		es.entries, es.sums, es.verified = entries, sums, make([]bool, len(entries))
 	}
 	r.vsums[id] = es
@@ -164,9 +99,6 @@ func (r *Reader) loadSums(id int32) *extentSums {
 // extent) and at most once per reader.
 func (r *Reader) verifyPiece(piece Piece) error {
 	es := r.loadSums(piece.Dropping)
-	if es.absent {
-		return nil
-	}
 	lo, hi := piece.PhysOff, piece.PhysOff+piece.Length
 	for i, e := range es.entries {
 		if e.PhysOff+e.Length <= lo || e.PhysOff >= hi || es.verified[i] {

@@ -149,79 +149,65 @@ func flipped(b []byte, i int) []byte {
 	return out
 }
 
-func FuzzDecodeIndexDropping(f *testing.F) {
-	raw := encodeEntries(fuzzEntries())
-	sum := appendSumTrailer(raw, idxSumMagic)
-	v2 := encodeRecs(fuzzRecs())
-	v2sum := appendSumTrailer(v2, idxSumMagic)
-	f.Add([]byte{})
-	f.Add(raw)
-	f.Add(sum)
-	f.Add(v2)
-	f.Add(v2sum)
-	f.Add(flipped(sum, 3))
-	f.Add(flipped(v2, 11))
-	f.Add(raw[:len(raw)-1])
-	f.Add(sum[:len(sum)-8])
-	f.Add(v2[:len(v2)-2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := decodeIndexDropping(data, 7)
-		if err != nil {
-			return
+// FuzzFrame: bytes of any kind of index frame either decode or error —
+// never a panic, never more records than the bytes can hold — and a
+// decoded frame re-encodes to exactly its input, in the generation the
+// input was framed as.  Footer inputs also go through the footer reader
+// as whole data droppings.  The seeds are the corpora of the three
+// per-artefact targets this one replaced, in their order.
+func FuzzFrame(f *testing.F) {
+	ents, recs := fuzzEntries(), fuzzRecs()
+	enc := func(fr frame) []byte { return appendFrame(nil, fr) }
+	add := func(kind frameKind, seeds ...[]byte) {
+		for _, s := range seeds {
+			f.Add(uint8(kind), s)
 		}
-		// Every record costs at least EntryBytes on the wire in either
-		// format generation, so this bounds allocation from forged counts.
-		if len(recs)*EntryBytes > len(data) {
-			t.Fatalf("%d records from %d bytes: over-allocated", len(recs), len(data))
-		}
-		for _, rec := range recs {
-			if rec.Dropping != 7 {
-				t.Fatalf("dropping id not rewritten: %d", rec.Dropping)
-			}
-		}
-	})
-}
+	}
+	raw := enc(frame{kind: frameIndex, recs: recsOf(ents)})
+	sum := enc(frame{kind: frameIndex, crc: true, recs: recsOf(ents)})
+	v2 := enc(frame{kind: frameIndex, recs: recs})
+	v2sum := enc(frame{kind: frameIndex, crc: true, recs: recs})
+	add(frameIndex, []byte{}, raw, sum, v2, v2sum, flipped(sum, 3), flipped(v2, 11),
+		raw[:len(raw)-1], sum[:len(sum)-8], v2[:len(v2)-2])
 
-func FuzzDecodeGlobalIndex(f *testing.F) {
-	raw := encodeGlobalIndex([]string{"hostdir.0/dropping.data.1.0"}, fuzzEntries())
-	sum := appendSumTrailer(raw, gidxSumMagic)
-	v2 := encodeGlobalIndexV2([]string{"hostdir.0/dropping.data.1.0"}, fuzzRecs())
-	v2sum := appendSumTrailer(v2, gidxSumMagic)
+	paths := []string{"hostdir.0/dropping.data.1.0"}
+	raw = enc(frame{kind: frameGlobal, paths: paths, recs: recsOf(ents)})
+	sum = enc(frame{kind: frameGlobal, crc: true, paths: paths, recs: recsOf(ents)})
+	v2 = enc(frame{kind: frameGlobal, paths: paths, recs: recs})
+	v2sum = enc(frame{kind: frameGlobal, crc: true, paths: paths, recs: recs})
 	// Regression: a forged entry count of 2^63 made ne*EntryBytes wrap to
 	// 0, pass the length check, and panic in make.
 	forged := make([]byte, 12)
 	binary.LittleEndian.PutUint64(forged[4:], 1<<63)
-	f.Add([]byte{})
-	f.Add(raw)
-	f.Add(sum)
-	f.Add(v2)
-	f.Add(v2sum)
-	f.Add(forged)
-	f.Add(flipped(sum, 9))
-	f.Add(flipped(v2, 17))
-	f.Add(raw[:len(raw)-5])
-	f.Add(v2[:len(v2)-7])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		paths, recs, err := decodeGlobalIndexAuto(data)
+	add(frameGlobal, []byte{}, raw, sum, v2, v2sum, forged, flipped(sum, 9), flipped(v2, 17),
+		raw[:len(raw)-5], v2[:len(v2)-7])
+
+	body := make([]byte, 128) // the 128 data bytes the entries cover
+	for i := range body {
+		body[i] = byte(i)
+	}
+	foot := enc(frame{kind: frameFooter, ents: ents})
+	footSum := enc(frame{kind: frameFooter, crc: true, ents: ents, sums: []uint32{0xdead, 0xbeef}})
+	v1 := append(append([]byte(nil), body...), foot...)
+	v2 = append(append([]byte(nil), body...), footSum...)
+	add(frameFooter, []byte{}, body, v1, v2, v1[:len(v1)-3], v2[:len(v2)-9],
+		flipped(v2, len(v2)-5), flipped(v2, len(body)+2), foot, footSum)
+
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		k := frameKind(kind % 3)
+		if k == frameFooter {
+			checkFooterRead(t, data)
+		}
+		fr, err := decodeFrame(k, data)
 		if err != nil {
 			return
 		}
-		if len(recs)*EntryBytes > len(data) || len(paths) > len(data) {
-			t.Fatalf("%d records, %d paths from %d bytes: over-allocated",
-				len(recs), len(paths), len(data))
+		if (len(fr.recs)+len(fr.ents))*EntryBytes > len(data) || len(fr.paths) > len(data) {
+			t.Fatalf("%d records, %d entries, %d paths from %d bytes: over-allocated",
+				len(fr.recs), len(fr.ents), len(fr.paths), len(data))
 		}
-		// Successful decodes must round-trip bit-exactly: anything else
-		// means the parser silently reinterpreted mangled input.  Re-encode
-		// in whichever format generation the input was framed as.
-		body, _, _ := splitSumTrailer(data, gidxSumMagic)
-		var re []byte
-		if len(body) >= 8 && binary.LittleEndian.Uint64(body) == gidxV2Magic {
-			re = encodeGlobalIndexV2(paths, recs)
-		} else {
-			re = encodeGlobalIndex(paths, expandRecs(recs))
-		}
-		if !bytes.Equal(re, body) {
-			t.Fatal("decode/encode round trip changed the global index")
+		if !bytes.Equal(appendFrame(nil, fr), data) {
+			t.Fatal("decode/encode round trip changed the frame")
 		}
 	})
 }
@@ -236,44 +222,28 @@ func fuzzFooterRead(data []byte) ([]Entry, []uint32, int64, error) {
 	return m.readFrameFooter(ctx, droppingRef{Data: "d", Vol: 0})
 }
 
-func FuzzFrameFooter(f *testing.F) {
-	entries := fuzzEntries()
-	body := make([]byte, 128) // the 128 data bytes the entries cover
-	for i := range body {
-		body[i] = byte(i)
+// checkFooterRead holds the footer reader to its contract on data as a
+// whole data dropping: what it accepts lies inside the data region, and
+// the region's end is where a footer frame starts.
+func checkFooterRead(t *testing.T, data []byte) {
+	entries, sums, dataEnd, err := fuzzFooterRead(data)
+	if err != nil {
+		return
 	}
-	v1 := append(append([]byte(nil), body...), encodeFrameFooter(entries)...)
-	v2 := append(append([]byte(nil), body...),
-		encodeFrameFooterSums(entries, []uint32{0xdead, 0xbeef})...)
-	f.Add([]byte{})
-	f.Add(body)
-	f.Add(v1)
-	f.Add(v2)
-	f.Add(v1[:len(v1)-3])
-	f.Add(v2[:len(v2)-9])
-	f.Add(flipped(v2, len(v2)-5))
-	f.Add(flipped(v2, len(body)+2))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, sums, dataEnd, err := fuzzFooterRead(data)
-		if err != nil {
-			return
+	if dataEnd < 0 || dataEnd > int64(len(data)) {
+		t.Fatalf("dataEnd %d outside [0,%d]", dataEnd, len(data))
+	}
+	if sums != nil && len(sums) != len(entries) {
+		t.Fatalf("%d sums for %d entries", len(sums), len(entries))
+	}
+	for _, e := range entries {
+		if !extentOK(e, dataEnd) {
+			t.Fatalf("accepted extent [%d,%d) outside %d data bytes", e.PhysOff, e.PhysOff+e.Length, dataEnd)
 		}
-		if len(entries)*EntryBytes > len(data) {
-			t.Fatalf("%d entries from %d bytes: over-allocated", len(entries), len(data))
-		}
-		if sums != nil && len(sums) != len(entries) {
-			t.Fatalf("%d sums for %d entries", len(sums), len(entries))
-		}
-		if dataEnd < 0 || dataEnd > int64(len(data)) {
-			t.Fatalf("dataEnd %d outside [0,%d]", dataEnd, len(data))
-		}
-		for _, e := range entries {
-			if e.Length <= 0 || e.PhysOff < 0 || e.PhysOff+e.Length > dataEnd {
-				t.Fatalf("accepted extent [%d,%d) outside %d data bytes",
-					e.PhysOff, e.PhysOff+e.Length, dataEnd)
-			}
-		}
-	})
+	}
+	if fr, err := decodeFrame(frameFooter, data[dataEnd:]); err != nil || len(fr.ents) != len(entries) {
+		t.Fatalf("the footer read gave %d entries; its frame decodes to %d (err %v)", len(entries), len(fr.ents), err)
+	}
 }
 
 // FuzzParseMovedMarker: a name from a container listing parses as a
@@ -348,9 +318,8 @@ func FuzzParseSizeRecord(f *testing.F) {
 // footer region makes the parse fail (data-region flips are the data
 // checksums' job, covered by the scrub tests).
 func TestEveryFooterBitFlipRejected(t *testing.T) {
-	entries := fuzzEntries()
 	body := make([]byte, 128)
-	foot := encodeFrameFooterSums(entries, []uint32{1, 2})
+	foot := appendFrame(nil, frame{kind: frameFooter, crc: true, ents: fuzzEntries(), sums: []uint32{1, 2}})
 	file := append(append([]byte(nil), body...), foot...)
 	for i := len(body); i < len(file); i++ {
 		mangled := append([]byte(nil), file...)
@@ -362,14 +331,23 @@ func TestEveryFooterBitFlipRejected(t *testing.T) {
 }
 
 // TestEveryIndexTrailerBitFlipRejected is the same property for
-// checksummed index droppings: every single-byte flip must error.
+// checksummed index droppings, v1 and v2, and checksummed global
+// indexes: every single-byte flip must error.
 func TestEveryIndexTrailerBitFlipRejected(t *testing.T) {
-	file := appendSumTrailer(encodeEntries(fuzzEntries()), idxSumMagic)
-	for i := range file {
-		mangled := append([]byte(nil), file...)
-		mangled[i] ^= 0x10
-		if _, err := decodeIndexDropping(mangled, 0); err == nil {
-			t.Fatalf("flip at byte %d decoded cleanly", i)
+	paths := []string{"hostdir.0/dropping.data.1.0"}
+	for _, f := range []frame{
+		{kind: frameIndex, crc: true, recs: recsOf(fuzzEntries())},
+		{kind: frameIndex, crc: true, recs: fuzzRecs()},
+		{kind: frameGlobal, crc: true, paths: paths, recs: recsOf(fuzzEntries())},
+		{kind: frameGlobal, crc: true, paths: paths, recs: fuzzRecs()},
+	} {
+		file := appendFrame(nil, f)
+		for i := range file {
+			mangled := append([]byte(nil), file...)
+			mangled[i] ^= 0x10
+			if _, err := decodeFrame(f.kind, mangled); err == nil {
+				t.Fatalf("%s with %d records: flip at byte %d decoded cleanly", frameKinds[f.kind].name, len(f.recs), i)
+			}
 		}
 	}
 }

@@ -3,7 +3,9 @@ package plfs
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"sort"
 	"time"
@@ -38,53 +40,6 @@ const EntryBytes = 40
 // simulator produces exact ties).
 func seqOf(e Entry) uint64 {
 	return uint64(e.Timestamp)<<16 | uint64(uint16(e.Rank))
-}
-
-// putEntry serializes e into b[:EntryBytes], little-endian.
-func putEntry(b []byte, e Entry) {
-	binary.LittleEndian.PutUint64(b[0:], uint64(e.LogicalOff))
-	binary.LittleEndian.PutUint64(b[8:], uint64(e.Length))
-	binary.LittleEndian.PutUint64(b[16:], uint64(e.PhysOff))
-	binary.LittleEndian.PutUint64(b[24:], uint64(e.Timestamp))
-	binary.LittleEndian.PutUint32(b[32:], uint32(e.Dropping))
-	binary.LittleEndian.PutUint32(b[36:], uint32(e.Rank))
-}
-
-// putEntries serializes entries back to back into b, which must hold
-// EntryBytes for each.
-func putEntries(b []byte, entries []Entry) {
-	for i, e := range entries {
-		putEntry(b[i*EntryBytes:], e)
-	}
-}
-
-// encodeEntries serializes entries (little-endian, EntryBytes each).
-func encodeEntries(entries []Entry) []byte {
-	buf := make([]byte, len(entries)*EntryBytes)
-	putEntries(buf, entries)
-	return buf
-}
-
-// decodeEntries parses an index dropping's bytes.  The dropping id of
-// every decoded entry is rewritten to droppingID: ids are a property of
-// the reader's canonical dropping ordering, not of the writer.
-func decodeEntries(data []byte, droppingID int32) ([]Entry, error) {
-	if len(data)%EntryBytes != 0 {
-		return nil, fmt.Errorf("plfs: corrupt index: %d bytes is not a multiple of %d", len(data), EntryBytes)
-	}
-	out := make([]Entry, len(data)/EntryBytes)
-	for i := range out {
-		b := data[i*EntryBytes:]
-		out[i] = Entry{
-			LogicalOff: int64(binary.LittleEndian.Uint64(b[0:])),
-			Length:     int64(binary.LittleEndian.Uint64(b[8:])),
-			PhysOff:    int64(binary.LittleEndian.Uint64(b[16:])),
-			Timestamp:  int64(binary.LittleEndian.Uint64(b[24:])),
-			Dropping:   droppingID,
-			Rank:       int32(binary.LittleEndian.Uint32(b[36:])),
-		}
-	}
-	return out, nil
 }
 
 // Rec is one index record in run-compressed form.  Count <= 1 makes it a
@@ -186,168 +141,289 @@ func runEnd(entries []Entry, i int) (j int, stride int64) {
 	return j, stride
 }
 
-// v2 record framing.  An index dropping is either v1 — raw entries,
-// EntryBytes each, byte-identical to the legacy format — or v2:
+// Index framing (DESIGN.md §12).  A writer's index dropping, the global
+// index and a data dropping's recovery footer each hold a list of index
+// records, and each is one frame, in parts (little-endian):
 //
-//	[ uint64 magic "PLFS_IX2" ][ uint32 nrecs ][ records ]
+//	front    v2: u64 magic; on an index dropping, then u32 count
+//	paths    global index: u32 n, n × (u32 len, bytes); count: v1 u64, v2 u32
+//	records  v1: EntryBytes each; v2: tag 1 + entry, or tag 2 + entry +
+//	         u32 count + i64 stride.  Footers are v1
+//	sums     checksummed footer: u32 CRC32C of each record's data extent
+//	trailer  checksummed: u32 CRC32C of the bytes before, u32 0; footer:
+//	         u64 count; either: u64 magic
 //
-// where each record is a tag byte (1 = entry, 2 = run) followed by an
-// EntryBytes entry, and tag-2 records append [uint32 count][int64 stride].
-// The global index has the same two generations ("PLFS_GX2" for v2) with
-// the dropping-path header in front of the record section.  Encoders emit
-// v1 whenever every record is a single, so compression-off output stays
-// byte-identical to the legacy format and the simulator models the same
-// volumes.
+// Encoders write v2 only for a run (or when asked), so an all-singles
+// list keeps the legacy bytes.
+type frameKind uint8
+
 const (
-	ixV2Magic   = uint64(0x504c46535f495832) // "PLFS_IX2"
-	gidxV2Magic = uint64(0x504c46535f475832) // "PLFS_GX2"
-	recHdrLen   = 12                         // magic + record count
-	recRunExtra = 12                         // count + stride
+	frameIndex  frameKind = iota // a writer's index dropping
+	frameGlobal                  // the flattened global index
+	frameFooter                  // a data dropping's recovery footer
 )
 
-// allSingles reports whether no record is a run.
-func allSingles(recs []Rec) bool {
-	for _, r := range recs {
-		if r.Count > 1 {
-			return false
-		}
-	}
-	return true
+// frameKinds holds each kind's name and magics: v2 front, and trailer
+// without and with a CRC.
+var frameKinds = [...]struct {
+	name               string
+	front, tail, tailC uint64
+}{
+	frameIndex:  {"index dropping", 0x504c46535f495832, 0, 0x504c46535f494358},  // PLFS_IX2, PLFS_ICX
+	frameGlobal: {"global index", 0x504c46535f475832, 0, 0x504c46535f474358},    // PLFS_GX2, PLFS_GCX
+	frameFooter: {"recovery footer", 0, 0x504c46535f524543, 0x504c46535f524332}, // PLFS_REC, PLFS_RC2
 }
 
-// recsWireLen returns exactly how many bytes encodeRecs(recs) produces —
+// frame is one index artefact in memory.  An index dropping and the global
+// index hold records (recs); a footer holds its writer's entries as they
+// stand (ents) and, when checksummed, one data CRC32C per entry (sums).
+type frame struct {
+	kind  frameKind
+	v2    bool // the v2 record list: set by decode; on encode, forces v2
+	crc   bool // a CRC32C in the trailer (Options.Checksum)
+	paths []string
+	recs  []Rec
+	ents  []Entry
+	sums  []uint32
+}
+
+// tagged reports whether f is written with the v2 record list.
+func (f *frame) tagged() bool {
+	return f.kind != frameFooter && (f.v2 || slices.ContainsFunc(f.recs, isRun))
+}
+
+func isRun(r Rec) bool { return r.Count > 1 }
+
+// frameLen returns len(appendFrame(nil, f)).
+func frameLen(f *frame) int {
+	n, tagged := len(f.recs)+len(f.ents), f.tagged()
+	l := n*EntryBytes + 4*len(f.sums)
+	if tagged {
+		l += 8 + 4 + n // front magic, count, a tag a record
+	}
+	for _, r := range f.recs {
+		if isRun(r) {
+			l += 12 // a run's count and stride
+		}
+	}
+	if f.kind == frameGlobal {
+		for _, p := range f.paths {
+			l += 4 + len(p)
+		}
+		if l += 4; !tagged {
+			l += 8 // the v1 record count
+		}
+	}
+	if f.crc || f.kind == frameFooter {
+		l += 16 // the CRC or the count, and the magic
+	}
+	if f.crc && f.kind == frameFooter {
+		l += 8
+	}
+	return l
+}
+
+// recsWireLen returns how many bytes an index dropping of recs takes —
 // the figure the simulator charges for index transport.
 func recsWireLen(recs []Rec) int64 {
-	if allSingles(recs) {
-		return int64(len(recs)) * EntryBytes
+	return int64(frameLen(&frame{kind: frameIndex, recs: recs}))
+}
+
+// appendFrame appends f's bytes to buf, growing it at most once.
+func appendFrame(buf []byte, f frame) []byte {
+	if need := frameLen(&f); cap(buf)-len(buf) < need {
+		buf = append(make([]byte, 0, len(buf)+need), buf...)
 	}
-	n := int64(recHdrLen)
-	for _, r := range recs {
-		n += 1 + EntryBytes
-		if r.Count > 1 {
-			n += recRunExtra
+	k, le := &frameKinds[f.kind], binary.LittleEndian
+	start, tagged, n := len(buf), f.tagged(), len(f.recs)+len(f.ents)
+	if tagged {
+		buf = le.AppendUint64(buf, k.front)
+	}
+	if f.kind == frameGlobal {
+		buf = le.AppendUint32(buf, uint32(len(f.paths)))
+		for _, p := range f.paths {
+			buf = append(le.AppendUint32(buf, uint32(len(p))), p...)
+		}
+		if !tagged {
+			buf = le.AppendUint64(buf, uint64(n))
 		}
 	}
-	return n
-}
-
-func appendEntry(buf []byte, e Entry) []byte {
-	var b [EntryBytes]byte
-	putEntry(b[:], e)
-	return append(buf, b[:]...)
-}
-
-func getEntry(b []byte) Entry {
-	return Entry{
-		LogicalOff: int64(binary.LittleEndian.Uint64(b[0:])),
-		Length:     int64(binary.LittleEndian.Uint64(b[8:])),
-		PhysOff:    int64(binary.LittleEndian.Uint64(b[16:])),
-		Timestamp:  int64(binary.LittleEndian.Uint64(b[24:])),
-		Dropping:   int32(binary.LittleEndian.Uint32(b[32:])),
-		Rank:       int32(binary.LittleEndian.Uint32(b[36:])),
+	if tagged {
+		buf = le.AppendUint32(buf, uint32(n))
 	}
-}
-
-// appendRecList serializes the v2 record section (no header).
-func appendRecList(buf []byte, recs []Rec) []byte {
-	var tmp [recRunExtra]byte
-	for _, r := range recs {
-		if r.Count <= 1 {
-			buf = append(buf, 1)
-			buf = appendEntry(buf, r.Entry)
-			continue
+	for i := 0; i < n; i++ {
+		r := Rec{Count: 1}
+		if f.recs != nil {
+			r = f.recs[i]
+		} else {
+			r.Entry = f.ents[i]
 		}
-		buf = append(buf, 2)
-		buf = appendEntry(buf, r.Entry)
-		binary.LittleEndian.PutUint32(tmp[0:], uint32(r.Count))
-		binary.LittleEndian.PutUint64(tmp[4:], uint64(r.Stride))
-		buf = append(buf, tmp[:]...)
+		if tagged {
+			buf = append(buf, byte(min(max(r.Count, 1), 2))) // 1 a single, 2 a run
+		}
+		buf = le.AppendUint64(le.AppendUint64(buf, uint64(r.LogicalOff)), uint64(r.Length))
+		buf = le.AppendUint64(le.AppendUint64(buf, uint64(r.PhysOff)), uint64(r.Timestamp))
+		buf = le.AppendUint32(le.AppendUint32(buf, uint32(r.Dropping)), uint32(r.Rank))
+		if tagged && isRun(r) {
+			buf = le.AppendUint64(le.AppendUint32(buf, uint32(r.Count)), uint64(r.Stride))
+		}
+	}
+	for _, s := range f.sums {
+		buf = le.AppendUint32(buf, s)
+	}
+	magic := k.tail
+	if f.crc {
+		buf = le.AppendUint64(buf, uint64(crc32.Checksum(buf[start:], castagnoli))) // and the zero
+		magic = k.tailC
+	}
+	if f.kind == frameFooter {
+		buf = le.AppendUint64(buf, uint64(n))
+	}
+	if magic != 0 {
+		buf = le.AppendUint64(buf, magic)
 	}
 	return buf
 }
 
-// decodeRecList parses n records from data, requiring exact consumption.
-func decodeRecList(data []byte, n int) ([]Rec, error) {
-	bad := fmt.Errorf("plfs: corrupt v2 index records")
-	out := make([]Rec, 0, n)
-	for i := 0; i < n; i++ {
-		if len(data) < 1+EntryBytes {
-			return nil, bad
+// trailerOf parses the trailer ending data, a frame of kind: the record
+// count it gives (a footer's), its length, and whether it has a CRC.
+// Without a trailer magic there is no trailer; a footer must have one.
+func trailerOf(kind frameKind, data []byte) (n uint64, tlen int, crc bool, err error) {
+	k := &frameKinds[kind]
+	var magic uint64
+	if len(data) >= 8 {
+		magic = binary.LittleEndian.Uint64(data[len(data)-8:])
+	}
+	switch {
+	case magic == k.tailC:
+		crc = true
+	case kind != frameFooter:
+		return 0, 0, false, nil
+	case magic != k.tail:
+		return 0, 0, false, errors.New("no recovery footer (bad magic)")
+	}
+	if tlen = 16; crc && kind == frameFooter {
+		tlen = 24
+	}
+	if len(data) < tlen {
+		return 0, 0, false, fmt.Errorf("corrupt %s (%d-byte trailer in %d bytes)", k.name, tlen, len(data))
+	}
+	if kind == frameFooter {
+		n = binary.LittleEndian.Uint64(data[len(data)-16:])
+	}
+	return n, tlen, crc, nil
+}
+
+// frameCursor reads a frame front to back, w bytes at a time (next).  A
+// read past the end yields zeros and sets short, which stays set, so a
+// parse checks it once.
+type frameCursor struct {
+	b     []byte
+	short bool
+}
+
+var zeroEntry [EntryBytes]byte
+
+func (c *frameCursor) next(w int) []byte {
+	if c.short = c.short || w > len(c.b); c.short {
+		return zeroEntry[:min(w, EntryBytes)]
+	}
+	p := c.b[:w]
+	c.b = c.b[w:]
+	return p
+}
+
+func (c *frameCursor) u32() uint32 { return binary.LittleEndian.Uint32(c.next(4)) }
+func (c *frameCursor) u64() uint64 { return binary.LittleEndian.Uint64(c.next(8)) }
+
+// decodeFrame parses all of data as a frame of kind, checking a trailer's
+// CRC.  Dropping ids come back as stored.  Counts are bounded by the bytes
+// left before anything is allocated, so no forged count over-allocates.
+func decodeFrame(kind frameKind, data []byte) (frame, error) {
+	k, le := &frameKinds[kind], binary.LittleEndian
+	n, tlen, crc, err := trailerOf(kind, data)
+	if err != nil {
+		return frame{}, err
+	}
+	corrupt := func(why string, a ...any) (frame, error) {
+		return frame{}, fmt.Errorf("corrupt %s (%s)", k.name, fmt.Sprintf(why, a...))
+	}
+	f, c := frame{kind: kind, crc: crc}, frameCursor{b: data[:len(data)-tlen]}
+	if crc {
+		if got, want := crc32.Checksum(c.b, castagnoli), le.Uint32(data[len(c.b):]); got != want {
+			return frame{}, fmt.Errorf("%s checksum mismatch (crc32c %08x, trailer says %08x)", k.name, got, want)
 		}
-		tag := data[0]
-		e := getEntry(data[1:])
-		data = data[1+EntryBytes:]
+		if r := le.Uint32(data[len(c.b)+4:]); r != 0 {
+			return corrupt("reserved field %08x", r)
+		}
+	}
+	if f.v2 = kind != frameFooter && len(c.b) >= 8 && le.Uint64(c.b) == k.front; f.v2 {
+		c.next(8)
+	}
+	if kind == frameGlobal {
+		for np := c.u32(); np > 0 && !c.short; np-- {
+			f.paths = append(f.paths, string(c.next(int(c.u32()))))
+		}
+	}
+	per := EntryBytes // the fewest bytes a record takes
+	switch {
+	case f.v2:
+		n, per = uint64(c.u32()), per+1
+	case kind == frameGlobal:
+		n = c.u64()
+	case kind == frameIndex:
+		n = uint64(len(c.b) / EntryBytes)
+	case crc:
+		per += 4 // the record's sum
+	}
+	if c.short || n > uint64(len(c.b)/per) {
+		return corrupt("%d records in %d bytes", n, len(c.b))
+	}
+	if kind == frameFooter {
+		f.ents = make([]Entry, 0, n)
+	} else {
+		f.recs = make([]Rec, 0, n)
+	}
+	for ; n > 0 && !c.short; n-- {
+		tag := byte(1)
+		if f.v2 {
+			tag = c.next(1)[0]
+		}
+		b := c.next(EntryBytes)
+		r := Rec{Count: 1, Entry: Entry{
+			LogicalOff: int64(le.Uint64(b[0:])), Length: int64(le.Uint64(b[8:])),
+			PhysOff: int64(le.Uint64(b[16:])), Timestamp: int64(le.Uint64(b[24:])),
+			Dropping: int32(le.Uint32(b[32:])), Rank: int32(le.Uint32(b[36:])),
+		}}
 		switch tag {
 		case 1:
-			out = append(out, Rec{Entry: e, Count: 1})
 		case 2:
-			if len(data) < recRunExtra {
-				return nil, bad
+			r.Count, r.Stride = int32(c.u32()), int64(c.u64())
+			// Counts and strides that could overflow the expansion arithmetic,
+			// or describe overlapping elements, are corruption, not data.
+			if r.Count < 2 || r.Count > 1<<30 || r.Length < 0 || r.LogicalOff < 0 ||
+				r.Stride < r.Length || (r.Stride > 0 && int64(r.Count) > (1<<62)/r.Stride) {
+				return corrupt("run of %d, stride %d", r.Count, r.Stride)
 			}
-			cnt := int32(binary.LittleEndian.Uint32(data[0:]))
-			stride := int64(binary.LittleEndian.Uint64(data[4:]))
-			data = data[recRunExtra:]
-			// Run sanity: counts and strides that could overflow the
-			// expansion arithmetic (or describe overlapping elements) are
-			// corruption, not data.
-			if cnt < 2 || cnt > 1<<30 || e.Length < 0 || e.LogicalOff < 0 ||
-				stride < e.Length || (stride > 0 && int64(cnt) > (1<<62)/stride) {
-				return nil, bad
-			}
-			out = append(out, Rec{Entry: e, Count: cnt, Stride: stride})
 		default:
-			return nil, bad
+			return corrupt("record tag %d", tag)
+		}
+		if kind == frameFooter {
+			f.ents = append(f.ents, r.Entry)
+		} else {
+			f.recs = append(f.recs, r)
 		}
 	}
-	if len(data) != 0 {
-		return nil, bad
-	}
-	return out, nil
-}
-
-// encodeRecs serializes an index dropping's records: legacy v1 bytes when
-// every record is a single, the v2 framing otherwise.
-func encodeRecs(recs []Rec) []byte {
-	if allSingles(recs) {
-		buf := make([]byte, len(recs)*EntryBytes)
-		for i, r := range recs {
-			putEntry(buf[i*EntryBytes:], r.Entry)
+	if crc && kind == frameFooter {
+		f.sums = make([]uint32, len(f.ents))
+		for i := range f.sums {
+			f.sums[i] = c.u32()
 		}
-		return buf
 	}
-	buf := make([]byte, 0, recsWireLen(recs))
-	var tmp [recHdrLen]byte
-	binary.LittleEndian.PutUint64(tmp[0:], ixV2Magic)
-	binary.LittleEndian.PutUint32(tmp[8:], uint32(len(recs)))
-	buf = append(buf, tmp[:]...)
-	return appendRecList(buf, recs)
-}
-
-// decodeRecs parses an index dropping in either generation, rewriting
-// dropping ids to droppingID (ids belong to the reader's canonical
-// ordering, as in decodeEntries).
-func decodeRecs(data []byte, droppingID int32) ([]Rec, error) {
-	if len(data) >= recHdrLen && binary.LittleEndian.Uint64(data) == ixV2Magic {
-		nr := uint64(binary.LittleEndian.Uint32(data[8:]))
-		rest := data[recHdrLen:]
-		// Bound before allocating: the smallest record is 1+EntryBytes.
-		if nr > uint64(len(rest))/(1+EntryBytes) {
-			return nil, fmt.Errorf("plfs: corrupt v2 index dropping (%d records in %d bytes)", nr, len(data))
-		}
-		recs, err := decodeRecList(rest, int(nr))
-		if err != nil {
-			return nil, err
-		}
-		for i := range recs {
-			recs[i].Dropping = droppingID
-		}
-		return recs, nil
+	if c.short || len(c.b) != 0 {
+		return corrupt("records do not fill their %d bytes", len(data)-tlen)
 	}
-	entries, err := decodeEntries(data, droppingID)
-	if err != nil {
-		return nil, err
-	}
-	return recsOf(entries), nil
+	return f, nil
 }
 
 // Index is a resolved global offset map: a sorted, disjoint cover of the
@@ -972,167 +1048,3 @@ func min64(a, b int64) int64 {
 
 // timeDuration converts an entry count to a time.Duration multiplier.
 func timeDuration(n int) time.Duration { return time.Duration(n) }
-
-// encodeGlobalIndex serializes a flattened global index: a header listing
-// the canonical dropping data paths, then the entries (whose Dropping ids
-// reference the header order).
-func encodeGlobalIndex(paths []string, entries []Entry) []byte {
-	var buf []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(paths)))
-	buf = append(buf, tmp[:4]...)
-	for _, p := range paths {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(p)))
-		buf = append(buf, tmp[:4]...)
-		buf = append(buf, p...)
-	}
-	binary.LittleEndian.PutUint64(tmp[:], uint64(len(entries)))
-	buf = append(buf, tmp[:]...)
-	// encodeEntries already serialized the canonical Dropping ids.
-	return append(buf, encodeEntries(entries)...)
-}
-
-// encodeGlobalIndexRecs serializes a global index in record form: legacy
-// v1 bytes when every record is a single, the v2 framing otherwise.
-func encodeGlobalIndexRecs(paths []string, recs []Rec) []byte {
-	if allSingles(recs) {
-		entries := make([]Entry, len(recs))
-		for i, r := range recs {
-			entries[i] = r.Entry
-		}
-		return encodeGlobalIndex(paths, entries)
-	}
-	return encodeGlobalIndexV2(paths, recs)
-}
-
-// encodeGlobalIndexV2 always emits the v2 framing:
-// [magic][uint32 npaths][paths][uint32 nrecs][records].
-func encodeGlobalIndexV2(paths []string, recs []Rec) []byte {
-	var buf []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], gidxV2Magic)
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(paths)))
-	buf = append(buf, tmp[:4]...)
-	for _, p := range paths {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(p)))
-		buf = append(buf, tmp[:4]...)
-		buf = append(buf, p...)
-	}
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(recs)))
-	buf = append(buf, tmp[:4]...)
-	return appendRecList(buf, recs)
-}
-
-// globalIndexWireLen returns len(encodeGlobalIndexRecs(paths, recs)).
-func globalIndexWireLen(paths []string, recs []Rec) int64 {
-	var n int64
-	if allSingles(recs) {
-		n = 4 + 8 + int64(len(recs))*EntryBytes
-	} else {
-		n = 8 + 4 + 4
-		for _, r := range recs {
-			n += 1 + EntryBytes
-			if r.Count > 1 {
-				n += recRunExtra
-			}
-		}
-	}
-	for _, p := range paths {
-		n += 4 + int64(len(p))
-	}
-	return n
-}
-
-// decodeGlobalIndexRecs parses a global index in either generation.
-func decodeGlobalIndexRecs(data []byte) (paths []string, recs []Rec, err error) {
-	if len(data) >= 8 && binary.LittleEndian.Uint64(data) == gidxV2Magic {
-		bad := fmt.Errorf("plfs: corrupt global index")
-		data = data[8:]
-		if len(data) < 4 {
-			return nil, nil, bad
-		}
-		np := int(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		for i := 0; i < np; i++ {
-			if len(data) < 4 {
-				return nil, nil, bad
-			}
-			l := int(binary.LittleEndian.Uint32(data))
-			data = data[4:]
-			if len(data) < l {
-				return nil, nil, bad
-			}
-			paths = append(paths, string(data[:l]))
-			data = data[l:]
-		}
-		if len(data) < 4 {
-			return nil, nil, bad
-		}
-		nr := uint64(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		if nr > uint64(len(data))/(1+EntryBytes) {
-			return nil, nil, bad
-		}
-		recs, err = decodeRecList(data, int(nr))
-		if err != nil {
-			return nil, nil, err
-		}
-		return paths, recs, nil
-	}
-	ps, entries, err := decodeGlobalIndex(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ps, recsOf(entries), nil
-}
-
-// decodeGlobalIndex parses the output of encodeGlobalIndex.
-func decodeGlobalIndex(data []byte) (paths []string, entries []Entry, err error) {
-	bad := fmt.Errorf("plfs: corrupt global index")
-	if len(data) < 4 {
-		return nil, nil, bad
-	}
-	np := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	for i := 0; i < np; i++ {
-		if len(data) < 4 {
-			return nil, nil, bad
-		}
-		l := int(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		if len(data) < l {
-			return nil, nil, bad
-		}
-		paths = append(paths, string(data[:l]))
-		data = data[l:]
-	}
-	if len(data) < 8 {
-		return nil, nil, bad
-	}
-	ne64 := binary.LittleEndian.Uint64(data)
-	data = data[8:]
-	// Bound before multiplying: a forged count can otherwise overflow
-	// ne*EntryBytes into a value that passes the length check and then
-	// over-allocates (or panics) in make.
-	if ne64 > uint64(len(data))/EntryBytes {
-		return nil, nil, bad
-	}
-	ne := int(ne64)
-	if len(data) != ne*EntryBytes {
-		return nil, nil, bad
-	}
-	entries = make([]Entry, ne)
-	for i := range entries {
-		b := data[i*EntryBytes:]
-		entries[i] = Entry{
-			LogicalOff: int64(binary.LittleEndian.Uint64(b[0:])),
-			Length:     int64(binary.LittleEndian.Uint64(b[8:])),
-			PhysOff:    int64(binary.LittleEndian.Uint64(b[16:])),
-			Timestamp:  int64(binary.LittleEndian.Uint64(b[24:])),
-			Dropping:   int32(binary.LittleEndian.Uint32(b[32:])),
-			Rank:       int32(binary.LittleEndian.Uint32(b[36:])),
-		}
-	}
-	return paths, entries, nil
-}

@@ -12,33 +12,41 @@ func TestEntryCodecRoundtrip(t *testing.T) {
 		{LogicalOff: 0, Length: 100, PhysOff: 0, Timestamp: 42, Dropping: 3, Rank: 7},
 		{LogicalOff: 1 << 40, Length: 1 << 20, PhysOff: 100, Timestamp: 43, Dropping: 3, Rank: 7},
 	}
-	buf := encodeEntries(in)
+	buf := appendFrame(nil, frame{kind: frameIndex, recs: recsOf(in)})
 	if len(buf) != 2*EntryBytes {
 		t.Fatalf("encoded %d bytes", len(buf))
 	}
-	out, err := decodeEntries(buf, 3)
+	out, err := decodeFrame(frameIndex, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("roundtrip mismatch:\n%+v\n%+v", in, out)
+	if !reflect.DeepEqual(recsOf(in), out.recs) {
+		t.Fatalf("roundtrip mismatch:\n%+v\n%+v", in, out.recs)
 	}
 }
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
-	if _, err := decodeEntries(make([]byte, EntryBytes+1), 0); err == nil {
+	if _, err := decodeFrame(frameIndex, make([]byte, EntryBytes+1)); err == nil {
 		t.Fatal("accepted truncated index")
 	}
 }
 
+// TestDecodeRewritesDroppingID: an index dropping's stored dropping id is
+// the writer's; the reader replaces it with the dropping's place in its
+// own canonical order.  The decoder keeps what is stored.
 func TestDecodeRewritesDroppingID(t *testing.T) {
-	buf := encodeEntries([]Entry{{Length: 1, Dropping: 99}})
-	out, err := decodeEntries(buf, 5)
+	fs := newMemFS()
+	fs.files["ix"] = appendFrame(nil, frame{kind: frameIndex, recs: []Rec{{Entry: Entry{Length: 1, Dropping: 99}, Count: 1}}})
+	if f, err := decodeFrame(frameIndex, fs.files["ix"]); err != nil || f.recs[0].Dropping != 99 {
+		t.Fatalf("decoded %+v, %v; want the stored id 99", f.recs, err)
+	}
+	r := NewMount([]string{"/"}, Options{}).newReader(Ctx{Vols: []Backend{fs}}, "f")
+	out, err := r.readShards([]shardRef{{Ref: droppingRef{Index: "ix"}, ID: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0].Dropping != 5 {
-		t.Fatalf("dropping id = %d, want reader-assigned 5", out[0].Dropping)
+	if out[0][0].Dropping != 5 {
+		t.Fatalf("dropping id = %d, want reader-assigned 5", out[0][0].Dropping)
 	}
 }
 
@@ -48,14 +56,14 @@ func TestGlobalIndexCodec(t *testing.T) {
 		{LogicalOff: 10, Length: 5, PhysOff: 0, Timestamp: 1, Dropping: 1, Rank: 1},
 		{LogicalOff: 0, Length: 10, PhysOff: 0, Timestamp: 2, Dropping: 0, Rank: 0},
 	}
-	p2, e2, err := decodeGlobalIndex(encodeGlobalIndex(paths, entries))
+	f, err := decodeFrame(frameGlobal, appendFrame(nil, frame{kind: frameGlobal, paths: paths, recs: recsOf(entries)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(paths, p2) || !reflect.DeepEqual(entries, e2) {
+	if !reflect.DeepEqual(paths, f.paths) || !reflect.DeepEqual(recsOf(entries), f.recs) {
 		t.Fatal("global index roundtrip mismatch")
 	}
-	if _, _, err := decodeGlobalIndex([]byte{1, 2}); err == nil {
+	if _, err := decodeFrame(frameGlobal, []byte{1, 2}); err == nil {
 		t.Fatal("accepted corrupt global index")
 	}
 }
@@ -293,10 +301,11 @@ func TestWriteCloseAllocatesWhatItWrites(t *testing.T) {
 		t.Errorf("compressRecs: %d records in room for %d, standing for %d entries (want %d)", len(recs), cap(recs), expandedCount(recs), n)
 	}
 	var foot []byte
-	if allocs := testing.AllocsPerRun(20, func() { foot = encodeFrameFooter(entries) }); allocs != 1 {
-		t.Errorf("encodeFrameFooter allocated %.0f times, want 1", allocs)
+	footer := frame{kind: frameFooter, ents: entries}
+	if allocs := testing.AllocsPerRun(20, func() { foot = appendFrame(nil, footer) }); allocs != 1 {
+		t.Errorf("the footer's appendFrame allocated %.0f times, want 1", allocs)
 	}
-	if int64(len(foot)) != frameFooterLen(n) || len(foot) != cap(foot) {
-		t.Errorf("footer: %d bytes in room for %d, want %d", len(foot), cap(foot), frameFooterLen(n))
+	if want := n*EntryBytes + 16; len(foot) != want || len(foot) != cap(foot) {
+		t.Errorf("footer: %d bytes in room for %d, want %d", len(foot), cap(foot), want)
 	}
 }

@@ -216,12 +216,12 @@ func (r *Reader) tryGlobalIndex() (*Index, error) {
 	}
 	r.Stats.IndexReads++
 	r.Stats.IndexBytes += size
-	paths, recs, err := decodeGlobalIndexAuto(pl.Materialize())
+	f, err := decodeFrame(frameGlobal, pl.Materialize())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plfs: %s: %w", gp, err)
 	}
-	ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(len(recs)))
-	return r.buildShards([][]Rec{recs}, paths), nil
+	ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(len(f.recs)))
+	return r.buildShards([][]Rec{f.recs}, f.paths), nil
 }
 
 // buildShards builds (with caching) the resolved index from raw shards.
@@ -309,12 +309,17 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 		if raw[i] == nil || errs[i] != nil {
 			return
 		}
-		es, err := decodeIndexDropping(raw[i], refs[i].ID)
+		f, err := decodeFrame(frameIndex, raw[i])
 		if err != nil {
 			errs[i] = fmt.Errorf("%s: %w", refs[i].Ref.Index, err)
 			return
 		}
-		out[i] = es
+		// Dropping ids belong to this reader's canonical order, not to
+		// the writer.
+		for j := range f.recs {
+			f.recs[j].Dropping = refs[i].ID
+		}
+		out[i] = f.recs
 	})
 	for i, es := range out {
 		if es != nil && raw[i] != nil {
@@ -468,6 +473,13 @@ type shardMsg struct {
 	Recs []Rec
 }
 
+// mergedShards is a group leader's final broadcast: every shard, and how
+// many records they hold.
+type mergedShards struct {
+	all   []shardMsg
+	total int
+}
+
 // aggregateParallel implements Parallel Index Read (Fig. 3c): ranks are
 // partitioned into groups; members read disjoint subsets of the index
 // droppings; group leaders merge, exchange with the other leaders, and
@@ -605,21 +617,22 @@ func (r *Reader) aggregateParallel() error {
 		}
 	}
 	// Leader first announces the merged size so every forwarding hop in
-	// the broadcast tree charges the true volume.
+	// the broadcast tree charges the true volume.  The record count rides
+	// with the records, so no rank sums it again.
+	merged := mergedShards{all: all}
 	var allBytes int64
 	for _, sm := range all {
 		allBytes += recsWireLen(sm.Recs)
+		merged.total += len(sm.Recs)
 	}
 	allBytes = group.Bcast(0, 8, allBytes).(int64)
-	all = group.Bcast(0, allBytes, all).([]shardMsg)
+	merged = group.Bcast(0, allBytes, merged).(mergedShards)
+	all, total := merged.all, merged.total
 	xsp.End()
 
 	// Every rank holds the same all and drops; the job-sized shard and
 	// path tables are laid out only by the rank that builds.
-	total, last := 0, ""
-	for _, sm := range all {
-		total += len(sm.Recs)
-	}
+	last := ""
 	if len(drops) > 0 {
 		last = drops[len(drops)-1].Data
 	}
@@ -1013,10 +1026,7 @@ func (m *Mount) Flatten(ctx Ctx, rel string) error {
 	}
 	recs := flattenRecsOf(ix)
 	ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(len(recs)))
-	buf := encodeGlobalIndexRecs(ix.Droppings(), recs)
-	if m.opt.Checksum {
-		buf = appendSumTrailer(buf, gidxSumMagic)
-	}
+	buf := appendFrame(nil, frame{kind: frameGlobal, crc: m.opt.Checksum, paths: ix.Droppings(), recs: recs})
 	// Atomic commit; a rename refused because another flattener already
 	// published is fine — same container, same flattened content.
 	cpath, _ := m.containerPath(rel)

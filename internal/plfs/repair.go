@@ -26,25 +26,25 @@ func (p *pass) globalIndex(cpath string, vc int) {
 	pl, _, err := ctx.readAllRetried(ctx.Vols[vc], gp, pol)
 	if err == nil {
 		buf := pl.Materialize()
-		var recs []Rec
-		if _, recs, err = decodeGlobalIndexAuto(buf); err == nil {
-			p.useGlobal(recs)
+		var f frame
+		if f, err = decodeFrame(frameGlobal, buf); err == nil {
+			p.useGlobal(f.recs)
 			p.replicas(gp, buf)
 			return
 		}
 	} else if errors.Is(err, iofs.ErrNotExist) {
 		// Missing is only a finding while a replica survives: a lost
 		// primary.
-		if _, ok := m.anyReplica(ctx, gp, true); !ok {
+		if _, ok := m.anyReplica(ctx, gp, frameGlobal); !ok {
 			return
 		}
 		err = errors.New("primary lost")
 	}
 	pr := Problem{Kind: kindGlobalIndex, Path: gp, Detail: err.Error()}
-	if rbuf, ok := m.anyReplica(ctx, gp, true); ok {
+	if rbuf, ok := m.anyReplica(ctx, gp, frameGlobal); ok {
 		// Readers fail over to the replica whether or not it is restored.
-		_, recs, _ := decodeGlobalIndexAuto(rbuf)
-		p.useGlobal(recs)
+		f, _ := decodeFrame(frameGlobal, rbuf)
+		p.useGlobal(f.recs)
 		pr.Detail += "; restore from replica"
 		p.fix(func() error { return ctx.writeFileAtomic(ctx.Vols[vc], gp, rbuf, pol, true) }, pr)
 		return
@@ -103,13 +103,13 @@ func (p *pass) lostIndex(s *dropState) {
 	if s.Index == "" {
 		pr = Problem{Kind: kindUnreachable, Path: s.Data, Detail: "no index dropping"}
 	}
-	if rbuf, ok := m.anyReplica(ctx, s.ipath, false); ok {
+	if rbuf, ok := m.anyReplica(ctx, s.ipath, frameIndex); ok {
 		pr.Detail += "; restore from replica"
 		p.fix(func() error { return ctx.writeFileAtomic(ctx.Vols[s.Vol], s.ipath, rbuf, m.opt.Retry, true) }, pr)
 		if p.deep {
 			// Readers fail over to the replica whether or not it is restored.
-			recs, _ := decodeIndexDropping(rbuf, 0)
-			s.ents = expandRecs(recs)
+			f, _ := decodeFrame(frameIndex, rbuf)
+			s.ents = expandRecs(f.recs)
 		}
 		return
 	}
@@ -149,13 +149,13 @@ func (m *Mount) readIndexFile(ctx Ctx, v int, p string) ([]byte, []Rec, error) {
 		return nil, nil, err
 	}
 	buf := pl.Materialize()
-	recs, err := decodeIndexDropping(buf, 0)
-	return buf, recs, err
+	f, err := decodeFrame(frameIndex, buf)
+	return buf, f.recs, err
 }
 
-// anyReplica returns the first replica copy of primary that decodes
-// (global selects the global-index decoder).
-func (m *Mount) anyReplica(ctx Ctx, primary string, global bool) ([]byte, bool) {
+// anyReplica returns the first replica copy of primary that decodes as a
+// frame of kind.
+func (m *Mount) anyReplica(ctx Ctx, primary string, kind frameKind) ([]byte, bool) {
 	for k := 1; k < m.replicas(); k++ {
 		rp, rv := m.replicaPath(primary, k)
 		pl, _, err := ctx.readAllRetried(ctx.Vols[rv], rp, m.opt.Retry)
@@ -163,11 +163,7 @@ func (m *Mount) anyReplica(ctx Ctx, primary string, global bool) ([]byte, bool) 
 			continue
 		}
 		buf := pl.Materialize()
-		if global {
-			if _, _, derr := decodeGlobalIndexAuto(buf); derr == nil {
-				return buf, true
-			}
-		} else if _, derr := decodeIndexDropping(buf, 0); derr == nil {
+		if _, err := decodeFrame(kind, buf); err == nil {
 			return buf, true
 		}
 	}

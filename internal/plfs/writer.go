@@ -391,15 +391,15 @@ func (w *Writer) Sync() error {
 	return w.flushThrough()
 }
 
-// ownRecs is this writer's index in record form: run-compressed unless
-// Options.NoRunCompression.  Run detection happens here, at flush time,
-// where the writer's entries are still in append order — the order run
-// structure appears in.
-func (w *Writer) ownRecs() []Rec {
-	if w.m.opt.NoRunCompression {
-		return recsOf(w.entries)
+// indexRecs is a writer's index in record form: run-compressed unless
+// Options.NoRunCompression.  Run detection happens at flush time, on the
+// writer's entries (or a recovery footer's copy of them) in append order —
+// the order run structure appears in.
+func (m *Mount) indexRecs(entries []Entry) []Rec {
+	if m.opt.NoRunCompression {
+		return recsOf(entries)
 	}
-	return compressRecs(w.entries)
+	return compressRecs(entries)
 }
 
 // writeOwnIndex persists this writer's index dropping.
@@ -407,10 +407,7 @@ func (w *Writer) writeOwnIndex() error {
 	if w.spilledAll || len(w.entries) == 0 {
 		return nil
 	}
-	buf := encodeRecs(w.ownRecs())
-	if w.m.opt.Checksum {
-		buf = appendSumTrailer(buf, idxSumMagic)
-	}
+	buf := appendFrame(nil, frame{kind: frameIndex, crc: w.m.opt.Checksum, recs: w.m.indexRecs(w.entries)})
 	if err := w.m.commitReplicated(w.ctx, w.indexPath, buf, w.m.opt.Retry, false); err != nil {
 		return err
 	}
@@ -474,7 +471,7 @@ func (w *Writer) Close() error {
 	flatten := m.opt.IndexMode == IndexFlatten && ctx.Comm != nil
 	if flatten {
 		isp := sp.Child("index")
-		sh := flattenShard{DataPath: w.dataPath, Recs: w.ownRecs(), Size: w.maxLogical, Overflow: w.overflowed}
+		sh := flattenShard{DataPath: w.dataPath, Recs: w.m.indexRecs(w.entries), Size: w.maxLogical, Overflow: w.overflowed}
 		if flushErr != nil {
 			// Unflushed bytes must not enter the global index; contribute
 			// only the dropping path so the canonical ordering holds.
@@ -566,12 +563,7 @@ func (w *Writer) Close() error {
 // Physical offsets are unaffected — the footer lands past every data
 // extent — and Repair can rebuild the index dropping from it.
 func (w *Writer) writeFrameFooter() error {
-	var buf []byte
-	if w.m.opt.Checksum {
-		buf = encodeFrameFooterSums(w.entries, w.sums)
-	} else {
-		buf = encodeFrameFooter(w.entries)
-	}
+	buf := appendFrame(nil, frame{kind: frameFooter, crc: w.m.opt.Checksum, ents: w.entries, sums: w.sums})
 	return w.ctx.retry(w.m.opt.Retry, func() error {
 		_, err := w.dataFile.Append(payload.FromBytes(buf))
 		return err
@@ -645,10 +637,7 @@ func (w *Writer) writeGlobalIndex(shardVals []any) error {
 		}
 	}
 	w.ctx.sleep(w.m.opt.ParseCPUPerEntry * timeDuration(len(all)))
-	buf := encodeGlobalIndexRecs(paths, all)
-	if w.m.opt.Checksum {
-		buf = appendSumTrailer(buf, gidxSumMagic)
-	}
+	buf := appendFrame(nil, frame{kind: frameGlobal, crc: w.m.opt.Checksum, paths: paths, recs: all})
 	// Atomic temp+rename commit: readers can never decode a half-written
 	// global index, and a retried append cannot duplicate entries (each
 	// attempt starts from a fresh temp file).

@@ -85,6 +85,27 @@ func (b Backend) existsLocked(path string) bool {
 	return ok
 }
 
+// admitLocked reports whether a new file (or, with dir, a directory
+// marker) may take the name p.  A name is a file or a directory, never
+// both: p must be free, no ancestor of p may be a file, and a file may not
+// take the name of a directory, marked or implied by keys below it.  p must
+// also be clean, so every key has exactly one spelling.
+func (b Backend) admitLocked(p string, dir bool) error {
+	if path.Clean(p) != p {
+		return ErrInvalid
+	}
+	for d := path.Dir(p); d != "/" && d != "."; d = path.Dir(d) {
+		if _, ok := b.s.objs[d]; ok {
+			return ErrNotDir
+		}
+	}
+	if b.existsLocked(p) || (!dir && len(b.s.scanLocked(markerKey(p))) > 0) {
+		b.s.stats.Conflicts++
+		return ErrExist
+	}
+	return nil
+}
+
 // Mkdir implements plfs.Backend: a conditional put-if-absent of the
 // prefix marker object.  There is no parent to lock — or to require:
 // creating "a/b/c" never touches "a/b".
@@ -94,9 +115,8 @@ func (b Backend) Mkdir(path string) error {
 	defer b.s.mu.Unlock()
 	b.s.stats.Puts++
 	b.s.stats.CondPuts++
-	if b.existsLocked(path) {
-		b.s.stats.Conflicts++
-		return ErrExist
+	if err := b.admitLocked(path, true); err != nil {
+		return err
 	}
 	b.s.insertLocked(markerKey(path))
 	return nil
@@ -111,9 +131,8 @@ func (b Backend) Create(path string) (plfs.File, error) {
 	defer b.s.mu.Unlock()
 	b.s.stats.Puts++
 	b.s.stats.CondPuts++
-	if b.existsLocked(path) {
-		b.s.stats.Conflicts++
-		return nil, ErrExist
+	if err := b.admitLocked(path, false); err != nil {
+		return nil, err
 	}
 	o := b.s.insertLocked(path)
 	return &file{s: b.s, p: b.p, o: o}, nil
@@ -327,9 +346,8 @@ func (b Backend) PutIfAbsent(path string, data []byte) error {
 	b.s.stats.Puts++
 	b.s.stats.CondPuts++
 	b.s.stats.BytesIn += int64(len(data))
-	if b.existsLocked(path) {
-		b.s.stats.Conflicts++
-		return ErrExist
+	if err := b.admitLocked(path, false); err != nil {
+		return err
 	}
 	o := b.s.insertLocked(path)
 	if len(data) > 0 {

@@ -52,6 +52,8 @@ var (
 	ErrNotExist = fmt.Errorf("objfs: %w", iofs.ErrNotExist)
 	ErrNotEmpty = errors.New("objfs: prefix not empty")
 	ErrIsDir    = errors.New("objfs: key is a prefix marker")
+	ErrNotDir   = errors.New("objfs: not a directory")
+	ErrInvalid  = fmt.Errorf("objfs: unclean path: %w", iofs.ErrInvalid)
 )
 
 // ConflictError reports a conditional PUT whose generation precondition

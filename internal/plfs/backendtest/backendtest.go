@@ -49,6 +49,7 @@ func Checks() []Check {
 		{"CreateExclusive", checkCreateExclusive},
 		{"MissingNames", checkMissingNames},
 		{"MkdirSemantics", checkMkdirSemantics},
+		{"CreateUnderFile", checkCreateUnderFile},
 		{"AppendOffsets", checkAppendOffsets},
 		{"SparseWriteAt", checkSparseWriteAt},
 		{"ReadPastEOF", checkReadPastEOF},
@@ -217,6 +218,39 @@ func checkMkdirSemantics(tb testing.TB, b plfs.Backend, root string) {
 	}
 	if _, err := b.Stat(d); !errors.Is(err, iofs.ErrNotExist) {
 		tb.Errorf("stat removed dir: want ErrNotExist, got %v", err)
+	}
+}
+
+// checkCreateUnderFile: a name is a file or a directory, never both.  A
+// create or mkdir below a file fails, so does a file create over a
+// directory, and the listing names each once.
+func checkCreateUnderFile(tb testing.TB, b plfs.Backend, root string) {
+	d := root + "/d"
+	create := func(p string) error {
+		f, err := b.Create(p)
+		if err == nil {
+			f.Close()
+		}
+		return err
+	}
+	for _, err := range []error{b.Mkdir(d), b.Mkdir(d + "/w"), create(d + "/w/v"), create(d + "/x")} {
+		if err != nil {
+			tb.Errorf("setup: %v", err)
+			return
+		}
+	}
+	if create(d+"/x/y") == nil {
+		tb.Errorf("create under a file succeeded")
+	}
+	if b.Mkdir(d+"/x/z") == nil {
+		tb.Errorf("mkdir under a file succeeded")
+	}
+	if create(d+"/w") == nil {
+		tb.Errorf("file create over a directory succeeded")
+	}
+	ents, err := b.ReadDir(d)
+	if err != nil || len(ents) != 2 || ents[0].Name != "w" || !ents[0].Dir || ents[1].Name != "x" || ents[1].Dir {
+		tb.Errorf("readdir: %+v, %v; want directory w and file x", ents, err)
 	}
 }
 

@@ -85,11 +85,11 @@ func (b Backend) existsLocked(path string) bool {
 	return ok
 }
 
-// admitLocked reports whether a new file (or, with dir, a directory
-// marker) may take the name p.  A name is a file or a directory, never
-// both: p must be free, no ancestor of p may be a file, and a file may not
-// take the name of a directory, marked or implied by keys below it.  p must
-// also be clean, so every key has exactly one spelling.
+// admitLocked returns nil if a new file (or, with dir, a directory
+// marker) may take the name p, else why not.  A name is a file or a
+// directory, never both: p must be free, no ancestor of p may be a file,
+// and a file may not take the name of a directory, marked or implied by
+// keys below it.  p must also be clean, so every key has one spelling.
 func (b Backend) admitLocked(p string, dir bool) error {
 	if path.Clean(p) != p {
 		return ErrInvalid

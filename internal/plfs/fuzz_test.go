@@ -149,67 +149,80 @@ func flipped(b []byte, i int) []byte {
 	return out
 }
 
-// FuzzFrame: bytes of any kind of index frame either decode or error —
-// never a panic, never more records than the bytes can hold — and a
-// decoded frame re-encodes to exactly its input, in the generation the
-// input was framed as.  Footer inputs also go through the footer reader
-// as whole data droppings.  The seeds are the corpora of the three
-// per-artefact targets this one replaced, in their order.
-func FuzzFrame(f *testing.F) {
-	ents, recs := fuzzEntries(), fuzzRecs()
-	enc := func(fr frame) []byte { return appendFrame(nil, fr) }
-	add := func(kind frameKind, seeds ...[]byte) {
-		for _, s := range seeds {
-			f.Add(uint8(kind), s)
-		}
-	}
-	raw := enc(frame{kind: frameIndex, recs: recsOf(ents)})
-	sum := enc(frame{kind: frameIndex, crc: true, recs: recsOf(ents)})
-	v2 := enc(frame{kind: frameIndex, recs: recs})
-	v2sum := enc(frame{kind: frameIndex, crc: true, recs: recs})
-	add(frameIndex, []byte{}, raw, sum, v2, v2sum, flipped(sum, 3), flipped(v2, 11),
-		raw[:len(raw)-1], sum[:len(sum)-8], v2[:len(v2)-2])
+// The three index artefacts are three kinds of one frame, parsed by one
+// decoder; each kind keeps its own fuzz target and corpus, and all three
+// hold decodeFrame to one property, checkFrame.
 
+func FuzzDecodeIndexDropping(f *testing.F) {
+	ents, recs := fuzzEntries(), fuzzRecs()
+	raw := appendFrame(nil, frame{kind: frameIndex, recs: recsOf(ents)})
+	sum := appendFrame(nil, frame{kind: frameIndex, crc: true, recs: recsOf(ents)})
+	v2 := appendFrame(nil, frame{kind: frameIndex, recs: recs})
+	v2sum := appendFrame(nil, frame{kind: frameIndex, crc: true, recs: recs})
+	for _, s := range [][]byte{{}, raw, sum, v2, v2sum, flipped(sum, 3), flipped(v2, 11),
+		raw[:len(raw)-1], sum[:len(sum)-8], v2[:len(v2)-2]} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkFrame(t, frameIndex, data) })
+}
+
+func FuzzDecodeGlobalIndex(f *testing.F) {
+	ents, recs := fuzzEntries(), fuzzRecs()
 	paths := []string{"hostdir.0/dropping.data.1.0"}
-	raw = enc(frame{kind: frameGlobal, paths: paths, recs: recsOf(ents)})
-	sum = enc(frame{kind: frameGlobal, crc: true, paths: paths, recs: recsOf(ents)})
-	v2 = enc(frame{kind: frameGlobal, paths: paths, recs: recs})
-	v2sum = enc(frame{kind: frameGlobal, crc: true, paths: paths, recs: recs})
+	raw := appendFrame(nil, frame{kind: frameGlobal, paths: paths, recs: recsOf(ents)})
+	sum := appendFrame(nil, frame{kind: frameGlobal, crc: true, paths: paths, recs: recsOf(ents)})
+	v2 := appendFrame(nil, frame{kind: frameGlobal, paths: paths, recs: recs})
+	v2sum := appendFrame(nil, frame{kind: frameGlobal, crc: true, paths: paths, recs: recs})
 	// Regression: a forged entry count of 2^63 made ne*EntryBytes wrap to
 	// 0, pass the length check, and panic in make.
 	forged := make([]byte, 12)
 	binary.LittleEndian.PutUint64(forged[4:], 1<<63)
-	add(frameGlobal, []byte{}, raw, sum, v2, v2sum, forged, flipped(sum, 9), flipped(v2, 17),
-		raw[:len(raw)-5], v2[:len(v2)-7])
+	for _, s := range [][]byte{{}, raw, sum, v2, v2sum, forged, flipped(sum, 9), flipped(v2, 17),
+		raw[:len(raw)-5], v2[:len(v2)-7]} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkFrame(t, frameGlobal, data) })
+}
 
+// FuzzFrameFooter feeds whole data droppings: the footer reader must
+// hold to its contract on them, and the bytes also go to decodeFrame as
+// a bare footer frame.
+func FuzzFrameFooter(f *testing.F) {
+	ents := fuzzEntries()
 	body := make([]byte, 128) // the 128 data bytes the entries cover
 	for i := range body {
 		body[i] = byte(i)
 	}
-	foot := enc(frame{kind: frameFooter, ents: ents})
-	footSum := enc(frame{kind: frameFooter, crc: true, ents: ents, sums: []uint32{0xdead, 0xbeef}})
+	foot := appendFrame(nil, frame{kind: frameFooter, ents: ents})
+	footSum := appendFrame(nil, frame{kind: frameFooter, crc: true, ents: ents, sums: []uint32{0xdead, 0xbeef}})
 	v1 := append(append([]byte(nil), body...), foot...)
-	v2 = append(append([]byte(nil), body...), footSum...)
-	add(frameFooter, []byte{}, body, v1, v2, v1[:len(v1)-3], v2[:len(v2)-9],
-		flipped(v2, len(v2)-5), flipped(v2, len(body)+2), foot, footSum)
-
-	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		k := frameKind(kind % 3)
-		if k == frameFooter {
-			checkFooterRead(t, data)
-		}
-		fr, err := decodeFrame(k, data)
-		if err != nil {
-			return
-		}
-		if (len(fr.recs)+len(fr.ents))*EntryBytes > len(data) || len(fr.paths) > len(data) {
-			t.Fatalf("%d records, %d entries, %d paths from %d bytes: over-allocated",
-				len(fr.recs), len(fr.ents), len(fr.paths), len(data))
-		}
-		if !bytes.Equal(appendFrame(nil, fr), data) {
-			t.Fatal("decode/encode round trip changed the frame")
-		}
+	v2 := append(append([]byte(nil), body...), footSum...)
+	for _, s := range [][]byte{{}, body, v1, v2, v1[:len(v1)-3], v2[:len(v2)-9],
+		flipped(v2, len(v2)-5), flipped(v2, len(body)+2), foot, footSum} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFooterRead(t, data)
+		checkFrame(t, frameFooter, data)
 	})
+}
+
+// checkFrame: bytes of a kind of index frame either decode or error —
+// never a panic, never more records than the bytes can hold — and a
+// decoded frame re-encodes to exactly its input, in the generation the
+// input was framed as.
+func checkFrame(t *testing.T, kind frameKind, data []byte) {
+	fr, err := decodeFrame(kind, data)
+	if err != nil {
+		return
+	}
+	if (len(fr.recs)+len(fr.ents))*EntryBytes > len(data) || len(fr.paths) > len(data) {
+		t.Fatalf("%d records, %d entries, %d paths from %d bytes: over-allocated",
+			len(fr.recs), len(fr.ents), len(fr.paths), len(data))
+	}
+	if !bytes.Equal(appendFrame(nil, fr), data) {
+		t.Fatal("decode/encode round trip changed the frame")
+	}
 }
 
 // fuzzFooterRead parses data as a data-dropping file through the real

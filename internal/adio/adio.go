@@ -19,6 +19,7 @@ package adio
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 
 	"plfs/internal/comm"
 	"plfs/internal/extent"
@@ -146,7 +147,7 @@ func (u UFS) Open(ctx plfs.Ctx, path string, mode Mode, hints Hints) (File, erro
 			// Rank 0 creates; everyone else opens after the broadcast.
 			var msg any
 			if ctx.Comm.Rank() == 0 {
-				f, err = b.Create(path)
+				f, err = create(b, path)
 				msg = errString(err)
 			}
 			if s := ctx.Comm.Bcast(0, 16, msg); s != nil {
@@ -156,7 +157,7 @@ func (u UFS) Open(ctx plfs.Ctx, path string, mode Mode, hints Hints) (File, erro
 				f, err = b.OpenWrite(path)
 			}
 		} else {
-			f, err = b.Create(path)
+			f, err = create(b, path)
 		}
 	default:
 		return nil, fmt.Errorf("adio: bad mode %d", mode)
@@ -166,6 +167,16 @@ func (u UFS) Open(ctx plfs.Ctx, path string, mode Mode, hints Hints) (File, erro
 	}
 	base := &ufsFile{ctx: ctx, f: f, hints: hints, writable: mode == WriteCreate}
 	return maybeCB(ctx, base, hints), nil
+}
+
+// create is MPI_MODE_CREATE: it creates path, or opens it for write,
+// keeping its bytes, when it already exists.
+func create(b plfs.Backend, path string) (plfs.File, error) {
+	f, err := b.Create(path)
+	if errors.Is(err, fs.ErrExist) {
+		return b.OpenWrite(path)
+	}
+	return f, err
 }
 
 func errString(err error) any {

@@ -69,6 +69,47 @@ func TestUFSWriteReadRoundtrip(t *testing.T) {
 	})
 }
 
+// TestUFSWriteCreateReopens checks MPI_MODE_CREATE semantics on the
+// direct driver: a second write open of an existing file, collective or
+// serial, opens it and keeps the bytes the new session does not
+// overwrite.
+func TestUFSWriteCreateReopens(t *testing.T) {
+	dir := t.TempDir()
+	const n = 2
+	runRanks(t, n, func(ctx plfs.Ctx, rank int) {
+		serial := ctx
+		serial.Comm = nil
+		for _, c := range []struct {
+			ctx  plfs.Ctx
+			path string
+		}{{ctx, dir + "/shared"}, {serial, fmt.Sprintf("%s/own.%d", dir, rank)}} {
+			for round, data := range []string{"aaaa", "bb"} {
+				f, err := adio.UFS{}.Open(c.ctx, c.path, adio.WriteCreate, adio.Hints{})
+				if err != nil {
+					t.Errorf("rank %d round %d open: %v", rank, round, err)
+					return
+				}
+				if err := f.WriteAt(int64(rank)*8, payload.FromBytes([]byte(data))); err != nil {
+					t.Error(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Error(err)
+				}
+			}
+			r, err := adio.UFS{}.Open(c.ctx, c.path, adio.ReadOnly, adio.Hints{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := r.ReadAt(int64(rank)*8, 4)
+			if err != nil || string(got.Materialize()) != "bbaa" {
+				t.Errorf("rank %d %s = %q, %v; want \"bbaa\"", rank, c.path, got.Materialize(), err)
+			}
+			r.Close()
+		}
+	})
+}
+
 func TestUFSReadOnlyRejectsWrites(t *testing.T) {
 	dir := t.TempDir()
 	runRanks(t, 1, func(ctx plfs.Ctx, rank int) {

@@ -13,9 +13,68 @@ import (
 	"plfs/internal/workloads"
 )
 
+// kcase is one row of the kernel table: a kernel as harness.Figures(),
+// plfsrun, bench/ and examples/ build it, at test sizes.
+type kcase struct {
+	label string // golden and subtest name when k.Name() is taken
+	k     workloads.Kernel
+	hints adio.Hints
+	meta  bool // metadata only: opens and closes, no bytes, no read-back
+}
+
+func (c kcase) name() string {
+	if c.label != "" {
+		return c.label
+	}
+	return c.k.Name()
+}
+
+// kernelTable lists every kernel the repository builds, at a job of
+// ranks ranks.  TestAllKernelsVerifyOnBothDrivers and
+// TestKernelOpStreams both walk it.
+func kernelTable(ranks int) []kcase {
+	cb := adio.Hints{CollectiveBuffering: true, ProcsPerNode: 4}
+	cases := []kcase{
+		{k: workloads.MPIIOTest(400<<10, 50<<10)},
+		{k: workloads.IOR(512<<10, 128<<10)},
+		{k: workloads.LANL1(1 << 20)},
+		{k: workloads.LANL2(64 << 10)},
+		{k: workloads.LANL3(int64(ranks)*(2<<20), ranks), hints: cb},
+		{k: workloads.Madbench{Matrices: 3, MatrixBytes: 128 << 10}},
+		{label: "madbench-shortop", k: workloads.Madbench{Matrices: 2, MatrixBytes: 128 << 10, OpSize: 48 << 10}},
+		{k: workloads.Pixie3D{BytesPerRank: 256 << 10, Vars: 8}},
+		{label: "pixie3d-12vars", k: workloads.Pixie3D{BytesPerRank: 96 << 10, Vars: 12}},
+		{k: workloads.Aramco{TotalBytes: 2 << 20}},
+		{k: workloads.RestartN1(1<<20, 64<<10)},
+		{k: workloads.ReopenN1(256<<10, 64<<10, 3)},
+		{k: workloads.NNFiles{BytesPerRank: 256 << 10, OpSize: 64 << 10}},
+		{k: workloads.CreateStorm{FilesPerRank: 3}, meta: true},
+		{k: workloads.CreateStorm100k{Containers: 2, Rounds: 2}, meta: true},
+		{k: workloads.Brownout{Steps: 3, OpsPerRank: 2, OpSize: 32 << 10}},
+		{k: workloads.Saturation{Containers: 2, OpsPerRank: 2, OpSize: 32 << 10}},
+	}
+	for _, a := range []workloads.Access{workloads.AccessContig, workloads.AccessStrided, workloads.AccessIrregular} {
+		for _, mem := range []bool{true, false} {
+			cases = append(cases, kcase{k: workloads.Noncontig{
+				Access: a, BlockSize: 4 << 10, BlocksPerRank: 4, Steps: 2, MemContig: mem, Seed: 3,
+			}})
+		}
+	}
+	return cases
+}
+
 // runKernel executes a kernel on a fresh simulated cluster and returns
 // rank 0's Result (identical on all ranks: phases are barrier-bracketed).
 func runKernel(t *testing.T, k workloads.Kernel, ranks int, driver string, hints adio.Hints, readBack bool) workloads.Result {
+	t.Helper()
+	return runRecorded(t, k, ranks, driver, hints, readBack, nil)
+}
+
+// runRecorded is runKernel with every rank's calls recorded into log
+// when it is non-nil.  Caches are dropped between write and read-back,
+// as the harness does, and Env.Step is set, so stepped kernels run
+// their hooks.
+func runRecorded(t *testing.T, k workloads.Kernel, ranks int, driver string, hints adio.Hints, readBack bool, log *opLog) workloads.Result {
 	t.Helper()
 	eng := sim.NewEngine(11)
 	cfg := pfs.SmallCluster()
@@ -46,7 +105,16 @@ func runKernel(t *testing.T, k workloads.Kernel, ranks int, driver string, hints
 			path = "/vol0/" + path
 		}
 		env := &workloads.Env{Ctx: ctx, Driver: drv, Hints: hints, Path: path, Verify: true}
+		if log != nil {
+			log.attach(env, r.Rank(), func() {
+				fs.DropCaches()
+				mount.DropIndexCache()
+			})
+		}
 		out, err := k.Run(env, readBack)
+		if log != nil {
+			log.result(r.Rank(), out, err)
+		}
 		if err != nil {
 			t.Errorf("rank %d: %v", r.Rank(), err)
 			return
@@ -61,21 +129,21 @@ func runKernel(t *testing.T, k workloads.Kernel, ranks int, driver string, hints
 	return res
 }
 
+// TestAllKernelsVerifyOnBothDrivers runs every kernel of the table with
+// read-back and verification on, through PLFS and directly.
 func TestAllKernelsVerifyOnBothDrivers(t *testing.T) {
 	const ranks = 8
-	kernels := []workloads.Kernel{
-		workloads.MPIIOTest(400<<10, 50<<10),
-		workloads.IOR(512<<10, 128<<10),
-		workloads.LANL1(1 << 20),
-		workloads.Madbench{Matrices: 3, MatrixBytes: 128 << 10},
-		workloads.Pixie3D{BytesPerRank: 256 << 10, Vars: 4},
-		workloads.Aramco{TotalBytes: 2 << 20},
-	}
-	for _, k := range kernels {
+	for _, c := range kernelTable(ranks) {
 		for _, drv := range []string{"plfs", "ufs"} {
-			k, drv := k, drv
-			t.Run(fmt.Sprintf("%s/%s", k.Name(), drv), func(t *testing.T) {
-				res := runKernel(t, k, ranks, drv, adio.Hints{}, true)
+			c, drv := c, drv
+			t.Run(fmt.Sprintf("%s/%s", c.name(), drv), func(t *testing.T) {
+				res := runKernel(t, c.k, ranks, drv, c.hints, true)
+				if c.meta {
+					if res.WriteOpen <= 0 || res.WriteClose <= 0 || res.BytesPerRank != 0 || res.ReadTotal() != 0 {
+						t.Fatalf("metadata kernel mistimed: %+v", res)
+					}
+					return
+				}
 				if res.BytesPerRank == 0 {
 					t.Fatal("no bytes accounted")
 				}

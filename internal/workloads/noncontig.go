@@ -133,58 +133,13 @@ func permute(n int, seed int64) []int32 {
 	return out
 }
 
-// Run implements Kernel.
+// Run implements Kernel.  Step s is datatype op s of the row.
 func (k Noncontig) Run(env *Env, readBack bool) (Result, error) {
-	n := env.Ranks()
-	rank := env.Rank()
-	res := Result{BytesPerRank: k.BlockSize * int64(k.BlocksPerRank) * int64(k.Steps)}
-
-	f, d, err := env.openWrite()
-	res.WriteOpen = d
-	if err != nil {
-		return res, err
+	r := once(access{count: k.Steps, size: k.BlockSize * int64(k.BlocksPerRank), runs: 1})
+	r.calls = datatype
+	r.dt = func(s, rank, n int) (int64, *adio.Datatype, payload.List) {
+		base, dt := k.datatype(s, rank, n)
+		return base, dt, k.data(s, rank)
 	}
-	res.Write, err = env.phase(func() error {
-		for s := 0; s < k.Steps; s++ {
-			base, dt := k.datatype(s, rank, n)
-			if err := f.WriteAll(base, dt, k.data(s, rank)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-	if res.WriteClose, err = env.closeFile(f); err != nil {
-		return res, err
-	}
-	if !readBack {
-		return res, nil
-	}
-	env.dropCaches()
-
-	r, d, err := env.openRead()
-	res.ReadOpen = d
-	if err != nil {
-		return res, err
-	}
-	res.Read, err = env.phase(func() error {
-		for s := 0; s < k.Steps; s++ {
-			base, dt := k.datatype(s, rank, n)
-			got, rerr := r.ReadAll(base, dt)
-			if rerr != nil {
-				return rerr
-			}
-			if env.Verify && !payload.ContentEqual(got, k.data(s, rank)) {
-				return fmt.Errorf("workload %s: data mismatch at step %d rank %d", env.Path, s, rank)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.ReadClose, err = env.closeFile(r)
-	return res, err
+	return r.run(env, readBack)
 }

@@ -2,6 +2,7 @@ package workloads_test
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +35,9 @@ func TestKernelOpStreams(t *testing.T) {
 			var buf bytes.Buffer
 			for _, drv := range []string{"plfs", "ufs"} {
 				log := &opLog{ranks: make([][]string, ranks)}
-				runRecorded(t, c.k, ranks, drv, c.hints, true, log)
+				if _, errs := runRecorded(t, c.k, ranks, drv, c.hints, true, log); errors.Join(errs...) != nil {
+					t.Fatalf("%s: %v", drv, errors.Join(errs...))
+				}
 				fmt.Fprintf(&buf, "== %s\n", drv)
 				for r, lines := range log.ranks {
 					for _, l := range lines {

@@ -1,10 +1,12 @@
 // Package workloads implements the I/O kernels of the paper's evaluation:
 // the LANL MPI-IO Test synthetic generator, IOR, MADbench, Pixie3D
-// (through the mini Parallel-NetCDF library), the ARAMCO seismic kernel
-// (through the mini HDF library), the LANL 1 and LANL 3 application
-// kernels, and the N-N create storm used for the metadata experiments.
+// (Parallel-NetCDF's access pattern), the ARAMCO seismic kernel (HDF5's),
+// the LANL 1–3 application kernels, the N-N create storm used for the
+// metadata experiments, and the service ablations' kernels.
 //
-// Every kernel runs against any adio.Driver, so each workload can be
+// Each kernel is a row (row.go): its layout, format header, per-rank
+// access as strided runs, call style, read-back and sessions.  One
+// executor runs any row against any adio.Driver, so each workload can be
 // driven through PLFS or directly against the underlying parallel file
 // system — the comparison every figure in the paper draws.
 package workloads
@@ -76,6 +78,17 @@ type Result struct {
 	BytesPerRank int64
 }
 
+// add accumulates another session's or step's times and bytes.
+func (r *Result) add(o Result) {
+	r.WriteOpen += o.WriteOpen
+	r.Write += o.Write
+	r.WriteClose += o.WriteClose
+	r.ReadOpen += o.ReadOpen
+	r.Read += o.Read
+	r.ReadClose += o.ReadClose
+	r.BytesPerRank += o.BytesPerRank
+}
+
 // WriteTotal is open+write+close — the span effective write bandwidth
 // divides by.
 func (r Result) WriteTotal() time.Duration { return r.WriteOpen + r.Write + r.WriteClose }
@@ -124,27 +137,4 @@ func verifyPiece(env *Env, got payload.List, wantTag uint64, off, n int64) error
 		return fmt.Errorf("workload %s: data mismatch at [%d,%d)", env.Path, off, off+n)
 	}
 	return nil
-}
-
-// openWrite/openRead wrap driver opens with phase timing.
-func (e *Env) openWrite() (adio.File, time.Duration, error) {
-	var f adio.File
-	d, err := e.phase(func() (err error) {
-		f, err = e.Driver.Open(e.Ctx, e.Path, adio.WriteCreate, e.Hints)
-		return err
-	})
-	return f, d, err
-}
-
-func (e *Env) openRead() (adio.File, time.Duration, error) {
-	var f adio.File
-	d, err := e.phase(func() (err error) {
-		f, err = e.Driver.Open(e.Ctx, e.Path, adio.ReadOnly, e.Hints)
-		return err
-	})
-	return f, d, err
-}
-
-func (e *Env) closeFile(f adio.File) (time.Duration, error) {
-	return e.phase(f.Close)
 }

@@ -67,14 +67,20 @@ func kernelTable(ranks int) []kcase {
 // rank 0's Result (identical on all ranks: phases are barrier-bracketed).
 func runKernel(t *testing.T, k workloads.Kernel, ranks int, driver string, hints adio.Hints, readBack bool) workloads.Result {
 	t.Helper()
-	return runRecorded(t, k, ranks, driver, hints, readBack, nil)
+	res, errs := runRecorded(t, k, ranks, driver, hints, readBack, nil)
+	for r, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+	}
+	return res
 }
 
-// runRecorded is runKernel with every rank's calls recorded into log
-// when it is non-nil.  Caches are dropped between write and read-back,
-// as the harness does, and Env.Step is set, so stepped kernels run
-// their hooks.
-func runRecorded(t *testing.T, k workloads.Kernel, ranks int, driver string, hints adio.Hints, readBack bool, log *opLog) workloads.Result {
+// runRecorded is runKernel returning each rank's error, with every
+// rank's calls recorded into log when it is non-nil.  Caches are dropped
+// between write and read-back, as the harness does, and Env.Step is set,
+// so stepped kernels run their hooks.
+func runRecorded(t *testing.T, k workloads.Kernel, ranks int, driver string, hints adio.Hints, readBack bool, log *opLog) (workloads.Result, []error) {
 	t.Helper()
 	eng := sim.NewEngine(11)
 	cfg := pfs.SmallCluster()
@@ -91,6 +97,7 @@ func runRecorded(t *testing.T, k workloads.Kernel, ranks int, driver string, hin
 		SpreadContainers: true, SpreadSubdirs: true,
 	})
 	var res workloads.Result
+	errs := make([]error, ranks)
 	world.SpawnAll(func(r *mpi.Rank) {
 		ctx := simfs.Ctx(fs, r.Node(), r.Proc(), r.Rank(), cfg.ProcsPerNode)
 		ctx.Comm = r.Comm()
@@ -115,10 +122,7 @@ func runRecorded(t *testing.T, k workloads.Kernel, ranks int, driver string, hin
 		if log != nil {
 			log.result(r.Rank(), out, err)
 		}
-		if err != nil {
-			t.Errorf("rank %d: %v", r.Rank(), err)
-			return
-		}
+		errs[r.Rank()] = err
 		if r.Rank() == 0 {
 			res = out
 		}
@@ -126,7 +130,7 @@ func runRecorded(t *testing.T, k workloads.Kernel, ranks int, driver string, hin
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, errs
 }
 
 // TestAllKernelsVerifyOnBothDrivers runs every kernel of the table with
@@ -154,6 +158,30 @@ func TestAllKernelsVerifyOnBothDrivers(t *testing.T) {
 					t.Fatalf("bandwidths not computed: %+v", res)
 				}
 			})
+		}
+	}
+}
+
+// TestNonPositiveOpSizeFails checks that a kernel whose op size is not
+// positive fails on every rank, before any collective, instead of
+// dividing by zero.
+func TestNonPositiveOpSizeFails(t *testing.T) {
+	for _, k := range []workloads.Kernel{
+		workloads.MPIIOTest(1<<20, 0),
+		workloads.IOR(1<<20, 0),
+		workloads.RestartN1(1<<20, -4),
+		workloads.ReopenN1(1<<20, 0, 2),
+		workloads.NNFiles{BytesPerRank: 1 << 20},
+		workloads.Madbench{Matrices: 2},
+		workloads.Noncontig{Access: workloads.AccessStrided, BlocksPerRank: 4, Steps: 2},
+		workloads.Brownout{Steps: 2, OpsPerRank: 2},
+		workloads.Saturation{Containers: 2, OpsPerRank: 2},
+	} {
+		_, errs := runRecorded(t, k, 4, "plfs", adio.Hints{}, true, nil)
+		for r, err := range errs {
+			if err == nil {
+				t.Errorf("%s: rank %d ran", k.Name(), r)
+			}
 		}
 	}
 }

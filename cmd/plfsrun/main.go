@@ -72,6 +72,11 @@ func main() {
 	)
 	flag.Parse()
 
+	// Every kernel divides its bytes into ops, and a world needs a rank.
+	if *ranks < 1 || *opKB < 1 {
+		fmt.Fprintf(os.Stderr, "plfsrun: -ranks and -opkb must be at least 1 (got %d and %d)\n", *ranks, *opKB)
+		os.Exit(2)
+	}
 	switch *backend {
 	case harness.BackendPosix, harness.BackendObjfs:
 	default:

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"plfs/internal/adio"
@@ -17,6 +20,43 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestMain runs the command itself when PLFSRUN_MAIN is set, so a test
+// can check its exit status and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("PLFSRUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsNonPositiveSizes checks that a rank count or op size below
+// one is a usage error (exit 2 with a message), not a panic — which
+// also exits 2, so the check reads stderr.
+func TestRejectsNonPositiveSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kernel", "mpi-io-test", "-opkb", "0"},
+		{"-kernel", "ior", "-opkb", "0"},
+		{"-kernel", "n-n", "-opkb", "0"},
+		{"-kernel", "noncontig", "-opkb", "-1"},
+		{"-tenants", "2", "-opkb", "0"},
+		{"-ranks", "0"},
+		{"-kernel", "meta-storm", "-ranks", "-3"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "PLFSRUN_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		out := stderr.String()
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.HasPrefix(out, "plfsrun: ") ||
+			strings.Contains(out, "panic") || strings.Contains(out, "goroutine") {
+			t.Errorf("plfsrun %v: %v, stderr %q; want exit 2 with a usage message", args, err, out)
+		}
+	}
+}
 
 // goldenJob is the fixed workload behind the -metrics golden file:
 // everything that feeds the registry runs on the simulator's virtual

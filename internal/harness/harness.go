@@ -146,6 +146,9 @@ func Run(j Job) (Report, error) {
 	}
 	total := 0
 	for _, t := range tenants {
+		if t.Ranks < 1 {
+			return Report{}, fmt.Errorf("harness: %s: %d ranks, want at least 1", t.Path, t.Ranks)
+		}
 		total += t.Ranks
 	}
 	var inj *fault.Injector

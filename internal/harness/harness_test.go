@@ -6,7 +6,9 @@ import (
 	"plfs/internal/fault"
 	"plfs/internal/harness"
 	"plfs/internal/obs"
+	"plfs/internal/pfs"
 	"plfs/internal/plfs"
+	"plfs/internal/workloads"
 )
 
 // TestAllFiguresRunQuick smoke-runs every figure and ablation at Quick
@@ -86,5 +88,19 @@ func TestApply(t *testing.T) {
 	}
 	if got := (harness.Options{}).Apply(harness.Job{}); got.Backend != "" || got.Fault != nil || got.Obs != nil {
 		t.Errorf("zero options changed a job: %+v", got)
+	}
+}
+
+// TestRunRejectsEmptyJob checks that a job or tenant with no ranks is an
+// error, not a panic in the world's construction.
+func TestRunRejectsEmptyJob(t *testing.T) {
+	k := workloads.MPIIOTest(1<<20, 64<<10)
+	for _, j := range []harness.Job{
+		{Ranks: 0, Cfg: pfs.SmallCluster(), Kernel: k},
+		{Cfg: pfs.SmallCluster(), Tenants: []harness.Tenant{{Ranks: 2, Kernel: k, Path: "a"}, {Ranks: -1, Kernel: k, Path: "b"}}},
+	} {
+		if _, err := harness.Run(j); err == nil {
+			t.Errorf("Run(%d ranks, %d tenants) = nil error", j.Ranks, len(j.Tenants))
+		}
 	}
 }

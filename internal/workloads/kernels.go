@@ -107,12 +107,9 @@ func (m Madbench) Run(env *Env, readBack bool) (Result, error) {
 	if op > m.MatrixBytes {
 		op = m.MatrixBytes
 	}
-	count := 0
-	if op > 0 {
-		count = int((m.MatrixBytes + op - 1) / op)
-	}
-	r := once(access{perRank: m.MatrixBytes, count: count, stride: op, size: op, span: m.MatrixBytes,
-		runs: m.Matrices, runStride: m.MatrixBytes * int64(env.Ranks())})
+	mb := m.MatrixBytes
+	r := once(access{perRank: mb, count: opsOf(mb+op-1, op), stride: op, size: op, span: mb,
+		runs: m.Matrices, runStride: mb * int64(env.Ranks())})
 	r.read = reversed
 	return r.run(env, readBack)
 }
@@ -143,10 +140,10 @@ func (p Pixie3D) Run(env *Env, readBack bool) (Result, error) {
 		vars = 8
 	}
 	const elem = 8
-	row := max(p.BytesPerRank/int64(vars)/elem, 1) * elem
-	r := once(access{off: 4096, perRank: row, count: 1, size: row,
-		runs: vars, runStride: row * int64(env.Ranks())})
-	r.hdr, r.hdrRead = 4+4+(4+1+8)+(4+4+8)+4, 4096
+	slab := max(p.BytesPerRank/int64(vars)/elem, 1) * elem // one variable's row
+	r := once(access{off: hdrRegion, perRank: slab, count: 1, size: slab,
+		runs: vars, runStride: slab * int64(env.Ranks())})
+	r.hdr = 4 + 4 + (4 + 1 + 8) + (4 + 4 + 8) + 4
 	for v := 0; v < vars; v++ {
 		r.hdr += 4 + int64(len("field"+strconv.Itoa(v))) + 4 + 4 + 2*4
 	}
@@ -182,8 +179,8 @@ func (a Aramco) Run(env *Env, readBack bool) (Result, error) {
 	}
 	per := max(a.TotalBytes/elem/int64(env.Ranks())*elem, op) // bytes per rank
 	r := once(segmented(op, opsOf(per, op)))
-	r.acc.off = 4096
-	r.hdr, r.hdrRead = 4+4+(4+6)+4+4+8, 4096
+	r.acc.off = hdrRegion
+	r.hdr = 4 + 4 + (4 + 6) + 4 + 4 + 8
 	return r.run(env, readBack)
 }
 

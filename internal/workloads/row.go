@@ -102,10 +102,10 @@ type row struct {
 	files  int // perRankFiles: files per rank
 	// hdr is a format header: rank 0 writes hdr bytes at offset 0 and
 	// every rank waits at a barrier before the data ops; every read
-	// session starts with each rank reading hdrRead bytes at offset 0.
-	hdr, hdrRead int64
-	acc          access
-	calls        calls
+	// session starts with each rank reading the hdrRegion at offset 0.
+	hdr   int64
+	acc   access
+	calls calls
 	// dt gives datatype op i of rank: its base, its file type and the
 	// rank's data for it.
 	dt      func(i, rank, n int) (int64, *adio.Datatype, payload.List)
@@ -123,6 +123,10 @@ type row struct {
 	// saturation.open_*_ns histograms, and no caches are dropped.
 	tenant bool
 }
+
+// hdrRegion is the space a format library reserves for its header at
+// the front of a file; every opener reads all of it.
+const hdrRegion = 4096
 
 // once is a row of one step over one file with one read session.
 func once(acc access) row { return row{acc: acc, steps: 1, containers: 1, reopens: 1} }
@@ -316,7 +320,7 @@ func (k *row) body(env *Env, f adio.File, p pass) error {
 		env.Ctx.Comm.Barrier()
 	}
 	if k.hdr > 0 && !write {
-		got, err := f.ReadAt(0, k.hdrRead)
+		got, err := f.ReadAt(0, hdrRegion)
 		if err != nil {
 			return err
 		}

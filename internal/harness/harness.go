@@ -234,7 +234,11 @@ func Run(j Job) (Report, error) {
 	results := make([]workloads.Result, len(tenants))
 	// Every rank's Env lives as long as the run: allocate them together.
 	envs := make([]workloads.Env, total)
-	world.SpawnAll(func(r *mpi.Rank) {
+	// rankEnv builds rank r's Env and finds its tenant.  It runs before,
+	// not around, the kernel: a simulated process runs on a coroutine
+	// stack that grows by copying, and every frame below the kernel's
+	// calls deepens the stack their backend calls reach.
+	rankEnv := func(r *mpi.Rank) (*workloads.Env, int) {
 		ti := 0 // the world's ranks are dealt to the tenants in order
 		for n := r.Rank(); n >= tenants[ti].Ranks; ti++ {
 			n -= tenants[ti].Ranks
@@ -272,11 +276,15 @@ func Run(j Job) (Report, error) {
 				}
 			}
 		}
-		out, err := t.Kernel.Run(env, j.ReadBack)
+		return env, ti
+	}
+	world.SpawnAll(func(r *mpi.Rank) {
+		env, ti := rankEnv(r)
+		out, err := tenants[ti].Kernel.Run(env, j.ReadBack)
 		if err != nil {
 			fail(fmt.Errorf("rank %d: %w", r.Rank(), err))
 		}
-		if ctx.Comm.Rank() == 0 {
+		if env.Ctx.Comm.Rank() == 0 {
 			results[ti] = out
 		}
 	})

@@ -9,11 +9,6 @@ import (
 	"plfs/internal/plfs"
 )
 
-// A row states one kernel as data, resolved for a job of n ranks: where
-// its files live, the format header at their front, which bytes each
-// rank writes and reads back, how it issues those ops, and how many
-// sessions it runs.  Every kernel is a row, and run executes any row.
-
 // layout is where a row's files live.
 type layout uint8
 
@@ -69,7 +64,7 @@ type access struct {
 }
 
 // bytes is what one rank's write session moves.
-func (a access) bytes() int64 {
+func (a *access) bytes() int64 {
 	if a.span > 0 {
 		return int64(a.runs) * a.span
 	}
@@ -97,31 +92,35 @@ func opsOf(bytes, op int64) int {
 	return int(bytes / op)
 }
 
+// row states one kernel as data, resolved for a job of n ranks: where
+// its files live, the format header at their front, which bytes each
+// rank writes and reads back, how it issues those ops, and how many
+// sessions it runs.  Every kernel is a row, and run executes any row.
 type row struct {
-	layout layout
-	files  int // perRankFiles: files per rank
-	// hdr is a format header: rank 0 writes hdr bytes at offset 0 and
-	// every rank waits at a barrier before the data ops; every read
-	// session starts with each rank reading the hdrRegion at offset 0.
-	hdr   int64
-	acc   access
-	calls calls
-	// dt gives datatype op i of rank: its base, its file type and the
-	// rank's data for it.
-	dt      func(i, rank, n int) (int64, *adio.Datatype, payload.List)
-	read    readback
-	chunk   int  // read sessions issue this many adjacent ops as one call (0: one)
-	rewrite bool // a second write session rewrites every other op
-	reread  bool // every later step also reads rank 0's first op of step 0's file
-	reopens int  // read sessions per file
-	// Sessions: steps, each over containers files (sessions on separate
-	// files).
-	steps, containers int
-	stepping          stepping
+	layout   layout
+	calls    calls
+	read     readback
+	stepping stepping
+	rewrite  bool // a second write session rewrites every other op
+	reread   bool // every later step also reads rank 0's first op of step 0's file
 	// tenant marks a job sharing a service mount: a file the admission
 	// gate refuses is skipped on every rank alike, open times go to the
 	// saturation.open_*_ns histograms, and no caches are dropped.
 	tenant bool
+	files  int // perRankFiles: files per rank
+	// hdr is a format header: rank 0 writes hdr bytes at offset 0 and
+	// every rank waits at a barrier before the data ops; every read
+	// session starts with each rank reading the hdrRegion at offset 0.
+	hdr int64
+	acc access
+	// dt gives datatype op i of rank: its base, its file type and the
+	// rank's data for it.
+	dt      func(i, rank, n int) (int64, *adio.Datatype, payload.List)
+	chunk   int // read sessions issue this many adjacent ops as one call (0: one)
+	reopens int // read sessions per file
+	// Sessions: steps, each over containers files (sessions on separate
+	// files).
+	steps, containers int
 }
 
 // hdrRegion is the space a format library reserves for its header at
@@ -150,15 +149,18 @@ func (k kernel) Run(env *Env, readBack bool) (Result, error) {
 // then, with readBack, a cache drop and the read sessions.  A session is
 // open → body → close, each a timed phase; its times add to the Result
 // by mode.
-func (k *row) run(env *Env, readBack bool) (Result, error) {
-	var res Result
+func (k *row) run(env *Env, readBack bool) (res Result, err error) {
 	if k.calls != opensOnly && k.acc.size <= 0 {
 		return res, fmt.Errorf("workload %s: op size %d is not positive", env.Path, k.acc.size)
 	}
-	rank, n := env.Rank(), env.Ranks()
+	rank := env.Rank()
 	var written []bool
 	if k.tenant {
 		written = make([]bool, k.containers)
+	}
+	read := pass{mode: adio.ReadOnly, owner: rank, every: 1, first: k.read == first}
+	if k.read == neighbour {
+		read.owner = (rank + 1) % env.Ranks()
 	}
 	for s := 0; s < k.steps; s++ {
 		if k.stepping == aligned {
@@ -176,7 +178,6 @@ func (k *row) run(env *Env, readBack bool) (Result, error) {
 				_, err = k.session(env, &step, path, pass{mode: adio.WriteCreate, owner: rank, every: 2})
 			}
 			if err != nil {
-				res.add(step)
 				return res, err
 			}
 			if !skipped {
@@ -190,10 +191,6 @@ func (k *row) run(env *Env, readBack bool) (Result, error) {
 			if !k.tenant {
 				env.dropCaches()
 			}
-			read := pass{mode: adio.ReadOnly, owner: rank, every: 1, first: k.read == first}
-			if k.read == neighbour {
-				read.owner = (rank + 1) % n
-			}
 			for c := 0; c < k.containers; c++ {
 				if written != nil && !written[c] {
 					continue
@@ -204,20 +201,18 @@ func (k *row) run(env *Env, readBack bool) (Result, error) {
 				}
 				for i := 0; i < k.reopens; i++ {
 					if _, err := k.session(env, &step, path, read); err != nil {
-						res.add(step)
 						return res, err
 					}
 				}
 			}
 			if k.reread && s > 0 {
 				if _, err := k.session(env, &step, k.path(env, 0, 0), pass{mode: adio.ReadOnly, every: 1, first: true}); err != nil {
-					res.add(step)
 					return res, err
 				}
 			}
 		}
-		k.hook(env, s, step)
-		res.add(step)
+		k.hook(env, s, &step)
+		res.add(&step)
 	}
 	return res, nil
 }
@@ -247,30 +242,31 @@ type pass struct {
 // added to res.  skipped reports a tenant's file the admission gate
 // refused.
 func (k *row) session(env *Env, res *Result, path string, p pass) (skipped bool, err error) {
-	write := p.mode == adio.WriteCreate
-	ctx := env.Ctx
 	var one [1]adio.File
 	files := one[:]
-	if k.layout == perRank || k.layout == perRankFiles {
-		ctx.Comm = nil // private files: uncoordinated opens
-	}
 	if k.layout == perRankFiles {
 		files = make([]adio.File, k.files)
 	}
-	d, err := env.phase(func() error {
-		for i := range files {
-			name := path
-			if k.layout == perRankFiles {
-				name = fmt.Sprintf("%s.%d", path, i)
-			}
-			f, err := env.Driver.Open(ctx, name, p.mode, env.Hints)
-			if err != nil {
-				return err
-			}
-			files[i] = f
+	write := p.mode == adio.WriteCreate
+	topen, tio, tclose := &res.ReadOpen, &res.Read, &res.ReadClose
+	if write {
+		topen, tio, tclose = &res.WriteOpen, &res.Write, &res.WriteClose
+	}
+	ctx := env.Ctx
+	if k.layout == perRank || k.layout == perRankFiles {
+		ctx.Comm = nil // private files: uncoordinated opens
+	}
+	start := env.begin()
+	for i := range files {
+		name := path
+		if k.layout == perRankFiles {
+			name = fmt.Sprintf("%s.%d", path, i)
 		}
-		return nil
-	})
+		if files[i], err = env.Driver.Open(ctx, name, p.mode, env.Hints); err != nil {
+			break
+		}
+	}
+	d := env.end(start)
 	if k.tenant && errors.Is(err, plfs.ErrAdmission) {
 		return true, nil
 	}
@@ -281,30 +277,25 @@ func (k *row) session(env *Env, res *Result, path string, p pass) (skipped bool,
 		}
 		env.Ctx.Obs.Histogram(name).ObserveNanos(int64(d))
 	}
-	topen, tio, tclose := &res.ReadOpen, &res.Read, &res.ReadClose
-	if write {
-		topen, tio, tclose = &res.WriteOpen, &res.Write, &res.WriteClose
-	}
 	*topen += d
 	if err != nil {
 		return false, err
 	}
 	if k.calls != opensOnly {
-		d, err = env.phase(func() error { return k.body(env, files[0], p) })
-		*tio += d
+		start = env.begin()
+		err = k.body(env, files[0], p)
+		*tio += env.end(start)
 		if err != nil {
 			return false, err
 		}
 	}
-	d, err = env.phase(func() error {
-		for _, f := range files {
-			if err := f.Close(); err != nil {
-				return err
-			}
+	start = env.begin()
+	for _, f := range files {
+		if err = f.Close(); err != nil {
+			break
 		}
-		return nil
-	})
-	*tclose += d
+	}
+	*tclose += env.end(start)
 	return false, err
 }
 
@@ -389,19 +380,19 @@ func (k *row) op(env *Env, f adio.File, write bool, owner, i int, off, n int64) 
 }
 
 // hook runs Env.Step after step s as the row's stepping says.
-func (k *row) hook(env *Env, s int, step Result) {
+func (k *row) hook(env *Env, s int, step *Result) {
 	if env.Step == nil {
 		return
 	}
 	switch k.stepping {
 	case aligned:
 		if env.Rank() == 0 {
-			env.Step(s, step)
+			env.Step(s, *step)
 		}
 	case fenced:
 		env.Ctx.Comm.Barrier()
 		if env.Rank() == 0 {
-			env.Step(s, step)
+			env.Step(s, *step)
 		}
 		env.Ctx.Comm.Barrier()
 	}

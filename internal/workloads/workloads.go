@@ -56,15 +56,18 @@ func (e *Env) Ranks() int { return e.Ctx.Comm.Size() }
 
 func (e *Env) now() time.Duration { return time.Duration(e.Ctx.Clock.Now()) }
 
-// phase brackets fn with barriers and returns the job-wide duration (all
-// ranks leave the trailing barrier together, so every rank measures the
-// same span a bulk-synchronous job would report).
-func (e *Env) phase(fn func() error) (time.Duration, error) {
+// begin and end bracket a timed phase with barriers; end returns the
+// job-wide duration (all ranks leave the trailing barrier together, so
+// every rank measures the same span a bulk-synchronous job would
+// report).
+func (e *Env) begin() time.Duration {
 	e.Ctx.Comm.Barrier()
-	start := e.now()
-	err := fn()
+	return e.now()
+}
+
+func (e *Env) end(start time.Duration) time.Duration {
 	e.Ctx.Comm.Barrier()
-	return e.now() - start, err
+	return e.now() - start
 }
 
 // Result reports job-level phase times and per-rank volumes.
@@ -79,7 +82,7 @@ type Result struct {
 }
 
 // add accumulates another session's or step's times and bytes.
-func (r *Result) add(o Result) {
+func (r *Result) add(o *Result) {
 	r.WriteOpen += o.WriteOpen
 	r.Write += o.Write
 	r.WriteClose += o.WriteClose

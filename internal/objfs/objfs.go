@@ -31,12 +31,12 @@
 package objfs
 
 import (
-	"errors"
 	"fmt"
 	iofs "io/fs"
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"plfs/internal/obs"
@@ -46,13 +46,14 @@ import (
 )
 
 // Errors returned by store operations.  ErrExist and ErrNotExist wrap the
-// io/fs sentinels, as the plfs.Backend contract requires.
+// io/fs sentinels, as the plfs.Backend contract requires; the rest wrap
+// the errno a POSIX file system returns for the same verdict.
 var (
 	ErrExist    = fmt.Errorf("objfs: %w", iofs.ErrExist)
 	ErrNotExist = fmt.Errorf("objfs: %w", iofs.ErrNotExist)
-	ErrNotEmpty = errors.New("objfs: prefix not empty")
-	ErrIsDir    = errors.New("objfs: key is a prefix marker")
-	ErrNotDir   = errors.New("objfs: not a directory")
+	ErrNotEmpty = fmt.Errorf("objfs: prefix not empty: %w", syscall.ENOTEMPTY)
+	ErrIsDir    = fmt.Errorf("objfs: key is a prefix marker: %w", syscall.EISDIR)
+	ErrNotDir   = fmt.Errorf("objfs: %w", syscall.ENOTDIR)
 	ErrInvalid  = fmt.Errorf("objfs: unclean path: %w", iofs.ErrInvalid)
 )
 

@@ -1,11 +1,11 @@
 package pfs
 
 import (
-	"errors"
 	"fmt"
 	iofs "io/fs"
 	"sort"
 	"strings"
+	"syscall"
 	"time"
 
 	"plfs/internal/obs"
@@ -13,17 +13,18 @@ import (
 	"plfs/internal/sim"
 )
 
-// Errors returned by filesystem operations.  ErrExist and ErrNotExist wrap
-// the io/fs sentinels so layers above can test them without knowing which
-// backend produced them.
+// Errors returned by filesystem operations.  Each wraps the io/fs
+// sentinel or the errno a POSIX file system returns for the same
+// verdict, so layers above can test them without knowing which backend
+// produced them.
 var (
 	ErrExist    = fmt.Errorf("pfs: %w", iofs.ErrExist)
 	ErrNotExist = fmt.Errorf("pfs: %w", iofs.ErrNotExist)
-	ErrIsDir    = errors.New("pfs: is a directory")
-	ErrNotDir   = errors.New("pfs: not a directory")
-	ErrNotEmpty = errors.New("pfs: directory not empty")
-	ErrClosed   = errors.New("pfs: handle closed")
-	ErrReadOnly = errors.New("pfs: handle not open for writing")
+	ErrIsDir    = fmt.Errorf("pfs: %w", syscall.EISDIR)
+	ErrNotDir   = fmt.Errorf("pfs: %w", syscall.ENOTDIR)
+	ErrNotEmpty = fmt.Errorf("pfs: %w", syscall.ENOTEMPTY)
+	ErrClosed   = fmt.Errorf("pfs: handle %w", iofs.ErrClosed)
+	ErrReadOnly = fmt.Errorf("pfs: handle not open for writing: %w", syscall.EBADF)
 )
 
 // FS is one simulated parallel file system instance attached to an engine.

@@ -3,6 +3,7 @@ package plfs
 import (
 	"errors"
 	iofs "io/fs"
+	"syscall"
 	"time"
 
 	"plfs/internal/payload"
@@ -52,10 +53,21 @@ func (p RetryPolicy) delay(k, rank int) time.Duration {
 	return d/2 + time.Duration(float64(d/2)*frac)
 }
 
+// permanent lists the store verdicts no retry can change: the io/fs
+// namespace sentinels (not-exist, exist, permission, invalid, closed)
+// and the errnos a store reports for a wrong node type, a non-empty
+// directory and a handle not open for the call.  The simulated stores
+// wrap the same errnos in their sentinels (pfs, objfs), so a verdict
+// classifies the same on every store.
+var permanent = [...]error{
+	iofs.ErrNotExist, iofs.ErrExist, iofs.ErrPermission, iofs.ErrInvalid, iofs.ErrClosed,
+	syscall.ENOTDIR, syscall.EISDIR, syscall.ENOTEMPTY, syscall.EBADF,
+}
+
 // Retryable classifies an error for the retry policy: injected faults
-// declare themselves via Transient(); namespace verdicts (not-exist,
-// exist, permission, invalid) are permanent; anything else — the
-// EIO-shaped remainder — is worth retrying.
+// declare themselves via Transient(); the verdicts in permanent are
+// permanent; anything else — the EIO-shaped remainder — is worth
+// retrying.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
@@ -64,9 +76,10 @@ func Retryable(err error) bool {
 	if errors.As(err, &tr) {
 		return tr.Transient()
 	}
-	if errors.Is(err, iofs.ErrNotExist) || errors.Is(err, iofs.ErrExist) ||
-		errors.Is(err, iofs.ErrPermission) || errors.Is(err, iofs.ErrInvalid) {
-		return false
+	for _, p := range permanent {
+		if errors.Is(err, p) {
+			return false
+		}
 	}
 	return true
 }

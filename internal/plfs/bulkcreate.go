@@ -98,14 +98,7 @@ func (m *Mount) createBatched(ctx Ctx, rel string) (*Writer, error) {
 	w.subVol = hv
 	w.dataPath = path.Join(hpath, dataPrefix+w.stamp)
 	w.indexPath = path.Join(hpath, indexPrefix+w.stamp)
-	var df File
-	err := ctx.retry(m.opt.Retry, func() error {
-		f, e := ctx.Vols[hv].OpenWrite(w.dataPath)
-		if e == nil {
-			df = f
-		}
-		return e
-	})
+	df, err := ctx.Vols[hv].OpenWrite(w.dataPath)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +115,7 @@ func (m *Mount) bulkCreateRoot(ctx Ctx, rel string, reqVals []any) bulkVerdict {
 		return bulkVerdict{Err: err.Error()}
 	}
 	cpath, vc := m.containerPath(rel)
-	ents, err := ctx.readDirRetried(ctx.Vols[vc], cpath, m.opt.Retry)
+	ents, err := ctx.Vols[vc].ReadDir(cpath)
 	if err != nil {
 		return bulkVerdict{Err: err.Error()}
 	}
@@ -198,7 +191,7 @@ func (m *Mount) bulkCreateRoot(ctx Ctx, rel string, reqVals []any) bulkVerdict {
 			continue
 		}
 		bc, _ := BulkCreatorOf(ctx.Vols[v]) // bulkCapable gated this path
-		errs := ctx.bulkCreateRetried(bc, m.opt.Retry, ops)
+		errs := bc.CreateBulk(ops)
 		for i, err := range errs {
 			if err == nil {
 				continue
@@ -210,48 +203,4 @@ func (m *Mount) bulkCreateRoot(ctx Ctx, rel string, reqVals []any) bulkVerdict {
 		}
 	}
 	return bulkVerdict{Moved: moved}
-}
-
-// bulkCreateRetried is CreateBulk under the retry policy, per entry:
-// entries that failed transiently are resubmitted as a (smaller) batch,
-// and — mirroring createRetried — an ErrExist on a resubmitted entry
-// means an earlier attempt landed it, which is success.
-func (c Ctx) bulkCreateRetried(bc BulkCreator, p RetryPolicy, ops []BulkOp) []error {
-	out := bc.CreateBulk(ops)
-	if !p.enabled() {
-		return out
-	}
-	var pending []int
-	for i, err := range out {
-		if Retryable(err) {
-			pending = append(pending, i)
-		}
-	}
-	for k := 1; k < p.Attempts && len(pending) > 0; k++ {
-		if c.Obs != nil {
-			c.Obs.Counter("plfs.retry.attempts").Add(1)
-		}
-		c.retrySleep(p.delay(k, c.Rank))
-		batch := make([]BulkOp, len(pending))
-		for j, i := range pending {
-			batch[j] = ops[i]
-		}
-		errs := bc.CreateBulk(batch)
-		var next []int
-		for j, i := range pending {
-			err := errs[j]
-			if err != nil && errors.Is(err, iofs.ErrExist) {
-				err = nil // an earlier attempt landed this entry
-			}
-			out[i] = err
-			if Retryable(err) {
-				next = append(next, i)
-			}
-		}
-		pending = next
-	}
-	if len(pending) > 0 && c.Obs != nil {
-		c.Obs.Counter("plfs.retry.exhausted").Add(int64(len(pending)))
-	}
-	return out
 }

@@ -104,16 +104,8 @@ func (r *Reader) verifyPiece(piece Piece) error {
 		if e.PhysOff+e.Length <= lo || e.PhysOff >= hi || es.verified[i] {
 			continue
 		}
-		f, err := r.handle(piece.Dropping)
+		pl, err := r.readExtent(piece.Dropping, e.PhysOff, e.Length)
 		if err != nil {
-			return err
-		}
-		var pl payload.List
-		if err := r.ctx.retry(r.m.opt.Retry, func() error {
-			var e2 error
-			pl, e2 = f.ReadAt(e.PhysOff, e.Length)
-			return e2
-		}); err != nil {
 			return err
 		}
 		if got := listCRC(0, pl); got != es.sums[i] {

@@ -39,11 +39,13 @@ func isTmpName(name string) bool { return strings.Contains(name, tmpSuffix) }
 
 // writeFileAtomic commits buf to final: via create-temp, append, close,
 // rename, or — over a store with CondPutter — as one conditional PUT,
-// atomic by the store's contract.  Every retry of the rename protocol
-// starts over from a fresh temp file, so an append that partially
-// applied (a torn write, an ambiguous EIO) can never leave duplicated or
-// truncated content under the final name — the damaged temp is discarded
-// and final only ever appears complete.
+// atomic by the store's contract.  Transient errors are absorbed below,
+// call by call, by the retry interceptor (Mount.bind).  What that layer
+// cannot reissue in place is a torn append (TornWrite): part of the
+// payload landed.  This loop rebuilds from a fresh temp file on exactly
+// that verdict, up to Retry.Attempts times, so duplicated or truncated
+// content can never reach the final name — the damaged temp is
+// discarded and final only ever appears complete.
 //
 // replace removes an existing final immediately before the rename (for
 // rewriting a corrupt file in place, e.g. a Recover-rebuilt index).
@@ -52,21 +54,23 @@ func isTmpName(name string) bool { return strings.Contains(name, tmpSuffix) }
 // the same record, or by an earlier attempt of ours whose rename
 // applied despite an ambiguous error — and under this protocol same
 // name means same committed content.  The duplicate temp is dropped.
-func (c Ctx) writeFileAtomic(b Backend, final string, buf []byte, pol RetryPolicy, replace bool) error {
-	once := func() error { return c.commitOnce(b, tmpName(final, c.Rank), final, buf, replace) }
+func (m *Mount) writeFileAtomic(ctx Ctx, b Backend, final string, buf []byte, replace bool) error {
+	once := func() error { return commitOnce(b, tmpName(final, ctx.Rank), final, buf, replace) }
 	if cp, ok := CondPutterOf(b); ok {
-		once = func() error { return c.condPutOnce(cp, final, buf, replace) }
+		once = func() error { return condPutOnce(cp, final, buf, replace) }
 	}
+	pol := m.opt.Retry
 	for k := 1; ; k++ {
 		err := once()
-		if err == nil || k >= pol.Attempts || !commitRetryable(err) {
+		var tw interface{ TornWrite() bool }
+		if err == nil || k >= pol.Attempts || !errors.As(err, &tw) || !tw.TornWrite() {
 			return err
 		}
-		c.retrySleep(pol.delay(k, c.Rank))
+		pause(ctx.Sleep, pol.delay(k, ctx.Rank))
 	}
 }
 
-func (c Ctx) commitOnce(b Backend, tmp, final string, buf []byte, replace bool) error {
+func commitOnce(b Backend, tmp, final string, buf []byte, replace bool) error {
 	if err := b.Remove(tmp); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 		return err
 	}
@@ -98,10 +102,10 @@ func (c Ctx) commitOnce(b Backend, tmp, final string, buf []byte, replace bool) 
 
 // condPutOnce is one attempt of the commit protocol over a CondPutter
 // store.
-func (c Ctx) condPutOnce(cp CondPutter, final string, buf []byte, replace bool) error {
+func condPutOnce(cp CondPutter, final string, buf []byte, replace bool) error {
 	if replace {
-		// Put-if-generation: a losing writer gets a transient conflict
-		// and the loop above re-reads and reissues.
+		// Put-if-generation: a losing writer gets a transient conflict,
+		// which the retry interceptor reissues.
 		return cp.PutReplace(final, buf)
 	}
 	err := cp.PutIfAbsent(final, buf)
@@ -113,17 +117,6 @@ func (c Ctx) condPutOnce(cp CondPutter, final string, buf []byte, replace bool) 
 		return nil
 	}
 	return err
-}
-
-// commitRetryable extends the usual retry classification: a torn write
-// is permanent for an in-place append but safe to retry here, because
-// each attempt rebuilds the temp file from scratch.
-func commitRetryable(err error) bool {
-	if Retryable(err) {
-		return true
-	}
-	var tw interface{ TornWrite() bool }
-	return errors.As(err, &tw) && tw.TornWrite()
 }
 
 // sweepTmpFiles removes orphaned commit temp files from the container's

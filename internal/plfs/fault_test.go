@@ -13,7 +13,10 @@ import (
 
 	"plfs/internal/fault"
 	"plfs/internal/payload"
+	"plfs/internal/pfs"
 	"plfs/internal/plfs"
+	"plfs/internal/sim"
+	"plfs/internal/simfs"
 )
 
 // fastRetry is a retry policy with microsecond backoff so fault tests
@@ -529,4 +532,120 @@ func TestLostPathReadsAsNotExist(t *testing.T) {
 	if len(rd.Stats.SkippedShards) != 1 {
 		t.Fatalf("SkippedShards = %v, want 1 entry", rd.Stats.SkippedShards)
 	}
+}
+
+// namespaceRoundTrip writes a small container through clean, then drives
+// every namespace entry point of m through faulty, rounds times over
+// fresh names, and checks each result: Mkdir, Stat, ReadDir, Rename,
+// Truncate and Unlink must all absorb the transient faults their backend
+// calls hit.
+func namespaceRoundTrip(t *testing.T, m *plfs.Mount, clean, faulty plfs.Ctx, rounds int) {
+	t.Helper()
+	const blocks, bs = 4, int64(256)
+	for i := 0; i < rounds; i++ {
+		f, g, dir := fmt.Sprint("f", i), fmt.Sprint("g", i), fmt.Sprint("dir", i)
+		w, err := m.Create(clean, f)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		for k := int64(0); k < blocks; k++ {
+			if err := w.Write(k*bs, payload.Synthetic(1, k*bs, bs)); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if err := m.Mkdir(faulty, dir); err != nil {
+			t.Errorf("Mkdir %s: %v", dir, err)
+		}
+		if fi, err := m.Stat(faulty, f); err != nil || fi.Size != blocks*bs {
+			t.Errorf("Stat %s: %+v, %v; want size %d", f, fi, err, blocks*bs)
+		}
+		ents, err := m.ReadDir(faulty, "")
+		if err != nil {
+			t.Errorf("ReadDir: %v", err)
+		}
+		seen := map[string]bool{}
+		for _, e := range ents {
+			seen[e.Name] = e.Dir
+		}
+		if isDir, ok := seen[dir]; !ok || !isDir {
+			t.Errorf("ReadDir: %+v lacks directory %s", ents, dir)
+		}
+		if isDir, ok := seen[f]; !ok || isDir {
+			t.Errorf("ReadDir: %+v lacks logical file %s", ents, f)
+		}
+		if err := m.Rename(faulty, f, g); err != nil {
+			t.Errorf("Rename %s: %v", f, err)
+		}
+		if err := m.Truncate(faulty, g); err != nil {
+			t.Errorf("Truncate %s: %v", g, err)
+		}
+		if fi, err := m.Stat(faulty, g); err != nil || fi.Size != 0 {
+			t.Errorf("Stat %s after truncate: %+v, %v; want size 0", g, fi, err)
+		}
+		if err := m.Unlink(faulty, g); err != nil {
+			t.Errorf("Unlink %s: %v", g, err)
+		}
+		if ok, err := m.IsContainer(clean, g); ok || err != nil {
+			t.Errorf("after Unlink %s: IsContainer = %v, %v", g, ok, err)
+		}
+	}
+}
+
+// namespaceFaults is a high transient rate on every namespace op class.
+// A call that is not retried fails almost at once; one retried 8 times
+// fails with probability 0.15^8.  Over osfs, where the temp-dir paths
+// reseed the schedule on every run, the ~3,500 faultable calls of the
+// osfs subtest then fail about one run in 1,000.
+const namespaceFaults = "seed=7,stat=0.15,mkdir=0.15,readdir=0.15,rename=0.15,remove=0.15"
+
+// requireFired fails the test unless the injector fired on every
+// namespace op class, so a pass is not vacuous.
+func requireFired(t *testing.T, inj *fault.Injector) {
+	t.Helper()
+	got := inj.Injected()
+	for _, op := range []fault.Op{fault.OpStat, fault.OpMkdir, fault.OpReadDir, fault.OpRename, fault.OpRemove} {
+		if got[op] == 0 {
+			t.Errorf("no %s fault fired: %v", op, got)
+		}
+	}
+}
+
+// TestNamespaceCallsAbsorbFaults: with a retry policy set, every backend
+// call a namespace entry point makes is retried, over osfs (real sleeps)
+// and over the simulated stack (virtual sleeps).  The torn-append side
+// of the commit protocol — a torn temp is rebuilt from a fresh temp, not
+// reissued in place — is TestGlobalIndexTornAppendRetries.
+func TestNamespaceCallsAbsorbFaults(t *testing.T) {
+	const rounds = 32
+	opt := plfs.Options{NumSubdirs: 4, SpreadSubdirs: true}
+	t.Run("osfs", func(t *testing.T) {
+		opt.Retry = fastRetry(8)
+		r := newRig(t, 4, opt)
+		inj := fault.New(mustSpec(t, namespaceFaults))
+		clean := serialCtx(r, 0)
+		namespaceRoundTrip(t, r.m, clean, faulty(clean, inj), rounds)
+		requireFired(t, inj)
+	})
+	t.Run("simfs", func(t *testing.T) {
+		eng := sim.NewEngine(1)
+		fs := pfs.New(eng, pfs.SmallCluster())
+		roots := make([]string, fs.Volumes())
+		for i := range roots {
+			roots[i] = fs.VolumeRoot(i)
+		}
+		opt.Retry = plfs.RetryPolicy{Attempts: 8}
+		m := plfs.NewMount(roots, opt)
+		inj := fault.New(mustSpec(t, namespaceFaults))
+		eng.Spawn("rank0", func(p *sim.Proc) {
+			clean := simfs.Ctx(fs, 0, p, 0, 1)
+			namespaceRoundTrip(t, m, clean, simfs.FaultCtx(fs, 0, p, 0, 1, inj), rounds)
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		requireFired(t, inj)
+	})
 }

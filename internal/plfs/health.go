@@ -474,36 +474,50 @@ func (h *Health) Publish(reg *obs.Registry) {
 	}
 }
 
-// healthCtx returns ctx with a health interceptor on every volume: each
-// backend call is timed on ctx.Clock and its outcome fed to the mount's
-// breaker table, by op class.  A bulk create is one observation (the
-// interposer reports the batch's first entry error): the batch is one
-// RPC to the volume, and counting it per entry would let a single bulk
-// storm trip a breaker that saw only one slow round trip.  Idempotent:
-// an already-observed context passes through.
-func (m *Mount) healthCtx(ctx Ctx) Ctx {
-	if m.health == nil || len(ctx.Vols) == 0 || ctx.observed {
+// bind returns ctx with the mount's interceptors on every volume: the
+// retry policy (when Retry.Attempts > 1) above the health tracker (when
+// the mount has a health table), both above whatever the context's
+// volumes already carry, such as a fault injector.  Health therefore
+// sees every attempt: each backend call is timed on ctx.Clock and its
+// outcome fed to the mount's breaker table, by op class.  A bulk create
+// is one observation (the interposer reports the batch's first entry
+// error): the batch is one RPC to the volume, and counting it per entry
+// would let a single bulk storm trip a breaker that saw only one slow
+// round trip.  Idempotent: an already-bound context passes through.
+func (m *Mount) bind(ctx Ctx) Ctx {
+	pol := m.opt.Retry
+	if m.health == nil && pol.Attempts <= 1 || len(ctx.Vols) == 0 || ctx.bound {
 		return ctx
 	}
-	h, now := m.health, ctx.now
-	wrapped := make([]Backend, len(ctx.Vols))
-	for i, b := range ctx.Vols {
-		root := ""
-		if i < len(m.roots) {
-			root = m.roots[i]
-		}
-		wrapped[i] = Interpose(b, func(op *Op, call func() error) error {
-			t0 := now()
-			err := call()
-			t1 := now()
-			if op.Kind.Data() {
-				h.ObserveData(root, t1, time.Duration(t1-t0), op.Bytes, err)
-			} else {
-				h.Observe(root, t1, time.Duration(t1-t0), err)
-			}
-			return err
-		})
+	var ric Interceptor
+	if pol.Attempts > 1 {
+		ric = pol.interceptor(ctx.Rank, ctx.Sleep, ctx.Obs)
 	}
-	ctx.Vols, ctx.observed = wrapped, true
+	h, now := m.health, ctx.now
+	vols := make([]Backend, len(ctx.Vols))
+	for i, b := range ctx.Vols {
+		if h != nil {
+			root := ""
+			if i < len(m.roots) {
+				root = m.roots[i]
+			}
+			b = Interpose(b, func(op *Op, call func() error) error {
+				t0 := now()
+				err := call()
+				t1 := now()
+				if op.Kind.Data() {
+					h.ObserveData(root, t1, time.Duration(t1-t0), op.Bytes, err)
+				} else {
+					h.Observe(root, t1, time.Duration(t1-t0), err)
+				}
+				return err
+			})
+		}
+		if ric != nil {
+			b = Interpose(b, ric)
+		}
+		vols[i] = b
+	}
+	ctx.Vols, ctx.bound = vols, true
 	return ctx
 }

@@ -2,10 +2,11 @@ package plfs
 
 // The one forwarding decorator.  Everything that sits between PLFS and a
 // store — the fault injector (internal/fault), the health tracker
-// (health.go), whatever per-layer telemetry comes next — is an
-// interceptor function handed to Interpose; no other type outside the
-// stores themselves forwards Backend or File calls.  Adding a backend
-// operation therefore touches the stores, this file, and backendtest.
+// (health.go), the retry policy (retry.go), whatever per-layer
+// telemetry comes next — is an interceptor function handed to Interpose;
+// no other type outside the stores themselves forwards Backend or File
+// calls.  Adding a backend operation therefore touches the stores, this
+// file, and backendtest.
 
 import (
 	"plfs/internal/extent"
@@ -47,6 +48,9 @@ func (k OpKind) Data() bool { return k >= OpPutIfAbsent }
 // Op is one intercepted call.  The interceptor sees it before the store
 // does and may rewrite the mutable fields to change what call() ships.
 type Op struct {
+	// Kind is mutable on a Create only: an interceptor may turn it into
+	// an OpOpenWrite of the same path (the retry interceptor reopens a
+	// file an earlier, failed attempt created).
 	Kind OpKind
 	// Path is the call's target; for File calls, the path the handle was
 	// opened at.  Path2 is Rename's destination.
@@ -152,27 +156,30 @@ func (b *interposed) Mkdir(path string) error {
 	return b.ic(&Op{Kind: OpMkdir, Path: path}, func() error { return b.inner.Mkdir(path) })
 }
 
-// open runs one of the three handle-returning calls and interposes on
-// the handle it yields.
-func (b *interposed) open(kind OpKind, path string, do func(string) (File, error)) (File, error) {
-	f, err := through(b.ic, &Op{Kind: kind, Path: path}, func() (File, error) { return do(path) })
+// open runs one of the three handle-returning calls — the one op.Kind
+// names when call() is invoked — and interposes on the handle it yields.
+func (b *interposed) open(kind OpKind, path string) (File, error) {
+	op := &Op{Kind: kind, Path: path}
+	f, err := through(b.ic, op, func() (File, error) {
+		switch op.Kind {
+		case OpCreate:
+			return b.inner.Create(path)
+		case OpOpenWrite:
+			return b.inner.OpenWrite(path)
+		}
+		return b.inner.OpenRead(path)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &interposedFile{inner: f, path: path, ic: b.ic}, nil
 }
 
-func (b *interposed) Create(path string) (File, error) {
-	return b.open(OpCreate, path, b.inner.Create)
-}
+func (b *interposed) Create(path string) (File, error) { return b.open(OpCreate, path) }
 
-func (b *interposed) OpenRead(path string) (File, error) {
-	return b.open(OpOpenRead, path, b.inner.OpenRead)
-}
+func (b *interposed) OpenRead(path string) (File, error) { return b.open(OpOpenRead, path) }
 
-func (b *interposed) OpenWrite(path string) (File, error) {
-	return b.open(OpOpenWrite, path, b.inner.OpenWrite)
-}
+func (b *interposed) OpenWrite(path string) (File, error) { return b.open(OpOpenWrite, path) }
 
 func (b *interposed) Stat(path string) (Info, error) {
 	return through(b.ic, &Op{Kind: OpStat, Path: path}, func() (Info, error) { return b.inner.Stat(path) })
@@ -214,12 +221,7 @@ func (b *interposed) CreateBulk(ops []BulkOp) []error {
 	op := &Op{Kind: OpCreateBulk, Bulk: ops}
 	err := b.ic(op, func() error {
 		op.BulkErrs = b.inner.(BulkCreator).CreateBulk(op.Bulk)
-		for _, e := range op.BulkErrs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
+		return firstErr(op.BulkErrs)
 	})
 	if len(op.BulkErrs) != len(ops) {
 		op.BulkErrs = make([]error, len(ops))
@@ -228,6 +230,16 @@ func (b *interposed) CreateBulk(ops []BulkOp) []error {
 		}
 	}
 	return op.BulkErrs
+}
+
+// firstErr returns the first non-nil error of errs.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 type interposedFile struct {

@@ -240,9 +240,9 @@ func TestCapabilityAskedOfLeaf(t *testing.T) {
 func TestHealthObservesBulkOnce(t *testing.T) {
 	leaf := &bulkFS{memFS: newMemFS(), bulkErr: transientErr{}}
 	m := NewMount([]string{"/vol0"}, Options{HedgedReads: true})
-	ctx := m.healthCtx(Ctx{Vols: []Backend{leaf}, Clock: ClockFunc(func() int64 { return 0 })})
-	if again := m.healthCtx(ctx); again.Vols[0] != ctx.Vols[0] {
-		t.Error("healthCtx wrapped an already-observed context twice")
+	ctx := m.bind(Ctx{Vols: []Backend{leaf}, Clock: ClockFunc(func() int64 { return 0 })})
+	if again := m.bind(ctx); again.Vols[0] != ctx.Vols[0] {
+		t.Error("bind wrapped an already-bound context twice")
 	}
 	bc, ok := BulkCreatorOf(ctx.Vols[0])
 	if !ok {

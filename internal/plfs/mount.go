@@ -113,10 +113,10 @@ type Options struct {
 	// the context's Sleeper.
 	ParseCPUPerEntry time.Duration
 	MergeCPUPerEntry time.Duration
-	// Retry reissues dropping opens/reads/appends that fail with
-	// transient errors, with exponential backoff charged through the
-	// context's Sleeper (virtual time under the simulator, real sleep
-	// over osfs).  The zero value disables retrying.
+	// Retry reissues every backend call that fails with a transient
+	// error, with exponential backoff charged through the context's
+	// Sleeper (virtual time under the simulator, real sleep over osfs).
+	// The zero value disables retrying.
 	Retry RetryPolicy
 	// AllowPartial lets OpenReader skip index shards that stay unreadable
 	// after retries instead of failing the whole open; skipped shards are
@@ -215,9 +215,9 @@ type Ctx struct {
 	// all instrumentation at zero cost.
 	Obs *obs.Registry
 
-	// observed marks Vols as already carrying the mount's health
-	// interceptor (healthCtx), so nested entry points wrap once.
-	observed bool
+	// bound marks Vols as already carrying the mount's interceptors
+	// (Mount.bind), so nested entry points wrap once.
+	bound bool
 }
 
 func (c Ctx) now() int64 {
@@ -666,7 +666,7 @@ func (m *Mount) volDegraded(ctx Ctx, v int) bool {
 // Mkdir creates a logical directory on every volume, so containers and
 // shadow containers can be placed under it anywhere.
 func (m *Mount) Mkdir(ctx Ctx, rel string) error {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	for v, root := range m.roots {
 		if err := ctx.Vols[v].Mkdir(path.Join(root, rel)); err != nil && !errors.Is(err, iofs.ErrExist) {
@@ -678,7 +678,7 @@ func (m *Mount) Mkdir(ctx Ctx, rel string) error {
 
 // IsContainer reports whether rel names a PLFS container.
 func (m *Mount) IsContainer(ctx Ctx, rel string) (bool, error) {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	cpath, vc := m.containerPath(rel)
 	fi, err := ctx.Vols[vc].Stat(cpath)
@@ -782,13 +782,13 @@ func cachedSize(ents []Info) (int64, bool) {
 // Stat returns the logical file info for a container: its name and the
 // logical size cached in the metadir by writers at close.
 func (m *Mount) Stat(ctx Ctx, rel string) (Info, error) {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	cpath, vc := m.containerPath(rel)
 	if _, err := ctx.Vols[vc].Stat(cpath); err != nil {
 		return Info{}, err
 	}
-	ents, err := ctx.readDirRetried(ctx.Vols[vc], path.Join(cpath, metaDir), m.opt.Retry)
+	ents, err := ctx.Vols[vc].ReadDir(path.Join(cpath, metaDir))
 	if err != nil {
 		return Info{}, err
 	}
@@ -812,7 +812,7 @@ func (m *Mount) Stat(ctx Ctx, rel string) (Info, error) {
 // ReadDir lists the logical directory rel: the union across volumes, with
 // containers presented as logical files.
 func (m *Mount) ReadDir(ctx Ctx, rel string) ([]Info, error) {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	seen := map[string]Info{}
 	found := false
@@ -863,7 +863,7 @@ func (m *Mount) ReadDir(ctx Ctx, rel string) ([]Info, error) {
 // name, so renames that would change the hash placement are refused —
 // the same restriction rigid metadata realms impose.
 func (m *Mount) Rename(ctx Ctx, oldRel, newRel string) error {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	oldRel, newRel = clean(oldRel), clean(newRel)
 	if ok, err := m.IsContainer(ctx, oldRel); err != nil {
 		return err
@@ -920,7 +920,7 @@ func (m *Mount) Rename(ctx Ctx, oldRel, newRel string) error {
 // removed; the container skeleton stays so open handles' paths remain
 // valid namespaces.
 func (m *Mount) Truncate(ctx Ctx, rel string) error {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	if ok, err := m.IsContainer(ctx, rel); err != nil {
 		return err
@@ -963,7 +963,7 @@ func (m *Mount) Truncate(ctx Ctx, rel string) error {
 	// current generation, and Stat only believes the current one.  The
 	// marker is published atomically so a crash here leaves either the
 	// old generation or the new one, never a torn marker.
-	if err := ctx.writeFileAtomic(ctx.Vols[vc], path.Join(meta, fmt.Sprintf("%s%d", genPrefix, gen+1)), nil, m.opt.Retry, false); err != nil {
+	if err := m.writeFileAtomic(ctx, ctx.Vols[vc], path.Join(meta, fmt.Sprintf("%s%d", genPrefix, gen+1)), nil, false); err != nil {
 		return err
 	}
 	m.advanceGen(m.stateOf(rel, ctx.Tenant), true)
@@ -973,7 +973,7 @@ func (m *Mount) Truncate(ctx Ctx, rel string) error {
 // Unlink removes a container: droppings, hostdirs (canonical and shadow),
 // metadata, and the container directories themselves.
 func (m *Mount) Unlink(ctx Ctx, rel string) error {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	cpath, vc := m.containerPath(rel)
 	b := ctx.Vols[vc]
@@ -1156,7 +1156,7 @@ func movedTargets(ents []Info) map[int]movedTarget {
 // moved maps a migrated hostdir id to the volume now hosting it.
 func (m *Mount) hostdirIDs(ctx Ctx, rel string) (ids []int, moved map[int]int, err error) {
 	cpath, vc := m.containerPath(rel)
-	ents, err := ctx.readDirRetried(ctx.Vols[vc], cpath, m.opt.Retry)
+	ents, err := ctx.Vols[vc].ReadDir(cpath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1251,7 +1251,7 @@ func (m *Mount) walkDroppings(ctx Ctx, rel string, orphans bool) ([]droppingRef,
 				}
 				continue
 			}
-			hents, err := ctx.readDirRetried(ctx.Vols[loc.vol], loc.path, m.opt.Retry)
+			hents, err := ctx.Vols[loc.vol].ReadDir(loc.path)
 			if err != nil {
 				if errors.Is(err, iofs.ErrNotExist) {
 					continue
@@ -1331,7 +1331,7 @@ func (m *Mount) listHostdirHedged(ctx Ctx, hpath string, hv int) ([]droppingRef,
 		if m.health.State(m.roots[rv], now) != BreakerClosed {
 			continue
 		}
-		ents, err := ctx.readDirRetried(ctx.Vols[rv], path.Join(m.roots[rv], relh), m.opt.Retry)
+		ents, err := ctx.Vols[rv].ReadDir(path.Join(m.roots[rv], relh))
 		if err != nil {
 			// ErrNotExist is ambiguous here: an empty hostdir and a failed
 			// replication look the same, so fall through to the primary

@@ -80,7 +80,7 @@ func (m *Mount) newReader(ctx Ctx, rel string) *Reader {
 // the configured collective aggregation runs; without one (serial/FUSE
 // mode) the Original uncoordinated design is used.
 func (m *Mount) OpenReader(ctx Ctx, rel string) (*Reader, error) {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	admitted, aerr := m.admit(ctx, "open")
 	if aerr != nil {
@@ -207,7 +207,7 @@ func (r *Reader) tryGlobalIndex() (*Index, error) {
 	// Existence probe: most containers have no flattened index, so a
 	// degraded replica slot must not charge its browned-out latency just
 	// to confirm a miss a healthy volume already reported.
-	pl, size, err := m.readIndexReplicatedOpt(ctx, gp, m.opt.Retry, true)
+	pl, size, err := m.readIndexReplicated(ctx, gp, true)
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
 			return nil, nil
@@ -286,7 +286,7 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 	errs := make([]error, len(refs))
 	raw := make([][]byte, len(refs))
 	for i, ref := range refs {
-		pl, size, err := m.readIndexReplicated(ctx, ref.Ref.Index, m.opt.Retry)
+		pl, size, err := m.readIndexReplicated(ctx, ref.Ref.Index, false)
 		if err != nil {
 			errs[i] = fmt.Errorf("%s: %w", ref.Ref.Index, err)
 			continue
@@ -688,7 +688,7 @@ func (r *Reader) handle(id int32) (File, error) {
 		return f, nil
 	}
 	p := r.ix.Droppings()[id]
-	f, err := r.ctx.openReadRetried(r.ctx.Vols[r.m.volOfPath(p)], p, r.m.opt.Retry)
+	f, err := r.ctx.Vols[r.m.volOfPath(p)].OpenRead(p)
 	if err != nil {
 		return nil, err
 	}
@@ -793,18 +793,13 @@ func (r *Reader) readOne(p Piece) (payload.List, error) {
 	return r.readExtent(p.Dropping, p.PhysOff, p.Length)
 }
 
-// readExtent is one backend read of a dropping under the retry policy.
+// readExtent is one backend read of a dropping.
 func (r *Reader) readExtent(drop int32, phys, n int64) (payload.List, error) {
 	f, err := r.handle(drop)
 	if err != nil {
 		return nil, err
 	}
-	var pl payload.List
-	err = r.ctx.retry(r.m.opt.Retry, func() error {
-		var e error
-		pl, e = f.ReadAt(phys, n)
-		return e
-	})
+	pl, err := f.ReadAt(phys, n)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", r.ix.Droppings()[drop], err)
 	}
@@ -854,12 +849,7 @@ func (r *Reader) readPlanned(pieces []Piece) (payload.List, error) {
 		for k := i; k < j; k++ {
 			segs[k-i] = extent.Ext{Off: batches[k].phys, Len: batches[k].length}
 		}
-		var pl payload.List
-		err := r.ctx.retry(r.m.opt.Retry, func() error {
-			var e error
-			pl, e = r.handles[batches[i].drop].ReadvAt(segs)
-			return e
-		})
+		pl, err := r.handles[batches[i].drop].ReadvAt(segs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.ix.Droppings()[batches[i].drop], err)
 		}
@@ -1008,7 +998,7 @@ func (m *Mount) aggregateSerial(ctx Ctx, rel string, drops []droppingRef) (*Inde
 // file instead of re-aggregating — useful for write-once, read-many
 // data.  It is idempotent; a second call is a cheap no-op.
 func (m *Mount) Flatten(ctx Ctx, rel string) error {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	r := m.newReader(ctx, rel)
 	if ix, err := r.tryGlobalIndex(); err != nil {
@@ -1030,7 +1020,7 @@ func (m *Mount) Flatten(ctx Ctx, rel string) error {
 	// Atomic commit; a rename refused because another flattener already
 	// published is fine — same container, same flattened content.
 	cpath, _ := m.containerPath(rel)
-	if err := m.commitReplicated(ctx, path.Join(cpath, metaDir, globalIndex), buf, m.opt.Retry, false); err != nil {
+	if err := m.commitReplicated(ctx, path.Join(cpath, metaDir, globalIndex), buf, false); err != nil {
 		return err
 	}
 	// The flattened index changes what future opens should report

@@ -91,7 +91,7 @@ func loadSkew(loads []float64) float64 {
 // The container must be quiescent; concurrent opens never 404 because
 // every reader resolves the forwarding markers (see the file comment).
 func (m *Mount) Rebalance(ctx Ctx, rel string, pol RebalancePolicy) (RebalanceReport, error) {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	rep := RebalanceReport{Skew: 1}
 	V := len(m.roots)
@@ -177,19 +177,18 @@ func (m *Mount) Rebalance(ctx Ctx, rel string, pol RebalancePolicy) (RebalanceRe
 // already lives on dst.  The container must be quiescent (no registered
 // writers); readers may run concurrently throughout.
 func (m *Mount) MigrateHostdir(ctx Ctx, rel string, id, dst int) error {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	if id < 0 || dst < 0 || dst >= len(m.roots) {
 		return fmt.Errorf("plfs: migrate %s hostdir.%d to vol %d: %w", rel, id, dst, iofs.ErrInvalid)
 	}
-	pol := m.opt.Retry
 	cpath, vc := m.containerPath(rel)
 	sp := ctx.Obs.StartSpan("migrate")
 	defer sp.End()
 
 	// Quiescence: migrating under an active writer could strand droppings
 	// created at the source after the copy loop passed it.
-	if ents, err := ctx.readDirRetried(ctx.Vols[vc], path.Join(cpath, openHostsDir), pol); err == nil {
+	if ents, err := ctx.Vols[vc].ReadDir(path.Join(cpath, openHostsDir)); err == nil {
 		if len(ents) > 0 {
 			return fmt.Errorf("plfs: migrate %s hostdir.%d: container has %d active writer host(s)", rel, id, len(ents))
 		}
@@ -198,7 +197,7 @@ func (m *Mount) MigrateHostdir(ctx Ctx, rel string, id, dst int) error {
 	}
 
 	// Resolve the current location (forwarding markers win over the hash).
-	ents, err := ctx.readDirRetried(ctx.Vols[vc], cpath, pol)
+	ents, err := ctx.Vols[vc].ReadDir(cpath)
 	if err != nil {
 		return err
 	}
@@ -218,18 +217,18 @@ func (m *Mount) MigrateHostdir(ctx Ctx, rel string, id, dst int) error {
 
 	// Destination landing zone (idempotent).
 	if dst != vc {
-		if err := ctx.mkdirRetried(ctx.Vols[dst], path.Join(m.roots[dst], rel), pol); err != nil && !errors.Is(err, iofs.ErrExist) {
+		if err := ctx.Vols[dst].Mkdir(path.Join(m.roots[dst], rel)); err != nil && !errors.Is(err, iofs.ErrExist) {
 			return err
 		}
 	}
-	if err := ctx.mkdirRetried(ctx.Vols[dst], dstPath, pol); err != nil && !errors.Is(err, iofs.ErrExist) {
+	if err := ctx.Vols[dst].Mkdir(dstPath); err != nil && !errors.Is(err, iofs.ErrExist) {
 		return err
 	}
 
 	// Copy published droppings.  Atomic per file; ErrExist inside
 	// writeFileAtomic reports success — a crashed earlier attempt already
 	// landed this (immutable) file.
-	srcEnts, err := ctx.readDirRetried(ctx.Vols[src], srcPath, pol)
+	srcEnts, err := ctx.Vols[src].ReadDir(srcPath)
 	if err != nil {
 		if !errors.Is(err, iofs.ErrNotExist) {
 			return err
@@ -242,11 +241,11 @@ func (m *Mount) MigrateHostdir(ctx Ctx, rel string, id, dst int) error {
 		if e.Dir || isTmpName(e.Name) {
 			continue
 		}
-		pl, _, err := ctx.readAllRetried(ctx.Vols[src], path.Join(srcPath, e.Name), pol)
+		pl, _, err := readAll(ctx.Vols[src], path.Join(srcPath, e.Name))
 		if err != nil {
 			return err
 		}
-		if err := ctx.writeFileAtomic(ctx.Vols[dst], path.Join(dstPath, e.Name), pl.Materialize(), pol, false); err != nil {
+		if err := m.writeFileAtomic(ctx, ctx.Vols[dst], path.Join(dstPath, e.Name), pl.Materialize(), false); err != nil {
 			return err
 		}
 		copied++
@@ -257,14 +256,14 @@ func (m *Mount) MigrateHostdir(ctx Ctx, rel string, id, dst int) error {
 	// not outlive the move (its replicas neither).  Readers rebuild from
 	// the droppings until the next flatten.
 	gp := path.Join(cpath, metaDir, globalIndex)
-	if err := ctx.retry(pol, func() error { return ctx.Vols[vc].Remove(gp) }); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+	if err := ctx.Vols[vc].Remove(gp); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 		return err
 	}
 	m.removeReplicas(ctx, gp)
 
 	// Publish the forwarding marker: from this instant every reader (and
 	// every batched writer) resolves the destination first.
-	if err := ctx.writeFileAtomic(ctx.Vols[vc], path.Join(cpath, movedMarkerName(id, seq+1, dst)), nil, pol, false); err != nil {
+	if err := m.writeFileAtomic(ctx, ctx.Vols[vc], path.Join(cpath, movedMarkerName(id, seq+1, dst)), nil, false); err != nil {
 		return err
 	}
 	// Retire superseded markers (lower seq for the same id).

@@ -26,58 +26,51 @@ func extentOK(e Entry, dataEnd int64) bool {
 // and returns its entries (dropping ids zeroed), their data CRCs (nil for
 // a v1 footer), and the size of the data region before it.
 func (m *Mount) readFrameFooter(ctx Ctx, ref droppingRef) ([]Entry, []uint32, int64, error) {
-	var fr frame
-	var dataEnd int64
-	err := ctx.retry(m.opt.Retry, func() error {
-		f, e := ctx.Vols[ref.Vol].OpenRead(ref.Data)
-		if e != nil {
-			return e
-		}
-		defer f.Close()
-		size := f.Size()
-		if size < 16 {
-			return fmt.Errorf("plfs: %s: no recovery footer (%d bytes)", ref.Data, size)
-		}
-		pl, e := f.ReadAt(size-min64(size, 24), min64(size, 24))
-		if e != nil {
-			return e
-		}
-		tail := pl.Materialize()
-		n, tlen, crc, e := trailerOf(frameFooter, tail)
-		if e != nil {
-			return fmt.Errorf("plfs: %s: %w", ref.Data, e)
-		}
-		per := uint64(EntryBytes)
-		if crc {
-			per += 4
-		}
-		if n > uint64(size)/per || int64(n*per)+int64(tlen) > size {
-			return fmt.Errorf("plfs: %s: corrupt recovery footer (%d entries in %d bytes)", ref.Data, n, size)
-		}
-		dataEnd = size - int64(tlen) - int64(n*per)
-		if pl, e = f.ReadAt(dataEnd, int64(n*per)); e != nil {
-			return e
-		}
-		if fr, e = decodeFrame(frameFooter, slices.Concat(pl.Materialize(), tail[len(tail)-tlen:])); e != nil {
-			return fmt.Errorf("plfs: %s: %w", ref.Data, e)
-		}
-		var covered int64
-		for i, ent := range fr.ents {
-			if !extentOK(ent, dataEnd) {
-				return fmt.Errorf("plfs: %s: corrupt recovery footer (extent [%d,%d) outside %d data bytes)",
-					ref.Data, ent.PhysOff, ent.PhysOff+ent.Length, dataEnd)
-			}
-			fr.ents[i].Dropping = 0
-			covered += ent.Length
-		}
-		if covered != dataEnd {
-			return fmt.Errorf("plfs: %s: corrupt data framing (footer covers %d of %d data bytes)",
-				ref.Data, covered, dataEnd)
-		}
-		return nil
-	})
+	f, err := ctx.Vols[ref.Vol].OpenRead(ref.Data)
 	if err != nil {
 		return nil, nil, 0, err
+	}
+	defer f.Close()
+	size := f.Size()
+	if size < 16 {
+		return nil, nil, 0, fmt.Errorf("plfs: %s: no recovery footer (%d bytes)", ref.Data, size)
+	}
+	pl, err := f.ReadAt(size-min64(size, 24), min64(size, 24))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	tail := pl.Materialize()
+	n, tlen, crc, err := trailerOf(frameFooter, tail)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("plfs: %s: %w", ref.Data, err)
+	}
+	per := uint64(EntryBytes)
+	if crc {
+		per += 4
+	}
+	if n > uint64(size)/per || int64(n*per)+int64(tlen) > size {
+		return nil, nil, 0, fmt.Errorf("plfs: %s: corrupt recovery footer (%d entries in %d bytes)", ref.Data, n, size)
+	}
+	dataEnd := size - int64(tlen) - int64(n*per)
+	if pl, err = f.ReadAt(dataEnd, int64(n*per)); err != nil {
+		return nil, nil, 0, err
+	}
+	fr, err := decodeFrame(frameFooter, slices.Concat(pl.Materialize(), tail[len(tail)-tlen:]))
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("plfs: %s: %w", ref.Data, err)
+	}
+	var covered int64
+	for i, ent := range fr.ents {
+		if !extentOK(ent, dataEnd) {
+			return nil, nil, 0, fmt.Errorf("plfs: %s: corrupt recovery footer (extent [%d,%d) outside %d data bytes)",
+				ref.Data, ent.PhysOff, ent.PhysOff+ent.Length, dataEnd)
+		}
+		fr.ents[i].Dropping = 0
+		covered += ent.Length
+	}
+	if covered != dataEnd {
+		return nil, nil, 0, fmt.Errorf("plfs: %s: corrupt data framing (footer covers %d of %d data bytes)",
+			ref.Data, covered, dataEnd)
 	}
 	return fr.ents, fr.sums, dataEnd, nil
 }
@@ -90,11 +83,11 @@ func (m *Mount) readFrameFooter(ctx Ctx, ref droppingRef) ([]Entry, []uint32, in
 func (m *Mount) rebuildIndex(ctx Ctx, d droppingRef, entries []Entry) error {
 	ipath := indexPathFor(d)
 	buf := appendFrame(nil, frame{kind: frameIndex, crc: m.opt.Checksum, recs: m.indexRecs(entries)})
-	if err := ctx.writeFileAtomic(ctx.Vols[d.Vol], ipath, buf, m.opt.Retry, true); err != nil {
+	if err := m.writeFileAtomic(ctx, ctx.Vols[d.Vol], ipath, buf, true); err != nil {
 		return err
 	}
 	// A rebuilt index re-enters the replication contract immediately
 	// (replace semantics: stale replicas of the torn original converge).
-	m.replicateFile(ctx, ipath, buf, m.opt.Retry)
+	m.replicateFile(ctx, ipath, buf)
 	return nil
 }

@@ -21,9 +21,9 @@ import (
 
 // globalIndex checks the flattened global index and its replicas.
 func (p *pass) globalIndex(cpath string, vc int) {
-	m, ctx, pol := p.m, p.ctx, p.m.opt.Retry
+	m, ctx := p.m, p.ctx
 	gp := path.Join(cpath, metaDir, globalIndex)
-	pl, _, err := ctx.readAllRetried(ctx.Vols[vc], gp, pol)
+	pl, _, err := readAll(ctx.Vols[vc], gp)
 	if err == nil {
 		buf := pl.Materialize()
 		var f frame
@@ -46,7 +46,7 @@ func (p *pass) globalIndex(cpath string, vc int) {
 		f, _ := decodeFrame(frameGlobal, rbuf)
 		p.useGlobal(f.recs)
 		pr.Detail += "; restore from replica"
-		p.fix(func() error { return ctx.writeFileAtomic(ctx.Vols[vc], gp, rbuf, pol, true) }, pr)
+		p.fix(func() error { return m.writeFileAtomic(ctx, ctx.Vols[vc], gp, rbuf, true) }, pr)
 		return
 	}
 	// No replica can restore it: drop the corrupt file (readers
@@ -74,20 +74,20 @@ func (p *pass) useGlobal(recs []Rec) {
 // replicas re-replicates primary's healthy bytes over any replica slot
 // that is missing or fails to byte-match.
 func (p *pass) replicas(primary string, buf []byte) {
-	m, ctx, pol := p.m, p.ctx, p.m.opt.Retry
+	m, ctx := p.m, p.ctx
 	for k := 1; k < m.replicas(); k++ {
 		rp, rv := m.replicaPath(primary, k)
 		if m.volDegraded(ctx, rv) {
 			p.rep.Deferred++
 			continue
 		}
-		if pl, _, err := ctx.readAllRetried(ctx.Vols[rv], rp, pol); err == nil && string(pl.Materialize()) == string(buf) {
+		if pl, _, err := readAll(ctx.Vols[rv], rp); err == nil && string(pl.Materialize()) == string(buf) {
 			continue
 		}
 		p.fix(func() error {
 			err := m.ensureDirs(ctx, rv, path.Dir(rp))
 			if err == nil {
-				err = ctx.writeFileAtomic(ctx.Vols[rv], rp, buf, pol, true)
+				err = m.writeFileAtomic(ctx, ctx.Vols[rv], rp, buf, true)
 			}
 			return err
 		}, Problem{Kind: kindReplica, Path: rp, Detail: "replica of " + primary + " missing or stale; re-replicate"})
@@ -105,7 +105,7 @@ func (p *pass) lostIndex(s *dropState) {
 	}
 	if rbuf, ok := m.anyReplica(ctx, s.ipath, frameIndex); ok {
 		pr.Detail += "; restore from replica"
-		p.fix(func() error { return ctx.writeFileAtomic(ctx.Vols[s.Vol], s.ipath, rbuf, m.opt.Retry, true) }, pr)
+		p.fix(func() error { return m.writeFileAtomic(ctx, ctx.Vols[s.Vol], s.ipath, rbuf, true) }, pr)
 		if p.deep {
 			// Readers fail over to the replica whether or not it is restored.
 			f, _ := decodeFrame(frameIndex, rbuf)
@@ -144,7 +144,7 @@ func (p *pass) rebuild(s *dropState, prs ...Problem) {
 
 // readIndexFile reads and decodes one index file copy.
 func (m *Mount) readIndexFile(ctx Ctx, v int, p string) ([]byte, []Rec, error) {
-	pl, _, err := ctx.readAllRetried(ctx.Vols[v], p, m.opt.Retry)
+	pl, _, err := readAll(ctx.Vols[v], p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -158,7 +158,7 @@ func (m *Mount) readIndexFile(ctx Ctx, v int, p string) ([]byte, []Rec, error) {
 func (m *Mount) anyReplica(ctx Ctx, primary string, kind frameKind) ([]byte, bool) {
 	for k := 1; k < m.replicas(); k++ {
 		rp, rv := m.replicaPath(primary, k)
-		pl, _, err := ctx.readAllRetried(ctx.Vols[rv], rp, m.opt.Retry)
+		pl, _, err := readAll(ctx.Vols[rv], rp)
 		if err != nil {
 			continue
 		}

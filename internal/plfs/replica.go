@@ -72,19 +72,19 @@ func (m *Mount) ensureDirs(ctx Ctx, v int, dir string) error {
 // commitReplicated writes final via writeFileAtomic and then copies it
 // to the replica slots.  The primary commit's verdict is the caller's;
 // replica failures are tolerated (counted, repaired later).
-func (m *Mount) commitReplicated(ctx Ctx, final string, buf []byte, pol RetryPolicy, replace bool) error {
+func (m *Mount) commitReplicated(ctx Ctx, final string, buf []byte, replace bool) error {
 	v := m.volOfPath(final)
-	if err := ctx.writeFileAtomic(ctx.Vols[v], final, buf, pol, replace); err != nil {
+	if err := m.writeFileAtomic(ctx, ctx.Vols[v], final, buf, replace); err != nil {
 		return err
 	}
-	m.replicateFile(ctx, final, buf, pol)
+	m.replicateFile(ctx, final, buf)
 	return nil
 }
 
 // replicateFile copies final's committed bytes to its replica slots
 // (replace semantics: a stale or partial replica converges to buf).
 // It returns how many replica commits failed.
-func (m *Mount) replicateFile(ctx Ctx, final string, buf []byte, pol RetryPolicy) int {
+func (m *Mount) replicateFile(ctx Ctx, final string, buf []byte) int {
 	failed := 0
 	for k := 1; k < m.replicas(); k++ {
 		rp, rv := m.replicaPath(final, k)
@@ -101,7 +101,7 @@ func (m *Mount) replicateFile(ctx Ctx, final string, buf []byte, pol RetryPolicy
 		}
 		err := m.ensureDirs(ctx, rv, path.Dir(rp))
 		if err == nil {
-			err = ctx.writeFileAtomic(ctx.Vols[rv], rp, buf, pol, true)
+			err = m.writeFileAtomic(ctx, ctx.Vols[rv], rp, buf, true)
 		}
 		if err != nil {
 			failed++
@@ -140,6 +140,18 @@ func (m *Mount) fillMissingIndex(ctx Ctx, d *droppingRef) bool {
 	return true
 }
 
+// readAll opens path and reads its full contents.
+func readAll(b Backend, path string) (payload.List, int64, error) {
+	f, err := b.OpenRead(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	size := f.Size()
+	pl, err := f.ReadAt(0, size)
+	return pl, size, err
+}
+
 // readIndexReplicated reads one index file (an index dropping or the
 // global index) with the self-healing policy:
 //
@@ -156,23 +168,20 @@ func (m *Mount) fillMissingIndex(ctx Ctx, d *droppingRef) bool {
 // success charges plfs.read.hedge_wins.  Error failover additionally
 // counts plfs.replica.failover.  With replication and hedging both off
 // this is exactly the old single-path read.
-func (m *Mount) readIndexReplicated(ctx Ctx, primary string, pol RetryPolicy) (payload.List, int64, error) {
-	return m.readIndexReplicatedOpt(ctx, primary, pol, false)
-}
-
-// readIndexReplicatedOpt adds existence-probe semantics: with
-// skipDegradedOnMissing set, a candidate on a degraded volume is not
-// attempted once a healthy volume has already answered ErrNotExist —
-// the caller is probing for a file that usually does not exist (the
-// opportunistic global-index lookup), and paying a browned-out
-// round-trip to hear "not found" again taxes every open.  A non-neutral
-// failure (a retryable error: the healthy copy is broken, not absent)
-// re-enables the degraded candidates, so genuine loss still fails over.
-func (m *Mount) readIndexReplicatedOpt(ctx Ctx, primary string, pol RetryPolicy, skipDegradedOnMissing bool) (payload.List, int64, error) {
+//
+// skipDegradedOnMissing adds existence-probe semantics: a candidate on a
+// degraded volume is not attempted once a healthy volume has already
+// answered ErrNotExist — the caller is probing for a file that usually
+// does not exist (the opportunistic global-index lookup), and paying a
+// browned-out round-trip to hear "not found" again taxes every open.  A
+// non-neutral failure (a retryable error: the healthy copy is broken,
+// not absent) re-enables the degraded candidates, so genuine loss still
+// fails over.
+func (m *Mount) readIndexReplicated(ctx Ctx, primary string, skipDegradedOnMissing bool) (payload.List, int64, error) {
 	R := m.replicas()
 	pv := m.volOfPath(primary)
 	if R <= 1 {
-		return ctx.readAllRetried(ctx.Vols[pv], primary, pol)
+		return readAll(ctx.Vols[pv], primary)
 	}
 	paths := make([]string, R)
 	vols := make([]int, R)
@@ -227,7 +236,7 @@ func (m *Mount) readIndexReplicatedOpt(ctx Ctx, primary string, pol RetryPolicy,
 			ctx.Obs.Counter("plfs.read.hedged").Add(1)
 		}
 		t0 := ctx.now()
-		pl, size, err := ctx.readAllRetried(ctx.Vols[vols[k]], paths[k], pol)
+		pl, size, err := readAll(ctx.Vols[vols[k]], paths[k])
 		if err == nil {
 			if k != 0 && ctx.Obs != nil {
 				if hedging {
@@ -246,7 +255,7 @@ func (m *Mount) readIndexReplicatedOpt(ctx Ctx, primary string, pol RetryPolicy,
 					ctx.Obs.Counter("plfs.read.hedged").Add(1)
 				}
 				hk := order[n+1]
-				if hpl, hsize, herr := ctx.readAllRetried(ctx.Vols[vols[hk]], paths[hk], pol); herr == nil {
+				if hpl, hsize, herr := readAll(ctx.Vols[vols[hk]], paths[hk]); herr == nil {
 					if ctx.Obs != nil {
 						ctx.Obs.Counter("plfs.read.hedge_wins").Add(1)
 					}

@@ -6,15 +6,16 @@ import (
 	"syscall"
 	"time"
 
-	"plfs/internal/payload"
+	"plfs/internal/obs"
 )
 
-// RetryPolicy retries transient backend errors at the dropping
-// open/read/append call sites — the absorption layer for flaky backing
-// stores (a rebuilding OST, an object store surfacing per-object EIO).
-// Backoff grows exponentially with deterministic jitter and is charged
-// through the context's Sleeper, so simulated retries cost virtual time
-// while osfs deployments sleep for real.
+// RetryPolicy retries transient backend errors — the absorption layer
+// for flaky backing stores (a rebuilding OST, an object store surfacing
+// per-object EIO).  A mount applies it as one interceptor on every
+// volume it binds (Mount.bind), so every store call absorbs transient
+// errors the same way.  Backoff grows exponentially with deterministic
+// jitter and is charged through the context's Sleeper, so simulated
+// retries cost virtual time while osfs deployments sleep for real.
 type RetryPolicy struct {
 	// Attempts is the total number of tries including the first;
 	// values <= 1 disable retrying.
@@ -24,8 +25,6 @@ type RetryPolicy struct {
 	// MaxBackoff caps the exponential growth (default 100ms).
 	MaxBackoff time.Duration
 }
-
-func (p RetryPolicy) enabled() bool { return p.Attempts > 1 }
 
 // delay returns the backoff before retry attempt k (1-based), jittered
 // deterministically by rank so a cohort of ranks retrying the same
@@ -84,113 +83,79 @@ func Retryable(err error) bool {
 	return true
 }
 
-// retry runs op under the policy, sleeping between attempts via the
-// context's Sleeper (virtual time under the simulator) or real time
-// when none is bound.
-func (c Ctx) retry(p RetryPolicy, op func() error) error {
-	err := op()
-	if !p.enabled() {
+// interceptor returns the policy as an Interceptor for one process: a
+// call that fails retryably is reissued, after the policy's backoff for
+// rank, until it succeeds, fails permanently, or has run Attempts times.
+// Two calls need more than a reissue:
+//
+//   - A Create whose retry finds the file existing opens it for writing
+//     instead (the Op becomes an OpOpenWrite): an earlier attempt created
+//     the file before failing, and the file is this caller's.
+//   - A CreateBulk resubmits only its retryably failed entries, and an
+//     ErrExist on a resubmitted entry means an earlier attempt landed it.
+//
+// Each backoff counts plfs.retry.attempts in reg; a transient error that
+// survives every attempt counts plfs.retry.exhausted (per entry, for a
+// batch).
+func (p RetryPolicy) interceptor(rank int, sl Sleeper, reg *obs.Registry) Interceptor {
+	backoff := func(k int) {
+		reg.Counter("plfs.retry.attempts").Add(1)
+		pause(sl, p.delay(k, rank))
+	}
+	return func(op *Op, call func() error) error {
+		if op.Kind == OpCreateBulk {
+			call()
+			batch, errs := op.Bulk, op.BulkErrs
+			var pending []int
+			for i, err := range errs {
+				if Retryable(err) {
+					pending = append(pending, i)
+				}
+			}
+			for k := 1; k < p.Attempts && len(pending) > 0; k++ {
+				backoff(k)
+				op.Bulk = make([]BulkOp, len(pending))
+				for j, i := range pending {
+					op.Bulk[j] = batch[i]
+				}
+				call()
+				next := pending[:0]
+				for j, i := range pending {
+					if errs[i] = op.BulkErrs[j]; errors.Is(errs[i], iofs.ErrExist) {
+						errs[i] = nil
+					}
+					if Retryable(errs[i]) {
+						next = append(next, i)
+					}
+				}
+				pending = next
+			}
+			if len(pending) > 0 {
+				reg.Counter("plfs.retry.exhausted").Add(int64(len(pending)))
+			}
+			op.Bulk, op.BulkErrs = batch, errs
+			return firstErr(errs)
+		}
+		err := call()
+		for k := 1; k < p.Attempts && Retryable(err); k++ {
+			backoff(k)
+			if err = call(); op.Kind == OpCreate && errors.Is(err, iofs.ErrExist) {
+				op.Kind = OpOpenWrite
+				err = call()
+			}
+		}
+		if Retryable(err) {
+			reg.Counter("plfs.retry.exhausted").Add(1)
+		}
 		return err
 	}
-	for k := 1; k < p.Attempts && Retryable(err); k++ {
-		if c.Obs != nil {
-			c.Obs.Counter("plfs.retry.attempts").Add(1)
-		}
-		c.retrySleep(p.delay(k, c.Rank))
-		err = op()
-	}
-	if err != nil && Retryable(err) && c.Obs != nil {
-		// A transient error survived every attempt.
-		c.Obs.Counter("plfs.retry.exhausted").Add(1)
-	}
-	return err
 }
 
-func (c Ctx) retrySleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if c.Sleep != nil {
-		c.Sleep.Sleep(d)
+// pause sleeps d on sl, or for real when there is no Sleeper (osfs).
+func pause(sl Sleeper, d time.Duration) {
+	if sl != nil {
+		sl.Sleep(d)
 		return
 	}
 	time.Sleep(d)
-}
-
-// mkdirRetried is Backend.Mkdir under the retry policy.  ErrExist is
-// permanent (not retried) and surfaces to the caller, who typically
-// tolerates it — another writer got there first.
-func (c Ctx) mkdirRetried(b Backend, path string, p RetryPolicy) error {
-	return c.retry(p, func() error { return b.Mkdir(path) })
-}
-
-// readDirRetried is Backend.ReadDir under the retry policy.
-func (c Ctx) readDirRetried(b Backend, path string, p RetryPolicy) ([]Info, error) {
-	var ents []Info
-	err := c.retry(p, func() error {
-		var e error
-		ents, e = b.ReadDir(path)
-		return e
-	})
-	return ents, err
-}
-
-// createRetried is Backend.Create under the retry policy.  If an earlier
-// attempt failed after the backend created the file (a post-create
-// transient), the retry would see ErrExist for a file this caller owns;
-// in that case the existing file is reopened instead.
-func (c Ctx) createRetried(b Backend, path string, p RetryPolicy) (File, error) {
-	var f File
-	failed := false
-	err := c.retry(p, func() error {
-		var e error
-		f, e = b.Create(path)
-		if e != nil && failed && errors.Is(e, iofs.ErrExist) {
-			f, e = b.OpenWrite(path)
-		}
-		if e != nil {
-			failed = true
-		}
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// openReadRetried is Backend.OpenRead under the retry policy.
-func (c Ctx) openReadRetried(b Backend, path string, p RetryPolicy) (File, error) {
-	var f File
-	err := c.retry(p, func() error {
-		var e error
-		f, e = b.OpenRead(path)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// readAllRetried opens path and reads its full contents, retrying the
-// open+read as a unit (a failed read reopens, so a handle poisoned by a
-// transient fault is not reused).
-func (c Ctx) readAllRetried(b Backend, path string, p RetryPolicy) (payload.List, int64, error) {
-	var pl payload.List
-	var size int64
-	err := c.retry(p, func() error {
-		f, e := b.OpenRead(path)
-		if e != nil {
-			return e
-		}
-		size = f.Size()
-		pl, e = f.ReadAt(0, size)
-		f.Close()
-		return e
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return pl, size, nil
 }

@@ -156,7 +156,7 @@ type pass struct {
 }
 
 func (m *Mount) integrity(ctx Ctx, rel string, deep, repair bool) (Report, error) {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	p := &pass{m: m, ctx: ctx, deep: deep, rep: Report{Repair: repair, Containers: 1}}
 	verb := "scrub"
@@ -199,7 +199,7 @@ func (m *Mount) integrity(ctx Ctx, rel string, deep, repair bool) (Report, error
 	}
 	if deep {
 		md := path.Join(cpath, metaDir)
-		ents, err := ctx.readDirRetried(ctx.Vols[vc], md, m.opt.Retry)
+		ents, err := ctx.Vols[vc].ReadDir(md)
 		if err != nil && !errors.Is(err, iofs.ErrNotExist) {
 			return p.rep, err
 		}
@@ -376,30 +376,21 @@ func (p *pass) examine(s *dropState) []Problem {
 
 // verifyData checks every data extent against its footer CRC.
 func (p *pass) verifyData(s *dropState) {
-	ctx, pol := p.ctx, p.m.opt.Retry
-	f, err := ctx.openReadRetried(ctx.Vols[s.Vol], s.Data, pol)
+	f, err := p.ctx.Vols[s.Vol].OpenRead(s.Data)
 	if err != nil {
 		p.add(Problem{Kind: kindUnreachable, Path: s.Data, Detail: "open: " + err.Error()})
 		return
 	}
 	defer f.Close()
 	for i, e := range s.fents {
-		var got uint32
-		err := ctx.retry(pol, func() error {
-			l, err := f.ReadAt(e.PhysOff, e.Length)
-			if err != nil {
-				return err
-			}
-			got = listCRC(0, l)
-			return nil
-		})
+		l, err := f.ReadAt(e.PhysOff, e.Length)
 		if err != nil {
 			p.add(Problem{Kind: kindUnreachable, Path: s.Data, Extent: extentOf(e), Detail: "read: " + err.Error()})
 			continue
 		}
 		p.rep.ExtentsChecked++
 		p.rep.BytesVerified += e.Length
-		if got != s.sums[i] {
+		if got := listCRC(0, l); got != s.sums[i] {
 			p.add(Problem{Kind: kindChecksumData, Path: s.Data, Extent: extentOf(e),
 				Detail: fmt.Sprintf("data crc32c %08x, footer says %08x", got, s.sums[i])})
 		}

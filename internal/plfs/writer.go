@@ -60,7 +60,7 @@ type WriteStats struct {
 // MPI-IO open.  Without one, every caller races politely (mkdir with
 // EEXIST tolerated), as through FUSE.
 func (m *Mount) Create(ctx Ctx, rel string) (*Writer, error) {
-	ctx = m.healthCtx(ctx)
+	ctx = m.bind(ctx)
 	rel = clean(rel)
 	csp := ctx.Obs.StartSpan("create")
 	defer csp.End()
@@ -110,7 +110,7 @@ func (m *Mount) Create(ctx Ctx, rel string) (*Writer, error) {
 	if ctx.HostLeader {
 		// Register this host in openhosts (ignored if a sibling won).
 		cpath, _ := m.containerPath(rel)
-		f, err := ctx.createRetried(ctx.Vols[w.vc], path.Join(cpath, openHostsDir, fmt.Sprintf("host.%d", ctx.Host)), m.opt.Retry)
+		f, err := ctx.Vols[w.vc].Create(path.Join(cpath, openHostsDir, fmt.Sprintf("host.%d", ctx.Host)))
 		if err == nil {
 			f.Close()
 		} else if !errors.Is(err, iofs.ErrExist) {
@@ -123,7 +123,7 @@ func (m *Mount) Create(ctx Ctx, rel string) (*Writer, error) {
 	w.subVol = hv
 	w.dataPath = path.Join(hpath, dataPrefix+w.stamp)
 	w.indexPath = path.Join(hpath, indexPrefix+w.stamp)
-	df, err := ctx.createRetried(ctx.Vols[hv], w.dataPath, m.opt.Retry)
+	df, err := ctx.Vols[hv].Create(w.dataPath)
 	if err != nil {
 		return nil, err
 	}
@@ -144,21 +144,16 @@ func errToStr(err error) any {
 func (m *Mount) createSkeleton(ctx Ctx, rel string) error {
 	cpath, vc := m.containerPath(rel)
 	b := ctx.Vols[vc]
-	if err := ctx.mkdirRetried(b, cpath, m.opt.Retry); err != nil && !errors.Is(err, iofs.ErrExist) {
+	if err := b.Mkdir(cpath); err != nil && !errors.Is(err, iofs.ErrExist) {
 		return err
 	}
-	err := ctx.retry(m.opt.Retry, func() error {
-		f, e := b.Create(path.Join(cpath, accessFile))
-		if e == nil {
-			f.Close()
-		}
-		return e
-	})
-	if err != nil && !errors.Is(err, iofs.ErrExist) {
+	if f, err := b.Create(path.Join(cpath, accessFile)); err == nil {
+		f.Close()
+	} else if !errors.Is(err, iofs.ErrExist) {
 		return err
 	}
 	for _, sub := range []string{metaDir, openHostsDir} {
-		if err := ctx.mkdirRetried(b, path.Join(cpath, sub), m.opt.Retry); err != nil && !errors.Is(err, iofs.ErrExist) {
+		if err := b.Mkdir(path.Join(cpath, sub)); err != nil && !errors.Is(err, iofs.ErrExist) {
 			return err
 		}
 	}
@@ -173,11 +168,11 @@ func (w *Writer) ensureHostdir() error {
 	if hv != m.containerVol(w.rel) {
 		// Shadow container directory on the remote volume.
 		shadow := path.Join(m.roots[hv], w.rel)
-		if err := ctx.mkdirRetried(ctx.Vols[hv], shadow, m.opt.Retry); err != nil && !errors.Is(err, iofs.ErrExist) {
+		if err := ctx.Vols[hv].Mkdir(shadow); err != nil && !errors.Is(err, iofs.ErrExist) {
 			return err
 		}
 	}
-	err := ctx.mkdirRetried(ctx.Vols[hv], hpath, m.opt.Retry)
+	err := ctx.Vols[hv].Mkdir(hpath)
 	switch {
 	case err == nil:
 		if hv != m.containerVol(w.rel) {
@@ -185,14 +180,9 @@ func (w *Writer) ensureHostdir() error {
 			// container so uncoordinated readers can find the hostdir.
 			cpath, vc := m.containerPath(w.rel)
 			ml := path.Join(cpath, fmt.Sprintf("%s%d%s", hostdirPrefix, w.subdir, metalinkSufx))
-			err := ctx.retry(m.opt.Retry, func() error {
-				f, e := ctx.Vols[vc].Create(ml)
-				if e == nil {
-					f.Close()
-				}
-				return e
-			})
-			if err != nil && !errors.Is(err, iofs.ErrExist) {
+			if f, err := ctx.Vols[vc].Create(ml); err == nil {
+				f.Close()
+			} else if !errors.Is(err, iofs.ErrExist) {
 				return err
 			}
 		}
@@ -339,10 +329,10 @@ func (w *Writer) noteChecksum(p payload.Payload, extend bool) {
 	w.ctx.sleep(w.m.opt.ChecksumCPUPerMB * timeDuration(int(p.Len())) / (1 << 20))
 }
 
-// flushData appends buffered payloads to the data dropping.  Transient
-// append errors are retried (the injector guarantees a transiently
-// failed append landed no bytes, so a reissue is clean); torn writes
-// are permanent and surface immediately.
+// flushData appends buffered payloads to the data dropping.  The retry
+// interceptor reissues a transiently failed append (the injector
+// guarantees it landed no bytes, so a reissue is clean); torn writes are
+// permanent and surface immediately.
 //
 // When more than one piece is buffered the whole buffer lands in one
 // batched backend append.  Under the fault injector the batch still
@@ -354,15 +344,12 @@ func (w *Writer) flushData() error {
 	if len(pl) == 0 {
 		return nil
 	}
-	err := w.ctx.retry(w.m.opt.Retry, func() error {
-		var e error
-		if len(pl) == 1 {
-			_, e = w.dataFile.Append(pl[0])
-		} else {
-			_, e = w.dataFile.Appendv(pl)
-		}
-		return e
-	})
+	var err error
+	if len(pl) == 1 {
+		_, err = w.dataFile.Append(pl[0])
+	} else {
+		_, err = w.dataFile.Appendv(pl)
+	}
 	if err != nil {
 		return err
 	}
@@ -408,7 +395,7 @@ func (w *Writer) writeOwnIndex() error {
 		return nil
 	}
 	buf := appendFrame(nil, frame{kind: frameIndex, crc: w.m.opt.Checksum, recs: w.m.indexRecs(w.entries)})
-	if err := w.m.commitReplicated(w.ctx, w.indexPath, buf, w.m.opt.Retry, false); err != nil {
+	if err := w.m.commitReplicated(w.ctx, w.indexPath, buf, false); err != nil {
 		return err
 	}
 	w.spilledAll = true
@@ -538,10 +525,7 @@ func (w *Writer) Close() error {
 	if ctx.HostLeader {
 		cpath, _ := m.containerPath(w.rel)
 		hostRec := path.Join(cpath, openHostsDir, fmt.Sprintf("host.%d", ctx.Host))
-		err := ctx.retry(m.opt.Retry, func() error {
-			return ctx.Vols[w.vc].Remove(hostRec)
-		})
-		if err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		if err := ctx.Vols[w.vc].Remove(hostRec); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 			fail(err)
 		}
 	}
@@ -564,10 +548,8 @@ func (w *Writer) Close() error {
 // extent — and Repair can rebuild the index dropping from it.
 func (w *Writer) writeFrameFooter() error {
 	buf := appendFrame(nil, frame{kind: frameFooter, crc: w.m.opt.Checksum, ents: w.entries, sums: w.sums})
-	return w.ctx.retry(w.m.opt.Retry, func() error {
-		_, err := w.dataFile.Append(payload.FromBytes(buf))
-		return err
-	})
+	_, err := w.dataFile.Append(payload.FromBytes(buf))
+	return err
 }
 
 // writeSizeRecord caches the logical size in the metadir, stamped with
@@ -579,13 +561,8 @@ func (w *Writer) writeSizeRecord(size int64) error {
 	cpath, vc := w.m.containerPath(w.rel)
 	b := w.ctx.Vols[vc]
 	meta := path.Join(cpath, metaDir)
-	pol := w.m.opt.Retry
-	var ents []Info
-	if err := w.ctx.retry(pol, func() error {
-		var e error
-		ents, e = b.ReadDir(meta)
-		return e
-	}); err != nil {
+	ents, err := b.ReadDir(meta)
+	if err != nil {
 		return err
 	}
 	gen := metaGen(ents)
@@ -600,7 +577,7 @@ func (w *Writer) writeSizeRecord(size int64) error {
 	// Atomic publish: the record appears under its final name or not at
 	// all, so a crash here cannot leave a half-created size record.
 	name := path.Join(meta, sizeRecordName(size, gen, w.ctx.Rank))
-	if err := w.ctx.writeFileAtomic(b, name, nil, pol, false); err != nil {
+	if err := w.m.writeFileAtomic(w.ctx, b, name, nil, false); err != nil {
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
@@ -639,8 +616,8 @@ func (w *Writer) writeGlobalIndex(shardVals []any) error {
 	w.ctx.sleep(w.m.opt.ParseCPUPerEntry * timeDuration(len(all)))
 	buf := appendFrame(nil, frame{kind: frameGlobal, crc: w.m.opt.Checksum, paths: paths, recs: all})
 	// Atomic temp+rename commit: readers can never decode a half-written
-	// global index, and a retried append cannot duplicate entries (each
-	// attempt starts from a fresh temp file).
+	// global index, and a torn append cannot duplicate entries (each
+	// rebuild starts from a fresh temp file).
 	cpath, _ := w.m.containerPath(w.rel)
-	return w.m.commitReplicated(w.ctx, path.Join(cpath, metaDir, globalIndex), buf, w.m.opt.Retry, false)
+	return w.m.commitReplicated(w.ctx, path.Join(cpath, metaDir, globalIndex), buf, false)
 }

@@ -63,6 +63,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "plfsbench: unknown backend %q (want posix or objfs)\n", *backend)
 		os.Exit(2)
 	}
+	if *retryN < 1 {
+		fmt.Fprintf(os.Stderr, "plfsbench: -retry must be at least 1, the first try (got %d)\n", *retryN)
+		os.Exit(2)
+	}
 	opts := harness.Options{
 		Reps:    *reps,
 		Retry:   plfs.RetryPolicy{Attempts: *retryN},

@@ -77,6 +77,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "plfsrun: -ranks and -opkb must be at least 1 (got %d and %d)\n", *ranks, *opKB)
 		os.Exit(2)
 	}
+	if *retryN < 1 {
+		fmt.Fprintf(os.Stderr, "plfsrun: -retry must be at least 1, the first try (got %d)\n", *retryN)
+		os.Exit(2)
+	}
 	switch *backend {
 	case harness.BackendPosix, harness.BackendObjfs:
 	default:

@@ -191,12 +191,8 @@ func (m *Mount) bulkCreateRoot(ctx Ctx, rel string, reqVals []any) bulkVerdict {
 			continue
 		}
 		bc, _ := BulkCreatorOf(ctx.Vols[v]) // bulkCapable gated this path
-		errs := bc.CreateBulk(ops)
-		for i, err := range errs {
-			if err == nil {
-				continue
-			}
-			if errors.Is(err, iofs.ErrExist) && !exclusive[ops[i].Path] {
+		for i, err := range bc.CreateBulk(ops) {
+			if err == nil || errors.Is(err, iofs.ErrExist) && !exclusive[ops[i].Path] {
 				continue
 			}
 			return bulkVerdict{Err: fmt.Sprintf("plfs: bulk create %s: %v", ops[i].Path, err)}

@@ -62,12 +62,18 @@ func (m *Mount) writeFileAtomic(ctx Ctx, b Backend, final string, buf []byte, re
 	pol := m.opt.Retry
 	for k := 1; ; k++ {
 		err := once()
-		var tw interface{ TornWrite() bool }
-		if err == nil || k >= pol.Attempts || !errors.As(err, &tw) || !tw.TornWrite() {
+		if err == nil || k >= pol.Attempts || !tornWrite(err) {
 			return err
 		}
 		pause(ctx.Sleep, pol.delay(k, ctx.Rank))
 	}
+}
+
+// tornWrite reports whether a failed write may have landed part of its
+// payload (a torn append, or the append in flight at a crash point).
+func tornWrite(err error) bool {
+	var tw interface{ TornWrite() bool }
+	return errors.As(err, &tw) && tw.TornWrite()
 }
 
 func commitOnce(b Backend, tmp, final string, buf []byte, replace bool) error {

@@ -2,11 +2,15 @@
 // injector — the test double for the paper's "challenges" half: one
 // logical file becomes N data + N index droppings, so a single slow or
 // failing OST object breaks or stalls the whole logical file.  The
-// injector models the failure classes middleware over an object store
-// must absorb:
+// injector is an interceptor on plfs.Interpose at the bottom of the
+// stack: a mount binds its retry and health interceptors above the
+// injected volumes (retry → health → fault → store), so every attempt
+// of a retried call rolls its own dice and health sees each outcome.
+// It models the failure classes middleware over an object store must
+// absorb:
 //
 //   - transient EIO-style errors with per-operation probabilities
-//     (retryable; see plfs.Options.Retry);
+//     (Transient() reports true, so plfs.Options.Retry reissues them);
 //   - added latency on chosen volumes (a degraded OST), charged through
 //     the context's Sleeper so it rides the simulator's virtual clock in
 //     simulated mode and real time over osfs;
@@ -103,10 +107,10 @@ type Spec struct {
 // Brownout tuning: the latency floor applied to a browned-out volume
 // with no other configured delay, and the cap on the elevated transient
 // rate (factor/100).  The cap keeps a brownout a slow-but-mostly-working
-// disk: much above 10%, a bounded retry loop over the several backend
-// ops of an atomic commit fails outright often enough that an unsteered
-// workload can't finish at all, and the figure would measure luck
-// instead of latency.
+// disk: much above 10%, the bounded per-call retries of the many backend
+// calls an unsteered workload makes fail outright often enough that it
+// can't finish at all, and the figure would measure luck instead of
+// latency.
 const (
 	brownoutBaseLatency = 250 * time.Microsecond
 	maxBrownoutP        = 0.10

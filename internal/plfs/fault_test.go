@@ -538,7 +538,8 @@ func TestLostPathReadsAsNotExist(t *testing.T) {
 // every namespace entry point of m through faulty, rounds times over
 // fresh names, and checks each result: Mkdir, Stat, ReadDir, Rename,
 // Truncate and Unlink must all absorb the transient faults their backend
-// calls hit.
+// calls hit.  It may run on a simulated process's goroutine, so it
+// reports with t.Errorf and returns rather than calling t.Fatal.
 func namespaceRoundTrip(t *testing.T, m *plfs.Mount, clean, faulty plfs.Ctx, rounds int) {
 	t.Helper()
 	const blocks, bs = 4, int64(256)
@@ -546,15 +547,15 @@ func namespaceRoundTrip(t *testing.T, m *plfs.Mount, clean, faulty plfs.Ctx, rou
 		f, g, dir := fmt.Sprint("f", i), fmt.Sprint("g", i), fmt.Sprint("dir", i)
 		w, err := m.Create(clean, f)
 		if err != nil {
-			t.Fatalf("create: %v", err)
+			t.Errorf("create %s: %v", f, err)
+			return
 		}
 		for k := int64(0); k < blocks; k++ {
-			if err := w.Write(k*bs, payload.Synthetic(1, k*bs, bs)); err != nil {
-				t.Fatalf("write: %v", err)
-			}
+			err = errors.Join(err, w.Write(k*bs, payload.Synthetic(1, k*bs, bs)))
 		}
-		if err := w.Close(); err != nil {
-			t.Fatalf("close: %v", err)
+		if err = errors.Join(err, w.Close()); err != nil {
+			t.Errorf("write %s: %v", f, err)
+			return
 		}
 		if err := m.Mkdir(faulty, dir); err != nil {
 			t.Errorf("Mkdir %s: %v", dir, err)

@@ -42,7 +42,9 @@ func (p RetryPolicy) delay(k, rank int) time.Duration {
 	for i := 1; i < k && d < maxB; i++ {
 		d *= 2
 	}
-	d = min(d, maxB)
+	if d > maxB {
+		d = maxB
+	}
 	// Deterministic jitter in [d/2, d): hash rank and attempt.
 	h := uint64(rank)*0x9e3779b97f4a7c15 + uint64(k)*0xbf58476d1ce4e5b9
 	h ^= h >> 29

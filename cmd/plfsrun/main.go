@@ -81,6 +81,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "plfsrun: -retry must be at least 1, the first try (got %d)\n", *retryN)
 		os.Exit(2)
 	}
+	if *volumes < 1 {
+		fmt.Fprintf(os.Stderr, "plfsrun: -volumes must be at least 1 (got %d)\n", *volumes)
+		os.Exit(2)
+	}
 	switch *backend {
 	case harness.BackendPosix, harness.BackendObjfs:
 	default:
@@ -88,9 +92,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := pfs.SmallCluster()
-	if *profile == "cielo" {
+	var cfg pfs.Config
+	switch *profile {
+	case "small":
+		cfg = pfs.SmallCluster()
+	case "cielo":
 		cfg = pfs.Cielo()
+	default:
+		fmt.Fprintf(os.Stderr, "plfsrun: unknown profile %q (want small or cielo)\n", *profile)
+		os.Exit(2)
 	}
 	cfg.Volumes = *volumes
 

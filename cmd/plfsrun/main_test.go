@@ -31,9 +31,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRejectsNonPositiveSizes checks that a rank count, op size or retry
-// count below one is a usage error (exit 2 with a message), not a panic —
-// which also exits 2, so the check reads stderr.
+// TestRejectsNonPositiveSizes checks that a rank count, op size, volume
+// count or retry count below one, or an unknown profile, is a usage error
+// (exit 2 with a message), not a panic — which also exits 2, so the check
+// reads stderr.
 func TestRejectsNonPositiveSizes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-kernel", "mpi-io-test", "-opkb", "0"},
@@ -45,6 +46,9 @@ func TestRejectsNonPositiveSizes(t *testing.T) {
 		{"-kernel", "meta-storm", "-ranks", "-3"},
 		{"-retry", "0"},
 		{"-kernel", "ior", "-plfs", "-retry", "-2"},
+		{"-profile", "bogus"},
+		{"-plfs", "-volumes", "0"},
+		{"-kernel", "meta-storm", "-volumes", "-2"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "PLFSRUN_MAIN=1")

@@ -3,9 +3,12 @@ package repro
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"plfs/internal/plfs"
 )
 
 // mdLink matches inline markdown links: [text](target).  Images and
@@ -103,3 +106,51 @@ func TestDocPackageRefs(t *testing.T) {
 		}
 	}
 }
+
+// TestReadmeOptionsTable verifies that README's plfs.Options table has a
+// row for every field of plfs.Options and no row for anything else: a
+// field added without a row, or a row left behind by a deleted field,
+// fails here.  A row may name several fields ("`A` / `B`").
+func TestReadmeOptionsTable(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "`plfs.Options` controls a mount's behavior")
+	if !ok {
+		t.Fatal("README.md: no plfs.Options table")
+	}
+	rows := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(rest, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		first, _, _ := strings.Cut(line[1:], "|")
+		for _, m := range optionName.FindAllStringSubmatch(first, -1) {
+			rows[m[1]] = true
+		}
+	}
+	typ := reflect.TypeOf(plfs.Options{})
+	fields := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fields[name] = true
+		if !rows[name] {
+			t.Errorf("README.md: plfs.Options.%s has no row in the Options table", name)
+		}
+	}
+	for name := range rows {
+		if !fields[name] {
+			t.Errorf("README.md: the Options table has a row for %s, which plfs.Options does not have", name)
+		}
+	}
+}
+
+// optionName matches one backticked name in the first column of an
+// Options table row.
+var optionName = regexp.MustCompile("`(\\w+)`")

@@ -45,8 +45,6 @@ type Hints struct {
 	// It is normalized against IOMethod by withDefaults; after opening,
 	// it is true exactly when the effective method is MethodTwoPhase.
 	CollectiveBuffering bool
-	// CBBufferSize caps each aggregator's per-round buffer (default 16 MiB).
-	CBBufferSize int64
 	// ProcsPerNode tells the layer how ranks map to nodes so aggregators
 	// can be placed one per node (default 16).
 	ProcsPerNode int
@@ -56,8 +54,6 @@ type Hints struct {
 	// SieveGap is the largest gap (bytes) data sieving bridges when
 	// coalescing segments into one RMW window (default 64 KiB).
 	SieveGap int64
-	// SieveBuf caps a sieving window's covering extent (default 4 MiB).
-	SieveBuf int64
 }
 
 // withDefaults is the single place hints are normalized — every driver
@@ -66,9 +62,6 @@ type Hints struct {
 // derives from CollectiveBuffering; then CollectiveBuffering is rewritten
 // to agree with the method, which is what maybeCB keys on.
 func (h Hints) withDefaults() Hints {
-	if h.CBBufferSize <= 0 {
-		h.CBBufferSize = 16 << 20
-	}
 	if h.ProcsPerNode <= 0 {
 		h.ProcsPerNode = 16
 	}
@@ -82,9 +75,6 @@ func (h Hints) withDefaults() Hints {
 	h.CollectiveBuffering = h.IOMethod == MethodTwoPhase
 	if h.SieveGap <= 0 {
 		h.SieveGap = 64 << 10
-	}
-	if h.SieveBuf <= 0 {
-		h.SieveBuf = 4 << 20
 	}
 	return h
 }
@@ -478,15 +468,19 @@ func (f *cbFile) writeAllPieces(rankPieces []cbPiece) error {
 	return nil
 }
 
+// cbBufferSize caps the run an aggregator writes in one call, ROMIO's
+// cb_buffer_size.
+const cbBufferSize = 16 << 20
+
 // writeCoalesced plans the domain's pieces into maximal contiguous runs
-// (extent.Plan with gap 0, capped at the CB buffer size) and issues each
+// (extent.Plan with gap 0, capped at cbBufferSize) and issues each
 // run as one vectored write to the base file.  Overlapping pieces stay
 // in one run and resolve through the overlay in ascending gather order.
 func (f *cbFile) writeCoalesced(pieces []cbPiece) error {
 	ext := func(i int) extent.Ext {
 		return extent.Ext{Off: pieces[i].Off, Len: pieces[i].P.Len()}
 	}
-	for _, b := range extent.Plan(len(pieces), nil, ext, 0, f.hints.CBBufferSize) {
+	for _, b := range extent.Plan(len(pieces), nil, ext, 0, cbBufferSize) {
 		var win payload.File
 		for _, it := range b.Items {
 			win.WriteAt(pieces[it].Off, pieces[it].P)

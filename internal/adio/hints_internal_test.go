@@ -33,13 +33,13 @@ func TestHintsNormalization(t *testing.T) {
 		if h.CollectiveBuffering != c.wantCB {
 			t.Errorf("cb=%v %v: CollectiveBuffering = %v, want %v", c.cb, c.method, h.CollectiveBuffering, c.wantCB)
 		}
-		if h.CBBufferSize <= 0 || h.ProcsPerNode <= 0 || h.SieveGap <= 0 || h.SieveBuf <= 0 {
+		if h.ProcsPerNode <= 0 || h.SieveGap <= 0 {
 			t.Errorf("cb=%v %v: unnormalized sizing knobs: %+v", c.cb, c.method, h)
 		}
 	}
 	// Explicit sizes survive normalization.
-	h := Hints{CBBufferSize: 123, ProcsPerNode: 7, SieveGap: 11, SieveBuf: 22}.withDefaults()
-	if h.CBBufferSize != 123 || h.ProcsPerNode != 7 || h.SieveGap != 11 || h.SieveBuf != 22 {
+	h := Hints{ProcsPerNode: 7, SieveGap: 11}.withDefaults()
+	if h.ProcsPerNode != 7 || h.SieveGap != 11 {
 		t.Errorf("explicit sizes rewritten: %+v", h)
 	}
 	// Normalization is idempotent — applying it twice changes nothing.

@@ -192,8 +192,12 @@ func (u *ufsFile) writeListv(segs []Seg, data payload.List) error {
 	return u.f.WritevAt(segs, data)
 }
 
+// sieveBuf caps a sieving window's covering extent, ROMIO's
+// ind_rd_buffer_size / ind_wr_buffer_size.
+const sieveBuf = 4 << 20
+
 // writeSievev is write-side data sieving: segments within SieveGap bytes
-// of each other merge into covering windows (capped at SieveBuf, except
+// of each other merge into covering windows (capped at sieveBuf, except
 // across overlaps), and each window with gaps is read-modify-written
 // under the file's range lock — ROMIO's correctness contract for
 // concurrent writers of a sieved file.  Gap bytes below EOF are reread
@@ -208,7 +212,7 @@ func (u *ufsFile) writeSievev(segs []Seg, data payload.List) error {
 		pos += e.Len
 	}
 	ext := func(i int) extent.Ext { return segs[i] }
-	batches := extent.Plan(len(segs), nil, ext, u.hints.SieveGap, u.hints.SieveBuf)
+	batches := extent.Plan(len(segs), nil, ext, u.hints.SieveGap, sieveBuf)
 	rl, _ := plfs.LeafFile(u.f).(plfs.RangeLocker)
 	for _, b := range batches {
 		live := b.Live(ext)
@@ -274,7 +278,7 @@ func (u *ufsFile) writeSievev(segs []Seg, data payload.List) error {
 // gaps.
 func (u *ufsFile) readSievev(segs []Seg) (payload.List, error) {
 	ext := func(i int) extent.Ext { return segs[i] }
-	batches := extent.Plan(len(segs), nil, ext, u.hints.SieveGap, u.hints.SieveBuf)
+	batches := extent.Plan(len(segs), nil, ext, u.hints.SieveGap, sieveBuf)
 	parts := make([]payload.List, len(batches))
 	batchOf := make([]int, len(segs))
 	for bi, b := range batches {

@@ -90,13 +90,14 @@ func (f Figure) Run(o Options) ([]*stats.Table, error) {
 // any GOMAXPROCS, while quick-scale points fill every worker.
 const maxRanksInFlight = 16384
 
+// baseSeed is the seed of a point's first repetition; repetition k runs
+// with baseSeed+k.
+const baseSeed = 1000
+
 // run is Run on width workers.
 func (f Figure) run(o Options, width int) ([]*stats.Table, error) {
 	if o.Reps <= 0 {
 		o.Reps = 3
-	}
-	if o.BaseSeed == 0 {
-		o.BaseSeed = 1000
 	}
 	tabs := make([]*stats.Table, len(f.Panels))
 	for i, p := range f.Panels {
@@ -155,7 +156,7 @@ func (f Figure) run(o Options, width int) ([]*stats.Table, error) {
 					sl.reg.SetSpanLimit(0)
 					ro.Obs = sl.reg
 				}
-				sl.cells, sl.err = pts[sl.pt].Measure(ro, o.BaseSeed+int64(sl.rep))
+				sl.cells, sl.err = pts[sl.pt].Measure(ro, baseSeed+int64(sl.rep))
 				mu.Lock()
 				inFlight -= sl.ranks
 				failed = failed || sl.err != nil
@@ -212,8 +213,6 @@ const (
 type Options struct {
 	Scale Scale
 	Reps  int // repetitions (paper: 10); default 3
-	// BaseSeed separates repetition seed streams.
-	BaseSeed int64
 	// Progress, if non-nil, receives one line per completed run, in
 	// table order.
 	Progress func(string)

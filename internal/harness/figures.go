@@ -250,7 +250,7 @@ func Figures() []Figure {
 			// The hashing charge of checksummed framing (CRC32C trailers on
 			// index droppings, the global index and the recovery footer, plus
 			// one CRC32C per data extent) rides the virtual clock
-			// (Options.ChecksumCPUPerMB), so the figure shows the end-to-end
+			// (plfs's checksumCPUPerMB), so the figure shows the end-to-end
 			// price of integrity.
 			ID: "ablation-checksum", Title: "Ablation: checksummed framing overhead",
 			Panels: []Panel{

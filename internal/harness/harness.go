@@ -471,8 +471,8 @@ func MetaStorm(ranks int, k workloads.CreateStorm100k, bulk, rebalance bool) Job
 		return j
 	}
 	// After every round but the last (nothing is left to optimize), rank
-	// 0 rebalances each container, feeding plfs.RebalancePolicy.Load with
-	// the per-volume MDS busy time since the previous pass — the signal the
+	// 0 rebalances each container, with the per-volume MDS busy time since
+	// the previous pass as Mount.Rebalance's load — the signal the
 	// pfs.vol<i>.mds_busy_seconds gauges export.  The other ranks wait at
 	// the round's barrier, and the simulation is cooperative, so reading
 	// the report mid-run is safe.  The hook keeps state of its own (last),
@@ -491,9 +491,9 @@ func MetaStorm(ranks int, k workloads.CreateStorm100k, bulk, rebalance bool) Job
 			loads[v] = (busy[v] - last[v]).Seconds()
 		}
 		copy(last, busy)
-		pol := plfs.RebalancePolicy{Load: func(v int) float64 { return loads[v] }}
+		load := func(v int) float64 { return loads[v] }
 		for i := 0; i < k.Containers; i++ {
-			if _, err := l.Mount.Rebalance(l.Ctx, fmt.Sprintf("%s-c%d", k.Name(), i), pol); err != nil {
+			if _, err := l.Mount.Rebalance(l.Ctx, fmt.Sprintf("%s-c%d", k.Name(), i), load); err != nil {
 				return err
 			}
 		}

@@ -15,11 +15,11 @@ func TestProfileStorm(t *testing.T) {
 	if os.Getenv("PLFS_SCALE_TEST") == "" {
 		t.Skip("set PLFS_SCALE_TEST=1 to run scale probes")
 	}
-	o := Options{Scale: Paper, BaseSeed: 1000}
+	o := Options{Scale: Paper}
 	for _, ranks := range []int{8192, 16384, 32768} {
 		start := time.Now()
 		j := o.fig8Meta(ranks, 1)
-		j.Seed = o.BaseSeed
+		j.Seed = baseSeed
 		res, err := Run(j)
 		if err != nil {
 			t.Fatal(err)
@@ -32,7 +32,7 @@ func TestProfileFig4Point(t *testing.T) {
 	if os.Getenv("PLFS_SCALE_TEST") == "" {
 		t.Skip("set PLFS_SCALE_TEST=1 to run scale probes")
 	}
-	o := Options{Scale: Paper, BaseSeed: 1000}
+	o := Options{Scale: Paper}
 	for _, mode := range []plfs.Mode{plfs.Original, plfs.ParallelIndexRead} {
 		start := time.Now()
 		j := o.n1Job(2048, n1Opt(mode, 1), true)

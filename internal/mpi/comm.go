@@ -24,9 +24,6 @@ func (c *Comm) Rank() int { return c.me }
 // Size returns the communicator size.
 func (c *Comm) Size() int { return len(c.members) }
 
-// WorldRank returns the world rank of communicator rank i.
-func (c *Comm) WorldRank(i int) int { return c.members[i] }
-
 // tag builds a collision-free message tag from (comm, collective instance,
 // round).  Collectives advance seq in lockstep on every member, so a tag
 // uniquely identifies one round of one collective on one communicator.

@@ -262,9 +262,6 @@ type Handle struct {
 // client caches attributes from open).
 func (h *Handle) Size() int64 { return h.f.data.Size() }
 
-// Object returns the file's storage object id (diagnostics).
-func (h *Handle) Object() uint64 { return h.f.obj }
-
 // Path-free name of the file (diagnostics).
 func (h *Handle) Name() string { return h.f.name }
 

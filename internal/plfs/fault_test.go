@@ -22,11 +22,7 @@ import (
 // fastRetry is a retry policy with microsecond backoff so fault tests
 // don't sleep for real.
 func fastRetry(attempts int) plfs.RetryPolicy {
-	return plfs.RetryPolicy{
-		Attempts:   attempts,
-		Backoff:    10 * time.Microsecond,
-		MaxBackoff: 100 * time.Microsecond,
-	}
+	return plfs.RetryPolicy{Attempts: attempts, Backoff: 10 * time.Microsecond}
 }
 
 // faulty routes a context's volumes through the injector.

@@ -64,54 +64,29 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// HealthConfig tunes the per-volume breakers.
-type HealthConfig struct {
-	// FailureThreshold is how many consecutive failed or slow operations
-	// open a closed breaker (default 4).
-	FailureThreshold int
-	// ProbeAfter is the first cooldown before an open breaker lets a
-	// half-open probe through (default 25ms of Clock time); every failed
-	// probe doubles it up to MaxProbeAfter (default 400ms).
-	ProbeAfter    time.Duration
-	MaxProbeAfter time.Duration
-	// SlowFactor declares an operation slow when it exceeds this multiple
-	// of the volume's rolling p99 (default 4), with a floor of MinSlow
-	// (default 1ms) so near-instant healthy baselines don't flag noise.
-	SlowFactor float64
-	MinSlow    time.Duration
-	// MinSamples is how many healthy latency samples the rolling window
-	// needs before slowness detection activates (default 8).
-	MinSamples int
-	// HedgeAfter is the absolute latency beyond which a small index read
+// The breaker's tuning.
+const (
+	// failureThreshold consecutive failed or slow operations open a
+	// closed breaker.
+	failureThreshold = 4
+	// probeAfter is the first cooldown (Clock time) before an open
+	// breaker lets a half-open probe through; every failed probe doubles
+	// it up to maxProbeAfter.
+	probeAfter    = 25 * time.Millisecond
+	maxProbeAfter = 400 * time.Millisecond
+	// An operation is slow when it exceeds slowFactor times the fleet's
+	// rolling p99, with a floor of minSlow so near-instant healthy
+	// baselines don't flag noise.
+	slowFactor = 4
+	minSlow    = time.Millisecond
+	// minSamples healthy latency samples must be in a window before
+	// slowness detection activates.
+	minSamples = 8
+	// hedgeAfter is the absolute latency beyond which a small index read
 	// is hedged to a replica while the statistical baseline is still
-	// unwarmed (default 20ms).
-	HedgeAfter time.Duration
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 4
-	}
-	if c.ProbeAfter <= 0 {
-		c.ProbeAfter = 25 * time.Millisecond
-	}
-	if c.MaxProbeAfter <= 0 {
-		c.MaxProbeAfter = 400 * time.Millisecond
-	}
-	if c.SlowFactor <= 0 {
-		c.SlowFactor = 4
-	}
-	if c.MinSlow <= 0 {
-		c.MinSlow = time.Millisecond
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.HedgeAfter <= 0 {
-		c.HedgeAfter = 20 * time.Millisecond
-	}
-	return c
-}
+	// unwarmed.
+	hedgeAfter = 20 * time.Millisecond
+)
 
 // latencyWindow is the rolling healthy-latency sample count per volume
 // and op class.
@@ -141,8 +116,6 @@ type latRing struct {
 // Health is the per-volume breaker table, keyed by volume root path so
 // mounts sharing backing volumes share their health view.
 type Health struct {
-	cfg HealthConfig
-
 	mu   sync.Mutex
 	vols map[string]*volBreaker
 }
@@ -168,14 +141,14 @@ type volBreaker struct {
 }
 
 // NewHealth builds a breaker table.
-func NewHealth(cfg HealthConfig) *Health {
-	return &Health{cfg: cfg.withDefaults(), vols: map[string]*volBreaker{}}
+func NewHealth() *Health {
+	return &Health{vols: map[string]*volBreaker{}}
 }
 
 func (h *Health) vol(root string) *volBreaker {
 	b := h.vols[root]
 	if b == nil {
-		b = &volBreaker{cooldown: h.cfg.ProbeAfter}
+		b = &volBreaker{cooldown: probeAfter}
 		h.vols[root] = b
 	}
 	return b
@@ -185,7 +158,7 @@ func (h *Health) vol(root string) *volBreaker {
 // class (0 with too few samples).  Call with h.mu held.
 func (h *Health) p99Locked(b *volBreaker, cls opClass) time.Duration {
 	r := &b.rings[cls]
-	if r.n < h.cfg.MinSamples {
+	if r.n < minSamples {
 		return 0
 	}
 	tmp := make([]int64, r.n)
@@ -225,9 +198,9 @@ func (h *Health) slowCutoffLocked(cls opClass) time.Duration {
 	if p == 0 {
 		return 0
 	}
-	cut := time.Duration(float64(p) * h.cfg.SlowFactor)
-	if cut < h.cfg.MinSlow {
-		cut = h.cfg.MinSlow
+	cut := time.Duration(float64(p) * slowFactor)
+	if cut < minSlow {
+		cut = minSlow
 	}
 	return cut
 }
@@ -289,8 +262,8 @@ func (h *Health) observe(root string, now int64, d time.Duration, err error, cls
 			// Probe lost: back to open with a doubled cooldown.
 			b.state = BreakerOpen
 			b.cooldown *= 2
-			if b.cooldown > h.cfg.MaxProbeAfter {
-				b.cooldown = h.cfg.MaxProbeAfter
+			if b.cooldown > maxProbeAfter {
+				b.cooldown = maxProbeAfter
 			}
 			b.probeAt = now + int64(b.cooldown)
 			b.opens++
@@ -299,7 +272,7 @@ func (h *Health) observe(root string, now int64, d time.Duration, err error, cls
 		// Probe won: healthy again.
 		b.state = BreakerClosed
 		b.consec = [numClasses]int{}
-		b.cooldown = h.cfg.ProbeAfter
+		b.cooldown = probeAfter
 		b.probeOK++
 		if err == nil {
 			h.pushLocked(b, cls, d)
@@ -310,7 +283,7 @@ func (h *Health) observe(root string, now int64, d time.Duration, err error, cls
 	default: // closed
 		if bad {
 			b.consec[cls]++
-			if b.consec[cls] >= h.cfg.FailureThreshold {
+			if b.consec[cls] >= failureThreshold {
 				b.state = BreakerOpen
 				b.probeAt = now + int64(b.cooldown)
 				b.opens++
@@ -384,8 +357,8 @@ func (h *Health) Avoid(root string, now int64) bool {
 		// instead of admitting every caller whose arrival outruns a
 		// fixed cooldown.
 		b.cooldown *= 2
-		if b.cooldown > h.cfg.MaxProbeAfter {
-			b.cooldown = h.cfg.MaxProbeAfter
+		if b.cooldown > maxProbeAfter {
+			b.cooldown = maxProbeAfter
 		}
 		b.probeAt = now + int64(b.cooldown)
 		return false
@@ -409,7 +382,7 @@ func (h *Health) Slow(root string, d time.Duration, bytes int64) bool {
 	if cut == 0 {
 		// Baseline not warmed yet: fall back to the absolute hedge
 		// threshold so a browned-out primary is still escaped early on.
-		cut = h.cfg.HedgeAfter
+		cut = hedgeAfter
 	}
 	return d > cut
 }

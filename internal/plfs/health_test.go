@@ -20,13 +20,10 @@ import (
 // TestBreakerLifecycle drives one volume's breaker through the full
 // state machine: closed -> open after the failure threshold, half-open
 // once the cooldown elapses, back to open (doubled cooldown) on a lost
-// probe, and closed again on a won probe.
+// probe, and closed again on a won probe; then lost probes double the
+// cooldown up to its cap and no further.
 func TestBreakerLifecycle(t *testing.T) {
-	h := plfs.NewHealth(plfs.HealthConfig{
-		FailureThreshold: 3,
-		ProbeAfter:       10 * time.Millisecond,
-		MaxProbeAfter:    40 * time.Millisecond,
-	})
+	h := plfs.NewHealth()
 	const vol = "/vol0"
 	boom := errors.New("io error")
 	var now int64
@@ -36,28 +33,30 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Namespace errors are neutral: they never trip the breaker.
-	for i := 0; i < 5; i++ {
+	for i := 0; i <= plfs.FailureThreshold; i++ {
 		h.Observe(vol, now, 0, fs.ErrNotExist)
 	}
 	if got := h.State(vol, now); got != plfs.BreakerClosed {
 		t.Fatalf("state after ErrNotExist = %v, want closed", got)
 	}
 
-	// Two failures: still under threshold.
-	h.Observe(vol, now, 0, boom)
-	h.Observe(vol, now, 0, boom)
+	// One failure short of the threshold: still closed.
+	for i := 1; i < plfs.FailureThreshold; i++ {
+		h.Observe(vol, now, 0, boom)
+	}
 	if got := h.State(vol, now); got != plfs.BreakerClosed {
-		t.Fatalf("state after 2 failures = %v, want closed", got)
+		t.Fatalf("state after %d failures = %v, want closed", plfs.FailureThreshold-1, got)
 	}
 	// A success resets the consecutive count.
 	h.Observe(vol, now, time.Microsecond, nil)
-	h.Observe(vol, now, 0, boom)
-	h.Observe(vol, now, 0, boom)
+	for i := 1; i < plfs.FailureThreshold; i++ {
+		h.Observe(vol, now, 0, boom)
+	}
 	if got := h.State(vol, now); got != plfs.BreakerClosed {
 		t.Fatalf("success did not reset consecutive failures")
 	}
 
-	// Third consecutive failure opens the breaker.
+	// The threshold-th consecutive failure opens the breaker.
 	h.Observe(vol, now, 0, boom)
 	if got := h.State(vol, now); got != plfs.BreakerOpen {
 		t.Fatalf("state after threshold = %v, want open", got)
@@ -67,11 +66,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Before the cooldown: still open.
-	if got := h.State(vol, now+int64(5*time.Millisecond)); got != plfs.BreakerOpen {
+	if got := h.State(vol, now+int64(plfs.ProbeAfter/2)); got != plfs.BreakerOpen {
 		t.Fatalf("state mid-cooldown = %v, want open", got)
 	}
 	// Cooldown elapsed: the asking caller becomes the probe.
-	now += int64(10 * time.Millisecond)
+	now += int64(plfs.ProbeAfter)
 	if got := h.State(vol, now); got != plfs.BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", got)
 	}
@@ -79,12 +78,12 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("half-open breaker must not be avoided (probe has to land)")
 	}
 
-	// Lost probe: reopen with doubled cooldown (20ms).
+	// Lost probe: reopen with doubled cooldown.
 	h.Observe(vol, now, 0, boom)
-	if got := h.State(vol, now+int64(10*time.Millisecond)); got != plfs.BreakerOpen {
+	if got := h.State(vol, now+int64(plfs.ProbeAfter)); got != plfs.BreakerOpen {
 		t.Fatalf("doubled cooldown not honored: half-open too early")
 	}
-	now += int64(20 * time.Millisecond)
+	now += int64(2 * plfs.ProbeAfter)
 	if got := h.State(vol, now); got != plfs.BreakerHalfOpen {
 		t.Fatalf("state after doubled cooldown = %v, want half-open", got)
 	}
@@ -103,8 +102,8 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Errorf("counters = opens %d probes %d probeOK %d, want 2/2/1",
 			v.Opens, v.Probes, v.ProbeOK)
 	}
-	if v.Failures != 6 {
-		t.Errorf("failures = %d, want 6", v.Failures)
+	if want := int64(2 * plfs.FailureThreshold); v.Failures != want {
+		t.Errorf("failures = %d, want %d", v.Failures, want)
 	}
 
 	// Publish renders gauges for the volume.
@@ -113,38 +112,57 @@ func TestBreakerLifecycle(t *testing.T) {
 	if g := reg.Gauge("plfs.health." + vol + ".probe_ok").Value(); g != 1 {
 		t.Errorf("published probe_ok gauge = %v, want 1", g)
 	}
+
+	// Reopen, then lose probe after probe: each doubles the cooldown,
+	// which stops at MaxProbeAfter.
+	for i := 0; i < plfs.FailureThreshold; i++ {
+		h.Observe(vol, now, 0, boom)
+	}
+	cool := plfs.ProbeAfter
+	for cool <= 2*plfs.MaxProbeAfter {
+		now += int64(min(cool, plfs.MaxProbeAfter))
+		if got := h.State(vol, now); got != plfs.BreakerHalfOpen {
+			t.Fatalf("cooldown %v: state = %v, want half-open", cool, got)
+		}
+		h.Observe(vol, now, 0, boom)
+		cool *= 2
+		if got := h.State(vol, now+int64(min(cool, plfs.MaxProbeAfter))-1); got != plfs.BreakerOpen {
+			t.Fatalf("cooldown %v: state = %v just before it elapsed, want open", cool, got)
+		}
+	}
 }
 
 // TestBreakerSlowOps checks that successful-but-slow operations count
 // toward opening once the rolling window has enough healthy samples.
 func TestBreakerSlowOps(t *testing.T) {
-	h := plfs.NewHealth(plfs.HealthConfig{
-		FailureThreshold: 2,
-		SlowFactor:       2,
-		MinSlow:          time.Millisecond,
-		MinSamples:       4,
-	})
+	h := plfs.NewHealth()
 	const vol = "/vol0"
 	// Warm the data-class window with healthy 1ms samples; p99 ~ 1ms so
-	// the slow cutoff becomes max(2*1ms, 1ms) = 2ms.  Slow() consults the
-	// data class (hedging decisions are about index reads).
-	for i := 0; i < 8; i++ {
+	// the slow cutoff becomes SlowFactor ms.  Slow() consults the data
+	// class (hedging decisions are about index reads).
+	for i := 0; i < plfs.MinSamples; i++ {
 		h.ObserveData(vol, 0, time.Millisecond, 0, nil)
 	}
+	slow := (plfs.SlowFactor + 1) * time.Millisecond
 	if h.Slow(vol, time.Millisecond, 0) {
 		t.Fatalf("1ms should not be slow against a 1ms baseline")
 	}
-	if !h.Slow(vol, 5*time.Millisecond, 0) {
-		t.Fatalf("5ms should be slow against a 1ms baseline")
+	if !h.Slow(vol, slow, 0) {
+		t.Fatalf("%v should be slow against a 1ms baseline", slow)
 	}
-	h.ObserveData(vol, 0, 5*time.Millisecond, 0, nil)
-	h.ObserveData(vol, 0, 5*time.Millisecond, 0, nil)
+	for i := 1; i < plfs.FailureThreshold; i++ {
+		h.ObserveData(vol, 0, slow, 0, nil)
+	}
+	if got := h.State(vol, 0); got != plfs.BreakerClosed {
+		t.Fatalf("state after %d slow ops = %v, want closed", plfs.FailureThreshold-1, got)
+	}
+	h.ObserveData(vol, 0, slow, 0, nil)
 	if got := h.State(vol, 0); got != plfs.BreakerOpen {
-		t.Fatalf("state after 2 slow ops = %v, want open", got)
+		t.Fatalf("state after %d slow ops = %v, want open", plfs.FailureThreshold, got)
 	}
 	snap := h.Snapshot()
-	if snap[0].SlowOps != 2 {
-		t.Errorf("slow ops = %d, want 2", snap[0].SlowOps)
+	if snap[0].SlowOps != plfs.FailureThreshold {
+		t.Errorf("slow ops = %d, want %d", snap[0].SlowOps, plfs.FailureThreshold)
 	}
 }
 

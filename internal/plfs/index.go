@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"slices"
 	"sort"
-	"time"
 
 	"plfs/internal/payload"
 )
@@ -1045,6 +1044,3 @@ func min64(a, b int64) int64 {
 	}
 	return b
 }
-
-// timeDuration converts an entry count to a time.Duration multiplier.
-func timeDuration(n int) time.Duration { return time.Duration(n) }

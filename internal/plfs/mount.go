@@ -106,13 +106,6 @@ type Options struct {
 	// (tracked in ReadStats.SieveWasted) for fewer I/Os.  0, the default,
 	// still merges exactly-adjacent pieces.
 	SieveGap int64
-	// ParseCPUPerEntry charges CPU for decoding index records from their
-	// droppings (default 500ns/entry); MergeCPUPerEntry charges CPU for
-	// resolving raw records into the global offset map (default 2µs/entry,
-	// the dominant open-time CPU term at scale).  Both are charged through
-	// the context's Sleeper.
-	ParseCPUPerEntry time.Duration
-	MergeCPUPerEntry time.Duration
 	// Retry reissues every backend call that fails with a transient
 	// error, with exponential backoff charged through the context's
 	// Sleeper (virtual time under the simulator, real sleep over osfs).
@@ -135,11 +128,6 @@ type Options struct {
 	// ReadStats.ChecksumErrors.  Droppings without checksummed footers
 	// are served unverified.
 	VerifyData bool
-	// ChecksumCPUPerMB charges CPU for checksumming written data
-	// (default 1ms/MB, roughly memory-bandwidth CRC32C) through the
-	// context's Sleeper, so the ablation figure sees the cost in
-	// simulated mode.
-	ChecksumCPUPerMB time.Duration
 	// IndexReplicas commits each index dropping and global index to this
 	// many distinct volumes (clamped to the volume count; 0 or 1 keeps a
 	// single copy).  Replica k of a primary on volume v lands at the same
@@ -172,15 +160,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FlattenThreshold <= 0 {
 		o.FlattenThreshold = 65536
-	}
-	if o.ParseCPUPerEntry <= 0 {
-		o.ParseCPUPerEntry = 500 * time.Nanosecond
-	}
-	if o.MergeCPUPerEntry <= 0 {
-		o.MergeCPUPerEntry = 2 * time.Microsecond
-	}
-	if o.ChecksumCPUPerMB <= 0 {
-		o.ChecksumCPUPerMB = time.Millisecond
 	}
 	return o
 }
@@ -363,7 +342,7 @@ func newMount(roots []string, opt Options, svc *Service) *Mount {
 	} else {
 		m.econ = newEconomy(mountCacheBytes)
 		if opt.HedgedReads || opt.IndexReplicas > 1 {
-			m.health = NewHealth(HealthConfig{})
+			m.health = NewHealth()
 		}
 	}
 	m.econ.register(m)

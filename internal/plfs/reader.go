@@ -7,6 +7,7 @@ import (
 	"math"
 	"path"
 	"strings"
+	"time"
 
 	"plfs/internal/extent"
 	"plfs/internal/obs"
@@ -198,6 +199,15 @@ func (m *Mount) volOfPath(p string) int {
 	return best
 }
 
+// The modelled CPU cost of index handling, charged through the
+// context's Sleeper: parseCPUPerEntry for decoding a record from its
+// dropping, mergeCPUPerEntry for resolving it into the global offset map
+// (the dominant open-time CPU term at scale).
+const (
+	parseCPUPerEntry = 500 * time.Nanosecond
+	mergeCPUPerEntry = 2 * time.Microsecond
+)
+
 // tryGlobalIndex attempts to read the flattened global index; it returns
 // (nil, nil) when none exists.
 func (r *Reader) tryGlobalIndex() (*Index, error) {
@@ -220,7 +230,7 @@ func (r *Reader) tryGlobalIndex() (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plfs: %s: %w", gp, err)
 	}
-	ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(len(f.recs)))
+	ctx.sleep(parseCPUPerEntry * time.Duration(len(f.recs)))
 	return r.buildShards([][]Rec{f.recs}, f.paths), nil
 }
 
@@ -249,7 +259,7 @@ func (r *Reader) buildCached(ndrops, total int, last string, assemble func() ([]
 	defer msp.End()
 	m := r.m
 	st := m.stateOf(r.rel, r.ctx.Tenant)
-	r.ctx.sleep(m.opt.MergeCPUPerEntry * timeDuration(total))
+	r.ctx.sleep(mergeCPUPerEntry * time.Duration(total))
 	st.mu.Lock()
 	key := builtKey{st.gen, ndrops, total, last}
 	if st.builtKey == key && st.built != nil {
@@ -293,7 +303,7 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 		}
 		r.Stats.IndexReads++
 		r.Stats.IndexBytes += size
-		ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(int(size/EntryBytes)))
+		ctx.sleep(parseCPUPerEntry * time.Duration(size/EntryBytes))
 		st.mu.Lock()
 		cached, ok := st.parsed[ref.Ref.Index]
 		st.mu.Unlock()
@@ -1015,7 +1025,7 @@ func (m *Mount) Flatten(ctx Ctx, rel string) error {
 		return err
 	}
 	recs := flattenRecsOf(ix)
-	ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(len(recs)))
+	ctx.sleep(parseCPUPerEntry * time.Duration(len(recs)))
 	buf := appendFrame(nil, frame{kind: frameGlobal, crc: m.opt.Checksum, paths: ix.Droppings(), recs: recs})
 	// Atomic commit; a rename refused because another flattener already
 	// published is fine — same container, same flattened content.

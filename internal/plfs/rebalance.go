@@ -37,19 +37,9 @@ import (
 	"sort"
 )
 
-// RebalancePolicy controls one Rebalance pass.
-type RebalancePolicy struct {
-	// Load returns the recent load of volume v (any monotone measure;
-	// the harness uses MDS busy seconds since the last pass).  Required.
-	Load func(vol int) float64
-	// SkewThreshold is the max/median load ratio above which migration
-	// starts (default 1.5).  Below it the pass is a no-op.
-	SkewThreshold float64
-	// MaxMoves bounds migrations per pass (0 = no bound): each move is
-	// real I/O, so callers may prefer several gentle passes to one big
-	// reshuffle.
-	MaxMoves int
-}
+// skewThreshold is the max/median volume load ratio at or above which a
+// Rebalance pass migrates hostdirs; below it the pass is a no-op.
+const skewThreshold = 1.5
 
 // RebalanceMove records one migrated hostdir.
 type RebalanceMove struct {
@@ -84,30 +74,29 @@ func loadSkew(loads []float64) float64 {
 	return maxL / med
 }
 
-// Rebalance runs one policy pass over a container: if the per-volume
-// load skew exceeds the threshold, hostdirs migrate from overloaded
-// volumes (more than their fair share of this container's hostdirs,
-// lowest ids first — deterministic) to the coldest non-degraded volumes.
-// The container must be quiescent; concurrent opens never 404 because
-// every reader resolves the forwarding markers (see the file comment).
-func (m *Mount) Rebalance(ctx Ctx, rel string, pol RebalancePolicy) (RebalanceReport, error) {
+// Rebalance runs one policy pass over a container.  load(v) is the
+// recent load of volume v (any monotone measure; the harness uses MDS
+// busy seconds since the last pass).  If the per-volume load skew
+// reaches skewThreshold, hostdirs migrate from overloaded volumes (more
+// than their fair share of this container's hostdirs, lowest ids first —
+// deterministic) to the coldest non-degraded volumes below their fair
+// share, so no hostdir moves twice in one pass.  The container must be
+// quiescent; concurrent opens never 404 because every reader resolves
+// the forwarding markers (see the file comment).
+func (m *Mount) Rebalance(ctx Ctx, rel string, load func(vol int) float64) (RebalanceReport, error) {
 	ctx = m.bind(ctx)
 	rel = clean(rel)
 	rep := RebalanceReport{Skew: 1}
 	V := len(m.roots)
-	if V < 2 || pol.Load == nil {
+	if V < 2 || load == nil {
 		return rep, nil
 	}
 	loads := make([]float64, V)
 	for v := range loads {
-		loads[v] = pol.Load(v)
+		loads[v] = load(v)
 	}
 	rep.Skew = loadSkew(loads)
-	thr := pol.SkewThreshold
-	if thr <= 0 {
-		thr = 1.5
-	}
-	if rep.Skew < thr {
+	if rep.Skew < skewThreshold {
 		return rep, nil
 	}
 	ids, moved, err := m.hostdirIDs(ctx, rel)
@@ -124,10 +113,6 @@ func (m *Mount) Rebalance(ctx Ctx, rel string, pol RebalancePolicy) (RebalanceRe
 		perVol[v] = append(perVol[v], id)
 	}
 	fair := (len(ids) + V - 1) / V
-	maxMoves := pol.MaxMoves
-	if maxMoves <= 0 {
-		maxMoves = len(ids)
-	}
 	// Hottest volumes first; ties break on index for determinism.
 	order := make([]int, V)
 	for v := range order {
@@ -143,7 +128,7 @@ func (m *Mount) Rebalance(ctx Ctx, rel string, pol RebalancePolicy) (RebalanceRe
 		if loads[hot] <= 0 {
 			break
 		}
-		for len(perVol[hot]) > fair && len(rep.Moves) < maxMoves {
+		for len(perVol[hot]) > fair {
 			id := perVol[hot][0]
 			dst := -1
 			for v := 0; v < V; v++ {

@@ -241,8 +241,8 @@ func TestRebalancePass(t *testing.T) {
 	ctx := serialCtx(r, 0)
 
 	loads := []float64{9, 1, 1, 1} // volume 0 is hot
-	pol := plfs.RebalancePolicy{Load: func(v int) float64 { return loads[v] }}
-	rep, err := r.m.Rebalance(ctx, name, pol)
+	load := func(v int) float64 { return loads[v] }
+	rep, err := r.m.Rebalance(ctx, name, load)
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}
@@ -262,7 +262,7 @@ func TestRebalancePass(t *testing.T) {
 	// Determinism: the same inputs replay to the same plan.
 	r2 := newRig(t, 4, plfs.Options{NumSubdirs: 4})
 	buildQuiescent(t, r2, name, n, blocks, bs)
-	rep2, err := r2.m.Rebalance(serialCtx(r2, 0), name, pol)
+	rep2, err := r2.m.Rebalance(serialCtx(r2, 0), name, load)
 	if err != nil {
 		t.Fatalf("rebalance replay: %v", err)
 	}
@@ -272,12 +272,51 @@ func TestRebalancePass(t *testing.T) {
 
 	// Balanced loads: a pass is a no-op.
 	loads = []float64{2, 2, 2, 2}
-	rep3, err := r.m.Rebalance(ctx, name, pol)
+	rep3, err := r.m.Rebalance(ctx, name, load)
 	if err != nil {
 		t.Fatalf("balanced rebalance: %v", err)
 	}
 	if len(rep3.Moves) != 0 {
 		t.Errorf("moves under balanced load: %v", rep3.Moves)
+	}
+}
+
+// TestRebalanceMovesEachHostdirOnce: a pass sends a hostdir only to a
+// volume below its fair share and takes hostdirs only from volumes above
+// it, so no hostdir moves twice in one pass and a pass makes at most one
+// move per hostdir.  Each rotation of a skewed load vector runs one pass
+// over a fresh 8-hostdir container whose hostdirs all start on one
+// volume: that volume is the hottest, the second hottest (a hotter empty
+// volume goes first), or cold, and the second-hottest volume is also a
+// destination.
+func TestRebalanceMovesEachHostdirOnce(t *testing.T) {
+	const n, blocks, bs = 8, 1, int64(512)
+	const name = "skewed"
+	skew := []float64{9, 5, 1, 0.5}
+	total := 0
+	for rot := range skew {
+		r := newRig(t, len(skew), plfs.Options{NumSubdirs: n})
+		buildQuiescent(t, r, name, n, blocks, bs)
+		load := func(v int) float64 { return skew[(v+rot)%len(skew)] }
+		rep, err := r.m.Rebalance(serialCtx(r, 0), name, load)
+		if err != nil {
+			t.Fatalf("rotation %d: rebalance: %v", rot, err)
+		}
+		seen := map[int]bool{}
+		for _, mv := range rep.Moves {
+			if seen[mv.Subdir] {
+				t.Errorf("rotation %d: hostdir.%d moved twice in one pass: %v", rot, mv.Subdir, rep.Moves)
+			}
+			seen[mv.Subdir] = true
+		}
+		if len(rep.Moves) > n {
+			t.Errorf("rotation %d: %d moves for %d hostdirs", rot, len(rep.Moves), n)
+		}
+		total += len(rep.Moves)
+		verifyIntact(t, r, name, n, blocks, bs, nil)
+	}
+	if total == 0 {
+		t.Fatal("no moves despite 9x skew")
 	}
 }
 

@@ -22,28 +22,24 @@ type RetryPolicy struct {
 	Attempts int
 	// Backoff is the first retry's base delay (default 1ms).
 	Backoff time.Duration
-	// MaxBackoff caps the exponential growth (default 100ms).
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps the exponential growth of a retry's delay.
+const maxBackoff = 100 * time.Millisecond
 
 // delay returns the backoff before retry attempt k (1-based), jittered
 // deterministically by rank so a cohort of ranks retrying the same
 // failure doesn't reissue in lockstep.
 func (p RetryPolicy) delay(k, rank int) time.Duration {
-	base := p.Backoff
-	if base <= 0 {
-		base = time.Millisecond
+	d := p.Backoff
+	if d <= 0 {
+		d = time.Millisecond
 	}
-	maxB := p.MaxBackoff
-	if maxB <= 0 {
-		maxB = 100 * time.Millisecond
-	}
-	d := base
-	for i := 1; i < k && d < maxB; i++ {
+	for i := 1; i < k && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > maxB {
-		d = maxB
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	// Deterministic jitter in [d/2, d): hash rank and attempt.
 	h := uint64(rank)*0x9e3779b97f4a7c15 + uint64(k)*0xbf58476d1ce4e5b9

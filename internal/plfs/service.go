@@ -70,9 +70,6 @@ type ServiceOptions struct {
 	// TenantClass maps a tenant name to its admission class; unmapped
 	// tenants use the "" class when declared, else run ungated.
 	TenantClass map[string]string
-	// Health tunes the per-volume circuit breakers every mount of the
-	// service shares (see health.go); the zero value uses the defaults.
-	Health HealthConfig
 }
 
 func (o ServiceOptions) withDefaults() ServiceOptions {
@@ -151,7 +148,7 @@ func NewService(opt ServiceOptions) *Service {
 	s := &Service{
 		opt:     opt,
 		econ:    newEconomy(opt.CacheBudgetBytes),
-		health:  NewHealth(opt.Health),
+		health:  NewHealth(),
 		gates:   map[string]*gate{},
 		tenants: map[string]*tenantStats{},
 	}

@@ -6,6 +6,7 @@ import (
 	iofs "io/fs"
 	"path"
 	"sort"
+	"time"
 
 	"plfs/internal/extent"
 	"plfs/internal/payload"
@@ -313,6 +314,10 @@ func (w *Writer) afterRecord() error {
 	return nil
 }
 
+// checksumCPUPerMB is the modelled CPU cost of checksumming written
+// data, roughly memory-bandwidth CRC32C.
+const checksumCPUPerMB = time.Millisecond
+
 // noteChecksum maintains the per-entry data CRCs alongside w.entries:
 // a new entry starts a fresh CRC, a compression-extended entry rolls the
 // appended payload into the last one.  The hashing cost is charged to
@@ -326,7 +331,7 @@ func (w *Writer) noteChecksum(p payload.Payload, extend bool) {
 	} else {
 		w.sums = append(w.sums, payloadCRC(0, p))
 	}
-	w.ctx.sleep(w.m.opt.ChecksumCPUPerMB * timeDuration(int(p.Len())) / (1 << 20))
+	w.ctx.sleep(checksumCPUPerMB * time.Duration(p.Len()) / (1 << 20))
 }
 
 // flushData appends buffered payloads to the data dropping.  The retry
@@ -613,7 +618,7 @@ func (w *Writer) writeGlobalIndex(shardVals []any) error {
 			all = append(all, rec)
 		}
 	}
-	w.ctx.sleep(w.m.opt.ParseCPUPerEntry * timeDuration(len(all)))
+	w.ctx.sleep(parseCPUPerEntry * time.Duration(len(all)))
 	buf := appendFrame(nil, frame{kind: frameGlobal, crc: w.m.opt.Checksum, paths: paths, recs: all})
 	// Atomic temp+rename commit: readers can never decode a half-written
 	// global index, and a torn append cannot duplicate entries (each

@@ -211,10 +211,6 @@ func (e *Engine) curName() string {
 	return e.cur.name
 }
 
-// Block parks the process.  It is exported for primitives built outside
-// this package; the waker must later call Proc.Wake.
-func (p *Proc) Block() { p.park() }
-
 // Wake schedules p to resume at the current virtual time.  It must be
 // called from simulation context (another proc or an engine callback).
 func (p *Proc) Wake() { p.e.schedule(p.e.now, p, nil) }

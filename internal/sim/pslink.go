@@ -101,9 +101,6 @@ func NewPSLink(e *Engine, name string, bytesPerSec float64) *PSLink {
 	return &PSLink{e: e, capacity: bytesPerSec, name: name, lastT: e.Now()}
 }
 
-// Capacity returns the link capacity in bytes per second.
-func (l *PSLink) Capacity() float64 { return l.capacity }
-
 // Active returns the number of in-flight flows.
 func (l *PSLink) Active() int { return len(l.flows) }
 

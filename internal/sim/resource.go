@@ -28,9 +28,6 @@ func NewResource(e *Engine, servers int) *Resource {
 	return &Resource{e: e, cap: servers}
 }
 
-// Servers returns the number of parallel servers.
-func (r *Resource) Servers() int { return r.cap }
-
 // InUse returns the number of currently busy servers.
 func (r *Resource) InUse() int { return r.inUse }
 

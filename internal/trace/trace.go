@@ -141,16 +141,3 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// Rate wraps a monotone counter probe into a per-second rate probe
-// (differences between consecutive samples divided by the interval).
-// It keeps state, so use one Rate per counter.
-func Rate(name string, interval time.Duration, counter func() int64) Probe {
-	var last int64
-	return Probe{Name: name, Fn: func() float64 {
-		cur := counter()
-		d := cur - last
-		last = cur
-		return float64(d) / interval.Seconds()
-	}}
-}

@@ -101,19 +101,3 @@ func TestAddAfterStartFails(t *testing.T) {
 		t.Fatal("late probe was recorded despite ErrStarted")
 	}
 }
-
-func TestRateProbe(t *testing.T) {
-	var c int64
-	p := Rate("r", time.Second, func() int64 { return c })
-	if got := p.Fn(); got != 0 {
-		t.Fatalf("first sample = %v", got)
-	}
-	c = 100
-	if got := p.Fn(); got != 100 {
-		t.Fatalf("rate = %v, want 100/s", got)
-	}
-	c = 150
-	if got := p.Fn(); got != 50 {
-		t.Fatalf("rate = %v, want 50/s", got)
-	}
-}

@@ -117,6 +117,18 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A mode refuses a flag the user set that it would ignore.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	refuse := func(mode string, names ...string) {
+		for _, name := range names {
+			if set[name] {
+				fmt.Fprintf(os.Stderr, "plfsrun: %s ignores -%s\n", mode, name)
+				os.Exit(2)
+			}
+		}
+	}
+
 	// Each mode builds its job and the printer of its outcome; the flags
 	// every mode shares are applied once, below.
 	bytes := *bytesMB << 20
@@ -125,12 +137,20 @@ func main() {
 	var show func(harness.Report)
 	switch {
 	case *brownS != "":
+		// The brownout harness builds its own 4-volume cluster and sets
+		// its own index mode.
+		refuse("-brownout", "profile", "volumes", "mode")
 		job, show = brownout(*brownS, *ranks, bytes, op, *hedge, *replicaN)
 	case *tenants > 0:
 		job, show = serviceTenants(cfg, *tenants, *ranks, *files, bytes, op, *inflight, *budgetMB)
 	case *kernel == "meta-storm":
 		// With the default -volumes 1 the harness's 4-volume federation
-		// applies (skew needs a federation to be skewed across).
+		// applies (skew needs a federation to be skewed across), and the
+		// storm sets its own index mode.
+		refuse("-kernel meta-storm", "mode")
+		if *volumes == 1 {
+			refuse("-kernel meta-storm with -volumes 1", "profile")
+		}
 		k := workloads.CreateStorm100k{Containers: 5, Rounds: *rounds}
 		job = harness.MetaStorm(*ranks, k, *bulk, *rebal)
 		if *volumes > 1 {

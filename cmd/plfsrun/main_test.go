@@ -33,8 +33,7 @@ func TestMain(m *testing.M) {
 
 // TestRejectsNonPositiveSizes checks that a rank count, op size, volume
 // count or retry count below one, or an unknown profile, is a usage error
-// (exit 2 with a message), not a panic — which also exits 2, so the check
-// reads stderr.
+// (exit 2 with a message), not a panic.
 func TestRejectsNonPositiveSizes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-kernel", "mpi-io-test", "-opkb", "0"},
@@ -50,18 +49,50 @@ func TestRejectsNonPositiveSizes(t *testing.T) {
 		{"-plfs", "-volumes", "0"},
 		{"-kernel", "meta-storm", "-volumes", "-2"},
 	} {
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), "PLFSRUN_MAIN=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		out := stderr.String()
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.HasPrefix(out, "plfsrun: ") ||
-			strings.Contains(out, "panic") || strings.Contains(out, "goroutine") {
-			t.Errorf("plfsrun %v: %v, stderr %q; want exit 2 with a usage message", args, err, out)
+		usageError(t, args)
+	}
+}
+
+// TestRejectsIgnoredFlags checks that a mode refuses a flag the user set
+// that it would otherwise ignore, naming the flag: meta-storm sets its own
+// index mode, and runs its own cluster while -volumes is 1; -brownout
+// builds its own cluster and sets its own index mode.
+func TestRejectsIgnoredFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-kernel", "meta-storm", "-mode", "original"}, "-mode"},
+		{[]string{"-kernel", "meta-storm", "-mode", "parallel", "-volumes", "4"}, "-mode"},
+		{[]string{"-kernel", "meta-storm", "-profile", "cielo"}, "-profile"},
+		{[]string{"-kernel", "meta-storm", "-profile", "small", "-volumes", "1"}, "-profile"},
+		{[]string{"-brownout", "0:4", "-profile", "cielo"}, "-profile"},
+		{[]string{"-brownout", "0:4", "-volumes", "7"}, "-volumes"},
+		{[]string{"-brownout", "0:4", "-mode", "flatten"}, "-mode"},
+	} {
+		if out := usageError(t, c.args); !strings.Contains(out, "ignores "+c.flag) {
+			t.Errorf("plfsrun %v: stderr %q does not name %s", c.args, out, c.flag)
 		}
 	}
+}
+
+// usageError runs plfsrun with args and checks that it exits 2 with a
+// "plfsrun: " message and no panic (a Go panic also exits 2, so it reads
+// stderr).  It returns stderr.
+func usageError(t *testing.T, args []string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "PLFSRUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	out := stderr.String()
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.HasPrefix(out, "plfsrun: ") ||
+		strings.Contains(out, "panic") || strings.Contains(out, "goroutine") {
+		t.Errorf("plfsrun %v: %v, stderr %q; want exit 2 with a usage message", args, err, out)
+	}
+	return out
 }
 
 // goldenJob is the fixed workload behind the -metrics golden file:

@@ -178,11 +178,14 @@ func (h *spanHeap) pop() {
 	}
 }
 
-// File is a sparse byte store built from payload extents.  Writes are
-// buffered and consolidated lazily (on the first read after a write), so a
-// write-heavy phase costs O(1) amortized per write and a consolidation
-// costs O(n log n) — matching how the simulator's workloads behave
-// (bulk-synchronous write phase, then read phase).
+// File is a sparse byte store built from payload extents.  A write at or
+// past the end of file with nothing queued (an append: every write to a
+// PLFS data dropping) lands in the resolved extent list at once.  Any
+// other write is queued and consolidated lazily (on the first read after
+// it), so a write-heavy phase costs O(1) amortized per write and a
+// consolidation costs O(n log n) — matching how the simulator's workloads
+// behave (bulk-synchronous write phase, then read phase).  Either way the
+// resolved list comes out the same.
 //
 // Overlapping writes resolve to the latest (highest write sequence), like
 // a POSIX file written without concurrent overlap guarantees.
@@ -207,16 +210,40 @@ type pwrite struct {
 // Size returns the file size (highest written byte + 1).
 func (f *File) Size() int64 { return f.size }
 
-// WriteAt records a write of p at offset off.
+// WriteAt records a write of p at offset off.  A write that can overlap
+// nothing (nothing queued, off at or past the end of file) is resolved on
+// the spot; any other write is queued for the next consolidation.
 func (f *File) WriteAt(off int64, p Payload) {
 	if p.Length == 0 {
 		return
 	}
+	if len(f.pending) == 0 && off >= f.size {
+		f.extend(off, p)
+		f.size = off + p.Length
+		return
+	}
+	f.queue(off, p)
+}
+
+// queue defers a write of p at off to the next consolidation.
+func (f *File) queue(off int64, p Payload) {
 	f.seq++
 	f.pending = append(f.pending, pwrite{off: off, seq: f.seq, p: p})
-	if end := off + p.Length; end > f.size {
-		f.size = end
+	f.size = max(f.size, off+p.Length)
+}
+
+// extend appends an extent that starts at or past the last resolved one's
+// end, coalescing with it where p continues it.  It is consolidate's
+// output step, so both paths build the same list.
+func (f *File) extend(off int64, p Payload) {
+	if n := len(f.resolved); n > 0 {
+		last := &f.resolved[n-1]
+		if last.off+last.p.Length == off && last.p.canCoalesce(p) {
+			last.p.Length += p.Length
+			return
+		}
 	}
+	f.resolved = append(f.resolved, fext{off: off, p: p})
 }
 
 // Append writes p at the current end of file and returns the offset it
@@ -248,22 +275,10 @@ func (f *File) consolidate() {
 	res := Resolve(spans)
 	f.resolved = f.resolved[:0]
 	for _, s := range res {
-		src := spans[findSpanRef(spans, s.Ref)]
-		p := store[s.Ref].Slice(s.Start-src.Start, s.End-s.Start)
-		if n := len(f.resolved); n > 0 {
-			last := &f.resolved[n-1]
-			if last.off+last.p.Length == s.Start && last.p.canCoalesce(p) {
-				last.p.Length += p.Length
-				continue
-			}
-		}
-		f.resolved = append(f.resolved, fext{off: s.Start, p: p})
+		p := store[s.Ref].Slice(s.Start-spans[s.Ref].Start, s.End-s.Start)
+		f.extend(s.Start, p)
 	}
 }
-
-// findSpanRef locates the original span for a ref; Refs are assigned as
-// indices, so this is a direct lookup.
-func findSpanRef(spans []Span, ref int32) int { return int(ref) }
 
 // ReadAt returns the byte range [off, off+length), with holes reading as
 // zeros.  Reading past EOF returns zeros for the overhang (the simulated

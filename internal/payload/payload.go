@@ -85,13 +85,18 @@ func (p Payload) At(i int64) byte {
 	}
 }
 
-// Slice returns the sub-payload [off, off+length).
+// Slice returns the sub-payload [off, off+length).  A slice of a hole is
+// a plain hole: holes carry no phase, so a hole's form depends only on
+// its length, however it was cut or merged.
 func (p Payload) Slice(off, length int64) Payload {
 	if off < 0 || length < 0 || off+length > p.Length {
 		panic(fmt.Sprintf("payload: slice [%d,%d) of %d", off, off+length, p.Length))
 	}
-	if p.Bytes != nil {
+	switch {
+	case p.Bytes != nil:
 		return Payload{Bytes: p.Bytes[off : off+length], Length: length}
+	case p.Tag == 0:
+		return Zeros(length)
 	}
 	return Payload{Tag: p.Tag, Phase: p.Phase + off, Length: length}
 }

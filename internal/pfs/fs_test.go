@@ -531,12 +531,15 @@ func steadyMallocs(warm, ops int, op func(i int)) float64 {
 // TestSteadyStateAllocFree: once warm, the model's side of reading an
 // already-cached block (cache lookup, stream table, memory-speed charge)
 // and of a block's transfer through the storage network and the OST
-// groups (stripe shares, flows, their wait) allocate nothing.  The bytes
-// ReadAt returns are the payload store's and are not counted.
+// groups (stripe shares, flows, their wait) allocate nothing.  Nor does a
+// range-lock acquire on a file two nodes write: the two take turns
+// stealing alternate units of a 64-unit stripe, so every acquire splits
+// or merges segments.  The bytes ReadAt returns are the payload store's
+// and are not counted.
 func TestSteadyStateAllocFree(t *testing.T) {
 	const block = 64 << 10
 	eng, fs := testFS(1, nil)
-	var hit, transfer float64
+	var hit, transfer, lock float64
 	runOne(t, eng, func(p *sim.Proc) {
 		h, err := fs.Client(0, p).Create("/vol0/f")
 		if err != nil {
@@ -547,6 +550,18 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		}
 		hit = steadyMallocs(1000, 10000, func(i int) { h.read(int64(i%4)*block, block) })
 		transfer = steadyMallocs(1000, 10000, func(i int) { h.transfer(int64(i%64)*block, block, block, i%3 == 0, false) })
+		h2, err := fs.Client(1, p).OpenWrite("/vol0/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.f.writeOpeners != 2 {
+			t.Fatalf("%d write openers, want 2", h.f.writeOpeners)
+		}
+		nodes := [2]int{h.c.node, h2.c.node}
+		lock = steadyMallocs(1000, 10000, func(i int) {
+			u := int64(i % 64)
+			h.f.locks.acquire(u, u+1, nodes[(i+i/64)%2])
+		})
 	})
 	if fs.CacheMisB != 0 {
 		t.Fatalf("%d bytes missed the cache", fs.CacheMisB)
@@ -556,5 +571,8 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	if transfer >= 0.01 {
 		t.Errorf("block transfer: %.3f mallocs per transfer, want < 0.01", transfer)
+	}
+	if lock >= 0.01 {
+		t.Errorf("lock acquire: %.3f mallocs per acquire, want < 0.01", lock)
 	}
 }

@@ -1,6 +1,9 @@
 package pfs
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // lockTable tracks byte-range write-token ownership on a shared file.  It
 // stores a sorted list of disjoint owned ranges (owner = node id).  The
@@ -42,9 +45,16 @@ func (t *lockTable) acquire(lo, hi int64, node int) (rpcs int) {
 		t.segs = nil
 		return 2
 	}
-	// Count runs not owned by node.
+	rpcs = t.runs(lo, hi, node)
+	t.setOwner(lo, hi, node)
+	return rpcs
+}
+
+// runs counts the lock RPCs acquire charges for [lo, hi): one per maximal
+// run of units not owned by node, two if the run is held by another node.
+func (t *lockTable) runs(lo, hi int64, node int) (rpcs int) {
 	cur := lo
-	i := sort.Search(len(t.segs), func(i int) bool { return t.segs[i].end > lo })
+	i := t.firstEndingAfter(lo)
 	inForeign := false
 	inUnowned := false
 	for cur < hi {
@@ -76,54 +86,50 @@ func (t *lockTable) acquire(lo, hi int64, node int) (rpcs int) {
 			cur = end
 		}
 	}
-	t.setOwner(lo, hi, node)
 	return rpcs
 }
 
-// setOwner rewrites the table so [lo, hi) is owned by node.
+// firstEndingAfter returns the index of the first segment ending after
+// unit, or len(t.segs).
+func (t *lockTable) firstEndingAfter(unit int64) int {
+	return sort.Search(len(t.segs), func(i int) bool { return t.segs[i].end > unit })
+}
+
+// setOwner makes node the owner of [lo, hi) in place.  The table is
+// canonical (no two touching segments share an owner), so only the
+// overlapped segments [i, j) and their two neighbours change: they are
+// replaced by at most three segments — the left fringe of segs[i], the
+// new range, the right fringe of segs[j-1] — and the new range absorbs a
+// fringe or a touching neighbour that node already owns.
 func (t *lockTable) setOwner(lo, hi int64, node int) {
-	out := t.segs[:0:0]
-	inserted := false
-	insert := func() {
-		if inserted {
-			return
-		}
-		inserted = true
-		if n := len(out); n > 0 && out[n-1].owner == node && out[n-1].end == lo {
-			out[n-1].end = hi
+	segs := t.segs
+	i := t.firstEndingAfter(lo)
+	j := i + sort.Search(len(segs)-i, func(k int) bool { return segs[i+k].start >= hi })
+	// buf holds the left fringe, the new range and the right fringe;
+	// buf[from:to] replaces segs[a:b].
+	buf := [3]lockSeg{1: {lo, hi, node}}
+	mid := &buf[1]
+	from, to := 1, 2
+	a, b := i, j
+	if i < j && segs[i].start < lo {
+		if segs[i].owner == node {
+			mid.start = segs[i].start
 		} else {
-			out = append(out, lockSeg{lo, hi, node})
+			buf[0], from = lockSeg{segs[i].start, lo, segs[i].owner}, 0
 		}
+	} else if i > 0 && segs[i-1].end == lo && segs[i-1].owner == node {
+		a, mid.start = i-1, segs[i-1].start
 	}
-	for _, s := range t.segs {
-		if s.end <= lo {
-			out = append(out, s)
-			continue
+	if i < j && segs[j-1].end > hi {
+		if segs[j-1].owner == node {
+			mid.end = segs[j-1].end
+		} else {
+			buf[2], to = lockSeg{hi, segs[j-1].end, segs[j-1].owner}, 3
 		}
-		if s.start >= hi {
-			insert()
-			if n := len(out); n > 0 && out[n-1].owner == s.owner && out[n-1].end == s.start {
-				out[n-1].end = s.end
-			} else {
-				out = append(out, s)
-			}
-			continue
-		}
-		// Overlap: keep the non-overlapped fringes.
-		if s.start < lo {
-			out = append(out, lockSeg{s.start, lo, s.owner})
-		}
-		insert()
-		if s.end > hi {
-			if n := len(out); n > 0 && out[n-1].owner == s.owner && out[n-1].end == hi {
-				out[n-1].end = s.end
-			} else {
-				out = append(out, lockSeg{hi, s.end, s.owner})
-			}
-		}
+	} else if j < len(segs) && segs[j].start == hi && segs[j].owner == node {
+		b, mid.end = j+1, segs[j].end
 	}
-	insert()
-	t.segs = out
+	t.segs = slices.Replace(segs, a, b, buf[from:to]...)
 }
 
 // ownerAt returns the owner of the unit, or -1 if unowned.

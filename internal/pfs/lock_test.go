@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -110,5 +111,84 @@ func TestOracleRunBoundaries(t *testing.T) {
 	lt.acquire(0, 2, 1)
 	if got := lt.acquire(0, 4, 2); got != 3 { // steal [0,2) + grant [2,4)
 		t.Fatalf("rpcs = %d, want 3", got)
+	}
+}
+
+// rebuildOwner is the table update setOwner replaced: it copies the whole
+// segment list, merging the new range with touching segments of the same
+// owner.  It is the reference for TestSpliceMatchesRebuild.
+func rebuildOwner(segs []lockSeg, lo, hi int64, node int) []lockSeg {
+	var out []lockSeg
+	inserted := false
+	insert := func() {
+		if inserted {
+			return
+		}
+		inserted = true
+		if n := len(out); n > 0 && out[n-1].owner == node && out[n-1].end == lo {
+			out[n-1].end = hi
+		} else {
+			out = append(out, lockSeg{lo, hi, node})
+		}
+	}
+	for _, s := range segs {
+		if s.end <= lo {
+			out = append(out, s)
+			continue
+		}
+		if s.start >= hi {
+			insert()
+			if n := len(out); n > 0 && out[n-1].owner == s.owner && out[n-1].end == s.start {
+				out[n-1].end = s.end
+			} else {
+				out = append(out, s)
+			}
+			continue
+		}
+		// Overlap: keep the non-overlapped fringes.
+		if s.start < lo {
+			out = append(out, lockSeg{s.start, lo, s.owner})
+		}
+		insert()
+		if s.end > hi {
+			if n := len(out); n > 0 && out[n-1].owner == s.owner && out[n-1].end == hi {
+				out[n-1].end = s.end
+			} else {
+				out = append(out, lockSeg{hi, s.end, s.owner})
+			}
+		}
+	}
+	insert()
+	return out
+}
+
+// Property: on random acquire sequences, the in-place splice leaves the
+// same segments as the copying rebuild, and so charges the same RPCs.
+// Ranges are short against the unit space so that tables fragment into
+// many segments, and few owners so that touching same-owner merges occur.
+func TestSpliceMatchesRebuild(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var lt, ref lockTable
+		units := int64(8 + rng.Intn(256))
+		for k := 0; k < 400; k++ {
+			lo := rng.Int63n(units)
+			hi := lo + 1 + rng.Int63n(min64(units-lo, 1+rng.Int63n(16)))
+			node := rng.Intn(1 + rng.Intn(4))
+			want := ref.runs(lo, hi, node)
+			ref.segs = rebuildOwner(ref.segs, lo, hi, node)
+			if got := lt.acquire(lo, hi, node); got != want {
+				t.Logf("seed %d step %d: acquire(%d, %d, %d) = %d RPCs, rebuild charges %d", seed, k, lo, hi, node, got, want)
+				return false
+			}
+			if !slices.Equal(lt.segs, ref.segs) {
+				t.Logf("seed %d step %d: acquire(%d, %d, %d):\nsplice  %v\nrebuild %v", seed, k, lo, hi, node, lt.segs, ref.segs)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

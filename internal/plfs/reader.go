@@ -622,6 +622,11 @@ func (r *Reader) aggregateParallel() error {
 			}
 		}
 		exchanged := leaders.Allgather(groupBytes+32, groupShards)
+		k := 0
+		for _, ev := range exchanged {
+			k += len(ev.([]shardMsg))
+		}
+		all = make([]shardMsg, 0, k)
 		for _, ev := range exchanged {
 			all = append(all, ev.([]shardMsg)...)
 		}

@@ -59,7 +59,7 @@ func main() {
 		sieveKB  = flag.Int64("sieve-gap", 0, "sieving read coalescing: merge near-adjacent pieces up to this gap in KiB")
 		access   = flag.String("access", "strided", "noncontig kernel file pattern: contig | strided | irregular")
 		ioMethod = flag.String("io-method", "auto", "noncontiguous I/O method: auto | naive | sieve | list | twophase")
-		tenants  = flag.Int("tenants", 0, "run the multi-tenant mount service: this many concurrent tenant jobs (ignores -kernel)")
+		tenants  = flag.Int("tenants", 0, "run the multi-tenant mount service instead of -kernel: this many concurrent tenant jobs of -ranks ranks and -files containers each (refuses the flags only -kernel reads)")
 		inflight = flag.Int("inflight", 4, "admission cap: concurrent operations the batch class admits (-tenants)")
 		budgetMB = flag.Int64("budget-mb", 256, "service cache budget in MB shared across tenants (-tenants)")
 		replicaN = flag.Int("replicas", 0, "index replication factor: commit index droppings and the global index to this many volumes (self-healing; <2 = off)")
@@ -142,6 +142,11 @@ func main() {
 		refuse("-brownout", "profile", "volumes", "mode")
 		job, show = brownout(*brownS, *ranks, bytes, op, *hedge, *replicaN)
 	case *tenants > 0:
+		// The service harness runs its own saturation kernel through PLFS
+		// with its own options.
+		refuse("-tenants", "kernel", "plfs", "mode", "cb", "access", "io-method", "w", "verify",
+			"stats", "dropcaches", "allow-partial", "checksum", "index-compress", "index-cache",
+			"sieve-gap", "replicas", "hedge", "bulk-create", "rebalance", "rounds")
 		job, show = serviceTenants(cfg, *tenants, *ranks, *files, bytes, op, *inflight, *budgetMB)
 	case *kernel == "meta-storm":
 		// With the default -volumes 1 the harness's 4-volume federation
@@ -210,7 +215,7 @@ func main() {
 				fmt.Printf("  read:  open %8.3fs  io %8.3fs  close %8.3fs   %10.1f MB/s effective\n",
 					r.ReadOpen.Seconds(), r.Read.Seconds(), r.ReadClose.Seconds(), r.ReadBW(*ranks)/1e6)
 			}
-			fmt.Printf("  volume: %d MB per rank\n", r.BytesPerRank>>20)
+			fmt.Printf("  volume: %s per rank\n", volume(r.BytesPerRank))
 			if *stats {
 				fmt.Println("  " + r.PFS.String())
 			}
@@ -253,6 +258,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "plfsrun:", err)
 		os.Exit(1)
 	}
+}
+
+// volume spells a rank's bytes in MB (MiB) when they are whole MiB, and
+// in KiB, the unit of -opkb, when a kernel's whole ops fall short of that.
+func volume(b int64) string {
+	if b%(1<<20) == 0 {
+		return fmt.Sprintf("%d MB", b>>20)
+	}
+	return fmt.Sprintf("%d KiB", b>>10)
 }
 
 // kernelOf builds a -kernel workload; nn reports an N-N kernel (one

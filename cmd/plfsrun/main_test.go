@@ -56,7 +56,8 @@ func TestRejectsNonPositiveSizes(t *testing.T) {
 // TestRejectsIgnoredFlags checks that a mode refuses a flag the user set
 // that it would otherwise ignore, naming the flag: meta-storm sets its own
 // index mode, and runs its own cluster while -volumes is 1; -brownout
-// builds its own cluster and sets its own index mode.
+// builds its own cluster and sets its own index mode; -tenants runs its
+// own kernel through PLFS with its own options.
 func TestRejectsIgnoredFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -69,10 +70,41 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-brownout", "0:4", "-profile", "cielo"}, "-profile"},
 		{[]string{"-brownout", "0:4", "-volumes", "7"}, "-volumes"},
 		{[]string{"-brownout", "0:4", "-mode", "flatten"}, "-mode"},
+		{[]string{"-tenants", "2", "-mode", "original"}, "-mode"},
+		{[]string{"-tenants", "2", "-plfs"}, "-plfs"},
+		{[]string{"-tenants", "2", "-cb"}, "-cb"},
+		{[]string{"-tenants", "2", "-access", "contig"}, "-access"},
+		{[]string{"-tenants", "2", "-kernel", "ior"}, "-kernel"},
+		{[]string{"-tenants", "2", "-kernel", "meta-storm"}, "-kernel"},
+		{[]string{"-tenants", "2", "-verify=false"}, "-verify"},
+		{[]string{"-tenants", "2", "-sieve-gap", "64"}, "-sieve-gap"},
+		{[]string{"-tenants", "2", "-rounds", "5"}, "-rounds"},
 	} {
 		if out := usageError(t, c.args); !strings.Contains(out, "ignores "+c.flag) {
 			t.Errorf("plfsrun %v: stderr %q does not name %s", c.args, out, c.flag)
 		}
+	}
+}
+
+// TestVolumeLine checks that the volume line names what a rank wrote when
+// its whole ops fall short of a whole MiB: -mb 1 at the default -opkb 50
+// writes 20 ops of 50 KiB.
+func TestVolumeLine(t *testing.T) {
+	for b, want := range map[int64]string{
+		0: "0 MB", 1 << 20: "1 MB", 50 << 20: "50 MB", 1000 << 10: "1000 KiB", 1<<20 + 1<<10: "1025 KiB",
+	} {
+		if got := volume(b); got != want {
+			t.Errorf("volume(%d) = %q, want %q", b, got, want)
+		}
+	}
+	cmd := exec.Command(os.Args[0], "-kernel", "mpi-io-test", "-ranks", "2", "-mb", "1")
+	cmd.Env = append(os.Environ(), "PLFSRUN_MAIN=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "  volume: 1000 KiB per rank\n") {
+		t.Errorf("plfsrun -mb 1 printed %q, want a volume of 1000 KiB per rank", out)
 	}
 }
 

@@ -42,18 +42,46 @@ func (c *Comm) recv(src, round int) sim.Msg {
 }
 
 // Barrier uses the dissemination algorithm: ceil(log2 n) rounds of
-// shifted pairwise notifications.
+// shifted pairwise notifications.  The rounds run in engine context: the
+// rank suspends once on entry and is resumed inside the event in which
+// its last round completes.  Each round makes the engine calls that Send
+// and Recv would make from the rank, in the same order — the latency, the
+// Put to dst, then src's notification taken or awaited — so every event
+// keeps its time and sequence number, and the rank parks once per barrier
+// instead of once or twice per round.
 func (c *Comm) Barrier() {
-	defer func() { c.seq++ }()
-	n := len(c.members)
-	round := 0
-	for k := 1; k < n; k <<= 1 {
-		dst := (c.me + k) % n
-		src := (c.me - k + n) % n
-		c.send(dst, round, 0, nil)
-		c.recv(src, round)
-		round++
+	if len(c.members) > 1 {
+		r := c.r
+		r.bar, r.barRound = c, 0
+		r.w.eng.After(r.w.cfg.Latency, r.barStep)
+		r.p.Suspend()
 	}
+	c.seq++
+}
+
+// barrierStep runs a round of the barrier r is suspended in, in engine
+// context: once the round's latency has passed, when it puts its
+// notification to dst and takes src's or awaits it, and again when an
+// awaited one arrives.  After a round ends it starts the next, or resumes
+// the rank after the last.
+func (r *Rank) barrierStep() {
+	c := r.bar
+	n := len(c.members)
+	if !r.barAwait {
+		k, tag := 1<<r.barRound, c.tag(int(r.barRound))
+		r.w.boxes[c.members[(c.me+k)%n]].Put(sim.Msg{Src: r.rank, Tag: tag})
+		if !r.w.boxes[r.rank].Await(r.w.eng, c.members[(c.me-k+n)%n], tag, r.barStep) {
+			r.barAwait = true
+			return
+		}
+	}
+	r.barAwait = false
+	if r.barRound++; 1<<r.barRound < n {
+		r.w.eng.After(r.w.cfg.Latency, r.barStep)
+		return
+	}
+	r.bar = nil
+	r.p.Resume()
 }
 
 // Bcast distributes root's v along a binomial tree.

@@ -75,6 +75,13 @@ type Rank struct {
 	p    *sim.Proc
 	wg   sim.WaitGroup // Send's NIC flows; Done is bound once in done
 	done func()
+
+	// The barrier the rank is suspended in (comm.go), its round, whether
+	// the round's notification is awaited, and barrierStep bound once.
+	bar      *Comm
+	barRound int32
+	barAwait bool
+	barStep  func()
 }
 
 // Spawn starts fn as rank's process; typically called for every rank
@@ -83,6 +90,7 @@ func (w *World) Spawn(rank int, fn func(*Rank)) {
 	w.eng.Spawn(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
 		r := &Rank{w: w, rank: rank, p: p}
 		r.done = r.wg.Done
+		r.barStep = r.barrierStep
 		fn(r)
 	})
 }

@@ -2,7 +2,10 @@ package mpi
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -377,5 +380,169 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	if perOp >= 0.01 {
 		t.Errorf("Send/Recv plus Barrier: %.3f mallocs per step, want < 0.01", perOp)
+	}
+}
+
+// procBarrier is the process-driven dissemination barrier that Barrier's
+// engine callbacks replaced, kept as their reference: the rank's own code
+// sends and receives every round.
+func procBarrier(c *Comm) {
+	defer func() { c.seq++ }()
+	n := len(c.members)
+	round := 0
+	for k := 1; k < n; k <<= 1 {
+		c.send((c.me+k)%n, round, 0, nil)
+		c.recv((c.me-k+n)%n, round)
+		round++
+	}
+}
+
+// resumption is one line of a barrier trace: a rank (or the observer, -1)
+// running at time t, at step what of its program.
+type resumption struct {
+	who, what int
+	t         sim.Time
+}
+
+// barrierTrace runs a seeded program on n ranks with barrier standing in
+// for Comm.Barrier: random arrivals, back-to-back barriers, point-to-point
+// traffic between two, and a barrier on a Split sub-communicator.  It
+// returns every rank's resumption after each barrier, interleaved in run
+// order with the events of an observer process that is not a rank and
+// that runs, yields and schedules a callback at each instant in visit.
+func barrierTrace(t *testing.T, seed int64, n int, lat time.Duration, barrier func(*Comm), visit []sim.Time) []resumption {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	arrive := make([]time.Duration, n)
+	pause := make([]time.Duration, n)
+	bytes := make([]int64, n)
+	for i := range arrive {
+		arrive[i] = time.Duration(rng.Intn(50_000))
+		pause[i] = time.Duration(rng.Intn(5_000))
+		bytes[i] = int64(rng.Intn(8 << 10))
+	}
+	eng := sim.NewEngine(seed)
+	var trace []resumption
+	log := func(who, what int) { trace = append(trace, resumption{who, what, eng.Now()}) }
+	net := DefaultNet()
+	net.Latency = lat
+	NewWorld(eng, n, 4, net).SpawnAll(func(r *Rank) {
+		c, me := r.Comm(), r.Rank()
+		r.Proc().Sleep(arrive[me])
+		barrier(c)
+		log(me, 0)
+		barrier(c)
+		log(me, 1)
+		if n > 1 {
+			r.Send((me+1)%n, 7, bytes[me], me)
+			if m := r.Recv((me-1+n)%n, 7); m.Val.(int) != (me-1+n)%n {
+				t.Errorf("rank %d received %v", me, m.Val)
+			}
+		}
+		r.Proc().Sleep(pause[me])
+		barrier(c)
+		log(me, 2)
+		sub := c.Split(me%3, -me).(*Comm)
+		r.Proc().Sleep(pause[(me+1)%n])
+		barrier(sub)
+		log(me, 3)
+		barrier(c)
+		log(me, 4)
+	})
+	eng.Spawn("observer", func(p *sim.Proc) {
+		for i, at := range visit {
+			p.Sleep(time.Duration(at - p.Now()))
+			log(-1, 3*i)
+			eng.After(0, func() { log(-1, 3*i+1) })
+			p.Yield()
+			log(-1, 3*i+2)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return trace
+}
+
+// TestBarrierMatchesProcDriven: the barrier whose rounds run as engine
+// callbacks resumes every rank at the same virtual time and in the same
+// global order, relative to each other and to an unrelated process's
+// events at the exit instants, as the process-driven reference.
+func TestBarrierMatchesProcDriven(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 64, 1000} {
+		for _, lat := range []time.Duration{0, 2 * time.Microsecond} {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("n=%d/lat=%v/seed=%d", n, lat, seed), func(t *testing.T) {
+					var exits []sim.Time
+					for _, r := range barrierTrace(t, seed, n, lat, procBarrier, nil) {
+						exits = append(exits, r.t)
+					}
+					slices.Sort(exits)
+					exits = slices.Compact(exits)
+					want := barrierTrace(t, seed, n, lat, procBarrier, exits)
+					got := barrierTrace(t, seed, n, lat, (*Comm).Barrier, exits)
+					if len(want) != 5*n+3*len(exits) {
+						t.Fatalf("reference trace has %d lines, want %d", len(want), 5*n+3*len(exits))
+					}
+					if i := firstDiff(got, want); i >= 0 {
+						t.Fatalf("traces diverge at line %d of %d: got %+v, want %+v",
+							i, len(want), got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
+					}
+				})
+			}
+		}
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b []resumption) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// TestBarrierPanicAfterResume: a rank that panics once the barrier has
+// resumed it fails the run with its panic, in the event that resumed it.
+func TestBarrierPanicAfterResume(t *testing.T) {
+	eng := sim.NewEngine(1)
+	slept := false
+	NewWorld(eng, 5, 2, DefaultNet()).SpawnAll(func(r *Rank) {
+		r.Comm().Barrier()
+		if r.Rank() == 3 {
+			panic("rank 3 after the barrier")
+		}
+		r.Proc().Sleep(time.Millisecond)
+		slept = true
+	})
+	err := eng.Run()
+	if err == nil || !strings.Contains(err.Error(), "rank 3 after the barrier") {
+		t.Fatalf("Run = %v, want rank 3's panic", err)
+	}
+	if slept {
+		t.Fatalf("the run went on to %v after the panic", eng.Now())
+	}
+}
+
+// TestBarrierMissingRankDeadlocks: a barrier one rank never enters holds
+// the others forever; Run reports the deadlock and unwinds them.
+func TestBarrierMissingRankDeadlocks(t *testing.T) {
+	eng := sim.NewEngine(1)
+	NewWorld(eng, 4, 2, DefaultNet()).SpawnAll(func(r *Rank) {
+		if r.Rank() != 2 {
+			r.Comm().Barrier()
+		}
+	})
+	err := eng.Run()
+	if err == nil || !strings.Contains(err.Error(), "deadlock: 3 processes") {
+		t.Fatalf("Run = %v, want a deadlock of 3 ranks", err)
+	}
+	if eng.Live() != 0 {
+		t.Fatalf("%d processes outlived Run", eng.Live())
 	}
 }

@@ -235,18 +235,15 @@ func (fs *FS) Volumes() int { return fs.Cfg.Volumes }
 // (the cluster's "theoretical peak" I/O bandwidth).
 func (fs *FS) StoragePeak() float64 { return fs.Cfg.StorageBW }
 
-func splitPath(path string) []string {
-	path = strings.Trim(path, "/")
-	if path == "" {
-		return nil
-	}
-	return strings.Split(path, "/")
-}
-
-// lookup resolves path to a node without charging simulation cost.
+// lookup resolves path to a node without charging simulation cost.  It
+// ignores leading and trailing slashes; an empty element between two
+// slashes names nothing.  The walk cuts one element at a time, so it
+// allocates nothing.
 func (fs *FS) lookup(path string) (*fnode, error) {
 	n := fs.root
-	for _, part := range splitPath(path) {
+	for rest := strings.Trim(path, "/"); rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		if !n.dir {
 			return nil, ErrNotDir
 		}
@@ -260,14 +257,18 @@ func (fs *FS) lookup(path string) (*fnode, error) {
 }
 
 // lookupParent resolves the parent directory of path and returns it with
-// the final path element.
+// the final path element, reading path as lookup does.
 func (fs *FS) lookupParent(path string) (*fnode, string, error) {
-	parts := splitPath(path)
-	if len(parts) == 0 {
+	rest := strings.Trim(path, "/")
+	if rest == "" {
 		return nil, "", ErrExist
 	}
 	dir := fs.root
-	for _, part := range parts[:len(parts)-1] {
+	for {
+		part, tail, more := strings.Cut(rest, "/")
+		if !more {
+			return dir, part, nil
+		}
 		c, ok := dir.children[part]
 		if !ok {
 			return nil, "", ErrNotExist
@@ -275,9 +276,8 @@ func (fs *FS) lookupParent(path string) (*fnode, string, error) {
 		if !c.dir {
 			return nil, "", ErrNotDir
 		}
-		dir = c
+		dir, rest = c, tail
 	}
-	return dir, parts[len(parts)-1], nil
 }
 
 func (fs *FS) newDir(parent *fnode, name string) *fnode {

@@ -88,6 +88,100 @@ func TestNamespaceSemantics(t *testing.T) {
 	})
 }
 
+// nodePath spells the path from the root to n.
+func nodePath(n *fnode) string {
+	switch {
+	case n.parent == nil:
+		return n.name
+	case n.parent.parent == nil:
+		return "/" + n.name
+	}
+	return nodePath(n.parent) + "/" + n.name
+}
+
+// TestLookupPaths pins how lookup and lookupParent read a path: leading
+// and trailing slashes are ignored, an empty element between two misses,
+// and a path with no element has no parent.  Neither allocates.
+func TestLookupPaths(t *testing.T) {
+	eng, fs := testFS(1, nil)
+	runOne(t, eng, func(p *sim.Proc) {
+		c := fs.Client(0, p)
+		for _, d := range []string{"/vol0/a", "/vol0/a/b"} {
+			if err := c.Mkdir(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Create("/vol0/a/f"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, tc := range []struct {
+		path, node string
+		err        error
+	}{
+		{"", "/", nil},
+		{"/", "/", nil},
+		{"///", "/", nil},
+		{"vol0", "/vol0", nil},
+		{"/vol0/", "/vol0", nil},
+		{"//vol0/a//", "/vol0/a", nil},
+		{"//vol0//a//", "", ErrNotExist},
+		{"/vol0/a/b", "/vol0/a/b", nil},
+		{"/vol0/a/f", "/vol0/a/f", nil},
+		{"/vol0/a/f/", "/vol0/a/f", nil},
+		{"/vol0//a", "", ErrNotExist},
+		{"/vol0/a//b", "", ErrNotExist},
+		{"/vol0/nope", "", ErrNotExist},
+		{"/vol0/nope/x", "", ErrNotExist},
+		{"/vol9", "", ErrNotExist},
+		{"/vol0/a/f/x", "", ErrNotDir},
+		{"/vol0/a/f//x", "", ErrNotDir},
+	} {
+		n, err := fs.lookup(tc.path)
+		got := ""
+		if n != nil {
+			got = nodePath(n)
+		}
+		if got != tc.node || err != tc.err {
+			t.Errorf("lookup(%q) = %q, %v; want %q, %v", tc.path, got, err, tc.node, tc.err)
+		}
+	}
+	for _, tc := range []struct {
+		path, dir, name string
+		err             error
+	}{
+		{"", "", "", ErrExist},
+		{"/", "", "", ErrExist},
+		{"//", "", "", ErrExist},
+		{"vol0", "/", "vol0", nil},
+		{"/vol0/new", "/vol0", "new", nil},
+		{"/vol0/a/new/", "/vol0/a", "new", nil},
+		{"//vol0/a/b/new//", "/vol0/a/b", "new", nil},
+		{"/vol0/a/f", "/vol0/a", "f", nil},
+		{"/vol0//new", "", "", ErrNotExist},
+		{"/vol0/nope/new", "", "", ErrNotExist},
+		{"/vol0/nope/f/new", "", "", ErrNotExist},
+		{"/vol0/a/f/new", "", "", ErrNotDir},
+		{"/vol0/a/f/x/new", "", "", ErrNotDir},
+	} {
+		d, name, err := fs.lookupParent(tc.path)
+		got := ""
+		if d != nil {
+			got = nodePath(d)
+		}
+		if got != tc.dir || name != tc.name || err != tc.err {
+			t.Errorf("lookupParent(%q) = %q, %q, %v; want %q, %q, %v",
+				tc.path, got, name, err, tc.dir, tc.name, tc.err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		fs.lookup("/vol0/a/f")
+		fs.lookupParent("/vol0/a/b/new")
+	}); allocs != 0 {
+		t.Errorf("lookup + lookupParent: %v allocs, want 0", allocs)
+	}
+}
+
 func TestRename(t *testing.T) {
 	eng, fs := testFS(1, nil)
 	runOne(t, eng, func(p *sim.Proc) {

@@ -211,6 +211,25 @@ func (e *Engine) curName() string {
 	return e.cur.name
 }
 
+// Suspend parks the process with no wake-up of its own.  The caller must
+// have handed engine callbacks the work that ends in Resume (or a Wake).
+func (p *Proc) Suspend() { p.park() }
+
+// Resume runs a suspended process to its next park within the current
+// event: it schedules nothing and the clock does not move, so the process
+// continues exactly where an event of its own at this instant would have
+// continued it.  It must be called from an engine callback; from a
+// process it panics, since one process cannot run inside another.
+func (p *Proc) Resume() {
+	e := p.e
+	if e.cur != nil {
+		panic(fmt.Sprintf("sim: Resume of proc %q from proc %q", p.name, e.cur.name))
+	}
+	e.cur = p
+	p.next()
+	e.cur = nil
+}
+
 // Wake schedules p to resume at the current virtual time.  It must be
 // called from simulation context (another proc or an engine callback).
 func (p *Proc) Wake() { p.e.schedule(p.e.now, p, nil) }
@@ -253,11 +272,11 @@ func (e *Engine) Run() error {
 			e.cur = ev.proc
 			ev.proc.next()
 			e.cur = nil
-			if e.failure != nil {
-				return fmt.Errorf("sim: %v", e.failure)
-			}
 		} else if ev.fn != nil {
-			ev.fn()
+			ev.fn() // may Resume a process
+		}
+		if e.failure != nil {
+			return fmt.Errorf("sim: %v", e.failure)
 		}
 	}
 	if len(e.live) > 0 {

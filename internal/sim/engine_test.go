@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -186,6 +187,72 @@ func TestCallbacksAndWake(t *testing.T) {
 	}
 	if woke != Time(7*time.Millisecond) {
 		t.Fatalf("woke = %v, want 7ms", woke)
+	}
+}
+
+// TestResumeRunsWithinEvent: Resume runs a suspended process to its next
+// park inside the calling callback, at the callback's instant, ahead of
+// an event the callback queued for the same instant.
+func TestResumeRunsWithinEvent(t *testing.T) {
+	e := NewEngine(1)
+	var log []string
+	p := e.Spawn("suspended", func(p *Proc) {
+		log = append(log, "suspend")
+		p.Suspend()
+		log = append(log, fmt.Sprintf("resumed at %v", p.Now()))
+		p.Suspend()
+		log = append(log, "resumed again")
+	})
+	e.At(5, func() {
+		e.After(0, func() { log = append(log, "queued at 5") })
+		p.Resume()
+		log = append(log, "callback after Resume")
+	})
+	e.At(9, p.Resume)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"suspend", "resumed at 5", "callback after Resume", "queued at 5", "resumed again"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %q, want %q", log, want)
+	}
+	if e.Now() != 9 {
+		t.Fatalf("clock = %v, want 9", e.Now())
+	}
+}
+
+// TestResumeFromProcPanics: a process cannot Resume another; the attempt
+// fails the run.
+func TestResumeFromProcPanics(t *testing.T) {
+	e := NewEngine(1)
+	s := e.Spawn("suspended", func(p *Proc) { p.Suspend() })
+	e.Spawn("caller", func(p *Proc) { s.Resume() })
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "sim: Resume of proc") {
+		t.Fatalf("Run = %v, want the Resume panic", err)
+	}
+	if e.Live() != 0 {
+		t.Fatalf("%d processes outlived Run", e.Live())
+	}
+}
+
+// TestResumedPanicFailsRun: a process that panics after a callback
+// resumed it fails the run at that event, as if it had run in its own.
+func TestResumedPanicFailsRun(t *testing.T) {
+	e := NewEngine(1)
+	var after bool
+	p := e.Spawn("boom", func(p *Proc) {
+		p.Suspend()
+		panic("kaboom")
+	})
+	e.At(3, p.Resume)
+	e.At(4, func() { after = true })
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "kaboom") {
+		t.Fatalf("Run = %v, want the panic", err)
+	}
+	if after || e.Now() != 3 {
+		t.Fatalf("run went on to %v after the panic", e.Now())
 	}
 }
 
@@ -425,6 +492,55 @@ func TestMailboxMatching(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != 7 || got[1] != 5 {
 		t.Fatalf("got = %v, want [7 5]", got)
+	}
+}
+
+// TestMailboxAwait: Await takes a queued message at once without calling
+// its callback; otherwise the matching Put schedules the callback at its
+// own instant, behind events already queued there.  An Await holds the
+// mailbox's one waiting slot, so a second Await or a Get beside it panics.
+func TestMailboxAwait(t *testing.T) {
+	e := NewEngine(1)
+	b := NewMailbox()
+	var log []string
+	b.Put(Msg{Src: 1, Tag: 2})
+	e.At(0, func() {
+		if !b.Await(e, 1, 2, func() { t.Error("callback ran for a queued message") }) {
+			t.Error("Await missed a queued message")
+		}
+		if b.Await(e, 1, 2, func() { log = append(log, fmt.Sprintf("1/2 at %v", e.Now())) }) {
+			t.Error("Await took a message twice")
+		}
+	})
+	e.At(5, func() {
+		b.Put(Msg{Src: 1, Tag: 3}) // another key: queued, wakes nothing
+		e.After(0, func() { log = append(log, "queued at 5") })
+		b.Put(Msg{Src: 1, Tag: 2})
+		log = append(log, "put at 5")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"put at 5", "queued at 5", "1/2 at 5"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %q, want %q", log, want)
+	}
+	if !b.Await(e, 1, 3, nil) {
+		t.Error("the other key's message was not queued")
+	}
+	b.Await(e, 9, 9, func() {})
+	for name, wait := range map[string]func(){
+		"Await": func() { b.Await(e, 8, 8, func() {}) },
+		"Get":   func() { b.Get(nil, 8, 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s beside a pending Await did not panic", name)
+				}
+			}()
+			wait()
+		}()
 	}
 }
 

@@ -124,6 +124,10 @@ type Report struct {
 	// Obs holds, per tenant, the registry its ranks recorded into: a
 	// named tenant's own, Job.Obs otherwise.
 	Obs []*obs.Registry
+	// Events and Digest are the engine's event count and event digest
+	// (sim.Engine.Events, Digest): equal digests mean the runs popped
+	// the same events in the same order.
+	Events, Digest uint64
 }
 
 // RunWithReport is Run for callers that want only the first tenant's
@@ -299,7 +303,9 @@ func Run(j Job) (Report, error) {
 			return rep, err
 		}
 	}
-	if err := eng.Run(); err != nil {
+	err := eng.Run()
+	rep.Events, rep.Digest = eng.Events(), eng.Digest()
+	if err != nil {
 		publish(j.Obs)
 		return rep, errors.Join(failed, err)
 	}

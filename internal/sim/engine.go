@@ -97,6 +97,9 @@ type Engine struct {
 	cur     *Proc // the process currently executing, if any
 	rng     *rand.Rand
 	failure any
+	spawned uint64 // processes spawned so far; the next one's id
+	events  uint64 // events popped so far
+	digest  uint64 // every popped event's (t, seq, proc id), folded
 }
 
 // NewEngine returns an engine whose random service-time jitter is derived
@@ -104,8 +107,9 @@ type Engine struct {
 // identical traces.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		live: make(map[*Proc]struct{}),
-		rng:  rand.New(rand.NewSource(seed)),
+		live:   make(map[*Proc]struct{}),
+		rng:    rand.New(rand.NewSource(seed)),
+		digest: fnvOffset,
 	}
 }
 
@@ -115,6 +119,34 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.  It must only be
 // used from model code running inside the simulation.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
+
+// Events returns the number of events the run has popped so far.
+func (e *Engine) Events() uint64 { return e.events }
+
+// Digest returns a 64-bit fold of every event the run has popped so far:
+// its time, its sequence number and the spawn index of the process it
+// resumed (0 for a callback), in pop order.  Two runs that pop the same
+// events in the same order have the same digest; names, pointers and map
+// order do not enter it.
+func (e *Engine) Digest() uint64 { return e.digest }
+
+// FNV-1a's 64-bit offset basis and prime, applied to whole words.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fold counts ev and folds it into the digest.
+func (e *Engine) fold(ev *event) {
+	var id uint64
+	if ev.proc != nil {
+		id = ev.proc.id
+	}
+	h := (e.digest ^ uint64(ev.t)) * fnvPrime
+	h = (h ^ ev.seq) * fnvPrime
+	e.digest = (h ^ id) * fnvPrime
+	e.events++
+}
 
 // Live returns the number of processes that have been spawned and not yet
 // exited.  Periodic observers (tracers) use it to stop rescheduling
@@ -150,6 +182,7 @@ func (e *Engine) After(d time.Duration, fn func()) { e.schedule(e.now+Time(d), n
 type Proc struct {
 	e    *Engine
 	name string
+	id   uint64 // spawn index, from 1
 	// The coroutine (see start): the engine calls next to run the process
 	// to its next park; park calls yield, which reports false after stop.
 	next  func() (struct{}, bool)
@@ -173,7 +206,8 @@ func (p *Proc) Now() Time { return p.e.now }
 // Spawn creates a simulated process running fn.  The process starts at the
 // current virtual time, after already-queued events.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, name: name}
+	e.spawned++
+	p := &Proc{e: e, name: name, id: e.spawned}
 	e.live[p] = struct{}{}
 	e.schedule(e.now, p, nil)
 	p.start(func() {
@@ -267,6 +301,7 @@ func (e *Engine) Run() error {
 	}()
 	for len(e.queue) > 0 {
 		ev := e.queue.pop()
+		e.fold(&ev)
 		e.now = ev.t
 		if ev.proc != nil {
 			e.cur = ev.proc

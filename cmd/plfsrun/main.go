@@ -139,7 +139,7 @@ func main() {
 	case *brownS != "":
 		// The brownout harness builds its own 4-volume cluster and sets
 		// its own index mode.
-		refuse("-brownout", "profile", "volumes", "mode")
+		refuse("-brownout", "profile", "volumes", "mode", "tenants", "inflight", "budget-mb")
 		job, show = brownout(*brownS, *ranks, bytes, op, *hedge, *replicaN)
 	case *tenants > 0:
 		// The service harness runs its own saturation kernel through PLFS
@@ -152,7 +152,7 @@ func main() {
 		// With the default -volumes 1 the harness's 4-volume federation
 		// applies (skew needs a federation to be skewed across), and the
 		// storm sets its own index mode.
-		refuse("-kernel meta-storm", "mode")
+		refuse("-kernel meta-storm", "mode", "inflight", "budget-mb")
 		if *volumes == 1 {
 			refuse("-kernel meta-storm with -volumes 1", "profile")
 		}
@@ -169,6 +169,9 @@ func main() {
 				harness.MDSSkew(r.PFS.MDSBusy), r.Obs[0].Counter("plfs.rebalance.moves").Value(), r.Makespan.Seconds())
 		}
 	default:
+		// The admission and cache flags are the service's, and only the
+		// meta-storm runs rounds and rebalances.
+		refuse("-kernel "+*kernel, "inflight", "budget-mb", "rounds", "rebalance")
 		k, nn, err := kernelOf(*kernel, *ranks, *files, bytes, op, *access, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "plfsrun:", err)

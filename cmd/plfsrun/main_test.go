@@ -57,7 +57,9 @@ func TestRejectsNonPositiveSizes(t *testing.T) {
 // that it would otherwise ignore, naming the flag: meta-storm sets its own
 // index mode, and runs its own cluster while -volumes is 1; -brownout
 // builds its own cluster and sets its own index mode; -tenants runs its
-// own kernel through PLFS with its own options.
+// own kernel through PLFS with its own options.  Only -tenants reads the
+// service's admission and cache flags, and only meta-storm reads -rounds
+// and -rebalance; -brownout wins over -tenants.
 func TestRejectsIgnoredFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -70,6 +72,15 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-brownout", "0:4", "-profile", "cielo"}, "-profile"},
 		{[]string{"-brownout", "0:4", "-volumes", "7"}, "-volumes"},
 		{[]string{"-brownout", "0:4", "-mode", "flatten"}, "-mode"},
+		{[]string{"-brownout", "0:4", "-tenants", "2"}, "-tenants"},
+		{[]string{"-brownout", "0:4", "-inflight", "1"}, "-inflight"},
+		{[]string{"-brownout", "0:4", "-budget-mb", "1"}, "-budget-mb"},
+		{[]string{"-kernel", "ior", "-inflight", "1"}, "-inflight"},
+		{[]string{"-kernel", "ior", "-budget-mb", "1"}, "-budget-mb"},
+		{[]string{"-kernel", "ior", "-rounds", "9"}, "-rounds"},
+		{[]string{"-kernel", "ior", "-rebalance"}, "-rebalance"},
+		{[]string{"-kernel", "meta-storm", "-inflight", "1"}, "-inflight"},
+		{[]string{"-kernel", "meta-storm", "-budget-mb", "1"}, "-budget-mb"},
 		{[]string{"-tenants", "2", "-mode", "original"}, "-mode"},
 		{[]string{"-tenants", "2", "-plfs"}, "-plfs"},
 		{[]string{"-tenants", "2", "-cb"}, "-cb"},

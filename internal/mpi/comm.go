@@ -46,9 +46,9 @@ func (c *Comm) recv(src, round int) sim.Msg {
 // rank suspends once on entry and is resumed inside the event in which
 // its last round completes.  Each round makes the engine calls that Send
 // and Recv would make from the rank, in the same order — the latency, the
-// Put to dst, then src's notification taken or awaited — so every event
-// keeps its time and sequence number, and the rank parks once per barrier
-// instead of once or twice per round.
+// notification to dst, then src's notification taken or awaited — so
+// every event keeps its time and sequence number, and the rank parks
+// once per barrier instead of once or twice per round.
 func (c *Comm) Barrier() {
 	if len(c.members) > 1 {
 		r := c.r
@@ -60,17 +60,18 @@ func (c *Comm) Barrier() {
 }
 
 // barrierStep runs a round of the barrier r is suspended in, in engine
-// context: once the round's latency has passed, when it puts its
-// notification to dst and takes src's or awaits it, and again when an
-// awaited one arrives.  After a round ends it starts the next, or resumes
-// the rank after the last.
+// context: once the round's latency has passed, when it notifies dst and
+// takes src's notification or awaits it, and again when an awaited one
+// arrives.  After a round ends it starts the next, or resumes the rank
+// after the last.
 func (r *Rank) barrierStep() {
 	c := r.bar
 	n := len(c.members)
 	if !r.barAwait {
 		k, tag := 1<<r.barRound, c.tag(int(r.barRound))
-		r.w.boxes[c.members[(c.me+k)%n]].Put(sim.Msg{Src: r.rank, Tag: tag})
-		if !r.w.boxes[r.rank].Await(r.w.eng, c.members[(c.me-k+n)%n], tag, r.barStep) {
+		w := r.w
+		w.notes[c.members[(c.me+k)%n]].put(w.eng, note{r.rank, tag})
+		if !w.notes[r.rank].take(note{c.members[(c.me-k+n)%n], tag}, r.barStep) {
 			r.barAwait = true
 			return
 		}
@@ -82,6 +83,47 @@ func (r *Rank) barrierStep() {
 	}
 	r.bar = nil
 	r.p.Resume()
+}
+
+// note is a barrier notification: its sender's world rank and its tag.
+type note struct{ src, tag int }
+
+// notes holds a world rank's barrier notifications.  They carry no bytes
+// and no value, so they need none of a Mailbox's maps: a rank waits on
+// one at a time and the few that arrive early (from partners in later
+// rounds, or already in the next barrier) sit in a short slice.
+type notes struct {
+	early []note // arrived before they were awaited
+	want  note   // the note fn waits on
+	fn    func() // the round awaiting want, or nil
+}
+
+// put delivers m.  If it is the awaited note it schedules the waiting
+// round at the current instant, where Mailbox.Put would wake a blocked
+// receiver.
+func (ns *notes) put(e *sim.Engine, m note) {
+	if ns.fn != nil && ns.want == m {
+		fn := ns.fn
+		ns.fn = nil
+		e.After(0, fn)
+		return
+	}
+	ns.early = append(ns.early, m)
+}
+
+// take removes m and reports true if it has arrived; otherwise fn waits
+// for it and take reports false.
+func (ns *notes) take(m note, fn func()) bool {
+	for i, x := range ns.early {
+		if x == m {
+			last := len(ns.early) - 1
+			ns.early[i] = ns.early[last]
+			ns.early = ns.early[:last]
+			return true
+		}
+	}
+	ns.want, ns.fn = m, fn
+	return false
 }
 
 // Bcast distributes root's v along a binomial tree.

@@ -39,6 +39,7 @@ type World struct {
 	procsPerNode int
 	nics         []*sim.PSLink
 	boxes        []*sim.Mailbox
+	notes        []notes // barrier notifications, per world rank (comm.go)
 	nextCommID   int
 	allMembers   []int // shared world-rank list, built once
 }
@@ -49,6 +50,8 @@ func NewWorld(eng *sim.Engine, n, procsPerNode int, cfg NetConfig) *World {
 		panic("mpi: invalid world size")
 	}
 	w := &World{eng: eng, cfg: cfg, n: n, procsPerNode: procsPerNode, nextCommID: 1}
+	// Every Send and every barrier round waits out the latency first.
+	eng.Lane(cfg.Latency)
 	nodes := (n + procsPerNode - 1) / procsPerNode
 	for i := 0; i < nodes; i++ {
 		w.nics = append(w.nics, sim.NewPSLink(eng, fmt.Sprintf("nic%d", i), cfg.NICBW))
@@ -56,6 +59,7 @@ func NewWorld(eng *sim.Engine, n, procsPerNode int, cfg NetConfig) *World {
 	for i := 0; i < n; i++ {
 		w.boxes = append(w.boxes, sim.NewMailbox())
 	}
+	w.notes = make([]notes, n)
 	return w
 }
 

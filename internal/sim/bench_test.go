@@ -27,7 +27,7 @@ func runBench(b *testing.B, e *Engine) {
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(e.seq)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(e.Events())/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkPark: many processes sleeping staggered intervals, so nearly
@@ -36,6 +36,25 @@ func BenchmarkPark(b *testing.B) {
 	e := NewEngine(1)
 	for i := 0; i < benchProcs; i++ {
 		d := time.Duration(i%7+1) * time.Microsecond
+		sleeps := share(b.N, i)
+		e.Spawn("p", func(p *Proc) {
+			for k := 0; k < sleeps; k++ {
+				p.Sleep(d)
+			}
+		})
+	}
+	b.ResetTimer()
+	runBench(b, e)
+}
+
+// BenchmarkParkLane is BenchmarkPark with every sleep the same fixed
+// latency, registered as a lane, the shape of a network's per-message
+// latency: every event skips the heap.
+func BenchmarkParkLane(b *testing.B) {
+	const d = 2 * time.Microsecond
+	e := NewEngine(1)
+	e.Lane(d)
+	for i := 0; i < benchProcs; i++ {
 		sleeps := share(b.N, i)
 		e.Spawn("p", func(p *Proc) {
 			for k := 0; k < sleeps; k++ {

@@ -87,12 +87,44 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// lane is a FIFO of the events scheduled exactly d after the instant
+// that scheduled them.  The clock never goes back and seq only grows, so
+// events enter a lane already in (t, seq) order and its head is its
+// least.  The events sit in a power-of-two ring that grows only when
+// full.
+type lane struct {
+	d    Time
+	ring []event
+	head int // index of the oldest event
+	n    int // events queued
+}
+
+func (l *lane) push(ev event) {
+	if l.n == len(l.ring) {
+		ring := make([]event, max(2*len(l.ring), 64))
+		k := copy(ring, l.ring[l.head:])
+		copy(ring[k:], l.ring[:l.head])
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	l.n++
+}
+
+func (l *lane) pop() event {
+	ev := l.ring[l.head]
+	l.ring[l.head] = event{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return ev
+}
+
 // Engine is a discrete-event simulation run.  The zero value is not usable;
 // call NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
+	lanes   []lane // fixed-latency events, out of queue (see Lane)
 	live    map[*Proc]struct{}
 	cur     *Proc // the process currently executing, if any
 	rng     *rand.Rand
@@ -163,12 +195,59 @@ func (e *Engine) Jitter(d time.Duration, frac float64) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
+// Lane gives events scheduled exactly d after the current instant a FIFO
+// lane of their own: they skip the heap, whose push and pop cost
+// O(log n), and queue in O(1).  Which event runs next is unchanged, since
+// Run pops the least (t, seq) over the heap and every lane; a lane only
+// pays off for a latency that many events share, such as a network's
+// per-message latency.  Registering a d again is a no-op.
+func (e *Engine) Lane(d time.Duration) {
+	if d < 0 {
+		panic("sim: negative lane latency")
+	}
+	for _, l := range e.lanes {
+		if l.d == Time(d) {
+			return
+		}
+	}
+	e.lanes = append(e.lanes, lane{d: Time(d)})
+}
+
 func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, proc: p, fn: fn})
+	ev := event{t: t, seq: e.seq, proc: p, fn: fn}
+	for i := range e.lanes {
+		if l := &e.lanes[i]; t-e.now == l.d {
+			l.push(ev)
+			return
+		}
+	}
+	e.queue.push(ev)
+}
+
+// pop removes and returns the least event over the heap and the lanes'
+// heads; it reports false when every one is empty.
+func (e *Engine) pop() (event, bool) {
+	from := -1 // the heap
+	var least *event
+	if len(e.queue) > 0 {
+		least = &e.queue[0]
+	}
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.n > 0 && (least == nil || l.ring[l.head].before(*least)) {
+			least, from = &l.ring[l.head], i
+		}
+	}
+	switch {
+	case least == nil:
+		return event{}, false
+	case from < 0:
+		return e.queue.pop(), true
+	}
+	return e.lanes[from].pop(), true
 }
 
 // At schedules fn to run in engine context at absolute time t.
@@ -299,8 +378,11 @@ func (e *Engine) Run() error {
 		}
 		e.cur = nil
 	}()
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
+	for {
+		ev, ok := e.pop()
+		if !ok {
+			break
+		}
 		e.fold(&ev)
 		e.now = ev.t
 		if ev.proc != nil {

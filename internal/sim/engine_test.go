@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -170,6 +171,121 @@ func TestEventQueueOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// laneTraffic runs a seeded model of random traffic on e: processes
+// that sleep, yield, wait to be woken and schedule callbacks that wake
+// or resume waiting processes, with every delay drawn from 0, the
+// latencies in ds, and random values.  It returns the (t, seq, proc)
+// stream the engine popped as each event's observer saw it, plus the
+// engine's own count and digest of that stream.
+func laneTraffic(t *testing.T, seed int64, e *Engine, ds []time.Duration) []string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	delay := func() time.Duration {
+		switch k := rng.Intn(len(ds) + 2); k {
+		case 0:
+			return 0
+		case 1:
+			return time.Duration(rng.Intn(20_000))
+		default:
+			return ds[k-2]
+		}
+	}
+	var log []string
+	var waiting []*Proc
+	running := 0
+	wakeOne := func(resume bool) {
+		if len(waiting) == 0 {
+			return
+		}
+		p := waiting[0]
+		waiting = waiting[1:]
+		running++
+		if resume {
+			p.Resume()
+		} else {
+			p.Wake()
+		}
+	}
+	callback := func(id int) func() {
+		return func() {
+			log = append(log, fmt.Sprintf("cb%d@%d", id, e.Now()))
+			switch rng.Intn(3) {
+			case 0:
+				wakeOne(false)
+			case 1:
+				wakeOne(true)
+			}
+		}
+	}
+	cbs := 0
+	const procs = 12
+	for i := 0; i < procs; i++ {
+		running++
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for step := 0; step < 60; step++ {
+				log = append(log, fmt.Sprintf("p%d.%d@%d", i, step, p.Now()))
+				switch rng.Intn(7) {
+				case 0, 1:
+					p.Sleep(delay())
+				case 2:
+					p.Yield()
+				case 3:
+					cbs++
+					e.After(delay(), callback(cbs))
+				case 4:
+					cbs++
+					e.At(e.Now()+Time(delay()), callback(cbs))
+				case 5:
+					wakeOne(false)
+				case 6:
+					if running > 1 { // someone is left to wake p
+						running--
+						waiting = append(waiting, p)
+						p.Suspend()
+					}
+				}
+			}
+			running--
+			for len(waiting) > 0 {
+				wakeOne(false)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return append(log, fmt.Sprintf("%d events, digest %#x, clock %d", e.Events(), e.Digest(), e.Now()))
+}
+
+// TestLanesKeepEventOrder is a property test: an engine with fixed-latency
+// lanes pops the same (t, seq, proc) stream as one without, whatever the
+// traffic, with one lane or two and with a same-instant lane.
+func TestLanesKeepEventOrder(t *testing.T) {
+	const d1, d2 = 2 * time.Microsecond, 7 * time.Microsecond
+	for _, lanes := range [][]time.Duration{{d1}, {d1, d2}, {0, d1}} {
+		for seed := int64(1); seed <= 20; seed++ {
+			want := laneTraffic(t, seed, NewEngine(seed), []time.Duration{d1, d2})
+			e := NewEngine(seed)
+			for _, d := range lanes {
+				e.Lane(d)
+				e.Lane(d) // a second registration is a no-op
+			}
+			got := laneTraffic(t, seed, e, []time.Duration{d1, d2})
+			if len(e.lanes) != len(lanes) {
+				t.Fatalf("lanes %v: engine has %d lanes", lanes, len(e.lanes))
+			}
+			if i := slices.Compare(got, want); i != 0 {
+				for j := range min(len(got), len(want)) {
+					if got[j] != want[j] {
+						t.Fatalf("lanes %v seed %d: streams diverge at event %d: %q, want %q", lanes, seed, j, got[j], want[j])
+					}
+				}
+				t.Fatalf("lanes %v seed %d: %d lines, want %d", lanes, seed, len(got), len(want))
+			}
+		}
 	}
 }
 
@@ -495,55 +611,6 @@ func TestMailboxMatching(t *testing.T) {
 	}
 }
 
-// TestMailboxAwait: Await takes a queued message at once without calling
-// its callback; otherwise the matching Put schedules the callback at its
-// own instant, behind events already queued there.  An Await holds the
-// mailbox's one waiting slot, so a second Await or a Get beside it panics.
-func TestMailboxAwait(t *testing.T) {
-	e := NewEngine(1)
-	b := NewMailbox()
-	var log []string
-	b.Put(Msg{Src: 1, Tag: 2})
-	e.At(0, func() {
-		if !b.Await(e, 1, 2, func() { t.Error("callback ran for a queued message") }) {
-			t.Error("Await missed a queued message")
-		}
-		if b.Await(e, 1, 2, func() { log = append(log, fmt.Sprintf("1/2 at %v", e.Now())) }) {
-			t.Error("Await took a message twice")
-		}
-	})
-	e.At(5, func() {
-		b.Put(Msg{Src: 1, Tag: 3}) // another key: queued, wakes nothing
-		e.After(0, func() { log = append(log, "queued at 5") })
-		b.Put(Msg{Src: 1, Tag: 2})
-		log = append(log, "put at 5")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"put at 5", "queued at 5", "1/2 at 5"}
-	if fmt.Sprint(log) != fmt.Sprint(want) {
-		t.Fatalf("log = %q, want %q", log, want)
-	}
-	if !b.Await(e, 1, 3, nil) {
-		t.Error("the other key's message was not queued")
-	}
-	b.Await(e, 9, 9, func() {})
-	for name, wait := range map[string]func(){
-		"Await": func() { b.Await(e, 8, 8, func() {}) },
-		"Get":   func() { b.Get(nil, 8, 8) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s beside a pending Await did not panic", name)
-				}
-			}()
-			wait()
-		}()
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		e := NewEngine(seed)
@@ -700,8 +767,9 @@ func steadyMallocs(warm, ops int, op func(i int)) float64 {
 }
 
 // TestSteadyStateAllocFree: once warm, a mailbox hand-off to a blocked
-// receiver, a message queued ahead of its receive, and an async link
-// flow with its completion allocate nothing.
+// receiver, a message queued ahead of its receive, an async link flow
+// with its completion, and a fixed-latency event through a lane allocate
+// nothing.
 func TestSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine(1)
 	b := NewMailbox()
@@ -736,8 +804,31 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			wg.Wait(p)
 		})
 	})
+	// Processes and callbacks keep the lane's ring partly full while it
+	// turns over many times.
+	e.Lane(3 * time.Microsecond)
+	var lane float64
+	for i := 0; i < 64; i++ {
+		e.Spawn("lane", func(p *Proc) {
+			tick := func() {}
+			op := func(int) {
+				p.Sleep(3 * time.Microsecond)
+				e.After(3*time.Microsecond, tick)
+			}
+			if i > 0 {
+				for k := 0; k < 11000; k++ {
+					op(k)
+				}
+				return
+			}
+			lane = steadyMallocs(1000, 10000, op)
+		})
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if lane >= 0.01 {
+		t.Errorf("Engine lane: %.3f mallocs per sleep and callback, want < 0.01", lane)
 	}
 	if handoff >= 0.01 {
 		t.Errorf("Mailbox Put→blocked Get: %.3f mallocs per hand-off, want < 0.01", handoff)

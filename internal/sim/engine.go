@@ -202,9 +202,6 @@ func (e *Engine) Jitter(d time.Duration, frac float64) time.Duration {
 // pays off for a latency that many events share, such as a network's
 // per-message latency.  Registering a d again is a no-op.
 func (e *Engine) Lane(d time.Duration) {
-	if d < 0 {
-		panic("sim: negative lane latency")
-	}
 	for _, l := range e.lanes {
 		if l.d == Time(d) {
 			return

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -277,12 +276,12 @@ func TestLanesKeepEventOrder(t *testing.T) {
 			if len(e.lanes) != len(lanes) {
 				t.Fatalf("lanes %v: engine has %d lanes", lanes, len(e.lanes))
 			}
-			if i := slices.Compare(got, want); i != 0 {
-				for j := range min(len(got), len(want)) {
-					if got[j] != want[j] {
-						t.Fatalf("lanes %v seed %d: streams diverge at event %d: %q, want %q", lanes, seed, j, got[j], want[j])
-					}
+			for j := range min(len(got), len(want)) {
+				if got[j] != want[j] {
+					t.Fatalf("lanes %v seed %d: streams diverge at line %d: %q, want %q", lanes, seed, j, got[j], want[j])
 				}
+			}
+			if len(got) != len(want) {
 				t.Fatalf("lanes %v seed %d: %d lines, want %d", lanes, seed, len(got), len(want))
 			}
 		}

@@ -124,12 +124,12 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
-	lanes   []lane // fixed-latency events, out of queue (see Lane)
-	live    map[*Proc]struct{}
-	cur     *Proc // the process currently executing, if any
+	lanes   []lane  // fixed-latency events, out of queue (see Lane)
+	procs   []*Proc // by spawn index - 1; nil once exited
+	live    int     // processes spawned and not yet exited
+	cur     *Proc   // the process currently executing, if any
 	rng     *rand.Rand
 	failure any
-	spawned uint64 // processes spawned so far; the next one's id
 	events  uint64 // events popped so far
 	digest  uint64 // every popped event's (t, seq, proc id), folded
 }
@@ -139,7 +139,6 @@ type Engine struct {
 // identical traces.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		live:   make(map[*Proc]struct{}),
 		rng:    rand.New(rand.NewSource(seed)),
 		digest: fnvOffset,
 	}
@@ -184,7 +183,7 @@ func (e *Engine) fold(ev *event) {
 // exited.  Periodic observers (tracers) use it to stop rescheduling
 // themselves once the simulation's real work is done, so the event queue
 // can drain.
-func (e *Engine) Live() int { return len(e.live) }
+func (e *Engine) Live() int { return e.live }
 
 // Jitter returns d perturbed by a uniform factor in [1-frac, 1+frac].
 func (e *Engine) Jitter(d time.Duration, frac float64) time.Duration {
@@ -282,20 +281,26 @@ func (p *Proc) Now() Time { return p.e.now }
 // Spawn creates a simulated process running fn.  The process starts at the
 // current virtual time, after already-queued events.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	e.spawned++
-	p := &Proc{e: e, name: name, id: e.spawned}
-	e.live[p] = struct{}{}
+	p := &Proc{e: e, name: name, id: uint64(len(e.procs) + 1)}
+	e.procs = append(e.procs, p)
+	e.live++
 	e.schedule(e.now, p, nil)
 	p.start(func() {
 		defer func() {
 			if r := recover(); r != nil && r != (stopped{}) && e.failure == nil {
 				e.failure = fmt.Sprintf("proc %q panicked: %v", p.name, r)
 			}
-			delete(e.live, p)
+			e.exit(p)
 		}()
 		fn(p)
 	})
 	return p
+}
+
+// exit forgets p, which has returned or was stopped.
+func (e *Engine) exit(p *Proc) {
+	e.procs[p.id-1] = nil
+	e.live--
 }
 
 // park blocks the calling process until some event resumes it.  The caller
@@ -368,10 +373,15 @@ func (p *Proc) Yield() {
 // unwound, running their deferred calls, and their coroutines exit.
 func (e *Engine) Run() error {
 	defer func() {
-		for p := range e.live {
+		for _, p := range e.procs {
+			if p == nil {
+				continue
+			}
 			e.cur = p
 			p.stop()
-			delete(e.live, p) // one that never started has no wrapper to
+			if e.procs[p.id-1] != nil { // it never started, so no wrapper ran
+				e.exit(p)
+			}
 		}
 		e.cur = nil
 	}()
@@ -393,16 +403,18 @@ func (e *Engine) Run() error {
 			return fmt.Errorf("sim: %v", e.failure)
 		}
 	}
-	if len(e.live) > 0 {
-		names := make([]string, 0, len(e.live))
-		for p := range e.live {
-			names = append(names, p.name)
+	if e.live > 0 {
+		names := make([]string, 0, e.live)
+		for _, p := range e.procs {
+			if p != nil {
+				names = append(names, p.name)
+			}
 		}
 		sort.Strings(names)
 		if len(names) > 8 {
 			names = append(names[:8], "...")
 		}
-		return fmt.Errorf("sim: deadlock: %d processes blocked forever (%v)", len(e.live), names)
+		return fmt.Errorf("sim: deadlock: %d processes blocked forever (%v)", e.live, names)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"plfs/internal/fault"
@@ -157,6 +158,16 @@ func (f Figure) run(o Options, width int) ([]*stats.Table, error) {
 					ro.Obs = sl.reg
 				}
 				sl.cells, sl.err = pts[sl.pt].Measure(ro, baseSeed+int64(sl.rep))
+				if sl.ranks >= 4096 {
+					// A large run leaves a big heap behind: return it to
+					// the OS before the next slot is taken, so paper-scale
+					// sweeps stay within a laptop's RAM.  Only here: a
+					// forced collection restarts the GC pacer and the
+					// goroutine stack-size estimate, which the next job
+					// in a process that is not admitting slots would pay
+					// for.
+					debug.FreeOSMemory()
+				}
 				mu.Lock()
 				inFlight -= sl.ranks
 				failed = failed || sl.err != nil

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime/debug"
 	"slices"
 	"time"
 
@@ -324,13 +323,8 @@ func Run(j Job) (Report, error) {
 		rep.Service = svc.Stats()
 		svc.Publish(j.Obs)
 	}
-	// Large runs (tens of thousands of simulated processes) leave big
-	// heaps behind; return the memory before Figure.Run admits the next
-	// run (it bounds the ranks in flight, see maxRanksInFlight), so
-	// paper-scale sweeps stay within a laptop's RAM.
-	if total >= 4096 {
-		debug.FreeOSMemory()
-	}
+	// Run forces no collection: Figure.run returns a large run's heap to
+	// the OS before it admits the next run.
 	return rep, failed
 }
 

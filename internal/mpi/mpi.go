@@ -38,8 +38,8 @@ type World struct {
 	n            int
 	procsPerNode int
 	nics         []*sim.PSLink
-	boxes        []*sim.Mailbox
-	notes        []notes // barrier notifications, per world rank (comm.go)
+	boxes        []sim.Mailbox // per world rank, all in one allocation
+	notes        []notes       // barrier notifications, per world rank (comm.go)
 	nextCommID   int
 	allMembers   []int // shared world-rank list, built once
 }
@@ -56,9 +56,7 @@ func NewWorld(eng *sim.Engine, n, procsPerNode int, cfg NetConfig) *World {
 	for i := 0; i < nodes; i++ {
 		w.nics = append(w.nics, sim.NewPSLink(eng, fmt.Sprintf("nic%d", i), cfg.NICBW))
 	}
-	for i := 0; i < n; i++ {
-		w.boxes = append(w.boxes, sim.NewMailbox())
-	}
+	w.boxes = make([]sim.Mailbox, n)
 	w.notes = make([]notes, n)
 	return w
 }

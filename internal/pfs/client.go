@@ -20,7 +20,7 @@ type Client struct {
 
 // Client returns a client bound to the given compute node and process.
 func (fs *FS) Client(node int, p *sim.Proc) *Client {
-	if node < 0 || node >= len(fs.nodes) {
+	if node < 0 || node >= fs.Cfg.Nodes {
 		panic("pfs: node out of range")
 	}
 	c := &Client{fs: fs, node: node, p: p}
@@ -218,8 +218,8 @@ func (c *Client) Remove(path string) error {
 	c.nsMutate(n.parent, c.fs.Cfg.CreateOp)
 	delete(n.parent.children, n.name)
 	if !n.dir {
-		for _, ns := range c.fs.nodes {
-			ns.cache.drop(n.obj)
+		for _, nc := range c.fs.nodes {
+			nc.drop(n.obj)
 		}
 	}
 	return nil
@@ -282,18 +282,26 @@ func (h *Handle) WriteAt(off int64, p payload.Payload) error {
 	if h.f.writeOpeners > 1 && cfg.LockUnit > 0 {
 		lo := off / cfg.LockUnit
 		hi := (off + n + cfg.LockUnit - 1) / cfg.LockUnit
-		rpcs := h.f.locks.acquire(lo, hi, h.c.node)
-		if rpcs > 0 {
-			h.c.fs.LockOps += int64(rpcs)
-			// Lock traffic serializes through the file's lock manager.
-			h.f.lockMgr.Use(h.c.p, h.c.jit(time.Duration(rpcs)*cfg.LockRPC))
+		if rpcs := h.f.locks.acquire(lo, hi, h.c.node); rpcs > 0 {
+			h.chargeLocks(rpcs)
 		}
 	}
 	seq := h.f.streamSeq(off, n, cfg.StreamSlots)
 	h.transfer(off, n, n, seq, false)
 	h.f.data.WriteAt(off, p)
-	h.c.fs.nodes[h.c.node].cache.insert(h.f.obj, off, n)
+	h.c.fs.nodeCache(h.c.node).insert(h.f.obj, off, n)
 	return nil
+}
+
+// chargeLocks charges rpcs lock RPCs, which serialize through the file's
+// lock manager, made by the first charge.
+func (h *Handle) chargeLocks(rpcs int) {
+	fs := h.c.fs
+	fs.LockOps += int64(rpcs)
+	if h.f.lockMgr == nil {
+		h.f.lockMgr = sim.NewResource(fs.Eng, 1)
+	}
+	h.f.lockMgr.Use(h.c.p, h.c.jit(time.Duration(rpcs)*fs.Cfg.LockRPC))
 }
 
 // Append writes p at the current end of file and returns the offset it
@@ -324,7 +332,7 @@ func (h *Handle) ReadAt(off, n int64) (payload.List, error) {
 func (h *Handle) read(off, n int64) {
 	c := h.c
 	cfg := &c.fs.Cfg
-	cache := c.fs.nodes[c.node].cache
+	cache := c.fs.nodeCache(c.node)
 	hit := cache.hitBytes(h.f.obj, off, n)
 	miss := n - hit
 	c.fs.CacheHitB += hit

@@ -35,7 +35,7 @@ type FS struct {
 	vols     []*volume
 	groups   []*sim.PSLink
 	snet     *sim.PSLink
-	nodes    []*nodeState
+	nodes    map[int]*cache // client caches of the nodes that have done I/O
 	svrCache *cache
 	root     *fnode
 	shares   []int64 // per-group scratch a transfer fills and spends before it parks
@@ -57,10 +57,6 @@ type volume struct {
 	mdsRead *sim.Resource // lookups, opens, stats, readdirs
 }
 
-type nodeState struct {
-	cache *cache
-}
-
 // fnode is a namespace node (file or directory).
 type fnode struct {
 	name   string
@@ -72,11 +68,12 @@ type fnode struct {
 	children map[string]*fnode
 	dirMu    *sim.Mutex
 
-	// File state.
+	// File state.  lockMgr and fileMu are made on first use: most files
+	// (N-N files, PLFS droppings) have one writer and never need them.
 	obj          uint64
 	data         payload.File
 	writeOpeners int
-	lockMgr      *sim.Resource
+	lockMgr      *sim.Resource // serializes the file's lock RPCs; see chargeLocks
 	locks        lockTable
 	// fileMu is the advisory whole-file write lock behind
 	// Handle.LockRange — real mutual exclusion for RMW writers, distinct
@@ -145,9 +142,7 @@ func New(eng *sim.Engine, cfg Config) *FS {
 	fs.snet = sim.NewPSLink(eng, "storage-net", cfg.StorageBW)
 	fs.shares = make([]int64, cfg.OSTGroups)
 	fs.svrCache = newCache(cfg.ServerCacheBytes, cfg.StripeUnit)
-	for i := 0; i < cfg.Nodes; i++ {
-		fs.nodes = append(fs.nodes, &nodeState{cache: newCache(cfg.ClientCacheBytes, cfg.StripeUnit)})
-	}
+	fs.nodes = map[int]*cache{}
 	fs.root = &fnode{name: "/", dir: true, children: map[string]*fnode{}, dirMu: sim.NewMutex(eng)}
 	// Pre-create the per-volume top directories: /vol0 .. /volN-1.
 	for i := 0; i < cfg.Volumes; i++ {
@@ -183,10 +178,21 @@ type Report struct {
 // the write and read phases of kernel studies so reads measure the
 // storage system rather than local memory.
 func (fs *FS) DropCaches() {
-	for _, ns := range fs.nodes {
-		ns.cache.reset()
+	for _, c := range fs.nodes {
+		c.reset()
 	}
 	fs.svrCache.reset()
+}
+
+// nodeCache returns node's client cache, making it on first use: a job
+// touches the nodes its ranks run on, not every node of the cluster.
+func (fs *FS) nodeCache(node int) *cache {
+	c := fs.nodes[node]
+	if c == nil {
+		c = newCache(fs.Cfg.ClientCacheBytes, fs.Cfg.StripeUnit)
+		fs.nodes[node] = c
+	}
+	return c
 }
 
 // Report builds a usage summary.
@@ -291,11 +297,7 @@ func (fs *FS) newDir(parent *fnode, name string) *fnode {
 
 func (fs *FS) newFile(parent *fnode, name string) *fnode {
 	fs.nextObj++
-	f := &fnode{
-		name: name, parent: parent, vol: parent.vol,
-		obj: fs.nextObj, lockMgr: sim.NewResource(fs.Eng, 1),
-		fileMu: sim.NewMutex(fs.Eng),
-	}
+	f := &fnode{name: name, parent: parent, vol: parent.vol, obj: fs.nextObj}
 	parent.children[name] = f
 	return f
 }

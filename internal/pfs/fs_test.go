@@ -644,6 +644,9 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		}
 		hit = steadyMallocs(1000, 10000, func(i int) { h.read(int64(i%4)*block, block) })
 		transfer = steadyMallocs(1000, 10000, func(i int) { h.transfer(int64(i%64)*block, block, block, i%3 == 0, false) })
+		if h.f.lockMgr != nil || h.f.fileMu != nil {
+			t.Fatal("a single-writer file made lock state")
+		}
 		h2, err := fs.Client(1, p).OpenWrite("/vol0/f")
 		if err != nil {
 			t.Fatal(err)
@@ -652,13 +655,25 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			t.Fatalf("%d write openers, want 2", h.f.writeOpeners)
 		}
 		nodes := [2]int{h.c.node, h2.c.node}
+		start := p.Now()
 		lock = steadyMallocs(1000, 10000, func(i int) {
 			u := int64(i % 64)
-			h.f.locks.acquire(u, u+1, nodes[(i+i/64)%2])
+			if rpcs := h.f.locks.acquire(u, u+1, nodes[(i+i/64)%2]); rpcs > 0 {
+				h.chargeLocks(rpcs)
+			}
 		})
+		// Uncontended and unjittered, the charges are the whole delay.
+		if d, want := p.Now()-start, sim.Time(fs.LockOps)*sim.Time(fs.Cfg.LockRPC); d != want {
+			t.Errorf("lock charges took %v, want %d RPCs × %v = %v", time.Duration(d), fs.LockOps, fs.Cfg.LockRPC, time.Duration(want))
+		}
 	})
 	if fs.CacheMisB != 0 {
 		t.Fatalf("%d bytes missed the cache", fs.CacheMisB)
+	}
+	// The first lap grants each of the 64 units (one RPC); every later
+	// acquire steals its unit from the other node (a revoke and a grant).
+	if want := int64(64 + 2*(11000-64)); fs.LockOps != want {
+		t.Errorf("%d lock RPCs over 11,000 acquires, want %d", fs.LockOps, want)
 	}
 	if hit >= 0.01 {
 		t.Errorf("cached read: %.3f mallocs per read, want < 0.01", hit)
@@ -669,4 +684,80 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if lock >= 0.01 {
 		t.Errorf("lock acquire: %.3f mallocs per acquire, want < 0.01", lock)
 	}
+}
+
+// cachedBlocks counts the blocks a cache holds.
+func cachedBlocks(c *cache) int {
+	n := 0
+	for _, s := range c.objs {
+		n += s.n
+	}
+	return n
+}
+
+// TestNewMakesNoNodeState: a file system makes a node's client cache on
+// the node's first I/O, so New allocates as much on Cielo's 8,894 nodes
+// as on one.
+func TestNewMakesNoNodeState(t *testing.T) {
+	allocs := func(nodes int) float64 {
+		cfg := Cielo()
+		cfg.Nodes = nodes
+		eng := sim.NewEngine(1)
+		return testing.AllocsPerRun(10, func() { New(eng, cfg) })
+	}
+	one, cielo := allocs(1), allocs(Cielo().Nodes)
+	if cielo > one+2 {
+		t.Errorf("New on %d nodes: %.0f allocations, on one node %.0f", Cielo().Nodes, cielo, one)
+	}
+}
+
+// TestCacheDropsReachNodesWithState: after writes from two nodes,
+// DropCaches and Remove leave neither node holding a cached block, and
+// make no client cache for any other node.
+func TestCacheDropsReachNodesWithState(t *testing.T) {
+	eng, fs := testFS(1, func(c *Config) { c.Nodes = 8 })
+	nodes := []int{1, 5}
+	held := func(when string) {
+		t.Helper()
+		if len(fs.nodes) != len(nodes) {
+			t.Fatalf("%s: %d nodes have a cache, want %d", when, len(fs.nodes), len(nodes))
+		}
+		for _, n := range nodes {
+			if b := cachedBlocks(fs.nodes[n]); b != 0 {
+				t.Errorf("%s: node %d holds %d cached blocks", when, n, b)
+			}
+		}
+	}
+	runOne(t, eng, func(p *sim.Proc) {
+		write := func() {
+			for _, n := range nodes {
+				h, err := fs.Client(n, p).Create(fmt.Sprintf("/vol0/f%d", n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.WriteAt(0, payload.Synthetic(uint64(n), 0, 1<<20)); err != nil {
+					t.Fatal(err)
+				}
+				h.Close()
+				if cachedBlocks(fs.nodes[n]) == 0 {
+					t.Fatalf("node %d cached nothing of its write", n)
+				}
+			}
+		}
+		write()
+		fs.DropCaches()
+		held("after DropCaches")
+		for _, n := range nodes {
+			if err := fs.Client(n, p).Remove(fmt.Sprintf("/vol0/f%d", n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write()
+		for _, n := range nodes {
+			if err := fs.Client(0, p).Remove(fmt.Sprintf("/vol0/f%d", n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held("after Remove")
+	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"plfs/internal/extent"
 	"plfs/internal/payload"
+	"plfs/internal/sim"
 )
 
 // This file models the vectored (list-I/O) fast paths of the storage
@@ -45,8 +46,7 @@ func (h *Handle) WritevAt(segs []extent.Ext, data payload.List) error {
 			rpcs += h.f.locks.acquire(lo, hi, h.c.node)
 		}
 		if rpcs > 0 {
-			h.c.fs.LockOps += int64(rpcs)
-			h.f.lockMgr.Use(h.c.p, h.c.jit(time.Duration(rpcs)*cfg.LockRPC))
+			h.chargeLocks(rpcs)
 		}
 	}
 	disks := make([]int64, len(segs))
@@ -62,7 +62,7 @@ func (h *Handle) WritevAt(segs []extent.Ext, data payload.List) error {
 			off += p.Len()
 		}
 		pos += e.Len
-		h.c.fs.nodes[h.c.node].cache.insert(h.f.obj, e.Off, e.Len)
+		h.c.fs.nodeCache(h.c.node).insert(h.f.obj, e.Off, e.Len)
 	}
 	return nil
 }
@@ -75,7 +75,7 @@ func (h *Handle) ReadvAt(segs []extent.Ext) (payload.List, error) {
 	}
 	c := h.c
 	cfg := &c.fs.Cfg
-	cache := c.fs.nodes[c.node].cache
+	cache := c.fs.nodeCache(c.node)
 	var total, hit int64
 	disks := make([]int64, len(segs))
 	for i, e := range segs {
@@ -131,8 +131,7 @@ func (h *Handle) Appendv(pl payload.List) (int64, error) {
 		lo := off / cfg.LockUnit
 		hi := (off + total + cfg.LockUnit - 1) / cfg.LockUnit
 		if rpcs := h.f.locks.acquire(lo, hi, h.c.node); rpcs > 0 {
-			h.c.fs.LockOps += int64(rpcs)
-			h.f.lockMgr.Use(h.c.p, h.c.jit(time.Duration(rpcs)*cfg.LockRPC))
+			h.chargeLocks(rpcs)
 		}
 	}
 	seq := h.f.streamSeq(off, total, cfg.StreamSlots)
@@ -142,7 +141,7 @@ func (h *Handle) Appendv(pl payload.List) (int64, error) {
 		h.f.data.WriteAt(cur, p)
 		cur += p.Len()
 	}
-	h.c.fs.nodes[h.c.node].cache.insert(h.f.obj, off, total)
+	h.c.fs.nodeCache(h.c.node).insert(h.f.obj, off, total)
 	return off, nil
 }
 
@@ -208,10 +207,11 @@ func (h *Handle) LockRange(off, n int64) error {
 	if h.closed {
 		return ErrClosed
 	}
-	cfg := &h.c.fs.Cfg
-	if cfg.LockRPC > 0 {
-		h.c.fs.LockOps++
-		h.f.lockMgr.Use(h.c.p, h.c.jit(cfg.LockRPC))
+	if h.c.fs.Cfg.LockRPC > 0 {
+		h.chargeLocks(1)
+	}
+	if h.f.fileMu == nil {
+		h.f.fileMu = sim.NewMutex(h.c.fs.Eng)
 	}
 	h.f.fileMu.Lock(h.c.p)
 	return nil

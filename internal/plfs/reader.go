@@ -287,6 +287,11 @@ func (r *Reader) buildCached(ndrops, total int, last string, assemble func() ([]
 // goroutine (the discrete-event engine requires blocking operations
 // there); only the pure-CPU decode of uncached shards runs on the mount's
 // pool, so the virtual time charged is the serial baseline's.
+//
+// The parse cache is consulted only once every read is done, and filled
+// before this process parks again.  So the ranks of a collective open,
+// whose reads interleave, decode each shard once between them (the first
+// to finish its reads does it) and never hold its bytes at once.
 func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 	dsp := r.sp.Child("decode")
 	defer dsp.End()
@@ -294,7 +299,7 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 	st := m.stateOf(r.rel, ctx.Tenant)
 	out := make([][]Rec, len(refs))
 	errs := make([]error, len(refs))
-	raw := make([][]byte, len(refs))
+	pls := make([]payload.List, len(refs)) // nil for a cached shard once the reads are done
 	for i, ref := range refs {
 		pl, size, err := m.readIndexReplicated(ctx, ref.Ref.Index, false)
 		if err != nil {
@@ -304,22 +309,20 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 		r.Stats.IndexReads++
 		r.Stats.IndexBytes += size
 		ctx.sleep(parseCPUPerEntry * time.Duration(size/EntryBytes))
-		st.mu.Lock()
-		cached, ok := st.parsed[ref.Ref.Index]
-		st.mu.Unlock()
-		if ok {
-			out[i] = withDropping(cached, ref.ID)
-			continue
-		}
-		if raw[i] = pl.Materialize(); raw[i] == nil {
-			raw[i] = []byte{}
+		pls[i] = pl
+	}
+	st.mu.Lock()
+	for i, ref := range refs {
+		if cached, ok := st.parsed[ref.Ref.Index]; ok && errs[i] == nil {
+			out[i], pls[i] = withDropping(cached, ref.ID), nil
 		}
 	}
+	st.mu.Unlock()
 	parallelFor(m.workers, len(refs), func(i int) {
-		if raw[i] == nil || errs[i] != nil {
+		if out[i] != nil || errs[i] != nil {
 			return
 		}
-		f, err := decodeFrame(frameIndex, raw[i])
+		f, err := decodeFrame(frameIndex, pls[i].Materialize())
 		if err != nil {
 			errs[i] = fmt.Errorf("%s: %w", refs[i].Ref.Index, err)
 			return
@@ -332,7 +335,7 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 		out[i] = f.recs
 	})
 	for i, es := range out {
-		if es != nil && raw[i] != nil {
+		if es != nil && pls[i] != nil {
 			m.storeParsed(st, refs[i].Ref.Index, es)
 		}
 	}

@@ -765,6 +765,28 @@ func steadyMallocs(warm, ops int, op func(i int)) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(ops)
 }
 
+var mailboxSink *Mailbox
+
+// TestNewMailboxMakesNoMaps: a mailbox makes its maps on the first Put
+// that queues, so NewMailbox is one allocation, and Get and take work on
+// a mailbox that has none.
+func TestNewMailboxMakesNoMaps(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { mailboxSink = NewMailbox() }); n != 1 {
+		t.Errorf("NewMailbox: %.0f allocations, want 1", n)
+	}
+	var b Mailbox
+	if _, ok := b.take(mboxKey{0, 0}); ok {
+		t.Fatal("empty mailbox yielded a message")
+	}
+	b.Put(Msg{Src: 1, Tag: 2, Val: "a"})
+	b.Put(Msg{Src: 1, Tag: 2, Val: "b"})
+	for _, want := range []string{"a", "b"} {
+		if m, ok := b.take(mboxKey{1, 2}); !ok || m.Val != want {
+			t.Fatalf("take = %v, %v; want %q", m, ok, want)
+		}
+	}
+}
+
 // TestSteadyStateAllocFree: once warm, a mailbox hand-off to a blocked
 // receiver, a message queued ahead of its receive, an async link flow
 // with its completion, and a fixed-latency event through a lane allocate

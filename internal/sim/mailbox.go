@@ -25,6 +25,9 @@ type mboxKey struct {
 // of a key that is sent to again before it is received queue in rest.
 // A mailbox belongs to one receiving process, so at most one Get waits at
 // a time and its wait is a single slot.
+//
+// Both maps are made by the first Put that queues into them: most ranks
+// of a large job never receive a point-to-point message.
 type Mailbox struct {
 	first map[mboxKey]Msg   // each key's oldest queued message
 	rest  map[mboxKey][]Msg // each key's later messages, oldest first
@@ -34,10 +37,8 @@ type Mailbox struct {
 	got    Msg     // handed to waiter by Put
 }
 
-// NewMailbox returns an empty mailbox.
-func NewMailbox() *Mailbox {
-	return &Mailbox{first: make(map[mboxKey]Msg), rest: make(map[mboxKey][]Msg)}
-}
+// NewMailbox returns an empty mailbox.  The zero Mailbox is empty too.
+func NewMailbox() *Mailbox { return &Mailbox{} }
 
 // Put delivers m, waking a matching blocked receiver if one exists.
 func (b *Mailbox) Put(m Msg) {
@@ -48,8 +49,14 @@ func (b *Mailbox) Put(m Msg) {
 		return
 	}
 	if _, queued := b.first[k]; queued {
+		if b.rest == nil {
+			b.rest = make(map[mboxKey][]Msg)
+		}
 		b.rest[k] = append(b.rest[k], m)
 		return
+	}
+	if b.first == nil {
+		b.first = make(map[mboxKey]Msg)
 	}
 	b.first[k] = m
 }

@@ -161,11 +161,9 @@ func (f Figure) run(o Options, width int) ([]*stats.Table, error) {
 				if sl.ranks >= 4096 {
 					// A large run leaves a big heap behind: return it to
 					// the OS before the next slot is taken, so paper-scale
-					// sweeps stay within a laptop's RAM.  Only here: a
-					// forced collection restarts the GC pacer and the
-					// goroutine stack-size estimate, which the next job
-					// in a process that is not admitting slots would pay
-					// for.
+					// sweeps stay within a laptop's RAM.  Run does not:
+					// a forced collection restarts the GC pacer and the
+					// goroutine stack-size estimate for the next job.
 					debug.FreeOSMemory()
 				}
 				mu.Lock()

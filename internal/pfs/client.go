@@ -219,7 +219,9 @@ func (c *Client) Remove(path string) error {
 	delete(n.parent.children, n.name)
 	if !n.dir {
 		for _, nc := range c.fs.nodes {
-			nc.drop(n.obj)
+			if nc != nil {
+				nc.drop(n.obj)
+			}
 		}
 	}
 	return nil

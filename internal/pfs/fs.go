@@ -35,7 +35,7 @@ type FS struct {
 	vols     []*volume
 	groups   []*sim.PSLink
 	snet     *sim.PSLink
-	nodes    map[int]*cache // client caches of the nodes that have done I/O
+	nodes    []*cache // client caches by node; nil for a node that has done no I/O
 	svrCache *cache
 	root     *fnode
 	shares   []int64 // per-group scratch a transfer fills and spends before it parks
@@ -142,7 +142,6 @@ func New(eng *sim.Engine, cfg Config) *FS {
 	fs.snet = sim.NewPSLink(eng, "storage-net", cfg.StorageBW)
 	fs.shares = make([]int64, cfg.OSTGroups)
 	fs.svrCache = newCache(cfg.ServerCacheBytes, cfg.StripeUnit)
-	fs.nodes = map[int]*cache{}
 	fs.root = &fnode{name: "/", dir: true, children: map[string]*fnode{}, dirMu: sim.NewMutex(eng)}
 	// Pre-create the per-volume top directories: /vol0 .. /volN-1.
 	for i := 0; i < cfg.Volumes; i++ {
@@ -179,14 +178,21 @@ type Report struct {
 // storage system rather than local memory.
 func (fs *FS) DropCaches() {
 	for _, c := range fs.nodes {
-		c.reset()
+		if c != nil {
+			c.reset()
+		}
 	}
 	fs.svrCache.reset()
 }
 
 // nodeCache returns node's client cache, making it on first use: a job
 // touches the nodes its ranks run on, not every node of the cluster.
+// The table grows to the highest node that has done I/O; a job packs
+// its ranks onto the lowest nodes.
 func (fs *FS) nodeCache(node int) *cache {
+	for len(fs.nodes) <= node {
+		fs.nodes = append(fs.nodes, nil)
+	}
 	c := fs.nodes[node]
 	if c == nil {
 		c = newCache(fs.Cfg.ClientCacheBytes, fs.Cfg.StripeUnit)

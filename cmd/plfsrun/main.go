@@ -6,7 +6,7 @@
 //
 //	plfsrun -kernel ior -ranks 256 -plfs
 //	plfsrun -kernel mpi-io-test -ranks 1024 -plfs -mode flatten -volumes 10
-//	plfsrun -kernel lanl3 -ranks 512 -plfs -cb
+//	plfsrun -kernel lanl3 -ranks 512 -plfs
 //	plfsrun -kernel noncontig -access strided -io-method sieve -ranks 64
 //	plfsrun -kernel create-storm -ranks 2048 -files 4 -profile cielo -volumes 10 -plfs
 //	plfsrun -kernel meta-storm -ranks 4096 -bulk-create -rebalance
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -59,7 +60,7 @@ func main() {
 		sieveKB  = flag.Int64("sieve-gap", 0, "sieving read coalescing: merge near-adjacent pieces up to this gap in KiB")
 		access   = flag.String("access", "strided", "noncontig kernel file pattern: contig | strided | irregular")
 		ioMethod = flag.String("io-method", "auto", "noncontiguous I/O method: auto | naive | sieve | list | twophase")
-		tenants  = flag.Int("tenants", 0, "run the multi-tenant mount service instead of -kernel: this many concurrent tenant jobs of -ranks ranks and -files containers each (refuses the flags only -kernel reads)")
+		tenants  = flag.Int("tenants", 0, "run the multi-tenant mount service instead of -kernel: this many concurrent tenant jobs of -ranks ranks and -files containers each")
 		inflight = flag.Int("inflight", 4, "admission cap: concurrent operations the batch class admits (-tenants)")
 		budgetMB = flag.Int64("budget-mb", 256, "service cache budget in MB shared across tenants (-tenants)")
 		replicaN = flag.Int("replicas", 0, "index replication factor: commit index droppings and the global index to this many volumes (self-healing; <2 = off)")
@@ -113,53 +114,34 @@ func main() {
 	case "parallel":
 		m = plfs.ParallelIndexRead
 	default:
-		fmt.Fprintf(os.Stderr, "plfsrun: unknown mode %q\n", *mode)
+		fmt.Fprintf(os.Stderr, "plfsrun: unknown mode %q (want original, flatten or parallel)\n", *mode)
 		os.Exit(2)
 	}
 
-	// A mode refuses a flag the user set that it would ignore.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	refuse := func(mode string, names ...string) {
-		for _, name := range names {
-			if set[name] {
-				fmt.Fprintf(os.Stderr, "plfsrun: %s ignores -%s\n", mode, name)
-				os.Exit(2)
-			}
-		}
-	}
-
-	// Each mode builds its job and the printer of its outcome; the flags
-	// every mode shares are applied once, below.
+	// Each mode builds its job and the printer of its outcome, and names
+	// the flags it reads; the flags every mode shares are applied once,
+	// below.
 	bytes := *bytesMB << 20
 	op := *opKB << 10
 	var job harness.Job
 	var show func(harness.Report)
+	run, uses := "-kernel "+*kernel, ""
 	switch {
 	case *brownS != "":
-		// The brownout harness builds its own 4-volume cluster and sets
-		// its own index mode.
-		refuse("-brownout", "profile", "volumes", "mode", "tenants", "inflight", "budget-mb")
+		run, uses = "-brownout", reads["brownout"]
 		job, show = brownout(*brownS, *ranks, bytes, op, *hedge, *replicaN)
 	case *tenants > 0:
-		// The service harness runs its own saturation kernel through PLFS
-		// with its own options.
-		refuse("-tenants", "kernel", "plfs", "mode", "cb", "access", "io-method", "w", "verify",
-			"stats", "dropcaches", "allow-partial", "checksum", "index-compress", "index-cache",
-			"sieve-gap", "replicas", "hedge", "bulk-create", "rebalance", "rounds")
+		run, uses = "-tenants", reads["tenants"]
 		job, show = serviceTenants(cfg, *tenants, *ranks, *files, bytes, op, *inflight, *budgetMB)
 	case *kernel == "meta-storm":
 		// With the default -volumes 1 the harness's 4-volume federation
-		// applies (skew needs a federation to be skewed across), and the
-		// storm sets its own index mode.
-		refuse("-kernel meta-storm", "mode", "inflight", "budget-mb")
-		if *volumes == 1 {
-			refuse("-kernel meta-storm with -volumes 1", "profile")
-		}
+		// applies (skew needs a federation to be skewed across).
+		uses = reads["meta-storm"]
 		k := workloads.CreateStorm100k{Containers: 5, Rounds: *rounds}
 		job = harness.MetaStorm(*ranks, k, *bulk, *rebal)
 		if *volumes > 1 {
 			job.Cfg = cfg
+			uses += " profile"
 		}
 		show = func(r harness.Report) {
 			fmt.Printf("meta-storm: %d ranks, %d rounds (bulk-create=%v rebalance=%v)\n", *ranks, *rounds, *bulk, *rebal)
@@ -169,13 +151,14 @@ func main() {
 				harness.MDSSkew(r.PFS.MDSBusy), r.Obs[0].Counter("plfs.rebalance.moves").Value(), r.Makespan.Seconds())
 		}
 	default:
-		// The admission and cache flags are the service's, and only the
-		// meta-storm runs rounds and rebalances.
-		refuse("-kernel "+*kernel, "inflight", "budget-mb", "rounds", "rebalance")
-		k, nn, err := kernelOf(*kernel, *ranks, *files, bytes, op, *access, *seed)
+		k, shape, nn, err := kernelOf(*kernel, *ranks, *files, bytes, op, *access, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "plfsrun:", err)
 			os.Exit(2)
+		}
+		uses = reads["direct"] + " " + shape
+		if *usePLFS {
+			run, uses = run+" -plfs", uses+" "+reads["plfs"]
 		}
 		meth, err := adio.ParseIOMethod(*ioMethod)
 		if err != nil {
@@ -225,6 +208,15 @@ func main() {
 		}
 	}
 
+	// A mode refuses a flag the user set that it would ignore.
+	uses += " " + reads["every"]
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(uses), f.Name) {
+			fmt.Fprintf(os.Stderr, "plfsrun: %s ignores -%s\n", run, f.Name)
+			os.Exit(2)
+		}
+	})
+
 	o := harness.Options{
 		Backend: *backend, Retry: plfs.RetryPolicy{Attempts: *retryN},
 		// The brownout and meta-storm printers read counters, so every
@@ -263,6 +255,22 @@ func main() {
 	}
 }
 
+// reads names the flags each mode reads.  Every mode reads the "every"
+// row; a direct run also reads the flags that shape its kernel's I/O,
+// which kernelOf names, and a -plfs run the "plfs" row on top.  A
+// direct run keeps its files on the first volume.  The brownout harness
+// builds its own 4-volume cluster, fault schedule and retry policy; the
+// service harness and the meta-storm run their own kernels through PLFS
+// with their own options, and the storm pins the POSIX store.
+var reads = map[string]string{
+	"every":      "ranks seed trace metrics spans",
+	"direct":     "kernel plfs profile backend fault w verify dropcaches stats",
+	"plfs":       "mode volumes retry allow-partial checksum index-compress index-cache sieve-gap replicas hedge bulk-create",
+	"meta-storm": "kernel volumes fault retry bulk-create rebalance rounds",
+	"brownout":   "brownout mb opkb backend hedge replicas",
+	"tenants":    "tenants files mb opkb profile volumes backend fault retry inflight budget-mb",
+}
+
 // volume spells a rank's bytes in MB (MiB) when they are whole MiB, and
 // in KiB, the unit of -opkb, when a kernel's whole ops fall short of that.
 func volume(b int64) string {
@@ -272,41 +280,44 @@ func volume(b int64) string {
 	return fmt.Sprintf("%d KiB", b>>10)
 }
 
-// kernelOf builds a -kernel workload; nn reports an N-N kernel (one
-// file per rank), whose containers spread across volumes.
-func kernelOf(name string, ranks, files int, bytes, op int64, access string, seed int64) (k workloads.Kernel, nn bool, err error) {
+// kernelOf builds a -kernel workload and names the flags that shape its
+// I/O; nn reports an N-N kernel (one file per rank), whose containers
+// spread across volumes.  Only the kernels that issue collective calls
+// read -cb (LANL 3 always buffers), and only the noncontiguous kernel
+// issues the accesses -io-method transforms.
+func kernelOf(name string, ranks, files int, bytes, op int64, access string, seed int64) (k workloads.Kernel, shape string, nn bool, err error) {
 	switch name {
 	case "mpi-io-test":
-		return workloads.MPIIOTest(bytes, op), false, nil
+		return workloads.MPIIOTest(bytes, op), "mb opkb cb", false, nil
 	case "ior":
-		return workloads.IOR(bytes, op), false, nil
+		return workloads.IOR(bytes, op), "mb opkb cb", false, nil
 	case "madbench":
-		return workloads.Madbench{Matrices: 8, MatrixBytes: bytes / 8}, false, nil
+		return workloads.Madbench{Matrices: 8, MatrixBytes: bytes / 8}, "mb cb", false, nil
 	case "pixie3d":
-		return workloads.Pixie3D{BytesPerRank: bytes, Vars: 8}, false, nil
+		return workloads.Pixie3D{BytesPerRank: bytes, Vars: 8}, "mb cb", false, nil
 	case "aramco":
-		return workloads.Aramco{TotalBytes: bytes * int64(ranks) / 4}, false, nil
+		return workloads.Aramco{TotalBytes: bytes * int64(ranks) / 4}, "mb cb", false, nil
 	case "lanl1":
-		return workloads.LANL1(bytes), false, nil
+		return workloads.LANL1(bytes), "mb cb", false, nil
 	case "lanl2":
-		return workloads.LANL2(bytes), false, nil
+		return workloads.LANL2(bytes), "mb cb", false, nil
 	case "lanl3":
-		return workloads.LANL3(bytes*int64(ranks), ranks), false, nil
+		return workloads.LANL3(bytes*int64(ranks), ranks), "mb", false, nil
 	case "noncontig":
 		acc, err := workloads.ParseAccess(access)
 		if err != nil {
-			return nil, false, err
+			return nil, "", false, err
 		}
 		return workloads.Noncontig{
 			Access: acc, BlockSize: op, BlocksPerRank: max(int(bytes/op/2), 1),
 			Steps: 2, MemContig: true, Seed: seed,
-		}, false, nil
+		}, "mb opkb cb access io-method", false, nil
 	case "n-n":
-		return workloads.NNFiles{BytesPerRank: bytes, OpSize: op}, true, nil
+		return workloads.NNFiles{BytesPerRank: bytes, OpSize: op}, "mb opkb", true, nil
 	case "create-storm":
-		return workloads.CreateStorm{FilesPerRank: files}, true, nil
+		return workloads.CreateStorm{FilesPerRank: files}, "files", true, nil
 	}
-	return nil, false, fmt.Errorf("unknown kernel %q", name)
+	return nil, "", false, fmt.Errorf("unknown kernel %q", name)
 }
 
 // brownout builds the self-healing run: one job writing and verifying a

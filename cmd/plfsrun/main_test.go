@@ -32,8 +32,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestRejectsNonPositiveSizes checks that a rank count, op size, volume
-// count or retry count below one, or an unknown profile, is a usage error
-// (exit 2 with a message), not a panic.
+// count or retry count below one, or an unknown profile or mode, is a
+// usage error (exit 2 with a message), not a panic.
 func TestRejectsNonPositiveSizes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-kernel", "mpi-io-test", "-opkb", "0"},
@@ -46,6 +46,7 @@ func TestRejectsNonPositiveSizes(t *testing.T) {
 		{"-retry", "0"},
 		{"-kernel", "ior", "-plfs", "-retry", "-2"},
 		{"-profile", "bogus"},
+		{"-mode", "bogus"},
 		{"-plfs", "-volumes", "0"},
 		{"-kernel", "meta-storm", "-volumes", "-2"},
 	} {
@@ -55,11 +56,13 @@ func TestRejectsNonPositiveSizes(t *testing.T) {
 
 // TestRejectsIgnoredFlags checks that a mode refuses a flag the user set
 // that it would otherwise ignore, naming the flag: meta-storm sets its own
-// index mode, and runs its own cluster while -volumes is 1; -brownout
-// builds its own cluster and sets its own index mode; -tenants runs its
-// own kernel through PLFS with its own options.  Only -tenants reads the
-// service's admission and cache flags, and only meta-storm reads -rounds
-// and -rebalance; -brownout wins over -tenants.
+// index mode, store and sizes, and runs its own cluster while -volumes is
+// 1; -brownout builds its own cluster, faults and retry policy and sets
+// its own index mode; -tenants runs its own kernel through PLFS with its
+// own options; a direct run never reaches the PLFS options.  Only
+// -tenants reads the service's admission and cache flags, only meta-storm
+// reads -rounds and -rebalance, and a kernel reads only the size and
+// access flags that shape its I/O; -brownout wins over -tenants.
 func TestRejectsIgnoredFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -90,6 +93,27 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-tenants", "2", "-verify=false"}, "-verify"},
 		{[]string{"-tenants", "2", "-sieve-gap", "64"}, "-sieve-gap"},
 		{[]string{"-tenants", "2", "-rounds", "5"}, "-rounds"},
+		{[]string{"-kernel", "ior", "-mode", "original"}, "-mode"},
+		{[]string{"-kernel", "ior", "-checksum"}, "-checksum"},
+		{[]string{"-kernel", "ior", "-index-compress=false"}, "-index-compress"},
+		{[]string{"-kernel", "ior", "-replicas", "2"}, "-replicas"},
+		{[]string{"-kernel", "ior", "-retry", "3"}, "-retry"},
+		{[]string{"-kernel", "ior", "-volumes", "2"}, "-volumes"},
+		{[]string{"-kernel", "ior", "-plfs", "-files", "3"}, "-files"},
+		{[]string{"-kernel", "ior", "-plfs", "-access", "contig"}, "-access"},
+		{[]string{"-kernel", "ior", "-plfs", "-io-method", "sieve"}, "-io-method"},
+		{[]string{"-kernel", "lanl3", "-plfs", "-cb"}, "-cb"},
+		{[]string{"-kernel", "pixie3d", "-opkb", "64"}, "-opkb"},
+		{[]string{"-kernel", "create-storm", "-plfs", "-mb", "1"}, "-mb"},
+		{[]string{"-brownout", "1:8", "-retry", "5"}, "-retry"},
+		{[]string{"-brownout", "1:8", "-fault", "seed=1,all=0.01"}, "-fault"},
+		{[]string{"-brownout", "1:8", "-checksum"}, "-checksum"},
+		{[]string{"-brownout", "1:8", "-kernel", "ior"}, "-kernel"},
+		{[]string{"-kernel", "meta-storm", "-plfs"}, "-plfs"},
+		{[]string{"-kernel", "meta-storm", "-mb", "1"}, "-mb"},
+		{[]string{"-kernel", "meta-storm", "-backend", "objfs"}, "-backend"},
+		{[]string{"-kernel", "meta-storm", "-checksum"}, "-checksum"},
+		{[]string{"-kernel", "meta-storm", "-w"}, "-w"},
 	} {
 		if out := usageError(t, c.args); !strings.Contains(out, "ignores "+c.flag) {
 			t.Errorf("plfsrun %v: stderr %q does not name %s", c.args, out, c.flag)

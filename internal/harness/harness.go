@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"time"
 
 	"plfs/internal/adio"
@@ -21,7 +22,6 @@ import (
 	"plfs/internal/sim"
 	"plfs/internal/simfs"
 	"plfs/internal/stats"
-	"plfs/internal/trace"
 	"plfs/internal/workloads"
 )
 
@@ -176,10 +176,7 @@ func Run(j Job) (Report, error) {
 		dropCaches = func() {} // the object store keeps no caches
 		report     func() pfs.Report
 		publish    func(reg *obs.Registry)
-		probes     func() []struct {
-			Name string
-			Fn   func() float64
-		}
+		probes     func() []probe
 	)
 	if j.Backend == BackendObjfs {
 		store := objfs.NewSim(eng, objfs.DefaultConfig())
@@ -292,15 +289,9 @@ func Run(j Job) (Report, error) {
 		}
 	})
 	rep := Report{Obs: regs}
-	var rec *trace.Recorder
+	var tr *trace
 	if j.TraceEvery > 0 && j.TraceTo != nil {
-		rec = trace.NewRecorder(eng, j.TraceEvery)
-		for _, p := range probes() {
-			rec.Add(p.Name, p.Fn)
-		}
-		if err := rec.Start(); err != nil {
-			return rep, err
-		}
+		tr = startTrace(eng, j.TraceEvery, probes())
 	}
 	err := eng.Run()
 	rep.Events, rep.Digest = eng.Events(), eng.Digest()
@@ -308,8 +299,8 @@ func Run(j Job) (Report, error) {
 		publish(j.Obs)
 		return rep, errors.Join(failed, err)
 	}
-	if rec != nil {
-		if err := rec.WriteCSV(j.TraceTo); err != nil {
+	if tr != nil {
+		if err := tr.writeCSV(j.TraceTo); err != nil {
 			return rep, err
 		}
 	}
@@ -326,6 +317,63 @@ func Run(j Job) (Report, error) {
 	// Run forces no collection: Figure.run returns a large run's heap to
 	// the OS before it admits the next run.
 	return rep, failed
+}
+
+// probe reads one instantaneous metric of the store for a trace.
+type probe = struct {
+	Name string
+	Fn   func() float64
+}
+
+// trace is a job's resource time series (Job.TraceEvery, plfsrun
+// -trace): each row is a sample's virtual time in seconds, then every
+// probe's value.
+type trace struct {
+	probes []probe
+	rows   [][]float64
+}
+
+// startTrace samples probes now and every interval of virtual time
+// after, until a sample finds no process left, so the engine drains.
+func startTrace(eng *sim.Engine, every time.Duration, probes []probe) *trace {
+	t := &trace{probes: probes}
+	var sample func()
+	sample = func() {
+		row := make([]float64, 0, len(probes)+1)
+		row = append(row, eng.Now().Seconds())
+		for _, p := range probes {
+			row = append(row, p.Fn())
+		}
+		t.rows = append(t.rows, row)
+		eng.After(every, func() {
+			if eng.Live() > 0 {
+				sample()
+			}
+		})
+	}
+	sample()
+	return t
+}
+
+// writeCSV writes a header row, then one row per sample.
+func (t *trace) writeCSV(w io.Writer) error {
+	names := []string{"t_seconds"}
+	for _, p := range t.probes {
+		names = append(names, p.Name)
+	}
+	if _, err := fmt.Fprintln(w, strings.Join(names, ",")); err != nil {
+		return err
+	}
+	for _, row := range t.rows {
+		cells := []string{fmt.Sprintf("%.6f", row[0])}
+		for _, v := range row[1:] {
+			cells = append(cells, fmt.Sprintf("%g", v))
+		}
+		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Tenants is the multi-tenant service run (ablation-tenants, plfsrun

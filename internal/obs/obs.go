@@ -2,8 +2,8 @@
 // registry (counters, gauges, fixed-bucket latency histograms with
 // percentile estimation) plus hierarchical span tracing.  It is the
 // substrate that makes every reproduced shape attributable to its
-// mechanism — where internal/trace samples resource time series on a
-// fixed schedule, obs attributes time to *operations*: each open,
+// mechanism — where the harness samples resource time series on a
+// fixed schedule (plfsrun -trace), obs attributes time to *operations*: each open,
 // aggregate, decode, merge, flush, or commit is bracketed and its
 // duration binned.
 //

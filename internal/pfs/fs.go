@@ -363,8 +363,8 @@ func (fs *FS) PublishObs(reg *obs.Registry) {
 }
 
 // TraceProbes exposes the file system's shared resources as trace probes
-// for time-series sampling (see internal/trace): in-flight flow counts,
-// metadata queue depths, and cumulative byte/op counters.
+// for time-series sampling (the harness's Job.TraceEvery): in-flight
+// flow counts, metadata queue depths, and cumulative byte/op counters.
 func (fs *FS) TraceProbes() []struct {
 	Name string
 	Fn   func() float64

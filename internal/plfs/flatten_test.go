@@ -3,8 +3,12 @@ package plfs_test
 import (
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"plfs/internal/obs"
+	"plfs/internal/osfs"
 	"plfs/internal/payload"
 	"plfs/internal/plfs"
 )
@@ -62,6 +66,76 @@ func TestFlattenExistingContainer(t *testing.T) {
 		verifyN1(t, rd, n, blocks, bs)
 		rd.Close()
 	})
+}
+
+// TestOpenProbesGlobalIndexOnce: a collective Index Flatten or Parallel
+// Index Read open surveys the container once, whatever the writers left
+// behind.  Both modes touch meta/global.index alike on a given container
+// (one failed probe when it was never flattened), serve a flattened one
+// from the global index and any other through the Parallel Index Read
+// groups, and count one cache miss per open.
+func TestOpenProbesGlobalIndexOnce(t *testing.T) {
+	const n, blocks, bs = 4, 3, int64(128)
+	var counting atomic.Bool
+	var globalOps atomic.Int64
+	r := newRig(t, 1, plfs.Options{IndexMode: plfs.Original, NumSubdirs: 2})
+	r.newVols = func() []plfs.Backend {
+		return []plfs.Backend{plfs.Interpose(osfs.New(), func(op *plfs.Op, call func() error) error {
+			if counting.Load() && strings.HasSuffix(op.Path, "/meta/global.index") {
+				globalOps.Add(1)
+			}
+			return call()
+		})}
+	}
+	for _, name := range []string{"plain", "flat"} {
+		runRanks(t, r, n, func(ctx plfs.Ctx, rank int) {
+			writeN1(t, r.m, ctx, rank, n, blocks, bs, name)
+		})
+	}
+	if err := r.m.Flatten(r.ctx(0, nil), "flat"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"plain", "flat"} {
+		flattened := name == "flat"
+		wantMode := plfs.ParallelIndexRead
+		if flattened {
+			wantMode = plfs.IndexFlatten
+		}
+		var ops []int64
+		for _, mode := range []plfs.Mode{plfs.IndexFlatten, plfs.ParallelIndexRead} {
+			// A fresh mount per open: its cache is cold, so rank 0 misses.
+			m := plfs.NewMount(r.roots, plfs.Options{IndexMode: mode, NumSubdirs: 2})
+			reg := obs.New()
+			globalOps.Store(0)
+			counting.Store(true)
+			runRanks(t, r, n, func(ctx plfs.Ctx, rank int) {
+				ctx.Obs = reg
+				rd, err := m.OpenReader(ctx, name)
+				if err != nil {
+					t.Errorf("%s in %v: open: %v", name, mode, err)
+					return
+				}
+				if rd.Stats.Mode != wantMode || rd.Stats.UsedGlobal != flattened {
+					t.Errorf("%s in %v: rank %d served as %v (global %v), want %v (global %v)",
+						name, mode, rank, rd.Stats.Mode, rd.Stats.UsedGlobal, wantMode, flattened)
+				}
+				verifyN1(t, rd, n, blocks, bs)
+				rd.Close()
+			})
+			counting.Store(false)
+			if miss := reg.Counter("plfs.index.cache.miss").Value(); miss != 1 {
+				t.Errorf("%s in %v: %d cache misses, want 1", name, mode, miss)
+			}
+			ops = append(ops, globalOps.Load())
+		}
+		if ops[0] != ops[1] {
+			t.Errorf("%s: %d ops on meta/global.index in Index Flatten mode, %d in Parallel Index Read mode; want the same",
+				name, ops[0], ops[1])
+		}
+		if !flattened && ops[0] != 1 {
+			t.Errorf("%s: %d ops on meta/global.index, want one probe", name, ops[0])
+		}
+	}
 }
 
 func TestFlattenMissingContainerFails(t *testing.T) {

@@ -779,7 +779,8 @@ func (m *Mount) Stat(ctx Ctx, rel string) (Info, error) {
 		if err != nil {
 			return Info{}, err
 		}
-		ix, err := m.aggregateSerial(ctx, rel, drops)
+		r := m.newReader(ctx, rel)
+		ix, err := r.readRefs(r.shardRefs(drops))
 		if err != nil {
 			return Info{}, err
 		}

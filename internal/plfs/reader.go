@@ -23,15 +23,14 @@ type Reader struct {
 	ctx Ctx
 	rel string
 
-	ix        *Index
-	st        *containerState // pinned for the open (nil outside OpenReader)
-	gen       uint64          // container generation captured at open
-	skipCache bool            // index cache already consulted this open
-	handles   map[int32]File
-	vsums     map[int32]*extentSums // lazy per-dropping checksums (VerifyData)
-	pbuf      []Piece               // reused Lookup buffer (alloc-free ReadAt)
-	closed    bool
-	sp        *obs.Span // the enclosing "open" span (nil when obs is off)
+	ix      *Index
+	st      *containerState // pinned for the open (nil outside OpenReader)
+	gen     uint64          // container generation captured at open
+	handles map[int32]File
+	vsums   map[int32]*extentSums // lazy per-dropping checksums (VerifyData)
+	pbuf    []Piece               // reused Lookup buffer (alloc-free ReadAt)
+	closed  bool
+	sp      *obs.Span // the enclosing "open" span (nil when obs is off)
 
 	// Stats describes what this open did (for tests and the harness).
 	Stats OpenStats
@@ -104,13 +103,10 @@ func (m *Mount) OpenReader(ctx Ctx, rel string) (*Reader, error) {
 	r.sp = ctx.Obs.StartSpan("open")
 	defer r.sp.End()
 	var err error
-	switch mode {
-	case Original:
-		err = r.aggregateOriginal()
-	case IndexFlatten:
-		err = r.aggregateFlatten()
-	case ParallelIndexRead:
-		err = r.aggregateParallel()
+	if mode == Original {
+		err = r.openOriginal()
+	} else {
+		err = r.openCollective()
 	}
 	if ctx.Obs != nil {
 		ctx.Obs.Counter("plfs.open.ops").Add(1)
@@ -131,22 +127,19 @@ func (m *Mount) OpenReader(ctx Ctx, rel string) (*Reader, error) {
 
 // cacheGet consults the cross-open index cache — the container state's
 // built index, if an earlier open shared it — at the generation captured
-// when this open started.  Exactly one hit or miss is counted per open
-// regardless of how many aggregation strategies consult the cache on the
-// way (flatten falling back to parallel, parallel deferring to flatten).
+// when this open started.  An open consults it at most once, so each
+// counts one hit or miss.
 func (r *Reader) cacheGet() *Index {
 	if r.m.opt.NoIndexCache {
 		return nil
 	}
-	count := !r.skipCache
-	r.skipCache = true
 	var ix *Index
 	r.st.mu.Lock()
 	if r.st.shared && r.st.builtKey.gen == r.gen {
 		ix = r.st.built
 	}
 	r.st.mu.Unlock()
-	if count && r.ctx.Obs != nil {
+	if r.ctx.Obs != nil {
 		if ix != nil {
 			r.ctx.Obs.Counter("plfs.index.cache.hit").Add(1)
 		} else {
@@ -231,20 +224,47 @@ func (r *Reader) tryGlobalIndex() (*Index, error) {
 		return nil, fmt.Errorf("plfs: %s: %w", gp, err)
 	}
 	ctx.sleep(parseCPUPerEntry * time.Duration(len(f.recs)))
-	return r.buildShards([][]Rec{f.recs}, f.paths), nil
+	return r.buildGlobal(f.recs, f.paths), nil
 }
 
-// buildShards builds (with caching) the resolved index from raw shards.
-func (r *Reader) buildShards(shards [][]Rec, dataPaths []string) *Index {
-	total := 0
-	for _, s := range shards {
-		total += len(s)
+// survey probes the container for a flattened global index and, when
+// there is none, lists its droppings: the one look at the container a
+// read open takes (every rank of a collective Original open takes it,
+// rank 0 of any other open).
+func (r *Reader) survey() (*Index, []droppingRef, error) {
+	if ix, err := r.tryGlobalIndex(); err != nil || ix != nil {
+		return ix, nil, err
 	}
+	drops, err := r.m.listDroppings(r.ctx, r.rel)
+	return nil, drops, err
+}
+
+// buildGlobal builds (with caching) the index of a flattened global
+// index's records and data dropping paths.
+func (r *Reader) buildGlobal(recs []Rec, paths []string) *Index {
 	last := ""
-	if len(dataPaths) > 0 {
-		last = dataPaths[len(dataPaths)-1]
+	if len(paths) > 0 {
+		last = paths[len(paths)-1]
 	}
-	return r.buildCached(len(dataPaths), total, last, func() ([][]Rec, []string) { return shards, dataPaths })
+	return r.buildCached(len(paths), len(recs), last, func() ([][]Rec, []string) { return [][]Rec{recs}, paths })
+}
+
+// buildListed builds (with caching) the index of total records in the
+// shards read from the n droppings of a listing, whose i-th data path is
+// data(i).  Only the process that builds calls shards and lays out the
+// job-sized path table.
+func (r *Reader) buildListed(n, total int, data func(i int) string, shards func() [][]Rec) *Index {
+	last := ""
+	if n > 0 {
+		last = data(n - 1)
+	}
+	return r.buildCached(n, total, last, func() ([][]Rec, []string) {
+		paths := make([]string, n)
+		for i := range paths {
+			paths[i] = data(i)
+		}
+		return shards(), paths
+	})
 }
 
 // buildCached returns the container's resolved index for an aggregation
@@ -281,7 +301,8 @@ func (r *Reader) buildCached(ndrops, total int, last string, assemble func() ([]
 
 // readShards reads and parses the given index droppings, collecting one
 // error per failed shard (joined) instead of failing on the first.  The
-// returned slice is aligned with refs.
+// returned slice is aligned with refs; a ref with no index dropping has
+// no shard.
 //
 // Backend calls and per-shard parse charges stay on the caller's
 // goroutine (the discrete-event engine requires blocking operations
@@ -301,6 +322,9 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 	errs := make([]error, len(refs))
 	pls := make([]payload.List, len(refs)) // nil for a cached shard once the reads are done
 	for i, ref := range refs {
+		if ref.Ref.Index == "" {
+			continue
+		}
 		pl, size, err := m.readIndexReplicated(ctx, ref.Ref.Index, false)
 		if err != nil {
 			errs[i] = fmt.Errorf("%s: %w", ref.Ref.Index, err)
@@ -319,7 +343,7 @@ func (r *Reader) readShards(refs []shardRef) ([][]Rec, error) {
 	}
 	st.mu.Unlock()
 	parallelFor(m.workers, len(refs), func(i int) {
-		if out[i] != nil || errs[i] != nil {
+		if out[i] != nil || errs[i] != nil || refs[i].Ref.Index == "" {
 			return
 		}
 		f, err := decodeFrame(frameIndex, pls[i].Materialize())
@@ -376,63 +400,77 @@ func withDropping(recs []Rec, id int32) []Rec {
 	return out
 }
 
-// aggregateOriginal is the paper's original design: this process alone
-// lists the container and reads every index dropping (N readers each
+// shardRefs gives every dropping of a listing its shard ref, so the refs
+// alone carry the path table: no rank keeps the listing or a path table
+// of its own through the reads.  Callers pass its result straight to
+// readRefs; a function that took the listing as a parameter would keep
+// it live through its calls.
+func (r *Reader) shardRefs(drops []droppingRef) []shardRef {
+	refs := make([]shardRef, len(drops))
+	for i, d := range drops {
+		if d.Index == "" {
+			r.m.fillMissingIndex(r.ctx, &d)
+		}
+		refs[i] = shardRef{Ref: d, ID: int32(i)}
+	}
+	return refs
+}
+
+// readRefs reads the index droppings of a listing's refs and builds the
+// container's index from them: the tail of an Original open, of Stat
+// without a size record and of Flatten.
+func (r *Reader) readRefs(refs []shardRef) (*Index, error) {
+	shards, err := r.readShards(refs)
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, s := range shards {
+		total += len(s)
+	}
+	return r.buildListed(len(refs), total, func(i int) string { return refs[i].Ref.Data }, func() [][]Rec { return shards }), nil
+}
+
+// openOriginal is the paper's original design: this process alone
+// surveys the container and reads every index dropping (N readers each
 // doing this produce the N² open storm of Fig. 3a).  Only the serial
 // (no-communicator) path consults the cross-open cache; collective
 // Original opens model the paper's uncoordinated baseline and must not
 // share state between ranks.
-func (r *Reader) aggregateOriginal() error {
+func (r *Reader) openOriginal() error {
 	if r.ctx.Comm == nil {
-		if ix := r.cacheGet(); ix != nil {
-			r.ix = ix
+		if r.ix = r.cacheGet(); r.ix != nil {
 			return nil
 		}
 	}
 	lsp := r.sp.Child("list")
-	if ix, err := r.tryGlobalIndex(); err != nil || ix != nil {
-		lsp.End()
-		r.ix = ix
-		r.Stats.UsedGlobal = ix != nil
-		return err
-	}
-	drops, err := r.m.listDroppings(r.ctx, r.rel)
+	global, drops, err := r.survey()
 	lsp.End()
-	if err != nil {
+	if err != nil || global != nil {
+		r.ix, r.Stats.UsedGlobal = global, global != nil
 		return err
 	}
-	paths := make([]string, len(drops))
-	refs := make([]shardRef, 0, len(drops))
-	for i, d := range drops {
-		paths[i] = d.Data
-		if d.Index == "" && !r.m.fillMissingIndex(r.ctx, &d) {
-			continue
-		}
-		refs = append(refs, shardRef{Ref: d, ID: int32(i)})
-	}
-	shards, err := r.readShards(refs)
-	if err != nil {
-		return err
-	}
-	r.ix = r.buildShards(shards, paths)
-	return nil
+	r.ix, err = r.readRefs(r.shardRefs(drops))
+	return err
 }
 
-// aggregateFlatten reads the global index at rank 0 and broadcasts it
-// (Fig. 3b).  If no global index exists (a writer overflowed the
-// threshold, or the file was written without flattening), it falls back
-// to Parallel Index Read.  A rank-0 hit in the cross-open cache rides
-// the existing header broadcast: the mount cache is process-shared
-// memory, so handing peers the pointer costs no modeled transport.
-func (r *Reader) aggregateFlatten() error {
+// openCollective is a collective Index Flatten or Parallel Index Read
+// open.  Rank 0 checks the cross-open cache, surveys the container and
+// broadcasts one header.  Then every rank takes the flattened global
+// index by broadcast (Fig. 3b) or, where the writers left none, runs the
+// Parallel Index Read groups over rank 0's listing (Fig. 3c): the two
+// modes differ only in what the writers left behind.  A rank-0 cache hit
+// rides the header: the mount cache is process-shared memory, so handing
+// peers the pointer costs no modeled transport.
+func (r *Reader) openCollective() error {
 	c := r.ctx.Comm
 	type hdr struct {
-		errs    string
-		missing bool
-		nbytes  int64
-		cached  *Index
+		errs   string
+		cached *Index
+		global bool
+		n      int64 // the global index's wire bytes, or the droppings listed
 	}
-	type material struct {
+	type flat struct {
 		paths []string
 		recs  []Rec
 	}
@@ -441,43 +479,39 @@ func (r *Reader) aggregateFlatten() error {
 	if c.Rank() == 0 {
 		if ix := r.cacheGet(); ix != nil {
 			hv = hdr{cached: ix}
+		} else if global, drops, err := r.survey(); err != nil {
+			hv = hdr{errs: err.Error()}
+		} else if global != nil {
+			recs := flattenRecsOf(global)
+			hv = hdr{global: true, n: recsWireLen(recs)}
+			mv = flat{paths: global.Droppings(), recs: recs}
 		} else {
-			ix, err := r.tryGlobalIndex()
-			switch {
-			case err != nil:
-				hv = hdr{errs: err.Error()}
-			case ix == nil:
-				hv = hdr{missing: true}
-			default:
-				recs := flattenRecsOf(ix)
-				hv = hdr{nbytes: recsWireLen(recs)}
-				mv = material{paths: ix.Droppings(), recs: recs}
-			}
+			hv = hdr{n: int64(len(drops))}
+			mv = drops
 		}
 	}
 	lsp.End()
 	xsp := r.sp.Child("exchange")
 	h := c.Bcast(0, 24, hv).(hdr)
-	if h.errs != "" {
+	switch {
+	case h.errs != "":
 		xsp.End()
 		return errors.New(h.errs)
-	}
-	if h.cached != nil {
+	case h.cached != nil:
 		xsp.End()
-		r.ix = h.cached
-		r.Stats.CacheHit = true
+		r.ix, r.Stats.CacheHit = h.cached, true
+		return nil
+	case h.global:
+		got := c.Bcast(0, h.n, mv).(flat)
+		xsp.End()
+		r.Stats.Mode, r.Stats.UsedGlobal = IndexFlatten, true
+		r.ix = r.buildGlobal(got.recs, got.paths)
 		return nil
 	}
-	if h.missing {
-		xsp.End()
-		r.Stats.Mode = ParallelIndexRead
-		return r.aggregateParallel()
-	}
-	r.Stats.UsedGlobal = true
-	got := c.Bcast(0, h.nbytes, mv).(material)
+	drops, _ := c.Bcast(0, h.n*96, mv).([]droppingRef)
 	xsp.End()
-	r.ix = r.buildShards([][]Rec{got.recs}, got.paths)
-	return nil
+	r.Stats.Mode = ParallelIndexRead
+	return r.readParallel(drops)
 }
 
 // parallel-read shard transport.
@@ -493,61 +527,13 @@ type mergedShards struct {
 	total int
 }
 
-// aggregateParallel implements Parallel Index Read (Fig. 3c): ranks are
-// partitioned into groups; members read disjoint subsets of the index
-// droppings; group leaders merge, exchange with the other leaders, and
-// broadcast the global set within their groups.  The container is opened
-// N times instead of N².
-func (r *Reader) aggregateParallel() error {
-	m, ctx := r.m, r.ctx
-	c := ctx.Comm
-
-	// Rank 0 lists the container (and checks the cross-open cache and
-	// for a flattened index).
-	type hdr struct {
-		global bool
-		errs   string
-		ndrops int
-		cached *Index
-	}
-	var hv, dv any
-	lsp := r.sp.Child("list")
-	if c.Rank() == 0 {
-		if ix := r.cacheGet(); ix != nil {
-			hv = hdr{cached: ix}
-		} else if ix, err := r.tryGlobalIndex(); err != nil {
-			hv = hdr{errs: err.Error()}
-		} else if ix != nil {
-			hv = hdr{global: true}
-		} else if drops, err := m.listDroppings(ctx, r.rel); err != nil {
-			hv = hdr{errs: err.Error()}
-		} else {
-			hv = hdr{ndrops: len(drops)}
-			dv = drops
-		}
-	}
-	lsp.End()
-	xsp := r.sp.Child("exchange")
-	first := c.Bcast(0, 24, hv).(hdr)
-	if first.errs != "" {
-		xsp.End()
-		return errors.New(first.errs)
-	}
-	if first.cached != nil {
-		xsp.End()
-		r.ix = first.cached
-		r.Stats.CacheHit = true
-		return nil
-	}
-	if first.global {
-		xsp.End()
-		// A flattened index exists: serve everyone from it.
-		r.Stats.Mode = IndexFlatten
-		return r.aggregateFlatten()
-	}
-	drops, _ := c.Bcast(0, int64(first.ndrops)*96, dv).([]droppingRef)
-	xsp.End()
-
+// readParallel is Parallel Index Read's collective tail (Fig. 3c): ranks
+// are partitioned into groups; members read disjoint subsets of the
+// listed index droppings; group leaders merge, exchange with the other
+// leaders, and broadcast the global set within their groups.  The
+// container is opened N times instead of N².
+func (r *Reader) readParallel(drops []droppingRef) error {
+	m, c := r.m, r.ctx.Comm
 	n := c.Size()
 	groupSize := m.opt.GroupSize
 	if groupSize <= 0 {
@@ -570,7 +556,7 @@ func (r *Reader) aggregateParallel() error {
 	leaders := c.Split(leaderColor, c.Rank())
 
 	// Leader assigns members their subset of this group's droppings.
-	xsp = r.sp.Child("exchange")
+	xsp := r.sp.Child("exchange")
 	var assignment []shardRef
 	if isLeader {
 		mine := chunk(len(drops), numGroups, myGroup)
@@ -650,20 +636,12 @@ func (r *Reader) aggregateParallel() error {
 
 	// Every rank holds the same all and drops; the job-sized shard and
 	// path tables are laid out only by the rank that builds.
-	last := ""
-	if len(drops) > 0 {
-		last = drops[len(drops)-1].Data
-	}
-	r.ix = r.buildCached(len(drops), total, last, func() ([][]Rec, []string) {
+	r.ix = r.buildListed(len(drops), total, func(i int) string { return drops[i].Data }, func() [][]Rec {
 		shards := make([][]Rec, len(all))
 		for i, sm := range all {
 			shards[i] = sm.Recs
 		}
-		paths := make([]string, len(drops))
-		for i, d := range drops {
-			paths[i] = d.Data
-		}
-		return shards, paths
+		return shards
 	})
 	return nil
 }
@@ -990,26 +968,6 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// aggregateSerial is the Mount-level helper used by Stat when no size
-// record exists: an Original-style aggregation without a Reader.
-func (m *Mount) aggregateSerial(ctx Ctx, rel string, drops []droppingRef) (*Index, error) {
-	r := m.newReader(ctx, rel)
-	paths := make([]string, len(drops))
-	refs := make([]shardRef, 0, len(drops))
-	for i, d := range drops {
-		paths[i] = d.Data
-		if d.Index == "" && !m.fillMissingIndex(ctx, &d) {
-			continue
-		}
-		refs = append(refs, shardRef{Ref: d, ID: int32(i)})
-	}
-	shards, err := r.readShards(refs)
-	if err != nil {
-		return nil, err
-	}
-	return r.buildShards(shards, paths), nil
-}
-
 // Flatten aggregates an existing container's index droppings into a
 // persistent global index (the plfs_flatten_index administrative tool):
 // subsequent read opens, in any mode, serve from the single flattened
@@ -1019,16 +977,11 @@ func (m *Mount) Flatten(ctx Ctx, rel string) error {
 	ctx = m.bind(ctx)
 	rel = clean(rel)
 	r := m.newReader(ctx, rel)
-	if ix, err := r.tryGlobalIndex(); err != nil {
-		return err
-	} else if ix != nil {
-		return nil // already flattened
+	global, drops, err := r.survey()
+	if err != nil || global != nil {
+		return err // nil when already flattened
 	}
-	drops, err := m.listDroppings(ctx, rel)
-	if err != nil {
-		return err
-	}
-	ix, err := m.aggregateSerial(ctx, rel, drops)
+	ix, err := r.readRefs(r.shardRefs(drops))
 	if err != nil {
 		return err
 	}

@@ -10,8 +10,7 @@ import (
 
 // TestTraceSamplesUntilLastExit: a trace samples at time zero and every
 // interval after while a process lives, then stops, so the engine
-// drains; its CSV is a header row, then one row per sample with the
-// virtual time first.
+// drains.
 func TestTraceSamplesUntilLastExit(t *testing.T) {
 	eng := sim.NewEngine(1)
 	work := 0.0
@@ -31,12 +30,23 @@ func TestTraceSamplesUntilLastExit(t *testing.T) {
 	if first, last := tr.rows[0], tr.rows[len(tr.rows)-1]; first[0] != 0 || first[1] != 0 || last[1] < 9 {
 		t.Fatalf("first sample %v, last %v", first, last)
 	}
+}
+
+// TestTraceWriteCSV: a trace's CSV is a header row, then one row per
+// sample with the virtual time first.
+func TestTraceWriteCSV(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tr := startTrace(eng, time.Millisecond, []probe{{"x", func() float64 { return 42 }}})
+	eng.Spawn("p", func(p *sim.Proc) { p.Sleep(3 * time.Millisecond) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	if err := tr.writeCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
-	if lines[0] != "t_seconds,work" || lines[1] != "0.000000,0" || len(lines) != len(tr.rows)+1 {
+	if lines[0] != "t_seconds,x" || lines[1] != "0.000000,42" || len(lines) != len(tr.rows)+1 {
 		t.Fatalf("csv:\n%s", b.String())
 	}
 }

@@ -186,7 +186,6 @@ type ufsFile struct {
 	ctx      plfs.Ctx
 	f        plfs.File
 	hints    Hints
-	stats    IOStats
 	writable bool
 	closed   bool
 }
@@ -267,7 +266,6 @@ type plfsFile struct {
 	w      *plfs.Writer
 	r      *plfs.Reader
 	hints  Hints
-	stats  IOStats
 	size   int64
 	closed bool
 }

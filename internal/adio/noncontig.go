@@ -64,35 +64,6 @@ func ParseIOMethod(s string) (IOMethod, error) {
 	return MethodAuto, fmt.Errorf("adio: unknown io method %q (want auto|naive|sieve|list|twophase)", s)
 }
 
-// IOStats reports what a file's vectored accesses did (tests and the
-// harness read it through Stats).
-type IOStats struct {
-	Method    IOMethod // effective noncontiguous method after hint defaults
-	VecWrites int      // WriteAtv calls (including those behind WriteAll)
-	VecReads  int      // ReadAtv calls
-	Segs      int      // flattened segments across those calls
-	Batches   int      // backend requests the vectored paths issued
-	// SieveRMW counts write-side read-modify-write windows;
-	// SieveReadBytes the bytes reread to fill them, and SieveWasted the
-	// gap bytes transferred (either direction) that no segment asked for
-	// — the amplification cost of Hints.SieveGap.
-	SieveRMW       int
-	SieveReadBytes int64
-	SieveWasted    int64
-}
-
-// statser is the internal accessor behind Stats.
-type statser interface{ ioStats() IOStats }
-
-// Stats returns the vectored-access statistics of a file opened by this
-// package (zero for foreign File implementations).
-func Stats(f File) IOStats {
-	if s, ok := f.(statser); ok {
-		return s.ioStats()
-	}
-	return IOStats{}
-}
-
 // segTotal returns the byte count a segment list selects.
 func segTotal(segs []Seg) int64 {
 	var n int64
@@ -123,30 +94,26 @@ func (u *ufsFile) WriteAtv(segs []Seg, data payload.List) error {
 	if !u.writable {
 		return errNotWritable
 	}
-	u.stats.VecWrites++
-	u.stats.Segs += len(segs)
 	switch u.hints.IOMethod {
 	case MethodNaive:
 		return u.writeEach(segs, data)
 	case MethodSieve:
 		return u.writeSievev(segs, data)
-	default: // List; also TwoPhase (independent calls) and normalized Auto.
-		return u.writeListv(segs, data)
+	default: // List I/O: the whole segment list as one batched backend
+		// request.  Also TwoPhase (independent calls) and normalized Auto.
+		return u.f.WritevAt(segs, data)
 	}
 }
 
 // ReadAtv reads the flattened segments of one access, returning their
 // bytes concatenated in segment order.
 func (u *ufsFile) ReadAtv(segs []Seg) (payload.List, error) {
-	u.stats.VecReads++
-	u.stats.Segs += len(segs)
 	switch u.hints.IOMethod {
 	case MethodNaive:
 		return u.readEach(segs)
 	case MethodSieve:
 		return u.readSievev(segs)
-	default: // list I/O, as writeListv
-		u.stats.Batches++
+	default: // list I/O, as WriteAtv
 		return u.f.ReadvAt(segs)
 	}
 }
@@ -157,7 +124,6 @@ func (u *ufsFile) writeEach(segs []Seg, data payload.List) error {
 	for _, e := range segs {
 		off := e.Off
 		for _, p := range data.Slice(pos, e.Len) {
-			u.stats.Batches++
 			if err := u.f.WriteAt(off, p); err != nil {
 				return err
 			}
@@ -175,7 +141,6 @@ func (u *ufsFile) readEach(segs []Seg) (payload.List, error) {
 		if e.Len <= 0 {
 			continue
 		}
-		u.stats.Batches++
 		pl, err := u.f.ReadAt(e.Off, e.Len)
 		if err != nil {
 			return nil, err
@@ -183,13 +148,6 @@ func (u *ufsFile) readEach(segs []Seg) (payload.List, error) {
 		out = out.Concat(pl)
 	}
 	return out, nil
-}
-
-// writeListv ships the whole segment list as one batched backend
-// request (list I/O).
-func (u *ufsFile) writeListv(segs []Seg, data payload.List) error {
-	u.stats.Batches++
-	return u.f.WritevAt(segs, data)
 }
 
 // sieveBuf caps a sieving window's covering extent, ROMIO's
@@ -203,7 +161,7 @@ const sieveBuf = 4 << 20
 // concurrent writers of a sieved file.  Gap bytes below EOF are reread
 // and written back unchanged; gaps past EOF are holes and come back as
 // zeros, so sieving never invents nonzero data.  The reread and wasted
-// bytes are charged to IOStats and the plfs.write.sieve_* counters.
+// bytes are charged to the plfs.write.sieve_* counters.
 func (u *ufsFile) writeSievev(segs []Seg, data payload.List) error {
 	offs := make([]int64, len(segs))
 	var pos int64
@@ -226,15 +184,11 @@ func (u *ufsFile) writeSievev(segs []Seg, data payload.List) error {
 					return err
 				}
 			}
-			u.stats.SieveRMW++
-			u.stats.SieveReadBytes += b.Len
-			u.stats.SieveWasted += b.Len - live
 			if obs := u.ctx.Obs; obs != nil {
 				obs.Counter("plfs.write.sieve_rmw").Add(1)
 				obs.Counter("plfs.write.sieve_read_bytes").Add(b.Len)
 				obs.Counter("plfs.write.sieve_wasted").Add(b.Len - live)
 			}
-			u.stats.Batches++
 			old, err := u.f.ReadAt(b.Off, b.Len)
 			if err != nil {
 				if rl != nil {
@@ -260,7 +214,7 @@ func (u *ufsFile) writeSievev(segs []Seg, data payload.List) error {
 				cur += p.Len()
 			}
 		}
-		err := u.writeListv([]Seg{{Off: b.Off, Len: b.Len}}, win.ReadAt(b.Off, b.Len))
+		err := u.f.WritevAt([]Seg{{Off: b.Off, Len: b.Len}}, win.ReadAt(b.Off, b.Len))
 		if rmw && rl != nil {
 			if uerr := rl.UnlockRange(b.Off, b.Len); err == nil {
 				err = uerr
@@ -282,8 +236,6 @@ func (u *ufsFile) readSievev(segs []Seg) (payload.List, error) {
 	parts := make([]payload.List, len(batches))
 	batchOf := make([]int, len(segs))
 	for bi, b := range batches {
-		u.stats.Batches++
-		u.stats.SieveWasted += b.Len - b.Live(ext)
 		if obs := u.ctx.Obs; obs != nil {
 			obs.Counter("plfs.read.sieve_wasted").Add(b.Len - b.Live(ext))
 		}
@@ -328,12 +280,6 @@ func (u *ufsFile) ReadAll(base int64, t *Datatype) (payload.List, error) {
 	return pl, err
 }
 
-func (u *ufsFile) ioStats() IOStats {
-	st := u.stats
-	st.Method = u.hints.IOMethod
-	return st
-}
-
 // ---------------------------------------------------------------------
 // PLFS vectored paths.  The log structure collapses the classic
 // trade-offs: every write is an append, so data sieving's RMW buys
@@ -346,8 +292,6 @@ func (p *plfsFile) WriteAtv(segs []Seg, data payload.List) error {
 	if p.w == nil {
 		return errNotWriteOpen
 	}
-	p.stats.VecWrites++
-	p.stats.Segs += len(segs)
 	if end := segEnd(segs); end > p.size {
 		p.size = end
 	}
@@ -356,7 +300,6 @@ func (p *plfsFile) WriteAtv(segs []Seg, data payload.List) error {
 		for _, e := range segs {
 			off := e.Off
 			for _, pl := range data.Slice(pos, e.Len) {
-				p.stats.Batches++
 				if err := p.w.Write(off, pl); err != nil {
 					return err
 				}
@@ -366,7 +309,6 @@ func (p *plfsFile) WriteAtv(segs []Seg, data payload.List) error {
 		}
 		return nil
 	}
-	p.stats.Batches++
 	return p.w.Writev(segs, data)
 }
 
@@ -376,15 +318,12 @@ func (p *plfsFile) ReadAtv(segs []Seg) (payload.List, error) {
 	if p.r == nil {
 		return nil, errNotReadOpen
 	}
-	p.stats.VecReads++
-	p.stats.Segs += len(segs)
 	if p.hints.IOMethod == MethodNaive {
 		var out payload.List
 		for _, e := range segs {
 			if e.Len <= 0 {
 				continue
 			}
-			p.stats.Batches++
 			pl, err := p.r.ReadAt(e.Off, e.Len)
 			if err != nil {
 				return nil, err
@@ -393,7 +332,6 @@ func (p *plfsFile) ReadAtv(segs []Seg) (payload.List, error) {
 		}
 		return out, nil
 	}
-	p.stats.Batches++
 	return p.r.ReadAtv(segs)
 }
 
@@ -414,12 +352,6 @@ func (p *plfsFile) ReadAll(base int64, t *Datatype) (payload.List, error) {
 		p.ctx.Comm.Barrier()
 	}
 	return pl, err
-}
-
-func (p *plfsFile) ioStats() IOStats {
-	st := p.stats
-	st.Method = p.hints.IOMethod
-	return st
 }
 
 // ---------------------------------------------------------------------
@@ -458,5 +390,3 @@ func (f *cbFile) WriteAll(base int64, t *Datatype, data payload.List) error {
 func (f *cbFile) ReadAll(base int64, t *Datatype) (payload.List, error) {
 	return f.readAllSegs(t.Segs(base))
 }
-
-func (f *cbFile) ioStats() IOStats { return Stats(f.inner) }

@@ -14,7 +14,7 @@ import (
 // TestEventDigests pins the engine's event count and event digest of
 // small runs of both benchmark job shapes (the N-1 checkpoint and
 // restart, and both halves of the N-N create pair), an Original-mode
-// read open and a brownout run.  A change that moves any event of these
+// and an Index Flatten read open, and a brownout run.  A change that moves any event of these
 // runs in time or in order, adds one or drops one, fails it; only a
 // declared model change may update the table.
 func TestEventDigests(t *testing.T) {
@@ -58,6 +58,12 @@ func TestEventDigests(t *testing.T) {
 			ReadBack: true, Verify: true, DropCaches: true,
 		}, 32807, 0xdda039a1c6ce70fb},
 		{"brownout", brownout, 9156, 0x08b25c309149d301},
+		{"index_flatten_read_open", harness.Job{
+			Seed: 1, Ranks: 64, Cfg: pfs.SmallCluster(),
+			Opt:    plfs.Options{IndexMode: plfs.IndexFlatten, NumSubdirs: 32},
+			Kernel: workloads.MPIIOTest(256<<10, 64<<10), UsePLFS: true,
+			ReadBack: true, Verify: true, DropCaches: true,
+		}, 13836, 0x12447d93ad3e8e6b},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r, err := harness.Run(c.job)

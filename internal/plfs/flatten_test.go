@@ -73,7 +73,10 @@ func TestFlattenExistingContainer(t *testing.T) {
 // behind.  Both modes touch meta/global.index alike on a given container
 // (one failed probe when it was never flattened), serve a flattened one
 // from the global index and any other through the Parallel Index Read
-// groups, and count one cache miss per open.
+// groups, and count one cache miss per open.  Every rank merges once:
+// over a flattened container rank 0 broadcasts the records as it read
+// them and builds after the broadcast like the others, so each open
+// holds one open/merge span per rank.
 func TestOpenProbesGlobalIndexOnce(t *testing.T) {
 	const n, blocks, bs = 4, 3, int64(128)
 	var counting atomic.Bool
@@ -126,6 +129,9 @@ func TestOpenProbesGlobalIndexOnce(t *testing.T) {
 			if miss := reg.Counter("plfs.index.cache.miss").Value(); miss != 1 {
 				t.Errorf("%s in %v: %d cache misses, want 1", name, mode, miss)
 			}
+			if merges := mergeSpans(reg); merges != n {
+				t.Errorf("%s in %v: %d open/merge spans over %d ranks, want one per rank", name, mode, merges, n)
+			}
 			ops = append(ops, globalOps.Load())
 		}
 		if ops[0] != ops[1] {
@@ -136,6 +142,21 @@ func TestOpenProbesGlobalIndexOnce(t *testing.T) {
 			t.Errorf("%s: %d ops on meta/global.index, want one probe", name, ops[0])
 		}
 	}
+}
+
+// mergeSpans counts the merge spans directly under an open span.
+func mergeSpans(reg *obs.Registry) int {
+	names := map[uint64]string{}
+	for _, s := range reg.Spans() {
+		names[s.ID] = s.Name
+	}
+	n := 0
+	for _, s := range reg.Spans() {
+		if s.Name == "merge" && names[s.Parent] == "open" {
+			n++
+		}
+	}
+	return n
 }
 
 func TestFlattenMissingContainerFails(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"plfs/internal/fault"
+	"plfs/internal/obs"
 	"plfs/internal/payload"
 	"plfs/internal/plfs"
 )
@@ -142,7 +143,10 @@ func TestVerifyDataEnforcesChecksums(t *testing.T) {
 	rd.Close()
 
 	part := plfs.NewMount(r.roots, plfs.Options{IndexMode: plfs.Original, VerifyData: true, AllowPartial: true})
-	rd, err = part.OpenReader(serialCtx(r, 0), name)
+	ctx := serialCtx(r, 0)
+	reg := obs.New()
+	ctx.Obs = reg
+	rd, err = part.OpenReader(ctx, name)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -151,7 +155,7 @@ func TestVerifyDataEnforcesChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partial read: %v", err)
 	}
-	if rd.ReadStats.ChecksumErrors == 0 {
+	if reg.Counter("plfs.read.checksum_zero_fill").Value() == 0 {
 		t.Fatal("AllowPartial read did not count the checksum error")
 	}
 	zeros := payload.List{payload.Zeros(bs)}
@@ -172,6 +176,32 @@ func TestVerifyDataEnforcesChecksums(t *testing.T) {
 	}
 	if !sawZeros {
 		t.Fatal("no block was zero-substituted despite a checksum error")
+	}
+}
+
+// TestVerifyDataCountsPhysBytes: a VerifyData read books the data it
+// fetched in plfs.read.phys_bytes like any other read, and only that:
+// the whole-extent rereads that check the footer CRCs are not counted.
+func TestVerifyDataCountsPhysBytes(t *testing.T) {
+	name := "verified"
+	r := writeIntegrityFile(t, plfs.Options{IndexMode: plfs.Original, Checksum: true}, name)
+	m := plfs.NewMount(r.roots, plfs.Options{IndexMode: plfs.Original, VerifyData: true})
+	ctx := serialCtx(r, 0)
+	reg := obs.New()
+	ctx.Obs = reg
+	rd, err := m.OpenReader(ctx, name)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer rd.Close()
+	// A read that starts and ends inside extents, so the verification
+	// rereads cover more than the read returns.
+	got, err := rd.ReadAt(1, rd.Size()-2)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if phys := reg.Counter("plfs.read.phys_bytes").Value(); phys != got.Len() {
+		t.Errorf("plfs.read.phys_bytes = %d after a verified read of %d bytes", phys, got.Len())
 	}
 }
 

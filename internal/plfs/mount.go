@@ -103,7 +103,7 @@ type Options struct {
 	// SieveGap is the data-sieving threshold for ReadAt coalescing: two
 	// pieces of the same dropping whose physical extents are within this
 	// many bytes merge into one backend read, trading wasted gap bytes
-	// (tracked in ReadStats.SieveWasted) for fewer I/Os.  0, the default,
+	// (counted in plfs.read.sieve_wasted) for fewer I/Os.  0, the default,
 	// still merges exactly-adjacent pieces.
 	SieveGap int64
 	// Retry reissues every backend call that fails with a transient
@@ -125,7 +125,7 @@ type Options struct {
 	// recorded by Checksum writers before returning bytes (end-to-end
 	// read integrity).  A mismatched extent fails the read — or, under
 	// AllowPartial, reads as zeros and is counted in
-	// ReadStats.ChecksumErrors.  Droppings without checksummed footers
+	// plfs.read.checksum_zero_fill.  Droppings without checksummed footers
 	// are served unverified.
 	VerifyData bool
 	// IndexReplicas commits each index dropping and global index to this

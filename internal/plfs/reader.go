@@ -34,8 +34,6 @@ type Reader struct {
 
 	// Stats describes what this open did (for tests and the harness).
 	Stats OpenStats
-	// ReadStats accumulates what this reader's ReadAt calls did.
-	ReadStats ReadStats
 }
 
 // OpenStats reports the work an OpenReader performed.
@@ -51,25 +49,6 @@ type OpenStats struct {
 	// or parse and skipped under Options.AllowPartial; their extents
 	// read as holes.
 	SkippedShards []string
-}
-
-// ReadStats reports the work a reader's ReadAt calls performed.
-type ReadStats struct {
-	Ops     int // ReadAt calls served
-	VecOps  int // ReadAtv calls served
-	VecSegs int // logical extents covered across all ReadAtv calls
-	Pieces  int // index pieces covered, including holes
-	Holes   int // hole pieces (zeros, no I/O)
-	Batches int // physical dropping reads issued after sieving coalescing
-	// PhysBytes counts bytes fetched from droppings, including sieving
-	// gap bytes; SieveWasted is the gap-only portion (PhysBytes minus the
-	// bytes callers asked for), the read-amplification cost of
-	// Options.SieveGap.
-	PhysBytes   int64
-	SieveWasted int64
-	// ChecksumErrors counts extents whose data failed VerifyData
-	// verification and were served as zeros under Options.AllowPartial.
-	ChecksumErrors int
 }
 
 func (m *Mount) newReader(ctx Ctx, rel string) *Reader {
@@ -201,9 +180,10 @@ const (
 	mergeCPUPerEntry = 2 * time.Microsecond
 )
 
-// tryGlobalIndex attempts to read the flattened global index; it returns
-// (nil, nil) when none exists.
-func (r *Reader) tryGlobalIndex() (*Index, error) {
+// tryGlobalIndex reads and decodes the flattened global index, its
+// records and data dropping paths; it returns (nil, nil) when none
+// exists.  It builds nothing: the caller decides who builds.
+func (r *Reader) tryGlobalIndex() (*frame, error) {
 	m, ctx := r.m, r.ctx
 	cpath, _ := m.containerPath(r.rel)
 	gp := path.Join(cpath, metaDir, globalIndex)
@@ -224,16 +204,16 @@ func (r *Reader) tryGlobalIndex() (*Index, error) {
 		return nil, fmt.Errorf("plfs: %s: %w", gp, err)
 	}
 	ctx.sleep(parseCPUPerEntry * time.Duration(len(f.recs)))
-	return r.buildGlobal(f.recs, f.paths), nil
+	return &f, nil
 }
 
 // survey probes the container for a flattened global index and, when
 // there is none, lists its droppings: the one look at the container a
 // read open takes (every rank of a collective Original open takes it,
 // rank 0 of any other open).
-func (r *Reader) survey() (*Index, []droppingRef, error) {
-	if ix, err := r.tryGlobalIndex(); err != nil || ix != nil {
-		return ix, nil, err
+func (r *Reader) survey() (*frame, []droppingRef, error) {
+	if global, err := r.tryGlobalIndex(); err != nil || global != nil {
+		return global, nil, err
 	}
 	drops, err := r.m.listDroppings(r.ctx, r.rel)
 	return nil, drops, err
@@ -446,9 +426,12 @@ func (r *Reader) openOriginal() error {
 	lsp := r.sp.Child("list")
 	global, drops, err := r.survey()
 	lsp.End()
-	if err != nil || global != nil {
-		r.ix, r.Stats.UsedGlobal = global, global != nil
+	if err != nil {
 		return err
+	}
+	if global != nil {
+		r.ix, r.Stats.UsedGlobal = r.buildGlobal(global.recs, global.paths), true
+		return nil
 	}
 	r.ix, err = r.readRefs(r.shardRefs(drops))
 	return err
@@ -470,10 +453,6 @@ func (r *Reader) openCollective() error {
 		global bool
 		n      int64 // the global index's wire bytes, or the droppings listed
 	}
-	type flat struct {
-		paths []string
-		recs  []Rec
-	}
 	var hv, mv any
 	lsp := r.sp.Child("list")
 	if c.Rank() == 0 {
@@ -482,9 +461,10 @@ func (r *Reader) openCollective() error {
 		} else if global, drops, err := r.survey(); err != nil {
 			hv = hdr{errs: err.Error()}
 		} else if global != nil {
-			recs := flattenRecsOf(global)
-			hv = hdr{global: true, n: recsWireLen(recs)}
-			mv = flat{paths: global.Droppings(), recs: recs}
+			// The records as read: rank 0 builds after the broadcast, like
+			// every rank, and not before it.
+			hv = hdr{global: true, n: recsWireLen(global.recs)}
+			mv = global
 		} else {
 			hv = hdr{n: int64(len(drops))}
 			mv = drops
@@ -502,7 +482,7 @@ func (r *Reader) openCollective() error {
 		r.ix, r.Stats.CacheHit = h.cached, true
 		return nil
 	case h.global:
-		got := c.Bcast(0, h.n, mv).(flat)
+		got := c.Bcast(0, h.n, mv).(*frame)
 		xsp.End()
 		r.Stats.Mode, r.Stats.UsedGlobal = IndexFlatten, true
 		r.ix = r.buildGlobal(got.recs, got.paths)
@@ -712,7 +692,6 @@ func (r *Reader) ReadAt(off, n int64) (payload.List, error) {
 		obs.Counter("plfs.read.bytes").Add(n)
 	}
 	r.pbuf = r.ix.AppendPieces(r.pbuf[:0], off, n)
-	r.ReadStats.Ops++
 	return r.readPieces(r.pbuf)
 }
 
@@ -733,7 +712,6 @@ func (r *Reader) ReadAtv(segs []extent.Ext) (payload.List, error) {
 		}
 		total += e.Len
 		r.pbuf = r.ix.AppendPieces(r.pbuf, e.Off, e.Len)
-		r.ReadStats.VecSegs++
 	}
 	if obs := r.ctx.Obs; obs != nil {
 		defer obs.Timer("plfs.readat")()
@@ -741,7 +719,6 @@ func (r *Reader) ReadAtv(segs []extent.Ext) (payload.List, error) {
 		obs.Counter("plfs.read.vec_segs").Add(int64(len(segs)))
 		obs.Counter("plfs.read.bytes").Add(total)
 	}
-	r.ReadStats.VecOps++
 	return r.readPieces(r.pbuf)
 }
 
@@ -749,12 +726,6 @@ func (r *Reader) ReadAtv(segs []extent.Ext) (payload.List, error) {
 // plans physical batches, issues them, and reassembles the pieces in
 // order.
 func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
-	r.ReadStats.Pieces += len(pieces)
-	for _, p := range pieces {
-		if p.Dropping < 0 {
-			r.ReadStats.Holes++
-		}
-	}
 	if r.m.opt.VerifyData {
 		// Verification reads each piece's extent individually (the footer
 		// CRCs cover whole extents, not sieving batches).
@@ -767,12 +738,9 @@ func (r *Reader) readPieces(pieces []Piece) (payload.List, error) {
 	return r.readPlanned(pieces)
 }
 
-// notePhys books the physical reads one call issues: batches backend
-// reads fetching phys bytes, want of which the caller asked for.
-func (r *Reader) notePhys(batches int, phys, want int64) {
-	r.ReadStats.Batches += batches
-	r.ReadStats.PhysBytes += phys
-	r.ReadStats.SieveWasted += phys - want
+// notePhys books the physical reads one call issues: phys bytes fetched
+// from droppings, want of which the caller asked for.
+func (r *Reader) notePhys(phys, want int64) {
 	if obs := r.ctx.Obs; obs != nil {
 		obs.Counter("plfs.read.phys_bytes").Add(phys)
 		obs.Counter("plfs.read.sieve_wasted").Add(phys - want)
@@ -785,7 +753,7 @@ func (r *Reader) notePhys(batches int, phys, want int64) {
 // noncontiguous pieces (DESIGN.md §12); here there is nothing to plan, so
 // the backend's fresh list is returned as is.
 func (r *Reader) readOne(p Piece) (payload.List, error) {
-	r.notePhys(1, p.Length, p.Length)
+	r.notePhys(p.Length, p.Length)
 	return r.readExtent(p.Dropping, p.PhysOff, p.Length)
 }
 
@@ -816,7 +784,7 @@ func (r *Reader) readPlanned(pieces []Piece) (payload.List, error) {
 	for _, b := range batches {
 		phys += b.length
 	}
-	r.notePhys(len(batches), phys, want)
+	r.notePhys(phys, want)
 
 	// Every handle opens before the first read: backend File handles are
 	// reused across batches, and the backend sees all opens, then reads.
@@ -892,7 +860,6 @@ func (r *Reader) readVerified(pieces []Piece) (payload.List, error) {
 			}
 			// Graceful degradation: the corrupt extent reads as a
 			// hole rather than serving damaged bytes.
-			r.ReadStats.ChecksumErrors++
 			if obs := r.ctx.Obs; obs != nil {
 				dp := r.ix.Droppings()[piece.Dropping]
 				obs.Counter("plfs.read.checksum_zero_fill").Add(1)
@@ -901,8 +868,9 @@ func (r *Reader) readVerified(pieces []Piece) (payload.List, error) {
 			out = out.Append(payload.Zeros(piece.Length))
 			continue
 		}
-		r.ReadStats.Batches++
-		r.ReadStats.PhysBytes += piece.Length
+		// Only the piece's own read is booked: verifyPiece's whole-extent
+		// rereads are integrity checking, not data the caller fetched.
+		r.notePhys(piece.Length, piece.Length)
 		pl, err := r.readExtent(piece.Dropping, piece.PhysOff, piece.Length)
 		if err != nil {
 			return nil, err

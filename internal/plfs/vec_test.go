@@ -1,13 +1,34 @@
 package plfs_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"plfs/internal/extent"
 	"plfs/internal/localcomm"
+	"plfs/internal/obs"
 	"plfs/internal/payload"
 	"plfs/internal/plfs"
 )
+
+// countDataOps routes ctx's volumes through an interceptor that counts
+// the calls of the given kinds on data droppings, as the store receives
+// them.  The count is the rank's own: ranks run on their own contexts.
+func countDataOps(ctx *plfs.Ctx, kinds ...plfs.OpKind) *int {
+	n := new(int)
+	vols := make([]plfs.Backend, len(ctx.Vols))
+	for i, v := range ctx.Vols {
+		vols[i] = plfs.Interpose(v, func(op *plfs.Op, call func() error) error {
+			if slices.Contains(kinds, op.Kind) && strings.Contains(op.Path, "dropping.data.") {
+				*n++
+			}
+			return call()
+		})
+	}
+	ctx.Vols = vols
+	return n
+}
 
 // TestWritevSingleBackendAppend pins the O(1)-backend-ops property of
 // list I/O through PLFS: one Writev call with K strided extents must land
@@ -19,6 +40,9 @@ func TestWritevSingleBackendAppend(t *testing.T) {
 	const bs = int64(512)
 	r := newRig(t, 1, plfs.Options{IndexMode: plfs.ParallelIndexRead, NumSubdirs: 4})
 	runRanks(t, r, n, func(ctx plfs.Ctx, rank int) {
+		reg := obs.New()
+		ctx.Obs = reg
+		appends := countDataOps(&ctx, plfs.OpAppend, plfs.OpAppendv)
 		w, err := r.m.Create(ctx, "vec")
 		if err != nil {
 			t.Errorf("rank %d create: %v", rank, err)
@@ -34,21 +58,25 @@ func TestWritevSingleBackendAppend(t *testing.T) {
 		if err := w.Writev(segs, data); err != nil {
 			t.Errorf("rank %d writev: %v", rank, err)
 		}
-		if w.Stats.VecOps != 1 || w.Stats.Segs != k {
-			t.Errorf("rank %d: VecOps=%d Segs=%d, want 1/%d", rank, w.Stats.VecOps, w.Stats.Segs, k)
+		// The acceptance criterion: K extents, one physical append.  Close
+		// appends the recovery footer, so count before it.
+		if *appends != 1 {
+			t.Errorf("rank %d: %d backend appends for one Writev, want 1", rank, *appends)
+		}
+		if ops, segs := reg.Counter("plfs.write.vec_ops").Value(), reg.Counter("plfs.write.vec_segs").Value(); ops != 1 || segs != k {
+			t.Errorf("rank %d: vec_ops=%d vec_segs=%d, want 1/%d", rank, ops, segs, k)
 		}
 		if err := w.Close(); err != nil {
 			t.Errorf("rank %d close: %v", rank, err)
-		}
-		// The acceptance criterion: K extents, one physical append.
-		if w.Stats.Appends != 1 {
-			t.Errorf("rank %d: %d backend appends for one Writev, want 1", rank, w.Stats.Appends)
 		}
 	})
 
 	// Read side: one ReadAtv over the rank's extents is one vectored call,
 	// content-verified per segment.
 	runRanks(t, r, n, func(ctx plfs.Ctx, rank int) {
+		reg := obs.New()
+		ctx.Obs = reg
+		reads := countDataOps(&ctx, plfs.OpReadAt, plfs.OpReadvAt)
 		rd, err := r.m.OpenReader(ctx, "vec")
 		if err != nil {
 			t.Errorf("rank %d open: %v", rank, err)
@@ -70,9 +98,13 @@ func TestWritevSingleBackendAppend(t *testing.T) {
 		if !payload.ContentEqual(got, want) {
 			t.Errorf("rank %d: ReadAtv content mismatch", rank)
 		}
-		if rd.ReadStats.VecOps != 1 || rd.ReadStats.VecSegs != k {
-			t.Errorf("rank %d: VecOps=%d VecSegs=%d, want 1/%d",
-				rank, rd.ReadStats.VecOps, rd.ReadStats.VecSegs, k)
+		if ops, segs := reg.Counter("plfs.read.vec_ops").Value(), reg.Counter("plfs.read.vec_segs").Value(); ops != 1 || segs != k {
+			t.Errorf("rank %d: vec_ops=%d vec_segs=%d, want 1/%d", rank, ops, segs, k)
+		}
+		// The rank's extents lie back to back in its own data dropping, so
+		// the plan coalesces them into one backend read.
+		if *reads != 1 {
+			t.Errorf("rank %d: %d backend data reads for one ReadAtv, want 1", rank, *reads)
 		}
 	})
 }

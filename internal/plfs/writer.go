@@ -40,19 +40,6 @@ type Writer struct {
 
 	maxLogical int64
 	closed     bool
-
-	// Stats accumulates what this writer's Write/Writev calls did (for
-	// tests and the harness).
-	Stats WriteStats
-}
-
-// WriteStats reports the work a writer performed.
-type WriteStats struct {
-	Ops     int   // Write calls
-	VecOps  int   // Writev calls
-	Segs    int   // extents logged across all Writev calls
-	Bytes   int64 // logical bytes written
-	Appends int   // backend append operations issued for data
 }
 
 // Create opens the logical file rel for writing, creating the container
@@ -211,8 +198,6 @@ func (w *Writer) Write(off int64, p payload.Payload) error {
 		obs.Counter("plfs.write.ops").Add(1)
 		obs.Counter("plfs.write.bytes").Add(n)
 	}
-	w.Stats.Ops++
-	w.Stats.Bytes += n
 	w.record(off, p)
 	return w.afterRecord()
 }
@@ -240,14 +225,8 @@ func (w *Writer) Writev(segs []extent.Ext, data payload.List) error {
 		obs.Counter("plfs.write.vec_segs").Add(int64(len(segs)))
 		obs.Counter("plfs.write.bytes").Add(total)
 	}
-	w.Stats.VecOps++
-	w.Stats.Bytes += total
 	var pos int64
 	for _, e := range segs {
-		if e.Len == 0 {
-			continue
-		}
-		w.Stats.Segs++
 		off := e.Off
 		for _, p := range data.Slice(pos, e.Len) {
 			w.record(off, p)
@@ -358,7 +337,6 @@ func (w *Writer) flushData() error {
 	if err != nil {
 		return err
 	}
-	w.Stats.Appends++
 	w.written += w.bufBytes
 	w.buf, w.bufBytes = w.buf[:0], 0
 	return nil

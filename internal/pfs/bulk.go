@@ -35,10 +35,10 @@ func (c *Client) CreateBulk(ops []BulkOp) []error {
 
 	// Per-volume item tallies for the amortized service charge.
 	volItems := map[int]int{}
-	var locked *fnode
+	var locked *dirNode
 	unlock := func() {
 		if locked != nil {
-			locked.dirMu.Unlock()
+			locked.mu.Unlock()
 			locked = nil
 		}
 	}
@@ -48,38 +48,18 @@ func (c *Client) CreateBulk(ops []BulkOp) []error {
 			errs[i] = err
 			continue
 		}
-		if !parent.dir {
-			errs[i] = ErrNotDir
-			continue
-		}
 		volItems[parent.vol]++
 		if parent != locked {
 			unlock()
-			waiters := parent.dirMu.Waiters()
-			if parent.dirMu.Locked() {
-				waiters++
-			}
-			parent.dirMu.Lock(c.p)
+			crit := c.lockDir(parent)
 			locked = parent
-			crit := cfg.DirCritical
-			if waiters > 0 {
-				w := waiters
-				if cfg.DirWaiterCap > 0 && w > cfg.DirWaiterCap {
-					w = cfg.DirWaiterCap
-				}
-				crit += time.Duration(w) * cfg.DirPerWaiter
-			}
 			c.p.Sleep(c.jit(crit))
 		}
-		if _, ok := parent.children[name]; ok {
+		if _, ok := parent.child(name); ok {
 			errs[i] = ErrExist
 			continue
 		}
-		if op.Dir {
-			c.fs.newDir(parent, name)
-		} else {
-			c.fs.newFile(parent, name)
-		}
+		c.fs.mknod(parent, name, op.Dir)
 	}
 	unlock()
 	for vol, n := range sortedVolItems(volItems) {

@@ -12,15 +12,14 @@ package pfs
 // the access pattern is — a strided checkpoint inserting half a million
 // extents stays O(1) per operation — and dropping an object is O(1).  A
 // partially-written block counts as present (the usual page-cache
-// rounding).  A fifo entry whose block is no longer present (its object
-// was dropped) is skipped when eviction reaches it.
+// rounding).  A queued block that is no longer present (its object was
+// dropped) is skipped when eviction reaches it.
 type cache struct {
 	capacity int64
 	block    int64
 	used     int64
 	objs     map[uint64]*blockSet
-	fifo     []blockKey
-	head     int
+	fifo     blockQueue
 }
 
 type blockKey struct {
@@ -52,7 +51,8 @@ func (c *cache) reset() {
 		clear(s.bits)
 		s.n = 0
 	}
-	c.used, c.fifo, c.head = 0, c.fifo[:0], 0
+	c.used = 0
+	c.fifo.reset()
 }
 
 // insert records [off, off+n) of obj as cached, evicting the oldest
@@ -82,27 +82,16 @@ func (c *cache) insert(obj uint64, off, n int64) {
 		}
 		s.bits[idx/64] |= 1 << (idx % 64)
 		s.n++
-		c.fifo = append(c.fifo, blockKey{obj, idx})
+		c.fifo.push(blockKey{obj, idx})
 		c.used += c.block
 	}
-	for c.used > c.capacity && c.head < len(c.fifo) {
-		k := c.fifo[c.head]
-		c.head++
+	for c.used > c.capacity && c.fifo.n > 0 {
+		k := c.fifo.pop()
 		if s := c.objs[k.obj]; s != nil && s.has(k.idx) {
 			s.bits[k.idx/64] &^= 1 << (k.idx % 64)
 			s.n--
 			c.used -= c.block
 		}
-	}
-	c.compact()
-}
-
-// compact reclaims the consumed fifo prefix once it dominates the slice.
-func (c *cache) compact() {
-	if c.head > 4096 && c.head*2 > len(c.fifo) {
-		n := copy(c.fifo, c.fifo[c.head:])
-		c.fifo = c.fifo[:n]
-		c.head = 0
 	}
 }
 
@@ -136,4 +125,71 @@ func (c *cache) drop(obj uint64) {
 		c.used -= int64(s.n) * c.block
 		delete(c.objs, obj)
 	}
+}
+
+// Chunk sizes of a blockQueue: its first chunk holds minChunk keys, and
+// each new chunk grows the queue by half, up to maxChunk keys.
+const (
+	minChunk = 16
+	maxChunk = 1024
+)
+
+// blockQueue is a cache's eviction order: block keys, oldest first, in
+// chunks of fixed capacity that never move once made, so the queue
+// allocates about its largest size once.
+// A drained chunk goes to a spare list, and a new chunk is taken from it
+// before one is made: a cache that cycles through evictions, or is reset
+// (DropCaches) and refilled, reuses its storage.
+type blockQueue struct {
+	chunks [][]blockKey // chunks[0][head:] is the front
+	head   int
+	n      int          // keys queued
+	spare  [][]blockKey // drained chunks, each emptied
+}
+
+// push queues k at the back.
+func (q *blockQueue) push(k blockKey) {
+	last := len(q.chunks) - 1
+	if last < 0 || len(q.chunks[last]) == cap(q.chunks[last]) {
+		q.chunks = append(q.chunks, q.chunk())
+		last++
+	}
+	q.chunks[last] = append(q.chunks[last], k)
+	q.n++
+}
+
+// chunk returns an empty chunk: a spare one if any is left, else a new
+// one half as large as the queue, within [minChunk, maxChunk].
+func (q *blockQueue) chunk() []blockKey {
+	if i := len(q.spare) - 1; i >= 0 {
+		c := q.spare[i]
+		q.spare = q.spare[:i]
+		return c
+	}
+	return make([]blockKey, 0, min(max(q.n/2, minChunk), maxChunk))
+}
+
+// pop removes and returns the key at the front; the queue must not be
+// empty.  A chunk it drains becomes a spare.
+func (q *blockQueue) pop() blockKey {
+	front := q.chunks[0]
+	k := front[q.head]
+	q.head++
+	q.n--
+	if q.head == len(front) {
+		q.spare = append(q.spare, front[:0])
+		n := copy(q.chunks, q.chunks[1:])
+		q.chunks[n] = nil
+		q.chunks, q.head = q.chunks[:n], 0
+	}
+	return k
+}
+
+// reset empties the queue, keeping every chunk as a spare.
+func (q *blockQueue) reset() {
+	for _, c := range q.chunks {
+		q.spare = append(q.spare, c[:0])
+	}
+	clear(q.chunks)
+	q.chunks, q.head, q.n = q.chunks[:0], 0, 0
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCacheBasicHitMiss(t *testing.T) {
@@ -128,12 +130,54 @@ func (r *refCache) drop(obj uint64) {
 	}
 }
 
+// queuedKeys lists the keys q holds, front first.
+func queuedKeys(q *blockQueue) []blockKey {
+	var keys []blockKey
+	for i, ch := range q.chunks {
+		if i == 0 {
+			ch = ch[q.head:]
+		}
+		keys = append(keys, ch...)
+	}
+	return keys
+}
+
+// checkQueue reports how q's chunks break its layout: the front chunk
+// has keys left past head, every chunk but the last is full, chunk
+// capacities lie in [minChunk, maxChunk], n counts the keys, and every
+// spare chunk is empty.
+func checkQueue(q *blockQueue) error {
+	if len(q.chunks) > 0 && q.head >= len(q.chunks[0]) || len(q.chunks) == 0 && q.head != 0 {
+		return fmt.Errorf("head %d past the front chunk of %d chunks", q.head, len(q.chunks))
+	}
+	for i, ch := range q.chunks {
+		if i < len(q.chunks)-1 && len(ch) != cap(ch) {
+			return fmt.Errorf("chunk %d of %d holds %d of %d keys", i, len(q.chunks), len(ch), cap(ch))
+		}
+		if cap(ch) < minChunk || cap(ch) > maxChunk {
+			return fmt.Errorf("chunk %d has capacity %d", i, cap(ch))
+		}
+	}
+	if n := len(queuedKeys(q)); n != q.n {
+		return fmt.Errorf("queue counts %d keys, holds %d", q.n, n)
+	}
+	for i, ch := range q.spare {
+		if len(ch) != 0 {
+			return fmt.Errorf("spare chunk %d holds %d keys", i, len(ch))
+		}
+	}
+	return nil
+}
+
 // checkLayout reports how the cache's bitsets disagree with its
 // accounting: each set's count is its population, used is the blocks
 // present, and every present block is still queued for eviction.
 func checkLayout(c *cache) error {
+	if err := checkQueue(&c.fifo); err != nil {
+		return err
+	}
 	queued := map[blockKey]bool{}
-	for _, k := range c.fifo[c.head:] {
+	for _, k := range queuedKeys(&c.fifo) {
 		queued[k] = true
 	}
 	var blocks int64
@@ -158,45 +202,194 @@ func checkLayout(c *cache) error {
 	return nil
 }
 
-// Property: over random inserts, lookups, drops (a dropped object is
-// often re-inserted) and resets, the cache answers every lookup as the
-// reference model does and its layout stays consistent.
-func TestCacheMatchesOracle(t *testing.T) {
-	f := func(seed int64, blockSel uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const capacity = 200
-		block := int64(blockSel%4) + 1
-		c := newCache(capacity, block)
-		ref := &refCache{capacity: capacity, block: block, present: map[blockKey]bool{}}
-		for k := 0; k < 300; k++ {
-			obj := uint64(rng.Intn(3) + 1)
-			off := int64(rng.Intn(300))
-			n := int64(rng.Intn(80) + 1)
-			switch op := rng.Intn(20); {
-			case op < 9:
-				c.insert(obj, off, n)
-				ref.insert(obj, off, n)
-			case op < 18:
-				if got, want := c.hitBytes(obj, off, n), ref.hitBytes(obj, off, n); got != want {
-					t.Logf("step %d: hitBytes(%d, %d, %d) = %d, reference %d", k, obj, off, n, got, want)
-					return false
-				}
-			case op == 18:
-				c.drop(obj)
-				ref.drop(obj)
-			default:
-				c.reset()
-				ref = &refCache{capacity: capacity, block: block, present: map[blockKey]bool{}}
+// matchesRef reports how c differs from the reference model: its
+// layout, its bytes used, and its eviction queue, key for key.
+func matchesRef(c *cache, ref *refCache) error {
+	if err := checkLayout(c); err != nil {
+		return err
+	}
+	if c.used != ref.used {
+		return fmt.Errorf("used %d, reference %d", c.used, ref.used)
+	}
+	if q := queuedKeys(&c.fifo); !slices.Equal(q, ref.fifo) {
+		return fmt.Errorf("queue of %d keys differs from the reference's %d", len(q), len(ref.fifo))
+	}
+	return nil
+}
+
+// checkOracle runs steps random inserts, lookups, drops (a dropped
+// object is often re-inserted) and resets of byte ranges in [0, span)
+// of up to maxLen bytes on a cache of capacity bytes, in blocks of a
+// random size, and on the reference model, and reports the first step
+// at which they disagree.
+func checkOracle(seed int64, blockSel uint8, capacity int64, span, maxLen, steps int) error {
+	rng := rand.New(rand.NewSource(seed))
+	block := int64(blockSel%4) + 1
+	c := newCache(capacity, block)
+	ref := &refCache{capacity: capacity, block: block, present: map[blockKey]bool{}}
+	for k := 0; k < steps; k++ {
+		obj := uint64(rng.Intn(3) + 1)
+		off := int64(rng.Intn(span))
+		n := int64(rng.Intn(maxLen) + 1)
+		switch op := rng.Intn(20); {
+		case op < 9:
+			c.insert(obj, off, n)
+			ref.insert(obj, off, n)
+		case op < 18:
+			if got, want := c.hitBytes(obj, off, n), ref.hitBytes(obj, off, n); got != want {
+				return fmt.Errorf("step %d: hitBytes(%d, %d, %d) = %d, reference %d", k, obj, off, n, got, want)
 			}
-			if err := checkLayout(c); err != nil || c.used != ref.used {
-				t.Logf("step %d: %v (used %d, reference %d)", k, err, c.used, ref.used)
-				return false
+		case op == 18:
+			c.drop(obj)
+			ref.drop(obj)
+		default:
+			c.reset()
+			ref = &refCache{capacity: capacity, block: block, present: map[blockKey]bool{}}
+		}
+		if err := matchesRef(c, ref); err != nil {
+			return fmt.Errorf("step %d: %v", k, err)
+		}
+	}
+	return nil
+}
+
+// Property: over random operations the cache answers every lookup as
+// the reference model does, evicts in its order, and its layout stays
+// consistent.  The second run's queue spans 3,000 to 12,000 blocks in
+// chunks up to the largest, so evictions, drops and resets cross chunk
+// boundaries and refill spare chunks.
+func TestCacheMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		capacity                int64
+		span, maxLen, steps, nr int
+	}{
+		{"small", 200, 300, 80, 300, 100},
+		{"chunked", 12000, 18000, 4800, 80, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(seed int64, blockSel uint8) bool {
+				err := checkOracle(seed, blockSel, tc.capacity, tc.span, tc.maxLen, tc.steps)
+				if err != nil {
+					t.Log(err)
+				}
+				return err == nil
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: tc.nr}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// cacheModel is what the cache and its reference model share.
+type cacheModel interface {
+	insert(obj uint64, off, n int64)
+	drop(obj uint64)
+}
+
+// TestCacheQueueChunks walks the eviction queue across chunk boundaries
+// against the reference model: a fill larger than several chunks, an
+// eviction that drains a chunk part way into the next, a drop of an
+// object queued in several chunks, and a reset whose refill takes every
+// chunk it needs from the spares.
+func TestCacheQueueChunks(t *testing.T) {
+	const capacity = 4 * maxChunk
+	c := newCache(capacity, 1)
+	ref := &refCache{capacity: capacity, block: 1, present: map[blockKey]bool{}}
+	step := func(what string, fn func(m cacheModel)) {
+		t.Helper()
+		fn(c)
+		fn(ref)
+		if err := matchesRef(c, ref); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for obj := uint64(1); obj <= 3; obj++ {
+			if got, want := c.hitBytes(obj, 0, 2*capacity), ref.hitBytes(obj, 0, 2*capacity); got != want {
+				t.Fatalf("%s: object %d hits %d, reference %d", what, obj, got, want)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	insert := func(obj uint64, off, n int64) func(m cacheModel) {
+		return func(m cacheModel) { m.insert(obj, off, n) }
+	}
+	// Alternate two objects in runs of 100 blocks, 4,000 blocks in all:
+	// each object's blocks land in every chunk.
+	for off := int64(0); off < capacity/2-100; off += 100 {
+		step("fill", insert(1, off, 100))
+		step("fill", insert(2, off, 100))
+	}
+	q := &c.fifo
+	if last := q.chunks[len(q.chunks)-1]; len(q.chunks) < 8 || cap(last) != maxChunk || len(q.spare) != 0 {
+		t.Fatalf("fill of %d keys: %d chunks, the last of %d keys, %d spare", q.n, len(q.chunks), cap(last), len(q.spare))
+	}
+	// 500 blocks of object 3 overflow the capacity by 404: eviction
+	// drains the first chunks and stops inside the next.
+	over, drained := 4000+500-capacity, 0
+	for ; over >= cap(q.chunks[drained]); drained++ {
+		over -= cap(q.chunks[drained])
+	}
+	step("evict across chunk boundaries", insert(3, 0, 500))
+	if drained < 2 || q.head != over || len(q.spare) != drained {
+		t.Fatalf("eviction of 404 blocks: head %d, %d spare chunks, want %d and %d", q.head, len(q.spare), over, drained)
+	}
+	step("drop an object queued in every chunk", func(m cacheModel) { m.drop(1) })
+	// The dropped object's keys stay queued: inserts evict them without
+	// freeing a block, then evict object 2's oldest.
+	step("evict past dropped keys", insert(3, 500, 3000))
+	made := len(q.chunks) + len(q.spare)
+	c.reset()
+	ref = &refCache{capacity: capacity, block: 1, present: map[blockKey]bool{}}
+	if err := matchesRef(c, ref); err != nil || len(q.spare) != made {
+		t.Fatalf("reset: %v, %d spare chunks of %d", err, len(q.spare), made)
+	}
+	for off := int64(0); off < capacity; off += 300 {
+		step("refill", insert(2, off, 300))
+	}
+	step("refill and evict", insert(1, 0, 1000))
+	if n := len(q.chunks) + len(q.spare); n != made {
+		t.Fatalf("refill holds %d chunks, the first fill made %d", n, made)
+	}
+}
+
+// TestCacheQueueAllocs: a fresh eviction queue of N keys costs about N
+// blockKeys plus one chunk, since chunks never move, and a cache reset
+// and refilled to its earlier size takes every chunk from the spares,
+// so it allocates nothing.  Counted without the race detector.
+func TestCacheQueueAllocs(t *testing.T) {
+	const blocks = 1 << 16 // Cielo's server cache in 64 KiB blocks
+	var q blockQueue
+	bytes := steadyBytes(0, 1, func(int) {
+		for i := range blocks {
+			q.push(blockKey{1, int64(i)})
+		}
+	})
+	// The slack covers the chunk headers and size-class rounding.
+	keySize := float64(unsafe.Sizeof(blockKey{}))
+	if limit := (blocks+maxChunk)*keySize + 8<<10; bytes > limit && !raceEnabled {
+		t.Errorf("queue of %d keys: %.0f bytes, want at most %.0f", blocks, bytes, limit)
+	}
+	t.Logf("queue of %d keys: %.0f bytes (%.3f of the keys' size)", blocks, bytes, bytes/(blocks*keySize))
+
+	const objs = 16
+	fill := func(c *cache) {
+		for off := int64(0); off < blocks/objs; off += 64 {
+			for obj := uint64(1); obj <= objs; obj++ {
+				c.insert(obj, off, 64)
+			}
+		}
+	}
+	c := newCache(blocks, 1)
+	fill(c)
+	if err := checkLayout(c); err != nil || c.fifo.n != blocks {
+		t.Fatalf("filled cache: %v, %d keys queued", err, c.fifo.n)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		c.reset()
+		fill(c)
+	})
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("reset and refill: %.1f allocations, want 0", allocs)
 	}
 }
 

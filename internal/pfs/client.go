@@ -1,6 +1,8 @@
 package pfs
 
 import (
+	"slices"
+	"strings"
 	"time"
 
 	"plfs/internal/payload"
@@ -46,18 +48,16 @@ func (c *Client) mdsService(vol int, d time.Duration) {
 	c.fs.vols[vol].mdsRead.Use(c.p, c.jit(d))
 }
 
-// nsMutate charges a namespace mutation in dir: the MDS service plus the
-// per-directory critical section, whose cost grows with the number of
-// queued mutators (a hot-directory lock convoy).
-func (c *Client) nsMutate(dir *fnode, d time.Duration) {
+// lockDir takes dir's critical section for the caller and returns its
+// length, which grows with the number of mutators queued ahead (a
+// hot-directory lock convoy).
+func (c *Client) lockDir(dir *dirNode) time.Duration {
 	cfg := &c.fs.Cfg
-	c.fs.MetaOps++
-	c.p.Sleep(c.jit(cfg.StorageRTT))
-	waiters := dir.dirMu.Waiters()
-	if dir.dirMu.Locked() {
+	waiters := dir.mu.Waiters()
+	if dir.mu.Locked() {
 		waiters++
 	}
-	dir.dirMu.Lock(c.p)
+	dir.mu.Lock(c.p)
 	crit := cfg.DirCritical
 	if waiters > 0 {
 		w := waiters
@@ -66,52 +66,49 @@ func (c *Client) nsMutate(dir *fnode, d time.Duration) {
 		}
 		crit += time.Duration(w) * cfg.DirPerWaiter
 	}
+	return crit
+}
+
+// nsMutate charges a namespace mutation in dir: the MDS service plus the
+// per-directory critical section.
+func (c *Client) nsMutate(dir *dirNode, d time.Duration) {
+	c.fs.MetaOps++
+	c.p.Sleep(c.jit(c.fs.Cfg.StorageRTT))
+	crit := c.lockDir(dir)
 	c.p.Sleep(c.jit(crit))
-	dir.dirMu.Unlock()
+	dir.mu.Unlock()
 	c.fs.vols[dir.vol].mds.Use(c.p, c.jit(d))
 }
 
-// createUnder inserts a new child into parent via mk, paying the full
-// namespace-mutation cost (directory critical section + mutation service)
-// only when this caller actually performs the insert.  Racers that find
-// the entry already present — before or after queueing on the directory
-// lock — resolve with a cheap lookup, as a real metadata server resolves
-// EEXIST under a briefly-held lock.  The insert happens inside the
-// critical section, so a convoy of racers behind the winner drains
-// instantly rather than each paying the mutation cost.
-func (c *Client) createUnder(parent *fnode, name string, mk func() *fnode) (*fnode, error) {
+// createUnder inserts a new directory or file into parent, paying the
+// full namespace-mutation cost (directory critical section + mutation
+// service) only when this caller actually performs the insert.  Racers
+// that find the entry already present — before or after queueing on the
+// directory lock — resolve with a cheap lookup, as a real metadata
+// server resolves EEXIST under a briefly-held lock.  The insert happens
+// inside the critical section, so a convoy of racers behind the winner
+// drains instantly rather than each paying the mutation cost.
+func (c *Client) createUnder(parent *dirNode, name string, dir bool) (entry, error) {
 	cfg := &c.fs.Cfg
 	c.fs.MetaOps++
-	if existing, ok := parent.children[name]; ok {
+	if existing, ok := parent.child(name); ok {
 		// Resolved from the client's dentry knowledge + one lookup RPC.
 		c.p.Sleep(c.jit(cfg.StorageRTT))
 		c.fs.vols[parent.vol].mdsRead.Use(c.p, c.jit(cfg.LookupOp))
 		return existing, ErrExist
 	}
 	c.p.Sleep(c.jit(cfg.StorageRTT))
-	waiters := parent.dirMu.Waiters()
-	if parent.dirMu.Locked() {
-		waiters++
-	}
-	parent.dirMu.Lock(c.p)
-	if existing, ok := parent.children[name]; ok {
-		parent.dirMu.Unlock()
+	crit := c.lockDir(parent)
+	if existing, ok := parent.child(name); ok {
+		parent.mu.Unlock()
 		c.fs.vols[parent.vol].mdsRead.Use(c.p, c.jit(cfg.LookupOp))
 		return existing, ErrExist
 	}
-	crit := cfg.DirCritical
-	if waiters > 0 {
-		w := waiters
-		if cfg.DirWaiterCap > 0 && w > cfg.DirWaiterCap {
-			w = cfg.DirWaiterCap
-		}
-		crit += time.Duration(w) * cfg.DirPerWaiter
-	}
 	c.p.Sleep(c.jit(crit))
-	node := mk()
-	parent.dirMu.Unlock()
+	e := c.fs.mknod(parent, name, dir)
+	parent.mu.Unlock()
 	c.fs.vols[parent.vol].mds.Use(c.p, c.jit(cfg.CreateOp))
-	return node, nil
+	return e, nil
 }
 
 // Mkdir creates a directory.  The new directory inherits its parent's
@@ -122,10 +119,7 @@ func (c *Client) Mkdir(path string) error {
 	if err != nil {
 		return err
 	}
-	if !parent.dir {
-		return ErrNotDir
-	}
-	_, err = c.createUnder(parent, name, func() *fnode { return c.fs.newDir(parent, name) })
+	_, err = c.createUnder(parent, name, true)
 	return err
 }
 
@@ -135,92 +129,98 @@ func (c *Client) Create(path string) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !parent.dir {
-		return nil, ErrNotDir
-	}
-	node, err := c.createUnder(parent, name, func() *fnode { return c.fs.newFile(parent, name) })
+	e, err := c.createUnder(parent, name, false)
 	if err != nil {
-		if node != nil && node.dir {
+		if _, ok := e.(*dirNode); ok {
 			return nil, ErrIsDir
 		}
 		return nil, err
 	}
-	node.writeOpeners++
-	return &Handle{c: c, f: node, writing: true}, nil
+	f := e.(*fileNode)
+	f.writeOpeners++
+	return &Handle{c: c, f: f, writing: true}, nil
+}
+
+// lookupFile resolves path to a file.
+func (c *Client) lookupFile(path string) (*fileNode, error) {
+	e, err := c.fs.lookup(path)
+	if err != nil {
+		return nil, err
+	}
+	f, ok := e.(*fileNode)
+	if !ok {
+		return nil, ErrIsDir
+	}
+	return f, nil
 }
 
 // OpenRead opens an existing file for reading.
 func (c *Client) OpenRead(path string) (*Handle, error) {
-	n, err := c.fs.lookup(path)
+	f, err := c.lookupFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if n.dir {
-		return nil, ErrIsDir
-	}
-	c.mdsService(n.vol, c.fs.Cfg.LookupOp)
-	return &Handle{c: c, f: n}, nil
+	c.mdsService(f.vol, c.fs.Cfg.LookupOp)
+	return &Handle{c: c, f: f}, nil
 }
 
 // OpenWrite opens an existing file for writing (no truncation).
 func (c *Client) OpenWrite(path string) (*Handle, error) {
-	n, err := c.fs.lookup(path)
+	f, err := c.lookupFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if n.dir {
-		return nil, ErrIsDir
-	}
-	c.mdsService(n.vol, c.fs.Cfg.LookupOp)
-	n.writeOpeners++
-	return &Handle{c: c, f: n, writing: true}, nil
+	c.mdsService(f.vol, c.fs.Cfg.LookupOp)
+	f.writeOpeners++
+	return &Handle{c: c, f: f, writing: true}, nil
 }
 
 // Stat returns metadata for path.
 func (c *Client) Stat(path string) (FileInfo, error) {
-	n, err := c.fs.lookup(path)
+	e, err := c.fs.lookup(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	c.mdsService(n.vol, c.fs.Cfg.StatOp)
-	return n.info(), nil
+	c.mdsService(e.base().vol, c.fs.Cfg.StatOp)
+	return infoOf(e), nil
 }
 
 // ReadDir lists a directory in lexical order.
 func (c *Client) ReadDir(path string) ([]FileInfo, error) {
-	n, err := c.fs.lookup(path)
+	e, err := c.fs.lookup(path)
 	if err != nil {
 		return nil, err
 	}
-	if !n.dir {
+	d, ok := e.(*dirNode)
+	if !ok {
 		return nil, ErrNotDir
 	}
-	c.mdsService(n.vol, c.fs.Cfg.ReadDirOp+time.Duration(len(n.children))*c.fs.Cfg.ReadDirEnt)
-	out := make([]FileInfo, 0, len(n.children))
-	for _, name := range n.sortedChildren() {
-		out = append(out, n.children[name].info())
-	}
+	c.mdsService(d.vol, c.fs.Cfg.ReadDirOp+time.Duration(d.len())*c.fs.Cfg.ReadDirEnt)
+	out := make([]FileInfo, 0, d.len())
+	d.each(func(e entry) { out = append(out, infoOf(e)) })
+	slices.SortFunc(out, func(a, b FileInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 
 // Remove unlinks a file or empty directory.
 func (c *Client) Remove(path string) error {
-	n, err := c.fs.lookup(path)
+	e, err := c.fs.lookup(path)
 	if err != nil {
 		return err
 	}
+	n := e.base()
 	if n.parent == nil {
 		return ErrNotEmpty
 	}
-	if n.dir && len(n.children) > 0 {
+	if d, ok := e.(*dirNode); ok && d.len() > 0 {
 		return ErrNotEmpty
 	}
 	c.nsMutate(n.parent, c.fs.Cfg.CreateOp)
-	delete(n.parent.children, n.name)
-	if !n.dir {
+	n.parent.remove(n.name)
+	if f, ok := e.(*fileNode); ok {
 		for _, nc := range c.fs.nodes {
 			if nc != nil {
-				nc.drop(n.obj)
+				nc.drop(f.obj)
 			}
 		}
 	}
@@ -229,7 +229,7 @@ func (c *Client) Remove(path string) error {
 
 // Rename moves a file or directory within the same volume.
 func (c *Client) Rename(oldPath, newPath string) error {
-	n, err := c.fs.lookup(oldPath)
+	e, err := c.fs.lookup(oldPath)
 	if err != nil {
 		return err
 	}
@@ -237,25 +237,26 @@ func (c *Client) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := parent.children[name]; ok {
+	if _, ok := parent.child(name); ok {
 		return ErrExist
 	}
+	n := e.base()
 	if parent.vol != n.vol {
 		return ErrNotDir // cross-volume renames are not supported, like rigid realms
 	}
 	c.nsMutate(n.parent, c.fs.Cfg.CreateOp)
 	c.nsMutate(parent, c.fs.Cfg.CreateOp)
-	delete(n.parent.children, n.name)
+	n.parent.remove(n.name)
 	n.parent = parent
 	n.name = name
-	parent.children[name] = n
+	parent.add(e)
 	return nil
 }
 
 // Handle is an open file.
 type Handle struct {
 	c       *Client
-	f       *fnode
+	f       *fileNode
 	writing bool
 	closed  bool
 }
@@ -284,7 +285,7 @@ func (h *Handle) WriteAt(off int64, p payload.Payload) error {
 	if h.f.writeOpeners > 1 && cfg.LockUnit > 0 {
 		lo := off / cfg.LockUnit
 		hi := (off + n + cfg.LockUnit - 1) / cfg.LockUnit
-		if rpcs := h.f.locks.acquire(lo, hi, h.c.node); rpcs > 0 {
+		if rpcs := h.f.locks().tokens.acquire(lo, hi, h.c.node); rpcs > 0 {
 			h.chargeLocks(rpcs)
 		}
 	}
@@ -296,14 +297,15 @@ func (h *Handle) WriteAt(off int64, p payload.Payload) error {
 }
 
 // chargeLocks charges rpcs lock RPCs, which serialize through the file's
-// lock manager, made by the first charge.
+// lock server.
 func (h *Handle) chargeLocks(rpcs int) {
 	fs := h.c.fs
 	fs.LockOps += int64(rpcs)
-	if h.f.lockMgr == nil {
-		h.f.lockMgr = sim.NewResource(fs.Eng, 1)
-	}
-	h.f.lockMgr.Use(h.c.p, h.c.jit(time.Duration(rpcs)*fs.Cfg.LockRPC))
+	d := h.c.jit(time.Duration(rpcs) * fs.Cfg.LockRPC)
+	srv := &h.f.locks().rpc
+	srv.Lock(h.c.p)
+	h.c.p.Sleep(d)
+	srv.Unlock()
 }
 
 // Append writes p at the current end of file and returns the offset it

@@ -3,7 +3,7 @@ package pfs
 import (
 	"fmt"
 	iofs "io/fs"
-	"sort"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -37,7 +37,7 @@ type FS struct {
 	snet     *sim.PSLink
 	nodes    []*cache // client caches by node; nil for a node that has done no I/O
 	svrCache *cache
-	root     *fnode
+	root     *dirNode
 	shares   []int64 // per-group scratch a transfer fills and spends before it parks
 
 	nextObj uint64
@@ -57,28 +57,95 @@ type volume struct {
 	mdsRead *sim.Resource // lookups, opens, stats, readdirs
 }
 
-// fnode is a namespace node (file or directory).
-type fnode struct {
+// node is what every namespace entry has: its name, the directory that
+// holds it (nil for the root) and the volume (metadata domain) it lives on.
+type node struct {
 	name   string
-	parent *fnode
+	parent *dirNode
 	vol    int
-	dir    bool
+}
 
-	// Directory state.
-	children map[string]*fnode
-	dirMu    *sim.Mutex
+func (n *node) base() *node { return n }
 
-	// File state.  lockMgr and fileMu are made on first use: most files
-	// (N-N files, PLFS droppings) have one writer and never need them.
+// entry is a namespace entry: a *dirNode or a *fileNode.  Each pays only
+// for its own state: a directory holds no file fields, a file no
+// children or directory lock.
+type entry interface{ base() *node }
+
+// dirNode is a directory.  Its children sit in a short slice while they
+// are few, as in most directories of a PLFS container, and move to a map
+// when they outgrow it.
+type dirNode struct {
+	node
+	few  []entry          // the children while there are at most fewChildren
+	many map[string]entry // the children once there are more
+	mu   sim.Mutex        // the per-directory critical section; see lockDir
+}
+
+// fewChildren is the most children a directory keeps in its slice.
+const fewChildren = 8
+
+// child returns d's child called name.
+func (d *dirNode) child(name string) (entry, bool) {
+	if d.many != nil {
+		e, ok := d.many[name]
+		return e, ok
+	}
+	for _, e := range d.few {
+		if e.base().name == name {
+			return e, true
+		}
+	}
+	return nil, false
+}
+
+// add links e into d under its name, which no child of d has.
+func (d *dirNode) add(e entry) {
+	if d.many == nil && len(d.few) < fewChildren {
+		d.few = append(d.few, e)
+		return
+	}
+	if d.many == nil {
+		d.many = make(map[string]entry, 2*fewChildren)
+		for _, c := range d.few {
+			d.many[c.base().name] = c
+		}
+		d.few = nil
+	}
+	d.many[e.base().name] = e
+}
+
+// remove unlinks d's child called name.
+func (d *dirNode) remove(name string) {
+	if d.many != nil {
+		delete(d.many, name)
+		return
+	}
+	d.few = slices.DeleteFunc(d.few, func(e entry) bool { return e.base().name == name })
+}
+
+// len returns the number of d's children.
+func (d *dirNode) len() int { return len(d.few) + len(d.many) }
+
+// each calls fn on every child of d, in no particular order.
+func (d *dirNode) each(fn func(entry)) {
+	for _, e := range d.few {
+		fn(e)
+	}
+	for _, e := range d.many {
+		fn(e)
+	}
+}
+
+// fileNode is a file: an object and its bytes.
+type fileNode struct {
+	node
 	obj          uint64
 	data         payload.File
 	writeOpeners int
-	lockMgr      *sim.Resource // serializes the file's lock RPCs; see chargeLocks
-	locks        lockTable
-	// fileMu is the advisory whole-file write lock behind
-	// Handle.LockRange — real mutual exclusion for RMW writers, distinct
-	// from the lockTable, which only *costs* lock traffic.
-	fileMu *sim.Mutex
+	// lk is the file's lock state, made on first use: most files (N-N
+	// files, PLFS droppings) have one writer and never need it.
+	lk *lockState
 
 	// streams is the object's readahead/allocation stream table: the file
 	// positions of the most recent access streams (LRU order, bounded by
@@ -89,27 +156,46 @@ type fnode struct {
 	streams []int64
 }
 
+// lockState is a file's locking: the byte-range write tokens that cost
+// lock traffic, the lock server that serializes their RPCs (see
+// chargeLocks), and the advisory whole-file write lock behind
+// Handle.LockRange — real mutual exclusion for RMW writers, distinct
+// from the token table, which only *costs* lock traffic.
+type lockState struct {
+	tokens lockTable
+	rpc    sim.Mutex
+	file   sim.Mutex
+}
+
+// locks returns f's lock state, making it on first use.
+func (f *fileNode) locks() *lockState {
+	if f.lk == nil {
+		f.lk = &lockState{}
+	}
+	return f.lk
+}
+
 // streamSeq reports whether an access at off continues one of the
 // object's active streams, and records the stream position for the next
 // access.
-func (n *fnode) streamSeq(off, length int64, slots int) bool {
+func (f *fileNode) streamSeq(off, length int64, slots int) bool {
 	if slots < 1 {
 		slots = 1
 	}
-	for i, pos := range n.streams {
+	for i, pos := range f.streams {
 		if pos == off {
 			// Continue this stream; move it to the MRU position.
-			copy(n.streams[1:i+1], n.streams[:i])
-			n.streams[0] = off + length
+			copy(f.streams[1:i+1], f.streams[:i])
+			f.streams[0] = off + length
 			return true
 		}
 	}
 	// New stream: evict the LRU slot if full.
-	if len(n.streams) < slots {
-		n.streams = append(n.streams, 0)
+	if len(f.streams) < slots {
+		f.streams = append(f.streams, 0)
 	}
-	copy(n.streams[1:], n.streams[:len(n.streams)-1])
-	n.streams[0] = off + length
+	copy(f.streams[1:], f.streams[:len(f.streams)-1])
+	f.streams[0] = off + length
 	return false
 }
 
@@ -142,14 +228,10 @@ func New(eng *sim.Engine, cfg Config) *FS {
 	fs.snet = sim.NewPSLink(eng, "storage-net", cfg.StorageBW)
 	fs.shares = make([]int64, cfg.OSTGroups)
 	fs.svrCache = newCache(cfg.ServerCacheBytes, cfg.StripeUnit)
-	fs.root = &fnode{name: "/", dir: true, children: map[string]*fnode{}, dirMu: sim.NewMutex(eng)}
+	fs.root = &dirNode{node: node{name: "/"}}
 	// Pre-create the per-volume top directories: /vol0 .. /volN-1.
 	for i := 0; i < cfg.Volumes; i++ {
-		d := &fnode{
-			name: fmt.Sprintf("vol%d", i), parent: fs.root, vol: i, dir: true,
-			children: map[string]*fnode{}, dirMu: sim.NewMutex(eng),
-		}
-		fs.root.children[d.name] = d
+		fs.root.add(&dirNode{node: node{name: fmt.Sprintf("vol%d", i), parent: fs.root, vol: i}})
 	}
 	return fs
 }
@@ -247,30 +329,29 @@ func (fs *FS) Volumes() int { return fs.Cfg.Volumes }
 // (the cluster's "theoretical peak" I/O bandwidth).
 func (fs *FS) StoragePeak() float64 { return fs.Cfg.StorageBW }
 
-// lookup resolves path to a node without charging simulation cost.  It
+// lookup resolves path to an entry without charging simulation cost.  It
 // ignores leading and trailing slashes; an empty element between two
 // slashes names nothing.  The walk cuts one element at a time, so it
 // allocates nothing.
-func (fs *FS) lookup(path string) (*fnode, error) {
-	n := fs.root
+func (fs *FS) lookup(path string) (entry, error) {
+	var n entry = fs.root
 	for rest := strings.Trim(path, "/"); rest != ""; {
 		var part string
 		part, rest, _ = strings.Cut(rest, "/")
-		if !n.dir {
+		d, ok := n.(*dirNode)
+		if !ok {
 			return nil, ErrNotDir
 		}
-		c, ok := n.children[part]
-		if !ok {
+		if n, ok = d.child(part); !ok {
 			return nil, ErrNotExist
 		}
-		n = c
 	}
 	return n, nil
 }
 
 // lookupParent resolves the parent directory of path and returns it with
 // the final path element, reading path as lookup does.
-func (fs *FS) lookupParent(path string) (*fnode, string, error) {
+func (fs *FS) lookupParent(path string) (*dirNode, string, error) {
 	rest := strings.Trim(path, "/")
 	if rest == "" {
 		return nil, "", ErrExist
@@ -281,31 +362,29 @@ func (fs *FS) lookupParent(path string) (*fnode, string, error) {
 		if !more {
 			return dir, part, nil
 		}
-		c, ok := dir.children[part]
+		c, ok := dir.child(part)
 		if !ok {
 			return nil, "", ErrNotExist
 		}
-		if !c.dir {
+		if dir, ok = c.(*dirNode); !ok {
 			return nil, "", ErrNotDir
 		}
-		dir, rest = c, tail
+		rest = tail
 	}
 }
 
-func (fs *FS) newDir(parent *fnode, name string) *fnode {
-	d := &fnode{
-		name: name, parent: parent, vol: parent.vol, dir: true,
-		children: map[string]*fnode{}, dirMu: sim.NewMutex(fs.Eng),
+// mknod links a new directory or file named name into parent.
+func (fs *FS) mknod(parent *dirNode, name string, dir bool) entry {
+	n := node{name: name, parent: parent, vol: parent.vol}
+	var e entry
+	if dir {
+		e = &dirNode{node: n}
+	} else {
+		fs.nextObj++
+		e = &fileNode{node: n, obj: fs.nextObj}
 	}
-	parent.children[name] = d
-	return d
-}
-
-func (fs *FS) newFile(parent *fnode, name string) *fnode {
-	fs.nextObj++
-	f := &fnode{name: name, parent: parent, vol: parent.vol, obj: fs.nextObj}
-	parent.children[name] = f
-	return f
+	parent.add(e)
+	return e
 }
 
 // FileInfo describes a namespace entry.
@@ -316,23 +395,16 @@ type FileInfo struct {
 	Bytes int64 // alias of Size for files
 }
 
-func (n *fnode) info() FileInfo {
-	fi := FileInfo{Name: n.name, Dir: n.dir}
-	if !n.dir {
-		fi.Size = n.data.Size()
+func infoOf(e entry) FileInfo {
+	fi := FileInfo{Name: e.base().name}
+	switch e := e.(type) {
+	case *dirNode:
+		fi.Dir = true
+	case *fileNode:
+		fi.Size = e.data.Size()
 		fi.Bytes = fi.Size
 	}
 	return fi
-}
-
-// sortedChildren returns child names in lexical order (deterministic).
-func (n *fnode) sortedChildren() []string {
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // PublishObs copies the file system's cumulative service metrics into

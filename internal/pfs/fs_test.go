@@ -88,8 +88,9 @@ func TestNamespaceSemantics(t *testing.T) {
 	})
 }
 
-// nodePath spells the path from the root to n.
-func nodePath(n *fnode) string {
+// nodePath spells the path from the root to e.
+func nodePath(e entry) string {
+	n := e.base()
 	switch {
 	case n.parent == nil:
 		return n.name
@@ -538,8 +539,8 @@ func TestMkdirVolumeInheritance(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, err := fs.lookup("/vol2/d")
-		if err != nil || n.vol != 2 {
-			t.Fatalf("vol = %d, err = %v", n.vol, err)
+		if err != nil || n.base().vol != 2 {
+			t.Fatalf("vol = %d, err = %v", n.base().vol, err)
 		}
 	})
 }
@@ -644,7 +645,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		}
 		hit = steadyMallocs(1000, 10000, func(i int) { h.read(int64(i%4)*block, block) })
 		transfer = steadyMallocs(1000, 10000, func(i int) { h.transfer(int64(i%64)*block, block, block, i%3 == 0, false) })
-		if h.f.lockMgr != nil || h.f.fileMu != nil {
+		if h.f.lk != nil {
 			t.Fatal("a single-writer file made lock state")
 		}
 		h2, err := fs.Client(1, p).OpenWrite("/vol0/f")
@@ -658,7 +659,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		start := p.Now()
 		lock = steadyMallocs(1000, 10000, func(i int) {
 			u := int64(i % 64)
-			if rpcs := h.f.locks.acquire(u, u+1, nodes[(i+i/64)%2]); rpcs > 0 {
+			if rpcs := h.f.locks().tokens.acquire(u, u+1, nodes[(i+i/64)%2]); rpcs > 0 {
 				h.chargeLocks(rpcs)
 			}
 		})
@@ -696,11 +697,17 @@ func cachedBlocks(c *cache) int {
 }
 
 // TestNewMakesNoNodeState: a file system makes a node's client cache on
-// the node's first I/O, so New allocates as much on Cielo's 8,894 nodes
-// as on one.
+// the node's first I/O, so New makes none on Cielo's 8,894 nodes and,
+// counted without the race detector, allocates as much as on one node.
 func TestNewMakesNoNodeState(t *testing.T) {
+	cfg := Cielo()
+	if fs := New(sim.NewEngine(1), cfg); len(fs.nodes) != 0 {
+		t.Errorf("New on %d nodes made a node table of %d", cfg.Nodes, len(fs.nodes))
+	}
+	if raceEnabled {
+		return
+	}
 	allocs := func(nodes int) float64 {
-		cfg := Cielo()
 		cfg.Nodes = nodes
 		eng := sim.NewEngine(1)
 		return testing.AllocsPerRun(10, func() { New(eng, cfg) })
@@ -708,6 +715,65 @@ func TestNewMakesNoNodeState(t *testing.T) {
 	one, cielo := allocs(1), allocs(Cielo().Nodes)
 	if cielo > one+2 {
 		t.Errorf("New on %d nodes: %.0f allocations, on one node %.0f", Cielo().Nodes, cielo, one)
+	}
+}
+
+// steadyBytes runs warm operations, then ops more, and returns the heap
+// bytes allocated per operation of the second run.
+func steadyBytes(warm, ops int, op func(i int)) float64 {
+	for i := 0; i < warm; i++ {
+		op(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+ops; i++ {
+		op(i)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+}
+
+// TestNamespaceEntryBytes: a directory costs its dirNode and a file its
+// fileNode and handle, each with its share of its parent's children;
+// neither carries the other's state.  The 4,096 directories share one
+// parent, whose children outgrow the short slice into a map; each gets
+// one file, which its directory keeps in the slice.  The bounds are the
+// measured 271 and 184 bytes plus 5%, counted without the race detector.
+func TestNamespaceEntryBytes(t *testing.T) {
+	const n = 4096
+	const mkdirBytes, createBytes = 285, 195
+	dirs := make([]string, n)
+	files := make([]string, n)
+	for i := range dirs {
+		dirs[i] = fmt.Sprintf("/vol0/d%d", i)
+		files[i] = dirs[i] + "/f"
+	}
+	eng, fs := testFS(1, nil)
+	var mkdir, create float64
+	runOne(t, eng, func(p *sim.Proc) {
+		c := fs.Client(0, p)
+		mkdir = steadyBytes(16, n-16, func(i int) {
+			if err := c.Mkdir(dirs[i]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		create = steadyBytes(16, n-16, func(i int) {
+			h, err := c.Create(files[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Close()
+		})
+	})
+	t.Logf("%.0f bytes per Mkdir, %.0f per Create", mkdir, create)
+	if raceEnabled {
+		return
+	}
+	if mkdir > mkdirBytes {
+		t.Errorf("Mkdir: %.0f bytes, want at most %d", mkdir, mkdirBytes)
+	}
+	if create > createBytes {
+		t.Errorf("Create: %.0f bytes, want at most %d", create, createBytes)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"plfs/internal/extent"
 	"plfs/internal/payload"
-	"plfs/internal/sim"
 )
 
 // This file models the vectored (list-I/O) fast paths of the storage
@@ -43,7 +42,7 @@ func (h *Handle) WritevAt(segs []extent.Ext, data payload.List) error {
 		for _, e := range segs {
 			lo := e.Off / cfg.LockUnit
 			hi := (e.Off + e.Len + cfg.LockUnit - 1) / cfg.LockUnit
-			rpcs += h.f.locks.acquire(lo, hi, h.c.node)
+			rpcs += h.f.locks().tokens.acquire(lo, hi, h.c.node)
 		}
 		if rpcs > 0 {
 			h.chargeLocks(rpcs)
@@ -130,7 +129,7 @@ func (h *Handle) Appendv(pl payload.List) (int64, error) {
 	if h.f.writeOpeners > 1 && cfg.LockUnit > 0 {
 		lo := off / cfg.LockUnit
 		hi := (off + total + cfg.LockUnit - 1) / cfg.LockUnit
-		if rpcs := h.f.locks.acquire(lo, hi, h.c.node); rpcs > 0 {
+		if rpcs := h.f.locks().tokens.acquire(lo, hi, h.c.node); rpcs > 0 {
 			h.chargeLocks(rpcs)
 		}
 	}
@@ -210,10 +209,7 @@ func (h *Handle) LockRange(off, n int64) error {
 	if h.c.fs.Cfg.LockRPC > 0 {
 		h.chargeLocks(1)
 	}
-	if h.f.fileMu == nil {
-		h.f.fileMu = sim.NewMutex(h.c.fs.Eng)
-	}
-	h.f.fileMu.Lock(h.c.p)
+	h.f.locks().file.Lock(h.c.p)
 	return nil
 }
 
@@ -222,6 +218,6 @@ func (h *Handle) UnlockRange(off, n int64) error {
 	if h.closed {
 		return ErrClosed
 	}
-	h.f.fileMu.Unlock()
+	h.f.lk.file.Unlock()
 	return nil
 }

@@ -413,7 +413,7 @@ func TestResourceParallelServers(t *testing.T) {
 
 func TestMutexFIFO(t *testing.T) {
 	e := NewEngine(1)
-	m := NewMutex(e)
+	var m Mutex
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i

@@ -6,15 +6,11 @@ import "time"
 // of parallel servers.  It models metadata servers, RPC handler pools, and
 // other queueing stations.  All methods must be called from simulation
 // context.
-//
-// The wait queue is a head-indexed slice so dequeue is O(1) even when
-// tens of thousands of processes pile onto one hot resource.
 type Resource struct {
 	e     *Engine
 	cap   int
 	inUse int
-	q     []*Proc
-	head  int
+	wait  Gate
 
 	// Busy accumulates server-busy virtual time for utilization reports.
 	Busy time.Duration
@@ -32,7 +28,7 @@ func NewResource(e *Engine, servers int) *Resource {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting for a server.
-func (r *Resource) QueueLen() int { return len(r.q) - r.head }
+func (r *Resource) QueueLen() int { return r.wait.Waiting() }
 
 // Acquire blocks p until a server is free and claims it.
 func (r *Resource) Acquire(p *Proc) {
@@ -40,32 +36,15 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.q = append(r.q, p)
-	p.park()
+	r.wait.Wait(p)
 	// The releaser transferred its server slot to us; inUse is unchanged.
 }
 
 // Release frees a server, handing it to the longest-waiting process if any.
 func (r *Resource) Release() {
-	if r.head < len(r.q) {
-		next := r.q[r.head]
-		r.q[r.head] = nil
-		r.head++
-		if r.head == len(r.q) {
-			r.q = r.q[:0]
-			r.head = 0
-		} else if r.head > 1024 && r.head*2 > len(r.q) {
-			n := copy(r.q, r.q[r.head:])
-			for i := n; i < len(r.q); i++ {
-				r.q[i] = nil
-			}
-			r.q = r.q[:n]
-			r.head = 0
-		}
-		next.Wake()
-		return
+	if !r.wait.Open() {
+		r.inUse--
 	}
-	r.inUse--
 }
 
 // Use acquires a server, holds it for d, and releases it.
@@ -76,28 +55,43 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 	r.Release()
 }
 
-// Mutex is a FIFO mutual-exclusion lock for simulated processes.
+// Mutex is a FIFO mutual-exclusion lock for simulated processes.  The
+// zero value is an unlocked mutex, so a structure can hold one by value
+// and pay no allocation for it.  Unlock hands the mutex straight to the
+// longest waiter, as a one-server Resource hands over its server.
 type Mutex struct {
-	r *Resource
+	held bool
+	wait Gate
 }
 
-// NewMutex returns an unlocked mutex.
-func NewMutex(e *Engine) *Mutex { return &Mutex{r: NewResource(e, 1)} }
-
 // Lock blocks p until the mutex is held by p.
-func (m *Mutex) Lock(p *Proc) { m.r.Acquire(p) }
+func (m *Mutex) Lock(p *Proc) {
+	if !m.held {
+		m.held = true
+		return
+	}
+	m.wait.Wait(p)
+	// The unlocker handed the mutex to us; it stays held.
+}
 
 // Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.r.Release() }
+func (m *Mutex) Unlock() {
+	if !m.wait.Open() {
+		m.held = false
+	}
+}
 
 // Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.r.InUse() > 0 }
+func (m *Mutex) Locked() bool { return m.held }
 
 // Waiters reports how many processes are queued on the mutex.
-func (m *Mutex) Waiters() int { return m.r.QueueLen() }
+func (m *Mutex) Waiters() int { return m.wait.Waiting() }
 
 // Gate is a condition-style wait point: processes wait on it and are
 // released in FIFO order by Open or OpenAll.
+//
+// The wait queue is a head-indexed slice so dequeue is O(1) even when
+// tens of thousands of processes pile onto one hot resource.
 type Gate struct {
 	q    []*Proc
 	head int
@@ -119,6 +113,10 @@ func (g *Gate) Open() bool {
 	g.head++
 	if g.head == len(g.q) {
 		g.q, g.head = g.q[:0], 0
+	} else if g.head > 1024 && g.head*2 > len(g.q) {
+		n := copy(g.q, g.q[g.head:])
+		clear(g.q[n:])
+		g.q, g.head = g.q[:n], 0
 	}
 	next.Wake()
 	return true

@@ -227,6 +227,7 @@ func checkOracle(seed int64, blockSel uint8, capacity int64, span, maxLen, steps
 	block := int64(blockSel%4) + 1
 	c := newCache(capacity, block)
 	ref := &refCache{capacity: capacity, block: block, present: map[blockKey]bool{}}
+	kept := 0 // chunks made so far, queued or spare
 	for k := 0; k < steps; k++ {
 		obj := uint64(rng.Intn(3) + 1)
 		off := int64(rng.Intn(span))
@@ -249,15 +250,22 @@ func checkOracle(seed int64, blockSel uint8, capacity int64, span, maxLen, steps
 		if err := matchesRef(c, ref); err != nil {
 			return fmt.Errorf("step %d: %v", k, err)
 		}
+		// Eviction and reset keep every chunk they drain as a spare.
+		made := len(c.fifo.chunks) + len(c.fifo.spare)
+		if made < kept {
+			return fmt.Errorf("step %d: %d chunks kept, %d made before", k, made, kept)
+		}
+		kept = made
 	}
 	return nil
 }
 
 // Property: over random operations the cache answers every lookup as
-// the reference model does, evicts in its order, and its layout stays
-// consistent.  The second run's queue spans 3,000 to 12,000 blocks in
-// chunks up to the largest, so evictions, drops and resets cross chunk
-// boundaries and refill spare chunks.
+// the reference model does, evicts in its order, its layout stays
+// consistent, and its queue loses no chunk it has made.  The second
+// run's queue spans 3,000 to 12,000 blocks in chunks up to the largest,
+// so evictions, drops and resets cross chunk boundaries and refill spare
+// chunks.
 func TestCacheMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name                    string
@@ -279,76 +287,6 @@ func TestCacheMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// cacheModel is what the cache and its reference model share.
-type cacheModel interface {
-	insert(obj uint64, off, n int64)
-	drop(obj uint64)
-}
-
-// TestCacheQueueChunks walks the eviction queue across chunk boundaries
-// against the reference model: a fill larger than several chunks, an
-// eviction that drains a chunk part way into the next, a drop of an
-// object queued in several chunks, and a reset whose refill takes every
-// chunk it needs from the spares.
-func TestCacheQueueChunks(t *testing.T) {
-	const capacity = 4 * maxChunk
-	c := newCache(capacity, 1)
-	ref := &refCache{capacity: capacity, block: 1, present: map[blockKey]bool{}}
-	step := func(what string, fn func(m cacheModel)) {
-		t.Helper()
-		fn(c)
-		fn(ref)
-		if err := matchesRef(c, ref); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		for obj := uint64(1); obj <= 3; obj++ {
-			if got, want := c.hitBytes(obj, 0, 2*capacity), ref.hitBytes(obj, 0, 2*capacity); got != want {
-				t.Fatalf("%s: object %d hits %d, reference %d", what, obj, got, want)
-			}
-		}
-	}
-	insert := func(obj uint64, off, n int64) func(m cacheModel) {
-		return func(m cacheModel) { m.insert(obj, off, n) }
-	}
-	// Alternate two objects in runs of 100 blocks, 4,000 blocks in all:
-	// each object's blocks land in every chunk.
-	for off := int64(0); off < capacity/2-100; off += 100 {
-		step("fill", insert(1, off, 100))
-		step("fill", insert(2, off, 100))
-	}
-	q := &c.fifo
-	if last := q.chunks[len(q.chunks)-1]; len(q.chunks) < 8 || cap(last) != maxChunk || len(q.spare) != 0 {
-		t.Fatalf("fill of %d keys: %d chunks, the last of %d keys, %d spare", q.n, len(q.chunks), cap(last), len(q.spare))
-	}
-	// 500 blocks of object 3 overflow the capacity by 404: eviction
-	// drains the first chunks and stops inside the next.
-	over, drained := 4000+500-capacity, 0
-	for ; over >= cap(q.chunks[drained]); drained++ {
-		over -= cap(q.chunks[drained])
-	}
-	step("evict across chunk boundaries", insert(3, 0, 500))
-	if drained < 2 || q.head != over || len(q.spare) != drained {
-		t.Fatalf("eviction of 404 blocks: head %d, %d spare chunks, want %d and %d", q.head, len(q.spare), over, drained)
-	}
-	step("drop an object queued in every chunk", func(m cacheModel) { m.drop(1) })
-	// The dropped object's keys stay queued: inserts evict them without
-	// freeing a block, then evict object 2's oldest.
-	step("evict past dropped keys", insert(3, 500, 3000))
-	made := len(q.chunks) + len(q.spare)
-	c.reset()
-	ref = &refCache{capacity: capacity, block: 1, present: map[blockKey]bool{}}
-	if err := matchesRef(c, ref); err != nil || len(q.spare) != made {
-		t.Fatalf("reset: %v, %d spare chunks of %d", err, len(q.spare), made)
-	}
-	for off := int64(0); off < capacity; off += 300 {
-		step("refill", insert(2, off, 300))
-	}
-	step("refill and evict", insert(1, 0, 1000))
-	if n := len(q.chunks) + len(q.spare); n != made {
-		t.Fatalf("refill holds %d chunks, the first fill made %d", n, made)
 	}
 }
 

@@ -73,8 +73,11 @@ func (n *node) base() *node { return n }
 type entry interface{ base() *node }
 
 // dirNode is a directory.  Its children sit in a short slice while they
-// are few, as in most directories of a PLFS container, and move to a map
-// when they outgrow it.
+// are few and move to a map when they outgrow it.  An N-N job's PLFS
+// containers make four directories a file, nearly all with at most
+// fewChildren entries, and a slice of those costs a fraction of a map
+// (EXPERIMENTS.md, "A pfs entry and a cached block cost their own size
+// (PR 45)").
 type dirNode struct {
 	node
 	few  []entry          // the children while there are at most fewChildren

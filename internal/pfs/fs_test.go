@@ -3,6 +3,8 @@ package pfs
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,6 +205,112 @@ func TestRename(t *testing.T) {
 		got, _ := r.ReadAt(0, 4)
 		if string(got.Materialize()) != "data" {
 			t.Error("renamed contents wrong")
+		}
+	})
+}
+
+// TestDirectoryOutgrowsSlice grows one directory past fewChildren and
+// shrinks it to empty, on both sides of the move from its slice to its
+// map: every child stays reachable, ReadDir lists exactly the children
+// in lexical order, and Rename and Remove work in either storage.
+func TestDirectoryOutgrowsSlice(t *testing.T) {
+	const n = fewChildren + 4
+	eng, fs := testFS(1, nil)
+	runOne(t, eng, func(p *sim.Proc) {
+		c := fs.Client(0, p)
+		for _, d := range []string{"/vol0/d", "/vol0/other"} {
+			if err := c.Mkdir(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e, _ := fs.lookup("/vol0/d")
+		d := e.(*dirNode)
+		var names []string // the children, kept sorted
+		check := func(when string) {
+			t.Helper()
+			ents, err := c.ReadDir("/vol0/d")
+			var got []string
+			for _, fi := range ents {
+				got = append(got, fi.Name)
+				if fi.Dir != strings.HasPrefix(fi.Name, "s") {
+					t.Errorf("%s: %s listed with Dir %v", when, fi.Name, fi.Dir)
+				}
+			}
+			if err != nil || !slices.Equal(got, names) {
+				t.Fatalf("%s: ReadDir = %v, %v; want %v", when, got, err, names)
+			}
+			for _, name := range names {
+				if _, err := c.Stat("/vol0/d/" + name); err != nil {
+					t.Errorf("%s: stat %s: %v", when, name, err)
+				}
+			}
+			if d.len() != len(names) {
+				t.Errorf("%s: directory counts %d children, holds %d", when, d.len(), len(names))
+			}
+		}
+		renameBack := func(when, name string) {
+			t.Helper()
+			for _, hop := range [][2]string{
+				{"/vol0/d/" + name, "/vol0/d/a" + name},
+				{"/vol0/d/a" + name, "/vol0/other/" + name},
+				{"/vol0/other/" + name, "/vol0/d/" + name},
+			} {
+				if err := c.Rename(hop[0], hop[1]); err != nil {
+					t.Fatalf("%s: rename %s to %s: %v", when, hop[0], hop[1], err)
+				}
+			}
+			if ents, err := c.ReadDir("/vol0/other"); err != nil || len(ents) != 0 {
+				t.Fatalf("%s: the other directory lists %v, %v", when, ents, err)
+			}
+			check(when + ", renamed and back")
+		}
+		// Names arrive out of lexical order; "s" names are directories.
+		for i := range n {
+			kind := "f"
+			if i%3 == 0 {
+				kind = "s"
+			}
+			name := fmt.Sprintf("%s%02d", kind, (i*7)%n)
+			if kind == "s" {
+				if err := c.Mkdir("/vol0/d/" + name); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				h, err := c.Create("/vol0/d/" + name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Close()
+			}
+			names = append(names, name)
+			slices.Sort(names)
+			when := fmt.Sprintf("%d children", len(names))
+			if mapped := d.many != nil; mapped != (len(names) > fewChildren) {
+				t.Errorf("%s: children in a map is %v", when, mapped)
+			}
+			check(when)
+			if err := c.Rename("/vol0/d/"+name, "/vol0/d/"+name); err != ErrExist {
+				t.Errorf("%s: rename onto an existing child: %v", when, err)
+			}
+			renameBack(when, name)
+		}
+		for len(names) > 0 {
+			name := names[0]
+			if err := c.Remove("/vol0/d/" + name); err != nil {
+				t.Fatal(err)
+			}
+			names = names[1:]
+			if _, err := c.Stat("/vol0/d/" + name); err != ErrNotExist {
+				t.Errorf("removed %s: stat %v", name, err)
+			}
+			when := fmt.Sprintf("removed down to %d", len(names))
+			check(when)
+			if len(names) > 0 {
+				renameBack(when, names[len(names)-1])
+			}
+		}
+		if err := c.Remove("/vol0/d"); err != nil {
+			t.Errorf("remove emptied directory: %v", err)
 		}
 	})
 }

@@ -365,42 +365,14 @@ func doHealth(path string) error {
 		return fmt.Errorf("parsing metrics JSON: %w", err)
 	}
 
-	type vol struct{ fields map[string]float64 }
-	vols := map[string]*vol{}
-	const pfx = "plfs.health."
-	for name, v := range snap.Gauges {
-		rest, ok := strings.CutPrefix(name, pfx)
-		if !ok {
-			continue
-		}
-		i := strings.LastIndex(rest, ".")
-		if i < 0 {
-			continue
-		}
-		root, field := rest[:i], rest[i+1:]
-		r := vols[root]
-		if r == nil {
-			r = &vol{fields: map[string]float64{}}
-			vols[root] = r
-		}
-		r.fields[field] = v
-	}
-	if len(vols) == 0 {
+	if vols := plfs.ReadHealth(snap); len(vols) == 0 {
 		fmt.Println("no plfs.health.* gauges in this dump (run with a Service mount and -metrics)")
 	} else {
-		roots := make([]string, 0, len(vols))
-		for r := range vols {
-			roots = append(roots, r)
-		}
-		sort.Strings(roots)
 		fmt.Printf("%-16s %-10s %10s %8s %8s %8s %10s %10s\n",
 			"VOLUME", "STATE", "P99(ms)", "OPENS", "PROBES", "PROBE_OK", "FAILURES", "SLOW_OPS")
-		for _, root := range roots {
-			f := vols[root].fields
-			state := plfs.BreakerState(int(f["state"])).String()
-			fmt.Printf("%-16s %-10s %10.3f %8.0f %8.0f %8.0f %10.0f %10.0f\n",
-				root, state, f["p99_ns"]/1e6, f["opens"], f["probes"], f["probe_ok"],
-				f["failures"], f["slow_ops"])
+		for _, v := range vols {
+			fmt.Printf("%-16s %-10s %10.3f %8d %8d %8d %10d %10d\n",
+				v.Root, v.State, float64(v.P99)/1e6, v.Opens, v.Probes, v.ProbeOK, v.Failures, v.SlowOps)
 		}
 	}
 
@@ -408,10 +380,9 @@ func doHealth(path string) error {
 	fmt.Printf("\nhedging: hedged %d  hedge_wins %d  failover %d  replica_deferred %d  replica_write_errors %d\n",
 		ctr("plfs.read.hedged"), ctr("plfs.read.hedge_wins"), ctr("plfs.replica.failover"),
 		ctr("plfs.replica.deferred"), ctr("plfs.replica.write_errors"))
-	g := func(name string) float64 { return snap.Gauges[name] }
-	fmt.Printf("repair:  ticks %.0f  found %.0f = repaired %.0f + unrepairable %.0f  (deferred %.0f)\n",
-		g("plfs.repair.ticks"), g("plfs.repair.found"), g("plfs.repair.repaired"),
-		g("plfs.repair.unrepairable"), g("plfs.repair.deferred"))
+	fmt.Printf("repair:  ticks %d  found %d = repaired %d + unrepairable %d  (deferred %d)\n",
+		ctr("plfs.repair.ticks"), ctr("plfs.repair.found"), ctr("plfs.repair.repaired"),
+		ctr("plfs.repair.unrepairable"), ctr("plfs.repair.deferred"))
 	if sk := ctr("plfs.read.skipped_shards"); sk > 0 {
 		fmt.Printf("degraded reads: %d skipped shards\n", sk)
 	}
@@ -421,64 +392,42 @@ func doHealth(path string) error {
 // printTenants renders the mount-service view when the dump carries
 // plfs.svc.* / plfs.econ.* series (plfsrun -tenants -metrics): one row
 // per tenant joining the admission ledger counters with the cache-bytes
-// attribution gauge, then the economy totals.
+// attribution gauge, then the economy totals.  A tenant name may hold
+// dots: the field is what follows the last one.
 func printTenants(snap obs.Snapshot) {
 	type row struct {
 		admitted, completed, rejected, retries int64
 		cacheBytes                             float64
 	}
 	tenants := map[string]*row{}
-	get := func(t string) *row {
-		r := tenants[t]
-		if r == nil {
-			r = &row{}
-			tenants[t] = r
+	get := func(name string) (*row, string) {
+		rest, ok := strings.CutPrefix(name, "plfs.svc.tenant.")
+		i := strings.LastIndex(rest, ".")
+		if !ok || i < 0 {
+			return nil, ""
 		}
-		return r
+		t := rest[:i]
+		if tenants[t] == nil {
+			tenants[t] = &row{}
+		}
+		return tenants[t], rest[i+1:]
 	}
-	const pfx = "plfs.svc.tenant."
 	for name, v := range snap.Counters {
-		rest, ok := strings.CutPrefix(name, pfx)
-		if !ok {
-			continue
-		}
-		t, field, ok := strings.Cut(rest, ".")
-		if !ok {
-			continue
-		}
+		r, field := get(name)
 		switch field {
 		case "admitted":
-			get(t).admitted = v
+			r.admitted = v
 		case "completed":
-			get(t).completed = v
+			r.completed = v
 		case "rejected":
-			get(t).rejected = v
+			r.rejected = v
 		case "retries":
-			get(t).retries = v
+			r.retries = v
 		}
 	}
 	for name, v := range snap.Gauges {
-		rest, ok := strings.CutPrefix(name, pfx)
-		if !ok {
-			continue
-		}
-		t, field, ok := strings.Cut(rest, ".")
-		if !ok {
-			continue
-		}
-		// Gauges republished by Service.Publish carry the same ledger
-		// values as the streamed counters, so either source fills the row.
-		switch field {
-		case "cache_bytes":
-			get(t).cacheBytes = v
-		case "admitted":
-			get(t).admitted = int64(v)
-		case "completed":
-			get(t).completed = int64(v)
-		case "rejected":
-			get(t).rejected = int64(v)
-		case "retries":
-			get(t).retries = int64(v)
+		if r, field := get(name); field == "cache_bytes" {
+			r.cacheBytes = v
 		}
 	}
 	if len(tenants) == 0 {

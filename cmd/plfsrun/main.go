@@ -373,13 +373,14 @@ func brownout(spec string, ranks int, bytes, op int64, hedge bool, replicas int)
 		c := r.Obs[0].Counter
 		fmt.Printf("self-heal: hedged %d hedge_wins %d failover %d\n",
 			c("plfs.read.hedged").Value(), c("plfs.read.hedge_wins").Value(), c("plfs.replica.failover").Value())
-		for _, h := range r.Service.Health {
+		for _, h := range plfs.ReadHealth(r.Service.Snapshot()) {
 			fmt.Printf("  health %-12s state=%-9s opens=%d probes=%d probe_ok=%d failures=%d slow=%d\n",
 				h.Root, h.State, h.Opens, h.Probes, h.ProbeOK, h.Failures, h.SlowOps)
 		}
-		rp := r.Service.Repair
+		rc := r.Service.Counter
 		fmt.Printf("  repair: ticks=%d found=%d repaired=%d unrepairable=%d deferred=%d\n",
-			rp.Ticks, rp.Found, rp.Repaired, rp.Unrepairable, rp.Deferred)
+			rc("plfs.repair.ticks").Value(), rc("plfs.repair.found").Value(), rc("plfs.repair.repaired").Value(),
+			rc("plfs.repair.unrepairable").Value(), rc("plfs.repair.deferred").Value())
 	}
 }
 
@@ -402,24 +403,19 @@ func serviceTenants(cfg pfs.Config, n, ranksPer, containers int, bytes, op int64
 		}
 		fmt.Printf("  makespan %.3fs   aggregate %.1f MB/s   worst-tenant p99 open %.3fs\n",
 			r.Makespan.Seconds(), float64(r.Bytes)/r.Makespan.Seconds()/1e6, worst.Seconds())
-		ledger := map[string]plfs.TenantAdmission{}
-		for _, a := range r.Service.Tenants {
-			ledger[a.Tenant] = a
-		}
-		var admitted, completed, rejected int64
+		c := func(name string) int64 { return r.Service.Counter(name).Value() }
 		for i := range p99s {
-			name := fmt.Sprintf("t%d", i)
-			a := ledger[name]
-			admitted += a.Admitted
-			completed += a.Completed
-			rejected += a.Rejected
+			p := fmt.Sprintf("plfs.svc.tenant.t%d.", i)
 			fmt.Printf("  %-8s p99 open %7.3fs  opens %4d  admitted %5d  completed %5d  rejected %5d  retries %5d\n",
-				name, p99s[i].Seconds(), opens[i], a.Admitted, a.Completed, a.Rejected, a.Retries)
+				fmt.Sprintf("t%d", i), p99s[i].Seconds(), opens[i],
+				c(p+"admitted"), c(p+"completed"), c(p+"rejected"), c(p+"retries"))
 		}
-		fmt.Printf("  admission: admitted %d = completed %d + rejected %d\n", admitted, completed, rejected)
-		e := r.Service.Economy
+		fmt.Printf("  admission: admitted %d = completed %d + rejected %d\n",
+			c("plfs.svc.admitted"), c("plfs.svc.completed"), c("plfs.svc.rejected"))
+		g := func(name string) int64 { return int64(r.Service.Gauge(name).Value()) }
 		fmt.Printf("  cache: used %d/%d KB, evicted %d entries (%d KB)\n",
-			e.UsedBytes>>10, e.BudgetBytes>>10, e.Evictions, e.EvictedBytes>>10)
+			g("plfs.econ.used_bytes")>>10, g("plfs.econ.budget_bytes")>>10,
+			g("plfs.econ.evictions"), g("plfs.econ.evicted_bytes")>>10)
 	}
 }
 

@@ -84,21 +84,17 @@ func TestBrownoutSelfHealing(t *testing.T) {
 	}
 	// The breaker actually cycled: volume 0 opened at least once and a
 	// probe closed it again by the end of the run.
-	var v0 plfs.VolHealth
-	for _, v := range healed.Service.Health {
-		if v.Opens > 0 {
-			v0 = v
-		}
+	g := healed.Service.Gauge
+	if g("plfs.health./vol0.opens").Value() == 0 {
+		t.Errorf("no breaker opened during the brownout: %v", healed.Service.Snapshot().Gauges)
 	}
-	if v0.Opens == 0 {
-		t.Errorf("no breaker opened during the brownout: %+v", healed.Service.Health)
+	if g("plfs.health./vol0.probe_ok").Value() == 0 {
+		t.Errorf("breaker never closed via a probe: %v", healed.Service.Snapshot().Gauges)
 	}
-	if v0.ProbeOK == 0 {
-		t.Errorf("breaker never closed via a probe: %+v", v0)
-	}
-	// Repair ledger invariant.
-	if rep := healed.Service.Repair; rep.Found != rep.Repaired+rep.Unrepairable {
-		t.Errorf("repair ledger broken: %+v", rep)
+	// Repair ledger invariant; ticks that met the open breaker deferred
+	// their containers.
+	if rep := repairLedger(healed); rep[1] != rep[2]+rep[3] || rep[4] == 0 {
+		t.Errorf("repair ledger ticks/found/repaired/unrepairable/deferred = %v, want found = repaired + unrepairable and deferred > 0", rep)
 	}
 
 	// Virtual-clock determinism: the same seed reproduces the healed run
@@ -109,8 +105,17 @@ func TestBrownoutSelfHealing(t *testing.T) {
 	}
 	ah, aw := hedges(again)
 	hh, hw := hedges(healed)
-	if ah != hh || aw != hw || again.Service.Repair != healed.Service.Repair {
-		t.Errorf("counters differ across identical runs: hedged %d/%d wins %d/%d repair %+v/%+v",
-			ah, hh, aw, hw, again.Service.Repair, healed.Service.Repair)
+	if ah != hh || aw != hw || repairLedger(again) != repairLedger(healed) {
+		t.Errorf("counters differ across identical runs: hedged %d/%d wins %d/%d repair %v/%v",
+			ah, hh, aw, hw, repairLedger(again), repairLedger(healed))
 	}
+}
+
+// repairLedger reads the run's repair counters: ticks, found, repaired,
+// unrepairable, deferred.
+func repairLedger(r Report) (out [5]int64) {
+	for i, f := range []string{"ticks", "found", "repaired", "unrepairable", "deferred"} {
+		out[i] = r.Service.Counter("plfs.repair." + f).Value()
+	}
+	return out
 }

@@ -12,6 +12,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,12 +31,11 @@ import (
 // chaosOutcome is everything the determinism check compares.
 type chaosOutcome struct {
 	aSteps  [chaosSteps]workloads.Result
-	bDone   int    // tenant B steps committed before the crash
-	bErr    string // tenant B's terminal error (the crash)
-	metrics []byte // full obs snapshot JSON
-	repair  plfs.RepairTotals
-	health  []plfs.VolHealth
-	audited int // tenant B containers read back byte-identical post-repair
+	bDone   int          // tenant B steps committed before the crash
+	bErr    string       // tenant B's terminal error (the crash)
+	metrics []byte       // full obs snapshot JSON, the service's registry merged in
+	service obs.Snapshot // the service's registry: ledgers and breaker table
+	audited int          // tenant B containers read back byte-identical post-repair
 }
 
 const (
@@ -189,14 +189,14 @@ func runChaos(t *testing.T, seed int64) chaosOutcome {
 		t.Fatalf("repair tick (seed %d): %v", seed, repairErr)
 	}
 
+	svcReg := svc.Obs()
+	reg.Merge(svcReg)
 	var buf bytes.Buffer
 	if err := reg.WriteJSON(&buf); err != nil {
 		t.Fatalf("metrics snapshot: %v", err)
 	}
 	out.metrics = buf.Bytes()
-	st := svc.Stats()
-	out.repair = st.Repair
-	out.health = st.Health
+	out.service = svcReg.Snapshot()
 	return out
 }
 
@@ -220,19 +220,21 @@ func TestChaosSoak(t *testing.T) {
 			}
 			// The brownout tripped volume 0's breaker at least once.
 			opened := false
-			for _, v := range a.health {
-				if v.Opens > 0 {
+			for name, v := range a.service.Gauges {
+				if strings.HasPrefix(name, "plfs.health.") && strings.HasSuffix(name, ".opens") && v > 0 {
 					opened = true
 				}
 			}
 			if !opened {
-				t.Errorf("no breaker opened under the brownout: %+v", a.health)
+				t.Errorf("no breaker opened under the brownout: %v", a.service.Gauges)
 			}
-			// Repair ledger invariant: everything found was classified.
-			if a.repair.Found != a.repair.Repaired+a.repair.Unrepairable {
-				t.Errorf("repair ledger broken: %+v", a.repair)
+			// Repair ledger invariant, read off the service's registry:
+			// everything found was classified.
+			c := a.service.Counters
+			if f, r, u := c["plfs.repair.found"], c["plfs.repair.repaired"], c["plfs.repair.unrepairable"]; f != r+u {
+				t.Errorf("repair ledger broken: found %d != repaired %d + unrepairable %d", f, r, u)
 			}
-			if a.repair.Ticks == 0 {
+			if c["plfs.repair.ticks"] == 0 {
 				t.Errorf("repair daemon never ticked")
 			}
 
@@ -245,11 +247,8 @@ func TestChaosSoak(t *testing.T) {
 				t.Errorf("tenant B outcome differs across identical runs: %d/%q vs %d/%q",
 					a.bDone, a.bErr, b.bDone, b.bErr)
 			}
-			if a.repair != b.repair {
-				t.Errorf("repair ledger differs across identical runs: %+v vs %+v", a.repair, b.repair)
-			}
 			if !bytes.Equal(a.metrics, b.metrics) {
-				t.Errorf("metrics snapshots differ across identical runs")
+				t.Errorf("metrics snapshots (service ledgers included) differ across identical runs")
 			}
 		})
 	}

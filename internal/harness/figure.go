@@ -324,6 +324,11 @@ func counter(name string, div float64) func(Report, int) float64 {
 	return func(r Report, _ int) float64 { return float64(r.Obs[0].Counter(name).Value()) / div }
 }
 
+// serviceCounter reads a counter of the run's service registry.
+func serviceCounter(name string) func(Report, int) float64 {
+	return func(r Report, _ int) float64 { return float64(r.Service.Counter(name).Value()) }
+}
+
 // take runs j with seed and reads its cells for (series, x).
 func take(o Options, j Job, seed int64, series string, x float64, reads []read) ([]Cell, error) {
 	j.Seed = seed

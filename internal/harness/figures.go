@@ -406,8 +406,7 @@ func Figures() []Figure {
 					// curve splits into "queueing" and "rejected" regimes.
 					return Tenants(pfs.SmallCluster(), n, pick(o, 4, 16), k, 4, 32<<20)
 				}, read{0, "", func(r Report, _ int) float64 { return float64(r.Bytes) / r.Makespan.Seconds() / 1e6 }}, read{1, "worst-tenant", worstP99},
-					read{2, "admitted", admission(func(a plfs.TenantAdmission) int64 { return a.Admitted })},
-					read{2, "rejected", admission(func(a plfs.TenantAdmission) int64 { return a.Rejected })})
+					read{2, "admitted", serviceCounter("plfs.svc.admitted")}, read{2, "rejected", serviceCounter("plfs.svc.rejected")})
 			},
 			Headline: []Metric{{"worst-p99-open-sec", last(1, "worst-tenant")}},
 		},
@@ -436,7 +435,7 @@ func Figures() []Figure {
 						cells, err := take(o, j, seed, name, x, []read{
 							{1, "hedged", counter("plfs.read.hedged", 1)},
 							{1, "hedge-wins", counter("plfs.read.hedge_wins", 1)},
-							{1, "repaired", func(r Report, _ int) float64 { return float64(r.Service.Repair.Repaired) }},
+							{1, "repaired", serviceCounter("plfs.repair.repaired")},
 						})
 						steps := make([]Cell, len(bw))
 						for s, b := range bw {

@@ -119,7 +119,10 @@ type Report struct {
 	// Makespan is the virtual time from launch to the last rank's exit.
 	Makespan time.Duration
 	PFS      pfs.Report
-	Service  plfs.ServiceStats // zero without Job.Svc
+	// Service is the service's registry (plfs.Service.Obs): its admission
+	// and repair ledgers as counters, its economy, gate and breaker
+	// state as gauges.  Nil without Job.Svc.
+	Service *obs.Registry
 	// Obs holds, per tenant, the registry its ranks recorded into: a
 	// named tenant's own, Job.Obs otherwise.
 	Obs []*obs.Registry
@@ -311,8 +314,8 @@ func Run(j Job) (Report, error) {
 		rep.Bytes += results[i].BytesPerRank * int64(t.Ranks)
 	}
 	if svc != nil {
-		rep.Service = svc.Stats()
-		svc.Publish(j.Obs)
+		rep.Service = svc.Obs()
+		j.Obs.Merge(rep.Service)
 	}
 	// Run forces no collection: Figure.run returns a large run's heap to
 	// the OS before it admits the next run.
@@ -416,17 +419,6 @@ func worstP99(r Report, _ int) float64 {
 		worst = max(worst, p99)
 	}
 	return worst.Seconds()
-}
-
-// admission sums one field of the run's admission ledger.
-func admission(field func(plfs.TenantAdmission) int64) func(Report, int) float64 {
-	return func(r Report, _ int) float64 {
-		var n int64
-		for _, a := range r.Service.Tenants {
-			n += field(a)
-		}
-		return float64(n)
-	}
 }
 
 // Brownout is the self-healing run (ablation-brownout, plfsrun

@@ -1,6 +1,8 @@
 package harness_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"plfs/internal/fault"
@@ -44,6 +46,40 @@ func TestAllFiguresRunQuick(t *testing.T) {
 				t.Errorf("%s left nothing in the suite registry", fig.ID)
 			}
 		})
+	}
+}
+
+// TestSuiteDumpSumsServiceLedger: a figure suite's registry carries the
+// service ledger of every run, not of the last one: the admission
+// counters of ablation-tenants' dump add up to the admissions its cells
+// count over all its runs.
+func TestSuiteDumpSumsServiceLedger(t *testing.T) {
+	fig, _ := harness.FindFigure("ablation-tenants")
+	reg := obs.New()
+	reg.SetSpanLimit(0)
+	tabs, err := fig.Run(harness.Options{Scale: harness.Quick, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs, want float64
+	for _, p := range tabs[2].Points() {
+		if p.Series == "admitted" {
+			runs += float64(p.N)
+			want += math.Round(p.Mean * float64(p.N))
+		}
+	}
+	snap := reg.Snapshot()
+	var perTenant int64
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, "plfs.svc.tenant.") && strings.HasSuffix(name, ".admitted") {
+			perTenant += v
+		}
+	}
+	if want == 0 || runs < 2 {
+		t.Fatalf("%v admissions over %v runs: nothing to sum", want, runs)
+	}
+	if got := snap.Counters["plfs.svc.admitted"]; float64(got) != want || float64(perTenant) != want {
+		t.Errorf("dump counts %d admissions (%d over the tenants), the cells %v over %v runs", got, perTenant, want, runs)
 	}
 }
 

@@ -125,7 +125,7 @@ type Config struct {
 
 	// MetaObjBytes is the per-object metadata footprint charged to every
 	// live object — the accounting that makes a container's
-	// many-small-objects layout visible (Stats.MetaBytes).
+	// many-small-objects layout visible (the objfs.meta_bytes gauge).
 	MetaObjBytes int64
 
 	// JitterFrac perturbs every service time by ±frac (uniform).
@@ -154,27 +154,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats is a snapshot of the store's operation counters.
-type Stats struct {
-	Objects int64 // live objects, prefix markers included
-	Puts    int64 // PUTs and part uploads (WriteAt/Append count here)
-	Gets    int64
-	Heads   int64
-	Lists   int64 // LIST pages issued
-	Deletes int64
-
-	CondPuts  int64 // conditional PUTs (if-absent and if-generation)
-	Conflicts int64 // conditional PUTs refused on a precondition
-
-	ListKeys int64 // keys scanned by prefix listings
-	BytesIn  int64 // object bytes written
-	BytesOut int64 // object bytes read
-
-	// MetaBytes is the live per-object metadata footprint
-	// (Objects × Config.MetaObjBytes).
-	MetaBytes int64
-}
-
 // object is one stored value: sparse payload-backed data plus the
 // metadata a conditional PUT conditions on.
 type object struct {
@@ -197,7 +176,9 @@ type Store struct {
 	objs map[string]*object
 	keys []string // sorted view of objs for prefix scans
 
-	stats Stats
+	// reg counts the store's requests and bytes (objfs.* counters) where
+	// they are issued; Report, PublishObs and TraceProbes read it.
+	reg *obs.Registry
 }
 
 // New builds an engineless store: operations cost nothing and handles
@@ -207,7 +188,7 @@ func New(cfg Config) *Store {
 	if cfg.ListPage < 1 {
 		cfg.ListPage = 1000
 	}
-	return &Store{cfg: cfg, objs: map[string]*object{}}
+	return &Store{cfg: cfg, objs: map[string]*object{}, reg: obs.New()}
 }
 
 // NewSim builds a store bound to the engine: a KV server pool serializes
@@ -229,14 +210,24 @@ func NewSim(eng *sim.Engine, cfg Config) *Store {
 // Config returns the store's calibration.
 func (s *Store) Config() Config { return s.cfg }
 
-// Stats returns a snapshot of the operation counters.
-func (s *Store) Stats() Stats {
+// objects counts the live objects, prefix markers included.
+func (s *Store) objects() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Objects = int64(len(s.objs))
-	st.MetaBytes = st.Objects * s.cfg.MetaObjBytes
-	return st
+	return int64(len(s.objs))
+}
+
+// requests sums the KV requests issued: PUTs, GETs, HEADs, LIST pages
+// and DELETEs.
+func (s *Store) requests() int64 {
+	c := s.reg.Counter
+	return c("objfs.puts").Value() + c("objfs.gets").Value() + c("objfs.heads").Value() +
+		c("objfs.list_pages").Value() + c("objfs.deletes").Value()
+}
+
+// bytes sums the object bytes moved, in and out.
+func (s *Store) bytes() int64 {
+	return s.reg.Counter("objfs.bytes_in").Value() + s.reg.Counter("objfs.bytes_out").Value()
 }
 
 // Roots creates n top-level prefixes ("/obj0" … "/objN-1") and returns
@@ -265,33 +256,23 @@ func (s *Store) Roots(n int) []string {
 // moved.  Fields that only exist on the POSIX simulation (lock RPCs,
 // seeks, cache hits) stay zero.
 func (s *Store) Report() pfs.Report {
-	st := s.Stats()
-	return pfs.Report{
-		MetaOps:  st.Puts + st.Gets + st.Heads + st.Lists + st.Deletes,
-		NetBytes: st.BytesIn + st.BytesOut,
-	}
+	return pfs.Report{MetaOps: s.requests(), NetBytes: s.bytes()}
 }
 
-// PublishObs writes the store's counters into a metrics registry under
-// objfs.* (see internal/obs; the objfs analogue of pfs.FS.PublishObs).
+// PublishObs adds the store's counters into a metrics registry (objfs.*:
+// puts, gets, heads, list_pages, list_keys, deletes, cond_puts,
+// cond_put_conflicts, bytes_in, bytes_out) and sets its state gauges:
+// objfs.objects and objfs.meta_bytes, the live per-object metadata
+// footprint.  It is the objfs analogue of pfs.FS.PublishObs; call it once
+// per run, after the store's last operation.
 func (s *Store) PublishObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	st := s.Stats()
-	set := func(name string, v int64) { reg.Gauge("objfs." + name).Set(float64(v)) }
-	set("objects", st.Objects)
-	set("puts", st.Puts)
-	set("gets", st.Gets)
-	set("heads", st.Heads)
-	set("list_pages", st.Lists)
-	set("list_keys", st.ListKeys)
-	set("deletes", st.Deletes)
-	set("cond_puts", st.CondPuts)
-	set("cond_put_conflicts", st.Conflicts)
-	set("bytes_in", st.BytesIn)
-	set("bytes_out", st.BytesOut)
-	set("meta_bytes", st.MetaBytes)
+	reg.Merge(s.reg)
+	n := s.objects()
+	reg.Gauge("objfs.objects").Set(float64(n))
+	reg.Gauge("objfs.meta_bytes").Set(float64(n * s.cfg.MetaObjBytes))
 }
 
 // TraceProbes exposes the store's shared resources for time-series
@@ -305,15 +286,9 @@ func (s *Store) TraceProbes() []struct {
 		Fn   func() float64
 	}
 	ps := []probe{
-		{"objfs_objects", func() float64 { return float64(s.Stats().Objects) }},
-		{"objfs_kv_ops", func() float64 {
-			st := s.Stats()
-			return float64(st.Puts + st.Gets + st.Heads + st.Lists + st.Deletes)
-		}},
-		{"objfs_bytes", func() float64 {
-			st := s.Stats()
-			return float64(st.BytesIn + st.BytesOut)
-		}},
+		{"objfs_objects", func() float64 { return float64(s.objects()) }},
+		{"objfs_kv_ops", func() float64 { return float64(s.requests()) }},
+		{"objfs_bytes", func() float64 { return float64(s.bytes()) }},
 	}
 	if s.kv != nil {
 		ps = append(ps, probe{"objfs_kv_queue", func() float64 { return float64(s.kv.QueueLen()) }})
@@ -364,13 +339,6 @@ func (s *Store) transfer(p *sim.Proc, bytes int64) {
 		return
 	}
 	s.net.Transfer(p, bytes)
-}
-
-// count applies fn to the counters under the lock.
-func (s *Store) count(fn func(*Stats)) {
-	s.mu.Lock()
-	fn(&s.stats)
-	s.mu.Unlock()
 }
 
 // ---- keyspace primitives (callers hold s.mu) ----------------------------

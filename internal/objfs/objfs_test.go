@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
+	"maps"
 	"testing"
 	"time"
 
+	"plfs/internal/obs"
 	"plfs/internal/payload"
 	"plfs/internal/sim"
 )
@@ -76,9 +78,68 @@ func TestCondPut(t *testing.T) {
 	if got != "three" {
 		t.Fatalf("read back %q, want %q", got, "three")
 	}
-	st := s.Stats()
-	if st.CondPuts != 3 || st.Conflicts != 1 {
-		t.Fatalf("stats: condputs=%d conflicts=%d, want 3/1", st.CondPuts, st.Conflicts)
+	c := counters(s)
+	if c["objfs.cond_puts"] != 3 || c["objfs.cond_put_conflicts"] != 1 {
+		t.Fatalf("counters: cond_puts=%d conflicts=%d, want 3/1", c["objfs.cond_puts"], c["objfs.cond_put_conflicts"])
+	}
+}
+
+// counters reads the store's request counters as a run's registry
+// receives them.
+func counters(s *Store) map[string]int64 {
+	reg := obs.New()
+	s.PublishObs(reg)
+	return reg.Snapshot().Counters
+}
+
+// TestRequestCounters: each request lands in its own counter, once, and
+// Report and the gauges read the same store.
+func TestRequestCounters(t *testing.T) {
+	s := New(DefaultConfig())
+	b := Vol(s)
+	s.Roots(1) // administrative: no request
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(b.Mkdir("/obj0/d"))        // PUT (conditional)
+	f, err := b.Create("/obj0/d/f") // PUT (conditional)
+	must(err)
+	_, err = f.Append(payload.FromBytes([]byte("hello"))) // PUT, 5 bytes in
+	must(err)
+	_, err = b.Stat("/obj0/d/f") // HEAD
+	must(err)
+	r, err := b.OpenRead("/obj0/d/f") // HEAD
+	must(err)
+	_, err = r.ReadAt(1, 3) // GET, 3 bytes out
+	must(err)
+	_, err = b.ReadDir("/obj0/d") // one LIST page, one key
+	must(err)
+	must(b.PutReplace("/obj0/d/g", []byte("ab")))                        // HEAD, PUT (conditional), 2 bytes in
+	must(b.Rename("/obj0/d/g", "/obj0/d/h"))                             // HEAD, copy PUT, DELETE
+	if _, err := b.Create("/obj0/d/f"); !errors.Is(err, iofs.ErrExist) { // PUT (conditional), refused
+		t.Fatalf("second create: want ErrExist, got %v", err)
+	}
+	must(b.Remove("/obj0/d/f")) // DELETE
+
+	want := map[string]int64{
+		"objfs.puts": 6, "objfs.cond_puts": 4, "objfs.cond_put_conflicts": 1,
+		"objfs.heads": 4, "objfs.gets": 1, "objfs.list_pages": 1, "objfs.list_keys": 1,
+		"objfs.deletes": 2, "objfs.bytes_in": 7, "objfs.bytes_out": 3,
+	}
+	reg := obs.New()
+	s.PublishObs(reg)
+	if got := reg.Snapshot().Counters; !maps.Equal(got, want) {
+		t.Fatalf("counters = %v\nwant %v", got, want)
+	}
+	// Left: the markers /obj0/ and /obj0/d/, and /obj0/d/h.
+	if o, m := reg.Gauge("objfs.objects").Value(), reg.Gauge("objfs.meta_bytes").Value(); o != 3 || m != 3*512 {
+		t.Fatalf("objects %v, meta_bytes %v; want 3, 1536", o, m)
+	}
+	if rep := s.Report(); rep.MetaOps != 14 || rep.NetBytes != 10 {
+		t.Fatalf("report: %d requests, %d bytes; want 14, 10", rep.MetaOps, rep.NetBytes)
 	}
 }
 
@@ -170,8 +231,8 @@ func TestSimCostsAndConflict(t *testing.T) {
 	if !ce.Transient() {
 		t.Fatal("ConflictError must be transient")
 	}
-	if st := s.Stats(); st.Conflicts != 1 {
-		t.Fatalf("conflicts=%d, want 1", st.Conflicts)
+	if n := counters(s)["objfs.cond_put_conflicts"]; n != 1 {
+		t.Fatalf("conflicts=%d, want 1", n)
 	}
 }
 
@@ -208,8 +269,8 @@ func TestReadDirPaging(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	if st := s.Stats(); st.Lists != 3 || st.ListKeys != 25 {
-		t.Fatalf("lists=%d listkeys=%d, want 3/25", st.Lists, st.ListKeys)
+	if c := counters(s); c["objfs.list_pages"] != 3 || c["objfs.list_keys"] != 25 {
+		t.Fatalf("list_pages=%d list_keys=%d, want 3/25", c["objfs.list_pages"], c["objfs.list_keys"])
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"plfs/internal/fault"
 	"plfs/internal/objfs"
+	"plfs/internal/obs"
 	"plfs/internal/plfs"
 )
 
@@ -59,12 +60,13 @@ func TestObjfsN1WriteRead(t *testing.T) {
 			}
 			defer rd.Close()
 			verifyN1(t, rd, n, blocks, bs)
-			st := s.Stats()
-			if st.CondPuts == 0 {
+			reg := obs.New()
+			s.PublishObs(reg)
+			if reg.Counter("objfs.cond_puts").Value() == 0 {
 				t.Fatal("no conditional PUTs issued: commits took the rename path")
 			}
-			if st.Puts == 0 || st.Objects == 0 {
-				t.Fatalf("implausible store stats: %+v", st)
+			if reg.Counter("objfs.puts").Value() == 0 || reg.Gauge("objfs.objects").Value() == 0 {
+				t.Fatalf("implausible store counters: %v", reg.Snapshot())
 			}
 		})
 	}

@@ -1,9 +1,10 @@
 package plfs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
+
+	"plfs/internal/obs"
 )
 
 // economy is the cache budget shared by everything a mount service keeps
@@ -23,8 +24,10 @@ type economy struct {
 	budget int64
 	tick   atomic.Uint64 // shared LRU clock across all member mounts
 
-	mu      sync.Mutex
-	used    int64
+	mu   sync.Mutex
+	used int64
+	// tenants holds resident bytes by tenant.  A tenant whose bytes all
+	// left stays at 0, so its gauge reads 0, not its last value.
 	tenants map[string]int64
 	mounts  []*Mount // append-only, so rebalance may range over a snapshot
 
@@ -68,11 +71,7 @@ func (e *economy) charge(tenant string, n int64) {
 	tenant = tenantName(tenant)
 	e.mu.Lock()
 	e.used += n
-	if v := e.tenants[tenant] + n; v > 0 {
-		e.tenants[tenant] = v
-	} else {
-		delete(e.tenants, tenant)
-	}
+	e.tenants[tenant] += n
 	e.mu.Unlock()
 }
 
@@ -110,35 +109,18 @@ func (e *economy) rebalance() int {
 	return shed
 }
 
-// EconomyStats is a point-in-time snapshot of the shared cache economy.
-type EconomyStats struct {
-	BudgetBytes  int64
-	UsedBytes    int64
-	Evictions    int64 // container states shed under budget pressure
-	EvictedBytes int64
-	// TenantBytes holds resident bytes attributed to each tenant, in
-	// tenant-name order.
-	TenantBytes []TenantBytes
-}
-
-// TenantBytes is one tenant's resident-byte attribution.
-type TenantBytes struct {
-	Tenant string
-	Bytes  int64
-}
-
-func (e *economy) stats() EconomyStats {
-	s := EconomyStats{
-		BudgetBytes:  e.budget,
-		Evictions:    e.evictions.Load(),
-		EvictedBytes: e.evictedBytes.Load(),
-	}
+// publish writes the economy's state into reg as gauges: the budget,
+// resident and shed bytes, states shed, and each tenant's resident bytes
+// (a tenant whose bytes all left reads 0).  It runs when a service's
+// registry is read, so charging never touches a registry.
+func (e *economy) publish(reg *obs.Registry) {
 	e.mu.Lock()
-	s.UsedBytes = e.used
+	defer e.mu.Unlock()
+	reg.Gauge("plfs.econ.budget_bytes").Set(float64(e.budget))
+	reg.Gauge("plfs.econ.used_bytes").Set(float64(e.used))
+	reg.Gauge("plfs.econ.evictions").Set(float64(e.evictions.Load()))
+	reg.Gauge("plfs.econ.evicted_bytes").Set(float64(e.evictedBytes.Load()))
 	for t, b := range e.tenants {
-		s.TenantBytes = append(s.TenantBytes, TenantBytes{Tenant: t, Bytes: b})
+		reg.Gauge("plfs.svc.tenant." + t + ".cache_bytes").Set(float64(b))
 	}
-	e.mu.Unlock()
-	sort.Slice(s.TenantBytes, func(i, j int) bool { return s.TenantBytes[i].Tenant < s.TenantBytes[j].Tenant })
-	return s
 }

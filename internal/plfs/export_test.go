@@ -8,3 +8,11 @@ const (
 	SlowFactor       = slowFactor
 	MinSamples       = minSamples
 )
+
+// EconomyUsed reads the resident bytes of the cache economy behind a
+// mount; a standalone mount's economy has no registry to read.
+func EconomyUsed(m *Mount) int64 {
+	m.econ.mu.Lock()
+	defer m.econ.mu.Unlock()
+	return m.econ.used
+}

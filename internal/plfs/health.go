@@ -29,6 +29,7 @@ package plfs
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -445,6 +446,47 @@ func (h *Health) Publish(reg *obs.Registry) {
 		reg.Gauge(p + "failures").Set(float64(v.Failures))
 		reg.Gauge(p + "slow_ops").Set(float64(v.SlowOps))
 	}
+}
+
+// ReadHealth reads back the table Publish wrote: one row per volume root
+// found in the snapshot's plfs.health.<root>.* gauges, sorted by root.
+// A root may hold dots; the field is what follows the last one.
+func ReadHealth(snap obs.Snapshot) []VolHealth {
+	rows := map[string]*VolHealth{}
+	for name, v := range snap.Gauges {
+		rest, ok := strings.CutPrefix(name, "plfs.health.")
+		i := strings.LastIndex(rest, ".")
+		if !ok || i < 0 {
+			continue
+		}
+		h := rows[rest[:i]]
+		if h == nil {
+			h = &VolHealth{Root: rest[:i]}
+			rows[h.Root] = h
+		}
+		switch rest[i+1:] {
+		case "state":
+			h.State = BreakerState(v)
+		case "p99_ns":
+			h.P99 = time.Duration(v)
+		case "opens":
+			h.Opens = int64(v)
+		case "probes":
+			h.Probes = int64(v)
+		case "probe_ok":
+			h.ProbeOK = int64(v)
+		case "failures":
+			h.Failures = int64(v)
+		case "slow_ops":
+			h.SlowOps = int64(v)
+		}
+	}
+	out := make([]VolHealth, 0, len(rows))
+	for _, h := range rows {
+		out = append(out, *h)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Root < out[j].Root })
+	return out
 }
 
 // bind returns ctx with the mount's interceptors on every volume: the

@@ -388,12 +388,12 @@ func TestRepairContainer(t *testing.T) {
 	if _, err := svc.RepairTick(serviceCtx(roots, clock), m); err != nil {
 		t.Fatalf("repair tick: %v", err)
 	}
-	st := svc.Stats()
-	if st.Repair.Ticks != 1 {
-		t.Errorf("repair ticks = %d, want 1", st.Repair.Ticks)
+	c := svc.Obs().Counter
+	if got := c("plfs.repair.ticks").Value(); got != 1 {
+		t.Errorf("repair ticks = %d, want 1", got)
 	}
-	if st.Repair.Found != st.Repair.Repaired+st.Repair.Unrepairable {
-		t.Errorf("service ledger broken: %+v", st.Repair)
+	if f, r, u := c("plfs.repair.found").Value(), c("plfs.repair.repaired").Value(), c("plfs.repair.unrepairable").Value(); f != r+u {
+		t.Errorf("service ledger broken: found %d != repaired %d + unrepairable %d", f, r, u)
 	}
 }
 
@@ -440,7 +440,7 @@ func TestRepairDaemon(t *testing.T) {
 	if slept := sleeper.total; slept != 3*50*time.Millisecond {
 		t.Errorf("daemon slept %v, want 150ms of charged virtual time", slept)
 	}
-	if got := svc.Stats().Repair.Ticks; got != 3 {
+	if got := svc.Obs().Counter("plfs.repair.ticks").Value(); got != 3 {
 		t.Errorf("ticks = %d, want 3", got)
 	}
 	if _, err := os.Stat(repIx); err != nil {

@@ -349,11 +349,19 @@ func stateOverhead(t *testing.T, roots []string, ctx plfs.Ctx) int64 {
 	t.Helper()
 	m := plfs.NewMount(roots, plfs.Options{})
 	openMissing(t, m, ctx)
-	ovh := m.EconomyStats().UsedBytes
+	ovh := plfs.EconomyUsed(m)
 	if ovh <= 0 {
 		t.Fatalf("a container state costs %d bytes, want > 0", ovh)
 	}
 	return ovh
+}
+
+// econ reads a service's economy gauges: resident bytes, states shed and
+// bytes shed.
+func econ(svc *plfs.Service) (used, evictions, evicted int64) {
+	g := svc.Obs().Gauge
+	return int64(g("plfs.econ.used_bytes").Value()), int64(g("plfs.econ.evictions").Value()),
+		int64(g("plfs.econ.evicted_bytes").Value())
 }
 
 // TestIndexCacheLRUEviction: under budget pressure the container opened
@@ -370,7 +378,7 @@ func TestIndexCacheLRUEviction(t *testing.T) {
 		writeTagged(t, w.m, ctx, name, uint64(i+1), bs)
 		fresh := plfs.NewMount(w.roots, plfs.Options{})
 		openTagged(t, fresh, ctx, name, uint64(i+1), bs)
-		fp := fresh.EconomyStats().UsedBytes
+		fp := plfs.EconomyUsed(fresh)
 		if i > 0 && fp != one {
 			t.Fatalf("%s costs %d bytes resident, k0 %d: the budget below assumes one size", name, fp, one)
 		}
@@ -385,8 +393,8 @@ func TestIndexCacheLRUEviction(t *testing.T) {
 			t.Fatalf("first open of %s hit", names[i])
 		}
 	}
-	if got := m.EconomyStats().UsedBytes; got != 3*one {
-		t.Fatalf("used = %d, want %d", got, 3*one)
+	if used, _, _ := econ(svc); used != 3*one {
+		t.Fatalf("used = %d, want %d", used, 3*one)
 	}
 
 	// Reopen k0 so k1 is least recently used, then overflow with k3: k1
@@ -397,10 +405,9 @@ func TestIndexCacheLRUEviction(t *testing.T) {
 	if hit(3) {
 		t.Fatal("first open of k3 hit")
 	}
-	eco := m.EconomyStats()
-	if eco.Evictions != 1 || eco.EvictedBytes != one || eco.UsedBytes != 3*one {
+	if used, evictions, evicted := econ(svc); evictions != 1 || evicted != one || used != 3*one {
 		t.Fatalf("evictions %d (%d bytes), used %d; want 1 (%d bytes), used %d",
-			eco.Evictions, eco.EvictedBytes, eco.UsedBytes, one, 3*one)
+			evictions, evicted, used, one, 3*one)
 	}
 	for _, i := range []int{0, 2, 3} {
 		if !hit(i) {
@@ -448,7 +455,7 @@ func TestIndexCacheGenerationRules(t *testing.T) {
 		if err := m.Truncate(ctx, "g"); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := m.EconomyStats().UsedBytes, stateOverhead(t, w.roots, ctx); got != want {
+		if got, want := plfs.EconomyUsed(m), stateOverhead(t, w.roots, ctx); got != want {
 			t.Fatalf("used after truncate = %d, want the state overhead %d", got, want)
 		}
 	})
@@ -462,7 +469,8 @@ func TestIndexCacheGenerationRules(t *testing.T) {
 		ctx := w.ctx(0, nil)
 		ovh := stateOverhead(t, w.roots, ctx)
 		for _, budget := range []int64{2 * ovh, 64 << 20} {
-			m := plfs.NewService(plfs.ServiceOptions{CacheBudgetBytes: budget}).Mount(w.roots, plfs.Options{})
+			svc := plfs.NewService(plfs.ServiceOptions{CacheBudgetBytes: budget})
+			m := svc.Mount(w.roots, plfs.Options{})
 			rd, err := m.OpenReader(ctx, "big")
 			if err != nil {
 				t.Fatal(err)
@@ -491,8 +499,8 @@ func TestIndexCacheGenerationRules(t *testing.T) {
 			}
 			// Nothing leaks: evicting the container returns every byte.
 			openMissing(t, m, ctx)
-			if eco := m.EconomyStats(); eco.UsedBytes != ovh || eco.Evictions != 1 {
-				t.Fatalf("after eviction: used %d, evictions %d; want %d, 1", eco.UsedBytes, eco.Evictions, ovh)
+			if used, evictions, _ := econ(svc); used != ovh || evictions != 1 {
+				t.Fatalf("after eviction: used %d, evictions %d; want %d, 1", used, evictions, ovh)
 			}
 		}
 	})
@@ -556,7 +564,7 @@ func TestEconomyChargesBuiltIndex(t *testing.T) {
 	})
 	opened := func(opt plfs.Options, collective bool) int64 {
 		r := &rig{m: plfs.NewMount(w.roots, opt), roots: w.roots, clock: w.clock}
-		before := r.m.EconomyStats().UsedBytes
+		before := plfs.EconomyUsed(r.m)
 		ranks := 1
 		if collective {
 			ranks = n
@@ -573,7 +581,7 @@ func TestEconomyChargesBuiltIndex(t *testing.T) {
 			verifyN1(t, rd, n, blocks, bs)
 			rd.Close()
 		})
-		return r.m.EconomyStats().UsedBytes - before
+		return plfs.EconomyUsed(r.m) - before
 	}
 	cached := opened(plfs.Options{IndexMode: plfs.Original}, false)
 	uncached := opened(plfs.Options{IndexMode: plfs.Original, NoIndexCache: true}, false)
@@ -585,20 +593,21 @@ func TestEconomyChargesBuiltIndex(t *testing.T) {
 
 	ctx := w.ctx(0, nil)
 	ovh := stateOverhead(t, w.roots, ctx)
-	m := plfs.NewService(plfs.ServiceOptions{CacheBudgetBytes: cached}).Mount(w.roots, plfs.Options{IndexMode: plfs.Original})
+	svc := plfs.NewService(plfs.ServiceOptions{CacheBudgetBytes: cached})
+	m := svc.Mount(w.roots, plfs.Options{IndexMode: plfs.Original})
 	rd, err := m.OpenReader(ctx, "eco")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rd.Close()
 	m.DropIndexCache()
-	if got := m.EconomyStats().UsedBytes; got != cached {
+	if got, _, _ := econ(svc); got != cached {
 		t.Fatalf("used after DropIndexCache = %d, want %d (the index stays resident until evicted)", got, cached)
 	}
 	openMissing(t, m, ctx)
-	if eco := m.EconomyStats(); eco.UsedBytes != ovh || eco.Evictions != 1 || eco.EvictedBytes != cached {
+	if used, evictions, evicted := econ(svc); used != ovh || evictions != 1 || evicted != cached {
 		t.Fatalf("after eviction: used %d, evictions %d (%d bytes); want the new state's %d, 1 (%d bytes)",
-			eco.UsedBytes, eco.Evictions, eco.EvictedBytes, ovh, cached)
+			used, evictions, evicted, ovh, cached)
 	}
 }
 

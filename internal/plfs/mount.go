@@ -365,10 +365,6 @@ func (m *Mount) DropIndexCache() {
 	}
 }
 
-// EconomyStats reports the cache economy's usage (shared when the mount
-// is served by a Service).
-func (m *Mount) EconomyStats() EconomyStats { return m.econ.stats() }
-
 // Volumes returns the number of metadata volumes behind the mount.
 func (m *Mount) Volumes() int { return len(m.roots) }
 

@@ -6,9 +6,9 @@ package plfs
 // dropping from its data dropping's recovery footer, re-replicating an
 // under-replicated file, and dropping a global index nothing can
 // restore.  The repair daemon's tick runs the pass's shallow mode over
-// every container and accumulates the ledger — found = repaired +
-// unrepairable over any quiescent window — in the Service, which
-// publishes it through obs (plfs.repair.*).
+// every container and counts the ledger — found = repaired +
+// unrepairable over any quiescent window, plus the deferred work outside
+// it — in the Service's registry (plfs.repair.* counters).
 
 import (
 	"errors"
@@ -240,7 +240,7 @@ func (m *Mount) listContainers(ctx Ctx) ([]string, error) {
 }
 
 // RepairTick runs one shallow repair pass over every container of m,
-// folding the outcome into the service's repair ledger and obs counters.
+// folding the outcome into the service's repair ledger (Service.Obs).
 func (s *Service) RepairTick(ctx Ctx, m *Mount) (Report, error) {
 	rep := Report{Repair: true}
 	rels, err := m.listContainers(ctx)
@@ -261,14 +261,11 @@ func (s *Service) RepairTick(ctx Ctx, m *Mount) (Report, error) {
 		}
 		rep.merge(c)
 	}
-	s.repairTicks.Add(1)
-	s.repairFound.Add(int64(rep.Found()))
-	s.repairRepaired.Add(int64(rep.Repaired()))
-	s.repairUnrepairable.Add(int64(rep.Unrepairable()))
-	s.repairDeferred.Add(int64(rep.Deferred))
-	if ctx.Obs != nil {
-		ctx.Obs.Counter("plfs.repair.ticks").Add(1)
-	}
+	s.reg.Counter("plfs.repair.ticks").Add(1)
+	s.reg.Counter("plfs.repair.found").Add(int64(rep.Found()))
+	s.reg.Counter("plfs.repair.repaired").Add(int64(rep.Repaired()))
+	s.reg.Counter("plfs.repair.unrepairable").Add(int64(rep.Unrepairable()))
+	s.reg.Counter("plfs.repair.deferred").Add(int64(rep.Deferred))
 	return rep, nil
 }
 

@@ -211,7 +211,10 @@ func (m *Mount) integrity(ctx Ctx, rel string, deep, repair bool) (Report, error
 	if p.changed {
 		m.advanceGen(m.stateOf(rel, ctx.Tenant), true)
 	}
-	if ctx.Obs != nil {
+	// A deep pass counts its findings into the caller's registry; the
+	// daemon's shallow pass is counted once, in the service's ledger
+	// (RepairTick).
+	if deep && ctx.Obs != nil {
 		ctx.Obs.Counter("plfs." + verb + ".found").Add(int64(p.rep.Found()))
 		ctx.Obs.Counter("plfs." + verb + ".repaired").Add(int64(p.rep.Repaired()))
 		ctx.Obs.Counter("plfs." + verb + ".unrepairable").Add(int64(p.rep.Unrepairable()))

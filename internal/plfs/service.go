@@ -14,9 +14,7 @@ package plfs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"plfs/internal/obs"
@@ -90,17 +88,10 @@ type Service struct {
 
 	gates map[string]*gate // by class name; immutable after NewService
 
-	mu      sync.Mutex
-	tenants map[string]*tenantStats
-
-	// Repair ledger: every problem the repair daemon (or plfsctl scrub
-	// -repair) finds ends up as exactly one of repaired or unrepairable,
-	// so found = repaired + unrepairable over any quiescent window.
-	repairTicks        atomic.Int64
-	repairFound        atomic.Int64
-	repairRepaired     atomic.Int64
-	repairUnrepairable atomic.Int64
-	repairDeferred     atomic.Int64
+	// reg is the one home of the service's numbers: the admission and
+	// repair ledgers as counters, recorded where they happen, and the
+	// economy, gate and breaker state as gauges, written by Obs.
+	reg *obs.Registry
 }
 
 // gate is one class's in-flight-operation semaphore.  Admission is
@@ -135,22 +126,15 @@ func (g *gate) release() {
 	g.mu.Unlock()
 }
 
-type tenantStats struct {
-	admitted  atomic.Int64
-	completed atomic.Int64
-	rejected  atomic.Int64
-	retries   atomic.Int64
-}
-
 // NewService creates a mount service.
 func NewService(opt ServiceOptions) *Service {
 	opt = opt.withDefaults()
 	s := &Service{
-		opt:     opt,
-		econ:    newEconomy(opt.CacheBudgetBytes),
-		health:  NewHealth(),
-		gates:   map[string]*gate{},
-		tenants: map[string]*tenantStats{},
+		opt:    opt,
+		econ:   newEconomy(opt.CacheBudgetBytes),
+		health: NewHealth(),
+		gates:  map[string]*gate{},
+		reg:    obs.New(),
 	}
 	for _, c := range opt.Classes {
 		s.gates[c.Name] = &gate{cfg: c}
@@ -178,18 +162,6 @@ func (s *Service) gateFor(tenant string) *gate {
 	return s.gates[class]
 }
 
-func (s *Service) tenantStats(tenant string) *tenantStats {
-	tenant = tenantName(tenant)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts := s.tenants[tenant]
-	if ts == nil {
-		ts = &tenantStats{}
-		s.tenants[tenant] = ts
-	}
-	return ts
-}
-
 // admit passes one operation through the tenant's class gate, counting
 // it as admitted; the returned release marks it completed.  A full gate
 // retries with doubled Sleeper-charged backoff and rejects when the
@@ -198,43 +170,35 @@ func (s *Service) tenantStats(tenant string) *tenantStats {
 // over any quiescent window.
 func (s *Service) admit(ctx Ctx, op string) (func(), error) {
 	tenant := tenantName(ctx.Tenant)
-	ts := s.tenantStats(tenant)
-	ts.admitted.Add(1)
-	count(ctx.Obs, tenant, "admitted")
+	s.count(tenant, "admitted")
 	g := s.gateFor(ctx.Tenant)
 	done := func() {
 		if g != nil {
 			g.release()
 		}
-		ts.completed.Add(1)
-		count(ctx.Obs, tenant, "completed")
+		s.count(tenant, "completed")
 	}
 	if g == nil || g.tryAcquire() {
 		return done, nil
 	}
 	backoff := g.cfg.backoff()
 	for attempt := 1; attempt < g.cfg.attempts(); attempt++ {
-		ts.retries.Add(1)
-		count(ctx.Obs, tenant, "retries")
+		s.count(tenant, "retries")
 		ctx.sleep(backoff)
 		backoff *= 2
 		if g.tryAcquire() {
 			return done, nil
 		}
 	}
-	ts.rejected.Add(1)
-	count(ctx.Obs, tenant, "rejected")
+	s.count(tenant, "rejected")
 	return nil, fmt.Errorf("plfs: %s: tenant %q over class in-flight limit (%d): %w",
 		op, tenant, g.cfg.MaxInFlight, ErrAdmission)
 }
 
 // count bumps the aggregate and per-tenant admission counters.
-func count(reg *obs.Registry, tenant, what string) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("plfs.svc." + what).Add(1)
-	reg.Counter("plfs.svc.tenant." + tenant + "." + what).Add(1)
+func (s *Service) count(tenant, what string) {
+	s.reg.Counter("plfs.svc." + what).Add(1)
+	s.reg.Counter("plfs.svc.tenant." + tenant + "." + what).Add(1)
 }
 
 // admit gates one mount operation.  Standalone mounts are ungated.  A
@@ -273,132 +237,27 @@ func (m *Mount) admit(ctx Ctx, op string) (func(), error) {
 // admitTag is the collective tag of the admission verdict broadcast.
 const admitTag = 23
 
-// ServiceStats is a point-in-time snapshot of the service.
-type ServiceStats struct {
-	Economy EconomyStats
-	Tenants []TenantAdmission
-	Classes []ClassStats
-	Repair  RepairTotals
-	Health  []VolHealth
-}
-
-// RepairTotals is the service's lifetime repair ledger.  Over any
-// quiescent window Found = Repaired + Unrepairable.
-type RepairTotals struct {
-	Ticks        int64
-	Found        int64
-	Repaired     int64
-	Unrepairable int64
-	// Deferred counts work items skipped because their volume's breaker
-	// was not closed — not part of the found ledger (nothing was
-	// diagnosed), just a measure of how much the scrubber is steering.
-	Deferred int64
-}
-
-// TenantAdmission is one tenant's admission ledger.  Over any quiescent
-// window Admitted = Completed + Rejected.
-type TenantAdmission struct {
-	Tenant    string
-	Admitted  int64
-	Completed int64
-	Rejected  int64
-	Retries   int64
-}
-
-// ClassStats is one admission class's gate occupancy.
-type ClassStats struct {
-	Name         string
-	MaxInFlight  int
-	InFlight     int
-	PeakInFlight int
-}
-
-// Stats snapshots the service's economy, tenant, and gate state.
-func (s *Service) Stats() ServiceStats {
-	out := ServiceStats{
-		Economy: s.econ.stats(),
-		Repair: RepairTotals{
-			Ticks:        s.repairTicks.Load(),
-			Found:        s.repairFound.Load(),
-			Repaired:     s.repairRepaired.Load(),
-			Unrepairable: s.repairUnrepairable.Load(),
-			Deferred:     s.repairDeferred.Load(),
-		},
-		Health: s.health.Snapshot(),
-	}
-	s.mu.Lock()
-	names := make([]string, 0, len(s.tenants))
-	for t := range s.tenants {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, t := range names {
-		ts := s.tenants[t]
-		out.Tenants = append(out.Tenants, TenantAdmission{
-			Tenant:    t,
-			Admitted:  ts.admitted.Load(),
-			Completed: ts.completed.Load(),
-			Rejected:  ts.rejected.Load(),
-			Retries:   ts.retries.Load(),
-		})
-	}
-	s.mu.Unlock()
-	cnames := make([]string, 0, len(s.gates))
-	for c := range s.gates {
-		cnames = append(cnames, c)
-	}
-	sort.Strings(cnames)
-	for _, c := range cnames {
-		g := s.gates[c]
-		g.mu.Lock()
-		out.Classes = append(out.Classes, ClassStats{
-			Name: c, MaxInFlight: g.cfg.MaxInFlight,
-			InFlight: g.inflight, PeakInFlight: g.peak,
-		})
-		g.mu.Unlock()
-	}
-	return out
-}
-
-// Publish snapshots the service state into a registry as gauges —
-// idempotent (Set, not Add), so it can run after every phase.  Counter-
-// style admission totals already stream through each operation's
-// ctx.Obs; these gauges add the economy and gate views plfsctl top's
-// tenant section renders.
-func (s *Service) Publish(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	st := s.Stats()
-	reg.Gauge("plfs.econ.budget_bytes").Set(float64(st.Economy.BudgetBytes))
-	reg.Gauge("plfs.econ.used_bytes").Set(float64(st.Economy.UsedBytes))
-	reg.Gauge("plfs.econ.evictions").Set(float64(st.Economy.Evictions))
-	reg.Gauge("plfs.econ.evicted_bytes").Set(float64(st.Economy.EvictedBytes))
-	for _, t := range st.Economy.TenantBytes {
-		reg.Gauge("plfs.svc.tenant." + t.Tenant + ".cache_bytes").Set(float64(t.Bytes))
-	}
-	// The admission ledger also streams as counters through each op's own
-	// ctx.Obs; re-publishing it here as gauges makes one registry (e.g.
-	// plfsrun -tenants -metrics) carry the whole service view even when
-	// the ops reported to per-tenant registries.
-	for _, t := range st.Tenants {
-		p := "plfs.svc.tenant." + t.Tenant + "."
-		reg.Gauge(p + "admitted").Set(float64(t.Admitted))
-		reg.Gauge(p + "completed").Set(float64(t.Completed))
-		reg.Gauge(p + "rejected").Set(float64(t.Rejected))
-		reg.Gauge(p + "retries").Set(float64(t.Retries))
-	}
-	for _, c := range st.Classes {
-		name := c.Name
+// Obs returns the service's registry, the one place its numbers are
+// read.  Ledgers are counters under their event names:
+// plfs.svc.{admitted,completed,rejected,retries} and the same per tenant
+// under plfs.svc.tenant.<t>., each balancing admitted = completed +
+// rejected over any quiescent window, and plfs.repair.{ticks,found,
+// repaired,unrepairable,deferred}, balancing found = repaired +
+// unrepairable (deferred, the work skipped because a volume's breaker
+// was not closed, stands outside that ledger).  State is gauges, written from the live structures on
+// each call: the economy (plfs.econ.*, plfs.svc.tenant.<t>.cache_bytes),
+// each class's plfs.svc.class.<c>.peak_inflight and the breaker table
+// (plfs.health.*).
+func (s *Service) Obs() *obs.Registry {
+	s.econ.publish(s.reg)
+	for name, g := range s.gates {
 		if name == "" {
 			name = defaultTenant
 		}
-		reg.Gauge("plfs.svc.class." + name + ".peak_inflight").Set(float64(c.PeakInFlight))
+		g.mu.Lock()
+		s.reg.Gauge("plfs.svc.class." + name + ".peak_inflight").Set(float64(g.peak))
+		g.mu.Unlock()
 	}
-	reg.Gauge("plfs.repair.ticks").Set(float64(st.Repair.Ticks))
-	reg.Gauge("plfs.repair.found").Set(float64(st.Repair.Found))
-	reg.Gauge("plfs.repair.repaired").Set(float64(st.Repair.Repaired))
-	reg.Gauge("plfs.repair.unrepairable").Set(float64(st.Repair.Unrepairable))
-	reg.Gauge("plfs.repair.deferred").Set(float64(st.Repair.Deferred))
-	s.health.Publish(reg)
+	s.health.Publish(s.reg)
+	return s.reg
 }

@@ -56,20 +56,29 @@ func TestAdmissionGateLedger(t *testing.T) {
 	d2()
 	d3()
 
-	st := svc.Stats()
-	if len(st.Tenants) != 1 {
-		t.Fatalf("tenants = %+v, want one", st.Tenants)
+	reg := svc.Obs()
+	if got := ledger(reg, "a"); got != [4]int64{4, 3, 1, 2} {
+		t.Fatalf("ledger admitted/completed/rejected/retries = %v, want [4 3 1 2]", got)
 	}
-	ta := st.Tenants[0]
-	if ta.Tenant != "a" || ta.Admitted != 4 || ta.Completed != 3 || ta.Rejected != 1 || ta.Retries != 2 {
-		t.Fatalf("ledger = %+v, want a/4/3/1/2", ta)
+	if got := ledger(reg, ""); got != [4]int64{4, 3, 1, 2} {
+		t.Fatalf("aggregate ledger = %v, want [4 3 1 2]", got)
 	}
-	if ta.Admitted != ta.Completed+ta.Rejected {
-		t.Fatalf("admitted %d != completed %d + rejected %d", ta.Admitted, ta.Completed, ta.Rejected)
+	if got := reg.Gauge("plfs.svc.class.batch.peak_inflight").Value(); got != 2 {
+		t.Fatalf("batch peak in flight = %v, want 2", got)
 	}
-	if len(st.Classes) != 1 || st.Classes[0].InFlight != 0 || st.Classes[0].PeakInFlight != 2 {
-		t.Fatalf("classes = %+v, want batch inflight 0 peak 2", st.Classes)
+}
+
+// ledger reads one tenant's admission counters (the aggregate ones for
+// tenant "") as admitted, completed, rejected, retries.
+func ledger(reg *obs.Registry, tenant string) (out [4]int64) {
+	p := "plfs.svc."
+	if tenant != "" {
+		p += "tenant." + tenant + "."
 	}
+	for i, f := range []string{"admitted", "completed", "rejected", "retries"} {
+		out[i] = reg.Counter(p + f).Value()
+	}
+	return out
 }
 
 func TestAdmissionUnmappedTenantUngated(t *testing.T) {
@@ -159,15 +168,10 @@ func TestCollectiveAdmissionFailsTogether(t *testing.T) {
 
 	// The collective counts once (rank 0), not once per rank: the held
 	// ticket plus one rejected and one completed collective.
-	st := svc.Stats()
-	ta := st.Tenants[0]
-	if ta.Admitted != 3 || ta.Completed != 2 || ta.Rejected != 1 {
-		t.Fatalf("ledger = %+v, want admitted 3 completed 2 rejected 1", ta)
+	if got := ledger(svc.Obs(), "a"); got != [4]int64{3, 2, 1, 0} {
+		t.Fatalf("ledger admitted/completed/rejected/retries = %v, want [3 2 1 0]", got)
 	}
-	if got := reg.Counter("plfs.svc.tenant.a.rejected").Value(); got != 1 {
-		t.Fatalf("obs rejected = %d, want 1", got)
-	}
-	if got := reg.Counter("plfs.svc.tenant.a.completed").Value(); got != 1 {
-		t.Fatalf("obs completed = %d, want 1 (collectives count once)", got)
+	if got := reg.Snapshot().Counters; len(got) != 0 {
+		t.Fatalf("the ranks' own registry counted %v; the ledger lives in the service's", got)
 	}
 }

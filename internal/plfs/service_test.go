@@ -3,6 +3,7 @@ package plfs_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,8 @@ import (
 // small enough to keep the economy evicting throughout.  It checks the
 // service's two end-to-end promises: every successfully written container
 // reads back byte-identical (whatever the cache shed meanwhile), and the
-// admission ledger balances (admitted = completed + rejected per tenant).
+// admission ledger read off the service's registry balances (admitted =
+// completed + rejected per tenant).
 // CI runs it under -race.
 func TestServiceRaceStress(t *testing.T) {
 	const (
@@ -144,39 +146,40 @@ func TestServiceRaceStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := svc.Stats()
-	var admitted, completed int64
-	for _, ta := range st.Tenants {
-		if ta.Admitted != ta.Completed+ta.Rejected {
-			t.Errorf("tenant %s: admitted %d != completed %d + rejected %d",
-				ta.Tenant, ta.Admitted, ta.Completed, ta.Rejected)
+	// The ledgers, read as every reader reads them: off the registry.
+	reg := svc.Obs()
+	var admitted, completed, totalRejected int64
+	for tn := 0; tn < tenants; tn++ {
+		p := fmt.Sprintf("plfs.svc.tenant.t%d.", tn)
+		a, c, r := reg.Counter(p+"admitted").Value(), reg.Counter(p+"completed").Value(), reg.Counter(p+"rejected").Value()
+		if a != c+r {
+			t.Errorf("tenant t%d: admitted %d != completed %d + rejected %d", tn, a, c, r)
 		}
-		admitted += ta.Admitted
-		completed += ta.Completed
+		admitted += a
+		completed += c
+		totalRejected += r
 	}
 	if admitted == 0 || completed == 0 {
-		t.Fatalf("no operations recorded: %+v", st.Tenants)
-	}
-	var totalRejected int64
-	for _, ta := range st.Tenants {
-		totalRejected += ta.Rejected
+		t.Fatalf("no operations recorded: admitted %d completed %d", admitted, completed)
 	}
 	if totalRejected != rejected.Load() {
 		t.Errorf("ledger rejected %d, observed %d ErrAdmission returns", totalRejected, rejected.Load())
 	}
-	eco := st.Economy
-	if eco.UsedBytes < 0 {
-		t.Errorf("economy used %d < 0", eco.UsedBytes)
+	used := reg.Gauge("plfs.econ.used_bytes").Value()
+	if used < 0 {
+		t.Errorf("economy used %v < 0", used)
 	}
-	var tenantSum int64
-	for _, tb := range eco.TenantBytes {
-		if tb.Bytes <= 0 {
-			t.Errorf("tenant %s attribution %d, want > 0", tb.Tenant, tb.Bytes)
+	var tenantSum float64
+	for name, b := range reg.Snapshot().Gauges {
+		if strings.HasPrefix(name, "plfs.svc.tenant.") && strings.HasSuffix(name, ".cache_bytes") {
+			if b < 0 {
+				t.Errorf("%s = %v, want >= 0", name, b)
+			}
+			tenantSum += b
 		}
-		tenantSum += tb.Bytes
 	}
-	if tenantSum != eco.UsedBytes {
-		t.Errorf("tenant bytes sum %d != used %d", tenantSum, eco.UsedBytes)
+	if tenantSum != used {
+		t.Errorf("tenant bytes sum %v != used %v", tenantSum, used)
 	}
 
 	// Phase 3: eviction pressure by construction.  How many evictions the
@@ -187,12 +190,14 @@ func TestServiceRaceStress(t *testing.T) {
 	// lower bound per index is its fixed overhead plus its dropping
 	// paths, which is less than the cache charges for it.
 	m.DropIndexCache()
-	before := svc.Stats().Economy.Evictions
+	evictions := func() float64 { return svc.Obs().Gauge("plfs.econ.evictions").Value() }
+	before := evictions()
+	budget := int64(reg.Gauge("plfs.econ.budget_bytes").Value())
 	ctx := ctxFor("t0")
 	var cached int64
-	for i := 0; cached <= eco.BudgetBytes; i++ {
+	for i := 0; cached <= budget; i++ {
 		if i == 1000 {
-			t.Fatalf("%d serial containers cached only %d bytes against a %d-byte budget", i, cached, eco.BudgetBytes)
+			t.Fatalf("%d serial containers cached only %d bytes against a %d-byte budget", i, cached, budget)
 		}
 		rel := fmt.Sprintf("serial-c%d", i)
 		w, err := m.Create(ctx, rel)
@@ -217,16 +222,16 @@ func TestServiceRaceStress(t *testing.T) {
 			t.Fatalf("close reader %s: %v", rel, err)
 		}
 	}
-	if after := svc.Stats().Economy.Evictions; after == before {
+	if after := evictions(); after == before {
 		t.Errorf("no evictions after caching at least %d index bytes under a %d-byte budget; pressure counters dead?",
-			cached, eco.BudgetBytes)
+			cached, budget)
 	}
-	for _, cl := range st.Classes {
-		if cl.InFlight != 0 {
-			t.Errorf("class %q still has %d in flight after quiescence", cl.Name, cl.InFlight)
-		}
-		if cl.PeakInFlight > cl.MaxInFlight {
-			t.Errorf("class %q peak %d exceeded cap %d", cl.Name, cl.PeakInFlight, cl.MaxInFlight)
-		}
+	// The economy's gauges are read from the economy itself, not left at
+	// an earlier reading.
+	if got, want := svc.Obs().Gauge("plfs.econ.used_bytes").Value(), plfs.EconomyUsed(m); got != float64(want) {
+		t.Errorf("used_bytes gauge %v after evictions, economy holds %d", got, want)
+	}
+	if peak := reg.Gauge("plfs.svc.class.work.peak_inflight").Value(); peak < 1 || peak > 6 {
+		t.Errorf("class work peak in flight %v, want within [1, 6]", peak)
 	}
 }

@@ -119,3 +119,36 @@ func repairLedger(r Report) (out [5]int64) {
 	}
 	return out
 }
+
+// TestFailedRunKeepsServiceLedger: a run that fails part-way still hands
+// the service's ledgers to Job.Obs, so its dump shows how far it got.
+func TestFailedRunKeepsServiceLedger(t *testing.T) {
+	j, _ := Brownout(workloads.Brownout{Steps: 4, OpsPerRank: 2, OpSize: 16 << 10}, 2, 0, 1, 0, 0, plfs.Options{
+		IndexMode: plfs.ParallelIndexRead, NumSubdirs: 2, SpreadContainers: true,
+	})
+	j.Seed, j.Obs = 3, obs.New()
+	step := j.Step
+	j.Step = func(l *Live, s int, res workloads.Result) error {
+		if err := step(l, s, res); err != nil {
+			return err
+		}
+		if s == 1 {
+			panic("stop the run after two repair ticks")
+		}
+		return nil
+	}
+	r, err := Run(j)
+	if err == nil {
+		t.Fatal("a rank panicked, yet the run reports no error")
+	}
+	snap := j.Obs.Snapshot()
+	if got := snap.Counters["plfs.repair.ticks"]; got < 1 {
+		t.Errorf("failed run's registry holds plfs.repair.ticks = %d, want the ticks it ran", got)
+	}
+	if got := snap.Counters["plfs.svc.admitted"]; got == 0 {
+		t.Error("failed run's registry holds no admissions")
+	}
+	if r.Service == nil {
+		t.Error("failed run's Report.Service is nil")
+	}
+}

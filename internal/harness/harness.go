@@ -298,8 +298,14 @@ func Run(j Job) (Report, error) {
 	}
 	err := eng.Run()
 	rep.Events, rep.Digest = eng.Events(), eng.Digest()
+	// A failed run's registry keeps what the run counted, the service's
+	// ledgers included: they say how far it got.
+	publish(j.Obs)
+	if svc != nil {
+		rep.Service = svc.Obs()
+		j.Obs.Merge(rep.Service)
+	}
 	if err != nil {
-		publish(j.Obs)
 		return rep, errors.Join(failed, err)
 	}
 	if tr != nil {
@@ -307,15 +313,10 @@ func Run(j Job) (Report, error) {
 			return rep, err
 		}
 	}
-	publish(j.Obs)
 	rep.Result, rep.PFS = results[0], report()
 	rep.Makespan = time.Duration(eng.Now())
 	for i, t := range tenants {
 		rep.Bytes += results[i].BytesPerRank * int64(t.Ranks)
-	}
-	if svc != nil {
-		rep.Service = svc.Obs()
-		j.Obs.Merge(rep.Service)
 	}
 	// Run forces no collection: Figure.run returns a large run's heap to
 	// the OS before it admits the next run.

@@ -100,7 +100,7 @@ func (b Backend) admitLocked(p string, dir bool) error {
 		}
 	}
 	if b.existsLocked(p) || (!dir && len(b.s.scanLocked(markerKey(p))) > 0) {
-		b.s.reg.Counter("objfs.cond_put_conflicts").Add(1)
+		b.s.conflicts.Add(1)
 		return ErrExist
 	}
 	return nil
@@ -113,8 +113,8 @@ func (b Backend) Mkdir(path string) error {
 	b.s.service(b.p, b.s.cfg.PutOp)
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	b.s.reg.Counter("objfs.puts").Add(1)
-	b.s.reg.Counter("objfs.cond_puts").Add(1)
+	b.s.puts.Add(1)
+	b.s.condPuts.Add(1)
 	if err := b.admitLocked(path, true); err != nil {
 		return err
 	}
@@ -129,8 +129,8 @@ func (b Backend) Create(path string) (plfs.File, error) {
 	b.s.service(b.p, b.s.cfg.PutOp)
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	b.s.reg.Counter("objfs.puts").Add(1)
-	b.s.reg.Counter("objfs.cond_puts").Add(1)
+	b.s.puts.Add(1)
+	b.s.condPuts.Add(1)
 	if err := b.admitLocked(path, false); err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func (b Backend) open(path string) (*file, error) {
 	b.s.service(b.p, b.s.cfg.HeadOp)
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	b.s.reg.Counter("objfs.heads").Add(1)
+	b.s.heads.Add(1)
 	o, ok := b.s.objs[path]
 	if !ok {
 		if _, dir := b.s.objs[markerKey(path)]; dir {
@@ -174,7 +174,7 @@ func (b Backend) Stat(p string) (plfs.Info, error) {
 	b.s.service(b.p, b.s.cfg.HeadOp)
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	b.s.reg.Counter("objfs.heads").Add(1)
+	b.s.heads.Add(1)
 	if o, ok := b.s.objs[p]; ok {
 		return plfs.Info{Name: path.Base(p), Size: o.data.Size()}, nil
 	}
@@ -203,7 +203,7 @@ func (b Backend) ReadDir(p string) ([]plfs.Info, error) {
 	b.s.mu.Unlock()
 	if !hasMarker && len(keys) == 0 {
 		b.s.service(b.p, b.s.cfg.ListOp)
-		b.s.reg.Counter("objfs.list_pages").Add(1)
+		b.s.listPages.Add(1)
 		return nil, ErrNotExist
 	}
 	pages := (len(keys) + b.s.cfg.ListPage - 1) / b.s.cfg.ListPage
@@ -217,8 +217,8 @@ func (b Backend) ReadDir(p string) ([]plfs.Info, error) {
 		}
 		b.s.listPage(b.p, time.Duration(n)*b.s.cfg.ListKey)
 	}
-	b.s.reg.Counter("objfs.list_pages").Add(int64(pages))
-	b.s.reg.Counter("objfs.list_keys").Add(int64(len(keys)))
+	b.s.listPages.Add(int64(pages))
+	b.s.listKeys.Add(int64(len(keys)))
 
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
@@ -248,7 +248,7 @@ func (b Backend) Remove(path string) error {
 	b.s.service(b.p, b.s.cfg.DeleteOp)
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	b.s.reg.Counter("objfs.deletes").Add(1)
+	b.s.deletes.Add(1)
 	if _, ok := b.s.objs[path]; ok {
 		b.s.deleteLocked(path)
 		return nil
@@ -275,7 +275,7 @@ func (b Backend) Remove(path string) error {
 func (b Backend) Rename(oldPath, newPath string) error {
 	b.s.service(b.p, b.s.cfg.HeadOp)
 	b.s.mu.Lock()
-	b.s.reg.Counter("objfs.heads").Add(1)
+	b.s.heads.Add(1)
 	if b.existsLocked(newPath) {
 		b.s.mu.Unlock()
 		return ErrExist
@@ -317,8 +317,8 @@ func (b Backend) renameKey(oldKey, newKey string) error {
 	b.s.service(b.p, b.s.cfg.DeleteOp)
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	b.s.reg.Counter("objfs.puts").Add(1)
-	b.s.reg.Counter("objfs.deletes").Add(1)
+	b.s.puts.Add(1)
+	b.s.deletes.Add(1)
 	if cur, still := b.s.objs[oldKey]; !still || cur != o {
 		return ErrNotExist // raced away while the copy was in flight
 	}
@@ -341,9 +341,9 @@ func (b Backend) PutIfAbsent(path string, data []byte) error {
 	b.s.transfer(b.p, int64(len(data)))
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	b.s.reg.Counter("objfs.puts").Add(1)
-	b.s.reg.Counter("objfs.cond_puts").Add(1)
-	b.s.reg.Counter("objfs.bytes_in").Add(int64(len(data)))
+	b.s.puts.Add(1)
+	b.s.condPuts.Add(1)
+	b.s.bytesIn.Add(int64(len(data)))
 	if err := b.admitLocked(path, false); err != nil {
 		return err
 	}
@@ -363,7 +363,7 @@ func (b Backend) PutIfAbsent(path string, data []byte) error {
 func (b Backend) PutReplace(path string, data []byte) error {
 	b.s.service(b.p, b.s.cfg.HeadOp)
 	b.s.mu.Lock()
-	b.s.reg.Counter("objfs.heads").Add(1)
+	b.s.heads.Add(1)
 	want := int64(genAbsent)
 	if o, ok := b.s.objs[path]; ok {
 		want = o.gen
@@ -374,16 +374,16 @@ func (b Backend) PutReplace(path string, data []byte) error {
 	b.s.transfer(b.p, int64(len(data)))
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	b.s.reg.Counter("objfs.puts").Add(1)
-	b.s.reg.Counter("objfs.cond_puts").Add(1)
-	b.s.reg.Counter("objfs.bytes_in").Add(int64(len(data)))
+	b.s.puts.Add(1)
+	b.s.condPuts.Add(1)
+	b.s.bytesIn.Add(int64(len(data)))
 	have := int64(genAbsent)
 	o := b.s.objs[path]
 	if o != nil {
 		have = o.gen
 	}
 	if have != want {
-		b.s.reg.Counter("objfs.cond_put_conflicts").Add(1)
+		b.s.conflicts.Add(1)
 		return &ConflictError{Key: path, Want: want, Have: have}
 	}
 	if o == nil {
@@ -415,8 +415,8 @@ func (f *file) WriteAt(off int64, p payload.Payload) error {
 	f.s.transfer(f.p, p.Len())
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
-	f.s.reg.Counter("objfs.puts").Add(1)
-	f.s.reg.Counter("objfs.bytes_in").Add(p.Len())
+	f.s.puts.Add(1)
+	f.s.bytesIn.Add(p.Len())
 	f.o.data.WriteAt(off, p)
 	f.o.gen++
 	return nil
@@ -428,8 +428,8 @@ func (f *file) Append(p payload.Payload) (int64, error) {
 	f.s.transfer(f.p, p.Len())
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
-	f.s.reg.Counter("objfs.puts").Add(1)
-	f.s.reg.Counter("objfs.bytes_in").Add(p.Len())
+	f.s.puts.Add(1)
+	f.s.bytesIn.Add(p.Len())
 	f.o.gen++
 	return f.o.data.Append(p), nil
 }
@@ -442,8 +442,8 @@ func (f *file) ReadAt(off, n int64) (payload.List, error) {
 	f.s.transfer(f.p, n)
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
-	f.s.reg.Counter("objfs.gets").Add(1)
-	f.s.reg.Counter("objfs.bytes_out").Add(n)
+	f.s.gets.Add(1)
+	f.s.bytesOut.Add(n)
 	return f.o.data.ReadAt(off, n), nil
 }
 
@@ -465,8 +465,8 @@ func (f *file) WritevAt(segs []extent.Ext, data payload.List) error {
 	f.s.transfer(f.p, data.Len())
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
-	f.s.reg.Counter("objfs.puts").Add(1)
-	f.s.reg.Counter("objfs.bytes_in").Add(data.Len())
+	f.s.puts.Add(1)
+	f.s.bytesIn.Add(data.Len())
 	pos := int64(0)
 	for _, seg := range segs {
 		off := seg.Off
@@ -490,8 +490,8 @@ func (f *file) ReadvAt(segs []extent.Ext) (payload.List, error) {
 	f.s.transfer(f.p, total)
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
-	f.s.reg.Counter("objfs.gets").Add(1)
-	f.s.reg.Counter("objfs.bytes_out").Add(total)
+	f.s.gets.Add(1)
+	f.s.bytesOut.Add(total)
 	var out payload.List
 	for _, seg := range segs {
 		out = out.Concat(f.o.data.ReadAt(seg.Off, seg.Len))
@@ -506,8 +506,8 @@ func (f *file) Appendv(pl payload.List) (int64, error) {
 	f.s.transfer(f.p, pl.Len())
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
-	f.s.reg.Counter("objfs.puts").Add(1)
-	f.s.reg.Counter("objfs.bytes_in").Add(pl.Len())
+	f.s.puts.Add(1)
+	f.s.bytesIn.Add(pl.Len())
 	f.o.gen++
 	off := f.o.data.Size()
 	for _, p := range pl {

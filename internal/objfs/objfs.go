@@ -177,8 +177,12 @@ type Store struct {
 	keys []string // sorted view of objs for prefix scans
 
 	// reg counts the store's requests and bytes (objfs.* counters) where
-	// they are issued; Report, PublishObs and TraceProbes read it.
-	reg *obs.Registry
+	// they are issued; Report, PublishObs and TraceProbes read it.  The
+	// handles below are its counters, looked up once by New, so a request
+	// bumps a counter without a registry lookup.
+	reg                                             *obs.Registry
+	puts, gets, heads, listPages, listKeys          *obs.Counter
+	deletes, condPuts, conflicts, bytesIn, bytesOut *obs.Counter
 }
 
 // New builds an engineless store: operations cost nothing and handles
@@ -188,7 +192,13 @@ func New(cfg Config) *Store {
 	if cfg.ListPage < 1 {
 		cfg.ListPage = 1000
 	}
-	return &Store{cfg: cfg, objs: map[string]*object{}, reg: obs.New()}
+	s := &Store{cfg: cfg, objs: map[string]*object{}, reg: obs.New()}
+	c := s.reg.Counter
+	s.puts, s.gets, s.heads = c("objfs.puts"), c("objfs.gets"), c("objfs.heads")
+	s.listPages, s.listKeys, s.deletes = c("objfs.list_pages"), c("objfs.list_keys"), c("objfs.deletes")
+	s.condPuts, s.conflicts = c("objfs.cond_puts"), c("objfs.cond_put_conflicts")
+	s.bytesIn, s.bytesOut = c("objfs.bytes_in"), c("objfs.bytes_out")
+	return s
 }
 
 // NewSim builds a store bound to the engine: a KV server pool serializes
@@ -220,14 +230,12 @@ func (s *Store) objects() int64 {
 // requests sums the KV requests issued: PUTs, GETs, HEADs, LIST pages
 // and DELETEs.
 func (s *Store) requests() int64 {
-	c := s.reg.Counter
-	return c("objfs.puts").Value() + c("objfs.gets").Value() + c("objfs.heads").Value() +
-		c("objfs.list_pages").Value() + c("objfs.deletes").Value()
+	return s.puts.Value() + s.gets.Value() + s.heads.Value() + s.listPages.Value() + s.deletes.Value()
 }
 
 // bytes sums the object bytes moved, in and out.
 func (s *Store) bytes() int64 {
-	return s.reg.Counter("objfs.bytes_in").Value() + s.reg.Counter("objfs.bytes_out").Value()
+	return s.bytesIn.Value() + s.bytesOut.Value()
 }
 
 // Roots creates n top-level prefixes ("/obj0" … "/objN-1") and returns

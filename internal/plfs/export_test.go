@@ -16,3 +16,12 @@ func EconomyUsed(m *Mount) int64 {
 	defer m.econ.mu.Unlock()
 	return m.econ.used
 }
+
+// GateInFlight reads how many operations a class's admission gate holds
+// right now; a quiescent service holds none.
+func GateInFlight(s *Service, class string) int {
+	g := s.gates[class]
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.inflight
+}

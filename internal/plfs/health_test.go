@@ -333,9 +333,13 @@ func TestRepairContainer(t *testing.T) {
 		defer rd.Close()
 		verifyN1(t, rd, 1, 4, 1024)
 	}
+	// The deep passes count their findings into the caller's registry.
+	reg := obs.New()
 	repair := func(stage string, wantRepaired int) plfs.Report {
 		t.Helper()
-		rep, err := m.Repair(serviceCtx(roots, clock), "c")
+		rctx := serviceCtx(roots, clock)
+		rctx.Obs = reg
+		rep, err := m.Repair(rctx, "c")
 		if err != nil {
 			t.Fatalf("%s: repair: %v", stage, err)
 		}
@@ -384,16 +388,30 @@ func TestRepairContainer(t *testing.T) {
 	}
 	verify("torn dropping")
 
-	// The service ledger accumulated every pass: found = repaired.
-	if _, err := svc.RepairTick(serviceCtx(roots, clock), m); err != nil {
+	if f, r := reg.Counter("plfs.repair.found").Value(), reg.Counter("plfs.repair.repaired").Value(); f != 3 || r != 3 {
+		t.Errorf("caller's registry after three repairs: found %d repaired %d, want 3/3", f, r)
+	}
+
+	// A daemon tick that re-replicates a lost replica counts it in the
+	// service's ledger only, not again in the caller's registry.
+	if err := os.Remove(repIx); err != nil {
+		t.Fatalf("remove replica: %v", err)
+	}
+	tctx := serviceCtx(roots, clock)
+	tctx.Obs = reg
+	if _, err := svc.RepairTick(tctx, m); err != nil {
 		t.Fatalf("repair tick: %v", err)
 	}
+	verify("repair tick")
 	c := svc.Obs().Counter
 	if got := c("plfs.repair.ticks").Value(); got != 1 {
 		t.Errorf("repair ticks = %d, want 1", got)
 	}
-	if f, r, u := c("plfs.repair.found").Value(), c("plfs.repair.repaired").Value(), c("plfs.repair.unrepairable").Value(); f != r+u {
-		t.Errorf("service ledger broken: found %d != repaired %d + unrepairable %d", f, r, u)
+	if f, r, u := c("plfs.repair.found").Value(), c("plfs.repair.repaired").Value(), c("plfs.repair.unrepairable").Value(); f != 1 || r != 1 || u != 0 {
+		t.Errorf("service ledger found/repaired/unrepairable = %d/%d/%d, want 1/1/0", f, r, u)
+	}
+	if r := reg.Counter("plfs.repair.repaired").Value(); r != 3 {
+		t.Errorf("the tick counted into the caller's registry: repaired %d, want 3", r)
 	}
 }
 

@@ -133,13 +133,26 @@ func (r *Report) merge(c Report) {
 // tool: openhosts records are reported stale because no writer should be
 // active while scrubbing.
 func (m *Mount) Scrub(ctx Ctx, rel string) (Report, error) {
-	return m.integrity(ctx, rel, true, false)
+	return m.deepPass(ctx, rel, "scrub")
 }
 
 // Repair makes Scrub's reads and applies the fix each finding has (see
 // the kind list above); findings with no fix are left unrepairable.
 func (m *Mount) Repair(ctx Ctx, rel string) (Report, error) {
-	return m.integrity(ctx, rel, true, true)
+	return m.deepPass(ctx, rel, "repair")
+}
+
+// deepPass runs Scrub's or Repair's pass (verb names which) and counts
+// its findings into the caller's registry as plfs.<verb>.{found,
+// repaired,unrepairable}.
+func (m *Mount) deepPass(ctx Ctx, rel, verb string) (Report, error) {
+	rep, err := m.integrity(ctx, rel, true, verb == "repair")
+	if err == nil && ctx.Obs != nil {
+		ctx.Obs.Counter("plfs." + verb + ".found").Add(int64(rep.Found()))
+		ctx.Obs.Counter("plfs." + verb + ".repaired").Add(int64(rep.Repaired()))
+		ctx.Obs.Counter("plfs." + verb + ".unrepairable").Add(int64(rep.Unrepairable()))
+	}
+	return rep, err
 }
 
 // pass is one integrity walk over one container.
@@ -210,14 +223,6 @@ func (m *Mount) integrity(ctx Ctx, rel string, deep, repair bool) (Report, error
 	}
 	if p.changed {
 		m.advanceGen(m.stateOf(rel, ctx.Tenant), true)
-	}
-	// A deep pass counts its findings into the caller's registry; the
-	// daemon's shallow pass is counted once, in the service's ledger
-	// (RepairTick).
-	if deep && ctx.Obs != nil {
-		ctx.Obs.Counter("plfs." + verb + ".found").Add(int64(p.rep.Found()))
-		ctx.Obs.Counter("plfs." + verb + ".repaired").Add(int64(p.rep.Repaired()))
-		ctx.Obs.Counter("plfs." + verb + ".unrepairable").Add(int64(p.rep.Unrepairable()))
 	}
 	return p.rep, nil
 }

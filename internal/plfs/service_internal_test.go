@@ -66,6 +66,9 @@ func TestAdmissionGateLedger(t *testing.T) {
 	if got := reg.Gauge("plfs.svc.class.batch.peak_inflight").Value(); got != 2 {
 		t.Fatalf("batch peak in flight = %v, want 2", got)
 	}
+	if got := GateInFlight(svc, "batch"); got != 0 {
+		t.Fatalf("batch in flight = %d after every ticket was released, want 0", got)
+	}
 }
 
 // ledger reads one tenant's admission counters (the aggregate ones for

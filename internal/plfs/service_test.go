@@ -234,4 +234,7 @@ func TestServiceRaceStress(t *testing.T) {
 	if peak := reg.Gauge("plfs.svc.class.work.peak_inflight").Value(); peak < 1 || peak > 6 {
 		t.Errorf("class work peak in flight %v, want within [1, 6]", peak)
 	}
+	if n := plfs.GateInFlight(svc, "work"); n != 0 {
+		t.Errorf("class work still has %d in flight after quiescence", n)
+	}
 }
